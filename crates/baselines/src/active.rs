@@ -100,11 +100,7 @@ impl<A: Acquisition> ActiveLearning<A> {
 
     /// Run the AL loop under the shared protocol: one label query per
     /// iteration (oracle = ground truth), evaluation on the paper cadence.
-    #[deprecated(
-        note = "bespoke per-baseline entry point; go through `run_method(Method::Us, ..)` / \
-                `run_method(Method::Bald, ..)` so every baseline runs one shared protocol"
-    )]
-    pub fn run(&self, ds: &Dataset, config: &IdpConfig) -> LearningCurve {
+    pub(crate) fn run(&self, ds: &Dataset, config: &IdpConfig) -> LearningCurve {
         let mut rng = DetRng::new(config.seed ^ 0xac71_4e1e);
         let mut labeled: Vec<(u32, Label)> = Vec::new();
         let mut excluded = vec![false; ds.train.n()];
@@ -139,7 +135,6 @@ impl<A: Acquisition> ActiveLearning<A> {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the shim keeps its coverage until it is removed
 mod tests {
     use super::*;
     use nemo_data::catalog::toy_text;

@@ -218,9 +218,24 @@ impl LearningPipeline for ImplyLossPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nemo_core::idp::{IdpSession, RandomSelector};
+    use nemo_core::engines::ExampleEngine;
+    use nemo_core::idp::{run_curve, LearningCurve, RandomSelector};
     use nemo_core::oracle::SimulatedUser;
+    use nemo_core::session::Session;
     use nemo_data::catalog::toy_text;
+
+    /// ImplyLoss-L's parts (random selection, the oracle user, ImplyLoss
+    /// learning) run for `config`'s budget.
+    fn run(ds: &Dataset, config: IdpConfig) -> (Session<'_>, LearningCurve) {
+        let mut session = Session::new(ds, config);
+        let curve = run_curve(
+            &mut session,
+            &mut ExampleEngine::new(RandomSelector),
+            &mut SimulatedUser::default(),
+            &mut ImplyLossPipeline::default(),
+        );
+        (session, curve)
+    }
 
     #[test]
     fn empty_lineage_gives_prior() {
@@ -240,14 +255,7 @@ mod tests {
     fn learns_on_toy_task() {
         let ds = toy_text(1);
         let config = IdpConfig { n_iterations: 12, eval_every: 4, seed: 5, ..Default::default() };
-        let mut session = IdpSession::new(
-            &ds,
-            config,
-            Box::new(RandomSelector),
-            Box::new(SimulatedUser::default()),
-            Box::new(ImplyLossPipeline::default()),
-        );
-        let curve = session.run();
+        let (_, curve) = run(&ds, config);
         assert!(curve.final_score() > 0.52, "score {}", curve.final_score());
     }
 
@@ -255,16 +263,7 @@ mod tests {
     fn rule_gate_fires_on_exemplar() {
         let ds = toy_text(1);
         let config = IdpConfig { n_iterations: 6, eval_every: 6, seed: 6, ..Default::default() };
-        let mut session = IdpSession::new(
-            &ds,
-            config,
-            Box::new(RandomSelector),
-            Box::new(SimulatedUser::default()),
-            Box::new(ImplyLossPipeline::default()),
-        );
-        for _ in 0..6 {
-            session.step();
-        }
+        let (session, _) = run(&ds, config);
         // Retrain directly to inspect the gates. The imply term closes
         // gates wherever the classifier disagrees with the rule, so the
         // meaningful invariant is *relative*: a rule's gate at its own
@@ -300,19 +299,10 @@ mod tests {
     #[test]
     fn deterministic() {
         let ds = toy_text(1);
-        let run = |seed| {
+        let points = |seed| {
             let config = IdpConfig { n_iterations: 5, eval_every: 5, seed, ..Default::default() };
-            IdpSession::new(
-                &ds,
-                config,
-                Box::new(RandomSelector),
-                Box::new(SimulatedUser::default()),
-                Box::new(ImplyLossPipeline::default()),
-            )
-            .run()
-            .points()
-            .to_vec()
+            run(&ds, config).1.points().to_vec()
         };
-        assert_eq!(run(3), run(3));
+        assert_eq!(points(3), points(3));
     }
 }

@@ -127,12 +127,12 @@ impl IwsLse {
     /// Run the IWS loop under the shared protocol. The oracle answers
     /// "useful" iff the candidate's true accuracy ≥ `user_threshold`
     /// (mirroring the simulated user's expertise threshold).
-    #[deprecated(
-        note = "IWS is a first-class selection engine now: set `SelectionStrategy::Iws` on \
-                `IdpConfig` and drive a `NemoSystem` (or `SessionPool`); for benchmark tables \
-                go through `run_method(Method::IwsLse, ..)`"
-    )]
-    pub fn run(&self, ds: &Dataset, config: &IdpConfig, user_threshold: f64) -> LearningCurve {
+    pub(crate) fn run(
+        &self,
+        ds: &Dataset,
+        config: &IdpConfig,
+        user_threshold: f64,
+    ) -> LearningCurve {
         let mut rng = DetRng::new(config.seed ^ 0x115e_11f5);
         let (lfs, features) = self.candidates(ds);
         let n_cand = lfs.len();
@@ -279,7 +279,6 @@ impl IwsLse {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the shim keeps its coverage until it is removed
 mod tests {
     use super::*;
     use nemo_data::catalog::toy_text;

@@ -1,7 +1,7 @@
 //! Unified method registry: every method in the paper's evaluation —
 //! Nemo, the IDP baselines, the other interactive schemes, and the
-//! ablation variants from Tables 4–9 — behind one `run` entry point, so
-//! the benchmark harness treats them uniformly.
+//! ablation variants from Tables 4–9 — behind one entry point,
+//! [`run_method`], so the benchmark harness treats them uniformly.
 
 use crate::active::{ActiveLearning, BaldAcquisition, UncertaintyAcquisition};
 use crate::implyloss::ImplyLossPipeline;
@@ -9,9 +9,11 @@ use crate::iws::IwsLse;
 use crate::selectors::{AbstainSelector, DisagreeSelector};
 use crate::weasul::ActiveWeasul;
 use nemo_core::config::{ContextualizerConfig, IdpConfig};
-use nemo_core::idp::{IdpSession, LearningCurve, RandomSelector, Selector};
+use nemo_core::engines::ExampleEngine;
+use nemo_core::idp::{run_curve, LearningCurve, RandomSelector, Selector};
 use nemo_core::oracle::{NoisyUser, SimulatedUser, User};
 use nemo_core::pipeline::{ContextualizedPipeline, LearningPipeline, StandardPipeline};
+use nemo_core::session::Session;
 use nemo_core::seu::SeuSelector;
 use nemo_core::user_model::UserModelKind;
 use nemo_core::utility::UtilityKind;
@@ -127,37 +129,30 @@ impl RunSpec {
     }
 }
 
+/// Run an IDP method: `selector` picks development examples for the
+/// spec's user, and `pipeline` learns from their LFs.
 fn idp_run(
     ds: &Dataset,
     spec: &RunSpec,
-    selector: Box<dyn Selector>,
-    pipeline: Box<dyn LearningPipeline>,
+    selector: impl Selector + Send,
+    mut pipeline: impl LearningPipeline,
 ) -> LearningCurve {
-    IdpSession::new(ds, spec.idp.clone(), selector, spec.build_user(), pipeline).run()
+    run_curve(
+        &mut Session::new(ds, spec.idp.clone()),
+        &mut ExampleEngine::new(selector),
+        &mut *spec.build_user(),
+        &mut pipeline,
+    )
 }
 
 /// Run `method` on `ds` under `spec`, returning its learning curve.
-// This dispatcher is the one supported caller of the deprecated
-// per-baseline `run` shims; everything else goes through it.
-#[allow(deprecated)]
 pub fn run_method(method: Method, ds: &Dataset, spec: &RunSpec) -> LearningCurve {
     match method {
-        Method::Nemo => idp_run(
-            ds,
-            spec,
-            Box::new(SeuSelector::new()),
-            Box::new(ContextualizedPipeline::default()),
-        ),
-        Method::Snorkel => idp_run(ds, spec, Box::new(RandomSelector), Box::new(StandardPipeline)),
-        Method::SnorkelAbs => {
-            idp_run(ds, spec, Box::new(AbstainSelector), Box::new(StandardPipeline))
-        }
-        Method::SnorkelDis => {
-            idp_run(ds, spec, Box::new(DisagreeSelector), Box::new(StandardPipeline))
-        }
-        Method::ImplyLossL => {
-            idp_run(ds, spec, Box::new(RandomSelector), Box::new(ImplyLossPipeline::default()))
-        }
+        Method::Nemo => idp_run(ds, spec, SeuSelector::new(), ContextualizedPipeline::default()),
+        Method::Snorkel => idp_run(ds, spec, RandomSelector, StandardPipeline),
+        Method::SnorkelAbs => idp_run(ds, spec, AbstainSelector, StandardPipeline),
+        Method::SnorkelDis => idp_run(ds, spec, DisagreeSelector, StandardPipeline),
+        Method::ImplyLossL => idp_run(ds, spec, RandomSelector, ImplyLossPipeline::default()),
         Method::Us => ActiveLearning::new(UncertaintyAcquisition).run(ds, &spec.idp),
         Method::Bald => ActiveLearning::new(BaldAcquisition::default()).run(ds, &spec.idp),
         Method::IwsLse => IwsLse::default().run(ds, &spec.idp, spec.user_threshold),
@@ -168,44 +163,34 @@ pub fn run_method(method: Method, ds: &Dataset, spec: &RunSpec) -> LearningCurve
             };
             aw.run(ds, &spec.idp)
         }
-        Method::SeuOnly => {
-            idp_run(ds, spec, Box::new(SeuSelector::new()), Box::new(StandardPipeline))
-        }
-        Method::ClOnly => {
-            idp_run(ds, spec, Box::new(RandomSelector), Box::new(ContextualizedPipeline::default()))
-        }
+        Method::SeuOnly => idp_run(ds, spec, SeuSelector::new(), StandardPipeline),
+        Method::ClOnly => idp_run(ds, spec, RandomSelector, ContextualizedPipeline::default()),
         Method::SeuUniformUserModel => idp_run(
             ds,
             spec,
-            Box::new(SeuSelector::with(UserModelKind::Uniform, UtilityKind::Full)),
-            Box::new(StandardPipeline),
+            SeuSelector::with(UserModelKind::Uniform, UtilityKind::Full),
+            StandardPipeline,
         ),
         Method::SeuNoInformativeness => idp_run(
             ds,
             spec,
-            Box::new(SeuSelector::with(
-                UserModelKind::AccuracyWeighted,
-                UtilityKind::NoInformativeness,
-            )),
-            Box::new(StandardPipeline),
+            SeuSelector::with(UserModelKind::AccuracyWeighted, UtilityKind::NoInformativeness),
+            StandardPipeline,
         ),
         Method::SeuNoCorrectness => idp_run(
             ds,
             spec,
-            Box::new(SeuSelector::with(
-                UserModelKind::AccuracyWeighted,
-                UtilityKind::NoCorrectness,
-            )),
-            Box::new(StandardPipeline),
+            SeuSelector::with(UserModelKind::AccuracyWeighted, UtilityKind::NoCorrectness),
+            StandardPipeline,
         ),
         Method::ClEuclidean => idp_run(
             ds,
             spec,
-            Box::new(RandomSelector),
-            Box::new(ContextualizedPipeline::new(ContextualizerConfig {
+            RandomSelector,
+            ContextualizedPipeline::new(ContextualizerConfig {
                 distance: Distance::Euclidean,
                 ..Default::default()
-            })),
+            }),
         ),
     }
 }

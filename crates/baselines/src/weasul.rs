@@ -38,9 +38,7 @@ impl Default for ActiveWeasul {
 
 impl ActiveWeasul {
     /// Run under the shared protocol.
-    #[deprecated(note = "bespoke per-baseline entry point; go through \
-                `run_method(Method::ActiveWeasul, ..)` so every baseline runs one shared protocol")]
-    pub fn run(&self, ds: &Dataset, config: &IdpConfig) -> LearningCurve {
+    pub(crate) fn run(&self, ds: &Dataset, config: &IdpConfig) -> LearningCurve {
         let mut rng = DetRng::new(config.seed ^ 0xa077_e50e);
         let mut user = self.user.clone();
         let mut matrix = LabelMatrix::new(ds.train.n());
@@ -155,7 +153,6 @@ impl ActiveWeasul {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the shim keeps its coverage until it is removed
 mod tests {
     use super::*;
     use nemo_data::catalog::toy_text;

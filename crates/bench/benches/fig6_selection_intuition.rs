@@ -8,9 +8,11 @@
 
 use nemo_bench::{write_csv, Table};
 use nemo_core::config::IdpConfig;
-use nemo_core::idp::{IdpSession, RandomSelector, Selector};
+use nemo_core::engines::{ExampleEngine, SelectionEngine};
+use nemo_core::idp::{RandomSelector, Selector};
 use nemo_core::oracle::SimulatedUser;
 use nemo_core::pipeline::StandardPipeline;
+use nemo_core::session::Session;
 use nemo_core::seu::SeuSelector;
 use nemo_data::catalog::toy_text;
 use nemo_sparse::DetRng;
@@ -20,19 +22,15 @@ use nemo_sparse::DetRng;
 fn small_cluster_rate(selector: &mut dyn Selector, seed: u64) -> f64 {
     let ds = toy_text(11);
     let config = IdpConfig { n_iterations: 0, eval_every: 5, seed, ..Default::default() };
-    let mut session = IdpSession::new(
-        &ds,
-        config,
-        Box::new(RandomSelector),
-        Box::new(SimulatedUser::default()),
-        Box::new(StandardPipeline),
-    );
+    let mut session = Session::new(&ds, config);
+    let mut engine = ExampleEngine::new(RandomSelector);
+    let (mut user, mut pipeline) = (SimulatedUser::default(), StandardPipeline);
     // Seed: 8 scripted steps whose dev examples come from clusters 0/1
     // only (mimicking the figure's starting state). We emulate this by
     // running the session until 8 LFs from big clusters are collected.
     let mut collected = 0;
     while collected < 8 {
-        let rec = session.step();
+        let rec = engine.round(&mut session, &mut user, &mut pipeline).expect("round resolves");
         match rec.selected {
             Some(x) if ds.train.clusters[x] <= 1 && !rec.new_lfs.is_empty() => collected += 1,
             _ => {}

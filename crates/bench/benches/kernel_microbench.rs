@@ -21,7 +21,8 @@ use std::time::Instant;
 
 use nemo_core::config::{ContextualizerConfig, DistanceBackend, IdpConfig};
 use nemo_core::contextualizer::Contextualizer;
-use nemo_core::idp::{IdpSession, ModelOutputs, RandomSelector, SelectionView};
+use nemo_core::engines::{ExampleEngine, SelectionEngine};
+use nemo_core::idp::{run_curve, ModelOutputs, RandomSelector, SelectionView};
 use nemo_core::oracle::{SimulatedUser, User};
 use nemo_core::pipeline::StandardPipeline;
 use nemo_core::session::{Session, SeuAggregates};
@@ -80,18 +81,15 @@ fn human(ns: f64) -> String {
     }
 }
 
-fn prepared_session(ds: &Dataset) -> IdpSession<'_> {
+fn prepared_session(ds: &Dataset) -> Session<'_> {
     let config = IdpConfig { n_iterations: 25, eval_every: 25, seed: 1, ..Default::default() };
-    let mut session = IdpSession::new(
-        ds,
-        config,
-        Box::new(RandomSelector),
-        Box::new(SimulatedUser::default()),
-        Box::new(StandardPipeline),
+    let mut session = Session::new(ds, config);
+    run_curve(
+        &mut session,
+        &mut ExampleEngine::new(RandomSelector),
+        &mut SimulatedUser::default(),
+        &mut StandardPipeline,
     );
-    for _ in 0..25 {
-        session.step();
-    }
     session
 }
 
@@ -267,12 +265,12 @@ fn replay(
 fn record_trajectory(ds: &Dataset) -> (Vec<ModelOutputs>, Lineage) {
     let config = IdpConfig { n_iterations: 25, eval_every: 25, seed: 7, ..Default::default() };
     let mut session = Session::new(ds, config);
-    let mut selector = SeuSelector::new();
+    let mut engine = ExampleEngine::new(SeuSelector::new());
     let mut user = SimulatedUser::default();
     let mut pipeline = StandardPipeline;
     let mut trajectory = vec![session.outputs().clone()];
     for _ in 0..25 {
-        session.step(&mut selector, &mut user, &mut pipeline);
+        engine.round(&mut session, &mut user, &mut pipeline).expect("round resolves");
         trajectory.push(session.outputs().clone());
     }
     (trajectory, session.lineage().clone())

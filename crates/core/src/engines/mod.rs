@@ -1,20 +1,20 @@
 //! Selection engines: pluggable strategies for what the user is asked
 //! each interactive round.
 //!
-//! The original API grew one loop per strategy — `NemoSystem`'s SEU
-//! suggest/submit frontend, plus a bespoke `run` per baseline. A
-//! [`SelectionEngine`] inverts that: the engine owns one *round* of its
-//! protocol against the shared [`Session`] state machine, and every
-//! driver (`NemoSystem::run_with_user`, the multi-tenant
-//! [`crate::pool::SessionPool`], checkpoint/restore) is engine-agnostic.
+//! A [`SelectionEngine`] owns one *round* of its protocol against the
+//! shared [`Session`] state machine, and every driver is engine-agnostic:
+//! the curve loop [`crate::idp::run_curve`] (behind
+//! `NemoSystem::run_with_user` and the benchmark's `run_method`), the
+//! multi-tenant [`crate::pool::SessionPool`], and checkpoint/restore.
 //!
-//! Two peer engines ship today, selected by the
-//! [`SelectionStrategy`] switch on
-//! [`IdpConfig`]:
+//! Two engines ship today:
 //!
-//! - [`SeuEngine`] — the paper's protocol and the doctrine's reference
-//!   path: pick the development example with the highest expected SEU
-//!   utility, ask the user to author an LF for it.
+//! - [`ExampleEngine`] — pick a development example with a [`Selector`]
+//!   and ask the user to author LFs for it. Over [`SeuSelector`] it is
+//!   the paper's protocol and the reference path of the
+//!   [`SelectionStrategy`] switch on [`IdpConfig`]; every other IDP
+//!   method of the paper's evaluation is the same engine over another
+//!   selector.
 //! - [`IwsEngine`] — Interactive Weak Supervision (Boecking et al.):
 //!   enumerate keyword-LF candidates from the vocabulary, rank them with
 //!   a bootstrap-committee usefulness model updated online from
@@ -30,11 +30,12 @@
 //! so pooled, evicted, and restored sessions resume bit-identically
 //! regardless of engine (`tests/iws_engine_differential.rs`).
 //!
-//! To add an engine: implement [`SelectionEngine`], give it a
-//! [`SelectionStrategy`] variant (and
-//! register that variant in nemo-lint's switch registry with a
-//! differential test), add an [`EngineState`]
-//! variant if it carries state, and wire both into [`engine_for`].
+//! To add a strategy that picks examples, implement [`Selector`] and run
+//! it in an [`ExampleEngine`]; nothing else changes. A strategy that asks
+//! the user something else implements [`SelectionEngine`], gets a
+//! [`SelectionStrategy`] variant (registered in nemo-lint's switch
+//! registry with a differential test) and an [`EngineState`] variant if
+//! it carries state, and is wired into [`engine_for`].
 
 use crate::checkpoint::EngineState;
 use crate::config::{IdpConfig, SelectionStrategy};
@@ -114,36 +115,38 @@ pub trait SelectionEngine: Send {
 /// [`SelectionStrategy`] selects.
 pub fn engine_for(config: &IdpConfig) -> Box<dyn SelectionEngine> {
     match config.selection {
-        SelectionStrategy::Seu => Box::new(SeuEngine::new()),
+        SelectionStrategy::Seu => Box::new(ExampleEngine::new(SeuSelector::new())),
         SelectionStrategy::Iws => Box::new(IwsEngine::new(IwsEngineConfig::default())),
     }
 }
 
-/// The SEU engine: the paper's protocol (and the reference path of the
-/// `SelectionStrategy` switch). Each round selects the development
-/// example with the highest expected SEU utility, asks the user to
-/// author LFs for it, and submits them through the contextualized
-/// pipeline. All engine state beyond the session itself is the
-/// [`SeuSelector`]'s derived score cache, rebuilt cold on restore.
-#[derive(Debug, Clone, Default)]
-pub struct SeuEngine {
-    selector: SeuSelector,
+/// The example-selection engine: the protocol of every IDP method in the
+/// paper. Each round its [`Selector`] picks a development example, the
+/// user authors LFs for it, and the session re-learns through the
+/// pipeline; once the pool is exhausted the round advances the frozen
+/// model instead.
+///
+/// Over [`SeuSelector`] it is the paper's protocol and the reference path
+/// of the `SelectionStrategy` switch. Snorkel's random selection, the
+/// Abstain/Disagree heuristics, the SEU ablations and the multi-LF
+/// selector are the same engine over another selector. Every example
+/// engine reports the `seu` strategy name, since the strategy names the
+/// protocol ([`Selector::name`] names the selector). All engine state
+/// beyond the session is the selector's derived caches, rebuilt cold on
+/// restore.
+#[derive(Debug, Clone)]
+pub struct ExampleEngine<S> {
+    selector: S,
 }
 
-impl SeuEngine {
-    /// An engine with the default SEU selector configuration.
-    pub fn new() -> Self {
-        Self { selector: SeuSelector::new() }
-    }
-
-    /// An engine over an explicitly configured selector (ablations:
-    /// user-model weighting, utility variant, scoring path).
-    pub fn with_selector(selector: SeuSelector) -> Self {
+impl<S: Selector + Send> ExampleEngine<S> {
+    /// An engine over `selector`.
+    pub fn new(selector: S) -> Self {
         Self { selector }
     }
 }
 
-impl SelectionEngine for SeuEngine {
+impl<S: Selector + Send> SelectionEngine for ExampleEngine<S> {
     fn name(&self) -> &'static str {
         SelectionStrategy::Seu.name()
     }
@@ -216,7 +219,7 @@ mod tests {
     #[test]
     fn seu_engine_rejects_foreign_state() {
         let ds = toy_text(1);
-        let mut engine = SeuEngine::new();
+        let mut engine = ExampleEngine::new(SeuSelector::new());
         assert!(engine.restore_state(&EngineState::Seu, &ds).is_ok());
         let iws_state = EngineState::IwsV1 { answers: vec![(0, true)] };
         assert!(matches!(
@@ -227,7 +230,7 @@ mod tests {
 
     #[test]
     fn seu_engine_exposes_the_manual_frontend() {
-        let mut engine = SeuEngine::new();
+        let mut engine = ExampleEngine::new(SeuSelector::new());
         assert!(engine.example_selector().is_some());
         let mut iws = IwsEngine::new(IwsEngineConfig::default());
         assert!(iws.example_selector().is_none());

@@ -11,11 +11,13 @@
 //!    learns from the LFs collected so far and exposes its model state
 //!    back to the selector for the next cycle.
 //!
-//! The session is generic over all three components, so every method in
-//! the paper's evaluation — Nemo, Snorkel, Snorkel-Abs/Dis, the SEU and
-//! contextualizer ablations — is an instantiation of the same loop.
+//! [`crate::engines::ExampleEngine`] runs those stages as one round over
+//! any selector, and [`run_curve`] drives rounds over a [`Session`] on
+//! the paper's evaluation cadence. Every method in the paper's
+//! evaluation — Nemo, Snorkel, Snorkel-Abs/Dis, the SEU and
+//! contextualizer ablations — is an instantiation of that one loop.
 
-use crate::config::IdpConfig;
+use crate::engines::SelectionEngine;
 use crate::oracle::User;
 use crate::pipeline::LearningPipeline;
 use crate::session::{Session, SeuAggregates};
@@ -176,103 +178,58 @@ impl LearningCurve {
     }
 }
 
-/// One interactive session binding a dataset, a selector, a user, and a
-/// learning pipeline — a thin driver over the [`Session`] engine, which
-/// owns the state and the incremental SEU aggregates.
-pub struct IdpSession<'a> {
-    session: Session<'a>,
-    selector: Box<dyn Selector + 'a>,
-    user: Box<dyn User + 'a>,
-    pipeline: Box<dyn LearningPipeline + 'a>,
-}
-
-impl<'a> IdpSession<'a> {
-    /// Create a session at iteration 0.
-    pub fn new(
-        ds: &'a Dataset,
-        config: IdpConfig,
-        selector: Box<dyn Selector + 'a>,
-        user: Box<dyn User + 'a>,
-        pipeline: Box<dyn LearningPipeline + 'a>,
-    ) -> Self {
-        Self { session: Session::new(ds, config), selector, user, pipeline }
-    }
-
-    /// The underlying engine state.
-    pub fn session(&self) -> &Session<'a> {
-        &self.session
-    }
-
-    /// The dataset this session runs on.
-    pub fn dataset(&self) -> &Dataset {
-        self.session.dataset()
-    }
-
-    /// Collected lineage so far.
-    pub fn lineage(&self) -> &Lineage {
-        self.session.lineage()
-    }
-
-    /// Latest model outputs.
-    pub fn outputs(&self) -> &ModelOutputs {
-        self.session.outputs()
-    }
-
-    /// Raw train label matrix of collected LFs.
-    pub fn matrix(&self) -> &LabelMatrix {
-        self.session.matrix()
-    }
-
-    /// Current iteration count.
-    pub fn iteration(&self) -> usize {
-        self.session.iteration()
-    }
-
-    /// Run one full IDP iteration: select → develop → learn.
-    pub fn step(&mut self) -> StepRecord {
-        self.session.step(&mut *self.selector, &mut *self.user, &mut *self.pipeline)
-    }
-
-    /// Current test-split score under the dataset metric.
-    pub fn test_score(&self) -> f64 {
-        self.session.test_score()
-    }
-
-    /// Current validation-split score under the dataset metric.
-    pub fn valid_score(&self) -> f64 {
-        self.session.valid_score()
-    }
-
-    /// Run the configured number of iterations, evaluating every
-    /// `eval_every` iterations (the paper's protocol).
-    pub fn run(&mut self) -> LearningCurve {
-        let mut curve = LearningCurve::default();
-        for t in 0..self.session.config().n_iterations {
-            self.step();
-            if (t + 1) % self.session.config().eval_every == 0 {
-                curve.push(t + 1, self.test_score());
-            }
+/// Run `session` for its configured `n_iterations`, one `engine` round
+/// per iteration, and record the test score every `eval_every`
+/// iterations (the paper's protocol). This is the one curve loop:
+/// [`crate::NemoSystem::run_with_user`] and every IDP method of the
+/// benchmark's `run_method` go through it.
+///
+/// # Panics
+///
+/// If `session` holds an unresolved suggestion from the manual
+/// suggest/submit frontend.
+pub fn run_curve(
+    session: &mut Session<'_>,
+    engine: &mut dyn SelectionEngine,
+    user: &mut dyn User,
+    pipeline: &mut dyn LearningPipeline,
+) -> LearningCurve {
+    let mut curve = LearningCurve::default();
+    let (n_iterations, eval_every) = (session.config().n_iterations, session.config().eval_every);
+    for t in 0..n_iterations {
+        // invariant: every round resolves the suggestion it makes, so the
+        // protocol errors are unreachable from here.
+        engine.round(session, user, pipeline).expect("loop never leaves a suggestion pending");
+        if (t + 1) % eval_every == 0 {
+            curve.push(t + 1, session.test_score());
         }
-        curve
     }
+    curve
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{IdpConfig, LabelModelKind};
+    use crate::engines::ExampleEngine;
     use crate::oracle::SimulatedUser;
     use crate::pipeline::StandardPipeline;
     use nemo_data::catalog::toy_text;
 
-    fn session(ds: &Dataset, seed: u64) -> IdpSession<'_> {
-        let config = IdpConfig { n_iterations: 10, eval_every: 2, seed, ..Default::default() };
-        IdpSession::new(
-            ds,
-            config,
-            Box::new(RandomSelector),
-            Box::new(SimulatedUser::default()),
-            Box::new(StandardPipeline),
-        )
+    fn config(seed: u64) -> IdpConfig {
+        IdpConfig { n_iterations: 10, eval_every: 2, seed, ..Default::default() }
+    }
+
+    /// Snorkel's parts: random selection, the oracle user, standard
+    /// learning.
+    fn snorkel() -> (ExampleEngine<RandomSelector>, SimulatedUser, StandardPipeline) {
+        (ExampleEngine::new(RandomSelector), SimulatedUser::default(), StandardPipeline)
+    }
+
+    fn snorkel_curve(ds: &Dataset, seed: u64) -> LearningCurve {
+        let mut session = Session::new(ds, config(seed));
+        let (mut engine, mut user, mut pipeline) = snorkel();
+        run_curve(&mut session, &mut engine, &mut user, &mut pipeline)
     }
 
     #[test]
@@ -287,8 +244,9 @@ mod tests {
     #[test]
     fn step_collects_lfs_and_updates_models() {
         let ds = toy_text(1);
-        let mut s = session(&ds, 1);
-        let rec = s.step();
+        let mut s = Session::new(&ds, config(1));
+        let (mut engine, mut user, mut pipeline) = snorkel();
+        let rec = engine.round(&mut s, &mut user, &mut pipeline).unwrap();
         assert_eq!(rec.iteration, 0);
         assert!(rec.selected.is_some());
         assert_eq!(s.lineage().len(), rec.new_lfs.len());
@@ -299,10 +257,11 @@ mod tests {
     #[test]
     fn selected_examples_are_not_reselected() {
         let ds = toy_text(1);
-        let mut s = session(&ds, 2);
+        let mut s = Session::new(&ds, config(2));
+        let (mut engine, mut user, mut pipeline) = snorkel();
         let mut seen = std::collections::HashSet::new();
         for _ in 0..10 {
-            let rec = s.step();
+            let rec = engine.round(&mut s, &mut user, &mut pipeline).unwrap();
             if let Some(x) = rec.selected {
                 assert!(seen.insert(x), "example {x} selected twice");
             }
@@ -312,8 +271,7 @@ mod tests {
     #[test]
     fn run_produces_expected_curve_shape() {
         let ds = toy_text(1);
-        let mut s = session(&ds, 3);
-        let curve = s.run();
+        let curve = snorkel_curve(&ds, 3);
         assert_eq!(curve.points().len(), 5); // 10 iterations / eval_every 2
         assert_eq!(curve.points()[0].0, 2);
         assert_eq!(curve.points()[4].0, 10);
@@ -325,8 +283,7 @@ mod tests {
     #[test]
     fn learning_beats_prior_on_toy() {
         let ds = toy_text(1);
-        let mut s = session(&ds, 4);
-        let curve = s.run();
+        let curve = snorkel_curve(&ds, 4);
         // After 10 LFs on the toy task the end model should beat chance.
         assert!(curve.final_score() > 0.55, "final score {}", curve.final_score());
     }
@@ -334,17 +291,40 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let ds = toy_text(1);
-        let c1 = session(&ds, 7).run();
-        let c2 = session(&ds, 7).run();
-        assert_eq!(c1.points(), c2.points());
+        assert_eq!(snorkel_curve(&ds, 7).points(), snorkel_curve(&ds, 7).points());
     }
 
     #[test]
     fn different_seeds_generally_differ() {
         let ds = toy_text(1);
-        let c1 = session(&ds, 1).run();
-        let c2 = session(&ds, 2).run();
-        assert_ne!(c1.points(), c2.points());
+        assert_ne!(snorkel_curve(&ds, 1).points(), snorkel_curve(&ds, 2).points());
+    }
+
+    #[test]
+    fn exhausted_pool_freezes_the_model() {
+        // Snorkel past the end of the pool: every iteration completes, and
+        // once no example is left the rounds advance the frozen model
+        // instead of re-learning it. Majority vote keeps the fits over
+        // hundreds of LFs cheap.
+        let ds = toy_text(1);
+        let n = ds.train.n();
+        let config =
+            IdpConfig { n_iterations: n + 5, label_model: LabelModelKind::Majority, ..config(1) };
+        let mut s = Session::new(&ds, config);
+        let (mut engine, mut user, mut pipeline) = snorkel();
+        for _ in 0..n {
+            engine.round(&mut s, &mut user, &mut pipeline).unwrap();
+        }
+        let bits = |s: &Session<'_>| -> Vec<u64> {
+            s.outputs().train_probs.iter().map(|p| p.to_bits()).collect()
+        };
+        let frozen = bits(&s);
+        for t in n..n + 5 {
+            let rec = engine.round(&mut s, &mut user, &mut pipeline).unwrap();
+            assert_eq!(rec.selected, None, "iteration {t}");
+            assert_eq!(bits(&s), frozen, "iteration {t} re-learned the model");
+        }
+        assert_eq!(s.iteration(), n + 5);
     }
 
     #[test]

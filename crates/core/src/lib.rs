@@ -46,10 +46,10 @@ pub use artifacts::SharedArtifacts;
 pub use checkpoint::{EngineState, SessionCheckpoint};
 pub use config::{ContextualizerConfig, IdpConfig, LabelModelKind, SelectionStrategy};
 pub use contextualizer::Contextualizer;
-pub use engines::{engine_for, IwsEngine, IwsEngineConfig, SelectionEngine, SeuEngine};
+pub use engines::{engine_for, ExampleEngine, IwsEngine, IwsEngineConfig, SelectionEngine};
 pub use error::{RestoreError, SessionError};
 pub use idp::{
-    IdpSession, LearningCurve, ModelOutputs, RandomSelector, SelectionView, Selector, StepRecord,
+    run_curve, LearningCurve, ModelOutputs, RandomSelector, SelectionView, Selector, StepRecord,
 };
 pub use oracle::{FallbackPolicy, NoisyUser, SimulatedUser, User};
 pub use pipeline::{ContextualizedPipeline, LearningPipeline, StandardPipeline};

@@ -27,9 +27,11 @@ pub fn multi_lf_selector() -> SeuSelector {
 mod tests {
     use super::*;
     use crate::config::IdpConfig;
-    use crate::idp::IdpSession;
+    use crate::engines::{ExampleEngine, SelectionEngine};
+    use crate::idp::run_curve;
     use crate::oracle::SimulatedUser;
     use crate::pipeline::ContextualizedPipeline;
+    use crate::session::Session;
     use nemo_data::catalog::toy_text;
 
     #[test]
@@ -49,16 +51,13 @@ mod tests {
             seed: 1,
             ..Default::default()
         };
-        let mut session = IdpSession::new(
-            &ds,
-            config,
-            Box::new(multi_lf_selector()),
-            Box::new(SimulatedUser::default()),
-            Box::new(ContextualizedPipeline::default()),
-        );
+        let mut session = Session::new(&ds, config);
+        let mut engine = ExampleEngine::new(multi_lf_selector());
+        let (mut user, mut pipeline) =
+            (SimulatedUser::default(), ContextualizedPipeline::default());
         let mut total = 0;
         for _ in 0..6 {
-            total += session.step().new_lfs.len();
+            total += engine.round(&mut session, &mut user, &mut pipeline).unwrap().new_lfs.len();
         }
         assert_eq!(session.lineage().len(), total);
         assert!(total > 6, "multi-LF mode should exceed one LF per iteration, got {total}");
@@ -85,14 +84,12 @@ mod tests {
                 seed,
                 ..Default::default()
             };
-            IdpSession::new(
-                &ds,
-                config,
-                Box::new(multi_lf_selector()),
-                Box::new(SimulatedUser::default()),
-                Box::new(ContextualizedPipeline::default()),
+            run_curve(
+                &mut Session::new(&ds, config),
+                &mut ExampleEngine::new(multi_lf_selector()),
+                &mut SimulatedUser::default(),
+                &mut ContextualizedPipeline::default(),
             )
-            .run()
             .summary()
         };
         let n_seeds = 8;

@@ -193,30 +193,30 @@ impl LearningPipeline for ContextualizedPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::idp::{IdpSession, RandomSelector};
+    use crate::engines::{ExampleEngine, SelectionEngine};
+    use crate::idp::{run_curve, RandomSelector};
     use crate::oracle::SimulatedUser;
+    use crate::session::Session;
     use nemo_data::catalog::toy_text;
 
     fn run(
         ds: &Dataset,
-        pipeline: Box<dyn LearningPipeline + '_>,
+        mut pipeline: impl LearningPipeline,
         seed: u64,
     ) -> crate::idp::LearningCurve {
         let config = IdpConfig { n_iterations: 12, eval_every: 3, seed, ..Default::default() };
-        IdpSession::new(
-            ds,
-            config,
-            Box::new(RandomSelector),
-            Box::new(SimulatedUser::default()),
-            pipeline,
+        run_curve(
+            &mut Session::new(ds, config),
+            &mut ExampleEngine::new(RandomSelector),
+            &mut SimulatedUser::default(),
+            &mut pipeline,
         )
-        .run()
     }
 
     #[test]
     fn standard_pipeline_learns() {
         let ds = toy_text(1);
-        let curve = run(&ds, Box::new(StandardPipeline), 1);
+        let curve = run(&ds, StandardPipeline, 1);
         assert!(curve.final_score() > 0.5, "score {}", curve.final_score());
     }
 
@@ -224,14 +224,14 @@ mod tests {
     fn contextualized_pipeline_learns_and_reports_p() {
         let ds = toy_text(1);
         let config = IdpConfig { n_iterations: 6, eval_every: 3, seed: 2, ..Default::default() };
-        let mut session = IdpSession::new(
-            &ds,
-            config,
-            Box::new(RandomSelector),
-            Box::new(SimulatedUser::default()),
-            Box::new(ContextualizedPipeline::default()),
-        );
-        session.step();
+        let mut session = Session::new(&ds, config);
+        ExampleEngine::new(RandomSelector)
+            .round(
+                &mut session,
+                &mut SimulatedUser::default(),
+                &mut ContextualizedPipeline::default(),
+            )
+            .unwrap();
         let p = session.outputs().chosen_p.expect("contextualized pipeline reports p");
         assert!(crate::config::ContextualizerConfig::default().p_grid.contains(&p));
     }
@@ -245,8 +245,8 @@ mod tests {
         let mut std_sum = 0.0;
         let mut ctx_sum = 0.0;
         for seed in 0..3 {
-            std_sum += run(&ds, Box::new(StandardPipeline), seed).summary();
-            ctx_sum += run(&ds, Box::new(ContextualizedPipeline::default()), seed).summary();
+            std_sum += run(&ds, StandardPipeline, seed).summary();
+            ctx_sum += run(&ds, ContextualizedPipeline::default(), seed).summary();
         }
         assert!(ctx_sum >= std_sum - 0.03, "contextualized {ctx_sum:.3} vs standard {std_sum:.3}");
     }

@@ -16,15 +16,16 @@
 //! from-scratch rebuild within `1e-9` and that selections driven by the
 //! cache are identical to selections recomputed from scratch.
 //!
-//! Everything interactive is a thin driver over this type:
-//! [`crate::idp::IdpSession`] (the benchmark loop), [`crate::NemoSystem`]
-//! (the suggest/submit frontend API), and through them every baseline in
-//! `nemo-baselines` — so every selector sees the same cached state.
+//! Everything interactive is a thin driver over this type: the selection
+//! [`crate::engines`] run their rounds against it, [`crate::idp::run_curve`]
+//! loops those rounds for [`crate::NemoSystem`] and every IDP method in
+//! `nemo-baselines`, and the suggest/submit frontend calls it directly —
+//! so every selector sees the same cached state.
 
 use crate::checkpoint::SessionCheckpoint;
 use crate::config::IdpConfig;
 use crate::error::{RestoreError, SessionError};
-use crate::idp::{ModelOutputs, SelectionView, Selector, StepRecord};
+use crate::idp::{ModelOutputs, SelectionView, Selector};
 use crate::oracle::User;
 use crate::pipeline::LearningPipeline;
 use crate::utility::PrimAgg;
@@ -358,8 +359,8 @@ impl SeuAggregates {
 /// `Session` is component-agnostic: selectors, users, and learning
 /// pipelines are passed *into* the methods that need them, so a single
 /// session can be driven interactively ([`Session::select_with`] /
-/// [`Session::submit`] / [`Session::skip`]) or in batch
-/// ([`Session::step`]).
+/// [`Session::submit`] / [`Session::skip`]) or round by round through a
+/// [`crate::engines::SelectionEngine`].
 pub struct Session<'a> {
     ds: &'a Dataset,
     config: IdpConfig,
@@ -566,7 +567,7 @@ impl<'a> Session<'a> {
     }
 
     /// Consume one iteration with the pool exhausted and the model frozen
-    /// (the `NemoSystem::run_with_user` tail behaviour).
+    /// (the example engine's round once no example is left).
     ///
     /// # Errors
     ///
@@ -591,38 +592,6 @@ impl<'a> Session<'a> {
             pipeline.learn(&self.lineage, &self.matrix, self.ds, &self.config, iter_seed);
         self.cache.sync(self.ds, &self.outputs);
         self.iteration += 1;
-    }
-
-    /// Run one full IDP iteration: select → develop → learn. The learning
-    /// stage runs even on user abstention or pool exhaustion, keeping the
-    /// model state consistent with the lineage.
-    pub fn step(
-        &mut self,
-        selector: &mut dyn Selector,
-        user: &mut dyn User,
-        pipeline: &mut dyn LearningPipeline,
-    ) -> StepRecord {
-        let iteration = self.iteration;
-        // invariant: step resolves every suggestion it makes, so the
-        // protocol state machine cannot be violated from here.
-        let selected = self.select_with(selector).expect("step never leaves a suggestion pending");
-        let new_lfs = match selected {
-            Some(x) => {
-                let lfs = self.develop(x, user);
-                // invariant: `x` was just reserved and `develop` returns
-                // in-domain primitives (the user sees only real ones).
-                self.submit(lfs.clone(), pipeline).expect("step submits its own suggestion");
-                lfs
-            }
-            None => {
-                // Pool exhausted: no pending reservation was made, but the
-                // learning stage still runs (matching the historical
-                // `IdpSession::step` contract).
-                self.relearn(pipeline);
-                Vec::new()
-            }
-        };
-        StepRecord { iteration, selected, new_lfs }
     }
 
     /// Sec. 7 example explorer: a random sample of up to `k` training
@@ -804,6 +773,7 @@ impl<'a> Session<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engines::{ExampleEngine, SelectionEngine};
     use crate::idp::RandomSelector;
     use crate::oracle::SimulatedUser;
     use crate::pipeline::StandardPipeline;
@@ -882,11 +852,11 @@ mod tests {
     fn cached_aggregates_track_full_rebuild_over_a_run() {
         let ds = toy_text(1);
         let mut s = Session::new(&ds, cfg(12, 4));
-        let mut selector = SeuSelector::new();
+        let mut engine = ExampleEngine::new(SeuSelector::new());
         let mut user = SimulatedUser::default();
         let mut pipeline = StandardPipeline;
         for _ in 0..12 {
-            s.step(&mut selector, &mut user, &mut pipeline);
+            engine.round(&mut s, &mut user, &mut pipeline).unwrap();
             let rebuilt = SeuSelector::primitive_aggregates(&s.view());
             for (z, (cached, fresh)) in s.aggregates().aggs().iter().zip(&rebuilt).enumerate() {
                 assert_eq!(cached.df, fresh.df, "z={z}");
@@ -907,11 +877,11 @@ mod tests {
         // columns' vote buffers instead of memcpying them.
         let ds = toy_text(1);
         let mut s = Session::new(&ds, cfg(6, 9));
-        let mut selector = SeuSelector::new();
+        let mut engine = ExampleEngine::new(SeuSelector::new());
         let mut user = SimulatedUser::default();
         let mut pipeline = StandardPipeline;
         for _ in 0..6 {
-            s.step(&mut selector, &mut user, &mut pipeline);
+            engine.round(&mut s, &mut user, &mut pipeline).unwrap();
         }
         let n_lfs = s.matrix().n_lfs();
         assert!(n_lfs > 0, "session collected no LFs");
@@ -945,11 +915,11 @@ mod tests {
     fn checkpoint_roundtrips_through_restore() {
         let ds = toy_text(1);
         let mut s = Session::new(&ds, cfg(12, 7));
-        let mut selector = SeuSelector::new();
+        let mut engine = ExampleEngine::new(SeuSelector::new());
         let mut user = SimulatedUser::default();
         let mut pipeline = StandardPipeline;
         for _ in 0..4 {
-            s.step(&mut selector, &mut user, &mut pipeline);
+            engine.round(&mut s, &mut user, &mut pipeline).unwrap();
         }
         let ckpt = s.checkpoint();
         let r = Session::restore(&ds, &ckpt).expect("valid checkpoint restores");
@@ -990,11 +960,11 @@ mod tests {
         use crate::error::RestoreError;
         let ds = toy_text(1);
         let mut s = Session::new(&ds, cfg(12, 9));
-        let mut selector = SeuSelector::new();
+        let mut engine = ExampleEngine::new(SeuSelector::new());
         let mut user = SimulatedUser::default();
         let mut pipeline = StandardPipeline;
         for _ in 0..3 {
-            s.step(&mut selector, &mut user, &mut pipeline);
+            engine.round(&mut s, &mut user, &mut pipeline).unwrap();
         }
         let good = s.checkpoint();
         assert!(Session::restore(&ds, &good).is_ok());
@@ -1060,13 +1030,13 @@ mod tests {
         let mut config = cfg(10, 10);
         config.checkpoint_every = Some(2);
         let mut s = Session::new(&ds, config);
-        let mut selector = RandomSelector;
+        let mut engine = ExampleEngine::new(RandomSelector);
         let mut user = SimulatedUser::default();
         let mut pipeline = StandardPipeline;
         assert!(!s.checkpoint_due(), "never due at iteration 0");
         let mut due = Vec::new();
         for _ in 0..5 {
-            s.step(&mut selector, &mut user, &mut pipeline);
+            engine.round(&mut s, &mut user, &mut pipeline).unwrap();
             due.push(s.checkpoint_due());
         }
         assert_eq!(due, vec![false, true, false, true, false]);

@@ -634,9 +634,11 @@ impl Selector for SeuSelector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::idp::{IdpSession, ModelOutputs, RandomSelector};
+    use crate::engines::{ExampleEngine, SelectionEngine};
+    use crate::idp::{ModelOutputs, RandomSelector};
     use crate::oracle::SimulatedUser;
     use crate::pipeline::StandardPipeline;
+    use crate::session::Session;
     use crate::IdpConfig;
     use nemo_data::catalog::toy_text;
     use nemo_data::Dataset;
@@ -647,15 +649,11 @@ mod tests {
     fn with_view<R>(ds: &Dataset, n_steps: usize, f: impl FnOnce(&SelectionView<'_>) -> R) -> R {
         let config =
             IdpConfig { n_iterations: n_steps, eval_every: 5, seed: 11, ..Default::default() };
-        let mut session = IdpSession::new(
-            ds,
-            config,
-            Box::new(RandomSelector),
-            Box::new(SimulatedUser::default()),
-            Box::new(StandardPipeline),
-        );
+        let mut session = Session::new(ds, config);
+        let mut engine = ExampleEngine::new(RandomSelector);
+        let (mut user, mut pipeline) = (SimulatedUser::default(), StandardPipeline);
         for _ in 0..n_steps {
-            session.step();
+            engine.round(&mut session, &mut user, &mut pipeline).unwrap();
         }
         let excluded = vec![false; ds.train.n()];
         let view = SelectionView {

@@ -24,7 +24,7 @@ use crate::checkpoint::SessionCheckpoint;
 use crate::config::{ContextualizerConfig, IdpConfig};
 use crate::engines::{engine_for, SelectionEngine};
 use crate::error::{RestoreError, SessionError};
-use crate::idp::{LearningCurve, ModelOutputs, StepRecord};
+use crate::idp::{run_curve, LearningCurve, ModelOutputs, StepRecord};
 use crate::oracle::User;
 use crate::pipeline::ContextualizedPipeline;
 use crate::session::Session;
@@ -50,9 +50,9 @@ impl<'a> NemoSystem<'a> {
     }
 
     /// Create with an explicit engine and contextualizer settings
-    /// (ablations: [`crate::engines::SeuEngine::with_selector`] for the
-    /// Table 6/7 user-model/utility variants, custom engines for new
-    /// strategies).
+    /// (ablations: [`crate::engines::ExampleEngine`] over a configured
+    /// [`crate::SeuSelector`] for the Table 6/7 user-model/utility
+    /// variants, custom engines for new strategies).
     pub fn with_components(
         ds: &'a Dataset,
         config: IdpConfig,
@@ -174,20 +174,10 @@ impl<'a> NemoSystem<'a> {
     }
 
     /// Drive the full interactive loop with a (simulated) user for the
-    /// configured number of iterations, evaluating on the paper's cadence.
+    /// configured number of iterations, evaluating on the paper's cadence
+    /// ([`run_curve`]).
     pub fn run_with_user(&mut self, user: &mut dyn User) -> LearningCurve {
-        let mut curve = LearningCurve::default();
-        let (n_iterations, eval_every) =
-            (self.session.config().n_iterations, self.session.config().eval_every);
-        for t in 0..n_iterations {
-            // invariant: this loop resolves every suggestion it makes, so
-            // the protocol errors are unreachable from here.
-            self.step_with_user(user).expect("loop never leaves a suggestion pending");
-            if (t + 1) % eval_every == 0 {
-                curve.push(t + 1, self.test_score());
-            }
-        }
-        curve
+        run_curve(&mut self.session, &mut *self.engine, user, &mut self.pipeline)
     }
 
     /// Whether the configured checkpoint cadence

@@ -12,7 +12,7 @@
 
 use nemo::core::multi_lf::multi_lf_selector;
 use nemo::core::pipeline::ContextualizedPipeline;
-use nemo::core::IdpSession;
+use nemo::core::{run_curve, ExampleEngine};
 use nemo::data::catalog::toy_text;
 use nemo::prelude::*;
 use nemo::sparse::DetRng;
@@ -85,14 +85,13 @@ fn main() {
     // Multi-LF IDP (Sec. 7): up to 3 LFs per iteration with the Eq. 5–6
     // selector, driven through the generic session API.
     let multi_config = IdpConfig { lfs_per_iteration: 3, ..config };
-    let mut session = IdpSession::new(
-        &dataset,
-        multi_config,
-        Box::new(multi_lf_selector()),
-        Box::new(nemo::core::oracle::SimulatedUser::default()),
-        Box::new(ContextualizedPipeline::default()),
+    let mut session = Session::new(&dataset, multi_config);
+    let multi_curve = run_curve(
+        &mut session,
+        &mut ExampleEngine::new(multi_lf_selector()),
+        &mut SimulatedUser::default(),
+        &mut ContextualizedPipeline::default(),
     );
-    let multi_curve = session.run();
     println!(
         "\nmulti-LF IDP (simulated user, ≤3 LFs/iteration): {} LFs in {} iterations, curve score {:.3}",
         session.lineage().len(),

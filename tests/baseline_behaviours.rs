@@ -2,12 +2,13 @@
 //! methods — the properties the paper's comparison relies on, checked on
 //! small planted datasets so they are fast and deterministic.
 
-use nemo::baselines::{run_method, Method, RunSpec};
-use nemo::baselines::{ActiveLearning, UncertaintyAcquisition};
+use nemo::baselines::{run_method, AbstainSelector, ImplyLossPipeline, Method, RunSpec};
 use nemo::core::config::IdpConfig;
-use nemo::core::idp::{IdpSession, RandomSelector};
+use nemo::core::engines::ExampleEngine;
+use nemo::core::idp::{run_curve, RandomSelector, Selector};
 use nemo::core::oracle::SimulatedUser;
 use nemo::core::pipeline::StandardPipeline;
+use nemo::core::session::Session;
 use nemo::data::catalog::toy_text;
 use nemo::sparse::stats::mean;
 
@@ -44,25 +45,20 @@ fn abstain_selector_accelerates_coverage() {
     // Snorkel-Abs exists to cover uncovered data; verify its coverage
     // after a fixed budget is at least Random's.
     let ds = toy_text(3);
-    let coverage_of = |method: Method| -> f64 {
-        // Re-run through the session API to inspect the matrix.
-        let selector: Box<dyn nemo::core::idp::Selector> = match method {
-            Method::SnorkelAbs => Box::new(nemo::baselines::AbstainSelector),
-            _ => Box::new(RandomSelector),
-        };
+    // Re-run through the session API to inspect the matrix.
+    fn coverage_of(ds: &nemo::data::Dataset, selector: impl Selector + Send) -> f64 {
         let config = IdpConfig { n_iterations: 15, eval_every: 15, seed: 4, ..Default::default() };
-        let mut session = IdpSession::new(
-            &ds,
-            config,
-            selector,
-            Box::new(SimulatedUser::default()),
-            Box::new(StandardPipeline),
+        let mut session = Session::new(ds, config);
+        run_curve(
+            &mut session,
+            &mut ExampleEngine::new(selector),
+            &mut SimulatedUser::default(),
+            &mut StandardPipeline,
         );
-        session.run();
         session.matrix().coverage_frac()
-    };
-    let random_cov = coverage_of(Method::Snorkel);
-    let abstain_cov = coverage_of(Method::SnorkelAbs);
+    }
+    let random_cov = coverage_of(&ds, RandomSelector);
+    let abstain_cov = coverage_of(&ds, AbstainSelector);
     assert!(
         abstain_cov >= random_cov * 0.9,
         "abstain coverage {abstain_cov:.3} vs random {random_cov:.3}"
@@ -97,14 +93,12 @@ fn al_runner_exhausts_pool_gracefully() {
     // More iterations than training examples: the AL loop must not panic
     // and keeps evaluating with the full labeled set.
     let ds = toy_text(6);
-    let config = IdpConfig {
-        n_iterations: ds.train.n() + 5,
-        eval_every: ds.train.n() + 5,
-        seed: 1,
+    let n = ds.train.n() + 5;
+    let spec = RunSpec {
+        idp: IdpConfig { n_iterations: n, eval_every: n, seed: 1, ..Default::default() },
         ..Default::default()
     };
-    #[allow(deprecated)] // drives the shim directly to pin pool-exhaustion behaviour
-    let curve = ActiveLearning::new(UncertaintyAcquisition).run(&ds, &config);
+    let curve = run_method(Method::Us, &ds, &spec);
     assert_eq!(curve.points().len(), 1);
     // With every label revealed, AL ≈ fully supervised: decisively
     // better than chance on the toy task.
@@ -118,14 +112,13 @@ fn implyloss_exemplar_supervision_shows_up() {
     // labels far above chance.
     let ds = toy_text(7);
     let config = IdpConfig { n_iterations: 12, eval_every: 12, seed: 2, ..Default::default() };
-    let mut session = IdpSession::new(
-        &ds,
-        config,
-        Box::new(RandomSelector),
-        Box::new(SimulatedUser::default()),
-        Box::new(nemo::baselines::ImplyLossPipeline::default()),
+    let mut session = Session::new(&ds, config);
+    run_curve(
+        &mut session,
+        &mut ExampleEngine::new(RandomSelector),
+        &mut SimulatedUser::default(),
+        &mut ImplyLossPipeline::default(),
     );
-    session.run();
     let outputs = session.outputs();
     let tracked = session.lineage().tracked();
     assert!(!tracked.is_empty());

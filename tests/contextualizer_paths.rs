@@ -13,6 +13,7 @@
 //! reductions, and under any `NEMO_THREADS` setting.
 
 use nemo::core::config::{ContextualizerConfig, DistanceBackend, IdpConfig};
+use nemo::core::engines::{ExampleEngine, SelectionEngine};
 use nemo::core::oracle::SimulatedUser;
 use nemo::core::pipeline::ContextualizedPipeline;
 use nemo::core::session::Session;
@@ -38,14 +39,14 @@ fn run(ds: &Dataset, backend: DistanceBackend, seed: u64, lfs_per_iteration: usi
         ..Default::default()
     };
     let mut session = Session::new(ds, config);
-    let mut selector = SeuSelector::new();
+    let mut engine = ExampleEngine::new(SeuSelector::new());
     let mut user = SimulatedUser::default();
     let mut pipeline =
         ContextualizedPipeline::new(ContextualizerConfig { backend, ..Default::default() });
     let mut selections = Vec::new();
     let mut chosen_ps = Vec::new();
     for _ in 0..12 {
-        let rec = session.step(&mut selector, &mut user, &mut pipeline);
+        let rec = engine.round(&mut session, &mut user, &mut pipeline).unwrap();
         selections.push(rec.selected);
         chosen_ps.push(session.outputs().chosen_p);
     }

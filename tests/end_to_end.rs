@@ -4,7 +4,10 @@
 
 use nemo::baselines::{run_method, Method, RunSpec};
 use nemo::core::oracle::SimulatedUser;
-use nemo::core::{IdpConfig, NemoSystem, SessionError};
+use nemo::core::{
+    run_curve, ExampleEngine, IdpConfig, NemoSystem, RandomSelector, SelectionEngine, Session,
+    SessionError, StandardPipeline,
+};
 use nemo::data::catalog::{self, toy_text};
 use nemo::data::{DatasetName, Profile};
 use nemo::lf::Label;
@@ -97,14 +100,13 @@ fn simulated_user_threshold_controls_lf_quality() {
             noisy_user: None,
         };
         // Use the session API to inspect the lineage afterwards.
-        let mut session = nemo::core::IdpSession::new(
-            &ds,
-            spec.idp.clone(),
-            Box::new(nemo::core::RandomSelector),
-            Box::new(SimulatedUser::with_threshold(threshold)),
-            Box::new(nemo::core::StandardPipeline),
+        let mut session = Session::new(&ds, spec.idp.clone());
+        run_curve(
+            &mut session,
+            &mut ExampleEngine::new(RandomSelector),
+            &mut SimulatedUser::with_threshold(threshold),
+            &mut StandardPipeline,
         );
-        session.run();
         let accs: Vec<f64> = session
             .lineage()
             .lfs()
@@ -204,14 +206,12 @@ fn dataset_labels_are_hidden_from_methods_but_not_oracle() {
     // Same seed, same selector → same selections regardless of labels.
     let select_sequence = |ds: &nemo::data::Dataset| -> Vec<usize> {
         let config = IdpConfig { n_iterations: 6, eval_every: 6, seed: 9, ..Default::default() };
-        let mut session = nemo::core::IdpSession::new(
-            ds,
-            config,
-            Box::new(nemo::core::RandomSelector),
-            Box::new(SimulatedUser::default()),
-            Box::new(nemo::core::StandardPipeline),
-        );
-        (0..6).filter_map(|_| session.step().selected).collect()
+        let mut session = Session::new(ds, config);
+        let mut engine = ExampleEngine::new(RandomSelector);
+        let (mut user, mut pipeline) = (SimulatedUser::default(), StandardPipeline);
+        (0..6)
+            .filter_map(|_| engine.round(&mut session, &mut user, &mut pipeline).unwrap().selected)
+            .collect()
     };
     assert_eq!(select_sequence(&ds), select_sequence(&flipped));
 }

@@ -22,6 +22,7 @@
 //! The full-session counterpart lives in `tests/incremental_paths.rs`.
 
 use nemo::core::config::IdpConfig;
+use nemo::core::engines::{ExampleEngine, SelectionEngine};
 use nemo::core::idp::{ModelOutputs, SelectionView};
 use nemo::core::session::{Session, SeuAggregates};
 use nemo::core::seu::SeuSelector;
@@ -323,12 +324,12 @@ fn dirty_set_tracks_real_session_traffic() {
     for seed in [5u64, 17] {
         let config = IdpConfig { n_iterations: 10, eval_every: 5, seed, ..Default::default() };
         let mut session = Session::new(&ds, config);
-        let mut selector = SeuSelector::new();
+        let mut engine = ExampleEngine::new(SeuSelector::new());
         let mut user = nemo::core::oracle::SimulatedUser::default();
         let mut pipeline = nemo::core::pipeline::StandardPipeline;
         let mut checker = SeuSelector::new();
         for round in 0..10 {
-            session.step(&mut selector, &mut user, &mut pipeline);
+            engine.round(&mut session, &mut user, &mut pipeline).unwrap();
             let view = session.view();
             let cache = view.aggs.expect("session views carry aggregates");
             let all: Vec<usize> = (0..ds.train.n()).collect();

@@ -30,6 +30,7 @@
 use nemo::core::config::{
     ContextualizerConfig, IdpConfig, LabelModelKind, RefinementCaching, SeuScoring, WarmStart,
 };
+use nemo::core::engines::{ExampleEngine, SelectionEngine};
 use nemo::core::oracle::SimulatedUser;
 use nemo::core::pipeline::ContextualizedPipeline;
 use nemo::core::session::Session;
@@ -62,7 +63,7 @@ fn run(
         ..Default::default()
     };
     let mut session = Session::new(ds, config);
-    let mut selector = SeuSelector::new().with_scoring(scoring);
+    let mut engine = ExampleEngine::new(SeuSelector::new().with_scoring(scoring));
     let mut user = SimulatedUser::default();
     let mut pipeline = ContextualizedPipeline::new(ContextualizerConfig {
         warm_start,
@@ -72,7 +73,7 @@ fn run(
     let mut selections = Vec::new();
     let mut chosen_ps = Vec::new();
     for _ in 0..12 {
-        let rec = session.step(&mut selector, &mut user, &mut pipeline);
+        let rec = engine.round(&mut session, &mut user, &mut pipeline).unwrap();
         selections.push(rec.selected);
         chosen_ps.push(session.outputs().chosen_p);
     }

@@ -11,6 +11,7 @@
 //! refined column as a shared handle.
 
 use nemo::core::config::{ContextualizerConfig, IdpConfig, LabelModelKind};
+use nemo::core::engines::{ExampleEngine, SelectionEngine};
 use nemo::core::oracle::SimulatedUser;
 use nemo::core::pipeline::ContextualizedPipeline;
 use nemo::core::session::Session;
@@ -138,11 +139,11 @@ fn session_grid_serves_are_all_shared() {
             ..Default::default()
         };
         let mut session = Session::new(&ds, config);
-        let mut selector = SeuSelector::new();
+        let mut engine = ExampleEngine::new(SeuSelector::new());
         let mut user = SimulatedUser::default();
         let mut pipeline = ContextualizedPipeline::new(ContextualizerConfig::default());
         for _ in 0..10 {
-            session.step(&mut selector, &mut user, &mut pipeline);
+            engine.round(&mut session, &mut user, &mut pipeline).unwrap();
         }
         let stats = pipeline.contextualizer().refine_cache_stats();
         let n_lfs = session.lineage().len();

@@ -19,6 +19,7 @@
 
 use nemo::core::config::{ContextualizerConfig, IdpConfig, LabelModelKind, RefinementCaching};
 use nemo::core::contextualizer::Contextualizer;
+use nemo::core::engines::{ExampleEngine, SelectionEngine};
 use nemo::core::oracle::SimulatedUser;
 use nemo::core::pipeline::ContextualizedPipeline;
 use nemo::core::session::Session;
@@ -175,7 +176,7 @@ fn sessions_select_identically_under_both_refinement_paths() {
                 ..Default::default()
             };
             let mut session = Session::new(&ds, config);
-            let mut selector = SeuSelector::new();
+            let mut engine = ExampleEngine::new(SeuSelector::new());
             let mut user = SimulatedUser::default();
             let mut pipeline = ContextualizedPipeline::new(ContextualizerConfig {
                 refinement,
@@ -183,7 +184,7 @@ fn sessions_select_identically_under_both_refinement_paths() {
             });
             let mut trace = Vec::new();
             for _ in 0..10 {
-                let rec = session.step(&mut selector, &mut user, &mut pipeline);
+                let rec = engine.round(&mut session, &mut user, &mut pipeline).unwrap();
                 trace.push((rec.selected, session.outputs().chosen_p));
             }
             trace.push((None, Some(session.test_score())));

@@ -17,6 +17,7 @@
 //! cache sees the same dirty patterns production runs produce.
 
 use nemo::core::config::IdpConfig;
+use nemo::core::engines::{ExampleEngine, SelectionEngine};
 use nemo::core::idp::{SelectionView, Selector};
 use nemo::core::oracle::SimulatedUser;
 use nemo::core::pipeline::{ContextualizedPipeline, LearningPipeline, StandardPipeline};
@@ -42,10 +43,10 @@ fn drive<'a>(
     n_steps: usize,
     mut inspect: impl FnMut(&Session<'a>),
 ) {
-    let mut selector = SeuSelector::new();
+    let mut engine = ExampleEngine::new(SeuSelector::new());
     let mut user = SimulatedUser::default();
     for _ in 0..n_steps {
-        session.step(&mut selector, &mut user, pipeline);
+        engine.round(session, &mut user, pipeline).unwrap();
         inspect(session);
     }
 }
