@@ -23,9 +23,9 @@
 
 use crate::config::{ContextualizerConfig, DistanceBackend, RefinementCaching, WarmStart};
 use nemo_data::Dataset;
-use nemo_labelmodel::{FittedLabelModel, LabelModel};
+use nemo_labelmodel::{FittedLabelModel, LabelModel, PairCounts};
 use nemo_lf::{LabelMatrix, LfColumn, Lineage, PrimitiveLf, TrackedLf};
-use nemo_sparse::parallel::par_map_min;
+use nemo_sparse::parallel::{par_for_each_stealing, par_map_min};
 use nemo_sparse::stats::percentile_of_sorted;
 // lint: allow(determinism/hash-collections): the dedup map below is
 // lookup-only (entry/or_insert); its iteration order is never observed.
@@ -66,6 +66,15 @@ struct RefinedEntry {
     valid: Arc<LfColumn>,
 }
 
+/// One unique grid point's label-model fit in [`Contextualizer::tune_p`]:
+/// the slot's pair-count cache travels into the job and back.
+struct FitJob {
+    /// Grid slot.
+    k: usize,
+    counts: PairCounts,
+    fit: Option<Box<dyn FittedLabelModel>>,
+}
+
 /// Cumulative refined-column cache counters (bench accounting).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RefineCacheStats {
@@ -102,8 +111,9 @@ pub struct Contextualizer {
     /// seeds under [`WarmStart::Warm`] (empty before the first round and
     /// under [`WarmStart::Cold`]).
     warm_accs: Vec<Vec<f64>>,
-    /// Label-model fit iterations spent by `tune_p` so far (bench
-    /// accounting; only iterative estimators report non-trivial counts).
+    /// Label-model fits run by `tune_p` so far: one per unique refined
+    /// train matrix per round, so grid points that refine to the same
+    /// matrix share one fit (bench accounting).
     tune_fits: usize,
     /// Validation posterior predicts run by [`Contextualizer::tune_p`] so
     /// far — one per grid point per round with a non-empty validation
@@ -113,6 +123,12 @@ pub struct Contextualizer {
     /// and revalidated per slot (see [`RefinementCaching`]).
     refined_cache: Vec<Vec<Option<RefinedEntry>>>,
     cache_stats: RefineCacheStats,
+    /// Per-grid-slot pairwise co-vote counts of the refined train matrix,
+    /// keyed by column token like `refined_cache`: a warm round recounts
+    /// only the pairs touching the new LF's column. A cache, not a warm
+    /// start — it never changes a bit of output — and not checkpointed (a
+    /// restored contextualizer recounts once).
+    pair_counts: Vec<PairCounts>,
 }
 
 impl Contextualizer {
@@ -129,10 +145,12 @@ impl Contextualizer {
             tune_predicts: 0,
             refined_cache: Vec::new(),
             cache_stats: RefineCacheStats::default(),
+            pair_counts: Vec::new(),
         }
     }
 
-    /// Label-model fits performed by [`Contextualizer::tune_p`] so far.
+    /// Label-model fits performed by [`Contextualizer::tune_p`] so far:
+    /// one per unique refined train matrix per round.
     pub fn tune_fits(&self) -> usize {
         self.tune_fits
     }
@@ -443,6 +461,14 @@ impl Contextualizer {
     /// cold-restart reference, bit-compatible with the pre-incremental
     /// behaviour.
     ///
+    /// Under both arms each grid slot keeps a [`PairCounts`] cache of its
+    /// refined train matrix's pairwise co-vote counts, handed to
+    /// [`LabelModel::fit_from`]. Refined columns are served from the
+    /// refined-column cache with unchanged tokens, so the MeTaL/triplet
+    /// estimator recounts only the new LF's `m − 1` pairs per slot instead
+    /// of all `m(m−1)/2`. Unlike the warm seeds this never changes a bit
+    /// of output.
+    ///
     /// On well-conditioned matrices warm and cold fits converge to the
     /// same fixed point within the EM tolerance, and the differential
     /// suites pin parameter agreement plus end-to-end selection
@@ -511,22 +537,35 @@ impl Contextualizer {
             repr.iter().enumerate().filter(|&(k, &r)| r == k).map(|(k, _)| k).collect();
         self.tune_fits += unique.len();
 
-        // Fit the unique grid points. The warm path runs them in
-        // parallel — cross-round seeding leaves the fits independent —
-        // while the cold path keeps the sequential reference loop
-        // (bit-compatible with the pre-incremental behaviour).
-        let unique_fits: Vec<Box<dyn FittedLabelModel>> = if warm {
-            let seeds = &self.warm_accs;
-            nemo_sparse::parallel::par_map_min(&unique, 2, |_, &k| {
-                label_model.fit_from(&matrices[k], prior, seeds.get(k).map(Vec::as_slice))
-            })
-        } else {
-            unique.iter().map(|&k| label_model.fit(&matrices[k], prior)).collect()
+        // Fit the unique grid points. Each fit takes its slot's pair-count
+        // cache along (moved in and back out, never cloned), so a moment
+        // estimator recounts only the new LF's pairs. The warm path runs
+        // the fits in parallel — cross-round seeding leaves them
+        // independent — while the cold path keeps the sequential
+        // reference loop (bit-compatible with the pre-incremental
+        // behaviour).
+        self.pair_counts.resize_with(p_grid.len(), PairCounts::default);
+        let mut jobs: Vec<FitJob> = unique
+            .iter()
+            .map(|&k| FitJob { k, counts: std::mem::take(&mut self.pair_counts[k]), fit: None })
+            .collect();
+        let seeds: &[Vec<f64>] = if warm { &self.warm_accs } else { &[] };
+        let run = |_: usize, job: &mut FitJob| {
+            let seed = seeds.get(job.k).map(Vec::as_slice);
+            job.fit = Some(label_model.fit_from(&matrices[job.k], prior, seed, &mut job.counts));
         };
+        if warm {
+            par_for_each_stealing(&mut jobs, run);
+        } else {
+            jobs.iter_mut().enumerate().for_each(|(i, job)| run(i, job));
+        }
         let mut fitted: Vec<Option<Box<dyn FittedLabelModel>>> =
             (0..p_grid.len()).map(|_| None).collect();
         let mut accs_by_k: Vec<Vec<f64>> = vec![Vec::new(); p_grid.len()];
-        for (&k, fit) in unique.iter().zip(unique_fits) {
+        for FitJob { k, counts, fit } in jobs {
+            self.pair_counts[k] = counts;
+            // invariant: `run` filled every job above.
+            let fit = fit.expect("every job is fitted");
             accs_by_k[k] = fit.lf_accuracies().to_vec();
             fitted[k] = Some(fit);
         }
@@ -856,6 +895,34 @@ mod tests {
         let warm = ctx.refine_cache_stats();
         assert_eq!(warm.refilters - cold.refilters, grid, "one refilter per grid point");
         assert_eq!(warm.hits, grid * 5, "all previously cached columns reused");
+    }
+
+    #[test]
+    fn warm_round_recounts_only_the_new_lf_pairs() {
+        use nemo_labelmodel::TripletModel;
+        let ds = toy_text(1);
+        let (_, matrix, lineage) = setup(&ds, 6, 41);
+        let mut ctx = Contextualizer::new(ContextualizerConfig::default());
+        ctx.register_batch(&lineage.tracked()[..5], &ds);
+        let mut prefix = LabelMatrix::new(matrix.n_examples());
+        for j in 0..5 {
+            prefix.push_shared(Arc::clone(matrix.shared_column(j)));
+        }
+        ctx.tune_p(&prefix, &ds, &TripletModel::default(), ds.prior());
+        // Every fitted slot holds the counts of its 5 refined columns; the
+        // next round's grid matrices serve those columns with unchanged
+        // tokens, so a sync recounts only the new LF's 5 pairs.
+        ctx.sync(&lineage, &ds);
+        let (grid, _) = ctx.refined_grid_matrices(&matrix, ds.valid.n());
+        let mut fitted_slots = 0;
+        for (k, m) in grid.iter().enumerate() {
+            let mut counts = ctx.pair_counts[k].clone();
+            if counts.n_columns() == 5 {
+                fitted_slots += 1;
+                assert_eq!(counts.sync(m), 5, "slot {k}");
+            }
+        }
+        assert!(fitted_slots > 0, "no slot kept its pair counts");
     }
 
     #[test]

@@ -32,10 +32,34 @@
 //!    better-than-random weight — the role of MeTaL's regularizer.
 
 use crate::traits::{FittedLabelModel, LabelModel, NaiveBayesFit};
+use crate::triplet::PairCounts;
 use nemo_lf::LabelMatrix;
 use nemo_sparse::stats::sigmoid;
 
-/// EM-fitted generative label model (the reproduction's "MeTaL").
+/// EM-fitted generative label model (MeTaL's model class).
+///
+/// # Degenerate inputs
+///
+/// The M-step for LF `j` is
+/// `(expected correct votes + s·a₀) / (|cov(j)| + s)`, with
+/// `a₀ =` [`GenerativeModel::init_accuracy`] and
+/// `s =` [`GenerativeModel::smoothing`], so the anchor decides wherever
+/// the votes carry no evidence:
+///
+/// - **0 examples** and **all-abstain columns**: no coverage, so every
+///   accuracy is `a₀` (0.7 by default, up to one rounding);
+/// - **a single LF** and LFs whose pairs have **zero overlap**: each
+///   covered example's posterior is that LF's own accuracy, which makes
+///   `a₀` a fixed point, so the accuracy stays `a₀`;
+/// - **duplicated LFs** reinforce one another and rise above `a₀` (0.819
+///   for four copies of one 8-vote column), held below 1 by the anchor;
+/// - **LF pairs voting opposite classes everywhere** leave every covered
+///   example at posterior 0.5 under EM's symmetric prior, so each accuracy
+///   becomes `(|cov|/2 + s·a₀) / (|cov| + s)` (0.6 on 12 examples).
+///
+/// Accuracies are clamped to [`NaiveBayesFit::ACC_CLAMP`] before
+/// aggregation, so posteriors are finite in every case; uncovered
+/// examples get the class prior.
 #[derive(Debug, Clone)]
 pub struct GenerativeModel {
     /// Iteration cap. Sized so EM normally stops on `tol` (the session
@@ -190,6 +214,7 @@ impl LabelModel for GenerativeModel {
         matrix: &LabelMatrix,
         prior: [f64; 2],
         warm_acc: Option<&[f64]>,
+        _counts: &mut PairCounts,
     ) -> Box<dyn FittedLabelModel> {
         Box::new(self.fit_em(matrix, prior, warm_acc).0)
     }
@@ -368,7 +393,7 @@ mod tests {
         let (matrix, _, _) = planted(2000, &[(0.8, 0.3), (0.7, 0.3)], 9);
         let model = GenerativeModel::default();
         let plain = model.fit(&matrix, [0.5, 0.5]);
-        let seeded_none = model.fit_from(&matrix, [0.5, 0.5], None);
+        let seeded_none = model.fit_from(&matrix, [0.5, 0.5], None, &mut PairCounts::default());
         assert_eq!(plain.lf_accuracies(), seeded_none.lf_accuracies());
     }
 

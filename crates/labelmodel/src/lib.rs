@@ -8,12 +8,15 @@
 //!
 //! - [`MajorityVote`] — the classic baseline aggregator.
 //! - [`GenerativeModel`] — a conditionally-independent generative model
-//!   with per-LF accuracy parameters fit by EM. This is the binary
-//!   specialization of the MeTaL \[30\] model class and the default label
-//!   model throughout the reproduction (the paper adopts MeTaL).
+//!   with per-LF accuracy parameters fit by EM: the binary
+//!   specialization of the MeTaL \[30\] model class, used as an
+//!   alternative estimator.
 //! - [`TripletModel`] — the closed-form method-of-moments estimator of
-//!   FlyingSquid \[11\], used as an alternative estimator and as a
-//!   cross-check in tests.
+//!   FlyingSquid \[11\] with shrinkage, the binary equivalent of MeTaL's
+//!   matrix-completion step and the default label model throughout the
+//!   reproduction (the paper adopts MeTaL). Its pairwise co-vote counts
+//!   live in a [`PairCounts`] cache that [`LabelModel::fit_from`] keeps in
+//!   step with a growing matrix.
 //!
 //! All models share the [`LabelModel`] → [`FittedLabelModel`] interface:
 //! fitting happens on the training label matrix; the fitted model can then
@@ -32,4 +35,4 @@ pub use generative::GenerativeModel;
 pub use majority::MajorityVote;
 pub use posterior::Posterior;
 pub use traits::{FittedLabelModel, LabelModel, NaiveBayesFit};
-pub use triplet::TripletModel;
+pub use triplet::{PairCounts, TripletModel};

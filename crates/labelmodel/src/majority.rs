@@ -9,6 +9,15 @@ use crate::traits::{FittedLabelModel, LabelModel, NaiveBayesFit};
 use nemo_lf::LabelMatrix;
 
 /// The majority-vote aggregator.
+///
+/// # Degenerate inputs
+///
+/// Fitting reads only the number of LFs: every accuracy is
+/// [`MajorityVote::assumed_accuracy`] (0.7 by default) on any matrix —
+/// fewer than 3 LFs, all-abstain columns, zero-overlap pairs, duplicated
+/// LFs and 0 examples included. The posterior is the vote margin under
+/// that shared weight; examples with no votes or a tied vote get the
+/// class prior, and posteriors are finite in every case.
 #[derive(Debug, Clone)]
 pub struct MajorityVote {
     /// Assumed uniform LF accuracy (default 0.7).

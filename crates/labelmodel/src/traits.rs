@@ -1,6 +1,7 @@
 //! Label-model interfaces and the shared naive-Bayes aggregation step.
 
 use crate::posterior::Posterior;
+use crate::triplet::PairCounts;
 use nemo_lf::LabelMatrix;
 use nemo_sparse::stats::sigmoid;
 
@@ -16,25 +17,32 @@ pub trait LabelModel: Send + Sync {
     fn fit(&self, matrix: &LabelMatrix, prior: [f64; 2]) -> Box<dyn FittedLabelModel>;
 
     /// Fit, optionally seeding the estimator from previously fitted
-    /// per-LF accuracies (`warm_acc[j]` seeds LF `j`; missing tail
-    /// entries use the estimator's default initialization, extra entries
-    /// are ignored).
+    /// per-LF accuracies and reusing cached pairwise co-vote counts.
     ///
-    /// Closed-form estimators (moments, majority vote) have nothing to
-    /// seed and fall through to [`LabelModel::fit`]; iterative
-    /// estimators ([`crate::GenerativeModel`]) override this to converge
-    /// from the seed instead of from scratch. Callers that tolerate
+    /// `warm_acc[j]` seeds LF `j` (missing tail entries use the
+    /// estimator's default initialization, extra entries are ignored).
+    /// Closed-form estimators have nothing to seed and ignore it;
+    /// iterative estimators ([`crate::GenerativeModel`]) converge from the
+    /// seed instead of from scratch. Callers that tolerate
     /// convergence-level (rather than bitwise) reproducibility can chain
     /// fits over slowly-changing matrices this way — the
     /// percentile-tuning loop of the contextualizer is the intended
     /// consumer.
+    ///
+    /// `counts` is a cache, not a seed: moment estimators
+    /// ([`crate::TripletModel`]) [`PairCounts::sync`] it to `matrix` and
+    /// read their moments from it, so keeping one `PairCounts` per
+    /// slowly-changing matrix recounts only the pairs touching changed
+    /// columns, and the result is bitwise that of [`LabelModel::fit`].
+    /// Estimators without pair moments leave it untouched.
     fn fit_from(
         &self,
         matrix: &LabelMatrix,
         prior: [f64; 2],
         warm_acc: Option<&[f64]>,
+        counts: &mut PairCounts,
     ) -> Box<dyn FittedLabelModel> {
-        let _ = warm_acc;
+        let _ = (warm_acc, counts);
         self.fit(matrix, prior)
     }
 }

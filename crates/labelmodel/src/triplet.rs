@@ -20,9 +20,155 @@
 //! uses the shared naive-Bayes rule.
 
 use crate::traits::{FittedLabelModel, LabelModel, NaiveBayesFit};
-use nemo_lf::LabelMatrix;
+use nemo_lf::{LabelMatrix, LfColumn};
+
+/// Index of the column pair `(j, k)`, `j < k`, in [`PairCounts`]'
+/// triangular storage. Pairs are grouped by their larger column, so
+/// appending column `m` appends its `m` pairs at the end and truncating
+/// to `m` columns truncates the storage to `m(m−1)/2` entries.
+fn tri(j: usize, k: usize) -> usize {
+    debug_assert!(j < k);
+    k * (k - 1) / 2 + j
+}
+
+/// Number of column pairs among `m` columns.
+fn n_pairs(m: usize) -> usize {
+    m * m.saturating_sub(1) / 2
+}
+
+/// Co-vote counts of two sorted columns: `(agreements, overlap)` over the
+/// examples both cover.
+fn co_votes(a: &LfColumn, b: &LfColumn) -> (u32, u32) {
+    let (a, b) = (a.entries(), b.entries());
+    let (mut agree, mut total) = (0u32, 0u32);
+    let (mut p, mut q) = (0usize, 0usize);
+    while p < a.len() && q < b.len() {
+        match a[p].0.cmp(&b[q].0) {
+            std::cmp::Ordering::Less => p += 1,
+            std::cmp::Ordering::Greater => q += 1,
+            std::cmp::Ordering::Equal => {
+                total += 1;
+                agree += u32::from(a[p].1 == b[q].1);
+                p += 1;
+                q += 1;
+            }
+        }
+    }
+    (agree, total)
+}
+
+/// Pairwise co-vote counts of a label matrix, kept in step with it by
+/// [`PairCounts::sync`].
+///
+/// For every column pair `j < k` it stores how many examples both columns
+/// vote on (`total`) and on how many of those they agree (`agree`) —
+/// integers, in triangular storage (8 bytes per pair). These are all the
+/// data the triplet moments read, so a fit from synced counts equals a fit
+/// from scratch bit for bit.
+///
+/// Counts are keyed by each column's [`LfColumn::token`]: equal tokens
+/// guarantee equal votes, so a sync recounts only the pairs touching a
+/// column whose token changed, that was appended, or that was truncated
+/// away. In an interactive session a round appends one LF and serves every
+/// other refined column from the contextualizer's cache with its token
+/// unchanged, so a sync costs `m − 1` column merges instead of
+/// `m(m−1)/2`. The counts are `u32`: an overlap is bounded by the number
+/// of examples, whose ids are `u32`. [`PairCounts::default`] holds no
+/// columns, so its first sync counts every pair.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PairCounts {
+    /// Token of each counted column, in column order.
+    tokens: Vec<u64>,
+    /// Examples on which the pair votes alike, at [`tri`]`(j, k)`.
+    agree: Vec<u32>,
+    /// Examples both columns of the pair cover, at [`tri`]`(j, k)`.
+    total: Vec<u32>,
+}
+
+impl PairCounts {
+    /// Number of columns the counts were last synced against.
+    pub fn n_columns(&self) -> usize {
+        self.tokens.len()
+    }
+
+    /// Bring the counts in step with `matrix`, returning the number of
+    /// column pairs recounted: every pair touching a column whose token
+    /// differs from the last sync or that is new. Columns past
+    /// `matrix.n_lfs()` are dropped. An unchanged matrix costs `O(m)`
+    /// token compares and recounts nothing.
+    pub fn sync(&mut self, matrix: &LabelMatrix) -> usize {
+        let m = matrix.n_lfs();
+        self.tokens.truncate(m);
+        self.agree.truncate(n_pairs(m));
+        self.total.truncate(n_pairs(m));
+        let stale: Vec<bool> = matrix
+            .columns()
+            .enumerate()
+            .map(|(j, col)| self.tokens.get(j) != Some(&col.token()))
+            .collect();
+        if !stale.contains(&true) {
+            return 0;
+        }
+        self.tokens = matrix.columns().map(LfColumn::token).collect();
+        self.agree.resize(n_pairs(m), 0);
+        self.total.resize(n_pairs(m), 0);
+        let mut recounted = 0;
+        for k in 1..m {
+            for j in 0..k {
+                if stale[j] || stale[k] {
+                    let (agree, total) = co_votes(matrix.column(j), matrix.column(k));
+                    self.agree[tri(j, k)] = agree;
+                    self.total[tri(j, k)] = total;
+                    recounted += 1;
+                }
+            }
+        }
+        recounted
+    }
+
+    /// Agreement moment `E[λ_j λ_k | both vote]` of every pair, in
+    /// triangular order (`0` for pairs with no overlap).
+    fn moments(&self) -> Vec<f64> {
+        self.agree
+            .iter()
+            .zip(&self.total)
+            .map(|(&agree, &total)| {
+                if total > 0 {
+                    // Agreements minus disagreements, exact in i64.
+                    (2 * i64::from(agree) - i64::from(total)) as f64 / f64::from(total)
+                } else {
+                    0.0
+                }
+            })
+            .collect()
+    }
+}
 
 /// Closed-form triplet label model.
+///
+/// # Degenerate inputs
+///
+/// Every LF without an informative triplet gets exactly
+/// [`TripletModel::fallback_accuracy`] (the shrinkage anchor with no
+/// evidence added). A triplet `(j, k, l)` is informative when all three
+/// pairs overlap on at least [`TripletModel::min_overlap`] examples and
+/// `|M_kl| ≥` [`TripletModel::min_moment`]. Hence:
+///
+/// - **fewer than 3 LFs**, **0 examples** and **all-abstain columns**:
+///   every accuracy is `fallback_accuracy` (0.82 by default);
+/// - **zero-overlap pairs** contribute nothing, and an LF all of whose
+///   pairs are disjoint gets `fallback_accuracy`;
+/// - **duplicated LFs** have moments of exactly 1, so each of their
+///   triplet estimates is 1.0 and the shrunk average lies between the
+///   anchor and 1.0 (0.947 for four copies of one 8-vote column);
+/// - **LF pairs voting opposite classes everywhere** have moments of ±1
+///   whose triplet products are again 1.0 under the better-than-random
+///   sign convention, so they are estimated the same way (0.95 for two
+///   such pairs on 12 examples, after the clamp).
+///
+/// Accuracies are clamped to [`NaiveBayesFit::ACC_CLAMP`] before
+/// aggregation, so posteriors are finite in every case; uncovered
+/// examples get the class prior.
 #[derive(Debug, Clone)]
 pub struct TripletModel {
     /// Minimum jointly-covered examples for a pair moment to be used.
@@ -48,36 +194,54 @@ impl Default for TripletModel {
 }
 
 impl TripletModel {
-    /// Pairwise agreement moments and overlap counts.
-    fn pair_moments(matrix: &LabelMatrix) -> (Vec<Vec<f64>>, Vec<Vec<usize>>) {
-        let m = matrix.n_lfs();
-        let mut moments = vec![vec![0.0; m]; m];
-        let mut overlaps = vec![vec![0usize; m]; m];
-        for j in 0..m {
-            for k in (j + 1)..m {
-                let (mut agree, mut total) = (0i64, 0i64);
-                let (a, b) = (matrix.column(j).entries(), matrix.column(k).entries());
-                let (mut p, mut q) = (0usize, 0usize);
-                while p < a.len() && q < b.len() {
-                    match a[p].0.cmp(&b[q].0) {
-                        std::cmp::Ordering::Less => p += 1,
-                        std::cmp::Ordering::Greater => q += 1,
-                        std::cmp::Ordering::Equal => {
-                            total += 1;
-                            agree += (a[p].1 as i64) * (b[q].1 as i64);
-                            p += 1;
-                            q += 1;
-                        }
-                    }
-                }
-                let moment = if total > 0 { agree as f64 / total as f64 } else { 0.0 };
-                moments[j][k] = moment;
-                moments[k][j] = moment;
-                overlaps[j][k] = total as usize;
-                overlaps[k][j] = total as usize;
-            }
+    /// Per-LF accuracies from synced pair counts.
+    fn accuracies(&self, counts: &PairCounts) -> Vec<f64> {
+        let m = counts.n_columns();
+        if m < 3 {
+            return vec![self.fallback_accuracy; m];
         }
-        (moments, overlaps)
+        let moments = counts.moments();
+        let overlaps = &counts.total;
+        let informative = |overlap: u32| overlap as usize >= self.min_overlap;
+        // LF j's moments and overlaps against every other LF, gathered
+        // once per j from the triangular storage.
+        let mut moment_j = vec![0.0f64; m];
+        let mut overlap_j = vec![0u32; m];
+        let mut accuracies = Vec::with_capacity(m);
+        for j in 0..m {
+            for k in (0..m).filter(|&k| k != j) {
+                let idx = if j < k { tri(j, k) } else { tri(k, j) };
+                moment_j[k] = moments[idx];
+                overlap_j[k] = overlaps[idx];
+            }
+            // Overlap-weighted average of triplet estimates, shrunk toward
+            // the anchor by a pseudo-count.
+            let mut weighted_sum = self.shrinkage * self.fallback_accuracy;
+            let mut total_weight = self.shrinkage;
+            for k in 0..m {
+                if k == j || !informative(overlap_j[k]) {
+                    continue;
+                }
+                for l in (k + 1)..m {
+                    let kl = tri(k, l);
+                    if l == j
+                        || !informative(overlap_j[l])
+                        || !informative(overlaps[kl])
+                        || moments[kl].abs() < self.min_moment
+                    {
+                        continue;
+                    }
+                    let sq = (moment_j[k] * moment_j[l] / moments[kl]).abs();
+                    let centered = sq.sqrt().min(1.0);
+                    let estimate = 0.5 + centered / 2.0;
+                    let w = f64::from(overlap_j[k].min(overlap_j[l]).min(overlaps[kl]));
+                    weighted_sum += w * estimate;
+                    total_weight += w;
+                }
+            }
+            accuracies.push(weighted_sum / total_weight);
+        }
+        accuracies
     }
 }
 
@@ -86,41 +250,23 @@ impl LabelModel for TripletModel {
         "triplet"
     }
 
+    /// A fit from empty [`PairCounts`], which counts every pair once.
     fn fit(&self, matrix: &LabelMatrix, prior: [f64; 2]) -> Box<dyn FittedLabelModel> {
-        let m = matrix.n_lfs();
-        if m < 3 {
-            return Box::new(NaiveBayesFit::new(vec![self.fallback_accuracy; m], prior));
-        }
-        let (moments, overlaps) = Self::pair_moments(matrix);
-        let mut accuracies = Vec::with_capacity(m);
-        for j in 0..m {
-            // Overlap-weighted average of triplet estimates, shrunk toward
-            // the anchor by a pseudo-count.
-            let mut weighted_sum = self.shrinkage * self.fallback_accuracy;
-            let mut total_weight = self.shrinkage;
-            for k in 0..m {
-                if k == j || overlaps[j][k] < self.min_overlap {
-                    continue;
-                }
-                for l in (k + 1)..m {
-                    if l == j
-                        || overlaps[j][l] < self.min_overlap
-                        || overlaps[k][l] < self.min_overlap
-                        || moments[k][l].abs() < self.min_moment
-                    {
-                        continue;
-                    }
-                    let sq = (moments[j][k] * moments[j][l] / moments[k][l]).abs();
-                    let centered = sq.sqrt().min(1.0);
-                    let estimate = 0.5 + centered / 2.0;
-                    let w = overlaps[j][k].min(overlaps[j][l]).min(overlaps[k][l]) as f64;
-                    weighted_sum += w * estimate;
-                    total_weight += w;
-                }
-            }
-            accuracies.push(weighted_sum / total_weight);
-        }
-        Box::new(NaiveBayesFit::new(accuracies, prior))
+        self.fit_from(matrix, prior, None, &mut PairCounts::default())
+    }
+
+    /// Syncs `counts` to `matrix` (recounting only pairs whose columns
+    /// changed) and estimates from them; there is nothing to seed, so
+    /// `warm_acc` is ignored.
+    fn fit_from(
+        &self,
+        matrix: &LabelMatrix,
+        prior: [f64; 2],
+        _warm_acc: Option<&[f64]>,
+        counts: &mut PairCounts,
+    ) -> Box<dyn FittedLabelModel> {
+        counts.sync(matrix);
+        Box::new(NaiveBayesFit::new(self.accuracies(counts), prior))
     }
 }
 

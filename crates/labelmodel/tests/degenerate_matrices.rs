@@ -3,7 +3,7 @@
 //! must still fit and predict without panicking, keep its accuracies
 //! finite and inside [`NaiveBayesFit::ACC_CLAMP`], and return finite
 //! posteriors in `[0, 1]`, under a balanced prior and both one-class
-//! priors.
+//! priors — and return the fallback accuracies documented on its type.
 
 use nemo_labelmodel::{GenerativeModel, LabelModel, MajorityVote, NaiveBayesFit, TripletModel};
 use nemo_lf::{LabelMatrix, LfColumn, Vote};
@@ -78,6 +78,37 @@ fn degenerate_matrices_fit_finite_clamped_accuracies_and_posteriors() {
                 for &p in posterior.p_pos_slice() {
                     assert!(p.is_finite() && (0.0..=1.0).contains(&p), "{what}: posterior {p}");
                 }
+            }
+        }
+    }
+}
+
+/// The fallbacks documented on each estimator, on the cases above.
+#[test]
+fn degenerate_matrices_return_the_documented_fallbacks() {
+    let triplet = TripletModel::default();
+    let em = GenerativeModel::default();
+    let majority = MajorityVote::default();
+    let accuracies =
+        |model: &dyn LabelModel, m: &LabelMatrix| model.fit(m, [0.5, 0.5]).lf_accuracies().to_vec();
+    let all_near = |accs: &[f64], want: f64| accs.iter().all(|&a| (a - want).abs() < 1e-12);
+    for (case, m) in cases() {
+        let (t, g, v) = (accuracies(&triplet, &m), accuracies(&em, &m), accuracies(&majority, &m));
+        assert!(all_near(&v, majority.assumed_accuracy), "majority vote on {case}: {v:?}");
+        match case {
+            "four duplicated LFs" => {
+                assert!(all_near(&t, 0.947_058_823_529_411_8), "triplet on {case}: {t:?}");
+                assert!(g.iter().all(|&a| a > em.init_accuracy && a < 1.0), "EM on {case}: {g:?}");
+            }
+            "two LF pairs voting opposite classes everywhere" => {
+                assert!(all_near(&t, NaiveBayesFit::ACC_CLAMP.1), "triplet on {case}: {t:?}");
+                let n = m.column(0).coverage() as f64;
+                let want = (n / 2.0 + em.smoothing * em.init_accuracy) / (n + em.smoothing);
+                assert!(all_near(&g, want), "EM on {case}: {g:?}");
+            }
+            _ => {
+                assert!(all_near(&t, triplet.fallback_accuracy), "triplet on {case}: {t:?}");
+                assert!(all_near(&g, em.init_accuracy), "EM on {case}: {g:?}");
             }
         }
     }
