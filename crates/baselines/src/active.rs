@@ -121,7 +121,7 @@ impl<A: Acquisition> ActiveLearning<A> {
                 excluded[pick] = true;
                 labeled.push((pick as u32, ds.train.labels[pick]));
             }
-            if (t + 1) % config.eval_every == 0 {
+            if config.evaluates_after(t + 1) {
                 let model = fit_on_labeled(ds, &labeled, config.seed.wrapping_add(t as u64));
                 let valid_probs = model.predict_proba(ds.valid.features.csr());
                 let test_probs = model.predict_proba(ds.test.features.csr());

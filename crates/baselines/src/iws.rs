@@ -188,7 +188,7 @@ impl IwsLse {
                 }
             }
 
-            if (t + 1) % config.eval_every == 0 {
+            if config.evaluates_after(t + 1) {
                 curve.push(
                     t + 1,
                     self.evaluate(ds, config, &lfs, &queried, &answers, &usefulness, t as u64),

@@ -82,7 +82,7 @@ impl ActiveWeasul {
                 }
             }
 
-            if (t + 1) % config.eval_every == 0 {
+            if config.evaluates_after(t + 1) {
                 curve.push(t + 1, self.evaluate(ds, config, &matrix, &anchors, t as u64));
             }
         }

@@ -19,7 +19,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use nemo_core::config::{ContextualizerConfig, DistanceBackend, IdpConfig};
+use nemo_core::config::{ContextualizerConfig, IdpConfig};
 use nemo_core::contextualizer::Contextualizer;
 use nemo_core::engines::{ExampleEngine, SelectionEngine};
 use nemo_core::idp::{run_curve, ModelOutputs, RandomSelector, SelectionView};
@@ -156,9 +156,10 @@ fn kernel_benches(ds: &Dataset, results: &mut Vec<BenchResult>) {
         out[pivot]
     }));
 
-    // Contextualizer registration: 32 simulated-user LFs registered one at
-    // a time through the naive engine (the pre-index behaviour) vs one
-    // batched pass through the indexed engine.
+    // Contextualizer registration: 32 simulated-user LFs' train and valid
+    // distances computed one LF at a time by the naive scan and sorted
+    // (the pre-index behaviour, now the oracle) vs one batched pass
+    // through the indexed engine.
     let mut rng = DetRng::new(13);
     let mut user = SimulatedUser::default();
     let mut lineage = Lineage::new();
@@ -171,13 +172,17 @@ fn kernel_benches(ds: &Dataset, results: &mut Vec<BenchResult>) {
         }
         x = (x + 7) % ds.train.n();
     }
-    let naive_cfg = ContextualizerConfig { backend: DistanceBackend::Naive, ..Default::default() };
+    let dist = ContextualizerConfig::default().distance;
     results.push(bench("contextualizer_register_per_lf", || {
-        let mut ctx = Contextualizer::new(naive_cfg.clone());
+        let mut sorted_lens = 0;
         for rec in lineage.tracked() {
-            ctx.register(&rec.lf, rec.dev_example, ds);
+            let pivot = rec.dev_example as usize;
+            let mut train = ds.train.features.point_to_all_naive(dist, pivot);
+            let valid = ds.train.features.point_to_other_naive(dist, pivot, &ds.valid.features);
+            train.sort_unstable_by(|a, b| a.partial_cmp(b).expect("distances are finite"));
+            sorted_lens += train.len() + valid.len();
         }
-        ctx.n_registered()
+        sorted_lens
     }));
     results.push(bench("contextualizer_register_batch", || {
         let mut ctx = Contextualizer::new(ContextualizerConfig::default());
@@ -277,8 +282,10 @@ fn record_trajectory(ds: &Dataset) -> (Vec<ModelOutputs>, Lineage) {
 }
 
 /// Measure aggregate maintenance + full-pool scoring under both modes
-/// over a recorded real trajectory.
-fn seu_loop_bench(ds: &Dataset, trajectory: &[ModelOutputs]) -> String {
+/// over a recorded real trajectory. Also returns the incremental mode's
+/// per-round time (SEU's production scoring round) for the combined-round
+/// summary.
+fn seu_loop_bench(ds: &Dataset, trajectory: &[ModelOutputs]) -> (String, f64) {
     // Warm both paths once, then measure.
     let _ = replay(ds, trajectory, false);
     let _ = replay(ds, trajectory, true);
@@ -316,7 +323,7 @@ fn seu_loop_bench(ds: &Dataset, trajectory: &[ModelOutputs]) -> String {
         );
     }
 
-    format!(
+    let json = format!(
         concat!(
             "{{\"rounds\": {}, \"full_rebuild_ns\": {:.0}, \"incremental_ns\": {:.0}, ",
             "\"speedup\": {:.4}, \"delta_syncs\": {}, \"rebuild_fallbacks\": {}, ",
@@ -330,165 +337,8 @@ fn seu_loop_bench(ds: &Dataset, trajectory: &[ModelOutputs]) -> String {
         dirty_majority + drift_bound,
         dirty_majority,
         drift_bound,
-    )
-}
-
-/// Replay a trajectory scoring the full pool each round through one of
-/// the two [`nemo_core::config::SeuScoring`] paths (both on top of the
-/// same incremental aggregate sync — the difference under test is purely
-/// the scoring).
-fn replay_scoring(
-    ds: &Dataset,
-    trajectory: &[ModelOutputs],
-    dirty: bool,
-) -> (LoopStats, SeuSelector) {
-    let mut selector = SeuSelector::new();
-    let excluded = vec![false; ds.train.n()];
-    let all: Vec<usize> = (0..ds.train.n()).collect();
-    let lineage = nemo_lf::Lineage::new();
-    let matrix = LabelMatrix::new(ds.train.n());
-    let mut cache = SeuAggregates::new(ds, &trajectory[0]);
-    let mut checksum = 0.0;
-    let start = Instant::now();
-    for outputs in &trajectory[1..] {
-        cache.sync(ds, outputs);
-        let view = SelectionView {
-            ds,
-            lineage: &lineage,
-            matrix: &matrix,
-            outputs,
-            excluded: &excluded,
-            iteration: 0,
-            aggs: Some(&cache),
-        };
-        checksum += if dirty {
-            let scores = selector.scores_cached(&view).expect("aggregates present");
-            scores.iter().copied().filter(|s| s.is_finite()).sum::<f64>()
-        } else {
-            let scores = selector.scores(&view, cache.aggs(), &all);
-            scores.iter().copied().filter(|s| s.is_finite()).sum::<f64>()
-        };
-    }
-    let total_ns = start.elapsed().as_nanos() as f64;
-    (LoopStats { total_ns, rounds: trajectory.len() - 1, checksum }, selector)
-}
-
-/// Synthetic *localized* trajectory: each round perturbs the model state
-/// of a handful of examples — the paper's "a development cycle perturbs
-/// a handful of primitives" pattern (skip rounds and explorer queries
-/// are the degenerate all-clean case).
-fn localized_trajectory(ds: &Dataset, start: &ModelOutputs, rounds: usize) -> Vec<ModelOutputs> {
-    use nemo_labelmodel::Posterior;
-    let mut rng = DetRng::new(23);
-    let n = ds.train.n();
-    let mut trajectory = vec![start.clone()];
-    for _ in 0..rounds {
-        let prev = trajectory.last().expect("non-empty");
-        let mut p_pos: Vec<f64> = (0..n).map(|i| prev.train_posterior.p_pos(i)).collect();
-        let mut probs = prev.train_probs.clone();
-        for _ in 0..4 {
-            let i = rng.index(n);
-            p_pos[i] = 0.01 + 0.98 * rng.uniform();
-            probs[i] = rng.uniform();
-        }
-        trajectory.push(ModelOutputs {
-            train_posterior: Posterior::new(p_pos),
-            train_probs: probs,
-            valid_pred: prev.valid_pred.clone(),
-            test_pred: prev.test_pred.clone(),
-            chosen_p: None,
-        });
-    }
-    trajectory
-}
-
-/// Dirty-set SEU scoring vs the per-round full-pool rescore, on the real
-/// session trajectory (dense change: every covered posterior moves each
-/// round, so the cache's exact-bail keeps parity) and on the localized
-/// trajectory (sparse change: incidence-level delta application wins).
-fn seu_dirty_bench(ds: &Dataset, trajectory: &[ModelOutputs]) -> (String, f64, f64) {
-    let localized = localized_trajectory(ds, &trajectory[trajectory.len() - 1], 25);
-
-    let measure = |traj: &[ModelOutputs]| {
-        let _ = replay_scoring(ds, traj, false);
-        let _ = replay_scoring(ds, traj, true);
-        let (full, _) = replay_scoring(ds, traj, false);
-        let (dirty, sel) = replay_scoring(ds, traj, true);
-        assert!(
-            (full.checksum - dirty.checksum).abs() <= 1e-9 * full.checksum.abs().max(1.0),
-            "dirty-set replay diverged: {} vs {}",
-            full.checksum,
-            dirty.checksum
-        );
-        (full, dirty, sel.dirty_stats())
-    };
-    let (sess_full, sess_dirty, sess_stats) = measure(trajectory);
-    let (loc_full, loc_dirty, loc_stats) = measure(&localized);
-
-    let sess_speedup = sess_full.total_ns / sess_dirty.total_ns;
-    let loc_speedup = loc_full.total_ns / loc_dirty.total_ns;
-    println!("\nDirty-set SEU scoring vs full-pool rescore (same incremental aggregates):");
-    println!(
-        "  session trajectory   : full {} -> dirty {} per round  ({sess_speedup:.2}x; \
-         {} delta rounds, {} exact)",
-        human(sess_full.total_ns / sess_full.rounds as f64),
-        human(sess_dirty.total_ns / sess_dirty.rounds as f64),
-        sess_stats.delta_rounds,
-        sess_stats.full_rescores,
     );
-    println!(
-        "  localized trajectory : full {} -> dirty {} per round  ({loc_speedup:.2}x; \
-         {} incidence updates vs {} full-rescore slots)",
-        human(loc_full.total_ns / loc_full.rounds as f64),
-        human(loc_dirty.total_ns / loc_dirty.rounds as f64),
-        loc_stats.incidence_updates,
-        loc_stats.delta_rounds as usize * ds.train.corpus.total_postings(),
-    );
-
-    let json = format!(
-        concat!(
-            "{{\"rounds\": {}, \"session_full_rescore_ns\": {:.0}, \"session_dirty_ns\": {:.0}, ",
-            "\"session_speedup\": {:.4}, \"session_delta_rounds\": {}, ",
-            "\"session_exact_rounds\": {}, ",
-            "\"localized_full_rescore_ns\": {:.0}, \"localized_dirty_ns\": {:.0}, ",
-            "\"localized_speedup\": {:.4}, \"localized_incidence_updates\": {}, ",
-            "\"localized_rows_refreshed\": {}, \"total_postings\": {}}}"
-        ),
-        sess_full.rounds,
-        sess_full.total_ns,
-        sess_dirty.total_ns,
-        sess_speedup,
-        sess_stats.delta_rounds,
-        sess_stats.full_rescores,
-        loc_full.total_ns,
-        loc_dirty.total_ns,
-        loc_speedup,
-        loc_stats.incidence_updates,
-        loc_stats.rows_refreshed,
-        ds.train.corpus.total_postings(),
-    );
-    if std::env::var("NEMO_BENCH_ENFORCE").is_ok() {
-        // Session trajectory: the dense-change bail keeps the dirty path
-        // at parity with the full rescore — allow measurement noise only.
-        assert!(
-            sess_dirty.total_ns <= sess_full.total_ns * 1.25,
-            "regression: dirty-set SEU ({}) slower than full rescore ({}) on the session replay",
-            human(sess_dirty.total_ns),
-            human(sess_full.total_ns)
-        );
-        assert!(
-            loc_dirty.total_ns <= loc_full.total_ns,
-            "regression: dirty-set SEU ({}) slower than full rescore ({}) on localized updates",
-            human(loc_dirty.total_ns),
-            human(loc_full.total_ns)
-        );
-    }
-    // Per-round means for the combined-round summary.
-    (
-        json,
-        sess_full.total_ns / sess_full.rounds as f64,
-        sess_dirty.total_ns / sess_dirty.rounds as f64,
-    )
+    (json, incr.total_ns / incr.rounds as f64)
 }
 
 /// Warm-started vs cold percentile tuning with the EM label model: one
@@ -497,17 +347,16 @@ fn seu_dirty_bench(ds: &Dataset, trajectory: &[ModelOutputs]) -> (String, f64, f
 /// contextualized session repeats every iteration, on the lineage the
 /// recorded session actually collected.
 ///
-/// The cold reference pairs `WarmStart::Cold` with the plain (Aitken-off)
-/// fixed-point EM — the pre-incremental behaviour, the way
-/// `DistanceBackend::Naive` preserves the pre-index distance engine. The
-/// warm path is the production default: Aitken-accelerated fits, seeded
-/// per grid point, run in parallel.
+/// The cold oracle clears the warm seeds before every call
+/// (`set_warm_seeds(Vec::new())`) and fits with the plain (Aitken-off)
+/// fixed-point EM — the pre-incremental behaviour. The warm path is the
+/// production one: Aitken-accelerated fits, seeded per grid point. Both
+/// run the grid's fits in parallel.
 fn tune_p_warm_bench(
     ds: &Dataset,
     lineage: &Lineage,
     results: &mut Vec<BenchResult>,
 ) -> (String, f64, f64) {
-    use nemo_core::config::WarmStart;
     let n_lfs = lineage.len();
     assert!(n_lfs >= 2, "recorded session collected too few LFs");
     let lfs: Vec<PrimitiveLf> = lineage.tracked().iter().map(|r| r.lf).collect();
@@ -523,15 +372,15 @@ fn tune_p_warm_bench(
     prev_ctx.tune_p(&prev_matrix, ds, &warm_model, prior);
     let seeds: Vec<Vec<f64>> = prev_ctx.warm_seeds().to_vec();
 
-    let mut cold_ctx = Contextualizer::new(ContextualizerConfig {
-        warm_start: WarmStart::Cold,
-        ..Default::default()
-    });
+    let mut cold_ctx = Contextualizer::new(ContextualizerConfig::default());
     cold_ctx.sync(lineage, ds);
     let mut warm_ctx = Contextualizer::new(ContextualizerConfig::default());
     warm_ctx.sync(lineage, ds);
 
-    let cold = bench("tune_p_cold_em", || cold_ctx.tune_p(&matrix, ds, &cold_model, prior).p);
+    let cold = bench("tune_p_cold_em", || {
+        cold_ctx.set_warm_seeds(Vec::new());
+        cold_ctx.tune_p(&matrix, ds, &cold_model, prior).p
+    });
     let warm = bench("tune_p_warm_em", || {
         // Restore the previous round's seeds so every timed call is one
         // genuine cross-round warm tune (not a same-matrix refit).
@@ -606,8 +455,9 @@ fn tune_p_warm_bench(
 /// LF is new this round — the exact refinement workload of every
 /// contextualized round after the first.
 ///
-/// - **rebuild** (`RefinementCaching::Rebuild`): refilter every LF column
-///   at every grid point (the pre-cache behaviour).
+/// - **rebuild**: refilter every LF column at every grid point through
+///   the per-grid-point `refined_train_matrix` / `refined_valid_matrix`
+///   (the pre-cache behaviour, now the oracle).
 /// - **incremental**: serve the `n−1` previously cached LFs' columns from
 ///   the cross-round refined-column cache and filter only the new LF's —
 ///   each timed call first drops the last LF's slots
@@ -619,22 +469,22 @@ fn tune_p_warm_bench(
 /// rebuild cost aborts the run (the CI regression guard — the committed
 /// numbers show well above the 3× the ROADMAP item claims).
 fn refine_cache_bench(ds: &Dataset, lineage: &Lineage, results: &mut Vec<BenchResult>) -> String {
-    use nemo_core::config::RefinementCaching;
     let n_lfs = lineage.len();
     let lfs: Vec<PrimitiveLf> = lineage.tracked().iter().map(|r| r.lf).collect();
     let matrix = LabelMatrix::from_lfs(&lfs, &ds.train.corpus);
-    let grid = ContextualizerConfig::default().p_grid.len();
+    let p_grid = ContextualizerConfig::default().p_grid;
+    let grid = p_grid.len();
 
-    let mut rebuild_ctx = Contextualizer::new(ContextualizerConfig {
-        refinement: RefinementCaching::Rebuild,
-        ..Default::default()
-    });
-    rebuild_ctx.sync(lineage, ds);
     let mut incr_ctx = Contextualizer::new(ContextualizerConfig::default());
     incr_ctx.sync(lineage, ds);
+    let rebuild_grid = |ctx: &Contextualizer| -> (Vec<LabelMatrix>, Vec<LabelMatrix>) {
+        let train = p_grid.iter().map(|&p| ctx.refined_train_matrix(&matrix, p)).collect();
+        let valid = p_grid.iter().map(|&p| ctx.refined_valid_matrix(p, ds.valid.n())).collect();
+        (train, valid)
+    };
 
     // Bit-identity check (and cache warm-up for LFs 0..n−1).
-    let (rb_train, rb_valid) = rebuild_ctx.refined_grid_matrices(&matrix, ds.valid.n());
+    let (rb_train, rb_valid) = rebuild_grid(&incr_ctx);
     let (in_train, in_valid) = incr_ctx.refined_grid_matrices(&matrix, ds.valid.n());
     for (k, ((a, b), (c, d))) in
         in_train.iter().zip(&rb_train).zip(in_valid.iter().zip(&rb_valid)).enumerate()
@@ -645,9 +495,7 @@ fn refine_cache_bench(ds: &Dataset, lineage: &Lineage, results: &mut Vec<BenchRe
         }
     }
 
-    let rebuild = bench("refine_grid_rebuild", || {
-        rebuild_ctx.refined_grid_matrices(&matrix, ds.valid.n()).0.len()
-    });
+    let rebuild = bench("refine_grid_rebuild", || rebuild_grid(&incr_ctx).0.len());
     let warm = bench("refine_grid_warm", || {
         incr_ctx.invalidate_refined_cache_from(n_lfs - 1);
         incr_ctx.refined_grid_matrices(&matrix, ds.valid.n()).0.len()
@@ -1068,161 +916,6 @@ fn session_pool_bench(ds: &Dataset, results: &mut Vec<BenchResult>) -> String {
     json
 }
 
-/// IWS candidate-ranking engine vs the reference SEU engine: end-model
-/// test accuracy per oracle query, same dataset, same seed, same
-/// simulated user, one query per round. Both engines run through the
-/// unified `SelectionEngine` API on bare `NemoSystem`s; the IWS run is
-/// additionally checkpointed mid-stream and resumed, and the resumed
-/// final score is asserted bit-identical (the determinism the engine
-/// state section exists for).
-///
-/// At this query budget the paper's ordering holds: IWS's learned
-/// candidate ranker sits near the IWS-LSE baseline (~0.47–0.55 on the
-/// quick profile — it needs hundreds of answers before its usefulness
-/// model ranks well), while SEU's user-model-guided development reaches
-/// ~0.63 (Table 2's gap). With `NEMO_BENCH_ENFORCE` set, the gate pins
-/// exactly that: SEU clears an absolute floor, SEU's score-per-query
-/// stays ahead of IWS's, and the IWS loop is non-degenerate (both accept
-/// and reject feedback occurred) — every quantity here is deterministic,
-/// so the gate cannot flake on timing noise.
-fn iws_rank_bench(ds: &Dataset, results: &mut Vec<BenchResult>) -> String {
-    const ROUNDS: usize = 25;
-    const SEED: u64 = 17;
-    let cfg = |selection| IdpConfig {
-        selection,
-        n_iterations: ROUNDS,
-        eval_every: 5,
-        seed: SEED,
-        ..IdpConfig::default()
-    };
-
-    let run = |selection| {
-        let mut nemo = NemoSystem::new(ds, cfg(selection));
-        let mut user = SimulatedUser::default();
-        let mut round_ns: Vec<u64> = Vec::new();
-        let mut curve = nemo_core::idp::LearningCurve::default();
-        let mut accepts = 0usize;
-        for t in 0..ROUNDS {
-            let before = nemo.lineage().len();
-            let clock = Instant::now();
-            nemo.step_with_user(&mut user).expect("bench round");
-            round_ns.push(clock.elapsed().as_nanos() as u64);
-            accepts += usize::from(nemo.lineage().len() > before);
-            if (t + 1) % 5 == 0 {
-                curve.push(t + 1, nemo.test_score());
-            }
-        }
-        (nemo.test_score(), curve, round_ns, accepts)
-    };
-    use nemo_core::config::SelectionStrategy;
-    let (seu_final, seu_curve, seu_ns, _) = run(SelectionStrategy::Seu);
-    let (iws_final, iws_curve, iws_ns, iws_accepts) = run(SelectionStrategy::Iws);
-
-    // Mid-stream checkpoint/restore of the IWS run must land on the same
-    // bits as the uninterrupted run — asserted unconditionally, like the
-    // other sections' correctness checks.
-    let resumed_final = {
-        let mut nemo = NemoSystem::new(ds, cfg(SelectionStrategy::Iws));
-        let mut user = SimulatedUser::default();
-        for _ in 0..ROUNDS / 2 {
-            nemo.step_with_user(&mut user).expect("pre-checkpoint round");
-        }
-        let ckpt = nemo.checkpoint();
-        let mut resumed = NemoSystem::restore(ds, &ckpt).expect("restore IWS engine");
-        let mut fresh = SimulatedUser::default();
-        for _ in ROUNDS / 2..ROUNDS {
-            resumed.step_with_user(&mut fresh).expect("post-restore round");
-        }
-        resumed.test_score()
-    };
-    assert_eq!(
-        iws_final.to_bits(),
-        resumed_final.to_bits(),
-        "restored IWS run diverged from the uninterrupted run"
-    );
-
-    let mean_ns = |ns: &[u64]| ns.iter().sum::<u64>() as f64 / ns.len() as f64;
-    let min_ns = |ns: &[u64]| ns.iter().copied().min().expect("rounds ran") as f64;
-    let (seu_mean, iws_mean) = (mean_ns(&seu_ns), mean_ns(&iws_ns));
-    // Each round costs exactly one oracle query in both engines, so
-    // score-per-query is the final score over the query budget.
-    let seu_per_query = seu_final / ROUNDS as f64;
-    let iws_per_query = iws_final / ROUNDS as f64;
-
-    println!(
-        "\nIWS candidate ranking vs SEU ({} {}, {ROUNDS} oracle queries):",
-        ds.name,
-        ds.train.n()
-    );
-    println!(
-        "  SEU final test score   : {seu_final:.4}  ({seu_per_query:.5}/query, {} per round)",
-        human(seu_mean)
-    );
-    println!(
-        "  IWS final test score   : {iws_final:.4}  ({iws_per_query:.5}/query, {} per round, \
-         {iws_accepts}/{ROUNDS} accepts)",
-        human(iws_mean)
-    );
-    println!("  mid-stream restore     : bit-identical final score");
-    if std::env::var("NEMO_BENCH_ENFORCE").is_ok() {
-        // Deterministic gates (see the fn docs): the committed
-        // quick-profile numbers are SEU 0.6278 vs IWS ~0.47 at this
-        // budget — the paper's ordering.
-        assert!(
-            seu_final >= 0.55,
-            "regression: SEU reference run scored {seu_final:.4} (< 0.55 floor)"
-        );
-        assert!(
-            seu_per_query >= iws_per_query,
-            "regression: IWS score-per-query ({iws_per_query:.5}) overtook SEU \
-             ({seu_per_query:.5}) — the Table 2 ordering inverted; recheck both engines"
-        );
-        assert!(
-            iws_accepts > 0 && iws_accepts < ROUNDS,
-            "regression: degenerate IWS loop ({iws_accepts}/{ROUNDS} accepts) — the user \
-             model never saw both feedback kinds"
-        );
-    }
-
-    let curve_json = |curve: &nemo_core::idp::LearningCurve| {
-        let pts: Vec<String> =
-            curve.points().iter().map(|&(i, s)| format!("[{i}, {s:.6}]")).collect();
-        format!("[{}]", pts.join(", "))
-    };
-    let json = format!(
-        concat!(
-            "{{\"rounds\": {}, \"seu_final\": {:.6}, \"iws_final\": {:.6}, ",
-            "\"seu_per_query\": {:.6}, \"iws_per_query\": {:.6}, ",
-            "\"iws_accepts\": {}, \"seu_round_ns\": {:.0}, \"iws_round_ns\": {:.0}, ",
-            "\"restore_bit_identical\": true, ",
-            "\"seu_curve\": {}, \"iws_curve\": {}}}"
-        ),
-        ROUNDS,
-        seu_final,
-        iws_final,
-        seu_per_query,
-        iws_per_query,
-        iws_accepts,
-        seu_mean,
-        iws_mean,
-        curve_json(&seu_curve),
-        curve_json(&iws_curve),
-    );
-    results.push(BenchResult {
-        name: "seu_engine_round",
-        iters: seu_ns.len() as u32,
-        mean_ns: seu_mean,
-        min_ns: min_ns(&seu_ns),
-    });
-    results.push(BenchResult {
-        name: "iws_engine_round",
-        iters: iws_ns.len() as u32,
-        mean_ns: iws_mean,
-        min_ns: min_ns(&iws_ns),
-    });
-    json
-}
-
 /// Mean time of a named kernel result (panics if the kernel wasn't run).
 fn mean_of(results: &[BenchResult], name: &str) -> f64 {
     results.iter().find(|r| r.name == name).map(|r| r.mean_ns).expect("kernel benched")
@@ -1274,26 +967,23 @@ fn distance_engine_summary(results: &[BenchResult]) -> String {
     )
 }
 
-/// Combined contextualized-round headline: what one EM-tuned round cost
-/// before the two incremental paths (stand-alone SEU kernel — the
-/// `seu_fast_path_full_pool` baseline ROADMAP names — plus cold tune_p)
-/// vs after (dirty-set scoring on incremental aggregates plus
-/// warm-started tune_p). The conservative table-rescore SEU baseline is
-/// recorded alongside. With `NEMO_BENCH_ENFORCE` set, a combined round
-/// slower than the pre-optimization baseline aborts the run.
+/// Combined contextualized-round headline: what one EM-tuned round costs
+/// on the oracles (stand-alone SEU kernel — aggregates rebuilt and every
+/// example scored per occurrence, the `seu_fast_path_full_pool` baseline
+/// — plus cold tune_p) vs on the production path (table rescore on
+/// incrementally synced aggregates plus warm-started tune_p). With
+/// `NEMO_BENCH_ENFORCE` set, a production round slower than the oracle
+/// round aborts the run.
 fn incremental_round_summary(
     results: &[BenchResult],
-    seu_full_round_ns: f64,
-    seu_dirty_round_ns: f64,
+    seu_round_ns: f64,
     tune_cold_ns: f64,
     tune_warm_ns: f64,
 ) -> String {
     let seu_standalone_ns = mean_of(results, "seu_fast_path_full_pool");
     let combined_cold = seu_standalone_ns + tune_cold_ns;
-    let combined_warm = seu_dirty_round_ns + tune_warm_ns;
+    let combined_warm = seu_round_ns + tune_warm_ns;
     let combined_speedup = combined_cold / combined_warm;
-    let conservative_speedup =
-        (seu_full_round_ns + tune_cold_ns) / (seu_dirty_round_ns + tune_warm_ns);
     println!("\nCombined contextualized round (SEU scoring + EM percentile tuning):");
     println!(
         "  before : {} (stand-alone SEU {} + cold tune_p {})",
@@ -1302,15 +992,12 @@ fn incremental_round_summary(
         human(tune_cold_ns)
     );
     println!(
-        "  after  : {} (dirty-set SEU {} + warm tune_p {})",
+        "  after  : {} (incremental SEU {} + warm tune_p {})",
         human(combined_warm),
-        human(seu_dirty_round_ns),
+        human(seu_round_ns),
         human(tune_warm_ns)
     );
-    println!(
-        "  speedup: {combined_speedup:.2}x  ({conservative_speedup:.2}x vs the \
-         incremental-aggregates + full-rescore baseline)"
-    );
+    println!("  speedup: {combined_speedup:.2}x");
     if std::env::var("NEMO_BENCH_ENFORCE").is_ok() {
         // Committed numbers show ~3x; gate only the sign so single-core
         // CI noise cannot flake the build.
@@ -1324,17 +1011,10 @@ fn incremental_round_summary(
     }
     format!(
         concat!(
-            "{{\"standalone_seu_ns\": {:.0}, \"table_rescore_seu_ns\": {:.0}, ",
-            "\"dirty_seu_ns\": {:.0}, \"cold_tune_ns\": {:.0}, \"warm_tune_ns\": {:.0}, ",
-            "\"combined_speedup\": {:.4}, \"conservative_speedup\": {:.4}}}"
+            "{{\"standalone_seu_ns\": {:.0}, \"incremental_seu_ns\": {:.0}, ",
+            "\"cold_tune_ns\": {:.0}, \"warm_tune_ns\": {:.0}, \"combined_speedup\": {:.4}}}"
         ),
-        seu_standalone_ns,
-        seu_full_round_ns,
-        seu_dirty_round_ns,
-        tune_cold_ns,
-        tune_warm_ns,
-        combined_speedup,
-        conservative_speedup,
+        seu_standalone_ns, seu_round_ns, tune_cold_ns, tune_warm_ns, combined_speedup,
     )
 }
 
@@ -1360,21 +1040,13 @@ fn main() {
     let engine_json = distance_engine_summary(&results);
     let artifact_json = artifact_load_bench(profile, &mut results);
     let pool_json = session_pool_bench(&ds, &mut results);
-    let iws_rank_json = iws_rank_bench(&ds, &mut results);
-    let loop_json = seu_loop_bench(&ds, &trajectory);
-    let (dirty_json, seu_full_round_ns, seu_dirty_round_ns) = seu_dirty_bench(&ds, &trajectory);
+    let (loop_json, seu_round_ns) = seu_loop_bench(&ds, &trajectory);
     let refine_json = refine_cache_bench(&ds, &session_lineage, &mut results);
     let cow_json = matrix_cow_bench(&ds, &session_lineage, &mut results);
     let (warm_json, tune_cold_ns, tune_warm_ns) =
         tune_p_warm_bench(&ds, &session_lineage, &mut results);
 
-    let round_json = incremental_round_summary(
-        &results,
-        seu_full_round_ns,
-        seu_dirty_round_ns,
-        tune_cold_ns,
-        tune_warm_ns,
-    );
+    let round_json = incremental_round_summary(&results, seu_round_ns, tune_cold_ns, tune_warm_ns);
 
     let mut json = String::from("{\n");
     json.push_str(&format!("  \"profile\": \"{}\",\n", profile.name()));
@@ -1395,9 +1067,7 @@ fn main() {
     json.push_str(&format!("  \"distance_engine\": {engine_json},\n"));
     json.push_str(&format!("  \"artifact_load\": {artifact_json},\n"));
     json.push_str(&format!("  \"session_pool\": {pool_json},\n"));
-    json.push_str(&format!("  \"iws_rank\": {iws_rank_json},\n"));
     json.push_str(&format!("  \"seu_loop\": {loop_json},\n"));
-    json.push_str(&format!("  \"seu_dirty\": {dirty_json},\n"));
     json.push_str(&format!("  \"refine_cache\": {refine_json},\n"));
     json.push_str(&format!("  \"matrix_cow\": {cow_json},\n"));
     json.push_str(&format!("  \"tune_p_warm\": {warm_json},\n"));

@@ -14,9 +14,9 @@
 //! - the contextualizer's per-LF distance tables are re-registered in one
 //!   batch on the next learning round (batched registration is
 //!   bit-identical to incremental registration, differential-tested);
-//! - the refined-column cache and the SEU score cache start cold and
-//!   self-invalidate through their keys (fresh column tokens, fresh
-//!   aggregate-cache identity), then refill to the same values.
+//! - the refined-column and pair-count caches start cold and
+//!   self-invalidate through their keys (fresh column tokens), then
+//!   refill to the same values.
 //!
 //! `tests/session_checkpoint.rs` proves the resulting sessions make the
 //! same selections, tune the same percentiles, and produce bit-identical
@@ -70,38 +70,7 @@ pub struct SessionCheckpoint {
     /// The RNG's banked second Gaussian draw, if any.
     pub rng_gauss_spare: Option<f64>,
     /// Per-grid-point EM warm-start seeds from the contextualizer
-    /// (empty for [`crate::session::Session`]-level checkpoints, for
-    /// cold-start configurations, and before the first tuning round).
+    /// (empty for [`crate::session::Session`]-level checkpoints and
+    /// before the first tuning round).
     pub warm_seeds: Vec<Vec<f64>>,
-    /// Selection-engine state ([`EngineState::Seu`] — i.e. none — for
-    /// [`crate::session::Session`]-level checkpoints;
-    /// [`crate::system::NemoSystem::checkpoint`] fills in the live
-    /// engine's state, like `warm_seeds`).
-    pub engine: EngineState,
-}
-
-/// Versioned selection-engine state carried by a checkpoint.
-///
-/// Each engine's persisted layout is its own variant; evolving a layout
-/// means adding a new variant (`IwsV2`, …), never mutating an existing
-/// one, so old checkpoints keep restoring bit-identically. The persist
-/// layer maps variants to tagged sections and rejects unknown tags with
-/// a typed error.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub enum EngineState {
-    /// The SEU engine keeps no state outside the session: its score
-    /// cache is derived and rebuilt cold on restore.
-    #[default]
-    Seu,
-    /// IWS engine state, version 1: the accept/reject answer log in
-    /// oracle-query order. This is the engine's *complete* state —
-    /// candidates are re-enumerated deterministically from the dataset,
-    /// and the bootstrap committee is a pure function of (candidate
-    /// features, answers, a seed derived from the config seed and the
-    /// answer count) — so restore replays the ranking bit-identically
-    /// without persisting any float state.
-    IwsV1 {
-        /// `(candidate index, accepted)` per oracle query, in order.
-        answers: Vec<(u32, bool)>,
-    },
 }

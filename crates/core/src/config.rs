@@ -41,168 +41,16 @@ impl LabelModelKind {
     }
 }
 
-/// Which distance engine backs the contextualizer's per-LF caches.
-///
-/// Both engines are bit-identical (the indexed kernel accumulates each
-/// row's matching terms in the same order as the row-major merge), so this
-/// switch never changes results — only how fast registration runs. The
-/// naive engine is retained for differential tests
-/// (`tests/contextualizer_paths.rs`) and the regression guard in
-/// `kernel_microbench`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DistanceBackend {
-    /// Inverted-index (CSC) kernel with batched, parallel registration —
-    /// the production path.
-    #[default]
-    Indexed,
-    /// Per-LF row-major scan (the pre-index reference path).
-    Naive,
-}
-
-impl DistanceBackend {
-    /// Name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            DistanceBackend::Indexed => "indexed",
-            DistanceBackend::Naive => "naive",
-        }
-    }
-}
-
-/// How the SEU selector scores the candidate pool each round.
-///
-/// A candidate's utility depends only on the score-table rows of its
-/// primitives, so the dirty-set path caches every candidate's score
-/// components and applies only the row deltas reported by the session's
-/// [`crate::session::SeuAggregates`] dirty log — `O(Σ_{z dirty} df(z) +
-/// n)` per round instead of the full `O(nnz(U))` rescore. A periodic
-/// drift re-anchor, aggregate rebuilds, and rounds whose dirty rows
-/// cover the entire posting mass recompute exactly, bit-identical to
-/// [`SeuScoring::Full`]; delta rounds agree within fp-drift tolerance
-/// (`1e-9`, differential-tested). The full path is retained for
-/// differential tests
-/// (`tests/incremental_differential.rs`, `tests/incremental_paths.rs`)
-/// and is the only path for stand-alone views without cached aggregates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SeuScoring {
-    /// Rescore only candidates covered by a dirty primitive; clean
-    /// candidates keep their cached utility — the production path.
-    #[default]
-    DirtySet,
-    /// Rebuild the score table and rescore the whole pool every round
-    /// (the pre-dirty-set reference path).
-    Full,
-}
-
-impl SeuScoring {
-    /// Name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            SeuScoring::DirtySet => "dirty-set",
-            SeuScoring::Full => "full",
-        }
-    }
-}
-
-/// Whether iterative label-model fits inside percentile tuning are seeded
-/// from previously fitted parameters.
-///
-/// With [`WarmStart::Warm`], [`crate::contextualizer::Contextualizer::tune_p`]
-/// seeds each grid point's EM fit from the parameters fitted at the same
-/// grid point one round earlier, and — because per-point seeding keeps
-/// the fits independent — runs the grid's fits in parallel, so a tuning
-/// round's wall-clock is one fit rather than one per grid point.
-/// Moment-based estimators (MeTaL
-/// triplets, majority vote) ignore the seed, making the switch a no-op
-/// for them. On well-conditioned matrices warm and cold fits agree
-/// within the EM tolerance (not bit-identically — differential-tested);
-/// on weakly-identified matrices, where EM is genuinely multimodal, warm
-/// seeding *tracks the incumbent basin* across rounds instead of
-/// re-picking one from the fixed initializer — see
-/// [`crate::contextualizer::Contextualizer::tune_p`] for why that is the
-/// intended semantics. The cold path remains selectable for differential
-/// tests and for restart-from-scratch reproducibility.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WarmStart {
-    /// Seed EM from previously fitted parameters — the production path.
-    #[default]
-    Warm,
-    /// Every fit starts from the estimator's default initialization.
-    Cold,
-}
-
-impl WarmStart {
-    /// Name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            WarmStart::Warm => "warm",
-            WarmStart::Cold => "cold",
-        }
-    }
-}
-
-/// How `tune_p` obtains the per-grid-point refined label matrices.
-///
-/// Refinement at a fixed percentile is a pure function of the raw column
-/// and the radius `r_j(p)`, and between interactive rounds almost nothing
-/// feeding that function changes: lineage is append-only, so an existing
-/// LF's distance table (hence its radius at every grid point) is frozen
-/// at registration, and its raw column is built once. The incremental
-/// path therefore caches every `(grid point, LF)` pair's filtered
-/// train/valid columns keyed by the radius bits and the raw column's
-/// construction token ([`nemo_lf::LfColumn::token`]), and refilters a
-/// column only when its key actually changed — on a warm round that is
-/// just the newly registered LFs, `O(grid)` filters instead of
-/// `O(grid · lfs)`. Served columns are clones of the cached filter
-/// output, so both paths produce **bit-identical** matrices, tuned
-/// percentiles, and dedup (`repr`/`unique`) resolution; the rebuild path
-/// is retained for differential tests (`tests/refine_cache_differential.rs`)
-/// and the `refine_cache` regression guard in `kernel_microbench`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RefinementCaching {
-    /// Serve unchanged columns from the cross-round refined-column cache —
-    /// the production path.
-    #[default]
-    Incremental,
-    /// Re-filter every LF column at every grid point each round (the
-    /// pre-cache reference path).
-    Rebuild,
-}
-
-impl RefinementCaching {
-    /// Name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            RefinementCaching::Incremental => "incremental",
-            RefinementCaching::Rebuild => "rebuild",
-        }
-    }
-}
-
-/// Which selection engine drives the interactive loop.
-///
-/// Both engines plug into the same [`crate::Session`] state machine, feed
-/// accepted LFs through the contextualizer identically, and checkpoint /
-/// restore bit-identically through [`crate::SessionCheckpoint`]; the
-/// switch changes *what the user is asked each round*, not any learning
-/// semantics downstream of the answer. SEU is the paper's protocol and
-/// the reference path (`tests/iws_engine_differential.rs` pins the IWS
-/// engine's trajectories across thread counts, checkpoint/restore, and
-/// pool churn); the `iws_rank` bench section records end-model accuracy
-/// per oracle query for both engines Table-5-style.
+/// Which selection engine drives the interactive loop: SEU example
+/// selection, the paper's protocol, is the only one.
+// lint: allow(doctrine/unregistered-switch): one variant, no other path;
+// kept because perfbench's run stamp reads `config.selection.name()`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SelectionStrategy {
     /// SEU development-example selection: the engine picks the most
-    /// useful unlabeled example and the user authors an LF for it — the
-    /// paper's protocol and the reference path.
+    /// useful unlabeled example and the user authors an LF for it.
     #[default]
     Seu,
-    /// IWS learned LF-candidate ranking (Boecking et al.): the engine
-    /// enumerates keyword-LF candidates from the vocabulary, ranks them
-    /// with a bootstrap-committee user model updated online from
-    /// accept/reject feedback, and asks the user only to judge the
-    /// top-ranked candidate each round.
-    Iws,
 }
 
 impl SelectionStrategy {
@@ -210,7 +58,6 @@ impl SelectionStrategy {
     pub fn name(self) -> &'static str {
         match self {
             SelectionStrategy::Seu => "seu",
-            SelectionStrategy::Iws => "iws-rank",
         }
     }
 }
@@ -223,25 +70,11 @@ pub struct ContextualizerConfig {
     /// Candidate percentile values for the refinement radius; the best is
     /// chosen per iteration by validation accuracy of the soft labels.
     pub p_grid: Vec<f64>,
-    /// Distance engine used to build the per-LF distance caches.
-    pub backend: DistanceBackend,
-    /// Whether percentile tuning warm-starts iterative label-model fits
-    /// across grid points and rounds.
-    pub warm_start: WarmStart,
-    /// Whether `tune_p` serves per-grid-point refined columns from the
-    /// cross-round cache or refilters everything each round.
-    pub refinement: RefinementCaching,
 }
 
 impl Default for ContextualizerConfig {
     fn default() -> Self {
-        Self {
-            distance: Distance::Cosine,
-            p_grid: vec![25.0, 50.0, 75.0, 100.0],
-            backend: DistanceBackend::default(),
-            warm_start: WarmStart::default(),
-            refinement: RefinementCaching::default(),
-        }
+        Self { distance: Distance::Cosine, p_grid: vec![25.0, 50.0, 75.0, 100.0] }
     }
 }
 
@@ -251,7 +84,7 @@ pub struct IdpConfig {
     /// Total interactive iterations (paper: 50).
     pub n_iterations: usize,
     /// Evaluate the end model on the test split every this many
-    /// iterations (paper: 5).
+    /// iterations (paper: 5); `0` records no evaluation points.
     pub eval_every: usize,
     /// Label model choice.
     pub label_model: LabelModelKind,
@@ -260,8 +93,7 @@ pub struct IdpConfig {
     /// LFs the user may return per iteration (1 = the paper's atomic
     /// setting; >1 enables the Sec. 7 multi-LF extension).
     pub lfs_per_iteration: usize,
-    /// Which selection engine drives the loop (SEU example selection —
-    /// the reference path — or IWS learned LF-candidate ranking).
+    /// Which selection engine drives the loop.
     pub selection: SelectionStrategy,
     /// Master seed for the run.
     pub seed: u64,
@@ -293,6 +125,12 @@ impl IdpConfig {
     pub fn with_seed(&self, seed: u64) -> Self {
         Self { seed, ..self.clone() }
     }
+
+    /// Whether a learning curve records a point once `iterations` rounds
+    /// have completed: every `eval_every` rounds, never when it is `0`.
+    pub fn evaluates_after(&self, iterations: usize) -> bool {
+        self.eval_every > 0 && iterations % self.eval_every == 0
+    }
 }
 
 #[cfg(test)]
@@ -321,7 +159,6 @@ mod tests {
     #[test]
     fn selection_strategy_names_stable() {
         assert_eq!(SelectionStrategy::Seu.name(), "seu");
-        assert_eq!(SelectionStrategy::Iws.name(), "iws-rank");
         assert_eq!(SelectionStrategy::default(), SelectionStrategy::Seu);
     }
 
@@ -330,32 +167,14 @@ mod tests {
         let c = ContextualizerConfig::default();
         assert_eq!(c.distance, Distance::Cosine);
         assert_eq!(c.p_grid, vec![25.0, 50.0, 75.0, 100.0]);
-        assert_eq!(c.backend, DistanceBackend::Indexed);
     }
 
     #[test]
-    fn backend_names_stable() {
-        assert_eq!(DistanceBackend::Indexed.name(), "indexed");
-        assert_eq!(DistanceBackend::Naive.name(), "naive");
-    }
-
-    #[test]
-    fn incremental_switch_names_stable() {
-        assert_eq!(SeuScoring::DirtySet.name(), "dirty-set");
-        assert_eq!(SeuScoring::Full.name(), "full");
-        assert_eq!(WarmStart::Warm.name(), "warm");
-        assert_eq!(WarmStart::Cold.name(), "cold");
-        assert_eq!(RefinementCaching::Incremental.name(), "incremental");
-        assert_eq!(RefinementCaching::Rebuild.name(), "rebuild");
-    }
-
-    #[test]
-    fn incremental_paths_are_the_defaults() {
-        assert_eq!(SeuScoring::default(), SeuScoring::DirtySet);
-        assert_eq!(WarmStart::default(), WarmStart::Warm);
-        assert_eq!(ContextualizerConfig::default().warm_start, WarmStart::Warm);
-        assert_eq!(RefinementCaching::default(), RefinementCaching::Incremental);
-        assert_eq!(ContextualizerConfig::default().refinement, RefinementCaching::Incremental);
+    fn zero_eval_every_records_no_points() {
+        let every = |eval_every| IdpConfig { eval_every, ..Default::default() };
+        assert!((1..=20).all(|t| !every(0).evaluates_after(t)));
+        let fives: Vec<usize> = (1..=20).filter(|&t| every(5).evaluates_after(t)).collect();
+        assert_eq!(fives, vec![5, 10, 15, 20]);
     }
 
     #[test]

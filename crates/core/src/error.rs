@@ -35,14 +35,6 @@ pub enum SessionError {
         /// The dataset's primitive-domain size.
         n_primitives: usize,
     },
-    /// The manual suggest/submit frontend was used with a selection
-    /// engine that proposes LF candidates itself (e.g. IWS): such engines
-    /// are driven round-by-round via
-    /// [`crate::NemoSystem::step_with_user`] / `run_with_user`.
-    EngineDriven {
-        /// Name of the engine that rejected the manual frontend.
-        engine: &'static str,
-    },
 }
 
 impl fmt::Display for SessionError {
@@ -56,13 +48,6 @@ impl fmt::Display for SessionError {
             }
             SessionError::PrimitiveOutOfDomain { z, n_primitives } => {
                 write!(f, "LF primitive {z} outside the domain (n_primitives = {n_primitives})")
-            }
-            SessionError::EngineDriven { engine } => {
-                write!(
-                    f,
-                    "the `{engine}` selection engine proposes LF candidates itself; drive it \
-                     with step_with_user/run_with_user, not the manual suggest/submit frontend"
-                )
             }
         }
     }
@@ -116,16 +101,6 @@ pub enum RestoreError {
     /// The persisted RNG state is the all-zero fixed point of
     /// xoshiro256++, which would freeze the generator.
     DegenerateRngState,
-    /// The checkpoint's engine-state section does not match the
-    /// [`crate::config::SelectionStrategy`] recorded in its config (e.g.
-    /// an IWS answer log paired with `SelectionStrategy::Seu`), or its
-    /// contents are inconsistent with the dataset's candidate family.
-    EngineStateMismatch {
-        /// Name of the engine the config selects.
-        engine: &'static str,
-        /// Which consistency check failed.
-        reason: &'static str,
-    },
 }
 
 impl fmt::Display for RestoreError {
@@ -154,9 +129,6 @@ impl fmt::Display for RestoreError {
             }
             RestoreError::DegenerateRngState => {
                 write!(f, "persisted RNG state is the degenerate all-zero state")
-            }
-            RestoreError::EngineStateMismatch { engine, reason } => {
-                write!(f, "engine state does not fit the `{engine}` selection engine: {reason}")
             }
         }
     }

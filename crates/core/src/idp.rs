@@ -91,11 +91,9 @@ pub struct SelectionView<'a> {
     pub excluded: &'a [bool],
     /// Current iteration (0-based).
     pub iteration: usize,
-    /// The incrementally-maintained SEU aggregate cache (with its dirty
-    /// log) consistent with `outputs`, when the view comes from a
-    /// [`Session`]. `None` makes aggregate-consuming selectors rebuild
-    /// from scratch — and disables dirty-set score caching, which needs
-    /// the generation/dirty-log protocol to revalidate.
+    /// The incrementally-maintained SEU aggregate cache consistent with
+    /// `outputs`, when the view comes from a [`Session`]. `None` makes
+    /// aggregate-consuming selectors rebuild from scratch.
     pub aggs: Option<&'a SeuAggregates>,
 }
 
@@ -195,12 +193,11 @@ pub fn run_curve(
     pipeline: &mut dyn LearningPipeline,
 ) -> LearningCurve {
     let mut curve = LearningCurve::default();
-    let (n_iterations, eval_every) = (session.config().n_iterations, session.config().eval_every);
-    for t in 0..n_iterations {
+    for t in 0..session.config().n_iterations {
         // invariant: every round resolves the suggestion it makes, so the
         // protocol errors are unreachable from here.
         engine.round(session, user, pipeline).expect("loop never leaves a suggestion pending");
-        if (t + 1) % eval_every == 0 {
+        if session.config().evaluates_after(t + 1) {
             curve.push(t + 1, session.test_score());
         }
     }

@@ -15,11 +15,9 @@
 //!
 //! Plus the machinery around them: the reusable interactive [`session`]
 //! engine (incremental SEU aggregates, parallel scoring), the [`idp`] loop
-//! shared by all methods, pluggable selection [`engines`] (SEU and the
-//! learned IWS candidate ranker as peers), [`pipeline`]s (standard vs
-//! contextualized
-//! learning), the simulated user [`oracle`] (Sec. 5.1), the ergonomic
-//! [`system`] facade, the multi-LF extension of Sec. 7 ([`multi_lf`]), and
+//! shared by all methods, the selection [`engines`] that run one round
+//! each, [`pipeline`]s (standard vs contextualized learning), the
+//! simulated user [`oracle`] (Sec. 5.1), the ergonomic [`system`] facade, the multi-LF extension of Sec. 7 ([`multi_lf`]), and
 //! the multi-tenant serving layer — the immutable [`artifacts`] shared by
 //! every user and the [`pool`] scheduling hundreds of sessions over them.
 
@@ -43,10 +41,10 @@ pub mod user_model;
 pub mod utility;
 
 pub use artifacts::SharedArtifacts;
-pub use checkpoint::{EngineState, SessionCheckpoint};
+pub use checkpoint::SessionCheckpoint;
 pub use config::{ContextualizerConfig, IdpConfig, LabelModelKind, SelectionStrategy};
 pub use contextualizer::Contextualizer;
-pub use engines::{engine_for, ExampleEngine, IwsEngine, IwsEngineConfig, SelectionEngine};
+pub use engines::{engine_for, ExampleEngine, SelectionEngine};
 pub use error::{RestoreError, SessionError};
 pub use idp::{
     run_curve, LearningCurve, ModelOutputs, RandomSelector, SelectionView, Selector, StepRecord,

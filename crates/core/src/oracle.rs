@@ -58,17 +58,6 @@ pub trait User {
         }
         out
     }
-
-    /// IWS-style feedback (Boecking et al.): judge a candidate LF the
-    /// selection engine proposes — `true` accepts it into the session's
-    /// lineage, `false` rejects it (the iteration is still consumed, as
-    /// in the fixed-budget protocol). The default accepts every
-    /// proposal, so frontends without a judgment UI simply trust the
-    /// engine's ranking.
-    fn judge_lf(&mut self, lf: &PrimitiveLf, ds: &Dataset, rng: &mut DetRng) -> bool {
-        let _ = (lf, ds, rng);
-        true
-    }
 }
 
 /// The accuracy-thresholded oracle user of the paper's experiments.
@@ -160,14 +149,6 @@ impl User for SimulatedUser {
         self.pick(&candidates, self.threshold, ds, rng)
     }
 
-    /// Accept a proposed candidate iff its *true* accuracy on the
-    /// unlabeled pool meets the user's expertise threshold — the same
-    /// bar this user applies to LFs it authors itself.
-    fn judge_lf(&mut self, lf: &PrimitiveLf, ds: &Dataset, _rng: &mut DetRng) -> bool {
-        lf.accuracy_against(&ds.train.corpus, &ds.train.labels)
-            .is_some_and(|acc| acc >= self.threshold)
-    }
-
     fn provide_lfs(
         &mut self,
         x: usize,
@@ -225,14 +206,6 @@ impl User for NoisyUser {
             return Some(candidates[rng.index(candidates.len())].0);
         }
         self.inner.pick(&candidates, self.inner.threshold, ds, rng)
-    }
-
-    fn judge_lf(&mut self, lf: &PrimitiveLf, ds: &Dataset, rng: &mut DetRng) -> bool {
-        if rng.bernoulli(self.lapse) {
-            // Lapse: wave the candidate through without checking.
-            return true;
-        }
-        self.inner.judge_lf(lf, ds, rng)
     }
 }
 

@@ -125,10 +125,8 @@ impl LearningPipeline for StandardPipeline {
 ///
 /// The pipeline owns the [`Contextualizer`] and therefore all of its
 /// cross-round caches: the per-LF distance tables, the EM warm-start
-/// seeds, and the refined-column cache behind
-/// [`crate::config::RefinementCaching::Incremental`]. A
-/// [`crate::session::Session`] drives `learn` every round with the
-/// *same* pipeline instance, so `Contextualizer::sync` registers only the
+/// seeds, and the refined-column cache. A [`crate::session::Session`]
+/// drives `learn` every round with the *same* pipeline instance, so `Contextualizer::sync` registers only the
 /// round's new LFs and `tune_p` refilters only their columns — the rest
 /// of the per-grid-point refined matrices are assembled from shared
 /// `Arc` handles of the cached columns (`O(1)` per column, zero vote

@@ -1,19 +1,14 @@
 //! The Nemo system facade (paper Sec. 4, Figure 4).
 //!
-//! [`NemoSystem`] binds a [`Session`] to a pluggable selection engine
-//! ([`crate::engines`]) and the contextualized learning pipeline. The
-//! engine — SEU by default, the learned IWS candidate ranker via
-//! [`crate::config::SelectionStrategy::Iws`] — owns the interactive
-//! protocol; the facade exposes two frontends over it:
+//! [`NemoSystem`] binds a [`Session`] to a selection engine
+//! ([`crate::engines`], SEU by default) and the contextualized learning
+//! pipeline. The facade exposes two frontends over them:
 //!
 //! - the **round driver** ([`NemoSystem::step_with_user`] /
-//!   [`NemoSystem::run_with_user`]): one engine round per call, whatever
-//!   the engine's protocol asks of the user (author an LF for a chosen
-//!   example, or judge a proposed candidate);
-//! - the **manual loop** for engines that select examples:
-//!   [`NemoSystem::suggest_example`], then [`NemoSystem::submit_lf`] or
-//!   [`NemoSystem::skip`]. Engines that propose LF candidates themselves
-//!   report [`SessionError::EngineDriven`] here.
+//!   [`NemoSystem::run_with_user`]): one engine round per call, in which
+//!   the user authors LFs for the chosen example;
+//! - the **manual loop**: [`NemoSystem::suggest_example`], then
+//!   [`NemoSystem::submit_lf`] or [`NemoSystem::skip`].
 //!
 //! The primitive-based example explorer of Sec. 7
 //! ([`NemoSystem::explore_primitive`]) lets a user inspect a random sample
@@ -103,15 +98,9 @@ impl<'a> NemoSystem<'a> {
     /// # Errors
     ///
     /// [`SessionError::SuggestionPending`] if the previous suggestion has
-    /// not been resolved yet; [`SessionError::EngineDriven`] if the
-    /// active engine proposes LF candidates itself (drive it with
-    /// [`NemoSystem::step_with_user`] instead).
+    /// not been resolved yet.
     pub fn suggest_example(&mut self) -> Result<Option<usize>, SessionError> {
-        let name = self.engine.name();
-        match self.engine.example_selector() {
-            Some(selector) => self.session.select_with(selector),
-            None => Err(SessionError::EngineDriven { engine: name }),
-        }
+        self.session.select_with(self.engine.example_selector())
     }
 
     /// IDP stages 2–3: record an LF written from the pending example and
@@ -156,10 +145,9 @@ impl<'a> NemoSystem<'a> {
     }
 
     /// Run one full interactive round of the active engine's protocol:
-    /// SEU suggests an example and lets `user` develop LFs from it; IWS
-    /// proposes its top-ranked candidate LF for `user` to judge. Either
-    /// way the round re-learns the models (or advances the frozen model
-    /// once the pool / candidate family is exhausted).
+    /// the engine suggests an example and lets `user` develop LFs from it,
+    /// then the round re-learns the models (or advances the frozen model
+    /// once the pool is exhausted).
     /// [`NemoSystem::run_with_user`] is a loop over this; multi-tenant
     /// schedulers ([`crate::pool::SessionPool`]) call it directly so
     /// rounds from many sessions can interleave.
@@ -220,14 +208,12 @@ impl<'a> NemoSystem<'a> {
     pub fn checkpoint(&self) -> SessionCheckpoint {
         let mut ckpt = self.session.checkpoint();
         ckpt.warm_seeds = self.pipeline.contextualizer().warm_seeds().to_vec();
-        ckpt.engine = self.engine.checkpoint_state();
         ckpt
     }
 
     /// Restore a system from a checkpoint with default contextualizer
     /// settings; the engine follows the checkpointed
-    /// [`IdpConfig::selection`] and resumes from the checkpoint's
-    /// engine-state section.
+    /// [`IdpConfig::selection`].
     ///
     /// Restoration validates every checkpoint field against `ds` before
     /// touching any state — a checkpoint from the wrong dataset (or a
@@ -257,23 +243,20 @@ impl<'a> NemoSystem<'a> {
     }
 
     /// Restore with explicit contextualizer settings (the counterpart of
-    /// [`NemoSystem::with_components`]). The engine is rebuilt from the
-    /// checkpointed [`IdpConfig::selection`] and handed the checkpoint's
-    /// engine-state section. The contextualizer starts with empty
-    /// distance caches — its next learning round re-registers the whole
-    /// lineage in one batch, which is bit-identical to the incremental
-    /// registrations of the original run — and with the checkpoint's
-    /// warm-start seeds, so percentile tuning resumes from the same EM
-    /// state. Restored sessions therefore make the same selections and
+    /// [`NemoSystem::with_components`]). The engine is rebuilt cold from
+    /// the checkpointed [`IdpConfig::selection`]. The contextualizer
+    /// starts with empty distance caches — its next learning round
+    /// re-registers the whole lineage in one batch, which is bit-identical
+    /// to the incremental registrations of the original run — and with the
+    /// checkpoint's warm-start seeds, so percentile tuning resumes from the
+    /// same EM state. Restored sessions therefore make the same selections and
     /// produce the same model outputs as never-interrupted ones
-    /// (`tests/session_checkpoint.rs`, `tests/iws_engine_differential.rs`).
+    /// (`tests/session_checkpoint.rs`).
     ///
     /// # Errors
     ///
     /// Any [`RestoreError`] from validating the checkpoint against `ds`;
-    /// [`RestoreError::ValueOutOfRange`] if a warm seed is non-finite;
-    /// [`RestoreError::EngineStateMismatch`] if the engine-state section
-    /// does not fit the configured engine.
+    /// [`RestoreError::ValueOutOfRange`] if a warm seed is non-finite.
     pub fn restore_with(
         ds: &'a Dataset,
         ckpt: &SessionCheckpoint,
@@ -282,8 +265,7 @@ impl<'a> NemoSystem<'a> {
         if ckpt.warm_seeds.iter().flatten().any(|s| !s.is_finite()) {
             return Err(RestoreError::ValueOutOfRange { field: "warm_seeds" });
         }
-        let mut engine = engine_for(&ckpt.config);
-        engine.restore_state(&ckpt.engine, ds)?;
+        let engine = engine_for(&ckpt.config);
         let session = Session::restore(ds, ckpt)?;
         let mut pipeline = ContextualizedPipeline::new(ctx_config);
         pipeline.contextualizer_mut().set_warm_seeds(ckpt.warm_seeds.clone());
@@ -418,64 +400,5 @@ mod tests {
             nemo.run_with_user(&mut user).points().to_vec()
         };
         assert_eq!(run(9), run(9));
-    }
-
-    #[test]
-    fn iws_engine_rejects_the_manual_frontend() {
-        use crate::config::SelectionStrategy;
-        let ds = toy_text(1);
-        let config = IdpConfig { selection: SelectionStrategy::Iws, ..cfg(10, 1) };
-        let mut nemo = NemoSystem::new(&ds, config);
-        assert_eq!(nemo.engine().name(), "iws-rank");
-        assert_eq!(nemo.suggest_example(), Err(SessionError::EngineDriven { engine: "iws-rank" }));
-        // The round driver still works — and the frontend error left no
-        // reservation behind.
-        let mut user = SimulatedUser::default();
-        nemo.step_with_user(&mut user).expect("engine-driven round runs");
-        assert_eq!(nemo.iteration(), 1);
-    }
-
-    #[test]
-    fn iws_runs_end_to_end_and_restores_bit_identically() {
-        use crate::config::SelectionStrategy;
-        let ds = toy_text(1);
-        let config = IdpConfig {
-            selection: SelectionStrategy::Iws,
-            n_iterations: 8,
-            eval_every: 4,
-            seed: 21,
-            ..Default::default()
-        };
-        let mut original = NemoSystem::new(&ds, config);
-        let mut user = SimulatedUser::with_threshold(0.5);
-        for _ in 0..4 {
-            original.step_with_user(&mut user).unwrap();
-        }
-        let ckpt = original.checkpoint();
-        assert!(matches!(ckpt.engine, crate::checkpoint::EngineState::IwsV1 { .. }));
-        let mut resumed = NemoSystem::restore(&ds, &ckpt).expect("valid checkpoint restores");
-        assert_eq!(resumed.engine().name(), "iws-rank");
-        let mut fresh_user = SimulatedUser::with_threshold(0.5);
-        for _ in 4..8 {
-            let a = original.step_with_user(&mut user).unwrap();
-            let b = resumed.step_with_user(&mut fresh_user).unwrap();
-            assert_eq!(a.selected, b.selected);
-            assert_eq!(a.new_lfs, b.new_lfs);
-        }
-        assert_eq!(original.test_score().to_bits(), resumed.test_score().to_bits());
-    }
-
-    #[test]
-    fn restore_rejects_engine_state_from_the_wrong_engine() {
-        use crate::checkpoint::EngineState;
-        use crate::error::RestoreError;
-        let ds = toy_text(1);
-        let nemo = NemoSystem::new(&ds, cfg(10, 9));
-        let mut ckpt = nemo.checkpoint();
-        ckpt.engine = EngineState::IwsV1 { answers: vec![(0, true)] };
-        assert!(matches!(
-            NemoSystem::restore(&ds, &ckpt),
-            Err(RestoreError::EngineStateMismatch { engine: "seu", .. })
-        ));
     }
 }

@@ -18,13 +18,9 @@ use crate::scan;
 /// here *and* exercised by a differential test under `tests/` — the
 /// [`RuleId::DoctrineUnregisteredSwitch`] rule flags any `pub enum` in
 /// `crates/core/src/config.rs` that is neither registered nor annotated.
-pub const SWITCH_REGISTRY: &[(&str, &str)] = &[
-    ("DistanceBackend", "crates/core/src/config.rs"),
-    ("SeuScoring", "crates/core/src/config.rs"),
-    ("WarmStart", "crates/core/src/config.rs"),
-    ("RefinementCaching", "crates/core/src/config.rs"),
-    ("SelectionStrategy", "crates/core/src/config.rs"),
-];
+/// Empty: every fast path is the only production path, checked against
+/// its reference implementation as a test oracle.
+pub const SWITCH_REGISTRY: &[(&str, &str)] = &[];
 
 /// Published crates that must carry `#![warn(missing_docs)]` in their
 /// `src/lib.rs` (escalated to an error by `clippy -D warnings` in CI).
@@ -49,10 +45,12 @@ const BENCH_META_KEYS: &[&str] = &["profile", "dataset", "train_n", "benchmarks"
 /// Where the kernel bench harness lives.
 const BENCH_FILE: &str = "crates/bench/benches/kernel_microbench.rs";
 
-/// Run every structural rule against the workspace at `root`.
-pub fn check(root: &Path) -> io::Result<Vec<Finding>> {
+/// Run every structural rule against the workspace at `root`, with
+/// `registry` as the config-switch registry (the workspace passes
+/// [`SWITCH_REGISTRY`]).
+pub fn check(root: &Path, registry: &[(&str, &str)]) -> io::Result<Vec<Finding>> {
     let mut findings = Vec::new();
-    check_switches(root, &mut findings)?;
+    check_switches(root, registry, &mut findings)?;
     check_bench_sections(root, &mut findings)?;
     check_missing_docs(root, &mut findings)?;
     check_lockfile(root, &mut findings)?;
@@ -75,7 +73,11 @@ fn enum_decl_line(lines: &[scan::Line], name: &str) -> Option<usize> {
         .position(|l| !l.in_test && l.code.contains("pub enum") && scan::has_ident(&l.code, name))
 }
 
-fn check_switches(root: &Path, findings: &mut Vec<Finding>) -> io::Result<()> {
+fn check_switches(
+    root: &Path,
+    registry: &[(&str, &str)],
+    findings: &mut Vec<Finding>,
+) -> io::Result<()> {
     // Gather the differential-test corpus once: raw text of tests/*.rs.
     let tests_dir = root.join("tests");
     let mut test_sources: Vec<String> = Vec::new();
@@ -91,7 +93,7 @@ fn check_switches(root: &Path, findings: &mut Vec<Finding>) -> io::Result<()> {
         }
     }
 
-    for &(name, decl_file) in SWITCH_REGISTRY {
+    for &(name, decl_file) in registry {
         let Some(source) = read_rel(root, decl_file)? else {
             findings.push(Finding {
                 rule: RuleId::DoctrineSwitchDifferential,
@@ -144,7 +146,7 @@ fn check_switches(root: &Path, findings: &mut Vec<Finding>) -> io::Result<()> {
                 .nth(1)
                 .map(|rest| rest.trim_start().chars().take_while(|&c| scan::is_ident(c)).collect())
                 .unwrap_or_else(String::new);
-            if name.is_empty() || SWITCH_REGISTRY.iter().any(|&(n, _)| n == name) {
+            if name.is_empty() || registry.iter().any(|&(n, _)| n == name) {
                 continue;
             }
             if !justified(&lines, i, RuleId::DoctrineUnregisteredSwitch) {

@@ -84,7 +84,7 @@ pub fn check_workspace(root: &Path) -> io::Result<Vec<Finding>> {
         let source = fs::read_to_string(root.join(&rel))?;
         findings.extend(rules::check_source(&rel, &source));
     }
-    findings.extend(doctrine::check(root)?);
+    findings.extend(doctrine::check(root, doctrine::SWITCH_REGISTRY)?);
     findings
         .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
     Ok(findings)

@@ -39,6 +39,16 @@ fn seeded_hashmap_in_session_is_caught() {
     assert!(check_source("crates/core/src/session.rs", &real).is_empty());
 }
 
+/// The switch registry of the mini workspace: synthetic enums declared
+/// in its `config.rs`.
+const FIXTURE_REGISTRY: &[(&str, &str)] = &[
+    ("DistanceBackend", "crates/core/src/config.rs"),
+    ("SeuScoring", "crates/core/src/config.rs"),
+    ("WarmStart", "crates/core/src/config.rs"),
+    ("RefinementCaching", "crates/core/src/config.rs"),
+    ("SelectionStrategy", "crates/core/src/config.rs"),
+];
+
 /// A minimal workspace for the structural rules: registered switches,
 /// one bench section, a documented crate set, a hermetic lockfile.
 struct MiniWorkspace {
@@ -85,7 +95,7 @@ impl MiniWorkspace {
     }
 
     fn check(&self) -> Vec<(RuleId, String, usize)> {
-        doctrine::check(&self.root)
+        doctrine::check(&self.root, FIXTURE_REGISTRY)
             .expect("doctrine scan")
             .into_iter()
             .map(|f| (f.rule, f.file, f.line))
@@ -124,8 +134,8 @@ fn deleted_differential_test_is_caught() {
 
 #[test]
 fn selection_strategy_is_a_registered_switch() {
-    // Good case: the baseline fixture (and the real repo) exercise
-    // SelectionStrategy from tests/. Bad case: dropping the mention is a
+    // Good case: the baseline fixture exercises SelectionStrategy from
+    // tests/. Bad case: dropping the mention is a
     // doctrine finding at the enum's declaration line.
     let ws = MiniWorkspace::new("selection");
     assert_eq!(ws.check(), vec![]);

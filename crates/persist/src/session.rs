@@ -12,7 +12,7 @@
 
 use std::path::Path;
 
-use nemo_core::{EngineState, IdpConfig, LabelModelKind, SelectionStrategy, SessionCheckpoint};
+use nemo_core::{IdpConfig, LabelModelKind, SelectionStrategy, SessionCheckpoint};
 use nemo_endmodel::LogRegConfig;
 use nemo_lf::{Label, PrimitiveLf, TrackedLf};
 
@@ -31,10 +31,13 @@ mod section {
     pub const ENGINE: u32 = 7;
 }
 
-/// On-disk layout version of the ENGINE section. Evolving an engine's
-/// persisted state means a new version (mapped to a new `EngineState`
-/// variant), never a silent layout change.
+/// On-disk layout version of the ENGINE section.
 const ENGINE_VERSION: u32 = 1;
+
+/// Selection-strategy tag (CONFIG) and engine-state tag (ENGINE) of SEU,
+/// the only engine. Tag 1 belonged to a retired IWS engine; files that
+/// carry it decode to a typed error.
+const SEU_TAG: u8 = 0;
 
 /// Serialize a checkpoint to its file image.
 pub fn session_to_bytes(ckpt: &SessionCheckpoint) -> Vec<u8> {
@@ -56,8 +59,7 @@ pub fn session_to_bytes(ckpt: &SessionCheckpoint) -> Vec<u8> {
     cfg.u64(ckpt.config.seed);
     cfg.opt_u64(ckpt.config.checkpoint_every.map(|k| k as u64));
     cfg.u8(match ckpt.config.selection {
-        SelectionStrategy::Seu => 0,
-        SelectionStrategy::Iws => 1,
+        SelectionStrategy::Seu => SEU_TAG,
     });
     b.section(section::CONFIG, cfg.into_bytes());
 
@@ -107,19 +109,11 @@ pub fn session_to_bytes(ckpt: &SessionCheckpoint) -> Vec<u8> {
     }
     b.section(section::WARM, warm.into_bytes());
 
+    // The SEU engine keeps no state outside the session; the section
+    // stays so the file layout (and older checkpoints) are unchanged.
     let mut eng = Enc::new();
     eng.u32(ENGINE_VERSION);
-    match &ckpt.engine {
-        EngineState::Seu => eng.u8(0),
-        EngineState::IwsV1 { answers } => {
-            eng.u8(1);
-            eng.usize(answers.len());
-            for &(c, accept) in answers {
-                eng.u32(c);
-                eng.u8(accept as u8);
-            }
-        }
-    }
+    eng.u8(SEU_TAG);
     b.section(section::ENGINE, eng.into_bytes());
 
     b.into_bytes()
@@ -148,9 +142,8 @@ pub fn session_from_bytes(bytes: &[u8]) -> Result<SessionCheckpoint, PersistErro
     let seed = cfg.u64()?;
     let checkpoint_every = cfg.opt_u64()?.map(to_usize).transpose()?;
     let selection = match cfg.u8()? {
-        0 => SelectionStrategy::Seu,
-        1 => SelectionStrategy::Iws,
-        _ => return Err(PersistError::InvalidValue("selection-strategy tag must be 0 or 1")),
+        SEU_TAG => SelectionStrategy::Seu,
+        _ => return Err(PersistError::InvalidValue("selection-strategy tag must be 0 (SEU)")),
     };
     cfg.finish()?;
     let config = IdpConfig {
@@ -236,24 +229,9 @@ pub fn session_from_bytes(bytes: &[u8]) -> Result<SessionCheckpoint, PersistErro
     if eng.u32()? != ENGINE_VERSION {
         return Err(PersistError::InvalidValue("unknown ENGINE section version"));
     }
-    let engine = match eng.u8()? {
-        0 => EngineState::Seu,
-        1 => {
-            let n_answers = eng.usize()?;
-            // Each answer is 4 + 1 bytes; bound before allocating.
-            if n_answers.checked_mul(5).map_or(true, |b| b > eng.remaining()) {
-                return Err(PersistError::LengthOverflow);
-            }
-            let mut answers = Vec::with_capacity(n_answers);
-            for _ in 0..n_answers {
-                let c = eng.u32()?;
-                let accept = eng.presence()?;
-                answers.push((c, accept));
-            }
-            EngineState::IwsV1 { answers }
-        }
-        _ => return Err(PersistError::InvalidValue("engine-state tag must be 0 or 1")),
-    };
+    if eng.u8()? != SEU_TAG {
+        return Err(PersistError::InvalidValue("engine-state tag must be 0 (SEU)"));
+    }
     eng.finish()?;
     p.finish()?;
 
@@ -272,7 +250,6 @@ pub fn session_from_bytes(bytes: &[u8]) -> Result<SessionCheckpoint, PersistErro
         rng_state,
         rng_gauss_spare,
         warm_seeds,
-        engine,
     })
 }
 

@@ -83,7 +83,6 @@ fn tiny_session_bytes() -> Vec<u8> {
         rng_state: [1, 2, 3, 4],
         rng_gauss_spare: None,
         warm_seeds: vec![vec![0.25, 0.5]],
-        engine: nemo_core::EngineState::IwsV1 { answers: vec![(3, true), (7, false)] },
     };
     session_to_bytes(&ckpt)
 }
@@ -279,6 +278,11 @@ fn short_and_padded_payloads_with_valid_crc_fail_typed() {
 /// A minimal valid CONFIG payload (defaults), for crafting session files
 /// whose *later* sections carry the lie under test.
 fn valid_config_payload() -> Vec<u8> {
+    config_payload(0)
+}
+
+/// A CONFIG payload (defaults) with the given selection-strategy tag.
+fn config_payload(selection: u8) -> Vec<u8> {
     let mut cfg = Enc::new();
     cfg.usize(1); // n_iterations
     cfg.usize(1); // eval_every
@@ -290,8 +294,63 @@ fn valid_config_payload() -> Vec<u8> {
     cfg.usize(1); // lfs_per_iteration
     cfg.u64(0); // seed
     cfg.u8(0); // checkpoint_every: None
-    cfg.u8(0); // selection: Seu
+    cfg.u8(selection);
     cfg.into_bytes()
+}
+
+/// A complete session file for a fresh session, encoded section by
+/// section, with the given CONFIG selection tag and ENGINE state tag.
+fn hand_encoded_session(selection: u8, engine: u8) -> Vec<u8> {
+    let mut state = Enc::new();
+    state.usize(0); // iteration
+    state.opt_u64(None); // pending
+    state.vec_bool(&[]); // excluded
+    for w in [1u64, 2, 3, 4] {
+        state.u64(w); // rng_state
+    }
+    state.opt_f64(None); // gauss spare
+    state.opt_f64(None); // chosen_p
+    let mut empty = Enc::new();
+    empty.usize(0);
+    let empty = empty.into_bytes();
+    let mut outputs = Enc::new();
+    outputs.vec_f64(&[]);
+    outputs.vec_f64(&[]);
+    outputs.vec_i8(&[]);
+    outputs.vec_i8(&[]);
+    let mut eng = Enc::new();
+    eng.u32(1); // ENGINE section version
+    eng.u8(engine);
+    let mut b = FileBuilder::new(KIND_SESSION);
+    b.section(1, config_payload(selection));
+    b.section(2, state.into_bytes());
+    b.section(3, empty.clone()); // lineage
+    b.section(4, empty.clone()); // matrix
+    b.section(5, outputs.into_bytes());
+    b.section(6, empty); // warm seeds
+    b.section(7, eng.into_bytes());
+    b.into_bytes()
+}
+
+#[test]
+fn retired_iws_tags_fail_typed() {
+    // The hand encoding matches the codec: the SEU file loads and
+    // re-encodes to the same bytes.
+    let seu = hand_encoded_session(0, 0);
+    let ckpt = session_from_bytes(&seu).expect("hand-encoded SEU session loads");
+    assert_eq!(session_to_bytes(&ckpt), seu);
+
+    // Tag 1 was the retired IWS engine, in either section.
+    for (what, bytes) in [
+        ("CONFIG selection", hand_encoded_session(1, 0)),
+        ("ENGINE state", hand_encoded_session(0, 1)),
+    ] {
+        match catch_unwind(AssertUnwindSafe(|| session_from_bytes(&bytes))) {
+            Ok(Err(PersistError::InvalidValue(_))) => {}
+            Ok(other) => panic!("{what} tag 1: expected InvalidValue, got {other:?}"),
+            Err(_) => panic!("{what} tag 1: loader panicked"),
+        }
+    }
 }
 
 #[test]

@@ -218,11 +218,7 @@ fn random_checkpoint(seed: u64) -> nemo_core::SessionCheckpoint {
             } else {
                 None
             },
-            selection: if rng.next_u64() & 1 == 0 {
-                nemo_core::SelectionStrategy::Seu
-            } else {
-                nemo_core::SelectionStrategy::Iws
-            },
+            selection: nemo_core::SelectionStrategy::Seu,
         },
         iteration: (rng.next_u64() % 40) as usize,
         pending: if rng.next_u64() & 1 == 0 {
@@ -259,15 +255,6 @@ fn random_checkpoint(seed: u64) -> nemo_core::SessionCheckpoint {
         warm_seeds: (0..(rng.next_u64() % 4) as usize)
             .map(|_| (0..4).map(|_| f()).collect())
             .collect(),
-        engine: if rng.next_u64() & 1 == 0 {
-            nemo_core::EngineState::Seu
-        } else {
-            nemo_core::EngineState::IwsV1 {
-                answers: (0..(rng.next_u64() % 6) as usize)
-                    .map(|_| ((rng.next_u64() % 100) as u32, rng.next_u64() & 1 == 0))
-                    .collect(),
-            }
-        },
     }
 }
 
@@ -297,7 +284,6 @@ fn empty_checkpoint_roundtrips() {
         rng_state: [1, 2, 3, 4],
         rng_gauss_spare: None,
         warm_seeds: vec![],
-        engine: nemo_core::EngineState::Seu,
     };
     session_roundtrips(&ckpt);
 }

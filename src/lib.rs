@@ -50,20 +50,26 @@
 //!
 //! ## Selection engines
 //!
-//! Who drives each round is a config switch: [`core::SelectionStrategy`]
-//! on [`core::IdpConfig`] picks the [`core::SelectionEngine`] — `Seu`
-//! (the reference: SEU example selection, the user writes the LF) or
-//! `Iws` (a learned candidate ranker that proposes LFs and learns from
-//! accept/reject feedback). Both plug into `NemoSystem`, `SessionPool`,
-//! and checkpointing unchanged:
+//! Each round is run by a [`core::SelectionEngine`]. The one engine is
+//! [`core::ExampleEngine`]: its selector picks a development example and
+//! the user writes LFs for it. `NemoSystem::new` runs it over SEU; the
+//! paper's ablations and baselines swap in another selector:
 //!
 //! ```
+//! use nemo::core::{ExampleEngine, SeuSelector, UserModelKind, UtilityKind};
 //! use nemo::data::catalog::toy_text;
 //! use nemo::prelude::*;
 //!
 //! let dataset = toy_text(42);
-//! let config = IdpConfig { selection: SelectionStrategy::Iws, ..Default::default() };
-//! let mut nemo = NemoSystem::new(&dataset, config);
+//! // Table 6's uniform user model in place of the accuracy-weighted one.
+//! let selector = SeuSelector::with(UserModelKind::Uniform, UtilityKind::Full);
+//! let engine = Box::new(ExampleEngine::new(selector));
+//! let mut nemo = NemoSystem::with_components(
+//!     &dataset,
+//!     IdpConfig::default(),
+//!     engine,
+//!     ContextualizerConfig::default(),
+//! );
 //! nemo.step_with_user(&mut SimulatedUser::default()).unwrap();
 //! ```
 //!

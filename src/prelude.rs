@@ -10,15 +10,17 @@
 //! use nemo::prelude::*;
 //!
 //! let dataset = nemo::data::catalog::toy_text(42);
-//! let config = IdpConfig { selection: SelectionStrategy::Iws, ..Default::default() };
+//! let config = IdpConfig { n_iterations: 10, seed: 7, ..Default::default() };
 //! let mut nemo = NemoSystem::new(&dataset, config);
-//! nemo.step_with_user(&mut SimulatedUser::default()).unwrap();
+//! let record = nemo.step_with_user(&mut SimulatedUser::default()).unwrap();
+//! assert_eq!(nemo.engine().name(), "seu");
+//! assert!(record.selected.is_some());
 //! ```
 
 pub use nemo_core::{
-    engine_for, ContextualizerConfig, EngineState, IdpConfig, LearningCurve, NemoSystem,
-    PoolConfig, RestoreError, RoundJob, SelectionEngine, SelectionStrategy, Session,
-    SessionCheckpoint, SessionError, SessionId, SessionPool, SharedArtifacts, SimulatedUser, User,
+    engine_for, ContextualizerConfig, IdpConfig, LearningCurve, NemoSystem, PoolConfig,
+    RestoreError, RoundJob, SelectionEngine, SelectionStrategy, Session, SessionCheckpoint,
+    SessionError, SessionId, SessionPool, SharedArtifacts, SimulatedUser, User,
 };
 pub use nemo_data::{Dataset, DatasetName, Profile};
 pub use nemo_lf::{Label, PrimitiveLf};

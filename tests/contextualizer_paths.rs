@@ -1,18 +1,21 @@
-//! End-to-end differential test for the contextualizer's distance engines.
+//! End-to-end differential test for the contextualizer's distance engine.
 //!
 //! A full interactive `Session` (SEU selection + simulated user +
-//! contextualized learning) must make *identical* decisions whether the
-//! contextualizer registers LFs through the batched inverted-index engine
-//! (`DistanceBackend::Indexed`, the production path) or the per-LF naive
-//! row-major scan (`DistanceBackend::Naive`, the pre-index reference):
-//! same development examples selected every round, same tuned refinement
-//! percentile, same final scores. The two engines are bit-identical by
-//! construction, so every assertion here is exact equality — any drift is
-//! a kernel bug, not rounding. This holds on the sparse text dataset and
-//! on the dense scene dataset, whose engines both run the scalar dense
-//! reductions, and under any `NEMO_THREADS` setting.
+//! contextualized learning) registers its LFs through the batched
+//! inverted-index engine. The contextualizer consumes distances only
+//! through each LF's refinement radius and the refined train/valid
+//! columns, so after every run each registered LF's radius and refined
+//! columns at every grid point are checked against the per-LF naive
+//! row-major scan (`Features::point_to_all_naive` /
+//! `point_to_other_naive`), the pre-index reference. The engine is
+//! bit-identical to the scan by construction, so every assertion here is
+//! exact equality — any drift is a kernel bug, not rounding. This holds
+//! on the sparse text dataset and on the dense scene dataset, whose
+//! engines both run the scalar dense reductions, and under any
+//! `NEMO_THREADS` setting.
 
-use nemo::core::config::{ContextualizerConfig, DistanceBackend, IdpConfig};
+use nemo::core::config::{ContextualizerConfig, IdpConfig};
+use nemo::core::contextualizer::Contextualizer;
 use nemo::core::engines::{ExampleEngine, SelectionEngine};
 use nemo::core::oracle::SimulatedUser;
 use nemo::core::pipeline::ContextualizedPipeline;
@@ -20,6 +23,8 @@ use nemo::core::session::Session;
 use nemo::core::seu::SeuSelector;
 use nemo::data::catalog::{toy_scene_2d, toy_text};
 use nemo::data::Dataset;
+use nemo::lf::{LabelMatrix, LfColumn, Lineage};
+use nemo::sparse::stats::percentile_of_sorted;
 
 /// One full run: per-round selections, per-round tuned `p`, final scores.
 #[derive(PartialEq, Debug)]
@@ -30,7 +35,43 @@ struct Trace {
     valid_score: f64,
 }
 
-fn run(ds: &Dataset, backend: DistanceBackend, seed: u64, lfs_per_iteration: usize) -> Trace {
+/// Every registered LF's radius and refined columns, at every grid
+/// point, equal those derived from the naive scan's distances.
+fn assert_matches_naive_scan(
+    ds: &Dataset,
+    lineage: &Lineage,
+    raw: &LabelMatrix,
+    ctx: &Contextualizer,
+) {
+    let dist = ctx.config.distance;
+    assert_eq!(ctx.n_registered(), lineage.len(), "{}: registered LFs", ds.name);
+    for (j, rec) in lineage.tracked().iter().enumerate() {
+        let pivot = rec.dev_example as usize;
+        let train = ds.train.features.point_to_all_naive(dist, pivot);
+        let valid = ds.train.features.point_to_other_naive(dist, pivot, &ds.valid.features);
+        let mut sorted = train.clone();
+        sorted.sort_unstable_by(|a, b| a.partial_cmp(b).expect("distances are finite"));
+        let raw_valid = LfColumn::from_lf(&rec.lf, &ds.valid.corpus);
+        for &p in &ctx.config.p_grid {
+            let r = percentile_of_sorted(&sorted, p);
+            assert_eq!(ctx.radius(j, p).to_bits(), r.to_bits(), "{}: radius j={j} p={p}", ds.name);
+            assert_eq!(
+                ctx.refine_train(j, p, raw.column(j)).entries(),
+                raw.column(j).filtered(|i| train[i as usize] <= r).entries(),
+                "{}: refined train column j={j} p={p}",
+                ds.name
+            );
+            assert_eq!(
+                ctx.refine_valid(j, p).entries(),
+                raw_valid.filtered(|i| valid[i as usize] <= r).entries(),
+                "{}: refined valid column j={j} p={p}",
+                ds.name
+            );
+        }
+    }
+}
+
+fn run(ds: &Dataset, seed: u64, lfs_per_iteration: usize) -> Trace {
     let config = IdpConfig {
         n_iterations: 12,
         eval_every: 4,
@@ -41,8 +82,7 @@ fn run(ds: &Dataset, backend: DistanceBackend, seed: u64, lfs_per_iteration: usi
     let mut session = Session::new(ds, config);
     let mut engine = ExampleEngine::new(SeuSelector::new());
     let mut user = SimulatedUser::default();
-    let mut pipeline =
-        ContextualizedPipeline::new(ContextualizerConfig { backend, ..Default::default() });
+    let mut pipeline = ContextualizedPipeline::new(ContextualizerConfig::default());
     let mut selections = Vec::new();
     let mut chosen_ps = Vec::new();
     for _ in 0..12 {
@@ -50,6 +90,14 @@ fn run(ds: &Dataset, backend: DistanceBackend, seed: u64, lfs_per_iteration: usi
         selections.push(rec.selected);
         chosen_ps.push(session.outputs().chosen_p);
     }
+    assert_matches_naive_scan(ds, session.lineage(), session.matrix(), pipeline.contextualizer());
+    // The run actually collected LFs and tuned p (a vacuous trace would
+    // make the oracle check pass trivially).
+    assert!(
+        chosen_ps.iter().any(Option::is_some),
+        "{}: contextualizer never tuned p (seed {seed})",
+        ds.name
+    );
     Trace {
         selections,
         chosen_ps,
@@ -58,32 +106,11 @@ fn run(ds: &Dataset, backend: DistanceBackend, seed: u64, lfs_per_iteration: usi
     }
 }
 
-fn assert_identical(seed: u64, lfs_per_iteration: usize) {
-    let ds = toy_text(1);
-    let indexed = run(&ds, DistanceBackend::Indexed, seed, lfs_per_iteration);
-    let naive = run(&ds, DistanceBackend::Naive, seed, lfs_per_iteration);
-    assert_eq!(
-        indexed.selections, naive.selections,
-        "selected examples diverged (seed {seed}, {lfs_per_iteration} LFs/round)"
-    );
-    assert_eq!(
-        indexed.chosen_ps, naive.chosen_ps,
-        "tuned percentile diverged (seed {seed}, {lfs_per_iteration} LFs/round)"
-    );
-    assert_eq!(indexed.test_score, naive.test_score, "test score diverged (seed {seed})");
-    assert_eq!(indexed.valid_score, naive.valid_score, "valid score diverged (seed {seed})");
-    // The run actually collected LFs and tuned p (a vacuous trace would
-    // make this test pass trivially).
-    assert!(
-        indexed.chosen_ps.iter().any(Option::is_some),
-        "contextualizer never tuned p (seed {seed})"
-    );
-}
-
 #[test]
 fn full_session_identical_across_engines() {
+    let ds = toy_text(1);
     for seed in [1u64, 5, 9] {
-        assert_identical(seed, 1);
+        run(&ds, seed, 1);
     }
 }
 
@@ -91,26 +118,15 @@ fn full_session_identical_across_engines() {
 fn full_session_identical_across_engines_multi_lf_rounds() {
     // lfs_per_iteration > 1 registers several LFs per round, exercising
     // real multi-pivot batches through `Contextualizer::register_batch`.
-    assert_identical(3, 3);
+    run(&toy_text(1), 3, 3);
 }
 
-/// Both engines drive the same session on the sparse text dataset and on
-/// the dense 2-D scene dataset: equal traces, bit for bit.
+/// The indexed engine matches the naive scan on the sparse text dataset
+/// and on the dense 2-D scene dataset, bit for bit.
 #[test]
 fn full_session_identical_across_engines_on_text_and_scene() {
     for ds in [toy_text(1), toy_scene_2d(1)] {
-        let indexed = run(&ds, DistanceBackend::Indexed, 7, 1);
-        assert!(
-            indexed.chosen_ps.iter().any(Option::is_some),
-            "{}: contextualizer never tuned p",
-            ds.name
-        );
-        assert_eq!(
-            run(&ds, DistanceBackend::Naive, 7, 1),
-            indexed,
-            "{}: engines diverged",
-            ds.name
-        );
+        run(&ds, 7, 1);
     }
 }
 
@@ -120,10 +136,10 @@ fn full_session_identical_across_engines_on_text_and_scene() {
 #[test]
 fn full_session_stable_under_thread_counts() {
     let ds = toy_text(2);
-    let reference = run(&ds, DistanceBackend::Indexed, 3, 1);
+    let reference = run(&ds, 3, 1);
     let saved = std::env::var("NEMO_THREADS").ok();
     std::env::set_var("NEMO_THREADS", "4");
-    let multi = run(&ds, DistanceBackend::Indexed, 3, 1);
+    let multi = run(&ds, 3, 1);
     match saved {
         Some(v) => std::env::set_var("NEMO_THREADS", v),
         None => std::env::remove_var("NEMO_THREADS"),

@@ -1,14 +1,17 @@
-//! Differential property suite for the cross-round refined-column cache
-//! ([`RefinementCaching::Incremental`] vs [`RefinementCaching::Rebuild`]).
+//! Differential property suite for the contextualizer's cross-round
+//! refined-column cache.
 //!
 //! The cache serves each `(grid point, LF)` pair's filtered train/valid
 //! columns keyed by the radius bits and the raw column's construction
 //! token, so its correctness claim is **bitwise**: over any sequence of
 //! rounds — lineage growth (new LFs), radius-unchanged rounds (repeat
 //! tunes), radius-changed rounds (an edited percentile grid), and
-//! raw-matrix replacement (token misses) — the incremental path must
-//! produce refined matrices, tuned percentiles, validation scores, and
-//! dedup fit counts identical to refiltering everything from scratch.
+//! raw-matrix replacement (token misses) — it must produce refined
+//! matrices, tuned percentiles, validation scores, and dedup fit counts
+//! identical to refiltering everything from scratch. The oracle is the
+//! same contextualizer with its cache dropped before every call
+//! (`invalidate_refined_cache_from(0)`), and, for the grid matrices, the
+//! per-grid-point `refined_train_matrix` / `refined_valid_matrix`.
 //! Non-vacuity is asserted through the cache counters: warm rounds must
 //! actually hit, and a grown lineage must refilter only the new LFs.
 //!
@@ -17,11 +20,12 @@
 //! explicitly (widest coverage), not whatever the grid order would
 //! accidentally select (the pre-fix `>=` scan kept the last grid point).
 
-use nemo::core::config::{ContextualizerConfig, IdpConfig, LabelModelKind, RefinementCaching};
+use nemo::core::config::{ContextualizerConfig, IdpConfig, LabelModelKind};
 use nemo::core::contextualizer::Contextualizer;
 use nemo::core::engines::{ExampleEngine, SelectionEngine};
+use nemo::core::idp::ModelOutputs;
 use nemo::core::oracle::SimulatedUser;
-use nemo::core::pipeline::ContextualizedPipeline;
+use nemo::core::pipeline::{ContextualizedPipeline, LearningPipeline};
 use nemo::core::session::Session;
 use nemo::core::seu::SeuSelector;
 use nemo::data::catalog::toy_text;
@@ -52,10 +56,7 @@ proptest! {
         let ds = toy_text(2);
         let mut rng = DetRng::new(seed);
         let mut incr = Contextualizer::new(ContextualizerConfig::default());
-        let mut rebuild = Contextualizer::new(ContextualizerConfig {
-            refinement: RefinementCaching::Rebuild,
-            ..Default::default()
-        });
+        let mut oracle = Contextualizer::new(ContextualizerConfig::default());
         let model = GenerativeModel::default();
         let mut lineage = Lineage::new();
         let mut matrix = LabelMatrix::new(ds.train.n());
@@ -78,20 +79,23 @@ proptest! {
                 let k = rng.index(incr.config.p_grid.len());
                 let p = (rng.uniform() * 100.0).clamp(0.0, 100.0);
                 incr.config.p_grid[k] = p;
-                rebuild.config.p_grid[k] = p;
+                oracle.config.p_grid[k] = p;
             }
             incr.sync(&lineage, &ds);
-            rebuild.sync(&lineage, &ds);
+            oracle.sync(&lineage, &ds);
 
             let (ti, vi) = incr.refined_grid_matrices(&matrix, ds.valid.n());
-            let (tr, vr) = rebuild.refined_grid_matrices(&matrix, ds.valid.n());
-            for (k, ((a, b), (c, d))) in ti.iter().zip(&tr).zip(vi.iter().zip(&vr)).enumerate() {
-                assert_matrices_bit_identical(a, b, &format!("round {round} train k={k}"));
-                assert_matrices_bit_identical(c, d, &format!("round {round} valid k={k}"));
+            for (k, (a, c)) in ti.iter().zip(&vi).enumerate() {
+                let p = incr.config.p_grid[k];
+                let b = incr.refined_train_matrix(&matrix, p);
+                let d = incr.refined_valid_matrix(p, ds.valid.n());
+                assert_matrices_bit_identical(a, &b, &format!("round {round} train k={k}"));
+                assert_matrices_bit_identical(c, &d, &format!("round {round} valid k={k}"));
             }
 
             let tuned_i = incr.tune_p(&matrix, &ds, &model, ds.prior());
-            let tuned_r = rebuild.tune_p(&matrix, &ds, &model, ds.prior());
+            oracle.invalidate_refined_cache_from(0);
+            let tuned_r = oracle.tune_p(&matrix, &ds, &model, ds.prior());
             prop_assert_eq!(tuned_i.p, tuned_r.p, "round {}: tuned percentile", round);
             prop_assert_eq!(
                 tuned_i.valid_score.to_bits(),
@@ -104,7 +108,7 @@ proptest! {
                 &format!("round {round} tuned matrix"),
             );
             prop_assert_eq!(
-                incr.tune_fits(), rebuild.tune_fits(),
+                incr.tune_fits(), oracle.tune_fits(),
                 "round {}: dedup resolved differently", round
             );
         }
@@ -112,7 +116,7 @@ proptest! {
         // warm column from the cache (every tune_p after the first reuses
         // the grid matrices built just above it).
         prop_assert!(incr.refine_cache_stats().hits > 0, "cache never hit");
-        prop_assert_eq!(rebuild.refine_cache_stats().hits, 0, "rebuild path must not hit");
+        prop_assert_eq!(oracle.refine_cache_stats().hits, 0, "the oracle must not hit");
     }
 }
 
@@ -154,20 +158,47 @@ fn raw_matrix_token_miss_refilters_without_staleness() {
     assert_eq!(ctx.refine_cache_stats().hits, grid * 5);
 }
 
+/// The contextualized pipeline, optionally dropping its refined-column
+/// cache before every learning round (the refilter-everything oracle).
+struct Pipeline {
+    inner: ContextualizedPipeline,
+    refilter: bool,
+}
+
+impl LearningPipeline for Pipeline {
+    fn name(&self) -> &'static str {
+        "contextualized"
+    }
+
+    fn learn(
+        &mut self,
+        lineage: &Lineage,
+        raw_matrix: &LabelMatrix,
+        ds: &Dataset,
+        config: &IdpConfig,
+        iter_seed: u64,
+    ) -> ModelOutputs {
+        if self.refilter {
+            self.inner.contextualizer_mut().invalidate_refined_cache_from(0);
+        }
+        self.inner.learn(lineage, raw_matrix, ds, config, iter_seed)
+    }
+}
+
 /// Full-session differential: an interactive `Session` (SEU selection +
 /// simulated user + contextualized EM learning) must make identical
 /// decisions — same development example selected every round, same tuned
-/// percentile — under `Incremental` and `Rebuild`, and the incremental
-/// run must refilter each `(grid point, LF)` slot exactly once (lineage
-/// is append-only and the session's raw matrix is token-stable, so every
-/// later round serves cached columns).
+/// percentile — with the cache and with the refilter-everything oracle,
+/// and the cached run must refilter each `(grid point, LF)` slot exactly
+/// once (lineage is append-only and the session's raw matrix is
+/// token-stable, so every later round serves cached columns).
 #[test]
 fn sessions_select_identically_under_both_refinement_paths() {
     let ds = toy_text(3);
     for seed in [2u64, 11] {
         let mut traces = Vec::new();
         let mut stats = Vec::new();
-        for refinement in [RefinementCaching::Incremental, RefinementCaching::Rebuild] {
+        for refilter in [false, true] {
             let config = IdpConfig {
                 n_iterations: 10,
                 eval_every: 5,
@@ -178,10 +209,7 @@ fn sessions_select_identically_under_both_refinement_paths() {
             let mut session = Session::new(&ds, config);
             let mut engine = ExampleEngine::new(SeuSelector::new());
             let mut user = SimulatedUser::default();
-            let mut pipeline = ContextualizedPipeline::new(ContextualizerConfig {
-                refinement,
-                ..Default::default()
-            });
+            let mut pipeline = Pipeline { inner: ContextualizedPipeline::default(), refilter };
             let mut trace = Vec::new();
             for _ in 0..10 {
                 let rec = engine.round(&mut session, &mut user, &mut pipeline).unwrap();
@@ -189,7 +217,10 @@ fn sessions_select_identically_under_both_refinement_paths() {
             }
             trace.push((None, Some(session.test_score())));
             traces.push(trace);
-            stats.push((pipeline.contextualizer().refine_cache_stats(), session.lineage().len()));
+            stats.push((
+                pipeline.inner.contextualizer().refine_cache_stats(),
+                session.lineage().len(),
+            ));
         }
         assert_eq!(traces[0], traces[1], "seed {seed}: decisions diverged");
         let (incr_stats, n_lfs) = stats[0];
@@ -247,30 +278,32 @@ fn dataset_with_empty_valid(p_grid: Vec<f64>) -> (Dataset, ContextualizerConfig)
 /// validation split every grid point scores a vacuous 0.0, and the
 /// pre-fix `>=` scan silently kept whatever percentile sat *last* in the
 /// grid. The fixed behaviour selects the *largest* percentile (widest
-/// coverage) explicitly, under both refinement paths, with the vacuous
-/// score reported as exactly 0.0.
+/// coverage) explicitly, with and without a warm refined-column cache,
+/// with the vacuous score reported as exactly 0.0.
 #[test]
 fn empty_validation_split_selects_widest_coverage_explicitly() {
     // Deliberately unsorted grid with the largest percentile in the
     // middle: the pre-fix code returns 25.0 (last), the fix 100.0.
     let (ds, config) = dataset_with_empty_valid(vec![50.0, 100.0, 25.0]);
-    for refinement in [RefinementCaching::Incremental, RefinementCaching::Rebuild] {
-        let mut ctx = Contextualizer::new(ContextualizerConfig { refinement, ..config.clone() });
-        let mut lineage = Lineage::new();
-        for (z, dev) in [(0u32, 0u32), (1, 2), (2, 3)] {
-            lineage.record(PrimitiveLf::new(z, Label::Pos), dev, 0);
-        }
-        ctx.sync(&lineage, &ds);
-        let lfs: Vec<PrimitiveLf> = lineage.tracked().iter().map(|r| r.lf).collect();
-        let matrix = LabelMatrix::from_lfs(&lfs, &ds.train.corpus);
+    let mut ctx = Contextualizer::new(config);
+    let mut lineage = Lineage::new();
+    for (z, dev) in [(0u32, 0u32), (1, 2), (2, 3)] {
+        lineage.record(PrimitiveLf::new(z, Label::Pos), dev, 0);
+    }
+    ctx.sync(&lineage, &ds);
+    let lfs: Vec<PrimitiveLf> = lineage.tracked().iter().map(|r| r.lf).collect();
+    let matrix = LabelMatrix::from_lfs(&lfs, &ds.train.corpus);
+    // A cold round, then a round served from the warm cache.
+    for round in 0..2 {
         let tuned = ctx.tune_p(&matrix, &ds, &GenerativeModel::default(), ds.prior());
-        assert_eq!(tuned.p, 100.0, "{refinement:?}: widest coverage must win");
-        assert_eq!(tuned.valid_score, 0.0, "{refinement:?}: score is vacuously zero");
+        assert_eq!(tuned.p, 100.0, "round {round}: widest coverage must win");
+        assert_eq!(tuned.valid_score, 0.0, "round {round}: score is vacuously zero");
         // p = 100 keeps every raw vote: refinement must be the identity.
         assert_matrices_bit_identical(
             &tuned.train_matrix,
             &matrix,
-            &format!("{refinement:?} tuned matrix"),
+            &format!("round {round} tuned matrix"),
         );
     }
+    assert!(ctx.refine_cache_stats().hits > 0, "second round must be served from the cache");
 }
