@@ -10,8 +10,9 @@
 //! with `r_j` the `p`-th percentile of the distances from `x_{λ_j}` to the
 //! unlabeled pool, and `p` selected on the validation accuracy of the
 //! resulting soft labels. Distances from each development point to the
-//! training and validation splits are computed once per LF and cached —
-//! refinement at any `p` is then a cheap filter.
+//! training and validation splits are computed once per LF and cached,
+//! together with the LF's radius at every point of the percentile grid —
+//! refinement at any grid `p` is then a cheap filter.
 //!
 //! Registration is **batched**: all of a round's new LFs go through
 //! [`Contextualizer::register_batch`], which computes every train/valid
@@ -19,14 +20,16 @@
 //! engine ([`nemo_data::Features::point_to_all_many`]), partitioned over
 //! the pivots in parallel. It is bit-identical to the per-LF naive scan
 //! ([`nemo_data::Features::point_to_all_naive`]), which the differential
-//! suites use as its oracle.
+//! suites use as its oracle. The grid radii are found by selection
+//! ([`nemo_sparse::stats::percentiles`]), not by sorting the distances;
+//! each equals [`nemo_sparse::stats::percentile`] bit for bit.
 
 use crate::config::ContextualizerConfig;
 use nemo_data::Dataset;
 use nemo_labelmodel::{FittedLabelModel, LabelModel, PairCounts};
 use nemo_lf::{LabelMatrix, LfColumn, Lineage, TrackedLf};
 use nemo_sparse::parallel::{par_for_each_stealing, par_map_min};
-use nemo_sparse::stats::percentile_of_sorted;
+use nemo_sparse::stats::{percentile, percentiles};
 // lint: allow(determinism/hash-collections): the dedup map below is
 // lookup-only (entry/or_insert); its iteration order is never observed.
 use std::collections::HashMap;
@@ -102,7 +105,9 @@ pub struct Contextualizer {
     /// Configuration (distance function and percentile grid).
     pub config: ContextualizerConfig,
     train_dists: Vec<Vec<f64>>,
-    train_sorted: Vec<Vec<f64>>,
+    /// Per LF, `(p.to_bits(), radius)` for every point of `config.p_grid`
+    /// at registration (empty for an empty training split).
+    grid_radii: Vec<Vec<(u64, f64)>>,
     valid_dists: Vec<Vec<f64>>,
     raw_valid_cols: Vec<LfColumn>,
     /// Per-grid-point LF accuracies from the previous
@@ -136,7 +141,7 @@ impl Contextualizer {
         Self {
             config,
             train_dists: Vec::new(),
-            train_sorted: Vec::new(),
+            grid_radii: Vec::new(),
             valid_dists: Vec::new(),
             raw_valid_cols: Vec::new(),
             warm_accs: Vec::new(),
@@ -202,8 +207,9 @@ impl Contextualizer {
 
     /// Register a round's worth of LFs in one pass: every train and valid
     /// distance vector is computed by a single batched call into the
-    /// inverted-index distance engine, and the per-LF radius tables are
-    /// sorted in the same parallel partitioning.
+    /// inverted-index distance engine, and each LF's radius at every point
+    /// of `config.p_grid` is frozen by [`percentiles`] (order-statistic
+    /// selection, no sort and no sorted copy kept).
     pub fn register_batch(&mut self, recs: &[TrackedLf], ds: &Dataset) {
         if recs.is_empty() {
             return;
@@ -212,19 +218,22 @@ impl Contextualizer {
         let pivots: Vec<usize> = recs.iter().map(|r| r.dev_example as usize).collect();
         let train_ds = ds.train.features.point_to_all_many(dist, &pivots);
         let valid_ds = ds.train.features.point_to_other_many(dist, &pivots, &ds.valid.features);
-        let sorted: Vec<Vec<f64>> = par_map_min(&train_ds, 2, |_, d: &Vec<f64>| {
-            let mut s = d.clone();
-            // invariant: distances are finite — both kernels compute
-            // sums/square roots of finite feature values, and
-            // `Features` validates its buffers (finite norms) on import.
-            s.sort_unstable_by(|a, b| a.partial_cmp(b).expect("distances are finite"));
-            s
+        // Distances are finite — both kernels compute sums/square roots of
+        // finite feature values, and `Features` validates its buffers
+        // (finite norms) on import — so `percentiles` never meets a NaN.
+        let p_grid = &self.config.p_grid;
+        let radii: Vec<Vec<(u64, f64)>> = par_map_min(&train_ds, 2, |_, d: &Vec<f64>| {
+            if d.is_empty() {
+                return Vec::new();
+            }
+            let rs = percentiles(d, p_grid);
+            p_grid.iter().map(|p| p.to_bits()).zip(rs).collect()
         });
-        for ((rec, train_d), (valid_d, sorted_d)) in
-            recs.iter().zip(train_ds).zip(valid_ds.into_iter().zip(sorted))
+        for ((rec, train_d), (valid_d, radii_j)) in
+            recs.iter().zip(train_ds).zip(valid_ds.into_iter().zip(radii))
         {
             self.train_dists.push(train_d);
-            self.train_sorted.push(sorted_d);
+            self.grid_radii.push(radii_j);
             self.valid_dists.push(valid_d);
             self.raw_valid_cols.push(LfColumn::from_lf(&rec.lf, &ds.valid.corpus));
         }
@@ -237,22 +246,31 @@ impl Contextualizer {
         self.register_batch(&lineage.tracked()[self.n_registered()..], ds);
     }
 
-    /// Refinement radius `r_j` at percentile `p`.
+    /// Refinement radius `r_j` at percentile `p`: the `p`-th percentile of
+    /// LF `j`'s train distances ([`nemo_sparse::stats::percentile`]).
+    ///
+    /// A `p` of the grid the LF was registered under is a lookup in the
+    /// radii frozen at registration. Any other `p` — an expert
+    /// [`Contextualizer::refine_train`] call, or a grid edited after
+    /// registration — is computed from the cached distances, to the same
+    /// value bit for bit.
     ///
     /// An LF registered against an **empty training split** has no
-    /// reference distances to take a percentile of
-    /// ([`nemo_sparse::stats::percentile_of_sorted`] asserts on empty
-    /// input). The radius is *defined* as `+∞` there: with no distance
-    /// information the contextualizer cannot justify shrinking coverage,
-    /// so refinement degrades to the identity (every example is within
-    /// radius) — consistent with the `p = 100` endpoint — instead of
-    /// panicking deep inside the stats crate.
+    /// reference distances to take a percentile of (the stats crate
+    /// asserts on empty input). The radius is *defined* as `+∞` there:
+    /// with no distance information the contextualizer cannot justify
+    /// shrinking coverage, so refinement degrades to the identity (every
+    /// example is within radius) — consistent with the `p = 100` endpoint
+    /// — instead of panicking deep inside the stats crate.
     pub fn radius(&self, j: usize, p: f64) -> f64 {
-        let sorted = &self.train_sorted[j];
-        if sorted.is_empty() {
+        let dists = &self.train_dists[j];
+        if dists.is_empty() {
             return f64::INFINITY;
         }
-        percentile_of_sorted(sorted, p)
+        match self.grid_radii[j].iter().find(|&&(bits, _)| bits == p.to_bits()) {
+            Some(&(_, r)) => r,
+            None => percentile(dists, p),
+        }
     }
 
     /// Refine LF `j`'s raw training column at percentile `p`.
@@ -757,13 +775,17 @@ mod tests {
             let pivot = rec.dev_example as usize;
             let train = ds.train.features.point_to_all_naive(dist, pivot);
             let valid = ds.train.features.point_to_other_naive(dist, pivot, &ds.valid.features);
-            let mut sorted = train.clone();
-            sorted.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap());
             assert_eq!(batched.train_dists[j], train, "train dists j={j}");
             assert_eq!(batched.valid_dists[j], valid, "valid dists j={j}");
-            assert_eq!(batched.train_sorted[j], sorted, "sorted j={j}");
-            for &p in &[0.0, 25.0, 50.0, 100.0] {
-                assert_eq!(batched.radius(j, p), percentile_of_sorted(&sorted, p), "j={j} p={p}");
+            // Grid points read the radii frozen at registration; 0, 10 and
+            // 90 are off the default grid and computed on demand.
+            let grid = batched.config.p_grid.clone();
+            for &p in grid.iter().chain(&[0.0, 10.0, 90.0]) {
+                assert_eq!(
+                    batched.radius(j, p).to_bits(),
+                    percentile(&train, p).to_bits(),
+                    "j={j} p={p}"
+                );
             }
         }
     }
@@ -772,10 +794,10 @@ mod tests {
     fn radius_defined_for_empty_train_split() {
         // An LF whose training split is empty has no reference distances;
         // the radius must be a *defined* +∞ (refinement = identity), not
-        // a panic inside `percentile_of_sorted` (the pre-fix behaviour).
+        // a panic inside the stats crate (the pre-fix behaviour).
         let mut ctx = Contextualizer::new(ContextualizerConfig::default());
         ctx.train_dists.push(Vec::new());
-        ctx.train_sorted.push(Vec::new());
+        ctx.grid_radii.push(Vec::new());
         ctx.valid_dists.push(vec![0.1, 0.7]);
         ctx.raw_valid_cols.push(LfColumn::new(vec![(0, 1), (1, -1)]));
         for &p in &[0.0, 50.0, 100.0] {
@@ -786,6 +808,35 @@ mod tests {
         // empty) raw column stays empty.
         assert_eq!(ctx.refine_valid(0, 50.0).entries(), ctx.raw_valid_cols[0].entries());
         assert_eq!(ctx.refine_train(0, 50.0, &LfColumn::empty()).coverage(), 0);
+    }
+
+    #[test]
+    fn grid_edited_after_registration_tunes_like_a_fresh_registration() {
+        // LFs registered under the default grid, then tuned under another:
+        // every new grid point misses the frozen radii and is computed from
+        // the cached distances, and must tune exactly like a contextualizer
+        // registered under the new grid from the start.
+        let ds = toy_text(1);
+        let (mut edited, matrix, lineage) = setup(&ds, 8, 14);
+        let new_grid = vec![10.0, 35.0, 60.0, 85.0, 100.0];
+        assert!(new_grid.iter().any(|p| !edited.config.p_grid.contains(p)));
+        edited.config.p_grid = new_grid.clone();
+        let mut fresh =
+            Contextualizer::new(ContextualizerConfig { p_grid: new_grid, ..Default::default() });
+        fresh.sync(&lineage, &ds);
+        let model = GenerativeModel::default();
+        let a = edited.tune_p(&matrix, &ds, &model, ds.prior());
+        let b = fresh.tune_p(&matrix, &ds, &model, ds.prior());
+        assert_eq!(a.p.to_bits(), b.p.to_bits(), "tuned p");
+        assert_eq!(a.valid_score.to_bits(), b.valid_score.to_bits(), "valid score");
+        assert_eq!(a.train_matrix.n_lfs(), b.train_matrix.n_lfs());
+        for j in 0..a.train_matrix.n_lfs() {
+            assert_eq!(
+                a.train_matrix.column(j).entries(),
+                b.train_matrix.column(j).entries(),
+                "refined column j={j}"
+            );
+        }
     }
 
     #[test]

@@ -46,6 +46,54 @@ pub fn percentile(values: &[f64], p: f64) -> f64 {
     percentile_of_sorted(&sorted, p)
 }
 
+/// [`percentile`] at every `p` of `ps` (any order, duplicates allowed),
+/// without sorting: only the order statistics the interpolation reads are
+/// found, by `select_nth_unstable_by` in ascending rank order, each
+/// selection on the suffix above the previous rank of one scratch copy.
+/// `O(n · ranks)` worst case instead of `O(n log n)`, and bit-identical to
+/// `percentile(values, p)` for each `p`: it interpolates the same two
+/// order statistics with the same arithmetic. (Values that compare equal
+/// are bitwise equal, except `0.0` and `-0.0`.)
+///
+/// Panics on empty input and on `p` outside \[0, 100\], like [`percentile`].
+pub fn percentiles(values: &[f64], ps: &[f64]) -> Vec<f64> {
+    assert!(!values.is_empty(), "percentile of empty slice");
+    let last = values.len() - 1;
+    // (lo, hi, frac) per p, exactly as `percentile_of_sorted` derives them.
+    let spans: Vec<(usize, usize, f64)> = ps
+        .iter()
+        .map(|&p| {
+            assert!((0.0..=100.0).contains(&p), "percentile p out of range: {p}");
+            let rank = p / 100.0 * last as f64;
+            let lo = rank.floor() as usize;
+            (lo, rank.ceil() as usize, rank - lo as f64)
+        })
+        .collect();
+    let mut ranks: Vec<usize> = spans.iter().flat_map(|&(lo, hi, _)| [lo, hi]).collect();
+    ranks.sort_unstable();
+    ranks.dedup();
+    let mut scratch = values.to_vec();
+    // Everything left of `start` is ≤ every element from `start` on, so
+    // selecting rank `r` inside the suffix places the `r`-th order
+    // statistic of the whole slice at index `r`.
+    let mut start = 0;
+    for r in ranks {
+        // invariant: inputs are distances, which the kernels keep finite.
+        scratch[start..].select_nth_unstable_by(r - start, |a, b| {
+            a.partial_cmp(b).expect("NaN in percentile input")
+        });
+        start = r + 1;
+    }
+    let interpolate = |(lo, hi, frac): (usize, usize, f64)| {
+        if lo == hi {
+            scratch[lo]
+        } else {
+            scratch[lo] * (1.0 - frac) + scratch[hi] * frac
+        }
+    };
+    spans.into_iter().map(interpolate).collect()
+}
+
 /// `percentile` over an already-sorted slice (ascending). Use when the same
 /// distance vector is queried at several `p` values.
 ///
@@ -189,6 +237,35 @@ mod tests {
     }
 
     #[test]
+    fn percentiles_match_percentile_on_a_fixed_grid() {
+        let v = [0.3, 0.9, 0.1, 0.5, 0.5, 0.7, 0.2];
+        let ps = [100.0, 25.0, 50.0, 75.0, 25.0, 0.0, 33.3];
+        let got = percentiles(&v, &ps);
+        for (k, &p) in ps.iter().enumerate() {
+            assert_eq!(got[k].to_bits(), percentile(&v, p).to_bits(), "p={p}");
+        }
+        assert!(percentiles(&v, &[]).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "percentile of empty slice")]
+    fn percentiles_panic_on_empty_input() {
+        percentiles(&[], &[50.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "percentile p out of range")]
+    fn percentiles_panic_on_p_above_100() {
+        percentiles(&[1.0, 2.0], &[50.0, 100.5]);
+    }
+
+    #[test]
+    #[should_panic(expected = "percentile p out of range")]
+    fn percentiles_panic_on_negative_p() {
+        percentiles(&[1.0, 2.0], &[-1.0]);
+    }
+
+    #[test]
     fn logsumexp_stable_for_large_inputs() {
         let v = [1000.0, 1000.0];
         assert!((logsumexp(&v) - (1000.0 + std::f64::consts::LN_2)).abs() < 1e-9);
@@ -277,6 +354,32 @@ mod tests {
             let mn = v.iter().copied().fold(f64::INFINITY, f64::min);
             let mx = v.iter().copied().fold(f64::NEG_INFINITY, f64::max);
             prop_assert!(x >= mn - 1e-12 && x <= mx + 1e-12);
+        }
+
+        #[test]
+        fn prop_percentiles_bit_identical_to_percentile(
+            picks in proptest::collection::vec(0usize..6, 1..301),
+            spread in proptest::collection::vec(0.0f64..1000.0, 6),
+            grid in proptest::collection::vec(0.0f64..=100.0, 0..6),
+            shuffle in 0usize..8,
+        ) {
+            // Values drawn from a six-element set: heavy ties at every length.
+            let v: Vec<f64> = picks.iter().map(|&i| spread[i]).collect();
+            // The drawn grid is unsorted; add both endpoints and a duplicate.
+            let mut ps = grid.clone();
+            ps.extend([0.0, 100.0]);
+            let n = ps.len();
+            ps.push(ps[shuffle % n]);
+            ps.rotate_left(shuffle % (n + 1));
+            let got = percentiles(&v, &ps);
+            prop_assert_eq!(got.len(), ps.len());
+            for (k, &p) in ps.iter().enumerate() {
+                prop_assert_eq!(
+                    got[k].to_bits(),
+                    percentile(&v, p).to_bits(),
+                    "n={} p={p}: {} vs {}", v.len(), got[k], percentile(&v, p)
+                );
+            }
         }
 
         #[test]
