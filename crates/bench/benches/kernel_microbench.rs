@@ -5,7 +5,7 @@
 //!
 //! - **Kernel timings** — SEU scoring (fast path vs naive reference),
 //!   label-model fitting, TF-IDF transformation, distance point-to-all,
-//!   and parallel LF application.
+//!   and LF application.
 //! - **The interactive-loop headline** — a recorded 25-round SEU
 //!   trajectory is replayed twice: once rebuilding the per-primitive
 //!   aggregates from scratch every round (the pre-`Session` behaviour)
@@ -208,9 +208,8 @@ fn kernel_benches(ds: &Dataset, results: &mut Vec<BenchResult>) {
             )
         })
         .collect();
-    results.push(bench("label_matrix_from_50_lfs_parallel", || {
-        LabelMatrix::from_lfs(&lfs, &ds.train.corpus)
-    }));
+    results
+        .push(bench("label_matrix_from_50_lfs", || LabelMatrix::from_lfs(&lfs, &ds.train.corpus)));
 
     results.push(bench("model_outputs_initial", || ModelOutputs::initial(ds)));
 }
@@ -353,7 +352,7 @@ fn seu_loop_bench(ds: &Dataset, trajectory: &[ModelOutputs]) -> (String, f64) {
 /// (`set_warm_seeds(Vec::new())`) and fits with the plain (Aitken-off)
 /// fixed-point EM — the pre-incremental behaviour. The warm path is the
 /// production one: Aitken-accelerated fits, seeded per grid point. Both
-/// run the grid's fits in parallel.
+/// fit the grid's unique points one after another.
 fn tune_p_warm_bench(
     ds: &Dataset,
     lineage: &Lineage,

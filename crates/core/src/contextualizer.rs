@@ -17,10 +17,10 @@
 //! Registration is **batched**: all of a round's new LFs go through
 //! [`Contextualizer::register_batch`], which computes every train/valid
 //! distance vector in one pass over the feature matrices' inverted-index
-//! engine ([`nemo_data::Features::point_to_all_many`]), partitioned over
-//! the pivots in parallel. It is bit-identical to the per-LF naive scan
-//! ([`nemo_data::Features::point_to_all_naive`]), which the differential
-//! suites use as its oracle. The grid radii are found by selection
+//! engine ([`nemo_data::Features::point_to_all_many`]), one pivot after
+//! another through a single scratch accumulator. It is bit-identical to
+//! the per-LF naive scan ([`nemo_data::Features::point_to_all_naive`]),
+//! which the differential suites use as its oracle. The grid radii are found by selection
 //! ([`nemo_sparse::stats::percentiles`]), not by sorting the distances;
 //! each equals [`nemo_sparse::stats::percentile`] bit for bit.
 
@@ -28,7 +28,6 @@ use crate::config::ContextualizerConfig;
 use nemo_data::Dataset;
 use nemo_labelmodel::{FittedLabelModel, LabelModel, PairCounts};
 use nemo_lf::{LabelMatrix, LfColumn, Lineage, TrackedLf};
-use nemo_sparse::parallel::{par_for_each_stealing, par_map_min};
 use nemo_sparse::stats::{percentile, percentiles};
 // lint: allow(determinism/hash-collections): the dedup map below is
 // lookup-only (entry/or_insert); its iteration order is never observed.
@@ -67,15 +66,6 @@ struct RefinedEntry {
     raw_token: u64,
     train: Arc<LfColumn>,
     valid: Arc<LfColumn>,
-}
-
-/// One unique grid point's label-model fit in [`Contextualizer::tune_p`]:
-/// the slot's pair-count cache travels into the job and back.
-struct FitJob {
-    /// Grid slot.
-    k: usize,
-    counts: PairCounts,
-    fit: Option<Box<dyn FittedLabelModel>>,
 }
 
 /// Cumulative refined-column cache counters (bench accounting).
@@ -222,16 +212,12 @@ impl Contextualizer {
         // finite feature values, and `Features` validates its buffers
         // (finite norms) on import — so `percentiles` never meets a NaN.
         let p_grid = &self.config.p_grid;
-        let radii: Vec<Vec<(u64, f64)>> = par_map_min(&train_ds, 2, |_, d: &Vec<f64>| {
-            if d.is_empty() {
-                return Vec::new();
-            }
-            let rs = percentiles(d, p_grid);
-            p_grid.iter().map(|p| p.to_bits()).zip(rs).collect()
-        });
-        for ((rec, train_d), (valid_d, radii_j)) in
-            recs.iter().zip(train_ds).zip(valid_ds.into_iter().zip(radii))
-        {
+        for ((rec, train_d), valid_d) in recs.iter().zip(train_ds).zip(valid_ds) {
+            let radii_j = if train_d.is_empty() {
+                Vec::new()
+            } else {
+                p_grid.iter().map(|p| p.to_bits()).zip(percentiles(&train_d, p_grid)).collect()
+            };
             self.train_dists.push(train_d);
             self.grid_radii.push(radii_j);
             self.valid_dists.push(valid_d);
@@ -440,15 +426,14 @@ impl Contextualizer {
     /// between rounds the refined matrix at a fixed `p` gains one LF and
     /// barely moves, so a converged previous fit is a typically
     /// near-fixed-point seed (the Snorkel-style incremental-refit
-    /// insight). Because the seeds are per-point, the grid's fits are
-    /// mutually independent and run **in parallel**, so a warm round's
-    /// wall-clock is one fit, not four. Points without a stored seed (the
-    /// first round, or a grown grid) fit from the estimator's initializer;
-    /// closed-form estimators ignore seeds entirely, so under the default
-    /// MeTaL estimator warm starts change nothing. Clearing the seeds
-    /// ([`Contextualizer::set_warm_seeds`] with an empty set) before a call
-    /// makes it the cold-restart oracle the differential suites compare
-    /// against.
+    /// insight). The unique grid points are fitted one after another, each
+    /// with its own slot's seed and pair-count cache. Points without a
+    /// stored seed (the first round, or a grown grid) fit from the
+    /// estimator's initializer; closed-form estimators ignore seeds
+    /// entirely, so under the default MeTaL estimator warm starts change
+    /// nothing. Clearing the seeds ([`Contextualizer::set_warm_seeds`] with
+    /// an empty set) before a call makes it the cold-restart oracle the
+    /// differential suites compare against.
     ///
     /// Each grid slot keeps a [`PairCounts`] cache of its
     /// refined train matrix's pairwise co-vote counts, handed to
@@ -524,27 +509,15 @@ impl Contextualizer {
             repr.iter().enumerate().filter(|&(k, &r)| r == k).map(|(k, _)| k).collect();
         self.tune_fits += unique.len();
 
-        // Fit the unique grid points. Each fit takes its slot's pair-count
-        // cache along (moved in and back out, never cloned), so a moment
-        // estimator recounts only the new LF's pairs. The fits run in
-        // parallel: per-point seeding leaves them independent.
+        // Fit the unique grid points, each with its slot's pair-count
+        // cache, so a moment estimator recounts only the new LF's pairs.
         self.pair_counts.resize_with(p_grid.len(), PairCounts::default);
-        let mut jobs: Vec<FitJob> = unique
-            .iter()
-            .map(|&k| FitJob { k, counts: std::mem::take(&mut self.pair_counts[k]), fit: None })
-            .collect();
-        let seeds = &self.warm_accs;
-        par_for_each_stealing(&mut jobs, |_, job| {
-            let seed = seeds.get(job.k).map(Vec::as_slice);
-            job.fit = Some(label_model.fit_from(&matrices[job.k], prior, seed, &mut job.counts));
-        });
         let mut fitted: Vec<Option<Box<dyn FittedLabelModel>>> =
             (0..p_grid.len()).map(|_| None).collect();
         let mut accs_by_k: Vec<Vec<f64>> = vec![Vec::new(); p_grid.len()];
-        for FitJob { k, counts, fit } in jobs {
-            self.pair_counts[k] = counts;
-            // invariant: `run` filled every job above.
-            let fit = fit.expect("every job is fitted");
+        for &k in &unique {
+            let seed = self.warm_accs.get(k).map(Vec::as_slice);
+            let fit = label_model.fit_from(&matrices[k], prior, seed, &mut self.pair_counts[k]);
             accs_by_k[k] = fit.lf_accuracies().to_vec();
             fitted[k] = Some(fit);
         }

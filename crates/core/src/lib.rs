@@ -14,7 +14,7 @@
 //!   data-to-LF lineage.
 //!
 //! Plus the machinery around them: the reusable interactive [`session`]
-//! engine (incremental SEU aggregates, parallel scoring), the [`idp`] loop
+//! engine (incremental SEU aggregates, table-driven scoring), the [`idp`] loop
 //! shared by all methods, the selection [`engines`] that run one round
 //! each, [`pipeline`]s (standard vs contextualized learning), the
 //! simulated user [`oracle`] (Sec. 5.1), the ergonomic [`system`] facade, the multi-LF extension of Sec. 7 ([`multi_lf`]), and

@@ -21,7 +21,8 @@
 //! incremental update — so dynamic scheduling beats fixed partitioning).
 //! Batches are processed in waves of `max_resident.max(workers)` jobs so
 //! the transient memory footprint stays bounded by the pool's capacity,
-//! not the batch size.
+//! not the batch size. These waves are the library's only parallel
+//! section: each round itself runs serially on its worker.
 //!
 //! # Determinism
 //!
@@ -132,11 +133,13 @@ pub struct PoolConfig {
     /// the least-recently-used session is checkpointed to the store.
     /// Values below 1 are treated as 1. Default: 64.
     pub max_resident: usize,
-    /// Worker threads for [`SessionPool::run_rounds`]. `None` (the
-    /// default) follows the ambient `NEMO_THREADS` setting via
-    /// [`parallel::num_threads`]; `Some(n)` pins the count, which
-    /// determinism tests use to compare fixed worker budgets without
-    /// touching the process environment.
+    /// Worker threads for [`SessionPool::run_rounds`], the library's only
+    /// multi-threaded code (a round runs serially on one worker). `None`
+    /// (the default) takes [`parallel::num_threads`]: the `NEMO_THREADS`
+    /// environment variable if set, else the machine's available
+    /// parallelism. `Some(n)` pins the count, which determinism tests use
+    /// to compare fixed worker budgets without touching the process
+    /// environment.
     pub workers: Option<usize>,
     /// Contextualizer settings applied to every admitted session.
     pub ctx: ContextualizerConfig,

@@ -31,7 +31,7 @@
 //! costs `O(nnz(U))` total. Inside a [`crate::session::Session`] the
 //! aggregates are additionally maintained *incrementally* across rounds,
 //! and each round rescores the pool through a per-round [`ScoreTable`]
-//! (per-primitive weight/utility products) evaluated in parallel. A naive
+//! (per-primitive weight/utility products). A naive
 //! per-example reference implementation is kept for differential testing.
 
 use crate::idp::{SelectionView, Selector};
@@ -249,16 +249,12 @@ impl SeuSelector {
         }
     }
 
-    /// Expected utility of every available example, in `avail` order.
-    ///
-    /// Scoring is embarrassingly parallel: each example reads only the
-    /// shared table. [`nemo_sparse::parallel::par_map`] returns results
-    /// in input order, so the parallel scores are bit-identical to a
-    /// serial scan (differential-tested in
-    /// `tests/session_differential.rs`).
+    /// Expected utility of every available example, in `avail` order,
+    /// each read off the shared table (differential-tested against the
+    /// naive per-example scan in `tests/session_differential.rs`).
     pub fn scores(&self, view: &SelectionView<'_>, aggs: &[PrimAgg], avail: &[usize]) -> Vec<f64> {
         let table = self.score_table(view, aggs);
-        nemo_sparse::parallel::par_map(avail, |_, &x| self.expected_utility_tabled(view, &table, x))
+        avail.iter().map(|&x| self.expected_utility_tabled(view, &table, x)).collect()
     }
 }
 

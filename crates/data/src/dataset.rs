@@ -178,7 +178,7 @@ impl Features {
     }
 
     /// Batched point-to-all: one distance vector per pivot, in pivot
-    /// order, partitioned over the pivots via `nemo_sparse::parallel`.
+    /// order.
     pub fn point_to_all_many(&self, dist: Distance, pivots: &[usize]) -> Vec<Vec<f64>> {
         match (&self.dense, &self.csc) {
             (Some(d), _) => dist.dense_point_to_all_many(d, pivots, &self.sq_norms),
@@ -265,17 +265,15 @@ impl Features {
     ) -> Vec<Vec<f64>> {
         match (&self.dense, &other.dense, &other.csc) {
             (Some(_), Some(_), _) | (_, _, None) => {
-                nemo_sparse::parallel::par_flat_map_chunks(pivots, 2, |_, chunk| {
-                    let mut scratch = DistanceScratch::new();
-                    chunk
-                        .iter()
-                        .map(|&p| {
-                            let mut out = Vec::new();
-                            self.point_to_other_into(dist, p, other, &mut scratch, &mut out);
-                            out
-                        })
-                        .collect()
-                })
+                let mut scratch = DistanceScratch::new();
+                pivots
+                    .iter()
+                    .map(|&p| {
+                        let mut out = Vec::new();
+                        self.point_to_other_into(dist, p, other, &mut scratch, &mut out);
+                        out
+                    })
+                    .collect()
             }
             (_, _, Some(csc)) => dist.sparse_point_to_all_many(
                 &self.csr,

@@ -5,9 +5,9 @@ use crate::triplet::PairCounts;
 use nemo_lf::LabelMatrix;
 use nemo_sparse::stats::sigmoid;
 
-/// An (unfitted) label model. `Send + Sync` so percentile tuning can fit
-/// independent grid points in parallel (all estimators are plain-data
-/// configuration structs).
+/// An (unfitted) label model. `Send + Sync` because a session owns its
+/// label model and `SessionPool` moves sessions across its workers (all
+/// estimators are plain-data configuration structs).
 pub trait LabelModel: Send + Sync {
     /// Estimator name (for reports).
     fn name(&self) -> &'static str;

@@ -19,14 +19,11 @@ pub struct PrimitiveCorpus {
 
 impl PrimitiveCorpus {
     /// Build from per-example primitive-id lists. Lists are sorted and
-    /// deduplicated internally (containment is set semantics); the
-    /// per-document normalization runs in parallel for large corpora.
+    /// deduplicated internally (containment is set semantics).
     pub fn new(mut docs: Vec<Vec<u32>>, n_primitives: usize) -> Self {
-        nemo_sparse::parallel::par_for_each_mut(&mut docs, |_, d| {
+        for d in &mut docs {
             d.sort_unstable();
             d.dedup();
-        });
-        for d in &docs {
             if let Some(&max) = d.last() {
                 assert!(
                     (max as usize) < n_primitives,

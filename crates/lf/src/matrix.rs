@@ -194,16 +194,12 @@ impl LabelMatrix {
         Self { columns: Vec::new(), n_examples }
     }
 
-    /// Apply a slice of primitive LFs to a corpus. Columns are
-    /// materialized in parallel (each LF scans only its own postings) and
-    /// appended in `lfs` order, so the result is identical to a serial
-    /// loop of [`LabelMatrix::push`].
+    /// Apply a slice of primitive LFs to a corpus, one column per LF in
+    /// `lfs` order (each LF scans only its own postings).
     pub fn from_lfs(lfs: &[PrimitiveLf], corpus: &PrimitiveCorpus) -> Self {
         let mut m = Self::new(corpus.len());
-        let columns =
-            nemo_sparse::parallel::par_map_min(lfs, 8, |_, lf| LfColumn::from_lf(lf, corpus));
-        for col in columns {
-            m.push(col);
+        for lf in lfs {
+            m.push(LfColumn::from_lf(lf, corpus));
         }
         m
     }

@@ -135,7 +135,7 @@ const DETERMINISM_CRATES: &[&str] =
     &["crates/core/src/", "crates/sparse/src/", "crates/labelmodel/src/", "crates/text/src/"];
 
 /// The only modules allowed to own shared-state synchronization: the
-/// data-parallel scheduler and the session pool.
+/// work-stealing scheduler and the session pool.
 const SYNC_ALLOWED_FILES: &[&str] = &["crates/sparse/src/parallel.rs", "crates/core/src/pool.rs"];
 
 /// Crates exempt from file-scoped rules: the proptest shim is test

@@ -21,17 +21,16 @@
 //!    accumulator; `O(n + Σ_{j ∈ pivot} df(j))`. Rows sharing no terms
 //!    with the pivot are never touched.
 //! 3. **Batched** ([`Distance::sparse_point_to_all_many`]) — one call per
-//!    round registering many pivots, partitioned over the pivots via
-//!    [`crate::parallel`] with one scratch per worker.
+//!    round registering many pivots, run one pivot after another through a
+//!    single reused scratch.
 //!
 //! The dense kernels mirror this: a scalar point-to-all over cached row
 //! norms ([`Distance::dense_row_to_all_cached_into`]) and a batched
-//! variant partitioned over the pivots.
+//! variant looping over the pivots.
 
 use crate::csc::CscIndex;
 use crate::csr::{CsrMatrix, SparseRow};
 use crate::dense::{self, DenseMatrix};
-use crate::parallel;
 
 /// Reusable accumulator for the indexed sparse kernels: one `f64` dot
 /// slot per target row, zeroed at the start of every call. Keeping it
@@ -243,8 +242,7 @@ impl Distance {
     /// `src`) to every row of the matrix behind `index`, one vector per
     /// pivot, in pivot order.
     ///
-    /// The batch is partitioned over the pivots via [`crate::parallel`];
-    /// each worker reuses one [`DistanceScratch`] and output buffers are
+    /// Every pivot reuses one [`DistanceScratch`] and each output buffer is
     /// written exactly once, so a round registering many LFs does all its
     /// distance work in a single pass. `src` may be the indexed matrix
     /// itself (self-distances) or another matrix in the same feature space.
@@ -256,24 +254,22 @@ impl Distance {
         index: &CscIndex,
         target_sq_norms: &[f64],
     ) -> Vec<Vec<f64>> {
-        parallel::par_flat_map_chunks(pivots, 2, |_, chunk| {
-            let mut scratch = DistanceScratch::new();
-            chunk
-                .iter()
-                .map(|&p| {
-                    let mut out = Vec::new();
-                    self.sparse_row_to_all_indexed_into(
-                        &src.row(p),
-                        src_sq_norms[p],
-                        index,
-                        target_sq_norms,
-                        &mut scratch,
-                        &mut out,
-                    );
-                    out
-                })
-                .collect()
-        })
+        let mut scratch = DistanceScratch::new();
+        pivots
+            .iter()
+            .map(|&p| {
+                let mut out = Vec::new();
+                self.sparse_row_to_all_indexed_into(
+                    &src.row(p),
+                    src_sq_norms[p],
+                    index,
+                    target_sq_norms,
+                    &mut scratch,
+                    &mut out,
+                );
+                out
+            })
+            .collect()
     }
 
     /// Distances from an arbitrary dense `pivot` vector to every row of `m`.
@@ -308,24 +304,22 @@ impl Distance {
         }
     }
 
-    /// Batched dense kernel: one distance vector per pivot row of `m`,
-    /// partitioned over the pivots via [`crate::parallel`].
+    /// Batched dense kernel: one distance vector per pivot row of `m`, in
+    /// pivot order.
     pub fn dense_point_to_all_many(
         self,
         m: &DenseMatrix,
         pivots: &[usize],
         sq_norms: &[f64],
     ) -> Vec<Vec<f64>> {
-        parallel::par_flat_map_chunks(pivots, 2, |_, chunk| {
-            chunk
-                .iter()
-                .map(|&p| {
-                    let mut out = Vec::new();
-                    self.dense_row_to_all_cached_into(m.row(p), sq_norms[p], m, sq_norms, &mut out);
-                    out
-                })
-                .collect()
-        })
+        pivots
+            .iter()
+            .map(|&p| {
+                let mut out = Vec::new();
+                self.dense_row_to_all_cached_into(m.row(p), sq_norms[p], m, sq_norms, &mut out);
+                out
+            })
+            .collect()
     }
 }
 

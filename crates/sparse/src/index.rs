@@ -41,7 +41,7 @@ impl InvertedIndex {
     /// and deduplicated, skipping the normalization copy `from_docs` pays.
     ///
     /// This is the path `PrimitiveCorpus` uses after normalizing its own
-    /// document lists (in parallel), so corpus construction sorts each
+    /// document lists, so corpus construction sorts each
     /// list exactly once.
     pub fn from_sorted_docs(docs: &[Vec<u32>], n_primitives: usize) -> Self {
         let mut counts = vec![0usize; n_primitives];

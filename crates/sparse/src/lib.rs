@@ -2,14 +2,15 @@
 //!
 //! Numeric substrate for the Nemo reproduction: sparse and dense vectors,
 //! distance kernels, an inverted index, deterministic random-number helpers,
-//! scoped data-parallel primitives, and the small statistics toolbox
-//! (entropy, percentiles, softmax) that the rest of the system is built on.
+//! the work-stealing scheduler behind `SessionPool`'s worker waves, and the
+//! small statistics toolbox (entropy, percentiles, softmax) that the rest of
+//! the system is built on.
 //!
 //! Everything here is deliberately dependency-free and deterministic: all
 //! randomness flows through [`rng::DetRng`], a self-contained xoshiro256++
 //! generator, so that every experiment in the benchmark harness is exactly
-//! reproducible from its seed; and the [`parallel`] helpers return results
-//! in input order, so parallel runs are bit-identical to serial ones.
+//! reproducible from its seed; and the [`parallel`] scheduler runs each item
+//! through exactly one call, so results never depend on the worker count.
 
 #![warn(missing_docs)]
 

@@ -1,34 +1,27 @@
-//! Deterministic data-parallel helpers built on `std::thread::scope`.
+//! The work-stealing scheduler behind `SessionPool`'s worker waves.
 //!
 //! The hermetic build environment has no `rayon`, so this module provides
-//! the small slice-parallel surface the workspace's hot paths need:
-//! indexed map over a shared slice ([`par_map`]), in-place mutation
-//! ([`par_for_each_mut`]), and a plain index-range map ([`par_map_range`]).
+//! the one parallel primitive the workspace uses: a scoped work-stealing
+//! loop over a slice ([`par_for_each_stealing_with`]). Everything inside a
+//! session round runs serially; only the pool fans rounds out over
+//! workers.
 //!
 //! Design rules:
 //!
-//! - **Determinism:** results are returned in input order and every
-//!   element is computed by a pure call of the supplied closure, so a
-//!   parallel run is bit-identical to the serial one. The differential
-//!   tests in `nemo-core` rely on this.
-//! - **Small inputs stay serial:** below [`MIN_PARALLEL_ITEMS`] the
-//!   closure runs inline — thread spawn costs would dominate the toy
-//!   corpora used in unit tests.
-//! - **Bounded threads:** worker count is `available_parallelism`
-//!   clamped to [`MAX_THREADS`], overridable with the `NEMO_THREADS`
-//!   environment variable (`NEMO_THREADS=1` forces serial execution
-//!   everywhere, useful for profiling and bisection).
+//! - **Determinism:** every element is processed by exactly one call of
+//!   the supplied closure, so results are bit-identical to the serial
+//!   loop under any worker count.
+//! - **Bounded threads:** the default worker count ([`num_threads`]) is
+//!   `available_parallelism` clamped to [`MAX_THREADS`], overridable with
+//!   the `NEMO_THREADS` environment variable.
 
 use std::num::NonZeroUsize;
 
-/// Inputs smaller than this run serially.
-pub const MIN_PARALLEL_ITEMS: usize = 2048;
-
-/// Hard cap on worker threads (diminishing returns beyond this for the
-/// memory-bound kernels here).
+/// Hard cap on worker threads.
 pub const MAX_THREADS: usize = 16;
 
-/// Number of worker threads used for parallel sections.
+/// Default worker count: `NEMO_THREADS` if set, else the machine's
+/// available parallelism, clamped to `1..=`[`MAX_THREADS`].
 pub fn num_threads() -> usize {
     if let Ok(v) = std::env::var("NEMO_THREADS") {
         if let Ok(n) = v.trim().parse::<usize>() {
@@ -38,202 +31,18 @@ pub fn num_threads() -> usize {
     std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1).min(MAX_THREADS)
 }
 
-/// Map `f(i, &items[i])` over a slice, returning results in input order.
+/// Apply `f(i, &mut items[i])` to every element on `workers` threads
+/// (clamped to `1..=`[`MAX_THREADS`]), distributing items dynamically
+/// through a shared work queue (work stealing).
 ///
-/// Parallel when the input is large enough; always equivalent to
-/// `items.iter().enumerate().map(|(i, x)| f(i, x)).collect()`.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map_min(items, MIN_PARALLEL_ITEMS, f)
-}
-
-/// [`par_map`] with a caller-chosen parallelism threshold, for inputs with
-/// few but individually heavy items (e.g. one labeling function per item,
-/// each scanning its whole coverage list).
-pub fn par_map_min<T, R, F>(items: &[T], min_items: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let threads = if items.len() < min_items.max(2) { 1 } else { num_threads().min(items.len()) };
-    if threads <= 1 {
-        return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
-    }
-    let chunk = items.len().div_ceil(threads);
-    let mut parts: Vec<Vec<R>> = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .enumerate()
-            .map(|(c, slice)| {
-                let f = &f;
-                let base = c * chunk;
-                scope.spawn(move || {
-                    slice.iter().enumerate().map(|(j, x)| f(base + j, x)).collect::<Vec<R>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(part) => parts.push(part),
-                // Re-raise with the original payload so assertion
-                // messages from worker closures survive.
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-    let mut out = Vec::with_capacity(items.len());
-    for p in parts {
-        out.extend(p);
-    }
-    out
-}
-
-/// Partition `items` into at most [`num_threads`] contiguous chunks and
-/// map each chunk with `f(base, chunk)` (`base` = index of the chunk's
-/// first item), concatenating the per-chunk vectors in input order.
+/// Items are coarse and heterogeneous — one interactive session round
+/// each, where a cold session (restore + relearn) can cost 10× a warm
+/// one — so a fixed partition would suffer head-of-line blocking. Here
+/// idle workers keep pulling the next unclaimed item, so stragglers do
+/// not serialize the batch, and per-item work dwarfs the queue lock.
 ///
-/// Unlike [`par_map`], the closure sees a whole partition at once, so
-/// per-worker state (e.g. a distance scratch accumulator) is allocated
-/// once per chunk instead of once per item. Inputs below `min_items` run
-/// as a single serial chunk. Results are deterministic: the output equals
-/// `f(0, items)` run serially whenever `f` itself is item-wise.
-pub fn par_flat_map_chunks<T, R, F>(items: &[T], min_items: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &[T]) -> Vec<R> + Sync,
-{
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let threads = if items.len() < min_items.max(2) { 1 } else { num_threads().min(items.len()) };
-    if threads <= 1 {
-        return f(0, items);
-    }
-    let chunk = items.len().div_ceil(threads);
-    let mut parts: Vec<Vec<R>> = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .enumerate()
-            .map(|(c, slice)| {
-                let f = &f;
-                scope.spawn(move || f(c * chunk, slice))
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(part) => parts.push(part),
-                // Re-raise with the original payload so assertion
-                // messages from worker closures survive.
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-    let mut out = Vec::with_capacity(parts.iter().map(Vec::len).sum());
-    for p in parts {
-        out.extend(p);
-    }
-    out
-}
-
-/// Map `f(i)` over `0..n`, returning results in index order.
-pub fn par_map_range<R, F>(n: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let threads = effective_threads(n);
-    if threads <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let chunk = n.div_ceil(threads);
-    let mut parts: Vec<Vec<R>> = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n)
-            .step_by(chunk)
-            .map(|start| {
-                let f = &f;
-                let end = (start + chunk).min(n);
-                scope.spawn(move || (start..end).map(f).collect::<Vec<R>>())
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(part) => parts.push(part),
-                // Re-raise with the original payload so assertion
-                // messages from worker closures survive.
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-    let mut out = Vec::with_capacity(n);
-    for p in parts {
-        out.extend(p);
-    }
-    out
-}
-
-/// Apply `f(i, &mut items[i])` to every element in place.
-pub fn par_for_each_mut<T, F>(items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let threads = effective_threads(items.len());
-    if threads <= 1 {
-        for (i, x) in items.iter_mut().enumerate() {
-            f(i, x);
-        }
-        return;
-    }
-    let chunk = items.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (c, slice) in items.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            let base = c * chunk;
-            scope.spawn(move || {
-                for (j, x) in slice.iter_mut().enumerate() {
-                    f(base + j, x);
-                }
-            });
-        }
-    });
-}
-
-/// Apply `f(i, &mut items[i])` to every element, distributing items over
-/// workers dynamically through a shared work queue (work stealing).
-///
-/// The chunked schedulers above pre-partition the slice into equal
-/// contiguous regions, which is the right shape for uniform data-parallel
-/// kernels but suffers head-of-line blocking when items are few, coarse,
-/// and heterogeneous — e.g. one interactive session round per item, where
-/// a cold session (restore + relearn) can cost 10× a warm one. Here idle
-/// workers keep pulling the next unclaimed item, so stragglers no longer
-/// serialize the batch.
-///
-/// Every item is still processed by exactly one pure `f` call, so results
-/// are bit-identical to the serial loop under any worker count. There is
-/// no [`MIN_PARALLEL_ITEMS`] threshold: callers hand this scheduler
-/// coarse tasks where per-item work dwarfs the queue lock.
-pub fn par_for_each_stealing<T, F>(items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    par_for_each_stealing_with(items, num_threads(), f)
-}
-
-/// [`par_for_each_stealing`] with an explicit worker count (clamped to
-/// `1..=`[`MAX_THREADS`]), for callers that manage their own worker
-/// budget — e.g. a session pool pinning a determinism test to fixed
-/// counts independent of the ambient `NEMO_THREADS` setting.
+/// Every item is processed by exactly one pure `f` call, so results are
+/// bit-identical to the serial loop under any worker count.
 pub fn par_for_each_stealing_with<T, F>(items: &mut [T], workers: usize, f: F)
 where
     T: Send,
@@ -279,84 +88,9 @@ where
     });
 }
 
-fn effective_threads(n: usize) -> usize {
-    if n < MIN_PARALLEL_ITEMS {
-        1
-    } else {
-        num_threads().min(n)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn par_map_matches_serial_small() {
-        let items: Vec<u64> = (0..100).collect();
-        let out = par_map(&items, |i, &x| x * 2 + i as u64);
-        let expected: Vec<u64> = items.iter().enumerate().map(|(i, &x)| x * 2 + i as u64).collect();
-        assert_eq!(out, expected);
-    }
-
-    #[test]
-    fn par_map_matches_serial_large() {
-        let items: Vec<u64> = (0..10_000).collect();
-        let out = par_map(&items, |i, &x| x.wrapping_mul(31).wrapping_add(i as u64));
-        let expected: Vec<u64> = items
-            .iter()
-            .enumerate()
-            .map(|(i, &x)| x.wrapping_mul(31).wrapping_add(i as u64))
-            .collect();
-        assert_eq!(out, expected);
-    }
-
-    #[test]
-    fn par_map_range_matches_serial() {
-        let out = par_map_range(10_000, |i| i * i);
-        let expected: Vec<usize> = (0..10_000).map(|i| i * i).collect();
-        assert_eq!(out, expected);
-    }
-
-    #[test]
-    fn par_for_each_mut_touches_every_element() {
-        let mut items: Vec<usize> = vec![0; 10_000];
-        par_for_each_mut(&mut items, |i, x| *x = i + 1);
-        for (i, &x) in items.iter().enumerate() {
-            assert_eq!(x, i + 1);
-        }
-    }
-
-    #[test]
-    fn par_flat_map_chunks_matches_serial() {
-        let items: Vec<u64> = (0..10_000).collect();
-        let map_chunk = |base: usize, chunk: &[u64]| -> Vec<u64> {
-            chunk.iter().enumerate().map(|(j, &x)| x * 3 + (base + j) as u64).collect()
-        };
-        let out = par_flat_map_chunks(&items, 2, map_chunk);
-        assert_eq!(out, map_chunk(0, &items));
-    }
-
-    #[test]
-    fn par_flat_map_chunks_small_is_one_chunk() {
-        let items: Vec<u32> = (0..5).collect();
-        let out = par_flat_map_chunks(&items, 100, |base, chunk| {
-            assert_eq!(base, 0);
-            assert_eq!(chunk.len(), 5);
-            chunk.to_vec()
-        });
-        assert_eq!(out, items);
-    }
-
-    #[test]
-    fn empty_inputs() {
-        let empty: Vec<u32> = Vec::new();
-        assert!(par_map(&empty, |_, &x| x).is_empty());
-        assert!(par_map_range(0, |i| i).is_empty());
-        assert!(par_flat_map_chunks(&empty, 0, |_, c| c.to_vec()).is_empty());
-        let mut e2: Vec<u32> = Vec::new();
-        par_for_each_mut(&mut e2, |_, _| {});
-    }
 
     #[test]
     fn stealing_touches_every_element_once() {
@@ -390,7 +124,9 @@ mod tests {
     fn stealing_default_matches_serial() {
         let mut a: Vec<u32> = (0..500).collect();
         let mut b = a.clone();
-        par_for_each_stealing(&mut a, |i, x| *x = x.wrapping_mul(3).wrapping_add(i as u32));
+        par_for_each_stealing_with(&mut a, num_threads(), |i, x| {
+            *x = x.wrapping_mul(3).wrapping_add(i as u32)
+        });
         for (i, x) in b.iter_mut().enumerate() {
             *x = x.wrapping_mul(3).wrapping_add(i as u32);
         }

@@ -11,8 +11,7 @@
 //! bit-identical to the scan by construction, so every assertion here is
 //! exact equality — any drift is a kernel bug, not rounding. This holds
 //! on the sparse text dataset and on the dense scene dataset, whose
-//! engines both run the scalar dense reductions, and under any
-//! `NEMO_THREADS` setting.
+//! engines both run the scalar dense reductions.
 
 use nemo::core::config::{ContextualizerConfig, IdpConfig};
 use nemo::core::contextualizer::Contextualizer;
@@ -128,21 +127,4 @@ fn full_session_identical_across_engines_on_text_and_scene() {
     for ds in [toy_text(1), toy_scene_2d(1)] {
         run(&ds, 7, 1);
     }
-}
-
-/// A multi-worker `NEMO_THREADS` setting must not perturb an interactive
-/// run. This is the only test in this binary that sets the variable, and
-/// it restores the prior setting afterwards.
-#[test]
-fn full_session_stable_under_thread_counts() {
-    let ds = toy_text(2);
-    let reference = run(&ds, 3, 1);
-    let saved = std::env::var("NEMO_THREADS").ok();
-    std::env::set_var("NEMO_THREADS", "4");
-    let multi = run(&ds, 3, 1);
-    match saved {
-        Some(v) => std::env::set_var("NEMO_THREADS", v),
-        None => std::env::remove_var("NEMO_THREADS"),
-    }
-    assert_eq!(multi, reference, "NEMO_THREADS=4 session diverged from the ambient run");
 }

@@ -3,7 +3,8 @@
 //! Three kernels compute "one point vs all rows" distances: the naive
 //! row-major scan (`sparse_point_to_all`), the inverted-index kernel
 //! driven by a [`CscIndex`] (`sparse_point_to_all_indexed_into`), and the
-//! batched parallel kernel (`sparse_point_to_all_many`). They are designed
+//! batched kernel (`sparse_point_to_all_many`), which runs every pivot
+//! through one reused scratch. They are designed
 //! to be bit-identical — each row's matching terms accumulate in ascending
 //! column order in every tier — and this suite holds them to the issue's
 //! 1e-9 agreement bound over random sparse matrices of varying density,

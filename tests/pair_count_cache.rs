@@ -4,10 +4,9 @@
 //! round — the same chosen `p`, validation score, LF accuracies and train
 //! posterior, bit for bit — including after a mid-run
 //! `invalidate_refined_cache_from`, an edited grid point, a mid-run
-//! checkpoint restore (which carries no counts) and a swapped raw column. A second test drives whole `NemoSystem` sessions
-//! through a real checkpoint round trip. CI runs the suite at
-//! `NEMO_THREADS=1` and `NEMO_THREADS=4`, so the parallel fits are covered
-//! at both worker counts.
+//! checkpoint restore (which carries no counts) and a swapped raw column.
+//! A second test drives whole `NemoSystem` sessions through a real
+//! checkpoint round trip.
 
 use nemo::core::contextualizer::TunedRefinement;
 use nemo::core::oracle::{SimulatedUser, User};

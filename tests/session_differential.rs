@@ -7,10 +7,11 @@
 //!    the in-place float sums within drift tolerance; selections driven
 //!    by the cache must be *identical* to selections recomputed from
 //!    scratch.
-//! 2. **Parallel SEU scoring** — chunked parallel scoring must be
-//!    bit-identical to a serial scan, and both must match the retained
-//!    naive per-example reference (`expected_utility_naive`) within fp
-//!    tolerance, across every `UserModelKind × UtilityKind` combination.
+//! 2. **Table-driven SEU scoring** — `SeuSelector::scores` must be
+//!    bit-identical to a per-example scan of the same score table, and
+//!    both must match the retained naive per-example reference
+//!    (`expected_utility_naive`) within fp tolerance, across every
+//!    `UserModelKind × UtilityKind` combination.
 //!
 //! Both properties are checked over ≥ 3 seeds while a real interactive
 //! loop (SEU selection + simulated user) mutates the session, so the
@@ -26,7 +27,6 @@ use nemo::core::seu::SeuSelector;
 use nemo::core::user_model::UserModelKind;
 use nemo::core::utility::UtilityKind;
 use nemo::data::catalog::toy_text;
-use nemo::sparse::parallel::par_map_min;
 use nemo::sparse::DetRng;
 
 const SEEDS: [u64; 3] = [11, 22, 33];
@@ -108,7 +108,7 @@ fn incremental_aggregates_hold_under_contextualized_pipeline() {
 }
 
 #[test]
-fn parallel_scores_bit_identical_to_serial_and_match_naive() {
+fn table_scores_bit_identical_to_tabled_scan_and_match_naive() {
     let ds = toy_text(3);
     for seed in SEEDS {
         let config = IdpConfig { n_iterations: 6, eval_every: 3, seed, ..Default::default() };
@@ -123,27 +123,23 @@ fn parallel_scores_bit_identical_to_serial_and_match_naive() {
             for ut in UTILITIES {
                 let sel = SeuSelector::with(um, ut);
                 let table = sel.score_table(&view, aggs);
-                // Force the chunked parallel path regardless of pool size.
-                let parallel: Vec<f64> =
-                    par_map_min(&avail, 1, |_, &x| sel.expected_utility_tabled(&view, &table, x));
-                let serial: Vec<f64> =
+                let tabled: Vec<f64> =
                     avail.iter().map(|&x| sel.expected_utility_tabled(&view, &table, x)).collect();
                 let via_scores = sel.scores(&view, aggs, &avail);
                 for i in 0..avail.len() {
                     assert_eq!(
-                        parallel[i].to_bits(),
-                        serial[i].to_bits(),
-                        "seed {seed} um {um:?} ut {ut:?}: parallel/serial diverge at {}",
+                        via_scores[i].to_bits(),
+                        tabled[i].to_bits(),
+                        "seed {seed} um {um:?} ut {ut:?}: scores/tabled scan diverge at {}",
                         avail[i]
                     );
-                    assert_eq!(parallel[i].to_bits(), via_scores[i].to_bits());
                     let naive = sel.expected_utility_naive(&view, avail[i]);
-                    if parallel[i].is_finite() || naive.is_finite() {
+                    if via_scores[i].is_finite() || naive.is_finite() {
                         assert!(
-                            (parallel[i] - naive).abs() < 1e-9,
+                            (via_scores[i] - naive).abs() < 1e-9,
                             "seed {seed} um {um:?} ut {ut:?} x {}: fast {} vs naive {naive}",
                             avail[i],
-                            parallel[i]
+                            via_scores[i]
                         );
                     }
                 }

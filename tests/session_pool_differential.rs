@@ -8,10 +8,12 @@
 //! real `nemo-persist` file store), how large a batch is, or how many
 //! work-stealing workers serve it.
 //!
-//! Worker counts are exercised two ways: explicitly via
+//! The pool's waves are the library's only parallel code (a round runs
+//! serially on its worker), so these worker counts are its whole
+//! thread-count surface. They are exercised two ways: explicitly via
 //! `PoolConfig::workers` (pinning {1, 4} inside one process), and
-//! implicitly via the default `None`, which follows `NEMO_THREADS` — the
-//! CI `test-serial` (`NEMO_THREADS=1`) and `test-multicore`
+//! implicitly via the default `None`, the one place `NEMO_THREADS` is
+//! read — the CI `test-serial` (`NEMO_THREADS=1`) and `test-multicore`
 //! (`NEMO_THREADS=4`) legs re-run this whole suite under both settings.
 
 use std::sync::Arc;
