@@ -120,8 +120,10 @@ pub struct Contextualizer {
     /// Per-grid-slot pairwise co-vote counts of the refined train matrix,
     /// keyed by column token like `refined_cache`: a warm round recounts
     /// only the pairs touching the new LF's column. A cache, not a warm
-    /// start — it never changes a bit of output — and not checkpointed (a
-    /// restored contextualizer recounts once).
+    /// start — it never changes a bit of output — and not checkpointed: a
+    /// restored contextualizer recounts every pair once, one dense scatter
+    /// per column and one probe of each later column's entries, `O(m ·
+    /// Σ coverage)` per slot.
     pair_counts: Vec<PairCounts>,
 }
 
@@ -440,7 +442,8 @@ impl Contextualizer {
     /// [`LabelModel::fit_from`]. Refined columns are served from the
     /// refined-column cache with unchanged tokens, so the MeTaL/triplet
     /// estimator recounts only the new LF's `m − 1` pairs per slot instead
-    /// of all `m(m−1)/2`. Unlike the warm seeds this never changes a bit
+    /// of all `m(m−1)/2`, by one scatter of the new column and one probe of
+    /// each other column. Unlike the warm seeds this never changes a bit
     /// of output.
     ///
     /// On well-conditioned matrices warm and cold fits converge to the

@@ -36,27 +36,6 @@ fn n_pairs(m: usize) -> usize {
     m * m.saturating_sub(1) / 2
 }
 
-/// Co-vote counts of two sorted columns: `(agreements, overlap)` over the
-/// examples both cover.
-fn co_votes(a: &LfColumn, b: &LfColumn) -> (u32, u32) {
-    let (a, b) = (a.entries(), b.entries());
-    let (mut agree, mut total) = (0u32, 0u32);
-    let (mut p, mut q) = (0usize, 0usize);
-    while p < a.len() && q < b.len() {
-        match a[p].0.cmp(&b[q].0) {
-            std::cmp::Ordering::Less => p += 1,
-            std::cmp::Ordering::Greater => q += 1,
-            std::cmp::Ordering::Equal => {
-                total += 1;
-                agree += u32::from(a[p].1 == b[q].1);
-                p += 1;
-                q += 1;
-            }
-        }
-    }
-    (agree, total)
-}
-
 /// Pairwise co-vote counts of a label matrix, kept in step with it by
 /// [`PairCounts::sync`].
 ///
@@ -69,12 +48,16 @@ fn co_votes(a: &LfColumn, b: &LfColumn) -> (u32, u32) {
 /// Counts are keyed by each column's [`LfColumn::token`]: equal tokens
 /// guarantee equal votes, so a sync recounts only the pairs touching a
 /// column whose token changed, that was appended, or that was truncated
-/// away. In an interactive session a round appends one LF and serves every
-/// other refined column from the contextualizer's cache with its token
-/// unchanged, so a sync costs `m − 1` column merges instead of
-/// `m(m−1)/2`. The counts are `u32`: an overlap is bounded by the number
-/// of examples, whose ids are `u32`. [`PairCounts::default`] holds no
-/// columns, so its first sync counts every pair.
+/// away. Each stale column is scattered once into a dense vote scratch,
+/// and each of its pairs is counted by probing the other column's entries
+/// against it, so a stale column costs `O(Σ coverage)` over the columns
+/// it pairs with, with no per-pair merge. In an interactive session a
+/// round appends one LF and serves every other refined column from the
+/// contextualizer's cache with its token unchanged, so a sync recounts
+/// `m − 1` pairs in one scatter and `m − 1` probes. The counts are `u32`:
+/// an overlap is bounded by the number of examples, whose ids are `u32`.
+/// [`PairCounts::default`] holds no columns, so its first sync counts
+/// every pair.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PairCounts {
     /// Token of each counted column, in column order.
@@ -95,7 +78,9 @@ impl PairCounts {
     /// column pairs recounted: every pair touching a column whose token
     /// differs from the last sync or that is new. Columns past
     /// `matrix.n_lfs()` are dropped. An unchanged matrix costs `O(m)`
-    /// token compares and recounts nothing.
+    /// token compares and recounts nothing; otherwise each stale column
+    /// costs one scatter into an `n_examples` scratch plus one probe of
+    /// every column it pairs with, `O(Σ coverage)` in all.
     pub fn sync(&mut self, matrix: &LabelMatrix) -> usize {
         let m = matrix.n_lfs();
         self.tokens.truncate(m);
@@ -112,15 +97,33 @@ impl PairCounts {
         self.tokens = matrix.columns().map(LfColumn::token).collect();
         self.agree.resize(n_pairs(m), 0);
         self.total.resize(n_pairs(m), 0);
+        // Dense votes of the scattered column (0 = abstain); every other
+        // entry is 0 between scatters.
+        let mut dense = vec![0i8; matrix.n_examples()];
         let mut recounted = 0;
-        for k in 1..m {
-            for j in 0..k {
-                if stale[j] || stale[k] {
-                    let (agree, total) = co_votes(matrix.column(j), matrix.column(k));
-                    self.agree[tri(j, k)] = agree;
-                    self.total[tri(j, k)] = total;
-                    recounted += 1;
+        for s in (0..m).filter(|&s| stale[s]) {
+            let col = matrix.column(s).entries();
+            for &(i, v) in col {
+                dense[i as usize] = v;
+            }
+            // Each stale pair is counted once, at the scatter of its
+            // first stale column: `s` pairs with every later column and
+            // with every earlier column that is not stale (`s` itself is).
+            for c in (0..m).filter(|&c| c > s || !stale[c]) {
+                let (mut agree, mut total) = (0u32, 0u32);
+                // Votes are ±1, so `d == v` implies `d != 0`.
+                for &(i, v) in matrix.column(c).entries() {
+                    let d = dense[i as usize];
+                    total += u32::from(d != 0);
+                    agree += u32::from(d == v);
                 }
+                let idx = if s < c { tri(s, c) } else { tri(c, s) };
+                self.agree[idx] = agree;
+                self.total[idx] = total;
+                recounted += 1;
+            }
+            for &(i, _) in col {
+                dense[i as usize] = 0;
             }
         }
         recounted
@@ -275,6 +278,122 @@ mod tests {
     use super::*;
     use nemo_lf::{Label, LfColumn};
     use nemo_sparse::DetRng;
+    use proptest::prelude::*;
+
+    /// Co-vote counts of two sorted columns by merge join: `(agreements,
+    /// overlap)` over the examples both cover. The oracle of
+    /// [`PairCounts::sync`]'s scatter-and-probe counting.
+    fn co_votes(a: &LfColumn, b: &LfColumn) -> (u32, u32) {
+        let (a, b) = (a.entries(), b.entries());
+        let (mut agree, mut total) = (0u32, 0u32);
+        let (mut p, mut q) = (0usize, 0usize);
+        while p < a.len() && q < b.len() {
+            match a[p].0.cmp(&b[q].0) {
+                std::cmp::Ordering::Less => p += 1,
+                std::cmp::Ordering::Greater => q += 1,
+                std::cmp::Ordering::Equal => {
+                    total += 1;
+                    agree += u32::from(a[p].1 == b[q].1);
+                    p += 1;
+                    q += 1;
+                }
+            }
+        }
+        (agree, total)
+    }
+
+    /// A column over `n` examples of the given shape: `0` empty, `1` a
+    /// single entry, `2` about half coverage, `3` full coverage; votes are
+    /// random ±1.
+    fn shaped_column(n: usize, kind: u8, seed: u64) -> LfColumn {
+        let mut rng = DetRng::new(seed);
+        let vote = |rng: &mut DetRng| if rng.bernoulli(0.5) { 1 } else { -1 };
+        let entries = match kind {
+            0 => Vec::new(),
+            1 if n > 0 => vec![((seed % n as u64) as u32, vote(&mut rng))],
+            1 => Vec::new(),
+            2 => {
+                let mut entries = Vec::new();
+                for i in 0..n as u32 {
+                    if rng.bernoulli(0.5) {
+                        entries.push((i, vote(&mut rng)));
+                    }
+                }
+                entries
+            }
+            _ => (0..n as u32).map(|i| (i, vote(&mut rng))).collect(),
+        };
+        LfColumn::new(entries)
+    }
+
+    /// Every pair's synced counts equal the merge-join oracle's.
+    fn check_oracle(counts: &PairCounts, matrix: &LabelMatrix) -> Result<(), String> {
+        let m = matrix.n_lfs();
+        prop_assert_eq!(counts.n_columns(), m);
+        prop_assert_eq!(counts.agree.len(), n_pairs(m));
+        prop_assert_eq!(counts.total.len(), n_pairs(m));
+        for k in 1..m {
+            for j in 0..k {
+                let want = co_votes(matrix.column(j), matrix.column(k));
+                let got = (counts.agree[tri(j, k)], counts.total[tri(j, k)]);
+                prop_assert_eq!(got, want, "pair ({}, {}) of {} columns", j, k, m);
+            }
+        }
+        Ok(())
+    }
+
+    fn matrix_of(n: usize, cols: &[LfColumn]) -> LabelMatrix {
+        let mut matrix = LabelMatrix::new(n);
+        for col in cols {
+            matrix.push(col.clone());
+        }
+        matrix
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn prop_synced_counts_equal_merge_join(
+            drawn_n in 2usize..80,
+            initial in proptest::collection::vec((0u8..4, 0u64..1_000_000), 0..9),
+            appended in proptest::collection::vec((0u8..4, 0u64..1_000_000), 1..5),
+            replacement in (0u8..4, 0u64..1_000_000),
+        ) {
+            // Every case also runs at 0 examples (all columns empty) and 1.
+            for n in [0, 1, drawn_n] {
+                let shape = |&(kind, seed): &(u8, u64)| shaped_column(n, kind, seed);
+                let mut cols: Vec<LfColumn> = initial.iter().map(shape).collect();
+                let mut counts = PairCounts::default();
+
+                // Cold: every pair counted.
+                let matrix = matrix_of(n, &cols);
+                prop_assert_eq!(counts.sync(&matrix), n_pairs(cols.len()));
+                check_oracle(&counts, &matrix)?;
+
+                // Appends: only the new columns' pairs are recounted.
+                let before = cols.len();
+                cols.extend(appended.iter().map(shape));
+                let matrix = matrix_of(n, &cols);
+                prop_assert_eq!(counts.sync(&matrix), n_pairs(cols.len()) - n_pairs(before));
+                check_oracle(&counts, &matrix)?;
+
+                // A fresh-token replacement of a middle column.
+                let mid = cols.len() / 2;
+                cols[mid] = shape(&replacement);
+                let matrix = matrix_of(n, &cols);
+                prop_assert_eq!(counts.sync(&matrix), cols.len() - 1);
+                check_oracle(&counts, &matrix)?;
+
+                // Truncation to 2, 1 and 0 columns recounts nothing.
+                for keep in [2, 1, 0] {
+                    cols.truncate(keep);
+                    let matrix = matrix_of(n, &cols);
+                    prop_assert_eq!(counts.sync(&matrix), 0);
+                    check_oracle(&counts, &matrix)?;
+                }
+            }
+        }
+    }
 
     fn planted(n: usize, specs: &[(f64, f64)], seed: u64) -> (LabelMatrix, Vec<Label>) {
         let mut rng = DetRng::new(seed);

@@ -53,9 +53,11 @@ pub fn percentile(values: &[f64], p: f64) -> f64 {
 /// `O(n · ranks)` worst case instead of `O(n log n)`, and bit-identical to
 /// `percentile(values, p)` for each `p`: it interpolates the same two
 /// order statistics with the same arithmetic. (Values that compare equal
-/// are bitwise equal, except `0.0` and `-0.0`.)
+/// are bitwise equal, except `0.0` and `-0.0`.) The selection compares
+/// with [`f64::total_cmp`]; NaN is rejected by one pass before it.
 ///
-/// Panics on empty input and on `p` outside \[0, 100\], like [`percentile`].
+/// Panics on empty input, on NaN input and on `p` outside \[0, 100\],
+/// like [`percentile`].
 pub fn percentiles(values: &[f64], ps: &[f64]) -> Vec<f64> {
     assert!(!values.is_empty(), "percentile of empty slice");
     let last = values.len() - 1;
@@ -72,16 +74,15 @@ pub fn percentiles(values: &[f64], ps: &[f64]) -> Vec<f64> {
     let mut ranks: Vec<usize> = spans.iter().flat_map(|&(lo, hi, _)| [lo, hi]).collect();
     ranks.sort_unstable();
     ranks.dedup();
+    // invariant: inputs are distances, which the kernels keep finite.
+    assert!(!values.iter().any(|v| v.is_nan()), "NaN in percentile input");
     let mut scratch = values.to_vec();
     // Everything left of `start` is ≤ every element from `start` on, so
     // selecting rank `r` inside the suffix places the `r`-th order
     // statistic of the whole slice at index `r`.
     let mut start = 0;
     for r in ranks {
-        // invariant: inputs are distances, which the kernels keep finite.
-        scratch[start..].select_nth_unstable_by(r - start, |a, b| {
-            a.partial_cmp(b).expect("NaN in percentile input")
-        });
+        scratch[start..].select_nth_unstable_by(r - start, f64::total_cmp);
         start = r + 1;
     }
     let interpolate = |(lo, hi, frac): (usize, usize, f64)| {
@@ -263,6 +264,42 @@ mod tests {
     #[should_panic(expected = "percentile p out of range")]
     fn percentiles_panic_on_negative_p() {
         percentiles(&[1.0, 2.0], &[-1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN in percentile input")]
+    fn percentile_panics_on_leading_nan() {
+        percentile(&[f64::NAN, 1.0, 2.0], 50.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN in percentile input")]
+    fn percentile_panics_on_middle_nan() {
+        percentile(&[1.0, f64::NAN, 2.0], 50.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN in percentile input")]
+    fn percentile_panics_on_trailing_nan() {
+        percentile(&[1.0, 2.0, f64::NAN], 50.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN in percentile input")]
+    fn percentiles_panic_on_leading_nan() {
+        percentiles(&[f64::NAN, 1.0, 2.0], &[0.0, 50.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN in percentile input")]
+    fn percentiles_panic_on_middle_nan() {
+        percentiles(&[1.0, f64::NAN, 2.0], &[0.0, 50.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN in percentile input")]
+    fn percentiles_panic_on_trailing_nan() {
+        percentiles(&[1.0, 2.0, f64::NAN], &[0.0, 50.0]);
     }
 
     #[test]
