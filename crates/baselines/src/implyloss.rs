@@ -218,7 +218,6 @@ impl LearningPipeline for ImplyLossPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nemo_core::engines::ExampleEngine;
     use nemo_core::idp::{run_curve, LearningCurve, RandomSelector};
     use nemo_core::oracle::SimulatedUser;
     use nemo_core::session::Session;
@@ -230,10 +229,11 @@ mod tests {
         let mut session = Session::new(ds, config);
         let curve = run_curve(
             &mut session,
-            &mut ExampleEngine::new(RandomSelector),
+            &mut RandomSelector,
             &mut SimulatedUser::default(),
             &mut ImplyLossPipeline::default(),
-        );
+        )
+        .unwrap();
         (session, curve)
     }
 

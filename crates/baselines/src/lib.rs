@@ -1,18 +1,18 @@
 //! # nemo-baselines
 //!
 //! Every method the paper compares Nemo against (Sec. 5.2). The IDP
-//! baselines are the one example-selection round of `nemo-core` — an
-//! [`nemo_core::ExampleEngine`] over their selector, looped by
+//! baselines are the one example-selection round of `nemo-core` —
+//! [`nemo_core::Session::round`] over their selector, looped by
 //! [`nemo_core::run_curve`] — with their own parts. The others ask the
 //! user for labels or candidate judgements rather than LFs, so they keep
 //! their own loops.
 //!
 //! | Paper name | Here | Runs as |
 //! |---|---|---|
-//! | Snorkel \[28\] | [`methods::Method::Snorkel`] | `ExampleEngine` over `RandomSelector`, standard learning |
-//! | Snorkel-Abs \[9\] | [`selectors::AbstainSelector`] | `ExampleEngine`, standard learning |
-//! | Snorkel-Dis \[9\] | [`selectors::DisagreeSelector`] | `ExampleEngine`, standard learning |
-//! | ImplyLoss-L \[3\] | [`implyloss::ImplyLossPipeline`] | `ExampleEngine` over `RandomSelector`, ImplyLoss learning |
+//! | Snorkel \[28\] | [`methods::Method::Snorkel`] | `Session::round` over `RandomSelector`, standard learning |
+//! | Snorkel-Abs \[9\] | [`selectors::AbstainSelector`] | `Session::round`, standard learning |
+//! | Snorkel-Dis \[9\] | [`selectors::DisagreeSelector`] | `Session::round`, standard learning |
+//! | ImplyLoss-L \[3\] | [`implyloss::ImplyLossPipeline`] | `Session::round` over `RandomSelector`, ImplyLoss learning |
 //! | US \[20\] | [`active::UncertaintyAcquisition`] | own loop: one label query per iteration |
 //! | BALD \[12, 17\] | [`active::BaldAcquisition`] | own loop: one label query per iteration |
 //! | IWS-LSE \[6\] | [`iws::IwsLse`] | own loop: one candidate-LF judgement per iteration |

@@ -9,7 +9,6 @@ use crate::iws::IwsLse;
 use crate::selectors::{AbstainSelector, DisagreeSelector};
 use crate::weasul::ActiveWeasul;
 use nemo_core::config::{ContextualizerConfig, IdpConfig};
-use nemo_core::engines::ExampleEngine;
 use nemo_core::idp::{run_curve, LearningCurve, RandomSelector, Selector};
 use nemo_core::oracle::{NoisyUser, SimulatedUser, User};
 use nemo_core::pipeline::{ContextualizedPipeline, LearningPipeline, StandardPipeline};
@@ -134,15 +133,17 @@ impl RunSpec {
 fn idp_run(
     ds: &Dataset,
     spec: &RunSpec,
-    selector: impl Selector + Send,
+    mut selector: impl Selector,
     mut pipeline: impl LearningPipeline,
 ) -> LearningCurve {
     run_curve(
         &mut Session::new(ds, spec.idp.clone()),
-        &mut ExampleEngine::new(selector),
+        &mut selector,
         &mut *spec.build_user(),
         &mut pipeline,
     )
+    // invariant: a fresh session holds no pending suggestion.
+    .expect("fresh session")
 }
 
 /// Run `method` on `ds` under `spec`, returning its learning curve.

@@ -13,10 +13,6 @@ use nemo_sparse::DetRng;
 pub struct AbstainSelector;
 
 impl Selector for AbstainSelector {
-    fn name(&self) -> &'static str {
-        "Abstain"
-    }
-
     fn select(&mut self, view: &SelectionView<'_>, rng: &mut DetRng) -> Option<usize> {
         let avail = view.available();
         if avail.is_empty() {
@@ -36,10 +32,6 @@ impl Selector for AbstainSelector {
 pub struct DisagreeSelector;
 
 impl Selector for DisagreeSelector {
-    fn name(&self) -> &'static str {
-        "Disagree"
-    }
-
     fn select(&mut self, view: &SelectionView<'_>, rng: &mut DetRng) -> Option<usize> {
         let avail = view.available();
         if avail.is_empty() {

@@ -8,7 +8,6 @@
 
 use nemo_bench::{write_csv, Table};
 use nemo_core::config::IdpConfig;
-use nemo_core::engines::{ExampleEngine, SelectionEngine};
 use nemo_core::idp::{RandomSelector, Selector};
 use nemo_core::oracle::SimulatedUser;
 use nemo_core::pipeline::StandardPipeline;
@@ -23,14 +22,14 @@ fn small_cluster_rate(selector: &mut dyn Selector, seed: u64) -> f64 {
     let ds = toy_text(11);
     let config = IdpConfig { n_iterations: 0, eval_every: 5, seed, ..Default::default() };
     let mut session = Session::new(&ds, config);
-    let mut engine = ExampleEngine::new(RandomSelector);
+    let mut random = RandomSelector;
     let (mut user, mut pipeline) = (SimulatedUser::default(), StandardPipeline);
     // Seed: 8 scripted steps whose dev examples come from clusters 0/1
     // only (mimicking the figure's starting state). We emulate this by
     // running the session until 8 LFs from big clusters are collected.
     let mut collected = 0;
     while collected < 8 {
-        let rec = engine.round(&mut session, &mut user, &mut pipeline).expect("round resolves");
+        let rec = session.round(&mut random, &mut user, &mut pipeline).expect("round resolves");
         match rec.selected {
             Some(x) if ds.train.clusters[x] <= 1 && !rec.new_lfs.is_empty() => collected += 1,
             _ => {}

@@ -21,7 +21,6 @@ use std::time::Instant;
 
 use nemo_core::config::{ContextualizerConfig, IdpConfig};
 use nemo_core::contextualizer::Contextualizer;
-use nemo_core::engines::{ExampleEngine, SelectionEngine};
 use nemo_core::idp::{run_curve, ModelOutputs, RandomSelector, SelectionView};
 use nemo_core::oracle::{SimulatedUser, User};
 use nemo_core::pipeline::StandardPipeline;
@@ -87,10 +86,12 @@ fn prepared_session(ds: &Dataset) -> Session<'_> {
     let mut session = Session::new(ds, config);
     run_curve(
         &mut session,
-        &mut ExampleEngine::new(RandomSelector),
+        &mut RandomSelector,
         &mut SimulatedUser::default(),
         &mut StandardPipeline,
-    );
+    )
+    // invariant: a fresh session holds no pending suggestion.
+    .expect("fresh session");
     session
 }
 
@@ -271,12 +272,12 @@ fn replay(
 fn record_trajectory(ds: &Dataset) -> (Vec<ModelOutputs>, Lineage) {
     let config = IdpConfig { n_iterations: 25, eval_every: 25, seed: 7, ..Default::default() };
     let mut session = Session::new(ds, config);
-    let mut engine = ExampleEngine::new(SeuSelector::new());
+    let mut selector = SeuSelector::new();
     let mut user = SimulatedUser::default();
     let mut pipeline = StandardPipeline;
     let mut trajectory = vec![session.outputs().clone()];
     for _ in 0..25 {
-        engine.round(&mut session, &mut user, &mut pipeline).expect("round resolves");
+        session.round(&mut selector, &mut user, &mut pipeline).expect("round resolves");
         trajectory.push(session.outputs().clone());
     }
     (trajectory, session.lineage().clone())

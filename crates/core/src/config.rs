@@ -41,13 +41,14 @@ impl LabelModelKind {
     }
 }
 
-/// Which selection engine drives the interactive loop: SEU example
-/// selection, the paper's protocol, is the only one.
-// lint: allow(doctrine/unregistered-switch): one variant, no other path;
-// kept because perfbench's run stamp reads `config.selection.name()`.
+/// The selection strategy a session records: SEU example selection, the
+/// paper's protocol, is the only one. No code path builds anything from
+/// it; only the persist CONFIG tag and perfbench's run stamp read it.
+// lint: allow(doctrine/unregistered-switch): one variant, no dispatch;
+// kept for the persist CONFIG tag and perfbench's run stamp.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SelectionStrategy {
-    /// SEU development-example selection: the engine picks the most
+    /// SEU development-example selection: the selector picks the most
     /// useful unlabeled example and the user authors an LF for it.
     #[default]
     Seu,
@@ -93,7 +94,8 @@ pub struct IdpConfig {
     /// LFs the user may return per iteration (1 = the paper's atomic
     /// setting; >1 enables the Sec. 7 multi-LF extension).
     pub lfs_per_iteration: usize,
-    /// Which selection engine drives the loop.
+    /// The recorded selection strategy (always SEU; see
+    /// [`SelectionStrategy`]).
     pub selection: SelectionStrategy,
     /// Master seed for the run.
     pub seed: u64,

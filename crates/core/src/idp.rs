@@ -11,13 +11,13 @@
 //!    learns from the LFs collected so far and exposes its model state
 //!    back to the selector for the next cycle.
 //!
-//! [`crate::engines::ExampleEngine`] runs those stages as one round over
-//! any selector, and [`run_curve`] drives rounds over a [`Session`] on
-//! the paper's evaluation cadence. Every method in the paper's
+//! [`Session::round`] runs those stages as one round over any selector,
+//! and [`run_curve`] loops rounds over a [`Session`] on the paper's
+//! evaluation cadence. Every method in the paper's
 //! evaluation — Nemo, Snorkel, Snorkel-Abs/Dis, the SEU and
 //! contextualizer ablations — is an instantiation of that one loop.
 
-use crate::engines::SelectionEngine;
+use crate::error::SessionError;
 use crate::oracle::User;
 use crate::pipeline::LearningPipeline;
 use crate::session::{Session, SeuAggregates};
@@ -106,9 +106,6 @@ impl<'a> SelectionView<'a> {
 
 /// A development-data selection strategy (IDP stage 1).
 pub trait Selector {
-    /// Name for reports ("SEU", "Random", …).
-    fn name(&self) -> &'static str;
-
     /// Pick the next development example, or `None` when the pool is
     /// exhausted.
     fn select(&mut self, view: &SelectionView<'_>, rng: &mut DetRng) -> Option<usize>;
@@ -119,10 +116,6 @@ pub trait Selector {
 pub struct RandomSelector;
 
 impl Selector for RandomSelector {
-    fn name(&self) -> &'static str {
-        "Random"
-    }
-
     fn select(&mut self, view: &SelectionView<'_>, rng: &mut DetRng) -> Option<usize> {
         let avail = view.available();
         if avail.is_empty() {
@@ -176,39 +169,37 @@ impl LearningCurve {
     }
 }
 
-/// Run `session` for its configured `n_iterations`, one `engine` round
-/// per iteration, and record the test score every `eval_every`
-/// iterations (the paper's protocol). This is the one curve loop:
-/// [`crate::NemoSystem::run_with_user`] and every IDP method of the
-/// benchmark's `run_method` go through it.
+/// Run `session` for its configured `n_iterations`, one
+/// [`Session::round`] over `selector` per iteration, and record the test
+/// score every `eval_every` iterations (the paper's protocol). This is the
+/// one curve loop: [`crate::NemoSystem::run_with_user`] and every IDP
+/// method of the benchmark's `run_method` go through it.
 ///
-/// # Panics
+/// # Errors
 ///
-/// If `session` holds an unresolved suggestion from the manual
-/// suggest/submit frontend.
+/// [`SessionError::SuggestionPending`] if `session` holds an unresolved
+/// suggestion from the manual suggest/submit frontend; the first round
+/// fails before changing any state.
 pub fn run_curve(
     session: &mut Session<'_>,
-    engine: &mut dyn SelectionEngine,
+    selector: &mut dyn Selector,
     user: &mut dyn User,
     pipeline: &mut dyn LearningPipeline,
-) -> LearningCurve {
+) -> Result<LearningCurve, SessionError> {
     let mut curve = LearningCurve::default();
     for t in 0..session.config().n_iterations {
-        // invariant: every round resolves the suggestion it makes, so the
-        // protocol errors are unreachable from here.
-        engine.round(session, user, pipeline).expect("loop never leaves a suggestion pending");
+        session.round(selector, user, pipeline)?;
         if session.config().evaluates_after(t + 1) {
             curve.push(t + 1, session.test_score());
         }
     }
-    curve
+    Ok(curve)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{IdpConfig, LabelModelKind};
-    use crate::engines::ExampleEngine;
     use crate::oracle::SimulatedUser;
     use crate::pipeline::StandardPipeline;
     use nemo_data::catalog::toy_text;
@@ -219,14 +210,15 @@ mod tests {
 
     /// Snorkel's parts: random selection, the oracle user, standard
     /// learning.
-    fn snorkel() -> (ExampleEngine<RandomSelector>, SimulatedUser, StandardPipeline) {
-        (ExampleEngine::new(RandomSelector), SimulatedUser::default(), StandardPipeline)
+    fn snorkel() -> (RandomSelector, SimulatedUser, StandardPipeline) {
+        (RandomSelector, SimulatedUser::default(), StandardPipeline)
     }
 
     fn snorkel_curve(ds: &Dataset, seed: u64) -> LearningCurve {
         let mut session = Session::new(ds, config(seed));
-        let (mut engine, mut user, mut pipeline) = snorkel();
-        run_curve(&mut session, &mut engine, &mut user, &mut pipeline)
+        let (mut selector, mut user, mut pipeline) = snorkel();
+        // invariant: a fresh session holds no pending suggestion.
+        run_curve(&mut session, &mut selector, &mut user, &mut pipeline).expect("fresh session")
     }
 
     #[test]
@@ -242,8 +234,8 @@ mod tests {
     fn step_collects_lfs_and_updates_models() {
         let ds = toy_text(1);
         let mut s = Session::new(&ds, config(1));
-        let (mut engine, mut user, mut pipeline) = snorkel();
-        let rec = engine.round(&mut s, &mut user, &mut pipeline).unwrap();
+        let (mut selector, mut user, mut pipeline) = snorkel();
+        let rec = s.round(&mut selector, &mut user, &mut pipeline).unwrap();
         assert_eq!(rec.iteration, 0);
         assert!(rec.selected.is_some());
         assert_eq!(s.lineage().len(), rec.new_lfs.len());
@@ -255,10 +247,10 @@ mod tests {
     fn selected_examples_are_not_reselected() {
         let ds = toy_text(1);
         let mut s = Session::new(&ds, config(2));
-        let (mut engine, mut user, mut pipeline) = snorkel();
+        let (mut selector, mut user, mut pipeline) = snorkel();
         let mut seen = std::collections::HashSet::new();
         for _ in 0..10 {
-            let rec = engine.round(&mut s, &mut user, &mut pipeline).unwrap();
+            let rec = s.round(&mut selector, &mut user, &mut pipeline).unwrap();
             if let Some(x) = rec.selected {
                 assert!(seen.insert(x), "example {x} selected twice");
             }
@@ -308,16 +300,16 @@ mod tests {
         let config =
             IdpConfig { n_iterations: n + 5, label_model: LabelModelKind::Majority, ..config(1) };
         let mut s = Session::new(&ds, config);
-        let (mut engine, mut user, mut pipeline) = snorkel();
+        let (mut selector, mut user, mut pipeline) = snorkel();
         for _ in 0..n {
-            engine.round(&mut s, &mut user, &mut pipeline).unwrap();
+            s.round(&mut selector, &mut user, &mut pipeline).unwrap();
         }
         let bits = |s: &Session<'_>| -> Vec<u64> {
             s.outputs().train_probs.iter().map(|p| p.to_bits()).collect()
         };
         let frozen = bits(&s);
         for t in n..n + 5 {
-            let rec = engine.round(&mut s, &mut user, &mut pipeline).unwrap();
+            let rec = s.round(&mut selector, &mut user, &mut pipeline).unwrap();
             assert_eq!(rec.selected, None, "iteration {t}");
             assert_eq!(bits(&s), frozen, "iteration {t} re-learned the model");
         }

@@ -13,13 +13,15 @@
 //!   radius of its development data point (Eq. 4), exploiting the
 //!   data-to-LF lineage.
 //!
-//! Plus the machinery around them: the reusable interactive [`session`]
-//! engine (incremental SEU aggregates, table-driven scoring), the [`idp`] loop
-//! shared by all methods, the selection [`engines`] that run one round
-//! each, [`pipeline`]s (standard vs contextualized learning), the
-//! simulated user [`oracle`] (Sec. 5.1), the ergonomic [`system`] facade, the multi-LF extension of Sec. 7 ([`multi_lf`]), and
-//! the multi-tenant serving layer — the immutable [`artifacts`] shared by
-//! every user and the [`pool`] scheduling hundreds of sessions over them.
+//! Plus the machinery around them: the interactive [`session`] state
+//! machine (incremental SEU aggregates, table-driven scoring) whose
+//! `Session::round` runs one select → develop → learn round over any
+//! [`idp::Selector`], the [`idp`] curve loop shared by all methods,
+//! [`pipeline`]s (standard vs contextualized learning), the simulated user
+//! [`oracle`] (Sec. 5.1), the ergonomic [`system`] facade, the multi-LF
+//! extension of Sec. 7 ([`multi_lf`]), and the multi-tenant serving layer
+//! — the immutable [`artifacts`] shared by every user and the [`pool`]
+//! scheduling hundreds of sessions over them.
 
 #![warn(missing_docs)]
 
@@ -27,7 +29,6 @@ pub mod artifacts;
 pub mod checkpoint;
 pub mod config;
 pub mod contextualizer;
-pub mod engines;
 pub mod error;
 pub mod idp;
 pub mod multi_lf;
@@ -44,7 +45,6 @@ pub use artifacts::SharedArtifacts;
 pub use checkpoint::SessionCheckpoint;
 pub use config::{ContextualizerConfig, IdpConfig, LabelModelKind, SelectionStrategy};
 pub use contextualizer::Contextualizer;
-pub use engines::{engine_for, ExampleEngine, SelectionEngine};
 pub use error::{RestoreError, SessionError};
 pub use idp::{
     run_curve, LearningCurve, ModelOutputs, RandomSelector, SelectionView, Selector, StepRecord,

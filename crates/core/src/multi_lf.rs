@@ -27,7 +27,6 @@ pub fn multi_lf_selector() -> SeuSelector {
 mod tests {
     use super::*;
     use crate::config::IdpConfig;
-    use crate::engines::{ExampleEngine, SelectionEngine};
     use crate::idp::run_curve;
     use crate::oracle::SimulatedUser;
     use crate::pipeline::ContextualizedPipeline;
@@ -52,12 +51,12 @@ mod tests {
             ..Default::default()
         };
         let mut session = Session::new(&ds, config);
-        let mut engine = ExampleEngine::new(multi_lf_selector());
+        let mut selector = multi_lf_selector();
         let (mut user, mut pipeline) =
             (SimulatedUser::default(), ContextualizedPipeline::default());
         let mut total = 0;
         for _ in 0..6 {
-            total += engine.round(&mut session, &mut user, &mut pipeline).unwrap().new_lfs.len();
+            total += session.round(&mut selector, &mut user, &mut pipeline).unwrap().new_lfs.len();
         }
         assert_eq!(session.lineage().len(), total);
         assert!(total > 6, "multi-LF mode should exceed one LF per iteration, got {total}");
@@ -86,10 +85,11 @@ mod tests {
             };
             run_curve(
                 &mut Session::new(&ds, config),
-                &mut ExampleEngine::new(multi_lf_selector()),
+                &mut multi_lf_selector(),
                 &mut SimulatedUser::default(),
                 &mut ContextualizedPipeline::default(),
             )
+            .unwrap()
             .summary()
         };
         let n_seeds = 8;

@@ -191,7 +191,6 @@ impl LearningPipeline for ContextualizedPipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engines::{ExampleEngine, SelectionEngine};
     use crate::idp::{run_curve, RandomSelector};
     use crate::oracle::SimulatedUser;
     use crate::session::Session;
@@ -205,10 +204,11 @@ mod tests {
         let config = IdpConfig { n_iterations: 12, eval_every: 3, seed, ..Default::default() };
         run_curve(
             &mut Session::new(ds, config),
-            &mut ExampleEngine::new(RandomSelector),
+            &mut RandomSelector,
             &mut SimulatedUser::default(),
             &mut pipeline,
         )
+        .unwrap()
     }
 
     #[test]
@@ -223,9 +223,9 @@ mod tests {
         let ds = toy_text(1);
         let config = IdpConfig { n_iterations: 6, eval_every: 3, seed: 2, ..Default::default() };
         let mut session = Session::new(&ds, config);
-        ExampleEngine::new(RandomSelector)
+        session
             .round(
-                &mut session,
+                &mut RandomSelector,
                 &mut SimulatedUser::default(),
                 &mut ContextualizedPipeline::default(),
             )

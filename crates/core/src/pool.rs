@@ -45,8 +45,7 @@ use std::time::Instant;
 
 use crate::artifacts::SharedArtifacts;
 use crate::checkpoint::SessionCheckpoint;
-use crate::config::{ContextualizerConfig, IdpConfig};
-use crate::engines::engine_for;
+use crate::config::IdpConfig;
 use crate::error::{RestoreError, SessionError};
 use crate::idp::StepRecord;
 use crate::oracle::User;
@@ -141,13 +140,11 @@ pub struct PoolConfig {
     /// to compare fixed worker budgets without touching the process
     /// environment.
     pub workers: Option<usize>,
-    /// Contextualizer settings applied to every admitted session.
-    pub ctx: ContextualizerConfig,
 }
 
 impl Default for PoolConfig {
     fn default() -> Self {
-        Self { max_resident: 64, workers: None, ctx: ContextualizerConfig::default() }
+        Self { max_resident: 64, workers: None }
     }
 }
 
@@ -266,11 +263,11 @@ impl std::error::Error for PoolError {
     }
 }
 
-/// Residency state of one admitted session. The live engine is boxed so
+/// Residency state of one admitted session. The live system is boxed so
 /// an evicted or closed slot costs one pointer, not a `NemoSystem`-sized
 /// hole in the slot table.
 enum Slot<'a> {
-    /// Materialized: live engine state, ready to serve a round.
+    /// Materialized: live system state, ready to serve a round.
     Resident {
         system: Box<NemoSystem<'a>>,
         /// LRU clock stamp of the last access.
@@ -357,13 +354,7 @@ impl<'a> SessionPool<'a> {
     /// store rejects the checkpoint.
     pub fn admit(&mut self, config: IdpConfig) -> Result<SessionId, PoolError> {
         self.make_room(1)?;
-        let engine = engine_for(&config);
-        let system = Box::new(NemoSystem::with_components(
-            self.artifacts.dataset(),
-            config,
-            engine,
-            self.config.ctx.clone(),
-        ));
+        let system = Box::new(NemoSystem::new(self.artifacts.dataset(), config));
         let id = SessionId(self.slots.len() as u64);
         self.clock += 1;
         self.slots.push(Some(Slot::Resident { system, touch: self.clock }));
@@ -492,22 +483,19 @@ impl<'a> SessionPool<'a> {
         // The rounds themselves: independent per-session work, dynamically
         // scheduled. Each cell is touched by exactly one worker.
         let artifacts = self.artifacts;
-        let ctx = &self.config.ctx;
         parallel::par_for_each_stealing_with(&mut cells, workers, |_, cell| {
             // lint: allow(determinism/wall-clock): round_ns telemetry
             // only; it never feeds a result-affecting path.
             let timer = Instant::now();
             let mut system = match std::mem::replace(&mut cell.state, CellState::Failed) {
                 CellState::Live(system) => system,
-                CellState::Stored(ckpt) => {
-                    match NemoSystem::restore_with(artifacts.dataset(), &ckpt, ctx.clone()) {
-                        Ok(system) => Box::new(system),
-                        Err(source) => {
-                            cell.error = Some(PoolError::Restore { id: cell.id.raw(), source });
-                            return;
-                        }
+                CellState::Stored(ckpt) => match NemoSystem::restore(artifacts.dataset(), &ckpt) {
+                    Ok(system) => Box::new(system),
+                    Err(source) => {
+                        cell.error = Some(PoolError::Restore { id: cell.id.raw(), source });
+                        return;
                     }
-                }
+                },
                 // invariant: cells start Live or Stored and are visited once.
                 CellState::Failed => unreachable!("cell visited twice"),
             };
@@ -731,10 +719,9 @@ impl<'a> SessionPool<'a> {
             op: "load",
             reason,
         })?;
-        let system =
-            NemoSystem::restore_with(self.artifacts.dataset(), &ckpt, self.config.ctx.clone())
-                .map(Box::new)
-                .map_err(|source| PoolError::Restore { id: id.raw(), source })?;
+        let system = NemoSystem::restore(self.artifacts.dataset(), &ckpt)
+            .map(Box::new)
+            .map_err(|source| PoolError::Restore { id: id.raw(), source })?;
         self.clock += 1;
         self.slots[id.index()] = Some(Slot::Resident { system, touch: self.clock });
         self.stats.restores += 1;
@@ -794,7 +781,7 @@ mod tests {
     fn pooled_sessions_match_standalone_under_churn() {
         let arts = artifacts();
         // Capacity 1 forces an evict/restore between every pair of rounds.
-        let config = PoolConfig { max_resident: 1, workers: Some(1), ..Default::default() };
+        let config = PoolConfig { max_resident: 1, workers: Some(1) };
         let mut pool = SessionPool::new(&arts, config);
         let cfgs: Vec<IdpConfig> = (0..3).map(|i| idp(6, 100 + i)).collect();
         let ids: Vec<SessionId> = cfgs.iter().map(|c| pool.admit(c.clone()).unwrap()).collect();
@@ -829,8 +816,7 @@ mod tests {
     fn batch_rounds_match_serial_rounds() {
         let arts = artifacts();
         let mk_pool = |workers: usize| {
-            let config =
-                PoolConfig { max_resident: 2, workers: Some(workers), ..Default::default() };
+            let config = PoolConfig { max_resident: 2, workers: Some(workers) };
             SessionPool::new(&arts, config)
         };
 
@@ -887,7 +873,7 @@ mod tests {
     #[test]
     fn lru_evicts_the_least_recently_used() {
         let arts = artifacts();
-        let config = PoolConfig { max_resident: 2, workers: Some(1), ..Default::default() };
+        let config = PoolConfig { max_resident: 2, workers: Some(1) };
         let mut pool = SessionPool::new(&arts, config);
         let a = pool.admit(idp(4, 1)).unwrap();
         let b = pool.admit(idp(4, 2)).unwrap();
@@ -921,7 +907,7 @@ mod tests {
     #[test]
     fn stats_count_the_lifecycle() {
         let arts = artifacts();
-        let config = PoolConfig { max_resident: 1, workers: Some(1), ..Default::default() };
+        let config = PoolConfig { max_resident: 1, workers: Some(1) };
         let mut pool = SessionPool::new(&arts, config);
         let a = pool.admit(idp(4, 5)).unwrap();
         let b = pool.admit(idp(4, 6)).unwrap(); // evicts a
@@ -950,7 +936,7 @@ mod tests {
             }
         }
         let arts = artifacts();
-        let config = PoolConfig { max_resident: 1, workers: Some(1), ..Default::default() };
+        let config = PoolConfig { max_resident: 1, workers: Some(1) };
         let mut pool = SessionPool::with_store(&arts, config, Box::new(RejectingStore));
         let a = pool.admit(idp(4, 1)).unwrap();
         // Admitting a second session needs an eviction, which the store

@@ -1,8 +1,8 @@
-//! The reusable interactive engine: [`Session`] owns every piece of
+//! The interactive session state machine: [`Session`] owns every piece of
 //! long-lived IDP state and keeps the SEU scoring machinery **incremental**
 //! across rounds.
 //!
-//! Before this engine existed, each selection round rebuilt the
+//! Before this cache existed, each selection round rebuilt the
 //! per-primitive aggregates ([`PrimAgg`]) with a full `O(nnz(U))` pass over
 //! the inverted index, even though consecutive rounds share almost all of
 //! their model state. `Session` instead owns a [`SeuAggregates`] cache and
@@ -16,16 +16,17 @@
 //! from-scratch rebuild within `1e-9` and that selections driven by the
 //! cache are identical to selections recomputed from scratch.
 //!
-//! Everything interactive is a thin driver over this type: the selection
-//! [`crate::engines`] run their rounds against it, [`crate::idp::run_curve`]
-//! loops those rounds for [`crate::NemoSystem`] and every IDP method in
-//! `nemo-baselines`, and the suggest/submit frontend calls it directly —
-//! so every selector sees the same cached state.
+//! Everything interactive is a thin driver over this type:
+//! [`Session::round`] runs one select → develop → learn round over any
+//! [`Selector`], [`crate::idp::run_curve`] loops those rounds for
+//! [`crate::NemoSystem`] and every IDP method in `nemo-baselines`, and the
+//! suggest/submit frontend calls the stage methods directly — so every
+//! selector sees the same cached state.
 
 use crate::checkpoint::SessionCheckpoint;
 use crate::config::IdpConfig;
 use crate::error::{RestoreError, SessionError};
-use crate::idp::{ModelOutputs, SelectionView, Selector};
+use crate::idp::{ModelOutputs, SelectionView, Selector, StepRecord};
 use crate::oracle::User;
 use crate::pipeline::LearningPipeline;
 use crate::utility::PrimAgg;
@@ -241,8 +242,8 @@ impl SeuAggregates {
 /// `Session` is component-agnostic: selectors, users, and learning
 /// pipelines are passed *into* the methods that need them, so a single
 /// session can be driven interactively ([`Session::select_with`] /
-/// [`Session::submit`] / [`Session::skip`]) or round by round through a
-/// [`crate::engines::SelectionEngine`].
+/// [`Session::submit`] / [`Session::skip`]) or round by round through
+/// [`Session::round`].
 pub struct Session<'a> {
     ds: &'a Dataset,
     config: IdpConfig,
@@ -279,7 +280,7 @@ impl<'a> Session<'a> {
     }
 
     /// The dataset this session runs on. Returned at the dataset's own
-    /// lifetime (not the borrow's), so engines can hold it across
+    /// lifetime (not the borrow's), so callers can hold it across
     /// mutable session calls.
     pub fn dataset(&self) -> &'a Dataset {
         self.ds
@@ -438,7 +439,7 @@ impl<'a> Session<'a> {
     }
 
     /// Consume one iteration with the pool exhausted and the model frozen
-    /// (the example engine's round once no example is left).
+    /// ([`Session::round`] once no example is left).
     ///
     /// # Errors
     ///
@@ -449,6 +450,50 @@ impl<'a> Session<'a> {
         }
         self.iteration += 1;
         Ok(())
+    }
+
+    /// One full interactive round — the protocol of every IDP method in
+    /// the paper: `selector` picks a development example, `user` authors
+    /// LFs for it, and the session re-learns through `pipeline`; once the
+    /// pool is exhausted the round advances the frozen model instead.
+    ///
+    /// The round consumes exactly one iteration and never leaves a
+    /// suggestion pending. All randomness comes from the session's
+    /// checkpointed stream, so a restored session continues
+    /// bit-identically.
+    ///
+    /// # Errors
+    ///
+    /// [`SessionError::SuggestionPending`] if a manual-frontend
+    /// suggestion is still unresolved; no state changes.
+    pub fn round(
+        &mut self,
+        selector: &mut dyn Selector,
+        user: &mut dyn User,
+        pipeline: &mut dyn LearningPipeline,
+    ) -> Result<StepRecord, SessionError> {
+        let iteration = self.iteration;
+        let selected = self.select_with(selector)?;
+        let new_lfs = match selected {
+            Some(x) => {
+                // Multi-LF submissions share the pending example; an
+                // empty answer consumes the iteration like a skip.
+                let lfs = self.develop(x, user);
+                self.submit(lfs.clone(), pipeline)
+                    // invariant: users develop LFs over real primitives,
+                    // and `x` is the reservation this round just made.
+                    .expect("round submits its own suggestion");
+                lfs
+            }
+            None => {
+                // Pool exhausted: keep evaluating the frozen model.
+                // invariant: the selection above returned None, so no
+                // reservation exists.
+                self.advance_frozen().expect("no reservation outstanding");
+                Vec::new()
+            }
+        };
+        Ok(StepRecord { iteration, selected, new_lfs })
     }
 
     /// IDP stage 3: re-learn from the collected LFs, advance the
@@ -643,7 +688,6 @@ impl<'a> Session<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engines::{ExampleEngine, SelectionEngine};
     use crate::idp::RandomSelector;
     use crate::oracle::SimulatedUser;
     use crate::pipeline::StandardPipeline;
@@ -722,11 +766,11 @@ mod tests {
     fn cached_aggregates_track_full_rebuild_over_a_run() {
         let ds = toy_text(1);
         let mut s = Session::new(&ds, cfg(12, 4));
-        let mut engine = ExampleEngine::new(SeuSelector::new());
+        let mut selector = SeuSelector::new();
         let mut user = SimulatedUser::default();
         let mut pipeline = StandardPipeline;
         for _ in 0..12 {
-            engine.round(&mut s, &mut user, &mut pipeline).unwrap();
+            s.round(&mut selector, &mut user, &mut pipeline).unwrap();
             let rebuilt = SeuSelector::primitive_aggregates(&s.view());
             for (z, (cached, fresh)) in s.aggregates().aggs().iter().zip(&rebuilt).enumerate() {
                 assert_eq!(cached.df, fresh.df, "z={z}");
@@ -747,11 +791,11 @@ mod tests {
         // columns' vote buffers instead of memcpying them.
         let ds = toy_text(1);
         let mut s = Session::new(&ds, cfg(6, 9));
-        let mut engine = ExampleEngine::new(SeuSelector::new());
+        let mut selector = SeuSelector::new();
         let mut user = SimulatedUser::default();
         let mut pipeline = StandardPipeline;
         for _ in 0..6 {
-            engine.round(&mut s, &mut user, &mut pipeline).unwrap();
+            s.round(&mut selector, &mut user, &mut pipeline).unwrap();
         }
         let n_lfs = s.matrix().n_lfs();
         assert!(n_lfs > 0, "session collected no LFs");
@@ -785,11 +829,11 @@ mod tests {
     fn checkpoint_roundtrips_through_restore() {
         let ds = toy_text(1);
         let mut s = Session::new(&ds, cfg(12, 7));
-        let mut engine = ExampleEngine::new(SeuSelector::new());
+        let mut selector = SeuSelector::new();
         let mut user = SimulatedUser::default();
         let mut pipeline = StandardPipeline;
         for _ in 0..4 {
-            engine.round(&mut s, &mut user, &mut pipeline).unwrap();
+            s.round(&mut selector, &mut user, &mut pipeline).unwrap();
         }
         let ckpt = s.checkpoint();
         let r = Session::restore(&ds, &ckpt).expect("valid checkpoint restores");
@@ -830,11 +874,11 @@ mod tests {
         use crate::error::RestoreError;
         let ds = toy_text(1);
         let mut s = Session::new(&ds, cfg(12, 9));
-        let mut engine = ExampleEngine::new(SeuSelector::new());
+        let mut selector = SeuSelector::new();
         let mut user = SimulatedUser::default();
         let mut pipeline = StandardPipeline;
         for _ in 0..3 {
-            engine.round(&mut s, &mut user, &mut pipeline).unwrap();
+            s.round(&mut selector, &mut user, &mut pipeline).unwrap();
         }
         let good = s.checkpoint();
         assert!(Session::restore(&ds, &good).is_ok());
@@ -895,18 +939,46 @@ mod tests {
     }
 
     #[test]
+    fn round_refuses_a_pending_suggestion_without_touching_state() {
+        let ds = toy_text(1);
+        let mut s = Session::new(&ds, cfg(10, 12));
+        let (mut selector, mut user, mut pipeline) =
+            (SeuSelector::new(), SimulatedUser::default(), StandardPipeline);
+        s.round(&mut selector, &mut user, &mut pipeline).unwrap();
+        let x = s.select_with(&mut selector).unwrap().expect("pool non-empty");
+        let before = s.checkpoint();
+
+        let err = s.round(&mut selector, &mut user, &mut pipeline).unwrap_err();
+        assert_eq!(err, SessionError::SuggestionPending { pending: x });
+        let after = s.checkpoint();
+        assert_eq!(after.iteration, before.iteration);
+        assert_eq!(after.pending, Some(x));
+        assert_eq!(after.lineage.len(), before.lineage.len());
+        assert_eq!(after.excluded, before.excluded);
+        assert_eq!(after.rng_state, before.rng_state);
+        assert_eq!(after.train_probs, before.train_probs);
+
+        s.skip(&mut pipeline).unwrap();
+        let record = s.round(&mut selector, &mut user, &mut pipeline).unwrap();
+        assert_eq!(record.iteration, 2);
+        assert_ne!(record.selected, Some(x), "the skipped example stays excluded");
+        assert_eq!(s.iteration(), 3);
+        assert_eq!(s.pending(), None);
+    }
+
+    #[test]
     fn checkpoint_due_follows_cadence() {
         let ds = toy_text(1);
         let mut config = cfg(10, 10);
         config.checkpoint_every = Some(2);
         let mut s = Session::new(&ds, config);
-        let mut engine = ExampleEngine::new(RandomSelector);
+        let mut selector = RandomSelector;
         let mut user = SimulatedUser::default();
         let mut pipeline = StandardPipeline;
         assert!(!s.checkpoint_due(), "never due at iteration 0");
         let mut due = Vec::new();
         for _ in 0..5 {
-            engine.round(&mut s, &mut user, &mut pipeline).unwrap();
+            s.round(&mut selector, &mut user, &mut pipeline).unwrap();
             due.push(s.checkpoint_due());
         }
         assert_eq!(due, vec![false, true, false, true, false]);

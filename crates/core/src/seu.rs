@@ -259,10 +259,6 @@ impl SeuSelector {
 }
 
 impl Selector for SeuSelector {
-    fn name(&self) -> &'static str {
-        "SEU"
-    }
-
     fn select(&mut self, view: &SelectionView<'_>, rng: &mut DetRng) -> Option<usize> {
         let avail = view.available();
         if avail.is_empty() {
@@ -296,7 +292,6 @@ impl Selector for SeuSelector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engines::{ExampleEngine, SelectionEngine};
     use crate::idp::{ModelOutputs, RandomSelector};
     use crate::oracle::SimulatedUser;
     use crate::pipeline::StandardPipeline;
@@ -312,10 +307,10 @@ mod tests {
         let config =
             IdpConfig { n_iterations: n_steps, eval_every: 5, seed: 11, ..Default::default() };
         let mut session = Session::new(ds, config);
-        let mut engine = ExampleEngine::new(RandomSelector);
+        let mut selector = RandomSelector;
         let (mut user, mut pipeline) = (SimulatedUser::default(), StandardPipeline);
         for _ in 0..n_steps {
-            engine.round(&mut session, &mut user, &mut pipeline).unwrap();
+            session.round(&mut selector, &mut user, &mut pipeline).unwrap();
         }
         let excluded = vec![false; ds.train.n()];
         let view = SelectionView {

@@ -1,12 +1,12 @@
 //! The Nemo system facade (paper Sec. 4, Figure 4).
 //!
-//! [`NemoSystem`] binds a [`Session`] to a selection engine
-//! ([`crate::engines`], SEU by default) and the contextualized learning
-//! pipeline. The facade exposes two frontends over them:
+//! [`NemoSystem`] binds a [`Session`] to the SEU selector and the
+//! contextualized learning pipeline. The facade exposes two frontends
+//! over them:
 //!
 //! - the **round driver** ([`NemoSystem::step_with_user`] /
-//!   [`NemoSystem::run_with_user`]): one engine round per call, in which
-//!   the user authors LFs for the chosen example;
+//!   [`NemoSystem::run_with_user`]): one [`Session::round`] per call, in
+//!   which the user authors LFs for the chosen example;
 //! - the **manual loop**: [`NemoSystem::suggest_example`], then
 //!   [`NemoSystem::submit_lf`] or [`NemoSystem::skip`].
 //!
@@ -14,59 +14,43 @@
 //! ([`NemoSystem::explore_primitive`]) lets a user inspect a random sample
 //! of other examples containing a candidate primitive before committing to
 //! an LF.
+//!
+//! The paper's ablations and baselines (other selectors, user models,
+//! utilities or pipelines) are not `NemoSystem` variants: they run on a
+//! plain [`Session`] through [`crate::idp::run_curve`].
 
 use crate::checkpoint::SessionCheckpoint;
-use crate::config::{ContextualizerConfig, IdpConfig};
-use crate::engines::{engine_for, SelectionEngine};
+use crate::config::IdpConfig;
 use crate::error::{RestoreError, SessionError};
 use crate::idp::{run_curve, LearningCurve, ModelOutputs, StepRecord};
 use crate::oracle::User;
 use crate::pipeline::ContextualizedPipeline;
 use crate::session::Session;
+use crate::seu::SeuSelector;
 use nemo_data::Dataset;
 use nemo_lf::{Lineage, PrimitiveLf};
 
-/// The end-to-end Nemo system (selection engine + contextualized
-/// learning): a thin frontend driver over the [`Session`] engine, which
-/// owns the interactive state and the incrementally-maintained SEU
+/// The end-to-end Nemo system (SEU selection + contextualized
+/// learning): a thin frontend driver over the [`Session`] state machine,
+/// which owns the interactive state and the incrementally-maintained SEU
 /// aggregates.
 pub struct NemoSystem<'a> {
     session: Session<'a>,
-    engine: Box<dyn SelectionEngine>,
+    selector: SeuSelector,
     pipeline: ContextualizedPipeline,
 }
 
 impl<'a> NemoSystem<'a> {
-    /// Create a Nemo instance over a dataset; the selection engine
-    /// follows [`IdpConfig::selection`].
+    /// Create a Nemo instance over a dataset.
     pub fn new(ds: &'a Dataset, config: IdpConfig) -> Self {
-        let engine = engine_for(&config);
-        Self::with_components(ds, config, engine, ContextualizerConfig::default())
-    }
-
-    /// Create with an explicit engine and contextualizer settings
-    /// (ablations: [`crate::engines::ExampleEngine`] over a configured
-    /// [`crate::SeuSelector`] for the Table 6/7 user-model/utility
-    /// variants, custom engines for new strategies).
-    pub fn with_components(
-        ds: &'a Dataset,
-        config: IdpConfig,
-        engine: Box<dyn SelectionEngine>,
-        ctx_config: ContextualizerConfig,
-    ) -> Self {
         Self {
             session: Session::new(ds, config),
-            engine,
-            pipeline: ContextualizedPipeline::new(ctx_config),
+            selector: SeuSelector::new(),
+            pipeline: ContextualizedPipeline::default(),
         }
     }
 
-    /// The active selection engine.
-    pub fn engine(&self) -> &dyn SelectionEngine {
-        self.engine.as_ref()
-    }
-
-    /// The underlying engine state.
+    /// The underlying session state.
     pub fn session(&self) -> &Session<'a> {
         &self.session
     }
@@ -100,7 +84,7 @@ impl<'a> NemoSystem<'a> {
     /// [`SessionError::SuggestionPending`] if the previous suggestion has
     /// not been resolved yet.
     pub fn suggest_example(&mut self) -> Result<Option<usize>, SessionError> {
-        self.session.select_with(self.engine.example_selector())
+        self.session.select_with(&mut self.selector)
     }
 
     /// IDP stages 2–3: record an LF written from the pending example and
@@ -144,10 +128,10 @@ impl<'a> NemoSystem<'a> {
         self.session.test_score()
     }
 
-    /// Run one full interactive round of the active engine's protocol:
-    /// the engine suggests an example and lets `user` develop LFs from it,
-    /// then the round re-learns the models (or advances the frozen model
-    /// once the pool is exhausted).
+    /// Run one full interactive round ([`Session::round`]): SEU suggests
+    /// an example and `user` develops LFs from it, then the round
+    /// re-learns the models (or advances the frozen model once the pool
+    /// is exhausted).
     /// [`NemoSystem::run_with_user`] is a loop over this; multi-tenant
     /// schedulers ([`crate::pool::SessionPool`]) call it directly so
     /// rounds from many sessions can interleave.
@@ -158,14 +142,20 @@ impl<'a> NemoSystem<'a> {
     /// [`NemoSystem::suggest_example`] is still unresolved; the round
     /// itself always resolves the reservations it makes.
     pub fn step_with_user(&mut self, user: &mut dyn User) -> Result<StepRecord, SessionError> {
-        self.engine.round(&mut self.session, user, &mut self.pipeline)
+        self.session.round(&mut self.selector, user, &mut self.pipeline)
     }
 
     /// Drive the full interactive loop with a (simulated) user for the
     /// configured number of iterations, evaluating on the paper's cadence
     /// ([`run_curve`]).
-    pub fn run_with_user(&mut self, user: &mut dyn User) -> LearningCurve {
-        run_curve(&mut self.session, &mut *self.engine, user, &mut self.pipeline)
+    ///
+    /// # Errors
+    ///
+    /// [`SessionError::SuggestionPending`] if a suggestion made through
+    /// [`NemoSystem::suggest_example`] is still unresolved; no state
+    /// changes.
+    pub fn run_with_user(&mut self, user: &mut dyn User) -> Result<LearningCurve, SessionError> {
+        run_curve(&mut self.session, &mut self.selector, user, &mut self.pipeline)
     }
 
     /// Whether the configured checkpoint cadence
@@ -211,9 +201,14 @@ impl<'a> NemoSystem<'a> {
         ckpt
     }
 
-    /// Restore a system from a checkpoint with default contextualizer
-    /// settings; the engine follows the checkpointed
-    /// [`IdpConfig::selection`].
+    /// Restore a system from a checkpoint. The SEU selector starts cold;
+    /// the contextualizer starts with empty distance caches — its next
+    /// learning round re-registers the whole lineage in one batch, which
+    /// is bit-identical to the incremental registrations of the original
+    /// run — and with the checkpoint's warm-start seeds, so percentile
+    /// tuning resumes from the same EM state. Restored systems therefore
+    /// make the same selections and produce the same model outputs as
+    /// never-interrupted ones (`tests/session_checkpoint.rs`).
     ///
     /// Restoration validates every checkpoint field against `ds` before
     /// touching any state — a checkpoint from the wrong dataset (or a
@@ -237,39 +232,16 @@ impl<'a> NemoSystem<'a> {
     ///
     /// # Errors
     ///
-    /// Any [`RestoreError`] from validating the checkpoint against `ds`.
-    pub fn restore(ds: &'a Dataset, ckpt: &SessionCheckpoint) -> Result<Self, RestoreError> {
-        Self::restore_with(ds, ckpt, ContextualizerConfig::default())
-    }
-
-    /// Restore with explicit contextualizer settings (the counterpart of
-    /// [`NemoSystem::with_components`]). The engine is rebuilt cold from
-    /// the checkpointed [`IdpConfig::selection`]. The contextualizer
-    /// starts with empty distance caches — its next learning round
-    /// re-registers the whole lineage in one batch, which is bit-identical
-    /// to the incremental registrations of the original run — and with the
-    /// checkpoint's warm-start seeds, so percentile tuning resumes from the
-    /// same EM state. Restored sessions therefore make the same selections and
-    /// produce the same model outputs as never-interrupted ones
-    /// (`tests/session_checkpoint.rs`).
-    ///
-    /// # Errors
-    ///
     /// Any [`RestoreError`] from validating the checkpoint against `ds`;
     /// [`RestoreError::ValueOutOfRange`] if a warm seed is non-finite.
-    pub fn restore_with(
-        ds: &'a Dataset,
-        ckpt: &SessionCheckpoint,
-        ctx_config: ContextualizerConfig,
-    ) -> Result<Self, RestoreError> {
+    pub fn restore(ds: &'a Dataset, ckpt: &SessionCheckpoint) -> Result<Self, RestoreError> {
         if ckpt.warm_seeds.iter().flatten().any(|s| !s.is_finite()) {
             return Err(RestoreError::ValueOutOfRange { field: "warm_seeds" });
         }
-        let engine = engine_for(&ckpt.config);
         let session = Session::restore(ds, ckpt)?;
-        let mut pipeline = ContextualizedPipeline::new(ctx_config);
+        let mut pipeline = ContextualizedPipeline::default();
         pipeline.contextualizer_mut().set_warm_seeds(ckpt.warm_seeds.clone());
-        Ok(Self { session, engine, pipeline })
+        Ok(Self { session, selector: SeuSelector::new(), pipeline })
     }
 }
 
@@ -330,6 +302,19 @@ mod tests {
     }
 
     #[test]
+    fn run_with_user_refuses_a_pending_suggestion() {
+        use crate::error::SessionError;
+        let ds = toy_text(1);
+        let mut nemo = NemoSystem::new(&ds, cfg(10, 4));
+        let x = nemo.suggest_example().unwrap().unwrap();
+        let err = nemo.run_with_user(&mut SimulatedUser::default()).unwrap_err();
+        assert_eq!(err, SessionError::SuggestionPending { pending: x });
+        assert_eq!(nemo.iteration(), 0);
+        assert_eq!(nemo.lineage().len(), 0);
+        assert_eq!(nemo.session().pending(), Some(x));
+    }
+
+    #[test]
     fn checkpoint_restore_resumes_mid_loop() {
         let ds = toy_text(1);
         let mut nemo = NemoSystem::new(&ds, cfg(10, 7));
@@ -385,7 +370,7 @@ mod tests {
         let ds = toy_text(1);
         let mut nemo = NemoSystem::new(&ds, cfg(15, 6));
         let mut user = SimulatedUser::default();
-        let curve = nemo.run_with_user(&mut user);
+        let curve = nemo.run_with_user(&mut user).unwrap();
         assert_eq!(curve.points().len(), 3);
         assert!(curve.final_score() > 0.55, "final {}", curve.final_score());
         assert!(nemo.outputs().chosen_p.is_some());
@@ -397,7 +382,7 @@ mod tests {
         let run = |seed| {
             let mut nemo = NemoSystem::new(&ds, cfg(8, seed));
             let mut user = SimulatedUser::default();
-            nemo.run_with_user(&mut user).points().to_vec()
+            nemo.run_with_user(&mut user).unwrap().points().to_vec()
         };
         assert_eq!(run(9), run(9));
     }

@@ -34,9 +34,9 @@ mod section {
 /// On-disk layout version of the ENGINE section.
 const ENGINE_VERSION: u32 = 1;
 
-/// Selection-strategy tag (CONFIG) and engine-state tag (ENGINE) of SEU,
-/// the only engine. Tag 1 belonged to a retired IWS engine; files that
-/// carry it decode to a typed error.
+/// Selection-strategy tag (CONFIG) and selector-state tag (ENGINE) of
+/// SEU, the only selection strategy. Tag 1 belonged to a retired IWS
+/// strategy; files that carry it decode to a typed error.
 const SEU_TAG: u8 = 0;
 
 /// Serialize a checkpoint to its file image.
@@ -109,7 +109,7 @@ pub fn session_to_bytes(ckpt: &SessionCheckpoint) -> Vec<u8> {
     }
     b.section(section::WARM, warm.into_bytes());
 
-    // The SEU engine keeps no state outside the session; the section
+    // The SEU selector keeps no state outside the session; the section
     // stays so the file layout (and older checkpoints) are unchanged.
     let mut eng = Enc::new();
     eng.u32(ENGINE_VERSION);

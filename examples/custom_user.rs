@@ -12,7 +12,7 @@
 
 use nemo::core::multi_lf::multi_lf_selector;
 use nemo::core::pipeline::ContextualizedPipeline;
-use nemo::core::{run_curve, ExampleEngine};
+use nemo::core::run_curve;
 use nemo::data::catalog::toy_text;
 use nemo::prelude::*;
 use nemo::sparse::DetRng;
@@ -71,7 +71,8 @@ fn main() {
     let config = IdpConfig { n_iterations: 12, eval_every: 4, seed: 1, ..Default::default() };
     let mut nemo = NemoSystem::new(&dataset, config.clone());
     let mut expert = KeywordExpert::new(&dataset);
-    let curve = nemo.run_with_user(&mut expert);
+    // invariant: a fresh system holds no pending suggestion.
+    let curve = nemo.run_with_user(&mut expert).expect("fresh system");
     println!("scripted expert, atomic IDP:");
     for &(iter, score) in curve.points() {
         println!("  iteration {iter:>2} → test accuracy {score:.3}");
@@ -88,10 +89,12 @@ fn main() {
     let mut session = Session::new(&dataset, multi_config);
     let multi_curve = run_curve(
         &mut session,
-        &mut ExampleEngine::new(multi_lf_selector()),
+        &mut multi_lf_selector(),
         &mut SimulatedUser::default(),
         &mut ContextualizedPipeline::default(),
-    );
+    )
+    // invariant: a fresh session holds no pending suggestion.
+    .expect("fresh session");
     println!(
         "\nmulti-LF IDP (simulated user, ≤3 LFs/iteration): {} LFs in {} iterations, curve score {:.3}",
         session.lineage().len(),

@@ -26,7 +26,8 @@ fn main() {
     let config = IdpConfig { n_iterations: 30, eval_every: 5, seed: 7, ..Default::default() };
     let mut nemo = NemoSystem::new(&dataset, config.clone());
     let mut user = SimulatedUser::default();
-    let nemo_curve = nemo.run_with_user(&mut user);
+    // invariant: a fresh system holds no pending suggestion.
+    let nemo_curve = nemo.run_with_user(&mut user).expect("fresh system");
 
     println!("\nNemo learning curve (iteration → test accuracy):");
     for &(iter, score) in nemo_curve.points() {

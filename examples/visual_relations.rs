@@ -41,7 +41,8 @@ fn main() {
     let config = IdpConfig { n_iterations: 30, eval_every: 5, seed: 3, ..Default::default() };
     let mut nemo = NemoSystem::new(&dataset, config.clone());
     let mut user = SimulatedUser::default();
-    let curve = nemo.run_with_user(&mut user);
+    // invariant: a fresh system holds no pending suggestion.
+    let curve = nemo.run_with_user(&mut user).expect("fresh system");
     println!(
         "\nNemo on VG: curve accuracy {:.3}, final {:.3}",
         curve.summary(),

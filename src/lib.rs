@@ -21,7 +21,7 @@
 //!
 //! // Drive the interactive loop with the paper's simulated user.
 //! let mut user = SimulatedUser::default();
-//! let curve = nemo.run_with_user(&mut user);
+//! let curve = nemo.run_with_user(&mut user).unwrap();
 //! assert!(curve.final_score() > 0.5);
 //! ```
 //!
@@ -48,29 +48,29 @@
 //! assert_eq!(nemo.lineage().len(), 1);
 //! ```
 //!
-//! ## Selection engines
+//! ## Selectors
 //!
-//! Each round is run by a [`core::SelectionEngine`]. The one engine is
-//! [`core::ExampleEngine`]: its selector picks a development example and
-//! the user writes LFs for it. `NemoSystem::new` runs it over SEU; the
-//! paper's ablations and baselines swap in another selector:
+//! Each round is [`core::Session::round`]: a [`core::Selector`] picks a
+//! development example, the user writes LFs for it, and a learning
+//! pipeline re-learns the models. `NemoSystem` runs it with SEU and the
+//! contextualized pipeline; the paper's ablations and baselines run the
+//! same round on a plain `Session` with another selector or pipeline:
 //!
 //! ```
-//! use nemo::core::{ExampleEngine, SeuSelector, UserModelKind, UtilityKind};
+//! use nemo::core::pipeline::ContextualizedPipeline;
+//! use nemo::core::{SeuSelector, UserModelKind, UtilityKind};
 //! use nemo::data::catalog::toy_text;
 //! use nemo::prelude::*;
 //!
 //! let dataset = toy_text(42);
+//! let mut session = Session::new(&dataset, IdpConfig::default());
 //! // Table 6's uniform user model in place of the accuracy-weighted one.
-//! let selector = SeuSelector::with(UserModelKind::Uniform, UtilityKind::Full);
-//! let engine = Box::new(ExampleEngine::new(selector));
-//! let mut nemo = NemoSystem::with_components(
-//!     &dataset,
-//!     IdpConfig::default(),
-//!     engine,
-//!     ContextualizerConfig::default(),
-//! );
-//! nemo.step_with_user(&mut SimulatedUser::default()).unwrap();
+//! let mut selector = SeuSelector::with(UserModelKind::Uniform, UtilityKind::Full);
+//! let mut pipeline = ContextualizedPipeline::default();
+//! let mut user = SimulatedUser::default();
+//! let record = session.round(&mut selector, &mut user, &mut pipeline).unwrap();
+//! assert!(record.selected.is_some());
+//! assert_eq!(session.iteration(), 1);
 //! ```
 //!
 //! ## Multi-tenant serving

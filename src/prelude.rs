@@ -1,7 +1,7 @@
 //! One-import surface for driving Nemo: `use nemo::prelude::*;`.
 //!
 //! Re-exports the types every driver program touches — the system facade
-//! and its config switches, the selection-engine API, the multi-tenant
+//! and its config switches, the session state machine, the multi-tenant
 //! pool, checkpointing, users, and the LF vocabulary — so examples and
 //! downstream binaries don't need to memorize the crate map. Anything
 //! deeper (selectors, pipelines, kernels) stays behind its module path.
@@ -13,14 +13,14 @@
 //! let config = IdpConfig { n_iterations: 10, seed: 7, ..Default::default() };
 //! let mut nemo = NemoSystem::new(&dataset, config);
 //! let record = nemo.step_with_user(&mut SimulatedUser::default()).unwrap();
-//! assert_eq!(nemo.engine().name(), "seu");
+//! assert_eq!(nemo.iteration(), 1);
 //! assert!(record.selected.is_some());
 //! ```
 
 pub use nemo_core::{
-    engine_for, ContextualizerConfig, IdpConfig, LearningCurve, NemoSystem, PoolConfig,
-    RestoreError, RoundJob, SelectionEngine, SelectionStrategy, Session, SessionCheckpoint,
-    SessionError, SessionId, SessionPool, SharedArtifacts, SimulatedUser, User,
+    ContextualizerConfig, IdpConfig, LearningCurve, NemoSystem, PoolConfig, RestoreError, RoundJob,
+    SelectionStrategy, Session, SessionCheckpoint, SessionError, SessionId, SessionPool,
+    SharedArtifacts, SimulatedUser, User,
 };
 pub use nemo_data::{Dataset, DatasetName, Profile};
 pub use nemo_lf::{Label, PrimitiveLf};

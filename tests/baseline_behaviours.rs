@@ -4,7 +4,6 @@
 
 use nemo::baselines::{run_method, AbstainSelector, ImplyLossPipeline, Method, RunSpec};
 use nemo::core::config::IdpConfig;
-use nemo::core::engines::ExampleEngine;
 use nemo::core::idp::{run_curve, RandomSelector, Selector};
 use nemo::core::oracle::SimulatedUser;
 use nemo::core::pipeline::StandardPipeline;
@@ -46,15 +45,16 @@ fn abstain_selector_accelerates_coverage() {
     // after a fixed budget is at least Random's.
     let ds = toy_text(3);
     // Re-run through the session API to inspect the matrix.
-    fn coverage_of(ds: &nemo::data::Dataset, selector: impl Selector + Send) -> f64 {
+    fn coverage_of(ds: &nemo::data::Dataset, mut selector: impl Selector) -> f64 {
         let config = IdpConfig { n_iterations: 15, eval_every: 15, seed: 4, ..Default::default() };
         let mut session = Session::new(ds, config);
         run_curve(
             &mut session,
-            &mut ExampleEngine::new(selector),
+            &mut selector,
             &mut SimulatedUser::default(),
             &mut StandardPipeline,
-        );
+        )
+        .unwrap();
         session.matrix().coverage_frac()
     }
     let random_cov = coverage_of(&ds, RandomSelector);
@@ -115,10 +115,11 @@ fn implyloss_exemplar_supervision_shows_up() {
     let mut session = Session::new(&ds, config);
     run_curve(
         &mut session,
-        &mut ExampleEngine::new(RandomSelector),
+        &mut RandomSelector,
         &mut SimulatedUser::default(),
         &mut ImplyLossPipeline::default(),
-    );
+    )
+    .unwrap();
     let outputs = session.outputs();
     let tracked = session.lineage().tracked();
     assert!(!tracked.is_empty());

@@ -15,7 +15,6 @@
 
 use nemo::core::config::{ContextualizerConfig, IdpConfig};
 use nemo::core::contextualizer::Contextualizer;
-use nemo::core::engines::{ExampleEngine, SelectionEngine};
 use nemo::core::oracle::SimulatedUser;
 use nemo::core::pipeline::ContextualizedPipeline;
 use nemo::core::session::Session;
@@ -79,13 +78,13 @@ fn run(ds: &Dataset, seed: u64, lfs_per_iteration: usize) -> Trace {
         ..Default::default()
     };
     let mut session = Session::new(ds, config);
-    let mut engine = ExampleEngine::new(SeuSelector::new());
+    let mut selector = SeuSelector::new();
     let mut user = SimulatedUser::default();
     let mut pipeline = ContextualizedPipeline::new(ContextualizerConfig::default());
     let mut selections = Vec::new();
     let mut chosen_ps = Vec::new();
     for _ in 0..12 {
-        let rec = engine.round(&mut session, &mut user, &mut pipeline).unwrap();
+        let rec = session.round(&mut selector, &mut user, &mut pipeline).unwrap();
         selections.push(rec.selected);
         chosen_ps.push(session.outputs().chosen_p);
     }

@@ -5,8 +5,7 @@
 use nemo::baselines::{run_method, Method, RunSpec};
 use nemo::core::oracle::SimulatedUser;
 use nemo::core::{
-    run_curve, ExampleEngine, IdpConfig, NemoSystem, RandomSelector, SelectionEngine, Session,
-    SessionError, StandardPipeline,
+    run_curve, IdpConfig, NemoSystem, RandomSelector, Session, SessionError, StandardPipeline,
 };
 use nemo::data::catalog::{self, toy_text};
 use nemo::data::{DatasetName, Profile};
@@ -30,7 +29,7 @@ fn nemo_system_full_loop_on_toy() {
     let config = IdpConfig { n_iterations: 20, eval_every: 5, seed: 1, ..Default::default() };
     let mut nemo = NemoSystem::new(&ds, config);
     let mut user = SimulatedUser::default();
-    let curve = nemo.run_with_user(&mut user);
+    let curve = nemo.run_with_user(&mut user).unwrap();
     assert_eq!(curve.points().len(), 4);
     assert!(
         curve.final_score() > 0.55,
@@ -78,7 +77,7 @@ fn lineage_records_are_consistent_with_dataset() {
     let config = IdpConfig { n_iterations: 15, eval_every: 5, seed: 3, ..Default::default() };
     let mut nemo = NemoSystem::new(&ds, config);
     let mut user = SimulatedUser::default();
-    nemo.run_with_user(&mut user);
+    nemo.run_with_user(&mut user).unwrap();
     for rec in nemo.lineage().tracked() {
         // The LF's primitive is contained in its development example.
         assert!(
@@ -103,10 +102,11 @@ fn simulated_user_threshold_controls_lf_quality() {
         let mut session = Session::new(&ds, spec.idp.clone());
         run_curve(
             &mut session,
-            &mut ExampleEngine::new(RandomSelector),
+            &mut RandomSelector,
             &mut SimulatedUser::with_threshold(threshold),
             &mut StandardPipeline,
-        );
+        )
+        .unwrap();
         let accs: Vec<f64> = session
             .lineage()
             .lfs()
@@ -207,10 +207,12 @@ fn dataset_labels_are_hidden_from_methods_but_not_oracle() {
     let select_sequence = |ds: &nemo::data::Dataset| -> Vec<usize> {
         let config = IdpConfig { n_iterations: 6, eval_every: 6, seed: 9, ..Default::default() };
         let mut session = Session::new(ds, config);
-        let mut engine = ExampleEngine::new(RandomSelector);
+        let mut selector = RandomSelector;
         let (mut user, mut pipeline) = (SimulatedUser::default(), StandardPipeline);
         (0..6)
-            .filter_map(|_| engine.round(&mut session, &mut user, &mut pipeline).unwrap().selected)
+            .filter_map(|_| {
+                session.round(&mut selector, &mut user, &mut pipeline).unwrap().selected
+            })
             .collect()
     };
     assert_eq!(select_sequence(&ds), select_sequence(&flipped));

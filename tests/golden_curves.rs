@@ -10,7 +10,7 @@
 use nemo::baselines::{run_method, Method, RunSpec};
 use nemo::core::multi_lf::multi_lf_selector;
 use nemo::core::pipeline::ContextualizedPipeline;
-use nemo::core::{run_curve, ExampleEngine, IdpConfig, LearningCurve, Session, SimulatedUser};
+use nemo::core::{run_curve, IdpConfig, LearningCurve, Session, SimulatedUser};
 use nemo::data::catalog::toy_text;
 
 const METHODS: [Method; 15] = [
@@ -44,10 +44,11 @@ fn multi_lf_curve(dataset_seed: u64, seed: u64) -> LearningCurve {
     };
     run_curve(
         &mut Session::new(&ds, config),
-        &mut ExampleEngine::new(multi_lf_selector()),
+        &mut multi_lf_selector(),
         &mut SimulatedUser::default(),
         &mut ContextualizedPipeline::default(),
     )
+    .unwrap()
 }
 
 fn row(name: &str, seed: u64, curve: &LearningCurve) -> String {

@@ -27,7 +27,6 @@
 //! a real regression, never flake.
 
 use nemo::core::config::{IdpConfig, LabelModelKind};
-use nemo::core::engines::{ExampleEngine, SelectionEngine};
 use nemo::core::idp::ModelOutputs;
 use nemo::core::oracle::SimulatedUser;
 use nemo::core::pipeline::{ContextualizedPipeline, LearningPipeline};
@@ -94,12 +93,12 @@ fn run(ds: &Dataset, pipeline: &mut Oracle, seed: u64) -> Trace {
         ..Default::default()
     };
     let mut session = Session::new(ds, config);
-    let mut engine = ExampleEngine::new(SeuSelector::new());
+    let mut selector = SeuSelector::new();
     let mut user = SimulatedUser::default();
     let mut selections = Vec::new();
     let mut chosen_ps = Vec::new();
     for _ in 0..12 {
-        let rec = engine.round(&mut session, &mut user, pipeline).unwrap();
+        let rec = session.round(&mut selector, &mut user, pipeline).unwrap();
         selections.push(rec.selected);
         chosen_ps.push(session.outputs().chosen_p);
     }

@@ -22,7 +22,6 @@
 
 use nemo::core::config::{ContextualizerConfig, IdpConfig, LabelModelKind};
 use nemo::core::contextualizer::Contextualizer;
-use nemo::core::engines::{ExampleEngine, SelectionEngine};
 use nemo::core::idp::ModelOutputs;
 use nemo::core::oracle::SimulatedUser;
 use nemo::core::pipeline::{ContextualizedPipeline, LearningPipeline};
@@ -207,12 +206,12 @@ fn sessions_select_identically_under_both_refinement_paths() {
                 ..Default::default()
             };
             let mut session = Session::new(&ds, config);
-            let mut engine = ExampleEngine::new(SeuSelector::new());
+            let mut selector = SeuSelector::new();
             let mut user = SimulatedUser::default();
             let mut pipeline = Pipeline { inner: ContextualizedPipeline::default(), refilter };
             let mut trace = Vec::new();
             for _ in 0..10 {
-                let rec = engine.round(&mut session, &mut user, &mut pipeline).unwrap();
+                let rec = session.round(&mut selector, &mut user, &mut pipeline).unwrap();
                 trace.push((rec.selected, session.outputs().chosen_p));
             }
             trace.push((None, Some(session.test_score())));

@@ -18,7 +18,6 @@
 //! cache sees the same dirty patterns production runs produce.
 
 use nemo::core::config::IdpConfig;
-use nemo::core::engines::{ExampleEngine, SelectionEngine};
 use nemo::core::idp::{SelectionView, Selector};
 use nemo::core::oracle::SimulatedUser;
 use nemo::core::pipeline::{ContextualizedPipeline, LearningPipeline, StandardPipeline};
@@ -43,10 +42,10 @@ fn drive<'a>(
     n_steps: usize,
     mut inspect: impl FnMut(&Session<'a>),
 ) {
-    let mut engine = ExampleEngine::new(SeuSelector::new());
+    let mut selector = SeuSelector::new();
     let mut user = SimulatedUser::default();
     for _ in 0..n_steps {
-        engine.round(session, &mut user, pipeline).unwrap();
+        session.round(&mut selector, &mut user, pipeline).unwrap();
         inspect(session);
     }
 }

@@ -164,11 +164,7 @@ proptest! {
         let arts = Arc::new(SharedArtifacts::new(toy_text(2)));
         let cfgs: Vec<IdpConfig> =
             (0..k as u64).map(|j| session_cfg(rounds, 1000 + seed * 17 + j)).collect();
-        let pool_config = PoolConfig {
-            max_resident,
-            workers: Some(workers),
-            ..Default::default()
-        };
+        let pool_config = PoolConfig { max_resident, workers: Some(workers) };
         let (traces, stats) =
             pooled_traces(&arts, &cfgs, rounds, pool_config, batched, seed);
         prop_assert_eq!(stats.rounds as usize, k * rounds);
@@ -194,7 +190,7 @@ proptest! {
 fn ambient_thread_count_does_not_change_traces() {
     let arts = Arc::new(SharedArtifacts::new(toy_text(5)));
     let cfgs: Vec<IdpConfig> = (0..3u64).map(|j| session_cfg(4, 500 + j)).collect();
-    let pool_config = PoolConfig { max_resident: 2, workers: None, ..Default::default() };
+    let pool_config = PoolConfig { max_resident: 2, workers: None };
     let (traces, _) = pooled_traces(&arts, &cfgs, 4, pool_config, true, 0);
     for (j, cfg) in cfgs.iter().enumerate() {
         assert_eq!(traces[j], standalone_trace(&arts, cfg, 4), "session {j} diverged");
@@ -213,7 +209,7 @@ fn file_store_evict_restore_mid_stream_is_bit_identical() {
     let cfgs: Vec<IdpConfig> = (0..3u64).map(|j| session_cfg(5, 700 + j)).collect();
     let rounds = 5;
 
-    let pool_config = PoolConfig { max_resident: 2, workers: Some(2), ..Default::default() };
+    let pool_config = PoolConfig { max_resident: 2, workers: Some(2) };
     let store = Box::new(FileCheckpointStore::new(&dir));
     let mut pool = SessionPool::with_store(&arts, pool_config, store);
     let ids: Vec<_> = cfgs.iter().map(|c| pool.admit(c.clone()).unwrap()).collect();
@@ -261,7 +257,7 @@ fn sixty_four_sessions_share_one_artifact_set() {
     let k = 64;
     let rounds = 2;
     let cfgs: Vec<IdpConfig> = (0..k as u64).map(|j| session_cfg(rounds, 9000 + j)).collect();
-    let pool_config = PoolConfig { max_resident: 16, workers: Some(4), ..Default::default() };
+    let pool_config = PoolConfig { max_resident: 16, workers: Some(4) };
 
     let mut pool = SessionPool::new(&arts, pool_config);
     let ids: Vec<_> = cfgs.iter().map(|c| pool.admit(c.clone()).unwrap()).collect();
