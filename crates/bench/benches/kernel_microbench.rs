@@ -29,7 +29,7 @@ use nemo_core::seu::SeuSelector;
 use nemo_core::{NemoSystem, PoolConfig, RoundJob, SessionPool, SharedArtifacts};
 use nemo_data::catalog::{build, DatasetName, Profile};
 use nemo_data::Dataset;
-use nemo_labelmodel::{FittedLabelModel, GenerativeModel, LabelModel, TripletModel};
+use nemo_labelmodel::{LabelModel, TripletModel};
 use nemo_lf::{LabelMatrix, Lineage, PrimitiveLf};
 use nemo_persist::{
     artifact_to_bytes, load_artifact, save_artifact, ArtifactBundle, EncodedCheckpointStore,
@@ -129,8 +129,6 @@ fn kernel_benches(ds: &Dataset, results: &mut Vec<BenchResult>) {
     let matrix = session.matrix().clone();
     results
         .push(bench("labelmodel_triplet_fit", || TripletModel::default().fit(&matrix, [0.5, 0.5])));
-    results
-        .push(bench("labelmodel_em_fit", || GenerativeModel::default().fit(&matrix, [0.5, 0.5])));
 
     // Distance engine: naive row-major scan vs the inverted-index kernel,
     // both with reused output buffers so only kernel work is timed.
@@ -284,10 +282,8 @@ fn record_trajectory(ds: &Dataset) -> (Vec<ModelOutputs>, Lineage) {
 }
 
 /// Measure aggregate maintenance + full-pool scoring under both modes
-/// over a recorded real trajectory. Also returns the incremental mode's
-/// per-round time (SEU's production scoring round) for the combined-round
-/// summary.
-fn seu_loop_bench(ds: &Dataset, trajectory: &[ModelOutputs]) -> (String, f64) {
+/// over a recorded real trajectory.
+fn seu_loop_bench(ds: &Dataset, trajectory: &[ModelOutputs]) -> String {
     // Warm both paths once, then measure.
     let _ = replay(ds, trajectory, false);
     let _ = replay(ds, trajectory, true);
@@ -325,7 +321,7 @@ fn seu_loop_bench(ds: &Dataset, trajectory: &[ModelOutputs]) -> (String, f64) {
         );
     }
 
-    let json = format!(
+    format!(
         concat!(
             "{{\"rounds\": {}, \"full_rebuild_ns\": {:.0}, \"incremental_ns\": {:.0}, ",
             "\"speedup\": {:.4}, \"delta_syncs\": {}, \"rebuild_fallbacks\": {}, ",
@@ -339,117 +335,7 @@ fn seu_loop_bench(ds: &Dataset, trajectory: &[ModelOutputs]) -> (String, f64) {
         dirty_majority + drift_bound,
         dirty_majority,
         drift_bound,
-    );
-    (json, incr.total_ns / incr.rounds as f64)
-}
-
-/// Warm-started vs cold percentile tuning with the EM label model: one
-/// *cross-round* tune at the full-lineage state, seeded (or not) from
-/// the previous round's per-grid-point fits — exactly the step a
-/// contextualized session repeats every iteration, on the lineage the
-/// recorded session actually collected.
-///
-/// The cold oracle clears the warm seeds before every call
-/// (`set_warm_seeds(Vec::new())`) and fits with the plain (Aitken-off)
-/// fixed-point EM — the pre-incremental behaviour. The warm path is the
-/// production one: Aitken-accelerated fits, seeded per grid point. Both
-/// fit the grid's unique points one after another.
-fn tune_p_warm_bench(
-    ds: &Dataset,
-    lineage: &Lineage,
-    results: &mut Vec<BenchResult>,
-) -> (String, f64, f64) {
-    let n_lfs = lineage.len();
-    assert!(n_lfs >= 2, "recorded session collected too few LFs");
-    let lfs: Vec<PrimitiveLf> = lineage.tracked().iter().map(|r| r.lf).collect();
-    let prev_matrix = LabelMatrix::from_lfs(&lfs[..n_lfs - 1], &ds.train.corpus);
-    let matrix = LabelMatrix::from_lfs(&lfs, &ds.train.corpus);
-    let warm_model = GenerativeModel::default();
-    let cold_model = GenerativeModel { accel: false, ..Default::default() };
-    let prior = [0.5, 0.5];
-
-    // Previous round (one LF fewer): capture its per-grid-point seeds.
-    let mut prev_ctx = Contextualizer::new(ContextualizerConfig::default());
-    prev_ctx.register_batch(&lineage.tracked()[..n_lfs - 1], ds);
-    prev_ctx.tune_p(&prev_matrix, ds, &warm_model, prior);
-    let seeds: Vec<Vec<f64>> = prev_ctx.warm_seeds().to_vec();
-
-    let mut cold_ctx = Contextualizer::new(ContextualizerConfig::default());
-    cold_ctx.sync(lineage, ds);
-    let mut warm_ctx = Contextualizer::new(ContextualizerConfig::default());
-    warm_ctx.sync(lineage, ds);
-
-    let cold = bench("tune_p_cold_em", || {
-        cold_ctx.set_warm_seeds(Vec::new());
-        cold_ctx.tune_p(&matrix, ds, &cold_model, prior).p
-    });
-    let warm = bench("tune_p_warm_em", || {
-        // Restore the previous round's seeds so every timed call is one
-        // genuine cross-round warm tune (not a same-matrix refit).
-        warm_ctx.set_warm_seeds(seeds.clone());
-        warm_ctx.tune_p(&matrix, ds, &warm_model, prior).p
-    });
-
-    // EM iteration counts per grid point for the same cross-round step
-    // (computed outside the timing loops), plus a fixed-point agreement
-    // check: warm + accelerated must land where plain cold lands.
-    let p_grid = ContextualizerConfig::default().p_grid;
-    let mut iters_cold = 0usize;
-    let mut iters_warm = 0usize;
-    for (k, &p) in p_grid.iter().enumerate() {
-        let refined = cold_ctx.refined_train_matrix(&matrix, p);
-        let (fit_cold, ic) = cold_model.fit_em(&refined, prior, None);
-        let (fit_warm, iw) = warm_model.fit_em(&refined, prior, seeds.get(k).map(Vec::as_slice));
-        for (a, b) in fit_cold.lf_accuracies().iter().zip(fit_warm.lf_accuracies()) {
-            assert!(
-                (a - b).abs() < 1e-6,
-                "warm/accelerated fit diverged from the plain cold fixed point at p={p}: {a} vs {b}"
-            );
-        }
-        iters_cold += ic;
-        iters_warm += iw;
-    }
-
-    let speedup = cold.mean_ns / warm.mean_ns;
-    println!(
-        "\nPercentile tuning with the EM label model (cross-round step, {n_lfs} LFs, {} grid points):",
-        p_grid.len()
-    );
-    println!(
-        "  cold plain fits        : {} per tune_p  ({iters_cold} EM iterations)",
-        human(cold.mean_ns)
-    );
-    println!(
-        "  warm accelerated fits  : {} per tune_p  ({iters_warm} EM iterations)",
-        human(warm.mean_ns)
-    );
-    println!("  speedup                : {speedup:.2}x");
-
-    let json = format!(
-        concat!(
-            "{{\"lfs\": {}, \"grid_points\": {}, \"cold_ns\": {:.0}, \"warm_ns\": {:.0}, ",
-            "\"speedup\": {:.4}, \"em_iters_cold\": {}, \"em_iters_warm\": {}}}"
-        ),
-        n_lfs,
-        p_grid.len(),
-        cold.mean_ns,
-        warm.mean_ns,
-        speedup,
-        iters_cold,
-        iters_warm,
-    );
-    if std::env::var("NEMO_BENCH_ENFORCE").is_ok() {
-        assert!(
-            warm.mean_ns <= cold.mean_ns,
-            "regression: warm-started tune_p ({}) slower than cold fits ({})",
-            human(warm.mean_ns),
-            human(cold.mean_ns)
-        );
-    }
-    let (cold_mean, warm_mean) = (cold.mean_ns, warm.mean_ns);
-    results.push(cold);
-    results.push(warm);
-    (json, cold_mean, warm_mean)
+    )
 }
 
 /// Warm-round refined-matrix construction: the per-grid-point refined
@@ -969,57 +855,6 @@ fn distance_engine_summary(results: &[BenchResult]) -> String {
     )
 }
 
-/// Combined contextualized-round headline: what one EM-tuned round costs
-/// on the oracles (stand-alone SEU kernel — aggregates rebuilt and every
-/// example scored per occurrence, the `seu_fast_path_full_pool` baseline
-/// — plus cold tune_p) vs on the production path (table rescore on
-/// incrementally synced aggregates plus warm-started tune_p). With
-/// `NEMO_BENCH_ENFORCE` set, a production round slower than the oracle
-/// round aborts the run.
-fn incremental_round_summary(
-    results: &[BenchResult],
-    seu_round_ns: f64,
-    tune_cold_ns: f64,
-    tune_warm_ns: f64,
-) -> String {
-    let seu_standalone_ns = mean_of(results, "seu_fast_path_full_pool");
-    let combined_cold = seu_standalone_ns + tune_cold_ns;
-    let combined_warm = seu_round_ns + tune_warm_ns;
-    let combined_speedup = combined_cold / combined_warm;
-    println!("\nCombined contextualized round (SEU scoring + EM percentile tuning):");
-    println!(
-        "  before : {} (stand-alone SEU {} + cold tune_p {})",
-        human(combined_cold),
-        human(seu_standalone_ns),
-        human(tune_cold_ns)
-    );
-    println!(
-        "  after  : {} (incremental SEU {} + warm tune_p {})",
-        human(combined_warm),
-        human(seu_round_ns),
-        human(tune_warm_ns)
-    );
-    println!("  speedup: {combined_speedup:.2}x");
-    if std::env::var("NEMO_BENCH_ENFORCE").is_ok() {
-        // Committed numbers show ~3x; gate only the sign so single-core
-        // CI noise cannot flake the build.
-        assert!(
-            combined_speedup >= 1.0,
-            "regression: incremental contextualized round ({}) slower than the \
-             cold-path baseline ({})",
-            human(combined_warm),
-            human(combined_cold)
-        );
-    }
-    format!(
-        concat!(
-            "{{\"standalone_seu_ns\": {:.0}, \"incremental_seu_ns\": {:.0}, ",
-            "\"cold_tune_ns\": {:.0}, \"warm_tune_ns\": {:.0}, \"combined_speedup\": {:.4}}}"
-        ),
-        seu_standalone_ns, seu_round_ns, tune_cold_ns, tune_warm_ns, combined_speedup,
-    )
-}
-
 fn main() {
     let profile = Profile::from_env();
     let ds = build(DatasetName::Amazon, profile, 3);
@@ -1042,13 +877,9 @@ fn main() {
     let engine_json = distance_engine_summary(&results);
     let artifact_json = artifact_load_bench(profile, &mut results);
     let pool_json = session_pool_bench(&ds, &mut results);
-    let (loop_json, seu_round_ns) = seu_loop_bench(&ds, &trajectory);
+    let loop_json = seu_loop_bench(&ds, &trajectory);
     let refine_json = refine_cache_bench(&ds, &session_lineage, &mut results);
     let cow_json = matrix_cow_bench(&ds, &session_lineage, &mut results);
-    let (warm_json, tune_cold_ns, tune_warm_ns) =
-        tune_p_warm_bench(&ds, &session_lineage, &mut results);
-
-    let round_json = incremental_round_summary(&results, seu_round_ns, tune_cold_ns, tune_warm_ns);
 
     let mut json = String::from("{\n");
     json.push_str(&format!("  \"profile\": \"{}\",\n", profile.name()));
@@ -1071,9 +902,7 @@ fn main() {
     json.push_str(&format!("  \"session_pool\": {pool_json},\n"));
     json.push_str(&format!("  \"seu_loop\": {loop_json},\n"));
     json.push_str(&format!("  \"refine_cache\": {refine_json},\n"));
-    json.push_str(&format!("  \"matrix_cow\": {cow_json},\n"));
-    json.push_str(&format!("  \"tune_p_warm\": {warm_json},\n"));
-    json.push_str(&format!("  \"incremental_round\": {round_json}\n"));
+    json.push_str(&format!("  \"matrix_cow\": {cow_json}\n"));
     json.push_str("}\n");
 
     // Anchor to the workspace root (cargo bench sets CWD to the package).

@@ -3,9 +3,9 @@
 //! [`SessionCheckpoint`] captures the **authoritative** state of an
 //! interactive session — configuration and seed, iteration count, lineage,
 //! the collected label-matrix columns, the pool-exclusion set, the latest
-//! model outputs, the RNG's raw state, and the contextualizer's EM
-//! warm-start seeds. Everything else a live session holds is *derived*
-//! cache state and is deterministically rebuilt on restore:
+//! model outputs, and the RNG's raw state. Everything else a live session
+//! holds is *derived* cache state and is deterministically rebuilt on
+//! restore:
 //!
 //! - the SEU aggregates are reconstructed with a full
 //!   [`crate::session::SeuAggregates::new`] rebuild (exact integer fields,
@@ -34,12 +34,11 @@ use nemo_lf::TrackedLf;
 
 /// A complete, self-contained snapshot of one interactive session.
 ///
-/// Produced by [`crate::session::Session::checkpoint`] (core state) or
-/// [`crate::system::NemoSystem::checkpoint`] (which also captures the
-/// contextualizer warm-start seeds); consumed by the matching `restore`
-/// constructors. Labels and votes use their signed (`±1`) encoding so the
-/// struct round-trips through byte-level serialization without depending
-/// on enum layout.
+/// Produced by [`crate::session::Session::checkpoint`] or
+/// [`crate::system::NemoSystem::checkpoint`] (the same snapshot);
+/// consumed by the matching `restore` constructors. Labels and votes use
+/// their signed (`±1`) encoding so the struct round-trips through
+/// byte-level serialization without depending on enum layout.
 #[derive(Debug, Clone)]
 pub struct SessionCheckpoint {
     /// The session configuration (including the master seed).
@@ -69,8 +68,9 @@ pub struct SessionCheckpoint {
     pub rng_state: [u64; 4],
     /// The RNG's banked second Gaussian draw, if any.
     pub rng_gauss_spare: Option<f64>,
-    /// Per-grid-point EM warm-start seeds from the contextualizer
-    /// (empty for [`crate::session::Session`]-level checkpoints and
-    /// before the first tuning round).
+    /// Inert compatibility field: written empty and ignored on restore.
+    /// Files written before the EM label model was removed may carry
+    /// per-grid-point seeds here; they decode and are dropped. Kept only
+    /// while perfbench's round replay still names it.
     pub warm_seeds: Vec<Vec<f64>>,
 }

@@ -1,7 +1,7 @@
 //! Configuration types for IDP sessions.
 
 use nemo_endmodel::LogRegConfig;
-use nemo_labelmodel::{GenerativeModel, LabelModel, MajorityVote, TripletModel};
+use nemo_labelmodel::{LabelModel, MajorityVote, TripletModel};
 use nemo_sparse::Distance;
 
 /// Which label model aggregates the weak votes (the paper adopts MeTaL;
@@ -15,8 +15,6 @@ pub enum LabelModelKind {
     /// FlyingSquid triplet identities) — the paper's default label model.
     #[default]
     Metal,
-    /// Dawid–Skene EM-fitted generative model (alternative estimator).
-    Generative,
     /// Majority vote.
     Majority,
 }
@@ -26,7 +24,6 @@ impl LabelModelKind {
     pub fn build(self) -> Box<dyn LabelModel> {
         match self {
             LabelModelKind::Metal => Box::new(TripletModel::default()),
-            LabelModelKind::Generative => Box::new(GenerativeModel::default()),
             LabelModelKind::Majority => Box::new(MajorityVote::default()),
         }
     }
@@ -35,7 +32,6 @@ impl LabelModelKind {
     pub fn name(self) -> &'static str {
         match self {
             LabelModelKind::Metal => "metal-moment",
-            LabelModelKind::Generative => "generative-em",
             LabelModelKind::Majority => "majority-vote",
         }
     }
@@ -141,7 +137,7 @@ mod tests {
 
     #[test]
     fn label_model_kinds_build() {
-        for kind in [LabelModelKind::Metal, LabelModelKind::Generative, LabelModelKind::Majority] {
+        for kind in [LabelModelKind::Metal, LabelModelKind::Majority] {
             let _ = kind.build();
             assert!(!kind.name().is_empty());
         }

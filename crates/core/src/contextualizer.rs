@@ -100,10 +100,6 @@ pub struct Contextualizer {
     grid_radii: Vec<Vec<(u64, f64)>>,
     valid_dists: Vec<Vec<f64>>,
     raw_valid_cols: Vec<LfColumn>,
-    /// Per-grid-point LF accuracies from the previous
-    /// [`Contextualizer::tune_p`] round, the cross-round EM warm-start
-    /// seeds (empty before the first round).
-    warm_accs: Vec<Vec<f64>>,
     /// Label-model fits run by `tune_p` so far: one per unique refined
     /// train matrix per round, so grid points that refine to the same
     /// matrix share one fit (bench accounting).
@@ -136,7 +132,6 @@ impl Contextualizer {
             grid_radii: Vec::new(),
             valid_dists: Vec::new(),
             raw_valid_cols: Vec::new(),
-            warm_accs: Vec::new(),
             tune_fits: 0,
             tune_predicts: 0,
             refined_cache: Vec::new(),
@@ -165,31 +160,26 @@ impl Contextualizer {
 
     /// Drop cached refined columns for LFs with index `≥ from` at every
     /// grid point. The cache self-invalidates through its keys, so
-    /// ordinary sessions never need this; it exists for state restoration
-    /// (a checkpoint restored with [`Contextualizer::set_warm_seeds`] may
-    /// reuse a contextualizer whose cache outlived the checkpoint) and
-    /// for benches that re-measure the same warm round repeatedly.
+    /// ordinary sessions never need this; it exists for benches that
+    /// re-measure the same warm round repeatedly and, with `from = 0`,
+    /// gives tests the refilter-everything oracle of a tuning round.
     pub fn invalidate_refined_cache_from(&mut self, from: usize) {
         for slot in &mut self.refined_cache {
             slot.truncate(from);
         }
     }
 
-    /// Per-grid-point warm-start seeds captured by the last
-    /// [`Contextualizer::tune_p`] round. Together with
-    /// [`Contextualizer::set_warm_seeds`] this lets a session checkpoint
-    /// and restore tuning state, lets benches measure a single cross-round
-    /// warm tune in isolation, and — with an empty seed set — gives tests
-    /// the cold-start oracle of a tuning round.
+    /// Inert compatibility shim: always empty. No label model reads
+    /// warm-start seeds; perfbench's round replay still calls this, and
+    /// the shim goes with that replay.
     pub fn warm_seeds(&self) -> &[Vec<f64>] {
-        &self.warm_accs
+        &[]
     }
 
-    /// Restore warm-start seeds (aligned with the percentile grid; entry
-    /// lengths may lag the current LF count — fits pad with their
-    /// initializer).
+    /// Inert compatibility shim: ignores `seeds` (see
+    /// [`Contextualizer::warm_seeds`]).
     pub fn set_warm_seeds(&mut self, seeds: Vec<Vec<f64>>) {
-        self.warm_accs = seeds;
+        let _ = seeds;
     }
 
     /// Number of LFs registered so far.
@@ -422,40 +412,14 @@ impl Contextualizer {
     /// is applied explicitly: the largest percentile in the grid is
     /// selected regardless of grid order, with `valid_score = 0.0`.
     ///
-    /// Each grid point's label model is fitted via
-    /// [`LabelModel::fit_from`], seeded from the
-    /// parameters fitted *at the same grid point one round earlier* —
-    /// between rounds the refined matrix at a fixed `p` gains one LF and
-    /// barely moves, so a converged previous fit is a typically
-    /// near-fixed-point seed (the Snorkel-style incremental-refit
-    /// insight). The unique grid points are fitted one after another, each
-    /// with its own slot's seed and pair-count cache. Points without a
-    /// stored seed (the first round, or a grown grid) fit from the
-    /// estimator's initializer; closed-form estimators ignore seeds
-    /// entirely, so under the default MeTaL estimator warm starts change
-    /// nothing. Clearing the seeds ([`Contextualizer::set_warm_seeds`] with
-    /// an empty set) before a call makes it the cold-restart oracle the
-    /// differential suites compare against.
-    ///
-    /// Each grid slot keeps a [`PairCounts`] cache of its
-    /// refined train matrix's pairwise co-vote counts, handed to
-    /// [`LabelModel::fit_from`]. Refined columns are served from the
-    /// refined-column cache with unchanged tokens, so the MeTaL/triplet
-    /// estimator recounts only the new LF's `m − 1` pairs per slot instead
-    /// of all `m(m−1)/2`, by one scatter of the new column and one probe of
-    /// each other column. Unlike the warm seeds this never changes a bit
-    /// of output.
-    ///
-    /// On well-conditioned matrices warm and cold fits converge to the
-    /// same fixed point within the EM tolerance, and the differential
-    /// suites pin parameter agreement plus end-to-end selection
-    /// agreement there. On weakly-identified matrices (a few LFs with a
-    /// handful of refined votes) the EM likelihood is genuinely
-    /// multimodal: a cold restart re-picks its basin from the fixed
-    /// initializer every round, while warm seeding *tracks the incumbent
-    /// basin* across rounds — a deliberate semantic choice (measured to
-    /// retain a better-scoring mode than the cold restart on such
-    /// matrices).
+    /// The unique grid points are fitted one after another via
+    /// [`LabelModel::fit_from`], each with its own slot's [`PairCounts`]
+    /// cache of the refined train matrix's pairwise co-vote counts.
+    /// Refined columns are served from the refined-column cache with
+    /// unchanged tokens, so the MeTaL/triplet estimator recounts only the
+    /// new LF's `m − 1` pairs per slot instead of all `m(m−1)/2`, by one
+    /// scatter of the new column and one probe of each other column. The
+    /// cache never changes a bit of output.
     pub fn tune_p(
         &mut self,
         raw_train: &LabelMatrix,
@@ -474,8 +438,8 @@ impl Contextualizer {
         // representative's fit is rebuilt from its accuracies instead of
         // refitting — both a redundant-fit saving and the guarantee that
         // identical matrices score with *identical* parameters, so the
-        // `>=` tie-break below resolves the same way under warm and cold
-        // fits. (All estimators in this workspace aggregate through
+        // `>=` tie-break below resolves the same way however the grid
+        // quantizes. (All estimators in this workspace aggregate through
         // `NaiveBayesFit`, whose construction from the clamped accuracies
         // is bitwise idempotent.)
         //
@@ -517,20 +481,15 @@ impl Contextualizer {
         self.pair_counts.resize_with(p_grid.len(), PairCounts::default);
         let mut fitted: Vec<Option<Box<dyn FittedLabelModel>>> =
             (0..p_grid.len()).map(|_| None).collect();
-        let mut accs_by_k: Vec<Vec<f64>> = vec![Vec::new(); p_grid.len()];
         for &k in &unique {
-            let seed = self.warm_accs.get(k).map(Vec::as_slice);
-            let fit = label_model.fit_from(&matrices[k], prior, seed, &mut self.pair_counts[k]);
-            accs_by_k[k] = fit.lf_accuracies().to_vec();
-            fitted[k] = Some(fit);
+            fitted[k] = Some(label_model.fit_from(&matrices[k], prior, &mut self.pair_counts[k]));
         }
         for k in 0..p_grid.len() {
             if repr[k] != k {
-                accs_by_k[k] = accs_by_k[repr[k]].clone();
-                fitted[k] = Some(Box::new(nemo_labelmodel::NaiveBayesFit::new(
-                    accs_by_k[k].clone(),
-                    prior,
-                )));
+                // invariant: a representative precedes its aliases and was
+                // fitted in the loop above.
+                let accs = fitted[repr[k]].as_ref().expect("fitted").lf_accuracies().to_vec();
+                fitted[k] = Some(Box::new(nemo_labelmodel::NaiveBayesFit::new(accs, prior)));
             }
         }
 
@@ -584,7 +543,6 @@ impl Contextualizer {
                 k_best
             }
         };
-        self.warm_accs = accs_by_k;
         TunedRefinement {
             p: p_grid[best_k],
             train_matrix: matrices.swap_remove(best_k),
@@ -601,7 +559,7 @@ mod tests {
     use super::*;
     use crate::config::ContextualizerConfig;
     use nemo_data::catalog::toy_text;
-    use nemo_labelmodel::GenerativeModel;
+    use nemo_labelmodel::TripletModel;
     use nemo_lf::Label;
     use nemo_sparse::DetRng;
 
@@ -705,36 +663,12 @@ mod tests {
     fn tune_p_returns_grid_member() {
         let ds = toy_text(1);
         let (mut ctx, matrix, _) = setup(&ds, 8, 5);
-        let tuned = ctx.tune_p(&matrix, &ds, &GenerativeModel::default(), ds.prior());
+        let tuned = ctx.tune_p(&matrix, &ds, &TripletModel::default(), ds.prior());
         assert!(ctx.config.p_grid.contains(&tuned.p));
         // Mean log-likelihood of binary labels is negative and finite.
         assert!(tuned.valid_score <= 0.0 && tuned.valid_score.is_finite());
         assert_eq!(tuned.train_matrix.n_lfs(), matrix.n_lfs());
         assert_eq!(ctx.tune_fits(), ctx.config.p_grid.len());
-    }
-
-    #[test]
-    fn warm_and_cold_tuning_choose_the_same_percentile() {
-        // Warm-started EM converges to the cold fixed point within
-        // tolerance, so repeated tuning rounds must pick the same `p` and
-        // score within fp noise of the cold path.
-        let ds = toy_text(1);
-        let (mut warm_ctx, matrix, lineage) = setup(&ds, 8, 12);
-        let mut cold_ctx = Contextualizer::new(ContextualizerConfig::default());
-        cold_ctx.sync(&lineage, &ds);
-        let model = GenerativeModel::default();
-        for _round in 0..3 {
-            let warm = warm_ctx.tune_p(&matrix, &ds, &model, ds.prior());
-            cold_ctx.set_warm_seeds(Vec::new());
-            let cold = cold_ctx.tune_p(&matrix, &ds, &model, ds.prior());
-            assert_eq!(warm.p, cold.p, "tuned percentile diverged");
-            assert!(
-                (warm.valid_score - cold.valid_score).abs() < 1e-4,
-                "scores diverged: warm {} vs cold {}",
-                warm.valid_score,
-                cold.valid_score
-            );
-        }
     }
 
     #[test]
@@ -800,7 +734,7 @@ mod tests {
         let mut fresh =
             Contextualizer::new(ContextualizerConfig { p_grid: new_grid, ..Default::default() });
         fresh.sync(&lineage, &ds);
-        let model = GenerativeModel::default();
+        let model = TripletModel::default();
         let a = edited.tune_p(&matrix, &ds, &model, ds.prior());
         let b = fresh.tune_p(&matrix, &ds, &model, ds.prior());
         assert_eq!(a.p.to_bits(), b.p.to_bits(), "tuned p");
@@ -946,7 +880,7 @@ mod tests {
             ..Default::default()
         });
         ctx.sync(&lineage, &ds);
-        let tuned = ctx.tune_p(&matrix, &ds, &GenerativeModel::default(), ds.prior());
+        let tuned = ctx.tune_p(&matrix, &ds, &TripletModel::default(), ds.prior());
         assert_eq!(ctx.tune_fits(), 2, "duplicate grid points must share fits");
         assert_eq!(ctx.tune_predicts(), 4, "every grid point is predicted");
         assert!(ctx.config.p_grid.contains(&tuned.p));

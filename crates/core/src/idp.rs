@@ -179,7 +179,8 @@ impl LearningCurve {
 ///
 /// [`SessionError::SuggestionPending`] if `session` holds an unresolved
 /// suggestion from the manual suggest/submit frontend; the first round
-/// fails before changing any state.
+/// fails before changing any state. Any other error of
+/// [`Session::round`] stops the loop with that round's state.
 pub fn run_curve(
     session: &mut Session<'_>,
     selector: &mut dyn Selector,

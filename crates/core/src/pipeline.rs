@@ -124,8 +124,8 @@ impl LearningPipeline for StandardPipeline {
 /// Nemo's contextualized learning pipeline (Figure 4, bottom path).
 ///
 /// The pipeline owns the [`Contextualizer`] and therefore all of its
-/// cross-round caches: the per-LF distance tables, the EM warm-start
-/// seeds, and the refined-column cache. A [`crate::session::Session`]
+/// cross-round caches: the per-LF distance tables, the refined-column
+/// cache, and the per-grid-slot pair counts. A [`crate::session::Session`]
 /// drives `learn` every round with the *same* pipeline instance, so `Contextualizer::sync` registers only the
 /// round's new LFs and `tune_p` refilters only their columns — the rest
 /// of the per-grid-point refined matrices are assembled from shared
@@ -150,8 +150,7 @@ impl ContextualizedPipeline {
         &self.ctx
     }
 
-    /// Mutable access to the underlying contextualizer (checkpoint
-    /// restoration via [`Contextualizer::set_warm_seeds`] /
+    /// Mutable access to the underlying contextualizer (the test oracle
     /// [`Contextualizer::invalidate_refined_cache_from`]).
     pub fn contextualizer_mut(&mut self) -> &mut Contextualizer {
         &mut self.ctx

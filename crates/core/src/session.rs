@@ -457,7 +457,7 @@ impl<'a> Session<'a> {
     /// LFs for it, and the session re-learns through `pipeline`; once the
     /// pool is exhausted the round advances the frozen model instead.
     ///
-    /// The round consumes exactly one iteration and never leaves a
+    /// A successful round consumes exactly one iteration and leaves no
     /// suggestion pending. All randomness comes from the session's
     /// checkpointed stream, so a restored session continues
     /// bit-identically.
@@ -466,6 +466,12 @@ impl<'a> Session<'a> {
     ///
     /// [`SessionError::SuggestionPending`] if a manual-frontend
     /// suggestion is still unresolved; no state changes.
+    /// [`SessionError::PrimitiveOutOfDomain`] if `user` returns an LF
+    /// over a primitive outside the dataset's domain. The round's
+    /// selection and the user's draws from the session stream stand, but
+    /// nothing is recorded and no iteration is consumed: the example
+    /// stays pending, as a rejected [`Session::submit`] leaves it, and
+    /// [`Session::skip`] resolves it.
     pub fn round(
         &mut self,
         selector: &mut dyn Selector,
@@ -479,10 +485,7 @@ impl<'a> Session<'a> {
                 // Multi-LF submissions share the pending example; an
                 // empty answer consumes the iteration like a skip.
                 let lfs = self.develop(x, user);
-                self.submit(lfs.clone(), pipeline)
-                    // invariant: users develop LFs over real primitives,
-                    // and `x` is the reservation this round just made.
-                    .expect("round submits its own suggestion");
+                self.submit(lfs.clone(), pipeline)?;
                 lfs
             }
             None => {
@@ -554,9 +557,8 @@ impl<'a> Session<'a> {
 
     /// Snapshot the session's authoritative state (see
     /// [`crate::checkpoint::SessionCheckpoint`] for what is captured vs
-    /// deterministically rebuilt on restore). `warm_seeds` is left empty —
-    /// the contextualizer belongs to the pipeline, so
-    /// [`crate::NemoSystem::checkpoint`] fills it in.
+    /// deterministically rebuilt on restore). `warm_seeds` is written
+    /// empty.
     pub fn checkpoint(&self) -> SessionCheckpoint {
         let (rng_state, rng_gauss_spare) = self.rng.raw_state();
         SessionCheckpoint {

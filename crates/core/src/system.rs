@@ -139,8 +139,11 @@ impl<'a> NemoSystem<'a> {
     /// # Errors
     ///
     /// [`SessionError::SuggestionPending`] if a suggestion made through
-    /// [`NemoSystem::suggest_example`] is still unresolved; the round
-    /// itself always resolves the reservations it makes.
+    /// [`NemoSystem::suggest_example`] is still unresolved; no state
+    /// changes. [`SessionError::PrimitiveOutOfDomain`] if `user` returns
+    /// an LF outside the dataset's primitive domain; nothing is recorded
+    /// and the round's example stays pending until
+    /// [`NemoSystem::skip`] resolves it.
     pub fn step_with_user(&mut self, user: &mut dyn User) -> Result<StepRecord, SessionError> {
         self.session.round(&mut self.selector, user, &mut self.pipeline)
     }
@@ -164,9 +167,9 @@ impl<'a> NemoSystem<'a> {
         self.session.checkpoint_due()
     }
 
-    /// Snapshot the full system state: the session's authoritative state
-    /// plus the contextualizer's EM warm-start seeds (so restored tuning
-    /// rounds seed their fits exactly like uninterrupted ones).
+    /// Snapshot the full system state. The session's state is
+    /// authoritative: the selector and the contextualizer hold only caches
+    /// that [`NemoSystem::restore`] rebuilds deterministically.
     ///
     /// A checkpoint taken mid-loop restores to a system that continues
     /// bit-identically to the uninterrupted run:
@@ -196,19 +199,19 @@ impl<'a> NemoSystem<'a> {
     /// assert_eq!(original.test_score().to_bits(), resumed.test_score().to_bits());
     /// ```
     pub fn checkpoint(&self) -> SessionCheckpoint {
-        let mut ckpt = self.session.checkpoint();
-        ckpt.warm_seeds = self.pipeline.contextualizer().warm_seeds().to_vec();
-        ckpt
+        self.session.checkpoint()
     }
 
     /// Restore a system from a checkpoint. The SEU selector starts cold;
     /// the contextualizer starts with empty distance caches — its next
     /// learning round re-registers the whole lineage in one batch, which
     /// is bit-identical to the incremental registrations of the original
-    /// run — and with the checkpoint's warm-start seeds, so percentile
-    /// tuning resumes from the same EM state. Restored systems therefore
-    /// make the same selections and produce the same model outputs as
+    /// run — and with empty pair-count caches, which percentile tuning
+    /// recounts to the same counts. Restored systems therefore make the
+    /// same selections and produce the same model outputs as
     /// never-interrupted ones (`tests/session_checkpoint.rs`).
+    /// [`SessionCheckpoint::warm_seeds`] is ignored: older files may carry
+    /// seeds there, and no label model reads them.
     ///
     /// Restoration validates every checkpoint field against `ds` before
     /// touching any state — a checkpoint from the wrong dataset (or a
@@ -232,16 +235,14 @@ impl<'a> NemoSystem<'a> {
     ///
     /// # Errors
     ///
-    /// Any [`RestoreError`] from validating the checkpoint against `ds`;
-    /// [`RestoreError::ValueOutOfRange`] if a warm seed is non-finite.
+    /// Any [`RestoreError`] from validating the checkpoint against `ds`.
     pub fn restore(ds: &'a Dataset, ckpt: &SessionCheckpoint) -> Result<Self, RestoreError> {
-        if ckpt.warm_seeds.iter().flatten().any(|s| !s.is_finite()) {
-            return Err(RestoreError::ValueOutOfRange { field: "warm_seeds" });
-        }
         let session = Session::restore(ds, ckpt)?;
-        let mut pipeline = ContextualizedPipeline::default();
-        pipeline.contextualizer_mut().set_warm_seeds(ckpt.warm_seeds.clone());
-        Ok(Self { session, selector: SeuSelector::new(), pipeline })
+        Ok(Self {
+            session,
+            selector: SeuSelector::new(),
+            pipeline: ContextualizedPipeline::default(),
+        })
     }
 }
 
@@ -332,23 +333,6 @@ mod tests {
         let restored = NemoSystem::restore(&ds, &ckpt).expect("valid checkpoint restores");
         assert_eq!(restored.iteration(), nemo.iteration());
         assert_eq!(restored.lineage().tracked(), nemo.lineage().tracked());
-        assert_eq!(
-            restored.pipeline.contextualizer().warm_seeds(),
-            nemo.pipeline.contextualizer().warm_seeds()
-        );
-    }
-
-    #[test]
-    fn restore_rejects_non_finite_warm_seeds() {
-        use crate::error::RestoreError;
-        let ds = toy_text(1);
-        let nemo = NemoSystem::new(&ds, cfg(10, 8));
-        let mut ckpt = nemo.checkpoint();
-        ckpt.warm_seeds = vec![vec![0.5, f64::NAN]];
-        assert!(matches!(
-            NemoSystem::restore(&ds, &ckpt),
-            Err(RestoreError::ValueOutOfRange { field: "warm_seeds" })
-        ));
     }
 
     #[test]

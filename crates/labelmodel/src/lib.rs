@@ -4,13 +4,9 @@
 //! from the label matrix `L` and aggregate weak votes into probabilistic
 //! soft labels `P(y_i | L)`.
 //!
-//! Three estimators are provided:
+//! Two estimators are provided:
 //!
 //! - [`MajorityVote`] — the classic baseline aggregator.
-//! - [`GenerativeModel`] — a conditionally-independent generative model
-//!   with per-LF accuracy parameters fit by EM: the binary
-//!   specialization of the MeTaL \[30\] model class, used as an
-//!   alternative estimator.
 //! - [`TripletModel`] — the closed-form method-of-moments estimator of
 //!   FlyingSquid \[11\] with shrinkage, the binary equivalent of MeTaL's
 //!   matrix-completion step and the default label model throughout the
@@ -25,13 +21,11 @@
 
 #![warn(missing_docs)]
 
-pub mod generative;
 pub mod majority;
 pub mod posterior;
 pub mod traits;
 pub mod triplet;
 
-pub use generative::GenerativeModel;
 pub use majority::MajorityVote;
 pub use posterior::Posterior;
 pub use traits::{FittedLabelModel, LabelModel, NaiveBayesFit};

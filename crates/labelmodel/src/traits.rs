@@ -16,33 +16,22 @@ pub trait LabelModel: Send + Sync {
     /// `prior = [P(y=−1), P(y=+1)]`, returning a fitted aggregator.
     fn fit(&self, matrix: &LabelMatrix, prior: [f64; 2]) -> Box<dyn FittedLabelModel>;
 
-    /// Fit, optionally seeding the estimator from previously fitted
-    /// per-LF accuracies and reusing cached pairwise co-vote counts.
+    /// Fit, reusing cached pairwise co-vote counts.
     ///
-    /// `warm_acc[j]` seeds LF `j` (missing tail entries use the
-    /// estimator's default initialization, extra entries are ignored).
-    /// Closed-form estimators have nothing to seed and ignore it;
-    /// iterative estimators ([`crate::GenerativeModel`]) converge from the
-    /// seed instead of from scratch. Callers that tolerate
-    /// convergence-level (rather than bitwise) reproducibility can chain
-    /// fits over slowly-changing matrices this way — the
-    /// percentile-tuning loop of the contextualizer is the intended
-    /// consumer.
-    ///
-    /// `counts` is a cache, not a seed: moment estimators
-    /// ([`crate::TripletModel`]) [`PairCounts::sync`] it to `matrix` and
-    /// read their moments from it, so keeping one `PairCounts` per
-    /// slowly-changing matrix recounts only the pairs touching changed
-    /// columns, and the result is bitwise that of [`LabelModel::fit`].
-    /// Estimators without pair moments leave it untouched.
+    /// `counts` is a cache: moment estimators ([`crate::TripletModel`])
+    /// [`PairCounts::sync`] it to `matrix` and read their moments from
+    /// it, so keeping one `PairCounts` per slowly-changing matrix
+    /// recounts only the pairs touching changed columns, and the result
+    /// is bitwise that of [`LabelModel::fit`]. Estimators without pair
+    /// moments leave it untouched. The percentile-tuning loop of the
+    /// contextualizer is the intended consumer.
     fn fit_from(
         &self,
         matrix: &LabelMatrix,
         prior: [f64; 2],
-        warm_acc: Option<&[f64]>,
         counts: &mut PairCounts,
     ) -> Box<dyn FittedLabelModel> {
-        let _ = (warm_acc, counts);
+        let _ = counts;
         self.fit(matrix, prior)
     }
 }
@@ -86,7 +75,7 @@ pub trait FittedLabelModel: Send + Sync {
 /// logit P(y=+1 | L_i) = log(π₊/π₋) + Σ_{j: L_ij≠0} L_ij · log(a_j / (1−a_j))
 /// ```
 ///
-/// All three estimators in this crate differ only in how they *estimate*
+/// Both estimators in this crate differ only in how they *estimate*
 /// `a_j`; they share this aggregation step (as MeTaL, FlyingSquid, and
 /// majority vote all do in the binary case).
 #[derive(Debug, Clone)]

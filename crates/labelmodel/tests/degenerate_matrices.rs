@@ -5,7 +5,7 @@
 //! posteriors in `[0, 1]`, under a balanced prior and both one-class
 //! priors — and return the fallback accuracies documented on its type.
 
-use nemo_labelmodel::{GenerativeModel, LabelModel, MajorityVote, NaiveBayesFit, TripletModel};
+use nemo_labelmodel::{LabelModel, MajorityVote, NaiveBayesFit, TripletModel};
 use nemo_lf::{LabelMatrix, LfColumn, Vote};
 
 const N: usize = 12;
@@ -13,11 +13,7 @@ const N: usize = 12;
 const PRIORS: [[f64; 2]; 3] = [[0.5, 0.5], [1.0, 0.0], [0.0, 1.0]];
 
 fn models() -> Vec<Box<dyn LabelModel>> {
-    vec![
-        Box::new(TripletModel::default()),
-        Box::new(GenerativeModel::default()),
-        Box::new(MajorityVote::default()),
-    ]
+    vec![Box::new(TripletModel::default()), Box::new(MajorityVote::default())]
 }
 
 /// A column voting `vote` on every one of `n` examples.
@@ -87,28 +83,22 @@ fn degenerate_matrices_fit_finite_clamped_accuracies_and_posteriors() {
 #[test]
 fn degenerate_matrices_return_the_documented_fallbacks() {
     let triplet = TripletModel::default();
-    let em = GenerativeModel::default();
     let majority = MajorityVote::default();
     let accuracies =
         |model: &dyn LabelModel, m: &LabelMatrix| model.fit(m, [0.5, 0.5]).lf_accuracies().to_vec();
     let all_near = |accs: &[f64], want: f64| accs.iter().all(|&a| (a - want).abs() < 1e-12);
     for (case, m) in cases() {
-        let (t, g, v) = (accuracies(&triplet, &m), accuracies(&em, &m), accuracies(&majority, &m));
+        let (t, v) = (accuracies(&triplet, &m), accuracies(&majority, &m));
         assert!(all_near(&v, majority.assumed_accuracy), "majority vote on {case}: {v:?}");
         match case {
             "four duplicated LFs" => {
                 assert!(all_near(&t, 0.947_058_823_529_411_8), "triplet on {case}: {t:?}");
-                assert!(g.iter().all(|&a| a > em.init_accuracy && a < 1.0), "EM on {case}: {g:?}");
             }
             "two LF pairs voting opposite classes everywhere" => {
                 assert!(all_near(&t, NaiveBayesFit::ACC_CLAMP.1), "triplet on {case}: {t:?}");
-                let n = m.column(0).coverage() as f64;
-                let want = (n / 2.0 + em.smoothing * em.init_accuracy) / (n + em.smoothing);
-                assert!(all_near(&g, want), "EM on {case}: {g:?}");
             }
             _ => {
                 assert!(all_near(&t, triplet.fallback_accuracy), "triplet on {case}: {t:?}");
-                assert!(all_near(&g, em.init_accuracy), "EM on {case}: {g:?}");
             }
         }
     }

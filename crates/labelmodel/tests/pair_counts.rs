@@ -48,7 +48,7 @@ fn check_against_scratch(
     prior: [f64; 2],
 ) -> Result<(), String> {
     let model = TripletModel::default();
-    let cached = model.fit_from(m, prior, None, counts);
+    let cached = model.fit_from(m, prior, counts);
     let scratch = model.fit(m, prior);
     prop_assert_eq!(bits(cached.lf_accuracies()), bits(scratch.lf_accuracies()));
     prop_assert_eq!(bits(cached.predict(m).p_pos_slice()), bits(scratch.predict(m).p_pos_slice()));

@@ -48,7 +48,6 @@ pub fn session_to_bytes(ckpt: &SessionCheckpoint) -> Vec<u8> {
     cfg.usize(ckpt.config.eval_every);
     cfg.u8(match ckpt.config.label_model {
         LabelModelKind::Metal => 0,
-        LabelModelKind::Generative => 1,
         LabelModelKind::Majority => 2,
     });
     cfg.f64(ckpt.config.end_model.lr);
@@ -128,11 +127,11 @@ pub fn session_from_bytes(bytes: &[u8]) -> Result<SessionCheckpoint, PersistErro
     let mut cfg = p.section(section::CONFIG, "CONFIG")?;
     let n_iterations = cfg.usize()?;
     let eval_every = cfg.usize()?;
+    // Tag 1 belonged to the retired EM label model.
     let label_model = match cfg.u8()? {
         0 => LabelModelKind::Metal,
-        1 => LabelModelKind::Generative,
         2 => LabelModelKind::Majority,
-        _ => return Err(PersistError::InvalidValue("label-model tag must be 0, 1, or 2")),
+        _ => return Err(PersistError::InvalidValue("label-model tag must be 0 or 2")),
     };
     let lr = cfg.f64()?;
     let epochs = cfg.usize()?;

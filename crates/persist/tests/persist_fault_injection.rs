@@ -278,15 +278,16 @@ fn short_and_padded_payloads_with_valid_crc_fail_typed() {
 /// A minimal valid CONFIG payload (defaults), for crafting session files
 /// whose *later* sections carry the lie under test.
 fn valid_config_payload() -> Vec<u8> {
-    config_payload(0)
+    config_payload(0, 0)
 }
 
-/// A CONFIG payload (defaults) with the given selection-strategy tag.
-fn config_payload(selection: u8) -> Vec<u8> {
+/// A CONFIG payload (defaults) with the given label-model and
+/// selection-strategy tags.
+fn config_payload(label_model: u8, selection: u8) -> Vec<u8> {
     let mut cfg = Enc::new();
     cfg.usize(1); // n_iterations
     cfg.usize(1); // eval_every
-    cfg.u8(0); // Metal
+    cfg.u8(label_model);
     cfg.f64(0.5); // lr
     cfg.usize(20); // epochs
     cfg.f64(2e-5); // l2
@@ -299,8 +300,8 @@ fn config_payload(selection: u8) -> Vec<u8> {
 }
 
 /// A complete session file for a fresh session, encoded section by
-/// section, with the given CONFIG selection tag and ENGINE state tag.
-fn hand_encoded_session(selection: u8, engine: u8) -> Vec<u8> {
+/// section, with the given CONFIG payload and ENGINE state tag.
+fn hand_encoded_session(config: Vec<u8>, engine: u8) -> Vec<u8> {
     let mut state = Enc::new();
     state.usize(0); // iteration
     state.opt_u64(None); // pending
@@ -322,7 +323,7 @@ fn hand_encoded_session(selection: u8, engine: u8) -> Vec<u8> {
     eng.u32(1); // ENGINE section version
     eng.u8(engine);
     let mut b = FileBuilder::new(KIND_SESSION);
-    b.section(1, config_payload(selection));
+    b.section(1, config);
     b.section(2, state.into_bytes());
     b.section(3, empty.clone()); // lineage
     b.section(4, empty.clone()); // matrix
@@ -336,14 +337,14 @@ fn hand_encoded_session(selection: u8, engine: u8) -> Vec<u8> {
 fn retired_iws_tags_fail_typed() {
     // The hand encoding matches the codec: the SEU file loads and
     // re-encodes to the same bytes.
-    let seu = hand_encoded_session(0, 0);
+    let seu = hand_encoded_session(valid_config_payload(), 0);
     let ckpt = session_from_bytes(&seu).expect("hand-encoded SEU session loads");
     assert_eq!(session_to_bytes(&ckpt), seu);
 
     // Tag 1 was the retired IWS engine, in either section.
     for (what, bytes) in [
-        ("CONFIG selection", hand_encoded_session(1, 0)),
-        ("ENGINE state", hand_encoded_session(0, 1)),
+        ("CONFIG selection", hand_encoded_session(config_payload(0, 1), 0)),
+        ("ENGINE state", hand_encoded_session(valid_config_payload(), 1)),
     ] {
         match catch_unwind(AssertUnwindSafe(|| session_from_bytes(&bytes))) {
             Ok(Err(PersistError::InvalidValue(_))) => {}
@@ -351,6 +352,61 @@ fn retired_iws_tags_fail_typed() {
             Err(_) => panic!("{what} tag 1: loader panicked"),
         }
     }
+}
+
+#[test]
+fn retired_em_label_model_tag_fails_typed() {
+    // Tags 0 (MeTaL) and 2 (majority vote) load; tag 1 was the retired
+    // EM label model.
+    for tag in [0u8, 2] {
+        let bytes = hand_encoded_session(config_payload(tag, 0), 0);
+        assert!(session_from_bytes(&bytes).is_ok(), "label-model tag {tag} must load");
+    }
+    let bytes = hand_encoded_session(config_payload(1, 0), 0);
+    match catch_unwind(AssertUnwindSafe(|| session_from_bytes(&bytes))) {
+        Ok(Err(PersistError::InvalidValue(_))) => {}
+        Ok(other) => panic!("label-model tag 1: expected InvalidValue, got {other:?}"),
+        Err(_) => panic!("label-model tag 1: loader panicked"),
+    }
+}
+
+/// Files written while the EM label model existed carry per-grid-point
+/// seeds in the WARM section. They still decode, and restoring one
+/// ignores the seeds: the resumed system retraces the uninterrupted run
+/// bit for bit.
+#[test]
+fn non_empty_warm_section_decodes_and_restores_identically() {
+    use nemo_core::{IdpConfig, NemoSystem, SimulatedUser};
+
+    let ds = nemo_data::catalog::toy_text(1);
+    let config = IdpConfig { n_iterations: 8, seed: 7, ..Default::default() };
+    let mut original = NemoSystem::new(&ds, config);
+    let mut user = SimulatedUser::default();
+    for _ in 0..3 {
+        original.step_with_user(&mut user).unwrap();
+    }
+    let mut ckpt = original.checkpoint();
+    assert!(ckpt.warm_seeds.is_empty(), "checkpoints write the WARM section empty");
+    let n_lfs = ckpt.lineage.len();
+    ckpt.warm_seeds = (0..4).map(|k| vec![0.6 + 0.05 * k as f64; n_lfs]).collect();
+
+    let decoded = session_from_bytes(&session_to_bytes(&ckpt)).expect("non-empty WARM decodes");
+    assert_eq!(decoded.warm_seeds, ckpt.warm_seeds);
+    let mut resumed = NemoSystem::restore(&ds, &decoded).expect("seeds are ignored on restore");
+
+    let mut fresh_user = SimulatedUser::default();
+    for _ in 3..8 {
+        let a = original.step_with_user(&mut user).unwrap();
+        let b = resumed.step_with_user(&mut fresh_user).unwrap();
+        assert_eq!(a.selected, b.selected);
+        assert_eq!(a.new_lfs, b.new_lfs);
+    }
+    let bits = |nemo: &NemoSystem<'_>| -> Vec<u64> {
+        nemo.outputs().train_posterior.p_pos_slice().iter().map(|p| p.to_bits()).collect()
+    };
+    assert_eq!(bits(&original), bits(&resumed));
+    assert_eq!(original.outputs().chosen_p, resumed.outputs().chosen_p);
+    assert_eq!(original.test_score().to_bits(), resumed.test_score().to_bits());
 }
 
 #[test]

@@ -200,10 +200,10 @@ fn random_checkpoint(seed: u64) -> nemo_core::SessionCheckpoint {
         config: nemo_core::IdpConfig {
             n_iterations: (rng.next_u64() % 50) as usize,
             eval_every: 1 + (rng.next_u64() % 10) as usize,
-            label_model: match rng.next_u64() % 3 {
-                0 => nemo_core::LabelModelKind::Metal,
-                1 => nemo_core::LabelModelKind::Generative,
-                _ => nemo_core::LabelModelKind::Majority,
+            label_model: if rng.next_u64() & 1 == 0 {
+                nemo_core::LabelModelKind::Metal
+            } else {
+                nemo_core::LabelModelKind::Majority
             },
             end_model: nemo_endmodel::LogRegConfig {
                 lr: rng.next_f64(),

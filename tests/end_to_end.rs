@@ -5,11 +5,13 @@
 use nemo::baselines::{run_method, Method, RunSpec};
 use nemo::core::oracle::SimulatedUser;
 use nemo::core::{
-    run_curve, IdpConfig, NemoSystem, RandomSelector, Session, SessionError, StandardPipeline,
+    run_curve, IdpConfig, NemoSystem, PoolConfig, PoolError, RandomSelector, Session, SessionError,
+    SessionPool, SharedArtifacts, StandardPipeline, User,
 };
 use nemo::data::catalog::{self, toy_text};
-use nemo::data::{DatasetName, Profile};
-use nemo::lf::Label;
+use nemo::data::{Dataset, DatasetName, Profile};
+use nemo::lf::{Label, PrimitiveLf};
+use nemo::sparse::DetRng;
 
 fn quick_spec(seed: u64, iterations: usize) -> RunSpec {
     RunSpec {
@@ -187,6 +189,60 @@ fn explore_primitive_out_of_domain_is_a_typed_error() {
     let mut fresh = NemoSystem::new(&ds, IdpConfig::default());
     let z = ds.lexicon[0];
     assert_eq!(nemo.explore_primitive(z, 3), fresh.explore_primitive(z, 3));
+}
+
+/// A custom user answering every example with the first primitive past
+/// the dataset's domain.
+struct OutOfDomainUser;
+
+impl User for OutOfDomainUser {
+    fn provide_lf(&mut self, _x: usize, ds: &Dataset, _rng: &mut DetRng) -> Option<PrimitiveLf> {
+        Some(PrimitiveLf::new(ds.n_primitives as u32, Label::Pos))
+    }
+}
+
+/// Regression: a custom user's out-of-domain LF used to panic inside the
+/// round. It is now the typed error a rejected `submit_lf` returns: nothing
+/// is recorded, no iteration is consumed, the round's example stays
+/// pending, and `skip` resolves it.
+#[test]
+fn out_of_domain_user_lf_is_a_typed_round_error() {
+    let ds = toy_text(1);
+    let n_primitives = ds.n_primitives;
+    let mut nemo = NemoSystem::new(&ds, IdpConfig::default());
+    let err = nemo.step_with_user(&mut OutOfDomainUser).unwrap_err();
+    assert_eq!(err, SessionError::PrimitiveOutOfDomain { z: n_primitives as u32, n_primitives });
+    assert_eq!(nemo.iteration(), 0);
+    assert_eq!(nemo.lineage().len(), 0);
+    let x = nemo.session().pending().expect("the round's example stays pending");
+    let err = nemo.step_with_user(&mut SimulatedUser::default()).unwrap_err();
+    assert_eq!(err, SessionError::SuggestionPending { pending: x });
+    nemo.skip().unwrap();
+    assert_eq!(nemo.iteration(), 1);
+    assert_eq!(nemo.session().pending(), None);
+    nemo.step_with_user(&mut SimulatedUser::default()).unwrap();
+    assert_eq!(nemo.iteration(), 2);
+}
+
+/// The same custom user through the pool: the round fails with
+/// `PoolError::Session` instead of panicking, and the pool counts no round.
+#[test]
+fn out_of_domain_user_lf_is_a_pool_session_error() {
+    let arts = SharedArtifacts::new(toy_text(1));
+    let n_primitives = arts.dataset().n_primitives;
+    let mut pool = SessionPool::new(&arts, PoolConfig { max_resident: 1, workers: Some(1) });
+    let id = pool.admit(IdpConfig::default()).unwrap();
+    match pool.run_round(id, &mut OutOfDomainUser) {
+        Err(PoolError::Session { id: got, source }) => {
+            assert_eq!(got, id.raw());
+            assert_eq!(
+                source,
+                SessionError::PrimitiveOutOfDomain { z: n_primitives as u32, n_primitives }
+            );
+        }
+        other => panic!("expected a session error, got {other:?}"),
+    }
+    assert_eq!(pool.stats().rounds, 0);
 }
 
 #[test]

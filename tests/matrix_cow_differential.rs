@@ -10,7 +10,7 @@
 //! other holder. A full session's `tune_p` rounds must serve every
 //! refined column as a shared handle.
 
-use nemo::core::config::{ContextualizerConfig, IdpConfig, LabelModelKind};
+use nemo::core::config::{ContextualizerConfig, IdpConfig};
 use nemo::core::oracle::SimulatedUser;
 use nemo::core::pipeline::ContextualizedPipeline;
 use nemo::core::session::Session;
@@ -124,19 +124,13 @@ proptest! {
 }
 
 /// A full interactive `Session` (SEU selection + simulated user +
-/// contextualized EM learning) serves every refined column as a shared
+/// contextualized MeTaL learning) serves every refined column as a shared
 /// handle: zero per-column vote memcpys, witnessed by the CoW counters.
 #[test]
 fn session_grid_serves_are_all_shared() {
     let ds = toy_text(3);
     for seed in [5u64, 17] {
-        let config = IdpConfig {
-            n_iterations: 10,
-            eval_every: 5,
-            seed,
-            label_model: LabelModelKind::Generative,
-            ..Default::default()
-        };
+        let config = IdpConfig { n_iterations: 10, eval_every: 5, seed, ..Default::default() };
         let mut session = Session::new(&ds, config);
         let mut selector = SeuSelector::new();
         let mut user = SimulatedUser::default();

@@ -92,11 +92,9 @@ fn assert_cache_invisible(ds: &Dataset, seed: u64) {
             long_lived.config.p_grid = config.p_grid.clone();
         }
         if round == 20 {
-            // A checkpoint restore: a new contextualizer that carries only
-            // the warm seeds, never the pair counts.
-            let seeds = long_lived.warm_seeds().to_vec();
+            // A checkpoint restore: a new contextualizer, which carries
+            // no pair counts.
             long_lived = Contextualizer::new(config.clone());
-            long_lived.set_warm_seeds(seeds);
         }
         if round == 25 {
             // A swapped raw column (new token, new votes) in the middle of

@@ -20,7 +20,7 @@
 //! explicitly (widest coverage), not whatever the grid order would
 //! accidentally select (the pre-fix `>=` scan kept the last grid point).
 
-use nemo::core::config::{ContextualizerConfig, IdpConfig, LabelModelKind};
+use nemo::core::config::{ContextualizerConfig, IdpConfig};
 use nemo::core::contextualizer::Contextualizer;
 use nemo::core::idp::ModelOutputs;
 use nemo::core::oracle::SimulatedUser;
@@ -29,7 +29,7 @@ use nemo::core::session::Session;
 use nemo::core::seu::SeuSelector;
 use nemo::data::catalog::toy_text;
 use nemo::data::{Dataset, Features, Split};
-use nemo::labelmodel::GenerativeModel;
+use nemo::labelmodel::TripletModel;
 use nemo::lf::{Label, LabelMatrix, LfColumn, Lineage, Metric, PrimitiveCorpus, PrimitiveLf};
 use nemo::sparse::{CsrMatrix, DetRng, SparseVec};
 use proptest::prelude::*;
@@ -56,7 +56,7 @@ proptest! {
         let mut rng = DetRng::new(seed);
         let mut incr = Contextualizer::new(ContextualizerConfig::default());
         let mut oracle = Contextualizer::new(ContextualizerConfig::default());
-        let model = GenerativeModel::default();
+        let model = TripletModel::default();
         let mut lineage = Lineage::new();
         let mut matrix = LabelMatrix::new(ds.train.n());
         for round in 0..rounds {
@@ -185,7 +185,7 @@ impl LearningPipeline for Pipeline {
 }
 
 /// Full-session differential: an interactive `Session` (SEU selection +
-/// simulated user + contextualized EM learning) must make identical
+/// simulated user + contextualized MeTaL learning) must make identical
 /// decisions — same development example selected every round, same tuned
 /// percentile — with the cache and with the refilter-everything oracle,
 /// and the cached run must refilter each `(grid point, LF)` slot exactly
@@ -198,13 +198,7 @@ fn sessions_select_identically_under_both_refinement_paths() {
         let mut traces = Vec::new();
         let mut stats = Vec::new();
         for refilter in [false, true] {
-            let config = IdpConfig {
-                n_iterations: 10,
-                eval_every: 5,
-                seed,
-                label_model: LabelModelKind::Generative,
-                ..Default::default()
-            };
+            let config = IdpConfig { n_iterations: 10, eval_every: 5, seed, ..Default::default() };
             let mut session = Session::new(&ds, config);
             let mut selector = SeuSelector::new();
             let mut user = SimulatedUser::default();
@@ -294,7 +288,7 @@ fn empty_validation_split_selects_widest_coverage_explicitly() {
     let matrix = LabelMatrix::from_lfs(&lfs, &ds.train.corpus);
     // A cold round, then a round served from the warm cache.
     for round in 0..2 {
-        let tuned = ctx.tune_p(&matrix, &ds, &GenerativeModel::default(), ds.prior());
+        let tuned = ctx.tune_p(&matrix, &ds, &TripletModel::default(), ds.prior());
         assert_eq!(tuned.p, 100.0, "round {round}: widest coverage must win");
         assert_eq!(tuned.valid_score, 0.0, "round {round}: score is vacuously zero");
         // p = 100 keeps every raw vote: refinement must be the identity.
