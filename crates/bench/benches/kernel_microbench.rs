@@ -4,8 +4,8 @@
 //! Two kinds of measurement:
 //!
 //! - **Kernel timings** — SEU scoring (fast path vs naive reference),
-//!   label-model fitting, TF-IDF transformation, distance point-to-all,
-//!   and LF application.
+//!   label-model fitting, end-model fitting, TF-IDF transformation,
+//!   distance point-to-all, and LF application.
 //! - **The interactive-loop headline** — a recorded 25-round SEU
 //!   trajectory is replayed twice: once rebuilding the per-primitive
 //!   aggregates from scratch every round (the pre-`Session` behaviour)
@@ -29,6 +29,7 @@ use nemo_core::seu::SeuSelector;
 use nemo_core::{NemoSystem, PoolConfig, RoundJob, SessionPool, SharedArtifacts};
 use nemo_data::catalog::{build, DatasetName, Profile};
 use nemo_data::Dataset;
+use nemo_endmodel::LogisticRegression;
 use nemo_labelmodel::{LabelModel, TripletModel};
 use nemo_lf::{LabelMatrix, Lineage, PrimitiveLf};
 use nemo_persist::{
@@ -129,6 +130,14 @@ fn kernel_benches(ds: &Dataset, results: &mut Vec<BenchResult>) {
     let matrix = session.matrix().clone();
     results
         .push(bench("labelmodel_triplet_fit", || TripletModel::default().fit(&matrix, [0.5, 0.5])));
+
+    // The end-model fit each round runs: default SGD over the train rows
+    // the label model covers, against its train posterior.
+    let covered = session.matrix().covered_examples();
+    let targets = session.outputs().train_posterior.p_pos_slice();
+    results.push(bench("endmodel_fit", || {
+        LogisticRegression::default().fit(ds.train.features.csr(), targets, Some(&covered), 1)
+    }));
 
     // Distance engine: naive row-major scan vs the inverted-index kernel,
     // both with reused output buffers so only kernel work is timed.

@@ -7,16 +7,13 @@
 //!
 //! The crate is deliberately label-type-agnostic: it consumes `f64` soft
 //! targets (`P(y=+1)`) and produces `f64` probabilities; callers convert
-//! to/from [`nemo_lf::Label`]. Also provided: a small Adam optimizer
-//! (shared with the ImplyLoss baseline) and bootstrap ensembles with the
+//! to/from [`nemo_lf::Label`]. Also provided: bootstrap ensembles with the
 //! BALD mutual-information score for the Bayesian active-learning baseline.
 
 #![warn(missing_docs)]
 
 pub mod ensemble;
 pub mod logreg;
-pub mod optim;
 
 pub use ensemble::{bald_scores, BootstrapEnsemble};
 pub use logreg::{FittedLogReg, LogRegConfig, LogisticRegression};
-pub use optim::Adam;

@@ -4,9 +4,16 @@
 //! cross-entropy loss `−t·log p − (1−t)·log(1−p)`; the gradient for a
 //! soft target is simply `(p − t)·x`, so probabilistic labels from the
 //! label model plug in directly (the standard noise-aware DP end-model
-//! objective). L2 regularization is applied as per-epoch weight decay —
-//! cheap, deterministic, and indistinguishable from per-step decay at the
-//! learning rates used here.
+//! objective). L2 regularization is applied as weight decay in chunks:
+//! every 64 SGD steps all weights are multiplied by `(1 − lr·l2)^64`, so
+//! the dense sweep amortizes over the sparse updates and matches per-step
+//! decay up to `O(lr²·l2²)`.
+//!
+//! `fit` copies the covered rows into one packed CSR before the first
+//! epoch ([`CsrMatrix::select_rows`]), so the shuffled SGD steps read a
+//! buffer that holds no uncovered rows instead of the whole train matrix.
+//! The arithmetic is that of a walk over `x` itself, operation for
+//! operation; the test oracle `fit_csr_walk` pins the two bit for bit.
 
 use nemo_sparse::stats::sigmoid;
 use nemo_sparse::{CsrMatrix, DetRng};
@@ -18,7 +25,8 @@ pub struct LogRegConfig {
     pub lr: f64,
     /// Number of SGD epochs.
     pub epochs: usize,
-    /// L2 regularization strength (per-epoch weight decay `lr · l2`).
+    /// L2 regularization strength: every 64 SGD steps the weights are
+    /// multiplied by `(1 − lr · l2)^64` (the intercept is not decayed).
     pub l2: f64,
     /// Whether to fit an intercept.
     pub fit_intercept: bool,
@@ -54,23 +62,26 @@ impl LogisticRegression {
         seed: u64,
     ) -> FittedLogReg {
         assert_eq!(x.n_rows(), targets.len(), "targets length mismatch");
-        let owned: Vec<u32>;
-        let idx: &[u32] = match indices {
-            Some(ids) => ids,
-            None => {
-                owned = (0..x.n_rows() as u32).collect();
-                &owned
-            }
+        let mut rows: Vec<u32> = match indices {
+            Some(ids) => ids.to_vec(),
+            None => (0..x.n_rows() as u32).collect(),
         };
         let mut w = vec![0.0f32; x.n_cols()];
         let mut b = 0.0f64;
-        if idx.is_empty() {
+        if rows.is_empty() {
             return FittedLogReg { weights: w, bias: 0.0 };
         }
         // Canonicalize before the seeded shuffle so the fit is invariant
         // to the order in which callers list the covered rows.
-        let mut order: Vec<u32> = idx.to_vec();
-        order.sort_unstable();
+        rows.sort_unstable();
+        // Gather those rows once, in that order, into one contiguous CSR:
+        // packed row `k` is row `rows[k]` of `x`, with target `row_targets[k]`.
+        let packed = x.select_rows(&rows);
+        let row_targets: Vec<f64> = rows.iter().map(|&i| targets[i as usize]).collect();
+        // A Fisher–Yates pass draws the same swaps for any slice of a given
+        // length, so shuffling positions visits rows in the same order as
+        // shuffling the row ids themselves.
+        let mut order: Vec<u32> = (0..rows.len() as u32).collect();
         let mut rng = DetRng::new(seed ^ 0x7095_71c5_u64);
         let cfg = &self.config;
         // Per-step L2 weight decay, applied in chunks of `DECAY_CHUNK`
@@ -81,11 +92,11 @@ impl LogisticRegression {
         let mut steps_since_decay = 0usize;
         for _epoch in 0..cfg.epochs {
             rng.shuffle(&mut order);
-            for &i in &order {
-                let row = x.row(i as usize);
+            for &k in &order {
+                let row = packed.row(k as usize);
                 let z = row.dot_dense(&w) + b;
                 let p = sigmoid(z);
-                let g = p - targets[i as usize];
+                let g = p - row_targets[k as usize];
                 let step = (cfg.lr * g) as f32;
                 for (&col, &v) in row.indices.iter().zip(row.values) {
                     w[col as usize] -= step * v;
@@ -152,39 +163,11 @@ impl FittedLogReg {
     }
 }
 
-/// Full-batch soft cross-entropy loss and gradient (used by tests for
-/// finite-difference verification, and by the ImplyLoss baseline's linear
-/// classification head).
-pub fn loss_and_grad(
-    x: &CsrMatrix,
-    targets: &[f64],
-    indices: &[u32],
-    weights: &[f32],
-    bias: f64,
-) -> (f64, Vec<f64>, f64) {
-    let mut loss = 0.0;
-    let mut gw = vec![0.0f64; x.n_cols()];
-    let mut gb = 0.0;
-    let eps = 1e-12;
-    for &i in indices {
-        let row = x.row(i as usize);
-        let p = sigmoid(row.dot_dense(weights) + bias);
-        let t = targets[i as usize];
-        loss -= t * (p.max(eps)).ln() + (1.0 - t) * ((1.0 - p).max(eps)).ln();
-        let g = p - t;
-        for (&col, &v) in row.indices.iter().zip(row.values) {
-            gw[col as usize] += g * v as f64;
-        }
-        gb += g;
-    }
-    let n = indices.len().max(1) as f64;
-    (loss / n, gw.iter().map(|g| g / n).collect(), gb / n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use nemo_sparse::SparseVec;
+    use proptest::prelude::*;
 
     /// Linearly separable toy set: feature 0 → positive, feature 1 → negative.
     fn toy() -> (CsrMatrix, Vec<f64>) {
@@ -198,6 +181,90 @@ mod tests {
             targets.push(0.0);
         }
         (CsrMatrix::from_rows(&rows, 2), targets)
+    }
+
+    /// Full-batch soft cross-entropy loss and gradient, checked against
+    /// finite differences below.
+    fn loss_and_grad(
+        x: &CsrMatrix,
+        targets: &[f64],
+        indices: &[u32],
+        weights: &[f32],
+        bias: f64,
+    ) -> (f64, Vec<f64>, f64) {
+        let mut loss = 0.0;
+        let mut gw = vec![0.0f64; x.n_cols()];
+        let mut gb = 0.0;
+        let eps = 1e-12;
+        for &i in indices {
+            let row = x.row(i as usize);
+            let p = sigmoid(row.dot_dense(weights) + bias);
+            let t = targets[i as usize];
+            loss -= t * (p.max(eps)).ln() + (1.0 - t) * ((1.0 - p).max(eps)).ln();
+            let g = p - t;
+            for (&col, &v) in row.indices.iter().zip(row.values) {
+                gw[col as usize] += g * v as f64;
+            }
+            gb += g;
+        }
+        let n = indices.len().max(1) as f64;
+        (loss / n, gw.iter().map(|g| g / n).collect(), gb / n)
+    }
+
+    /// The CSR-walk `fit` body that packing replaced: every SGD step reads
+    /// its row straight from `x`. The oracle of [`LogisticRegression::fit`].
+    fn fit_csr_walk(
+        cfg: &LogRegConfig,
+        x: &CsrMatrix,
+        targets: &[f64],
+        indices: Option<&[u32]>,
+        seed: u64,
+    ) -> FittedLogReg {
+        let owned: Vec<u32>;
+        let idx: &[u32] = match indices {
+            Some(ids) => ids,
+            None => {
+                owned = (0..x.n_rows() as u32).collect();
+                &owned
+            }
+        };
+        let mut w = vec![0.0f32; x.n_cols()];
+        let mut b = 0.0f64;
+        if idx.is_empty() {
+            return FittedLogReg { weights: w, bias: 0.0 };
+        }
+        let mut order: Vec<u32> = idx.to_vec();
+        order.sort_unstable();
+        let mut rng = DetRng::new(seed ^ 0x7095_71c5_u64);
+        const DECAY_CHUNK: usize = 64;
+        let chunk_decay = (1.0 - cfg.lr * cfg.l2).max(0.0).powi(DECAY_CHUNK as i32) as f32;
+        let mut steps_since_decay = 0usize;
+        for _epoch in 0..cfg.epochs {
+            rng.shuffle(&mut order);
+            for &i in &order {
+                let row = x.row(i as usize);
+                let z = row.dot_dense(&w) + b;
+                let p = sigmoid(z);
+                let g = p - targets[i as usize];
+                let step = (cfg.lr * g) as f32;
+                for (&col, &v) in row.indices.iter().zip(row.values) {
+                    w[col as usize] -= step * v;
+                }
+                if cfg.fit_intercept {
+                    b -= cfg.lr * g;
+                }
+                if cfg.l2 > 0.0 {
+                    steps_since_decay += 1;
+                    if steps_since_decay == DECAY_CHUNK {
+                        steps_since_decay = 0;
+                        for wi in &mut w {
+                            *wi *= chunk_decay;
+                        }
+                    }
+                }
+            }
+        }
+        FittedLogReg { weights: w, bias: b as f32 }
     }
 
     #[test]
@@ -305,5 +372,66 @@ mod tests {
         let (x, _) = toy();
         let model = FittedLogReg::zeros(2);
         assert!(model.predict_proba(&x).iter().all(|&p| (p - 0.5).abs() < 1e-12));
+    }
+
+    /// A random `n_rows × n_cols` matrix with about a quarter of its rows
+    /// empty, and soft targets that include the exact endpoints 0 and 1.
+    fn random_problem(rng: &mut DetRng, n_rows: usize, n_cols: usize) -> (CsrMatrix, Vec<f64>) {
+        let rows: Vec<SparseVec> = (0..n_rows)
+            .map(|_| {
+                let pairs = if rng.bernoulli(0.25) {
+                    Vec::new()
+                } else {
+                    (0..n_cols as u32)
+                        .filter_map(|j| {
+                            let kept = rng.bernoulli(0.4);
+                            kept.then(|| (j, rng.uniform_in(-2.0, 2.0) as f32))
+                        })
+                        .collect()
+                };
+                SparseVec::from_pairs(pairs, n_cols)
+            })
+            .collect();
+        let targets = (0..n_rows)
+            .map(|_| match rng.index(4) {
+                0 => 0.0,
+                1 => 1.0,
+                _ => rng.uniform(),
+            })
+            .collect();
+        (CsrMatrix::from_rows(&rows, n_cols), targets)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Packed `fit` is the CSR walk bit for bit: weights and bias, for
+        /// all rows, no rows, and unsorted subsets with duplicate rows.
+        #[test]
+        fn prop_packed_fit_bit_identical_to_csr_walk(
+            (seed, n_rows, n_cols) in (0u64..1_000_000, 0usize..48, 1usize..12),
+            (subset, epochs, fit_intercept) in (0u8..3, 0usize..4, proptest::bool::ANY),
+            (lr, l2, l2_on) in (0.05f64..1.0, 1e-4f64..0.3, proptest::bool::ANY),
+        ) {
+            let mut rng = DetRng::new(seed);
+            let (x, targets) = random_problem(&mut rng, n_rows, n_cols);
+            let ids: Vec<u32> = if n_rows == 0 {
+                Vec::new()
+            } else {
+                (0..rng.index(2 * n_rows + 1)).map(|_| rng.index(n_rows) as u32).collect()
+            };
+            let indices: Option<&[u32]> = match subset {
+                0 => None,
+                1 => Some(&[]),
+                _ => Some(&ids),
+            };
+            let cfg = LogRegConfig { lr, epochs, l2: if l2_on { l2 } else { 0.0 }, fit_intercept };
+            let packed = LogisticRegression::new(cfg.clone()).fit(&x, &targets, indices, seed);
+            let walked = fit_csr_walk(&cfg, &x, &targets, indices, seed);
+            let bits =
+                |m: &FittedLogReg| m.weights().iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&packed), bits(&walked));
+            prop_assert_eq!(packed.bias().to_bits(), walked.bias().to_bits());
+        }
     }
 }

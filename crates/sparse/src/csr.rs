@@ -204,6 +204,23 @@ impl CsrMatrix {
         SparseRow { indices: &self.indices[lo..hi], values: &self.values[lo..hi] }
     }
 
+    /// Copy the rows `rows` (in that order, repeats allowed) into one new
+    /// matrix with the same columns: its row `k` is row `rows[k]` of `self`.
+    pub fn select_rows(&self, rows: &[u32]) -> CsrMatrix {
+        let nnz = rows.iter().map(|&r| self.row(r as usize).nnz()).sum();
+        let mut row_offsets = Vec::with_capacity(rows.len() + 1);
+        let mut indices = Vec::with_capacity(nnz);
+        let mut values = Vec::with_capacity(nnz);
+        row_offsets.push(0);
+        for &r in rows {
+            let row = self.row(r as usize);
+            indices.extend_from_slice(row.indices);
+            values.extend_from_slice(row.values);
+            row_offsets.push(indices.len());
+        }
+        Self { row_offsets, indices, values, n_cols: self.n_cols }
+    }
+
     /// Iterate all rows in order.
     pub fn rows(&self) -> impl Iterator<Item = SparseRow<'_>> {
         (0..self.n_rows()).map(move |r| self.row(r))
@@ -390,6 +407,22 @@ mod tests {
         assert_eq!(m.row(1).nnz(), 0);
         let r2: Vec<(u32, f32)> = m.row(2).iter().collect();
         assert_eq!(r2, vec![(1, 2.0), (3, 3.0)]);
+    }
+
+    #[test]
+    fn select_rows_copies_rows_in_the_given_order() {
+        let rows = vec![sv(&[(0, 1.0)], 4), SparseVec::zeros(4), sv(&[(1, 2.0), (3, 3.0)], 4)];
+        let m = CsrMatrix::from_rows(&rows, 4);
+        let picked = m.select_rows(&[2, 1, 2, 0]);
+        assert_eq!((picked.n_rows(), picked.n_cols(), picked.nnz()), (4, 4, 5));
+        for (k, r) in [2, 1, 2, 0].into_iter().enumerate() {
+            assert_eq!(
+                picked.row(k).iter().collect::<Vec<_>>(),
+                m.row(r).iter().collect::<Vec<_>>()
+            );
+        }
+        let none = m.select_rows(&[]);
+        assert_eq!((none.n_rows(), none.n_cols(), none.nnz()), (0, 4, 0));
     }
 
     #[test]

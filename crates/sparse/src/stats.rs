@@ -132,16 +132,17 @@ pub fn softmax(xs: &[f64]) -> Vec<f64> {
     xs.iter().map(|&x| (x - lse).exp()).collect()
 }
 
-/// Logistic sigmoid with guard against overflow.
+/// Logistic sigmoid with guard against overflow: `exp` only ever sees the
+/// non-positive argument `−|x|`, and the numerator is a select, not a
+/// branch, because the sign of `x` is close to random along an SGD pass.
+/// For `x < 0`, `−|x| == x` exactly, so every input (±0, ±∞ and NaN
+/// included) maps to the bits of the two-branch form `1 / (1 + e^−x)`
+/// for `x ≥ 0`, `e^x / (1 + e^x)` otherwise.
 #[inline]
 pub fn sigmoid(x: f64) -> f64 {
-    if x >= 0.0 {
-        let e = (-x).exp();
-        1.0 / (1.0 + e)
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
-    }
+    let e = (-x.abs()).exp();
+    let num = if x >= 0.0 { 1.0 } else { e };
+    num / (1.0 + e)
 }
 
 /// Mean of a slice (0.0 for empty input).
@@ -326,6 +327,78 @@ mod tests {
         assert!(sigmoid(40.0) > 0.999_999);
         assert!(sigmoid(-40.0) < 1e-6);
         assert!((sigmoid(2.0) + sigmoid(-2.0) - 1.0).abs() < 1e-12);
+    }
+
+    /// The two-branch sigmoid the branch-free one replaced.
+    fn sigmoid_two_branch(x: f64) -> f64 {
+        if x >= 0.0 {
+            let e = (-x).exp();
+            1.0 / (1.0 + e)
+        } else {
+            let e = x.exp();
+            e / (1.0 + e)
+        }
+    }
+
+    fn assert_sigmoid_matches_two_branch(x: f64) {
+        let (got, want) = (sigmoid(x), sigmoid_two_branch(x));
+        if want.is_nan() {
+            assert!(got.is_nan(), "sigmoid({x:e}) = {got:e}, want NaN");
+        } else {
+            assert_eq!(got.to_bits(), want.to_bits(), "sigmoid({x:e}): {got:e} vs {want:e}");
+        }
+    }
+
+    #[test]
+    fn sigmoid_bit_identical_to_two_branch_form() {
+        let edges = [
+            0.0,
+            f64::INFINITY,
+            f64::NAN,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 2.0,
+            f64::from_bits(1),
+            f64::EPSILON,
+            1.0,
+            36.0,
+            37.0,
+            708.0,
+            709.0,
+            709.78,
+            709.8,
+            710.0,
+            744.0,
+            745.0,
+            745.13,
+            745.2,
+            746.0,
+            1e300,
+            f64::MAX,
+        ];
+        for &x in &edges {
+            assert_sigmoid_matches_two_branch(x);
+            assert_sigmoid_matches_two_branch(-x);
+        }
+        assert_eq!(sigmoid(-0.0).to_bits(), 0.5f64.to_bits());
+        assert_eq!(sigmoid(f64::INFINITY), 1.0);
+        assert_eq!(sigmoid(f64::NEG_INFINITY), 0.0);
+        // Neighbouring floats around the `exp` under/overflow edges.
+        for edge in [709.78f64, 745.13] {
+            let mut x = edge;
+            for _ in 0..64 {
+                assert_sigmoid_matches_two_branch(x);
+                assert_sigmoid_matches_two_branch(-x);
+                x = f64::from_bits(x.to_bits() + 1);
+            }
+        }
+        // Random draws across magnitudes, subnormal to overflow.
+        let mut rng = crate::DetRng::new(0x5167_0001);
+        for _ in 0..4096 {
+            let magnitude = 10f64.powf(rng.uniform_in(-320.0, 3.0));
+            let x = if rng.bernoulli(0.5) { magnitude } else { -magnitude };
+            assert_sigmoid_matches_two_branch(x);
+            assert_sigmoid_matches_two_branch(rng.uniform_in(-800.0, 800.0));
+        }
     }
 
     #[test]

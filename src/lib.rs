@@ -99,7 +99,7 @@
 //! | [`core`] | `nemo-core` | the paper's contribution: SEU selector, LF contextualizer, IDP loop, simulated users, `NemoSystem`, multi-tenant `SessionPool` over `SharedArtifacts` |
 //! | [`baselines`] | `nemo-baselines` | Snorkel, Snorkel-Abs/Dis, ImplyLoss-L, US, BALD, IWS-LSE, Active WeaSuL, and the unified method runner |
 //! | [`labelmodel`] | `nemo-labelmodel` | majority vote and moment-based (MeTaL-style) label models |
-//! | [`endmodel`] | `nemo-endmodel` | logistic regression on soft labels, Adam, bootstrap ensembles |
+//! | [`endmodel`] | `nemo-endmodel` | logistic regression on soft labels, bootstrap ensembles |
 //! | [`lf`] | `nemo-lf` | labels, primitive LFs, label matrix, lineage, metrics |
 //! | [`data`] | `nemo-data` | dataset abstraction + the six synthetic catalog datasets |
 //! | [`text`] | `nemo-text` | tokenizer, vocabulary, n-grams, TF-IDF |
