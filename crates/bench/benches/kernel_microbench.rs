@@ -16,7 +16,6 @@
 //! Results are printed as a table and written to `BENCH_kernel.json` so
 //! successive PRs can track the perf trajectory.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use nemo_core::config::{ContextualizerConfig, IdpConfig};
@@ -355,9 +354,9 @@ fn seu_loop_bench(ds: &Dataset, trajectory: &[ModelOutputs]) -> String {
 /// - **rebuild**: refilter every LF column at every grid point through
 ///   the per-grid-point `refined_train_matrix` / `refined_valid_matrix`
 ///   (the pre-cache behaviour, now the oracle).
-/// - **incremental**: serve the `n−1` previously cached LFs' columns from
-///   the cross-round refined-column cache and filter only the new LF's —
-///   each timed call first drops the last LF's slots
+/// - **incremental**: keep the `n−1` previously filtered LFs' columns in
+///   the grid slots' matrices and filter only the new LF's — each timed
+///   call first drops the last LF's columns
 ///   (`invalidate_refined_cache_from`) so it measures a genuine warm
 ///   round, not a fully cached replay.
 ///
@@ -426,101 +425,6 @@ fn refine_cache_bench(ds: &Dataset, lineage: &Lineage, results: &mut Vec<BenchRe
     );
     results.push(rebuild);
     results.push(warm);
-    json
-}
-
-/// Copy-on-write matrix assembly: build every grid point's refined
-/// train/valid `LabelMatrix` from the contextualizer's cached columns —
-/// the serve step of each warm `tune_p` round — two ways:
-///
-/// - **deep copy**: clone each column's vote vector into the matrix (the
-///   pre-CoW `Vec<LfColumn>` storage paid this `O(coverage)` memcpy per
-///   `(grid point, LF)` slot, every round);
-/// - **shared**: append an `Arc` clone of the cached column
-///   ([`LabelMatrix::push_shared`]) — a refcount bump, `O(1)` per slot.
-///
-/// Outputs are asserted equal (and the shared path pointer-identical to
-/// its source) before timing; with `NEMO_BENCH_ENFORCE` set, a shared
-/// path slower than half the deep-copy cost aborts the run.
-fn matrix_cow_bench(ds: &Dataset, lineage: &Lineage, results: &mut Vec<BenchResult>) -> String {
-    let lfs: Vec<PrimitiveLf> = lineage.tracked().iter().map(|r| r.lf).collect();
-    let matrix = LabelMatrix::from_lfs(&lfs, &ds.train.corpus);
-    let mut ctx = Contextualizer::new(ContextualizerConfig::default());
-    ctx.sync(lineage, ds);
-    // Fill the refined-column cache once; the sources below then play the
-    // cache's role of handing out columns for assembly.
-    let (grid_train, grid_valid) = ctx.refined_grid_matrices(&matrix, ds.valid.n());
-    let sources: Vec<&LabelMatrix> = grid_train.iter().chain(&grid_valid).collect();
-    let n_columns: usize = sources.iter().map(|m| m.n_lfs()).sum();
-    let n_votes: usize =
-        sources.iter().flat_map(|m| m.columns().map(nemo_lf::LfColumn::coverage)).sum();
-
-    let assemble_shared = |srcs: &[&LabelMatrix]| {
-        let mut total = 0usize;
-        for m in srcs {
-            let mut out = LabelMatrix::new(m.n_examples());
-            for j in 0..m.n_lfs() {
-                out.push_shared(Arc::clone(m.shared_column(j)));
-            }
-            total += out.n_lfs();
-        }
-        total
-    };
-    let assemble_deep = |srcs: &[&LabelMatrix]| {
-        let mut total = 0usize;
-        for m in srcs {
-            let mut out = LabelMatrix::new(m.n_examples());
-            for j in 0..m.n_lfs() {
-                out.push(m.column(j).clone());
-            }
-            total += out.n_lfs();
-        }
-        total
-    };
-    assert_eq!(assemble_shared(&sources), assemble_deep(&sources));
-    {
-        // Shared assembly must be pointer-identical to its source.
-        let mut out = LabelMatrix::new(grid_train[0].n_examples());
-        for j in 0..grid_train[0].n_lfs() {
-            out.push_shared(Arc::clone(grid_train[0].shared_column(j)));
-        }
-        assert_eq!(out.shared_columns_with(&grid_train[0]), grid_train[0].n_lfs());
-    }
-
-    let deep = bench("matrix_assemble_deep_copy", || assemble_deep(&sources));
-    let shared = bench("matrix_assemble_shared", || assemble_shared(&sources));
-    let speedup = deep.mean_ns / shared.mean_ns;
-    println!(
-        "\nCoW matrix assembly ({} grid matrices, {} columns, {} votes):",
-        sources.len(),
-        n_columns,
-        n_votes
-    );
-    println!("  deep-copied columns    : {} per round", human(deep.mean_ns));
-    println!("  shared Arc handles     : {} per round", human(shared.mean_ns));
-    println!("  speedup                : {speedup:.2}x");
-    if std::env::var("NEMO_BENCH_ENFORCE").is_ok() {
-        assert!(
-            shared.mean_ns * 2.0 <= deep.mean_ns,
-            "regression: shared matrix assembly ({}) not ≥2x faster than deep copies ({})",
-            human(shared.mean_ns),
-            human(deep.mean_ns)
-        );
-    }
-    let json = format!(
-        concat!(
-            "{{\"grid_matrices\": {}, \"columns\": {}, \"votes\": {}, ",
-            "\"deep_copy_ns\": {:.0}, \"shared_ns\": {:.0}, \"speedup\": {:.4}}}"
-        ),
-        sources.len(),
-        n_columns,
-        n_votes,
-        deep.mean_ns,
-        shared.mean_ns,
-        speedup,
-    );
-    results.push(deep);
-    results.push(shared);
     json
 }
 
@@ -888,7 +792,6 @@ fn main() {
     let pool_json = session_pool_bench(&ds, &mut results);
     let loop_json = seu_loop_bench(&ds, &trajectory);
     let refine_json = refine_cache_bench(&ds, &session_lineage, &mut results);
-    let cow_json = matrix_cow_bench(&ds, &session_lineage, &mut results);
 
     let mut json = String::from("{\n");
     json.push_str(&format!("  \"profile\": \"{}\",\n", profile.name()));
@@ -910,8 +813,7 @@ fn main() {
     json.push_str(&format!("  \"artifact_load\": {artifact_json},\n"));
     json.push_str(&format!("  \"session_pool\": {pool_json},\n"));
     json.push_str(&format!("  \"seu_loop\": {loop_json},\n"));
-    json.push_str(&format!("  \"refine_cache\": {refine_json},\n"));
-    json.push_str(&format!("  \"matrix_cow\": {cow_json}\n"));
+    json.push_str(&format!("  \"refine_cache\": {refine_json}\n"));
     json.push_str("}\n");
 
     // Anchor to the workspace root (cargo bench sets CWD to the package).

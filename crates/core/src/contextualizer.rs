@@ -29,17 +29,13 @@ use nemo_data::Dataset;
 use nemo_labelmodel::{FittedLabelModel, LabelModel, PairCounts};
 use nemo_lf::{LabelMatrix, LfColumn, Lineage, TrackedLf};
 use nemo_sparse::stats::{percentile, percentiles};
-// lint: allow(determinism/hash-collections): the dedup map below is
-// lookup-only (entry/or_insert); its iteration order is never observed.
-use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Result of percentile tuning: the chosen `p`, the refined training
 /// matrix at that `p`, and the label model fitted to it.
 pub struct TunedRefinement {
     /// Chosen percentile.
     pub p: f64,
-    /// Refined training label matrix.
+    /// Refined training label matrix (a copy of the chosen grid slot's).
     pub train_matrix: LabelMatrix,
     /// Label model fitted on the refined matrix.
     pub fitted: Box<dyn FittedLabelModel>,
@@ -48,46 +44,46 @@ pub struct TunedRefinement {
     pub valid_score: f64,
 }
 
-/// One `(grid point, LF)` slot of the cross-round refined-column cache:
-/// the filtered train and valid columns, plus the key they were filtered
-/// under — the radius (bitwise) and the raw train column's construction
-/// token. Lineage is append-only, so for an existing LF neither component
-/// moves between rounds and the slot stays valid until the caller changes
-/// the grid or swaps the raw matrix. Columns are held as shared
-/// [`Arc<LfColumn>`] handles: serving a slot into a grid matrix is an
-/// `Arc` clone ([`LabelMatrix::push_shared`]) — a refcount bump, never a
-/// vote memcpy.
-struct RefinedEntry {
-    /// `radius(j, p).to_bits()` at filter time.
-    radius_bits: u64,
-    /// [`LfColumn::token`] of the raw train column the train column was
-    /// filtered from (the valid column's raw source is owned by the
-    /// contextualizer and immutable, so it needs no key).
-    raw_token: u64,
-    train: Arc<LfColumn>,
-    valid: Arc<LfColumn>,
+/// One point of the percentile grid: its refined train and valid
+/// matrices, kept across rounds, and the label model's pair-count cache
+/// of the train matrix.
+///
+/// Column `j` of both matrices was filtered under `keys[j]`: the radius
+/// (bitwise) and the raw train column's construction token (the valid
+/// column's raw source is owned by the contextualizer and immutable, so it
+/// needs no key). Lineage is append-only and an existing LF's radius is
+/// frozen at registration, so a warm round finds every key fresh except
+/// the new LFs' and only appends; a stale key truncates the slot there.
+#[derive(Default)]
+struct GridSlot {
+    keys: Vec<(u64, u64)>,
+    train: LabelMatrix,
+    valid: LabelMatrix,
+    /// Pairwise co-vote counts of `train`, keyed by column token: a warm
+    /// round recounts only the pairs touching the new LF's column. A
+    /// cache, not a warm start — it never changes a bit of output — and
+    /// not checkpointed: a restored contextualizer recounts every pair
+    /// once, one dense scatter per column and one probe of each later
+    /// column's entries, `O(m · Σ coverage)` per slot.
+    pair_counts: PairCounts,
+}
+
+impl GridSlot {
+    fn truncate(&mut self, m: usize) {
+        self.keys.truncate(m);
+        self.train.truncate(m);
+        self.valid.truncate(m);
+    }
 }
 
 /// Cumulative refined-column cache counters (bench accounting).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RefineCacheStats {
-    /// `(grid point, LF)` slots served from the cache.
+    /// `(grid point, LF)` columns kept from an earlier round.
     pub hits: usize,
-    /// Slots whose own-slot key missed (cold slots, radius changes,
-    /// raw-column changes).
+    /// `(grid point, LF)` columns filtered afresh (cold slots, radius
+    /// changes, raw-column changes, and every column after one of those).
     pub refilters: usize,
-    /// Of the `refilters`, slots recovered by sharing an *earlier grid
-    /// slot's* cached columns (same LF, same radius bits, same raw token)
-    /// instead of re-running the filter — duplicate grid percentiles and
-    /// adjacent percentiles quantizing to the same radius cost a refcount
-    /// bump, and equal columns across slots come out pointer-equal.
-    pub cross_slot_reuses: usize,
-    /// Columns handed to grid matrices as shared `Arc` clones (train and
-    /// valid counted separately). **Every** served column is shared — a
-    /// warm round's matrix assembly performs zero per-column vote
-    /// memcpys, which the CoW differential tests pin via `Arc::ptr_eq`
-    /// across rounds.
-    pub shared_serves: usize,
 }
 
 /// The contextualizer with per-LF distance caches.
@@ -108,19 +104,10 @@ pub struct Contextualizer {
     /// far — one per grid point per round with a non-empty validation
     /// split (bench accounting).
     tune_predicts: usize,
-    /// Cross-round refined-column cache, `[grid slot][lf]`, lazily grown
-    /// and revalidated per slot (see
-    /// [`Contextualizer::refined_grid_matrices`]).
-    refined_cache: Vec<Vec<Option<RefinedEntry>>>,
+    /// One slot per entry of `config.p_grid`, position-keyed, refreshed
+    /// by [`Contextualizer::refined_grid_matrices`].
+    slots: Vec<GridSlot>,
     cache_stats: RefineCacheStats,
-    /// Per-grid-slot pairwise co-vote counts of the refined train matrix,
-    /// keyed by column token like `refined_cache`: a warm round recounts
-    /// only the pairs touching the new LF's column. A cache, not a warm
-    /// start — it never changes a bit of output — and not checkpointed: a
-    /// restored contextualizer recounts every pair once, one dense scatter
-    /// per column and one probe of each later column's entries, `O(m ·
-    /// Σ coverage)` per slot.
-    pair_counts: Vec<PairCounts>,
 }
 
 impl Contextualizer {
@@ -134,9 +121,8 @@ impl Contextualizer {
             raw_valid_cols: Vec::new(),
             tune_fits: 0,
             tune_predicts: 0,
-            refined_cache: Vec::new(),
+            slots: Vec::new(),
             cache_stats: RefineCacheStats::default(),
-            pair_counts: Vec::new(),
         }
     }
 
@@ -164,7 +150,7 @@ impl Contextualizer {
     /// re-measure the same warm round repeatedly and, with `from = 0`,
     /// gives tests the refilter-everything oracle of a tuning round.
     pub fn invalidate_refined_cache_from(&mut self, from: usize) {
-        for slot in &mut self.refined_cache {
+        for slot in &mut self.slots {
             slot.truncate(from);
         }
     }
@@ -290,106 +276,66 @@ impl Contextualizer {
     }
 
     /// The per-grid-point refined train and valid matrices `tune_p`
-    /// consumes (one pair per entry of `config.p_grid`, in grid order).
+    /// consumes (one pair per entry of `config.p_grid`, in grid order),
+    /// borrowed from the grid slots that own them.
     ///
-    /// Each `(grid point, LF)` column pair is served from the cross-round
-    /// cache when its key — the radius bits and the raw train column's
-    /// [`nemo_lf::LfColumn::token`] — matches, and refiltered (then
-    /// re-cached) otherwise. Because lineage is append-only and an
-    /// existing LF's distance table is frozen at registration, a warm
-    /// round refilters only the newly registered LFs' columns: `O(grid)`
-    /// filters instead of `O(grid · lfs)`. Served columns are **shared
-    /// handles** of the cached filter output (`Arc` clones via
-    /// [`LabelMatrix::push_shared`] — `O(1)` per column, no vote memcpy),
+    /// Each slot keeps its leading columns whose key — the radius bits and
+    /// the raw train column's [`nemo_lf::LfColumn::token`] — still matches,
+    /// drops the rest, and filters the dropped and new LFs' columns onto
+    /// its matrices. Because lineage is append-only and an existing LF's
+    /// distance table is frozen at registration, a warm round filters only
+    /// the newly registered LFs' columns: `O(grid)` filters instead of
+    /// `O(grid · lfs)`, and no column is copied. The result is
     /// bit-identical to filtering every column afresh with
     /// [`Contextualizer::refined_train_matrix`] /
     /// [`Contextualizer::refined_valid_matrix`] — the `refine_cache`
-    /// differential suite and bench gate pin this, and the CoW suite
-    /// additionally pins pointer identity across warm rounds.
+    /// differential suite and bench pin this.
     pub fn refined_grid_matrices(
         &mut self,
         raw_train: &LabelMatrix,
         n_valid: usize,
-    ) -> (Vec<LabelMatrix>, Vec<LabelMatrix>) {
+    ) -> (Vec<&LabelMatrix>, Vec<&LabelMatrix>) {
+        self.refresh_slots(raw_train, n_valid);
+        self.slots.iter().map(|slot| (&slot.train, &slot.valid)).unzip()
+    }
+
+    /// Bring every grid slot's matrices up to date with `raw_train`.
+    fn refresh_slots(&mut self, raw_train: &LabelMatrix, n_valid: usize) {
         // invariant: same matrix/lineage alignment contract as
         // `refined_train_matrix`.
         assert_eq!(raw_train.n_lfs(), self.n_registered(), "matrix/lineage mismatch");
-        let p_grid = self.config.p_grid.clone();
-        // The grid is position-keyed: slot k caches whatever radius
+        // The grid is position-keyed: slot k holds whatever radius
         // p_grid[k] last produced, so a grown/shrunk grid resizes the
-        // outer vec and an edited percentile invalidates through the
-        // radius key alone.
-        let n_lfs = self.n_registered();
-        self.refined_cache.resize_with(p_grid.len(), Vec::new);
-        let mut train_out = Vec::with_capacity(p_grid.len());
-        let mut valid_out = Vec::with_capacity(p_grid.len());
-        for (k, &p) in p_grid.iter().enumerate() {
-            let mut train_m = LabelMatrix::new(raw_train.n_examples());
-            let mut valid_m = LabelMatrix::new(n_valid);
-            for j in 0..n_lfs {
-                let r = self.radius(j, p);
-                let raw = raw_train.column(j);
-                if self.refined_cache[k].len() <= j {
-                    self.refined_cache[k].resize_with(n_lfs, || None);
-                }
-                let fresh = matches!(
-                    &self.refined_cache[k][j],
-                    Some(e) if e.radius_bits == r.to_bits() && e.raw_token == raw.token()
-                );
-                if fresh {
-                    self.cache_stats.hits += 1;
-                } else {
-                    self.cache_stats.refilters += 1;
-                    // Cross-slot reuse: an earlier grid slot that filtered
-                    // the same raw column at the same radius already holds
-                    // exactly this slot's columns — share its handles
-                    // instead of filtering again. Stale sibling entries
-                    // are skipped by the same key check as the own-slot
-                    // test above.
-                    let reused = self.refined_cache[..k].iter().find_map(|slot| {
-                        slot.get(j)
-                            .and_then(Option::as_ref)
-                            .filter(|e| e.radius_bits == r.to_bits() && e.raw_token == raw.token())
-                            .map(|e| (Arc::clone(&e.train), Arc::clone(&e.valid)))
-                    });
-                    let (train, valid) = match reused {
-                        Some(pair) => {
-                            self.cache_stats.cross_slot_reuses += 1;
-                            pair
-                        }
-                        None => {
-                            let train = {
-                                let d = &self.train_dists[j];
-                                raw.filtered(|i| d[i as usize] <= r)
-                            };
-                            let valid = {
-                                let d = &self.valid_dists[j];
-                                self.raw_valid_cols[j].filtered(|i| d[i as usize] <= r)
-                            };
-                            (Arc::new(train), Arc::new(valid))
-                        }
-                    };
-                    self.refined_cache[k][j] = Some(RefinedEntry {
-                        radius_bits: r.to_bits(),
-                        raw_token: raw.token(),
-                        train,
-                        valid,
-                    });
-                }
-                // Serve by handle: a refcount bump per column, never a
-                // vote memcpy — warm rounds assemble every grid matrix
-                // in O(1) per column.
-                // invariant: the miss branch directly above filled
-                // this slot before falling through.
-                let entry = self.refined_cache[k][j].as_ref().expect("slot populated above");
-                train_m.push_shared(Arc::clone(&entry.train));
-                valid_m.push_shared(Arc::clone(&entry.valid));
-                self.cache_stats.shared_serves += 2;
+        // slots and an edited percentile invalidates through the radius
+        // key alone.
+        let mut slots = std::mem::take(&mut self.slots);
+        slots.resize_with(self.config.p_grid.len(), GridSlot::default);
+        for (slot, &p) in slots.iter_mut().zip(&self.config.p_grid) {
+            if slot.train.n_examples() != raw_train.n_examples()
+                || slot.valid.n_examples() != n_valid
+            {
+                *slot = GridSlot {
+                    train: LabelMatrix::new(raw_train.n_examples()),
+                    valid: LabelMatrix::new(n_valid),
+                    ..GridSlot::default()
+                };
             }
-            train_out.push(train_m);
-            valid_out.push(valid_m);
+            let keys: Vec<(u64, u64)> = raw_train
+                .columns()
+                .enumerate()
+                .map(|(j, raw)| (self.radius(j, p).to_bits(), raw.token()))
+                .collect();
+            let fresh = slot.keys.iter().zip(&keys).take_while(|(a, b)| a == b).count();
+            slot.truncate(fresh);
+            self.cache_stats.hits += fresh;
+            self.cache_stats.refilters += keys.len() - fresh;
+            for (j, &key) in keys.iter().enumerate().skip(fresh) {
+                slot.train.push(self.refine_train(j, p, raw_train.column(j)));
+                slot.valid.push(self.refine_valid(j, p));
+                slot.keys.push(key);
+            }
         }
-        (train_out, valid_out)
+        self.slots = slots;
     }
 
     /// Select `p` from the grid by the validation quality of the
@@ -415,7 +361,7 @@ impl Contextualizer {
     /// The unique grid points are fitted one after another via
     /// [`LabelModel::fit_from`], each with its own slot's [`PairCounts`]
     /// cache of the refined train matrix's pairwise co-vote counts.
-    /// Refined columns are served from the refined-column cache with
+    /// A warm round keeps each slot's earlier refined columns with
     /// unchanged tokens, so the MeTaL/triplet estimator recounts only the
     /// new LF's `m − 1` pairs per slot instead of all `m(m−1)/2`, by one
     /// scatter of the new column and one probe of each other column. The
@@ -432,8 +378,8 @@ impl Contextualizer {
         assert!(!self.config.p_grid.is_empty(), "empty percentile grid");
         let p_grid = self.config.p_grid.clone();
 
-        // Refined matrix per grid point — served from the cross-round
-        // refined-column cache — then dedup: when adjacent percentiles quantize to the same
+        // Refined matrix per grid point — kept by the grid slots across
+        // rounds — then dedup: when adjacent percentiles quantize to the same
         // refined matrix (no distance falls between the radii), the
         // representative's fit is rebuilt from its accuracies instead of
         // refitting — both a redundant-fit saving and the guarantee that
@@ -443,46 +389,37 @@ impl Contextualizer {
         // `NaiveBayesFit`, whose construction from the clamped accuracies
         // is bitwise idempotent.)
         //
-        // Equivalence classes are discovered by **hashing coverage
-        // signatures**, not by the historical pairwise
-        // `O(grid² · coverage)` matrix compare. For a fixed LF `j` every
-        // grid point filters the *same* raw column by `d_j(i) ≤ r`, and
-        // those kept-sets are nested across radii (monotone in `r`), so
-        // two grid points keep identical column content iff they keep the
-        // *same number* of entries — the per-column `coverage()` (an O(1)
-        // stored length) is a sound and complete equality witness. A
-        // slot's signature is its per-LF coverage vector; first occurrence
-        // in the hash map is the class representative, matching the old
-        // scan's first-earlier-equal semantics. This is `O(grid · lfs)`
-        // and — unlike hashing the radius bits — still unifies *distinct*
-        // radii that quantize to the same refined matrix, the common case
-        // the dedup exists for.
-        let (mut matrices, valid_matrices) = self.refined_grid_matrices(raw_train, ds.valid.n());
-        let repr: Vec<usize> = {
-            // lint: allow(determinism/hash-collections): entry/or_insert
-            // keyed dedup; results read via lookups in grid order, the
-            // map itself is never iterated.
-            let mut first_of: HashMap<Vec<usize>, usize> = HashMap::with_capacity(matrices.len());
-            matrices
-                .iter()
-                .enumerate()
-                .map(|(k, m)| {
-                    let sig: Vec<usize> = m.columns().map(LfColumn::coverage).collect();
-                    *first_of.entry(sig).or_insert(k)
-                })
-                .collect()
-        };
+        // Equivalence classes are discovered by comparing **coverage
+        // signatures**, not whole matrices. For a fixed LF `j` every grid
+        // point filters the *same* raw column by `d_j(i) ≤ r`, and those
+        // kept-sets are nested across radii (monotone in `r`), so two grid
+        // points keep identical column content iff they keep the *same
+        // number* of entries — the per-column `coverage()` (an O(1) stored
+        // length) is a sound and complete equality witness. A slot's
+        // signature is its per-LF coverage vector, and its representative
+        // is the first slot with an equal signature. This is `O(grid² ·
+        // lfs)` on a grid of a handful of points and — unlike comparing
+        // the radius bits — still unifies *distinct* radii that quantize
+        // to the same refined matrix, the common case the dedup exists for.
+        self.refresh_slots(raw_train, ds.valid.n());
+        let sigs: Vec<Vec<usize>> = self
+            .slots
+            .iter()
+            .map(|slot| slot.train.columns().map(LfColumn::coverage).collect())
+            .collect();
+        let repr: Vec<usize> =
+            (0..sigs.len()).map(|k| (0..k).find(|&e| sigs[e] == sigs[k]).unwrap_or(k)).collect();
         let unique: Vec<usize> =
             repr.iter().enumerate().filter(|&(k, &r)| r == k).map(|(k, _)| k).collect();
         self.tune_fits += unique.len();
 
         // Fit the unique grid points, each with its slot's pair-count
         // cache, so a moment estimator recounts only the new LF's pairs.
-        self.pair_counts.resize_with(p_grid.len(), PairCounts::default);
         let mut fitted: Vec<Option<Box<dyn FittedLabelModel>>> =
             (0..p_grid.len()).map(|_| None).collect();
         for &k in &unique {
-            fitted[k] = Some(label_model.fit_from(&matrices[k], prior, &mut self.pair_counts[k]));
+            let GridSlot { train, pair_counts, .. } = &mut self.slots[k];
+            fitted[k] = Some(label_model.fit_from(train, prior, pair_counts));
         }
         for k in 0..p_grid.len() {
             if repr[k] != k {
@@ -526,7 +463,7 @@ impl Contextualizer {
                 // fitted representative) in the loop above.
                 let fit = fitted[k].as_ref().expect("fitted");
                 self.tune_predicts += 1;
-                *score = fit.score_log_likelihood(&valid_matrices[k], &ds.valid.labels);
+                *score = fit.score_log_likelihood(&self.slots[k].valid, &ds.valid.labels);
             }
         }
         let best_k = match widest_k {
@@ -545,7 +482,7 @@ impl Contextualizer {
         };
         TunedRefinement {
             p: p_grid[best_k],
-            train_matrix: matrices.swap_remove(best_k),
+            train_matrix: self.slots[best_k].train.clone(),
             // invariant: `best_k` indexes a fitted representative —
             // ties resolve to fitted slots and no take() precedes this.
             fitted: fitted[best_k].take().expect("fitted"),
@@ -758,12 +695,12 @@ mod tests {
         // Two rounds: a cold fill and a fully warm round, each against the
         // per-grid-point matrices filtered afresh.
         for round in 0..2 {
-            let (ti, vi) = incr.refined_grid_matrices(&matrix, ds.valid.n());
             let p_grid = incr.config.p_grid.clone();
             let tr: Vec<_> =
                 p_grid.iter().map(|&p| incr.refined_train_matrix(&matrix, p)).collect();
             let vr: Vec<_> =
                 p_grid.iter().map(|&p| incr.refined_valid_matrix(p, ds.valid.n())).collect();
+            let (ti, vi) = incr.refined_grid_matrices(&matrix, ds.valid.n());
             for (k, ((a, b), (c, d))) in ti.iter().zip(&tr).zip(vi.iter().zip(&vr)).enumerate() {
                 for j in 0..a.n_lfs() {
                     assert_eq!(
@@ -794,13 +731,8 @@ mod tests {
         // Register and refine the first 5 LFs, then grow the lineage by
         // one: only the new LF's (grid) columns may be refiltered.
         ctx.register_batch(&lineage.tracked()[..5], &ds);
-        let prefix = {
-            let mut m = LabelMatrix::new(matrix.n_examples());
-            for j in 0..5 {
-                m.push(matrix.column(j).clone());
-            }
-            m
-        };
+        let mut prefix = matrix.clone();
+        prefix.truncate(5);
         ctx.refined_grid_matrices(&prefix, ds.valid.n());
         let cold = ctx.refine_cache_stats();
         assert_eq!(cold.refilters, grid * 5);
@@ -818,54 +750,23 @@ mod tests {
         let (_, matrix, lineage) = setup(&ds, 6, 41);
         let mut ctx = Contextualizer::new(ContextualizerConfig::default());
         ctx.register_batch(&lineage.tracked()[..5], &ds);
-        let mut prefix = LabelMatrix::new(matrix.n_examples());
-        for j in 0..5 {
-            prefix.push_shared(Arc::clone(matrix.shared_column(j)));
-        }
+        let mut prefix = matrix.clone();
+        prefix.truncate(5);
         ctx.tune_p(&prefix, &ds, &TripletModel::default(), ds.prior());
         // Every fitted slot holds the counts of its 5 refined columns; the
-        // next round's grid matrices serve those columns with unchanged
-        // tokens, so a sync recounts only the new LF's 5 pairs.
+        // next round keeps those columns with unchanged tokens, so a sync
+        // recounts only the new LF's 5 pairs.
         ctx.sync(&lineage, &ds);
-        let (grid, _) = ctx.refined_grid_matrices(&matrix, ds.valid.n());
+        ctx.refresh_slots(&matrix, ds.valid.n());
         let mut fitted_slots = 0;
-        for (k, m) in grid.iter().enumerate() {
-            let mut counts = ctx.pair_counts[k].clone();
+        for (k, slot) in ctx.slots.iter().enumerate() {
+            let mut counts = slot.pair_counts.clone();
             if counts.n_columns() == 5 {
                 fitted_slots += 1;
-                assert_eq!(counts.sync(m), 5, "slot {k}");
+                assert_eq!(counts.sync(&slot.train), 5, "slot {k}");
             }
         }
         assert!(fitted_slots > 0, "no slot kept its pair counts");
-    }
-
-    #[test]
-    fn warm_round_grid_assembly_is_zero_copy() {
-        // After the cold fill, a warm round must (a) refilter nothing,
-        // (b) serve every column as a shared handle, and (c) hand out the
-        // *same* vote buffers as the previous round — pointer identity is
-        // the proof that assembly performed zero per-column memcpys.
-        let ds = toy_text(1);
-        let (mut ctx, matrix, _) = setup(&ds, 6, 31);
-        let slots = ctx.config.p_grid.len() * 6;
-        let (t1, v1) = ctx.refined_grid_matrices(&matrix, ds.valid.n());
-        let cold = ctx.refine_cache_stats();
-        assert_eq!(cold.refilters, slots);
-        assert_eq!(cold.shared_serves, 2 * slots, "every serve is a shared handle");
-        let (t2, v2) = ctx.refined_grid_matrices(&matrix, ds.valid.n());
-        let warm = ctx.refine_cache_stats();
-        assert_eq!(warm.refilters, cold.refilters, "warm round must not rebuild any column");
-        assert_eq!(warm.shared_serves - cold.shared_serves, 2 * slots);
-        for k in 0..t1.len() {
-            assert_eq!(t1[k].shared_columns_with(&t2[k]), 6, "train k={k} must be pointer-shared");
-            assert_eq!(v1[k].shared_columns_with(&v2[k]), 6, "valid k={k} must be pointer-shared");
-            for j in 0..6 {
-                assert!(
-                    std::sync::Arc::ptr_eq(t1[k].shared_column(j), t2[k].shared_column(j)),
-                    "train k={k} j={j} was deep-copied"
-                );
-            }
-        }
     }
 
     #[test]
@@ -884,33 +785,6 @@ mod tests {
         assert_eq!(ctx.tune_fits(), 2, "duplicate grid points must share fits");
         assert_eq!(ctx.tune_predicts(), 4, "every grid point is predicted");
         assert!(ctx.config.p_grid.contains(&tuned.p));
-    }
-
-    #[test]
-    fn duplicate_grid_points_share_cached_columns() {
-        // A duplicated percentile's slots miss their own-slot key on the
-        // cold round (still counted as refilters) but must recover every
-        // column from the earlier twin slot by handle — pointer-equal
-        // columns, no second filter pass.
-        let ds = toy_text(1);
-        let (_, matrix, lineage) = setup(&ds, 5, 34);
-        let mut ctx = Contextualizer::new(ContextualizerConfig {
-            p_grid: vec![50.0, 50.0, 100.0],
-            ..Default::default()
-        });
-        ctx.sync(&lineage, &ds);
-        let (t, v) = ctx.refined_grid_matrices(&matrix, ds.valid.n());
-        let stats = ctx.refine_cache_stats();
-        assert_eq!(stats.refilters, 3 * 5, "cold round: every slot's own-slot key misses");
-        assert!(
-            stats.cross_slot_reuses >= 5,
-            "duplicated grid point must reuse its sibling's columns, got {}",
-            stats.cross_slot_reuses
-        );
-        for j in 0..5 {
-            assert!(Arc::ptr_eq(t[0].shared_column(j), t[1].shared_column(j)), "train j={j}");
-            assert!(Arc::ptr_eq(v[0].shared_column(j), v[1].shared_column(j)), "valid j={j}");
-        }
     }
 
     #[test]

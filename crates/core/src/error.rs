@@ -88,8 +88,9 @@ pub enum RestoreError {
         /// Columns found.
         actual: usize,
     },
-    /// A persisted matrix column violates the vote-column invariants
-    /// (sorted unique example ids, ±1 votes, ids within the split).
+    /// A persisted matrix column differs from the column its LF produces
+    /// over the dataset's training corpus: corrupt entries, or a
+    /// checkpoint of another dataset.
     MalformedColumn {
         /// Index of the offending column.
         lf: usize,

@@ -296,12 +296,9 @@ impl<'a> Session<'a> {
         &self.lineage
     }
 
-    /// Raw train label matrix of collected LFs.
-    ///
-    /// Columns are `Arc`-shared ([`nemo_lf::LabelMatrix`]'s
-    /// copy-on-write storage), so cloning the returned matrix — per-round
-    /// trajectory recording, checkpoints, the replay benches — copies `m`
-    /// handles, not `m` vote vectors.
+    /// Raw train label matrix of collected LFs, one column per lineage
+    /// record. Checkpoints copy its entries and a restore rebuilds each
+    /// column from its LF.
     pub fn matrix(&self) -> &LabelMatrix {
         &self.matrix
     }
@@ -637,16 +634,18 @@ impl<'a> Session<'a> {
                 actual: ckpt.columns.len(),
             });
         }
+        // Each column is rebuilt from its LF over this dataset's corpus and
+        // must equal the persisted one, which also rejects a checkpoint of
+        // another dataset with the same split sizes and primitive count.
         let mut matrix = LabelMatrix::new(n_train);
-        for (j, entries) in ckpt.columns.iter().enumerate() {
-            if entries.iter().any(|&(i, _)| i as usize >= n_train) {
+        for (j, (rec, entries)) in ckpt.lineage.iter().zip(&ckpt.columns).enumerate() {
+            let col = LfColumn::from_lf(&rec.lf, &ds.train.corpus);
+            if col.entries() != entries.as_slice() {
                 return Err(RestoreError::MalformedColumn {
                     lf: j,
-                    reason: "entry references an example outside the training split",
+                    reason: "column disagrees with its LF over the training corpus",
                 });
             }
-            let col = LfColumn::try_new(entries.clone())
-                .map_err(|reason| RestoreError::MalformedColumn { lf: j, reason })?;
             matrix.push(col);
         }
 
@@ -787,26 +786,6 @@ mod tests {
     }
 
     #[test]
-    fn matrix_snapshots_share_vote_buffers() {
-        // Per-round trajectory recording clones the session matrix; with
-        // Arc-backed storage every snapshot must share the collected
-        // columns' vote buffers instead of memcpying them.
-        let ds = toy_text(1);
-        let mut s = Session::new(&ds, cfg(6, 9));
-        let mut selector = SeuSelector::new();
-        let mut user = SimulatedUser::default();
-        let mut pipeline = StandardPipeline;
-        for _ in 0..6 {
-            s.round(&mut selector, &mut user, &mut pipeline).unwrap();
-        }
-        let n_lfs = s.matrix().n_lfs();
-        assert!(n_lfs > 0, "session collected no LFs");
-        let snapshot = s.matrix().clone();
-        assert_eq!(snapshot.shared_columns_with(s.matrix()), n_lfs);
-        assert_eq!(&snapshot, s.matrix());
-    }
-
-    #[test]
     fn empty_submit_consumes_iteration_like_skip() {
         let ds = toy_text(1);
         let mut s = Session::new(&ds, cfg(10, 5));
@@ -926,6 +905,14 @@ mod tests {
 
         let mut bad = good.clone();
         bad.columns[0] = vec![(ds.train.n() as u32, 1)];
+        assert!(matches!(
+            Session::restore(&ds, &bad),
+            Err(RestoreError::MalformedColumn { lf: 0, .. })
+        ));
+
+        // Well-formed entries that are not the LF's column.
+        let mut bad = good.clone();
+        bad.columns[0].pop();
         assert!(matches!(
             Session::restore(&ds, &bad),
             Err(RestoreError::MalformedColumn { lf: 0, .. })

@@ -52,8 +52,8 @@ fn n_pairs(m: usize) -> usize {
 /// and each of its pairs is counted by probing the other column's entries
 /// against it, so a stale column costs `O(Σ coverage)` over the columns
 /// it pairs with, with no per-pair merge. In an interactive session a
-/// round appends one LF and serves every other refined column from the
-/// contextualizer's cache with its token unchanged, so a sync recounts
+/// round appends one LF to each grid slot's refined matrix and keeps
+/// every other column, token unchanged, so a sync recounts
 /// `m − 1` pairs in one scatter and `m − 1` probes. The counts are `u32`:
 /// an overlap is bounded by the number of examples, whose ids are `u32`.
 /// [`PairCounts::default`] holds no columns, so its first sync counts

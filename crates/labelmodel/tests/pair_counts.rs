@@ -1,10 +1,11 @@
 //! Differential property test for the MeTaL/triplet pair-count cache.
 //!
 //! One long-lived [`PairCounts`] follows random sequences of column
-//! operations on two label matrices that share column handles: append a
-//! column, replace one with a fresh-token column (sometimes with the very
-//! same votes), truncate (down to 0, 1 and 2 LFs), push a handle shared
-//! with the sibling matrix, and switch to the sibling. After every step the
+//! operations on two label matrices that share columns (clones keep their
+//! construction token): append a column, replace one with a fresh-token
+//! column (sometimes with the very same votes), truncate (down to 0, 1 and
+//! 2 LFs), push a clone of a sibling matrix's column, and switch to the
+//! sibling. After every step the
 //! fit from the cached counts must be bitwise the fit from scratch, and
 //! the cache must equal counts synced from empty.
 
@@ -12,7 +13,6 @@ use nemo_labelmodel::{LabelModel, PairCounts, TripletModel};
 use nemo_lf::{Label, LabelMatrix, LfColumn};
 use nemo_sparse::DetRng;
 use proptest::prelude::*;
-use std::sync::Arc;
 
 /// A column voting on about half of `labels`, correct with probability
 /// 0.6–0.95, so pair moments are informative.
@@ -28,10 +28,10 @@ fn random_column(labels: &[Label], seed: u64) -> LfColumn {
     LfColumn::new(entries)
 }
 
-fn matrix(n: usize, cols: &[Arc<LfColumn>]) -> LabelMatrix {
+fn matrix(n: usize, cols: &[LfColumn]) -> LabelMatrix {
     let mut m = LabelMatrix::new(n);
     for col in cols {
-        m.push_shared(Arc::clone(col));
+        m.push(col.clone());
     }
     m
 }
@@ -70,7 +70,7 @@ proptest! {
         let mut rng = DetRng::new(seed);
         let labels: Vec<Label> = (0..n).map(|_| Label::from_bool(rng.bernoulli(0.5))).collect();
         let prior = [1.0 - prior_pos, prior_pos];
-        let mut lists: [Vec<Arc<LfColumn>>; 2] = [Vec::new(), Vec::new()];
+        let mut lists: [Vec<LfColumn>; 2] = [Vec::new(), Vec::new()];
         let mut active = 0usize;
         let mut counts = PairCounts::default();
 
@@ -85,29 +85,29 @@ proptest! {
             match op {
                 // Append a new column.
                 0 | 1 => {
-                    cols.push(Arc::new(random_column(&labels, param)));
+                    cols.push(random_column(&labels, param));
                     appended = true;
                 }
                 // Replace a column with a fresh-token column; odd params
                 // keep the votes, so only the token says it changed.
                 2 if !cols.is_empty() => {
                     let j = param as usize % cols.len();
-                    cols[j] = Arc::new(if param % 2 == 1 {
+                    cols[j] = if param % 2 == 1 {
                         LfColumn::new(cols[j].entries().to_vec())
                     } else {
                         random_column(&labels, param)
-                    });
+                    };
                 }
                 // Truncate, often to 0, 1 or 2 LFs.
                 3 => {
                     let keep = param as usize % (cols.len().min(3) + 1);
                     cols.truncate(keep);
                 }
-                // Append a handle shared with the sibling matrix.
+                // Append a clone of a sibling matrix's column.
                 4 => {
                     let other = &lists[1 - active];
                     if let Some(col) = other.get(param as usize % other.len().max(1)) {
-                        let col = Arc::clone(col);
+                        let col = col.clone();
                         lists[active].push(col);
                     }
                 }
@@ -131,16 +131,16 @@ fn append_recounts_only_the_new_column_pairs() {
     let mut cols = Vec::new();
     let mut counts = PairCounts::default();
     for m in 1..=8u64 {
-        cols.push(Arc::new(random_column(&labels, m)));
+        cols.push(random_column(&labels, m));
         let mat = matrix(labels.len(), &cols);
         assert_eq!(counts.sync(&mat), m as usize - 1, "append to {m} LFs");
         assert_eq!(counts.sync(&mat), 0, "unchanged {m}-LF matrix");
         assert_eq!(counts.n_columns(), m as usize);
     }
     // Replacing one column of eight recounts its seven pairs.
-    cols[3] = Arc::new(random_column(&labels, 99));
+    cols[3] = random_column(&labels, 99);
     assert_eq!(counts.sync(&matrix(labels.len(), &cols)), 7);
-    // Truncating recounts nothing; re-appending the old handle recounts
+    // Truncating recounts nothing; re-appending the old column recounts
     // its pairs, since the counts for it were dropped.
     let last = cols.pop().unwrap();
     assert_eq!(counts.sync(&matrix(labels.len(), &cols)), 0);

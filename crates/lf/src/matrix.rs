@@ -13,7 +13,6 @@ use crate::lf::PrimitiveLf;
 // tokens for cache identity; they only gate cache validation and never
 // affect what any path computes.
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Source of process-unique [`LfColumn`] construction tokens.
 // lint: allow(determinism/sync-primitives): identity tokens only decide
@@ -26,12 +25,10 @@ fn fresh_token() -> u64 {
 
 /// One LF's non-abstain votes: sorted by example id, votes in `{−1, +1}`.
 ///
-/// Columns are **value-immutable under sharing**: every construction
-/// stamps a process-unique `token` that acts as a cheap content-identity
-/// witness — two columns with equal tokens came from the same
-/// construction (clones share it) and therefore hold bitwise-equal
-/// entries. The only mutating API, [`LfColumn::retain`], restamps the
-/// token, so the invariant survives in-place edits. Equality is still
+/// Columns are **value-immutable**: every construction stamps a
+/// process-unique `token` that acts as a cheap content-identity witness —
+/// two columns with equal tokens came from the same construction (clones
+/// share it) and therefore hold bitwise-equal entries. Equality is still
 /// defined on the entries — the token is only an `O(1)` fast path —
 /// which is what lets the contextualizer's refined-column cache
 /// revalidate a column against the raw column it was filtered from
@@ -64,23 +61,6 @@ impl LfColumn {
             assert!(v == -1 || v == 1, "column vote must be ±1, got {v}");
         }
         Self { entries, token: fresh_token() }
-    }
-
-    /// Fallible [`LfColumn::new`] for untrusted input (checkpoint
-    /// restore): same sorting and invariants, but malformed entries —
-    /// duplicate example ids or non-±1 votes — come back as `Err` instead
-    /// of a panic.
-    pub fn try_new(mut entries: Vec<(u32, Vote)>) -> Result<Self, &'static str> {
-        entries.sort_unstable_by_key(|&(i, _)| i);
-        for w in entries.windows(2) {
-            if w[0].0 == w[1].0 {
-                return Err("duplicate example in LF column");
-            }
-        }
-        if entries.iter().any(|&(_, v)| v != -1 && v != 1) {
-            return Err("column vote must be ±1");
-        }
-        Ok(Self { entries, token: fresh_token() })
     }
 
     /// An empty (all-abstain) column.
@@ -123,17 +103,6 @@ impl LfColumn {
         }
     }
 
-    /// In-place [`LfColumn::filtered`]: drop entries whose example id
-    /// fails `keep`. Mutation counts as a new construction — the token is
-    /// restamped unconditionally (even for an identity filter), so a
-    /// retained column never aliases a cache key minted for its previous
-    /// contents. This is the mutation path behind
-    /// [`LabelMatrix::column_mut`]'s copy-on-write access.
-    pub fn retain(&mut self, mut keep: impl FnMut(u32) -> bool) {
-        self.entries.retain(|&(i, _)| keep(i));
-        self.token = fresh_token();
-    }
-
     /// Process-unique construction token. Equal tokens guarantee
     /// bitwise-equal entries (clones share their source's token);
     /// distinct tokens say nothing. Cross-round caches key on this to
@@ -168,23 +137,13 @@ impl VoteSummary {
 
 /// The label matrix: `m` LF columns over `n` examples.
 ///
-/// Columns are stored as `Arc<LfColumn>` (copy-on-write): pushing an
-/// owned column wraps it, [`LabelMatrix::push_shared`] appends an
-/// existing handle without touching its vote buffer, and cloning a
-/// matrix clones `m` handles instead of `m` vote vectors. This is what
-/// lets the contextualizer's refined-column cache hand the same filtered
-/// column to every round's grid matrix in `O(1)` — the memcpy the
-/// pre-CoW representation paid per `(grid point, LF)` slot. Mutation
-/// goes through [`LabelMatrix::column_mut`], which breaks sharing for
-/// exactly the column being edited (`Arc::make_mut`); matrices that
-/// shared that column keep its old contents. Equality, vote lookup, and
-/// column borrowing are unchanged — `Arc` equality delegates to
-/// [`LfColumn`]'s content equality (with its construction-token fast
-/// path), so `tune_p`'s matrix dedup resolves exactly as it did over
-/// owned columns.
+/// Matrices grow by [`LabelMatrix::push`] and shrink by
+/// [`LabelMatrix::truncate`]; columns are never edited in place, so a
+/// column's construction token stays a valid cache key for as long as it
+/// sits in the matrix.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LabelMatrix {
-    columns: Vec<Arc<LfColumn>>,
+    columns: Vec<LfColumn>,
     n_examples: usize,
 }
 
@@ -204,15 +163,8 @@ impl LabelMatrix {
         m
     }
 
-    /// Append an LF column (wrapped into a fresh shared handle).
+    /// Append an LF column.
     pub fn push(&mut self, col: LfColumn) {
-        self.push_shared(Arc::new(col));
-    }
-
-    /// Append a shared LF column handle without copying its votes — the
-    /// `O(1)` serve path the contextualizer's refined-column cache uses
-    /// to assemble a warm round's grid matrices.
-    pub fn push_shared(&mut self, col: Arc<LfColumn>) {
         if let Some(&(max, _)) = col.entries().last() {
             assert!(
                 (max as usize) < self.n_examples,
@@ -221,6 +173,12 @@ impl LabelMatrix {
             );
         }
         self.columns.push(col);
+    }
+
+    /// Keep the first `m` columns and drop the rest (no-op when the
+    /// matrix has `m` or fewer).
+    pub fn truncate(&mut self, m: usize) {
+        self.columns.truncate(m);
     }
 
     /// Number of examples `n`.
@@ -238,35 +196,9 @@ impl LabelMatrix {
         &self.columns[j]
     }
 
-    /// The shared handle of column `j` — clone it into another matrix
-    /// via [`LabelMatrix::push_shared`] for a zero-copy serve, or use
-    /// `Arc::ptr_eq` to *prove* two matrices share a vote buffer (the
-    /// CoW differential tests do).
-    pub fn shared_column(&self, j: usize) -> &Arc<LfColumn> {
-        &self.columns[j]
-    }
-
-    /// Mutable access to column `j`, copy-on-write: if the column is
-    /// shared with another matrix (or a cache), its votes are deep-copied
-    /// first (`Arc::make_mut`), so the edit never leaks into other
-    /// holders. The clone keeps the source's construction token — sound,
-    /// since contents are equal at that instant — and any actual mutation
-    /// through [`LfColumn::retain`] restamps it.
-    pub fn column_mut(&mut self, j: usize) -> &mut LfColumn {
-        Arc::make_mut(&mut self.columns[j])
-    }
-
     /// Iterate columns in order.
     pub fn columns(&self) -> impl Iterator<Item = &LfColumn> {
-        self.columns.iter().map(|c| c.as_ref())
-    }
-
-    /// Number of column slots whose vote buffers are **pointer-shared**
-    /// with `other` at the same index (`Arc::ptr_eq`). A diagnostic for
-    /// CoW accounting: columns counted here were served without copying
-    /// a single vote.
-    pub fn shared_columns_with(&self, other: &LabelMatrix) -> usize {
-        self.columns.iter().zip(&other.columns).filter(|(a, b)| Arc::ptr_eq(a, b)).count()
+        self.columns.iter()
     }
 
     /// Vote of LF `j` on example `i`.
@@ -309,13 +241,7 @@ impl LabelMatrix {
         if self.n_examples == 0 {
             return 0.0;
         }
-        let mut covered = vec![false; self.n_examples];
-        for col in &self.columns {
-            for &(i, _) in col.entries() {
-                covered[i as usize] = true;
-            }
-        }
-        covered.iter().filter(|&&c| c).count() as f64 / self.n_examples as f64
+        self.covered_examples().len() as f64 / self.n_examples as f64
     }
 
     /// Row view: the non-abstain `(lf index, vote)` pairs for example `i`.
@@ -450,69 +376,30 @@ mod tests {
         m.push(LfColumn::new(vec![(5, 1)]));
     }
 
+    /// A column shared with another matrix (a clone of one of its
+    /// columns) is bounds-checked against the matrix it is pushed onto.
     #[test]
     #[should_panic(expected = "references example")]
     fn push_shared_validates_bounds() {
-        let mut m = LabelMatrix::new(2);
-        m.push_shared(Arc::new(LfColumn::new(vec![(5, 1)])));
+        let mut wide = LabelMatrix::new(8);
+        wide.push(LfColumn::new(vec![(5, 1)]));
+        let mut narrow = LabelMatrix::new(2);
+        narrow.push(wide.column(0).clone());
     }
 
     #[test]
-    fn retain_filters_in_place_and_restamps_token() {
-        let mut col = LfColumn::new(vec![(0, 1), (5, 1), (9, -1)]);
-        let before = col.token();
-        col.retain(|i| i != 5);
-        assert_eq!(col.entries(), &[(0, 1), (9, -1)]);
-        assert_ne!(col.token(), before, "mutation must mint a new token");
-        let stable = col.token();
-        col.retain(|_| true);
-        assert_ne!(col.token(), stable, "even identity retains restamp");
-    }
-
-    #[test]
-    fn matrix_clone_shares_column_buffers() {
+    fn truncate_keeps_leading_columns_and_their_tokens() {
         let mut m = LabelMatrix::new(10);
         m.push(LfColumn::new(vec![(0, 1), (4, -1)]));
         m.push(LfColumn::new(vec![(2, 1)]));
-        let c = m.clone();
-        assert_eq!(c, m);
-        assert_eq!(c.shared_columns_with(&m), 2, "clone must share every vote buffer");
-        for j in 0..2 {
-            assert!(Arc::ptr_eq(c.shared_column(j), m.shared_column(j)));
-        }
-    }
-
-    #[test]
-    fn push_shared_is_pointer_preserving() {
-        let col = Arc::new(LfColumn::new(vec![(1, 1), (3, 1)]));
-        let mut a = LabelMatrix::new(5);
-        let mut b = LabelMatrix::new(5);
-        a.push_shared(Arc::clone(&col));
-        b.push_shared(Arc::clone(&col));
-        assert!(Arc::ptr_eq(a.shared_column(0), b.shared_column(0)));
-        assert_eq!(a.shared_columns_with(&b), 1);
-        assert_eq!(a.vote(1, 0), 1);
-    }
-
-    #[test]
-    fn column_mut_copies_on_write_only_when_shared() {
-        let mut a = LabelMatrix::new(10);
-        a.push(LfColumn::new(vec![(0, 1), (4, -1), (7, 1)]));
-        a.push(LfColumn::new(vec![(2, 1)]));
-        let b = a.clone();
-        // Mutate a shared column: `a` diverges, `b` keeps the old votes,
-        // and the untouched column stays pointer-shared.
-        a.column_mut(0).retain(|i| i != 4);
-        assert_eq!(a.column(0).entries(), &[(0, 1), (7, 1)]);
-        assert_eq!(b.column(0).entries(), &[(0, 1), (4, -1), (7, 1)], "CoW must not leak");
-        assert!(!Arc::ptr_eq(a.shared_column(0), b.shared_column(0)));
-        assert!(Arc::ptr_eq(a.shared_column(1), b.shared_column(1)));
-        assert_eq!(a.shared_columns_with(&b), 1);
-        // Unshared mutation must not reallocate the handle.
-        let ptr = Arc::as_ptr(a.shared_column(0));
-        a.column_mut(0).retain(|i| i != 7);
-        assert_eq!(Arc::as_ptr(a.shared_column(0)), ptr, "exclusive column mutates in place");
-        assert_eq!(a.column(0).entries(), &[(0, 1)]);
+        let token = m.column(0).token();
+        m.truncate(5);
+        assert_eq!(m.n_lfs(), 2, "truncating past the end is a no-op");
+        m.truncate(1);
+        assert_eq!(m.n_lfs(), 1);
+        assert_eq!(m.column(0).entries(), &[(0, 1), (4, -1)]);
+        assert_eq!(m.column(0).token(), token, "kept columns keep their tokens");
+        assert_eq!(m.covered_examples(), vec![0, 4]);
     }
 
     proptest! {

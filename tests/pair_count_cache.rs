@@ -99,7 +99,11 @@ fn assert_cache_invisible(ds: &Dataset, seed: u64) {
         if round == 25 {
             // A swapped raw column (new token, new votes) in the middle of
             // the matrix: the pairs on both of its sides are recounted.
-            raw.column_mut(2).retain(|i| i % 2 == 0);
+            let mut swapped = LabelMatrix::new(raw.n_examples());
+            for (j, col) in raw.columns().enumerate() {
+                swapped.push(if j == 2 { col.filtered(|i| i % 2 == 0) } else { col.clone() });
+            }
+            raw = swapped;
         }
         let cached = tune(&mut long_lived, &lineage, &raw, ds);
         let fresh = tune(&mut Contextualizer::new(config.clone()), &lineage, &raw, ds);

@@ -83,13 +83,14 @@ proptest! {
             incr.sync(&lineage, &ds);
             oracle.sync(&lineage, &ds);
 
+            let p_grid = incr.config.p_grid.clone();
+            let tr: Vec<_> = p_grid.iter().map(|&p| incr.refined_train_matrix(&matrix, p)).collect();
+            let vr: Vec<_> =
+                p_grid.iter().map(|&p| incr.refined_valid_matrix(p, ds.valid.n())).collect();
             let (ti, vi) = incr.refined_grid_matrices(&matrix, ds.valid.n());
-            for (k, (a, c)) in ti.iter().zip(&vi).enumerate() {
-                let p = incr.config.p_grid[k];
-                let b = incr.refined_train_matrix(&matrix, p);
-                let d = incr.refined_valid_matrix(p, ds.valid.n());
-                assert_matrices_bit_identical(a, &b, &format!("round {round} train k={k}"));
-                assert_matrices_bit_identical(c, &d, &format!("round {round} valid k={k}"));
+            for (k, ((a, b), (c, d))) in ti.iter().zip(&tr).zip(vi.iter().zip(&vr)).enumerate() {
+                assert_matrices_bit_identical(a, b, &format!("round {round} train k={k}"));
+                assert_matrices_bit_identical(c, d, &format!("round {round} valid k={k}"));
             }
 
             let tuned_i = incr.tune_p(&matrix, &ds, &model, ds.prior());
@@ -142,6 +143,8 @@ fn raw_matrix_token_miss_refilters_without_staleness() {
     let lfs: Vec<PrimitiveLf> = lineage.tracked().iter().map(|r| r.lf).collect();
     let first = LabelMatrix::from_lfs(&lfs, &ds.train.corpus);
     let (t1, v1) = ctx.refined_grid_matrices(&first, ds.valid.n());
+    let (t1, v1): (Vec<LabelMatrix>, Vec<LabelMatrix>) =
+        (t1.into_iter().cloned().collect(), v1.into_iter().cloned().collect());
     // Same content, new tokens: every slot re-keys.
     let second = LabelMatrix::from_lfs(&lfs, &ds.train.corpus);
     let (t2, v2) = ctx.refined_grid_matrices(&second, ds.valid.n());

@@ -141,19 +141,30 @@ fn checkpoint_file_reloads_as_written() {
 #[test]
 fn checkpoint_restores_only_against_a_matching_dataset() {
     let ds = toy_text(8);
-    let config = IdpConfig { n_iterations: 2, eval_every: 2, seed: 2, ..Default::default() };
+    let config = IdpConfig { n_iterations: 4, eval_every: 4, seed: 2, ..Default::default() };
     let mut nemo = NemoSystem::new(&ds, config);
     let user = SimulatedUser::default();
     let mut rng = DetRng::new(7);
-    drive(&mut nemo, &ds, &user, &mut rng, 2);
+    drive(&mut nemo, &ds, &user, &mut rng, 4);
     let ckpt = nemo.checkpoint();
+    assert!(!ckpt.columns.is_empty(), "the session collected no LFs");
 
-    // A structurally different dataset: the restore validation must reject
-    // the checkpoint with a typed error instead of building a broken
-    // session.
-    let other = catalog::build(DatasetName::Youtube, Profile::Smoke, 5);
+    // The restore validation must reject the checkpoint with a typed error
+    // instead of building a broken session: against a structurally
+    // different dataset, and against another draw of the same generator
+    // (same split sizes and primitive count, different documents).
+    let youtube = catalog::build(DatasetName::Youtube, Profile::Smoke, 5);
     assert!(matches!(
-        NemoSystem::restore(&other, &ckpt),
+        NemoSystem::restore(&youtube, &ckpt),
         Err(RestoreError::LengthMismatch { .. } | RestoreError::LineageOutOfDomain { .. })
+    ));
+    let same_shape = toy_text(9);
+    assert_eq!(
+        (same_shape.train.n(), same_shape.valid.n(), same_shape.test.n(), same_shape.n_primitives),
+        (ds.train.n(), ds.valid.n(), ds.test.n(), ds.n_primitives),
+    );
+    assert!(matches!(
+        NemoSystem::restore(&same_shape, &ckpt),
+        Err(RestoreError::MalformedColumn { .. })
     ));
 }
