@@ -10,7 +10,7 @@
 use nemo_bench::{write_csv, BenchProtocol, Table};
 use nemo_core::oracle::SimulatedUser;
 use nemo_data::DatasetName;
-use nemo_sparse::{DetRng, Distance, DistanceScratch};
+use nemo_sparse::{DetRng, Distance};
 
 fn main() {
     let protocol = BenchProtocol::from_env();
@@ -28,9 +28,6 @@ fn main() {
     let mut acc_n = [0usize; 4];
     let mut n_lfs = 0usize;
     let mut guard = 0usize;
-    // One indexed-engine scratch + distance buffer reused across all LFs.
-    let mut scratch = DistanceScratch::new();
-    let mut dists = Vec::new();
     while n_lfs < 100 && guard < 2000 {
         guard += 1;
         let x = rng.index(n);
@@ -42,7 +39,7 @@ fn main() {
         let (lf, _) = *passing[rng.index(passing.len())];
         n_lfs += 1;
 
-        ds.train.features.point_to_all_into(Distance::Cosine, x, &mut scratch, &mut dists);
+        let dists = ds.train.features.distances(Distance::Cosine, x, &ds.train.features);
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_by(|&a, &b| dists[a].partial_cmp(&dists[b]).expect("finite distances"));
         for q in 0..4 {

@@ -35,7 +35,7 @@ use nemo_persist::{
     artifact_to_bytes, load_artifact, save_artifact, ArtifactBundle, EncodedCheckpointStore,
 };
 use nemo_sparse::stats::percentiles;
-use nemo_sparse::{CscIndex, DetRng, Distance, DistanceScratch};
+use nemo_sparse::{DetRng, Distance};
 use nemo_text::TfIdf;
 
 /// One timed kernel: the mean and min per-call time of one adaptively
@@ -138,38 +138,27 @@ fn kernel_benches(ds: &Dataset, results: &mut Vec<BenchResult>) {
         LogisticRegression::default().fit(ds.train.features.csr(), targets, Some(&covered), 1)
     }));
 
-    // Distance engine: naive row-major scan vs the inverted-index kernel,
-    // both with reused output buffers so only kernel work is timed.
-    let norms = ds.train.features.sq_norms().to_vec();
-    let mut out = Vec::new();
+    // Distance query: the naive row-major scan vs `Features::distances`
+    // (the inverted-index kernel on these sparse features), both
+    // allocating their output.
+    let features = &ds.train.features;
+    let (csr, norms) = (features.csr(), features.sq_norms());
     let mut pivot = 0usize;
     results.push(bench("distance_point_to_all_cosine", || {
         pivot = (pivot + 1) % ds.train.n();
-        Distance::Cosine.sparse_point_to_all_into(ds.train.features.csr(), pivot, &norms, &mut out);
-        out[pivot]
+        Distance::Cosine.sparse_naive(&csr.row(pivot), norms[pivot], csr, norms)[pivot]
     }));
-
-    let csc = CscIndex::from_csr(ds.train.features.csr());
-    let mut scratch = DistanceScratch::new();
     results.push(bench("distance_point_to_all_indexed", || {
         pivot = (pivot + 1) % ds.train.n();
-        Distance::Cosine.sparse_point_to_all_indexed_into(
-            ds.train.features.csr(),
-            &csc,
-            pivot,
-            &norms,
-            &mut scratch,
-            &mut out,
-        );
-        out[pivot]
+        features.distances(Distance::Cosine, pivot, features)[pivot]
     }));
 
     // Contextualizer registration: 32 simulated-user LFs' train and valid
-    // distances computed one LF at a time by the naive scan, with the grid
-    // radii selected from each train vector as registration does (the
-    // pre-index behaviour, now the oracle), vs one batched pass through
-    // the indexed engine. Both sides select the same radii, so the ratio
-    // measures batching and indexing alone.
+    // distances computed by the naive scan, with the grid radii selected
+    // from each train vector as registration does (the pre-index
+    // behaviour, now the oracle), vs `register_batch` over the same LFs,
+    // which queries `Features::distances`. Both sides select the same
+    // radii, so the ratio measures the indexed kernel.
     let mut rng = DetRng::new(13);
     let mut user = SimulatedUser::default();
     let mut lineage = Lineage::new();
@@ -187,8 +176,8 @@ fn kernel_benches(ds: &Dataset, results: &mut Vec<BenchResult>) {
         let mut lens = 0;
         for rec in lineage.tracked() {
             let pivot = rec.dev_example as usize;
-            let train = ds.train.features.point_to_all_naive(dist, pivot);
-            let valid = ds.train.features.point_to_other_naive(dist, pivot, &ds.valid.features);
+            let train = features.distances_naive(dist, pivot, features);
+            let valid = features.distances_naive(dist, pivot, &ds.valid.features);
             lens += train.len() + valid.len() + percentiles(&train, &p_grid).len();
         }
         lens
@@ -396,7 +385,13 @@ fn refine_cache_bench(ds: &Dataset, lineage: &Lineage, results: &mut Vec<BenchRe
         incr_ctx.invalidate_refined_cache_from(n_lfs - 1);
         incr_ctx.refined_grid_matrices(&matrix, ds.valid.n()).0.len()
     });
-    let stats = incr_ctx.refine_cache_stats();
+    // Counters of one warm round: the cumulative ones read after the
+    // adaptively sized batch above would scale with its iteration count.
+    let before = incr_ctx.refine_cache_stats();
+    incr_ctx.invalidate_refined_cache_from(n_lfs - 1);
+    incr_ctx.refined_grid_matrices(&matrix, ds.valid.n());
+    let after = incr_ctx.refine_cache_stats();
+    let (hits, refilters) = (after.hits - before.hits, after.refilters - before.refilters);
     let speedup = rebuild.mean_ns / warm.mean_ns;
     println!(
         "\nWarm-round refined-matrix construction ({n_lfs} LFs, {grid} grid points, 1 new LF):"
@@ -404,8 +399,7 @@ fn refine_cache_bench(ds: &Dataset, lineage: &Lineage, results: &mut Vec<BenchRe
     println!("  full rebuild           : {} per round", human(rebuild.mean_ns));
     println!("  incremental cache      : {} per round", human(warm.mean_ns));
     println!(
-        "  speedup                : {speedup:.2}x  ({} hits, {} refilters recorded)",
-        stats.hits, stats.refilters
+        "  speedup                : {speedup:.2}x  ({hits} hits, {refilters} refilters per warm round)"
     );
     if std::env::var("NEMO_BENCH_ENFORCE").is_ok() {
         assert!(
@@ -421,7 +415,7 @@ fn refine_cache_bench(ds: &Dataset, lineage: &Lineage, results: &mut Vec<BenchRe
             "\"incremental_ns\": {:.0}, \"speedup\": {:.4}, ",
             "\"cache_hits\": {}, \"cache_refilters\": {}}}"
         ),
-        n_lfs, grid, rebuild.mean_ns, warm.mean_ns, speedup, stats.hits, stats.refilters,
+        n_lfs, grid, rebuild.mean_ns, warm.mean_ns, speedup, hits, refilters,
     );
     results.push(rebuild);
     results.push(warm);

@@ -14,13 +14,13 @@
 //! together with the LF's radius at every point of the percentile grid —
 //! refinement at any grid `p` is then a cheap filter.
 //!
-//! Registration is **batched**: all of a round's new LFs go through
-//! [`Contextualizer::register_batch`], which computes every train/valid
-//! distance vector in one pass over the feature matrices' inverted-index
-//! engine ([`nemo_data::Features::point_to_all_many`]), one pivot after
-//! another through a single scratch accumulator. It is bit-identical to
-//! the per-LF naive scan ([`nemo_data::Features::point_to_all_naive`]),
-//! which the differential suites use as its oracle. The grid radii are found by selection
+//! All of a round's new LFs are registered by
+//! [`Contextualizer::register_batch`], which maps their development points
+//! through [`nemo_data::Features::distances`] against the train and the
+//! valid split (the inverted-index kernel on sparse features). It is
+//! bit-identical to the naive scan
+//! ([`nemo_data::Features::distances_naive`]), which the differential
+//! suites use as its oracle. The grid radii are found by selection
 //! ([`nemo_sparse::stats::percentiles`]), not by sorting the distances;
 //! each equals [`nemo_sparse::stats::percentile`] bit for bit.
 
@@ -173,24 +173,21 @@ impl Contextualizer {
         self.train_dists.len()
     }
 
-    /// Register a round's worth of LFs in one pass: every train and valid
-    /// distance vector is computed by a single batched call into the
-    /// inverted-index distance engine, and each LF's radius at every point
-    /// of `config.p_grid` is frozen by [`percentiles`] (order-statistic
-    /// selection, no sort and no sorted copy kept).
+    /// Register a round's worth of LFs: each LF's train and valid distance
+    /// vectors come from [`nemo_data::Features::distances`], and its radius
+    /// at every point of `config.p_grid` is frozen by [`percentiles`]
+    /// (order-statistic selection, no sort and no sorted copy kept).
     pub fn register_batch(&mut self, recs: &[TrackedLf], ds: &Dataset) {
-        if recs.is_empty() {
-            return;
-        }
         let dist = self.config.distance;
-        let pivots: Vec<usize> = recs.iter().map(|r| r.dev_example as usize).collect();
-        let train_ds = ds.train.features.point_to_all_many(dist, &pivots);
-        let valid_ds = ds.train.features.point_to_other_many(dist, &pivots, &ds.valid.features);
+        let features = &ds.train.features;
         // Distances are finite — both kernels compute sums/square roots of
         // finite feature values, and `Features` validates its buffers
         // (finite norms) on import — so `percentiles` never meets a NaN.
         let p_grid = &self.config.p_grid;
-        for ((rec, train_d), valid_d) in recs.iter().zip(train_ds).zip(valid_ds) {
+        for rec in recs {
+            let pivot = rec.dev_example as usize;
+            let train_d = features.distances(dist, pivot, features);
+            let valid_d = features.distances(dist, pivot, &ds.valid.features);
             let radii_j = if train_d.is_empty() {
                 Vec::new()
             } else {
@@ -620,8 +617,8 @@ mod tests {
             // Bit-identical caches, not just close: the indexed kernel
             // performs the same float operations as the row-major scan.
             let pivot = rec.dev_example as usize;
-            let train = ds.train.features.point_to_all_naive(dist, pivot);
-            let valid = ds.train.features.point_to_other_naive(dist, pivot, &ds.valid.features);
+            let train = ds.train.features.distances_naive(dist, pivot, &ds.train.features);
+            let valid = ds.train.features.distances_naive(dist, pivot, &ds.valid.features);
             assert_eq!(batched.train_dists[j], train, "train dists j={j}");
             assert_eq!(batched.valid_dists[j], valid, "valid dists j={j}");
             // Grid points read the radii frozen at registration; 0, 10 and

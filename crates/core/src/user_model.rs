@@ -64,20 +64,6 @@ impl UserModelKind {
     }
 }
 
-/// Normalized pick distribution over candidate weights (helper used by the
-/// SEU scorer and by tests). Returns uniform over positive weights when the
-/// total is zero.
-pub fn pick_distribution(weights: &[f64]) -> Vec<f64> {
-    let total: f64 = weights.iter().sum();
-    if total > 0.0 {
-        weights.iter().map(|w| w / total).collect()
-    } else if weights.is_empty() {
-        Vec::new()
-    } else {
-        vec![1.0 / weights.len() as f64; weights.len()]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,23 +93,5 @@ mod tests {
         assert!(UserModelKind::AccuracyWeighted.normalized());
         assert!(UserModelKind::Uniform.normalized());
         assert!(!UserModelKind::MultiLfIndicator.normalized());
-    }
-
-    #[test]
-    fn pick_distribution_sums_to_one() {
-        let d = pick_distribution(&[0.9, 0.6, 0.5]);
-        assert!((d.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!(d[0] > d[2]);
-    }
-
-    #[test]
-    fn pick_distribution_zero_total_uniform() {
-        let d = pick_distribution(&[0.0, 0.0]);
-        assert_eq!(d, vec![0.5, 0.5]);
-    }
-
-    #[test]
-    fn pick_distribution_empty() {
-        assert!(pick_distribution(&[]).is_empty());
     }
 }

@@ -9,25 +9,33 @@
 //! primitive domain `Z`.
 
 use nemo_lf::{Label, Metric, PrimitiveCorpus};
-use nemo_sparse::{CscIndex, CsrMatrix, DenseMatrix, Distance, DistanceScratch, SparseVec};
+use nemo_sparse::{CscIndex, CsrMatrix, DenseMatrix, Distance, SparseVec};
 
-/// Feature vectors for one split. The canonical storage is CSR (sparse);
-/// dense features (the VG substitute's embeddings) additionally keep the
-/// dense form so distance kernels can use the cheaper dense path.
+/// How a split's features are stored for distance queries.
+#[derive(Debug, Clone)]
+pub enum Backing {
+    /// Sparse features (TF-IDF), with the column-major [`CscIndex`]
+    /// companion of the CSR matrix that the indexed distance kernel walks.
+    Sparse(CscIndex),
+    /// Dense features (the VG substitute's embeddings); the CSR matrix is
+    /// a mirror of these rows.
+    Dense(DenseMatrix),
+}
+
+/// Feature vectors for one split. Every split keeps a CSR matrix, the
+/// form model code consumes; its [`Backing`] is what distance queries run
+/// on.
 ///
-/// Sparse-backed features also carry the column-major [`CscIndex`]
-/// companion (built once here), so every point-to-all distance query runs
-/// through the inverted-index kernel: only the posting lists of the
-/// pivot's nonzero terms are walked. The naive row-major kernels stay
-/// reachable via the `*_naive` methods for differential tests and
-/// regression benchmarks; both paths are bit-identical by construction.
+/// [`Features::distances`] is the one distance query: from one example of
+/// this split to every example of a target split. Sparse targets go
+/// through the inverted-index kernel (only the posting lists of the
+/// pivot's nonzero terms are walked), dense targets through the dense
+/// kernel over cached row norms. [`Features::distances_naive`] is its
+/// reference, bit-identical by construction.
 #[derive(Debug, Clone)]
 pub struct Features {
     csr: CsrMatrix,
-    dense: Option<DenseMatrix>,
-    /// Column-major companion; `Some` iff the features are sparse-backed
-    /// (dense-backed splits use the dense distance path instead).
-    csc: Option<CscIndex>,
+    backing: Backing,
     sq_norms: Vec<f64>,
 }
 
@@ -35,8 +43,8 @@ impl Features {
     /// Wrap a sparse feature matrix, building its column-major companion.
     pub fn from_csr(csr: CsrMatrix) -> Self {
         let sq_norms = csr.row_sq_norms();
-        let csc = Some(CscIndex::from_csr(&csr));
-        Self { csr, dense: None, csc, sq_norms }
+        let backing = Backing::Sparse(CscIndex::from_csr(&csr));
+        Self { csr, backing, sq_norms }
     }
 
     /// Wrap dense features, keeping a CSR mirror for model code that
@@ -56,7 +64,7 @@ impl Features {
             .collect();
         let csr = CsrMatrix::from_rows(&rows, dense.n_cols());
         let sq_norms = csr.row_sq_norms();
-        Self { csr, dense: Some(dense), csc: None, sq_norms }
+        Self { csr, backing: Backing::Dense(dense), sq_norms }
     }
 
     /// Reassemble features from persisted parts without recomputing the
@@ -67,8 +75,7 @@ impl Features {
     /// artifacts surface as typed load errors.
     pub fn from_parts(
         csr: CsrMatrix,
-        dense: Option<DenseMatrix>,
-        csc: Option<CscIndex>,
+        backing: Backing,
         sq_norms: Vec<f64>,
     ) -> Result<Self, &'static str> {
         if sq_norms.len() != csr.n_rows() {
@@ -77,24 +84,20 @@ impl Features {
         if sq_norms.iter().any(|&n| !n.is_finite() || n < 0.0) {
             return Err("row norm must be finite and non-negative");
         }
-        match (&dense, &csc) {
-            (Some(d), None) => {
+        match &backing {
+            Backing::Dense(d) => {
                 if d.n_rows() != csr.n_rows() || d.n_cols() != csr.n_cols() {
                     return Err("dense mirror shape does not match CSR");
                 }
             }
-            (None, Some(c)) => {
+            Backing::Sparse(c) => {
                 if c.n_rows() != csr.n_rows() || c.n_cols() != csr.n_cols() || c.nnz() != csr.nnz()
                 {
                     return Err("CSC companion shape does not match CSR");
                 }
             }
-            // The distance dispatch relies on exactly one of the two being
-            // present (see `point_to_all_into`).
-            (Some(_), Some(_)) => return Err("features cannot be both dense- and CSC-backed"),
-            (None, None) => return Err("sparse-backed features require a CSC companion"),
         }
-        Ok(Self { csr, dense, csc, sq_norms })
+        Ok(Self { csr, backing, sq_norms })
     }
 
     /// Number of examples.
@@ -112,9 +115,17 @@ impl Features {
         &self.csr
     }
 
+    /// The storage distance queries run on.
+    pub fn backing(&self) -> &Backing {
+        &self.backing
+    }
+
     /// Dense view, if the features were constructed dense.
     pub fn dense(&self) -> Option<&DenseMatrix> {
-        self.dense.as_ref()
+        match &self.backing {
+            Backing::Dense(d) => Some(d),
+            Backing::Sparse(_) => None,
+        }
     }
 
     /// Cached squared row norms.
@@ -122,165 +133,58 @@ impl Features {
         &self.sq_norms
     }
 
-    /// Column-major companion index (`Some` iff sparse-backed).
-    pub fn csc(&self) -> Option<&CscIndex> {
-        self.csc.as_ref()
+    /// Whether `other` has this split's feature width and backing kind —
+    /// what [`Dataset::validate`] requires of every split against train.
+    pub fn same_space(&self, other: &Features) -> bool {
+        self.dim() == other.dim() && self.dense().is_some() == other.dense().is_some()
     }
 
-    /// Distances from example `pivot` (within this split) to every example
-    /// of this split, through the indexed engine (allocating wrapper over
-    /// [`Features::point_to_all_into`]).
-    pub fn point_to_all(&self, dist: Distance, pivot: usize) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.point_to_all_into(dist, pivot, &mut DistanceScratch::new(), &mut out);
-        out
-    }
-
-    /// Indexed point-to-all into caller-owned buffers; repeated calls with
-    /// the same `scratch`/`out` are allocation-free.
-    pub fn point_to_all_into(
-        &self,
-        dist: Distance,
-        pivot: usize,
-        scratch: &mut DistanceScratch,
-        out: &mut Vec<f64>,
-    ) {
-        match (&self.dense, &self.csc) {
-            (Some(d), _) => dist.dense_row_to_all_cached_into(
-                d.row(pivot),
-                self.sq_norms[pivot],
-                d,
-                &self.sq_norms,
-                out,
-            ),
-            (None, Some(csc)) => dist.sparse_point_to_all_indexed_into(
-                &self.csr,
-                csc,
-                pivot,
-                &self.sq_norms,
-                scratch,
-                out,
-            ),
-            // invariant: the constructor builds a CscIndex whenever the
-            // split has no dense mirror.
-            (None, None) => unreachable!("sparse-backed features always carry a CscIndex"),
-        }
-    }
-
-    /// Point-to-all through the pre-index kernels (row-major scan for
-    /// sparse, per-pair norms for dense): the differential reference the
-    /// indexed engine is validated against.
-    pub fn point_to_all_naive(&self, dist: Distance, pivot: usize) -> Vec<f64> {
-        match &self.dense {
-            Some(d) => dist.dense_point_to_all(d, pivot),
-            None => dist.sparse_point_to_all(&self.csr, pivot, &self.sq_norms),
-        }
-    }
-
-    /// Batched point-to-all: one distance vector per pivot, in pivot
-    /// order.
-    pub fn point_to_all_many(&self, dist: Distance, pivots: &[usize]) -> Vec<Vec<f64>> {
-        match (&self.dense, &self.csc) {
-            (Some(d), _) => dist.dense_point_to_all_many(d, pivots, &self.sq_norms),
-            (None, Some(csc)) => dist.sparse_point_to_all_many(
-                &self.csr,
-                &self.sq_norms,
-                pivots,
-                csc,
-                &self.sq_norms,
-            ),
-            // invariant: the constructor builds a CscIndex whenever the
-            // split has no dense mirror.
-            (None, None) => unreachable!("sparse-backed features always carry a CscIndex"),
-        }
-    }
-
-    /// Distances from example `pivot` of *this* split to every example of
-    /// `other` (same feature space; used to refine LFs on valid/test),
-    /// through the indexed engine (allocating wrapper over
-    /// [`Features::point_to_other_into`]).
-    pub fn point_to_other(&self, dist: Distance, pivot: usize, other: &Features) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.point_to_other_into(dist, pivot, other, &mut DistanceScratch::new(), &mut out);
-        out
-    }
-
-    /// Indexed cross-split point-to-all into caller-owned buffers.
-    pub fn point_to_other_into(
-        &self,
-        dist: Distance,
-        pivot: usize,
-        other: &Features,
-        scratch: &mut DistanceScratch,
-        out: &mut Vec<f64>,
-    ) {
-        match (&self.dense, &other.dense, &other.csc) {
-            (Some(d_self), Some(d_other), _) => dist.dense_row_to_all_cached_into(
-                d_self.row(pivot),
-                self.sq_norms[pivot],
-                d_other,
-                &other.sq_norms,
-                out,
-            ),
-            (_, _, Some(csc)) => dist.sparse_row_to_all_indexed_into(
-                &self.csr.row(pivot),
-                self.sq_norms[pivot],
-                csc,
-                &other.sq_norms,
-                scratch,
-                out,
-            ),
-            // Mixed sparse pivot vs dense-backed target: the target has no
-            // CSC companion, so fall back to the row-major scan over its
-            // CSR mirror (matches the historical dispatch).
-            _ => dist.sparse_row_to_all_into(
-                &self.csr.row(pivot),
-                self.sq_norms[pivot],
-                &other.csr,
-                &other.sq_norms,
-                out,
-            ),
-        }
-    }
-
-    /// Cross-split point-to-all through the pre-index kernels (the
-    /// differential reference).
-    pub fn point_to_other_naive(&self, dist: Distance, pivot: usize, other: &Features) -> Vec<f64> {
-        match (&self.dense, &other.dense) {
-            (Some(d_self), Some(d_other)) => dist.dense_row_to_all(d_self.row(pivot), d_other),
-            _ => {
-                let row = self.csr.row(pivot);
-                dist.sparse_row_to_all(&row, self.sq_norms[pivot], &other.csr, &other.sq_norms)
+    /// Distances from example `pivot` of this split to every example of
+    /// `target` (this split itself, or another split in the same feature
+    /// space): the contextualizer's `dist(x, x_λ)` (paper Eq. 4).
+    ///
+    /// A sparse target runs the indexed kernel
+    /// ([`Distance::sparse_indexed`]), a dense one the dense kernel over
+    /// cached norms ([`Distance::dense_cached`]). Bit-identical to
+    /// [`Features::distances_naive`].
+    ///
+    /// # Panics
+    ///
+    /// If `pivot` is out of range, or if this split is wider than
+    /// `target` ([`Dataset::validate`] rules that out between splits).
+    pub fn distances(&self, dist: Distance, pivot: usize, target: &Features) -> Vec<f64> {
+        let pivot_sq = self.sq_norms[pivot];
+        match (&self.backing, &target.backing) {
+            (_, Backing::Sparse(csc)) => {
+                dist.sparse_indexed(&self.csr.row(pivot), pivot_sq, csc, &target.sq_norms)
+            }
+            (Backing::Dense(own), Backing::Dense(m)) => {
+                dist.dense_cached(own.row(pivot), pivot_sq, m, &target.sq_norms)
+            }
+            // A sparse pivot against dense rows (never two splits of a
+            // validated dataset): densify the pivot's CSR row.
+            (Backing::Sparse(_), Backing::Dense(m)) => {
+                let mut row = vec![0.0; m.n_cols()];
+                for (j, v) in self.csr.row(pivot).iter() {
+                    row[j as usize] = v;
+                }
+                dist.dense_cached(&row, pivot_sq, m, &target.sq_norms)
             }
         }
     }
 
-    /// Batched cross-split point-to-all: one distance vector per pivot of
-    /// *this* split against every example of `other`, in pivot order.
-    pub fn point_to_other_many(
-        &self,
-        dist: Distance,
-        pivots: &[usize],
-        other: &Features,
-    ) -> Vec<Vec<f64>> {
-        match (&self.dense, &other.dense, &other.csc) {
-            (Some(_), Some(_), _) | (_, _, None) => {
-                let mut scratch = DistanceScratch::new();
-                pivots
-                    .iter()
-                    .map(|&p| {
-                        let mut out = Vec::new();
-                        self.point_to_other_into(dist, p, other, &mut scratch, &mut out);
-                        out
-                    })
-                    .collect()
-            }
-            (_, _, Some(csc)) => dist.sparse_point_to_all_many(
-                &self.csr,
-                &self.sq_norms,
-                pivots,
-                csc,
-                &other.sq_norms,
+    /// Reference for [`Features::distances`]: the naive scans
+    /// ([`Distance::dense_naive`] between dense splits, otherwise
+    /// [`Distance::sparse_naive`] over the CSR rows). The differential
+    /// suites check the production query against it.
+    pub fn distances_naive(&self, dist: Distance, pivot: usize, target: &Features) -> Vec<f64> {
+        match (&self.backing, &target.backing) {
+            (Backing::Dense(own), Backing::Dense(m)) => dist.dense_naive(own.row(pivot), m),
+            _ => dist.sparse_naive(
+                &self.csr.row(pivot),
+                self.sq_norms[pivot],
+                &target.csr,
+                &target.sq_norms,
             ),
         }
     }
@@ -358,6 +262,12 @@ impl Dataset {
         assert_eq!(self.train.corpus.n_primitives(), self.n_primitives);
         assert_eq!(self.valid.corpus.n_primitives(), self.n_primitives);
         assert_eq!(self.test.corpus.n_primitives(), self.n_primitives);
+        for split in [&self.valid, &self.test] {
+            assert!(
+                split.features.same_space(&self.train.features),
+                "every split needs train's feature width and backing"
+            );
+        }
         assert_eq!(self.primitive_names.len(), self.n_primitives);
         for w in self.lexicon.windows(2) {
             assert!(w[0] < w[1], "lexicon must be sorted unique");
@@ -381,11 +291,6 @@ impl Dataset {
     /// Whether primitive `z` is in the lexicon.
     pub fn in_lexicon(&self, z: u32) -> bool {
         self.lexicon.binary_search(&z).is_ok()
-    }
-
-    /// One-line statistics row (Table 1): name, #train, #valid, #test.
-    pub fn stats_row(&self) -> (String, usize, usize, usize) {
-        (self.name.clone(), self.train.n(), self.valid.n(), self.test.n())
     }
 }
 
@@ -420,8 +325,8 @@ mod tests {
         // Rebuild as pure sparse.
         let fs = Features::from_csr(fd.csr().clone());
         for dist in [Distance::Cosine, Distance::Euclidean] {
-            let a = fd.point_to_all(dist, 2);
-            let b = fs.point_to_all(dist, 2);
+            let a = fd.distances(dist, 2, &fd);
+            let b = fs.distances(dist, 2, &fs);
             for (x, y) in a.iter().zip(&b) {
                 assert!((x - y).abs() < 1e-9);
             }
@@ -429,10 +334,10 @@ mod tests {
     }
 
     #[test]
-    fn point_to_other_cross_split() {
+    fn distances_cross_split() {
         let f1 = tiny_features_sparse();
         let f2 = tiny_features_sparse();
-        let d = f1.point_to_other(Distance::Cosine, 0, &f2);
+        let d = f1.distances(Distance::Cosine, 0, &f2);
         assert!(d[0].abs() < 1e-9); // identical vector
         assert!((d[1] - 1.0).abs() < 1e-9); // orthogonal
     }
@@ -440,15 +345,17 @@ mod tests {
     #[test]
     fn sparse_features_carry_csc_dense_do_not() {
         let fs = tiny_features_sparse();
-        let csc = fs.csc().expect("sparse-backed features build a CscIndex");
+        let Backing::Sparse(csc) = fs.backing() else {
+            panic!("sparse-backed features build a CscIndex");
+        };
         assert_eq!(csc.n_rows(), fs.n());
         assert_eq!(csc.nnz(), fs.csr().nnz());
         let fd = Features::from_dense(DenseMatrix::from_rows(&[vec![1.0, 0.0]]));
-        assert!(fd.csc().is_none());
+        assert!(matches!(fd.backing(), Backing::Dense(_)));
     }
 
     #[test]
-    fn indexed_naive_and_batched_paths_identical() {
+    fn indexed_and_naive_paths_identical() {
         let rows = vec![
             SparseVec::from_pairs(vec![(0, 1.0), (2, 0.5)], 4),
             SparseVec::from_pairs(vec![(1, 2.0)], 4),
@@ -458,18 +365,13 @@ mod tests {
         let f = Features::from_csr(CsrMatrix::from_rows(&rows, 4));
         let other = Features::from_csr(CsrMatrix::from_rows(&rows[..2], 4));
         for dist in [Distance::Cosine, Distance::Euclidean] {
-            let pivots: Vec<usize> = (0..f.n()).collect();
-            let many = f.point_to_all_many(dist, &pivots);
-            let many_other = f.point_to_other_many(dist, &pivots, &other);
-            for (p, (m_row, mo_row)) in many.iter().zip(&many_other).enumerate() {
-                assert_eq!(f.point_to_all(dist, p), f.point_to_all_naive(dist, p), "{dist:?}");
-                assert_eq!(m_row, &f.point_to_all_naive(dist, p), "{dist:?} batched");
+            for p in 0..f.n() {
+                assert_eq!(f.distances(dist, p, &f), f.distances_naive(dist, p, &f), "{dist:?}");
                 assert_eq!(
-                    f.point_to_other(dist, p, &other),
-                    f.point_to_other_naive(dist, p, &other),
+                    f.distances(dist, p, &other),
+                    f.distances_naive(dist, p, &other),
                     "{dist:?} cross"
                 );
-                assert_eq!(mo_row, &f.point_to_other_naive(dist, p, &other));
             }
         }
     }
@@ -478,17 +380,44 @@ mod tests {
     fn dense_backed_paths_identical() {
         let d = DenseMatrix::from_rows(&[vec![1.0, 0.0], vec![0.5, 0.5], vec![0.0, 0.0]]);
         let f = Features::from_dense(d);
+        let other = Features::from_dense(DenseMatrix::from_rows(&[vec![0.0, 2.0]]));
         for dist in [Distance::Cosine, Distance::Euclidean] {
-            let pivots: Vec<usize> = (0..f.n()).collect();
-            let many = f.point_to_all_many(dist, &pivots);
-            let many_other = f.point_to_other_many(dist, &pivots, &f);
-            for (p, (m_row, mo_row)) in many.iter().zip(&many_other).enumerate() {
-                assert_eq!(f.point_to_all(dist, p), f.point_to_all_naive(dist, p));
-                assert_eq!(m_row, &f.point_to_all_naive(dist, p));
-                assert_eq!(f.point_to_other(dist, p, &f), f.point_to_other_naive(dist, p, &f));
-                assert_eq!(mo_row, m_row, "{dist:?} batched-other pivot {p}");
+            for p in 0..f.n() {
+                assert_eq!(f.distances(dist, p, &f), f.distances_naive(dist, p, &f));
+                assert_eq!(f.distances(dist, p, &other), f.distances_naive(dist, p, &other));
             }
         }
+    }
+
+    /// Splits of one validated dataset never mix backings, but the query
+    /// stays total: a sparse pivot against dense rows and a dense pivot
+    /// against a sparse index agree with the reference.
+    #[test]
+    fn mixed_backing_distances_match_naive() {
+        let d = DenseMatrix::from_rows(&[vec![1.0, 0.0, 2.0], vec![0.0, 3.0, 0.0]]);
+        let fd = Features::from_dense(d);
+        let fs = Features::from_csr(fd.csr().clone());
+        for dist in [Distance::Cosine, Distance::Euclidean] {
+            for (a, b) in [(&fs, &fd), (&fd, &fs)] {
+                for p in 0..a.n() {
+                    let got = a.distances(dist, p, b);
+                    for (x, y) in got.iter().zip(&a.distances_naive(dist, p, b)) {
+                        assert!((x - y).abs() < 1e-9, "{dist:?} pivot {p}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn same_space_compares_width_and_backing() {
+        let fs = tiny_features_sparse();
+        assert!(fs.same_space(&tiny_features_sparse()));
+        let narrow = Features::from_csr(CsrMatrix::from_rows(&[SparseVec::zeros(2)], 2));
+        assert!(!fs.same_space(&narrow));
+        let dense = Features::from_dense(DenseMatrix::from_rows(&[vec![1.0, 0.0, 0.0]]));
+        assert!(!fs.same_space(&dense));
+        assert!(dense.same_space(&Features::from_dense(DenseMatrix::zeros(4, 3))));
     }
 
     #[test]

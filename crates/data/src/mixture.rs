@@ -223,11 +223,6 @@ impl MixtureModel {
         self.home[self.indicator_idx(t)]
     }
 
-    /// Effective agreement of indicator token `t` in cluster `k`.
-    pub fn eff_agreement(&self, t: u32, k: u32) -> f64 {
-        self.agreement[self.indicator_idx(t)][k as usize]
-    }
-
     /// All indicator token ids (sorted): the dataset "lexicon".
     pub fn lexicon(&self) -> Vec<u32> {
         (0..self.cfg.n_indicators).map(|i| self.indicator_token(i)).collect()
@@ -356,7 +351,7 @@ mod tests {
         assert!(pos > 0 && pos < lex.len());
         // Home agreement is the configured value.
         let t0 = m.indicator_token(0);
-        assert_eq!(m.eff_agreement(t0, 0), 0.9);
+        assert_eq!(m.agreement[m.indicator_idx(t0)][0], 0.9);
     }
 
     #[test]

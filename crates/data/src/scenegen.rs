@@ -270,7 +270,7 @@ mod tests {
     #[test]
     fn same_cluster_scenes_are_closer_in_embedding_space() {
         let ds = generate_scenes(&tiny_spec(), 5);
-        let d = ds.train.features.point_to_all(Distance::Euclidean, 0);
+        let d = ds.train.features.distances(Distance::Euclidean, 0, &ds.train.features);
         let c0 = ds.train.clusters[0];
         let (mut same, mut diff) = (Vec::new(), Vec::new());
         for (i, &di) in d.iter().enumerate().skip(1) {

@@ -427,7 +427,7 @@ mod tests {
     fn same_cluster_docs_are_closer() {
         use nemo_sparse::Distance;
         let ds = generate_text(&tiny_spec(), 42);
-        let dists = ds.train.features.point_to_all(Distance::Cosine, 0);
+        let dists = ds.train.features.distances(Distance::Cosine, 0, &ds.train.features);
         let c0 = ds.train.clusters[0];
         let (mut same, mut diff) = (Vec::new(), Vec::new());
         for (i, &di) in dists.iter().enumerate().skip(1) {

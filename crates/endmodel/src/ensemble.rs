@@ -51,20 +51,6 @@ impl BootstrapEnsemble {
             })
             .collect()
     }
-
-    /// Per-example mean probability over fitted members.
-    pub fn mean_proba(members: &[FittedLogReg], x: &CsrMatrix) -> Vec<f64> {
-        let n = x.n_rows();
-        let mut mean = vec![0.0; n];
-        for m in members {
-            for (i, p) in m.predict_proba(x).into_iter().enumerate() {
-                mean[i] += p;
-            }
-        }
-        let k = members.len().max(1) as f64;
-        mean.iter_mut().for_each(|p| *p /= k);
-        mean
-    }
 }
 
 /// BALD mutual-information scores given per-member probability vectors
@@ -93,6 +79,14 @@ pub fn bald_scores(probs: &[Vec<f64>]) -> Vec<f64> {
 mod tests {
     use super::*;
     use nemo_sparse::SparseVec;
+
+    /// Per-example mean probability over fitted members.
+    fn mean_proba(members: &[FittedLogReg], x: &CsrMatrix) -> Vec<f64> {
+        let probs: Vec<Vec<f64>> = members.iter().map(|m| m.predict_proba(x)).collect();
+        (0..x.n_rows())
+            .map(|i| probs.iter().map(|p| p[i]).sum::<f64>() / members.len() as f64)
+            .collect()
+    }
 
     #[test]
     fn bald_zero_when_members_agree() {
@@ -135,7 +129,7 @@ mod tests {
         let ens = BootstrapEnsemble { n_models: 4, ..Default::default() };
         let members = ens.fit(&x, &targets, &idx, 11);
         assert_eq!(members.len(), 4);
-        let mean = BootstrapEnsemble::mean_proba(&members, &x);
+        let mean = mean_proba(&members, &x);
         assert!(mean[0] > 0.6);
         assert!(mean[1] < 0.4);
     }
@@ -160,7 +154,7 @@ mod tests {
         let x = CsrMatrix::from_rows(&rows, 1);
         let ens = BootstrapEnsemble { n_models: 2, ..Default::default() };
         let members = ens.fit(&x, &[0.5; 3], &[], 1);
-        let mean = BootstrapEnsemble::mean_proba(&members, &x);
+        let mean = mean_proba(&members, &x);
         assert!(mean.iter().all(|&p| (p - 0.5).abs() < 1e-9));
     }
 }

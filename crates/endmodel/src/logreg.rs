@@ -156,11 +156,6 @@ impl FittedLogReg {
     pub fn predict_proba(&self, x: &CsrMatrix) -> Vec<f64> {
         (0..x.n_rows()).map(|i| self.predict_proba_one(x, i)).collect()
     }
-
-    /// Signed hard predictions (+1/−1 as `i8`), threshold 0.5.
-    pub fn predict_signs(&self, x: &CsrMatrix) -> Vec<i8> {
-        self.predict_proba(x).into_iter().map(|p| if p >= 0.5 { 1 } else { -1 }).collect()
-    }
 }
 
 #[cfg(test)]
@@ -356,15 +351,6 @@ mod tests {
         let (lm, _, _) = loss_and_grad(&x, &t, &idx, &w, b - h);
         let fd = (lp - lm) / (2.0 * h);
         assert!((fd - gb).abs() < 1e-3, "bias: fd {fd} vs analytic {gb}");
-    }
-
-    #[test]
-    fn predict_signs_threshold() {
-        let (x, t) = toy();
-        let model = LogisticRegression::default().fit(&x, &t, None, 6);
-        let signs = model.predict_signs(&x);
-        assert_eq!(signs[0], 1);
-        assert_eq!(signs[1], -1);
     }
 
     #[test]

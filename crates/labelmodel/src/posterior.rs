@@ -65,14 +65,6 @@ impl Posterior {
         self.p_pos.iter().map(|&p| label_from_prob(p)).collect()
     }
 
-    /// Mean entropy across examples (a global uncertainty summary).
-    pub fn mean_entropy(&self) -> f64 {
-        if self.p_pos.is_empty() {
-            return 0.0;
-        }
-        self.p_pos.iter().map(|&p| binary_entropy(p)).sum::<f64>() / self.p_pos.len() as f64
-    }
-
     /// Mean log-likelihood of gold `labels` under these posteriors — the
     /// proper scoring rule `tune_p` selects the refinement percentile
     /// with. Probabilities are clamped to `[ε, 1−ε]` (ε = 1e-6) so a
@@ -138,7 +130,6 @@ mod tests {
         let p = Posterior::from_prior(3, 0.3);
         assert_eq!(p.len(), 3);
         assert!((p.p_pos(2) - 0.3).abs() < 1e-12);
-        assert!(p.mean_entropy() > 0.0);
     }
 
     #[test]

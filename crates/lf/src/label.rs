@@ -52,17 +52,6 @@ impl Label {
         }
     }
 
-    /// Construct from a dense index (0 = Neg, 1 = Pos).
-    #[inline]
-    pub fn from_index(i: usize) -> Label {
-        match i {
-            0 => Label::Neg,
-            1 => Label::Pos,
-            // invariant: callers index with argmax over 2 classes.
-            _ => panic!("label index {i} out of range"),
-        }
-    }
-
     /// The opposite label.
     #[inline]
     pub fn flip(self) -> Label {
@@ -107,7 +96,7 @@ mod tests {
     fn sign_index_roundtrip() {
         for l in Label::ALL {
             assert_eq!(Label::from_sign(l.sign()), Some(l));
-            assert_eq!(Label::from_index(l.index()), l);
+            assert_eq!(Label::ALL[l.index()], l);
         }
     }
 

@@ -68,11 +68,6 @@ impl Lineage {
     pub fn contains_lf(&self, lf: &PrimitiveLf) -> bool {
         self.records.iter().any(|r| r.lf == *lf)
     }
-
-    /// All development example ids seen so far, in order, with duplicates.
-    pub fn dev_examples(&self) -> Vec<u32> {
-        self.records.iter().map(|r| r.dev_example).collect()
-    }
 }
 
 #[cfg(test)]
@@ -93,7 +88,6 @@ mod tests {
             lin.lfs(),
             vec![PrimitiveLf::new(3, Label::Pos), PrimitiveLf::new(5, Label::Neg)]
         );
-        assert_eq!(lin.dev_examples(), vec![42, 7]);
     }
 
     #[test]

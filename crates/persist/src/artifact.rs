@@ -18,7 +18,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use nemo_core::SharedArtifacts;
-use nemo_data::{Dataset, Features, Split};
+use nemo_data::{Backing, Dataset, Features, Split};
 use nemo_lf::{Label, Metric, PrimitiveCorpus};
 use nemo_sparse::{CscIndex, CsrMatrix, DenseMatrix};
 use nemo_text::{TfIdf, TfIdfModel, Vocab};
@@ -78,8 +78,8 @@ fn enc_split(e: &mut Enc, s: &Split) {
     }
     let f = &s.features;
     let (row_offsets, indices, values) = f.csr().raw_parts();
-    match (f.dense(), f.csc()) {
-        (None, Some(csc)) => {
+    match f.backing() {
+        Backing::Sparse(csc) => {
             e.u8(0); // sparse-backed
             e.vec_usize(row_offsets);
             e.vec_u32(indices);
@@ -90,7 +90,7 @@ fn enc_split(e: &mut Enc, s: &Split) {
             e.vec_u32(rows);
             e.vec_f32(vals);
         }
-        (Some(d), None) => {
+        Backing::Dense(d) => {
             e.u8(1); // dense-backed (CSR mirror persisted alongside)
             e.vec_usize(row_offsets);
             e.vec_u32(indices);
@@ -100,8 +100,6 @@ fn enc_split(e: &mut Enc, s: &Split) {
             e.usize(d.n_cols());
             e.vec_f32(d.flat());
         }
-        // invariant: Features construction guarantees exactly one backing.
-        _ => unreachable!("Features carries exactly one of dense/CSC"),
     }
     e.vec_f64(f.sq_norms());
 }
@@ -149,7 +147,7 @@ fn dec_split(d: &mut Dec<'_>, n_primitives: usize) -> Result<Split, PersistError
                 return Err(PersistError::InvalidValue("CSC width does not match CSR"));
             }
             let sq_norms = d.vec_f64()?;
-            Features::from_parts(csr, None, Some(csc), sq_norms)
+            Features::from_parts(csr, Backing::Sparse(csc), sq_norms)
                 .map_err(PersistError::InvalidValue)?
         }
         1 => {
@@ -161,7 +159,7 @@ fn dec_split(d: &mut Dec<'_>, n_primitives: usize) -> Result<Split, PersistError
             }
             let dense = DenseMatrix::from_flat(flat, d_rows, d_cols);
             let sq_norms = d.vec_f64()?;
-            Features::from_parts(csr, Some(dense), None, sq_norms)
+            Features::from_parts(csr, Backing::Dense(dense), sq_norms)
                 .map_err(PersistError::InvalidValue)?
         }
         _ => return Err(PersistError::InvalidValue("feature backing tag must be 0 or 1")),
@@ -278,6 +276,11 @@ pub fn artifact_from_bytes(bytes: &[u8]) -> Result<ArtifactBundle, PersistError>
     let mut test_dec = p.section(section::TEST, "TEST")?;
     let test = dec_split(&mut test_dec, n_primitives)?;
     test_dec.finish()?;
+    if !valid.features.same_space(&train.features) || !test.features.same_space(&train.features) {
+        return Err(PersistError::InvalidValue(
+            "split feature width or backing differs from train",
+        ));
+    }
 
     let mut text = p.section(section::TEXT, "TEXT")?;
     let vocab = if text.presence()? {

@@ -25,7 +25,7 @@ use nemo_persist::{
     artifact_from_bytes, artifact_to_bytes, session_from_bytes, session_to_bytes, ArtifactBundle,
     PersistError,
 };
-use nemo_sparse::{CsrMatrix, SparseVec};
+use nemo_sparse::{CsrMatrix, DenseMatrix, SparseVec};
 use nemo_text::{TfIdf, Vocab};
 
 /// A deliberately small but feature-complete artifact (sparse features,
@@ -407,6 +407,51 @@ fn non_empty_warm_section_decodes_and_restores_identically() {
     assert_eq!(bits(&original), bits(&resumed));
     assert_eq!(original.outputs().chosen_p, resumed.outputs().chosen_p);
     assert_eq!(original.test_score().to_bits(), resumed.test_score().to_bits());
+}
+
+/// A split in another feature space than train's (narrower, or dense
+/// where train is sparse) is rejected at load. Accepted, a narrow valid
+/// split made the first round index past its CSC columns inside the
+/// contextualizer's registration.
+#[test]
+fn split_outside_train_feature_space_fails_typed() {
+    let ds = nemo_data::catalog::toy_text(1);
+    let narrow = |f: &Features| {
+        let dim = f.dim() / 2;
+        let rows: Vec<SparseVec> = f
+            .csr()
+            .rows()
+            .map(|r| {
+                SparseVec::from_pairs(r.iter().filter(|&(j, _)| (j as usize) < dim).collect(), dim)
+            })
+            .collect();
+        Features::from_csr(CsrMatrix::from_rows(&rows, dim))
+    };
+    let dense = |f: &Features| {
+        let rows: Vec<Vec<f32>> = f
+            .csr()
+            .rows()
+            .map(|r| SparseVec::from_pairs(r.iter().collect(), f.dim()).to_dense())
+            .collect();
+        Features::from_dense(DenseMatrix::from_rows(&rows))
+    };
+    let mut narrow_valid = ds.clone();
+    narrow_valid.valid.features = narrow(&ds.valid.features);
+    let mut narrow_test = ds.clone();
+    narrow_test.test.features = narrow(&ds.test.features);
+    let mut dense_valid = ds.clone();
+    dense_valid.valid.features = dense(&ds.valid.features);
+    for (what, dataset) in
+        [("narrow valid", narrow_valid), ("narrow test", narrow_test), ("dense valid", dense_valid)]
+    {
+        let validated = catch_unwind(AssertUnwindSafe(|| dataset.validate()));
+        assert!(validated.is_err(), "{what}: Dataset::validate must reject it");
+        let bytes = artifact_to_bytes(&ArtifactBundle { dataset, vocab: None, tfidf: None });
+        assert!(
+            matches!(artifact_from_bytes(&bytes), Err(PersistError::InvalidValue(_))),
+            "{what}: load must fail typed"
+        );
+    }
 }
 
 #[test]

@@ -5,9 +5,9 @@
 //! that contain it together with their stored values. It is built once per
 //! matrix in `O(nnz)` by a counting sort and never mutated.
 //!
-//! This is the structure behind the indexed distance kernels
-//! ([`crate::distance::Distance::sparse_row_to_all_indexed_into`]): a
-//! "one point vs all rows" pass only walks the posting lists of the
+//! This is the structure behind the indexed distance kernel
+//! ([`crate::distance::Distance::sparse_indexed`]): a "one point vs all
+//! rows" pass only walks the posting lists of the
 //! pivot's nonzero columns, so rows sharing no terms with the pivot are
 //! never touched. On ~99%-sparse TF-IDF matrices that skips almost all of
 //! the work a row-major scan performs.

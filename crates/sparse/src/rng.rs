@@ -149,12 +149,6 @@ impl DetRng {
         r * theta.cos()
     }
 
-    /// Gaussian with mean `mu` and standard deviation `sigma`.
-    #[inline]
-    pub fn gaussian_with(&mut self, mu: f64, sigma: f64) -> f64 {
-        mu + sigma * self.gaussian()
-    }
-
     /// Sample from a geometric-ish document-length distribution clamped to
     /// `[min_len, max_len]`: `min_len + round(|N(0, spread)|)`.
     pub fn length(&mut self, min_len: usize, mean_len: usize, max_len: usize) -> usize {

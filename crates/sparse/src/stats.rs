@@ -185,19 +185,6 @@ pub fn argmax_set(xs: &[f64]) -> Vec<usize> {
     xs.iter().enumerate().filter(|&(_, &x)| x == mx).map(|(i, _)| i).collect()
 }
 
-/// KL divergence `KL(p ‖ q)` for discrete distributions (natural log).
-/// Entries where `p == 0` contribute zero; `q` entries are floored at a tiny
-/// epsilon to keep the result finite.
-pub fn kl_divergence(p: &[f64], q: &[f64]) -> f64 {
-    assert_eq!(p.len(), q.len());
-    let eps = 1e-12;
-    p.iter()
-        .zip(q)
-        .filter(|&(&pi, _)| pi > 0.0)
-        .map(|(&pi, &qi)| pi * (pi / qi.max(eps)).ln())
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -416,17 +403,6 @@ mod tests {
         assert_eq!(argmax_set(&[1.0, 3.0, 3.0]), vec![1, 2]);
     }
 
-    #[test]
-    fn kl_zero_for_identical() {
-        let p = [0.2, 0.8];
-        assert!(kl_divergence(&p, &p).abs() < 1e-12);
-    }
-
-    #[test]
-    fn kl_positive_for_different() {
-        assert!(kl_divergence(&[0.9, 0.1], &[0.5, 0.5]) > 0.0);
-    }
-
     proptest! {
         #[test]
         fn prop_entropy_nonneg_bounded(p in 0.0f64..=1.0) {
@@ -490,17 +466,6 @@ mod tests {
                     "n={} p={p}: {} vs {}", v.len(), got[k], percentile(&v, p)
                 );
             }
-        }
-
-        #[test]
-        fn prop_kl_nonneg(
-            a in proptest::collection::vec(0.01f64..1.0, 2..6),
-        ) {
-            let total_a: f64 = a.iter().sum();
-            let p: Vec<f64> = a.iter().map(|x| x / total_a).collect();
-            let n = p.len() as f64;
-            let q: Vec<f64> = vec![1.0 / n; p.len()];
-            prop_assert!(kl_divergence(&p, &q) >= -1e-12);
         }
     }
 }

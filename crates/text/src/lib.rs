@@ -1,16 +1,14 @@
 //! # nemo-text
 //!
-//! Text-processing substrate: tokenization, vocabulary construction,
-//! n-gram extraction, and TF-IDF featurization.
+//! Text-processing substrate: tokenization, vocabulary construction, and
+//! TF-IDF featurization.
 //!
 //! The paper featurizes text with TF-IDF over the training corpus and takes
 //! the primitive domain `Z` to be the set of uni-grams in the training
-//! examples (Sec. 5.1). This crate provides exactly that pipeline, plus the
-//! n-gram generalization the primitive-based LF family admits (Sec. 4).
+//! examples (Sec. 5.1). This crate provides exactly that pipeline.
 
 #![warn(missing_docs)]
 
-pub mod ngram;
 pub mod tfidf;
 pub mod tokenize;
 pub mod vocab;

@@ -84,18 +84,6 @@ impl TfIdfModel {
         self.df.iter().map(|&d| d as usize).sum()
     }
 
-    /// Density of the training feature matrix in `[0, 1]` — the statistic
-    /// that justifies routing distance queries through the inverted-index
-    /// kernel (TF-IDF matrices sit around 1%).
-    pub fn train_density(&self) -> f64 {
-        let cells = self.n_train_docs * self.n_features;
-        if cells == 0 {
-            0.0
-        } else {
-            self.train_nnz() as f64 / cells as f64
-        }
-    }
-
     /// The full IDF weight table in feature-id order (serialization
     /// export; round-trips through [`TfIdfModel::from_parts`]).
     pub fn idf_weights(&self) -> &[f32] {
@@ -236,7 +224,6 @@ mod tests {
         assert_eq!(model.n_train_docs(), 4);
         let m = model.transform(&corpus());
         assert_eq!(model.train_nnz(), m.nnz());
-        assert!((model.train_density() - m.density()).abs() < 1e-12);
         let counts = m.column_counts();
         for t in 0..3u32 {
             assert_eq!(model.df(t) as usize, counts[t as usize], "feature {t}");

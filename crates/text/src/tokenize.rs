@@ -13,12 +13,6 @@ pub fn tokenize(text: &str) -> Vec<String> {
         .collect()
 }
 
-/// Tokenize into borrowed slices when no lowercasing is required
-/// (pre-normalized input); avoids per-token allocations.
-pub fn tokenize_borrowed(text: &str) -> Vec<&str> {
-    text.split(|c: char| !c.is_alphanumeric()).filter(|t| !t.is_empty() && t.len() <= 64).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -53,13 +47,5 @@ mod tests {
         assert!(tokenize(&long).is_empty());
         let ok = "a".repeat(64);
         assert_eq!(tokenize(&ok).len(), 1);
-    }
-
-    #[test]
-    fn borrowed_matches_owned_for_lowercase_input() {
-        let s = "already lower case text 42";
-        let owned = tokenize(s);
-        let borrowed: Vec<String> = tokenize_borrowed(s).iter().map(|t| t.to_string()).collect();
-        assert_eq!(owned, borrowed);
     }
 }

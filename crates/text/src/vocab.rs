@@ -85,14 +85,6 @@ impl Vocab {
         self.id_to_token.is_empty()
     }
 
-    /// Map a token list to (deduplicated, sorted) ids, dropping OOV tokens.
-    pub fn encode_set(&self, tokens: &[impl AsRef<str>]) -> Vec<u32> {
-        let mut ids: Vec<u32> = tokens.iter().filter_map(|t| self.id(t.as_ref())).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
-    }
-
     /// Map a token list to ids preserving order and multiplicity (OOV
     /// tokens dropped) — the input format for TF-IDF counting.
     pub fn encode_seq(&self, tokens: &[impl AsRef<str>]) -> Vec<u32> {
@@ -160,15 +152,6 @@ mod tests {
         assert_eq!(v.id("m"), Some(0)); // sorted within doc: m before z
         assert_eq!(v.id("z"), Some(1));
         assert_eq!(v.id("a"), Some(2));
-    }
-
-    #[test]
-    fn encode_set_sorted_unique_oov_dropped() {
-        let mut v = Vocab::new();
-        v.add("x");
-        v.add("y");
-        let ids = v.encode_set(&["y", "x", "y", "unknown"]);
-        assert_eq!(ids, vec![0, 1]);
     }
 
     #[test]

@@ -1,17 +1,17 @@
 //! End-to-end differential test for the contextualizer's distance engine.
 //!
 //! A full interactive `Session` (SEU selection + simulated user +
-//! contextualized learning) registers its LFs through the batched
-//! inverted-index engine. The contextualizer consumes distances only
-//! through each LF's refinement radius and the refined train/valid
-//! columns, so after every run each registered LF's radius and refined
-//! columns at every grid point are checked against the per-LF naive
-//! row-major scan (`Features::point_to_all_naive` /
-//! `point_to_other_naive`), the pre-index reference. The engine is
-//! bit-identical to the scan by construction, so every assertion here is
-//! exact equality — any drift is a kernel bug, not rounding. This holds
-//! on the sparse text dataset and on the dense scene dataset, whose
-//! engines both run the scalar dense reductions.
+//! contextualized learning) registers its LFs through
+//! `Features::distances` (the inverted-index kernel on sparse features).
+//! The contextualizer consumes distances only through each LF's refinement
+//! radius and the refined train/valid columns, so after every run each
+//! registered LF's radius and refined columns at every grid point are
+//! checked against the naive scan (`Features::distances_naive`), the
+//! pre-index reference. The query is bit-identical to the scan by
+//! construction, so every assertion here is exact equality — any drift is
+//! a kernel bug, not rounding. This holds on the sparse text dataset and on
+//! the dense scene dataset, whose kernels both run the scalar dense
+//! reductions.
 
 use nemo::core::config::{ContextualizerConfig, IdpConfig};
 use nemo::core::contextualizer::Contextualizer;
@@ -45,8 +45,8 @@ fn assert_matches_naive_scan(
     assert_eq!(ctx.n_registered(), lineage.len(), "{}: registered LFs", ds.name);
     for (j, rec) in lineage.tracked().iter().enumerate() {
         let pivot = rec.dev_example as usize;
-        let train = ds.train.features.point_to_all_naive(dist, pivot);
-        let valid = ds.train.features.point_to_other_naive(dist, pivot, &ds.valid.features);
+        let train = ds.train.features.distances_naive(dist, pivot, &ds.train.features);
+        let valid = ds.train.features.distances_naive(dist, pivot, &ds.valid.features);
         let mut sorted = train.clone();
         sorted.sort_unstable_by(|a, b| a.partial_cmp(b).expect("distances are finite"));
         let raw_valid = LfColumn::from_lf(&rec.lf, &ds.valid.corpus);

@@ -1,17 +1,17 @@
-//! Differential property suite for the sparse distance engine.
+//! Differential property suite for the sparse distance kernels.
 //!
-//! Three kernels compute "one point vs all rows" distances: the naive
-//! row-major scan (`sparse_point_to_all`), the inverted-index kernel
-//! driven by a [`CscIndex`] (`sparse_point_to_all_indexed_into`), and the
-//! batched kernel (`sparse_point_to_all_many`), which runs every pivot
-//! through one reused scratch. They are designed
-//! to be bit-identical — each row's matching terms accumulate in ascending
-//! column order in every tier — and this suite holds them to the issue's
-//! 1e-9 agreement bound over random sparse matrices of varying density,
-//! including all-zero rows and untouched columns, for both `Cosine` and
-//! `Euclidean`.
+//! Two kernels compute "one point vs all rows" distances: the naive
+//! row-major scan (`Distance::sparse_naive`) and the inverted-index kernel
+//! driven by a [`CscIndex`] (`Distance::sparse_indexed`), which
+//! `Features::distances` runs on sparse features. They are bit-identical —
+//! each row's matching terms accumulate in ascending column order in both
+//! — and this suite holds them to exact equality over random sparse
+//! matrices of varying density, including all-zero rows, rows whose
+//! entries cancel, untouched columns and cross-matrix (train pivot vs
+//! valid pool) queries, for both `Cosine` and `Euclidean`.
 
-use nemo::sparse::{CscIndex, CsrMatrix, Distance, DistanceScratch, SparseVec};
+use nemo::data::Features;
+use nemo::sparse::{CscIndex, CsrMatrix, Distance, SparseVec};
 use proptest::prelude::*;
 
 const DISTANCES: [Distance; 2] = [Distance::Cosine, Distance::Euclidean];
@@ -34,30 +34,22 @@ fn rows_strategy(
     )
 }
 
-fn check_all_kernels_agree(m: &CsrMatrix) {
-    let norms = m.row_sq_norms();
-    let index = CscIndex::from_csr(m);
-    let mut scratch = DistanceScratch::new();
-    let mut indexed = Vec::new();
-    let pivots: Vec<usize> = (0..m.n_rows()).collect();
+/// Every row of `src` as pivot against every row of `target`: the indexed
+/// kernel equals the naive scan bit for bit, and every distance is finite.
+fn check_kernels_agree(src: &CsrMatrix, target: &CsrMatrix) {
+    let src_norms = src.row_sq_norms();
+    let norms = target.row_sq_norms();
+    let index = CscIndex::from_csr(target);
     for dist in DISTANCES {
-        let batched = dist.sparse_point_to_all_many(m, &norms, &pivots, &index, &norms);
-        for (pivot, batch_row) in batched.iter().enumerate() {
-            let naive = dist.sparse_point_to_all(m, pivot, &norms);
-            dist.sparse_point_to_all_indexed_into(
-                m,
-                &index,
-                pivot,
-                &norms,
-                &mut scratch,
-                &mut indexed,
-            );
+        for (p, &pivot_sq) in src_norms.iter().enumerate() {
+            let pivot = src.row(p);
+            let naive = dist.sparse_naive(&pivot, pivot_sq, target, &norms);
+            let indexed = dist.sparse_indexed(&pivot, pivot_sq, &index, &norms);
+            assert_eq!(naive.len(), target.n_rows());
             assert_eq!(naive.len(), indexed.len());
             for (r, (&a, &b)) in naive.iter().zip(&indexed).enumerate() {
-                assert!(a.is_finite() && b.is_finite(), "{dist:?} {pivot}->{r} not finite");
-                assert!((a - b).abs() <= 1e-9, "{dist:?} {pivot}->{r}: naive {a} indexed {b}");
-                let c = batch_row[r];
-                assert!((a - c).abs() <= 1e-9, "{dist:?} {pivot}->{r}: naive {a} batched {c}");
+                assert!(a.is_finite(), "{dist:?} {p}->{r} not finite");
+                assert_eq!(a.to_bits(), b.to_bits(), "{dist:?} {p}->{r}: naive {a} indexed {b}");
             }
         }
     }
@@ -67,70 +59,52 @@ proptest! {
     /// Moderate dimension, density swept from empty to dense-ish.
     #[test]
     fn prop_kernels_agree_varying_density(rows in rows_strategy(24, 16, 14)) {
-        check_all_kernels_agree(&matrix_from(&rows, 24));
+        let m = matrix_from(&rows, 24);
+        check_kernels_agree(&m, &m);
     }
 
     /// High dimension, few nonzeros per row: the TF-IDF-like regime the
     /// indexed kernel is built for (most columns empty).
     #[test]
     fn prop_kernels_agree_very_sparse(rows in rows_strategy(96, 6, 12)) {
-        check_all_kernels_agree(&matrix_from(&rows, 96));
+        let m = matrix_from(&rows, 96);
+        check_kernels_agree(&m, &m);
     }
 
-    /// Cross-matrix distances (train pivot vs valid pool): the indexed and
-    /// batched kernels against the naive reference.
+    /// Cross-matrix distances (train pivot vs valid pool).
     #[test]
     fn prop_cross_matrix_kernels_agree(
         train in rows_strategy(32, 10, 8),
         valid in rows_strategy(32, 10, 8),
     ) {
-        let tm = matrix_from(&train, 32);
-        let vm = matrix_from(&valid, 32);
-        let t_norms = tm.row_sq_norms();
-        let v_norms = vm.row_sq_norms();
-        let index = CscIndex::from_csr(&vm);
-        let mut scratch = DistanceScratch::new();
-        let mut indexed = Vec::new();
-        let pivots: Vec<usize> = (0..tm.n_rows()).collect();
-        for dist in DISTANCES {
-            let batched = dist.sparse_point_to_all_many(&tm, &t_norms, &pivots, &index, &v_norms);
-            for p in 0..tm.n_rows() {
-                let pivot = tm.row(p);
-                let naive = dist.sparse_row_to_all(&pivot, t_norms[p], &vm, &v_norms);
-                dist.sparse_row_to_all_indexed_into(
-                    &pivot,
-                    t_norms[p],
-                    &index,
-                    &v_norms,
-                    &mut scratch,
-                    &mut indexed,
-                );
-                for (r, (&a, &b)) in naive.iter().zip(&indexed).enumerate() {
-                    prop_assert!((a - b).abs() <= 1e-9, "{:?} {}->{}", dist, p, r);
-                    prop_assert!((a - batched[p][r]).abs() <= 1e-9, "{:?} {}->{} batched", dist, p, r);
-                }
-            }
-        }
+        check_kernels_agree(&matrix_from(&train, 32), &matrix_from(&valid, 32));
     }
 
-    /// Batched output must be ordered by pivot position, not pivot id,
-    /// including repeated pivots.
+    /// `Features::distances` over a pivot list in registration order, with
+    /// repeats: each answer equals the reference for its own pivot, so no
+    /// query depends on the ones before it.
     #[test]
     fn prop_batched_respects_pivot_order(
         rows in rows_strategy(24, 8, 10),
+        valid in rows_strategy(24, 8, 6),
         picks in proptest::collection::vec(0usize..10, 1..20),
     ) {
-        let m = matrix_from(&rows, 24);
-        let norms = m.row_sq_norms();
-        let index = CscIndex::from_csr(&m);
-        let pivots: Vec<usize> = picks.into_iter().map(|p| p % m.n_rows()).collect();
+        let f = Features::from_csr(matrix_from(&rows, 24));
+        let v = Features::from_csr(matrix_from(&valid, 24));
+        let pivots: Vec<usize> = picks.into_iter().map(|p| p % f.n()).collect();
         for dist in DISTANCES {
-            let batched = dist.sparse_point_to_all_many(&m, &norms, &pivots, &index, &norms);
-            prop_assert_eq!(batched.len(), pivots.len());
-            for (k, &p) in pivots.iter().enumerate() {
-                let naive = dist.sparse_point_to_all(&m, p, &norms);
-                for (r, &b) in batched[k].iter().enumerate() {
-                    prop_assert!((naive[r] - b).abs() <= 1e-9, "{:?} slot {} pivot {}", dist, k, p);
+            for target in [&f, &v] {
+                let answers: Vec<Vec<f64>> =
+                    pivots.iter().map(|&p| f.distances(dist, p, target)).collect();
+                for (k, &p) in pivots.iter().enumerate() {
+                    prop_assert_eq!(
+                        &answers[k],
+                        &f.distances_naive(dist, p, target),
+                        "{:?} slot {} pivot {}",
+                        dist,
+                        k,
+                        p
+                    );
                 }
             }
         }
@@ -147,5 +121,7 @@ fn all_zero_and_cancelled_rows_agree_across_kernels() {
         vec![(0, 1.0), (5, 0.5)],
         vec![],
     ];
-    check_all_kernels_agree(&matrix_from(&rows, 8));
+    let m = matrix_from(&rows, 8);
+    check_kernels_agree(&m, &m);
+    check_kernels_agree(&m, &matrix_from(&rows[1..3], 8));
 }

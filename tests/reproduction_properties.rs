@@ -52,7 +52,8 @@ fn figure2_property_coverage_and_accuracy_decay_with_distance() {
     let (mut acc_near_num, mut acc_near_den) = (0.0, 0.0);
     let (mut acc_far_num, mut acc_far_den) = (0.0, 0.0);
     for rec in lineage.tracked() {
-        let dists = ds.train.features.point_to_all(Distance::Cosine, rec.dev_example as usize);
+        let pivot = rec.dev_example as usize;
+        let dists = ds.train.features.distances(Distance::Cosine, pivot, &ds.train.features);
 
         // Coverage locality (Figure 2, left): the near half of the pool
         // (by distance from the dev example) holds most of the coverage.
