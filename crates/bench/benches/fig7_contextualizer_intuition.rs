@@ -89,8 +89,9 @@ fn main() {
 
     let mut ctx = Contextualizer::new(ContextualizerConfig::default());
     ctx.sync(&lineage, &ds);
-    let refined = ctx.refined_train_matrix(&matrix, 50.0);
-    let contextual = model.fit(&refined, [0.5, 0.5]).predict(&refined);
+    // invariant: 50 is a point of the default grid.
+    let refined = ctx.refined(50.0).expect("50 is on the default grid").0;
+    let contextual = model.fit(refined, [0.5, 0.5]).predict(refined);
 
     let score = |post: &nemo_labelmodel::Posterior| -> (usize, usize) {
         let mut correct = 0;

@@ -262,9 +262,8 @@ fn replay(
     (LoopStats { total_ns, rounds: trajectory.len() - 1, checksum }, cache)
 }
 
-/// Record a real 25-round SEU trajectory (and its lineage) with the
-/// session engine.
-fn record_trajectory(ds: &Dataset) -> (Vec<ModelOutputs>, Lineage) {
+/// Record a real 25-round SEU trajectory with the session engine.
+fn record_trajectory(ds: &Dataset) -> Vec<ModelOutputs> {
     let config = IdpConfig { n_iterations: 25, eval_every: 25, seed: 7, ..Default::default() };
     let mut session = Session::new(ds, config);
     let mut selector = SeuSelector::new();
@@ -275,7 +274,7 @@ fn record_trajectory(ds: &Dataset) -> (Vec<ModelOutputs>, Lineage) {
         session.round(&mut selector, &mut user, &mut pipeline).expect("round resolves");
         trajectory.push(session.outputs().clone());
     }
-    (trajectory, session.lineage().clone())
+    trajectory
 }
 
 /// Measure aggregate maintenance + full-pool scoring under both modes
@@ -333,93 +332,6 @@ fn seu_loop_bench(ds: &Dataset, trajectory: &[ModelOutputs]) -> String {
         dirty_majority,
         drift_bound,
     )
-}
-
-/// Warm-round refined-matrix construction: the per-grid-point refined
-/// train/valid matrices `tune_p` consumes, built for a lineage whose last
-/// LF is new this round — the exact refinement workload of every
-/// contextualized round after the first.
-///
-/// - **rebuild**: refilter every LF column at every grid point through
-///   the per-grid-point `refined_train_matrix` / `refined_valid_matrix`
-///   (the pre-cache behaviour, now the oracle).
-/// - **incremental**: keep the `n−1` previously filtered LFs' columns in
-///   the grid slots' matrices and filter only the new LF's — each timed
-///   call first drops the last LF's columns
-///   (`invalidate_refined_cache_from`) so it measures a genuine warm
-///   round, not a fully cached replay.
-///
-/// Outputs are asserted bit-identical before timing; with
-/// `NEMO_BENCH_ENFORCE` set, an incremental path slower than half the
-/// rebuild cost aborts the run (the CI regression guard — the committed
-/// numbers show well above the 3× the ROADMAP item claims).
-fn refine_cache_bench(ds: &Dataset, lineage: &Lineage, results: &mut Vec<BenchResult>) -> String {
-    let n_lfs = lineage.len();
-    let lfs: Vec<PrimitiveLf> = lineage.tracked().iter().map(|r| r.lf).collect();
-    let matrix = LabelMatrix::from_lfs(&lfs, &ds.train.corpus);
-    let p_grid = ContextualizerConfig::default().p_grid;
-    let grid = p_grid.len();
-
-    let mut incr_ctx = Contextualizer::new(ContextualizerConfig::default());
-    incr_ctx.sync(lineage, ds);
-    let rebuild_grid = |ctx: &Contextualizer| -> (Vec<LabelMatrix>, Vec<LabelMatrix>) {
-        let train = p_grid.iter().map(|&p| ctx.refined_train_matrix(&matrix, p)).collect();
-        let valid = p_grid.iter().map(|&p| ctx.refined_valid_matrix(p, ds.valid.n())).collect();
-        (train, valid)
-    };
-
-    // Bit-identity check (and cache warm-up for LFs 0..n−1).
-    let (rb_train, rb_valid) = rebuild_grid(&incr_ctx);
-    let (in_train, in_valid) = incr_ctx.refined_grid_matrices(&matrix, ds.valid.n());
-    for (k, ((a, b), (c, d))) in
-        in_train.iter().zip(&rb_train).zip(in_valid.iter().zip(&rb_valid)).enumerate()
-    {
-        for j in 0..a.n_lfs() {
-            assert_eq!(a.column(j).entries(), b.column(j).entries(), "train k={k} j={j}");
-            assert_eq!(c.column(j).entries(), d.column(j).entries(), "valid k={k} j={j}");
-        }
-    }
-
-    let rebuild = bench("refine_grid_rebuild", || rebuild_grid(&incr_ctx).0.len());
-    let warm = bench("refine_grid_warm", || {
-        incr_ctx.invalidate_refined_cache_from(n_lfs - 1);
-        incr_ctx.refined_grid_matrices(&matrix, ds.valid.n()).0.len()
-    });
-    // Counters of one warm round: the cumulative ones read after the
-    // adaptively sized batch above would scale with its iteration count.
-    let before = incr_ctx.refine_cache_stats();
-    incr_ctx.invalidate_refined_cache_from(n_lfs - 1);
-    incr_ctx.refined_grid_matrices(&matrix, ds.valid.n());
-    let after = incr_ctx.refine_cache_stats();
-    let (hits, refilters) = (after.hits - before.hits, after.refilters - before.refilters);
-    let speedup = rebuild.mean_ns / warm.mean_ns;
-    println!(
-        "\nWarm-round refined-matrix construction ({n_lfs} LFs, {grid} grid points, 1 new LF):"
-    );
-    println!("  full rebuild           : {} per round", human(rebuild.mean_ns));
-    println!("  incremental cache      : {} per round", human(warm.mean_ns));
-    println!(
-        "  speedup                : {speedup:.2}x  ({hits} hits, {refilters} refilters per warm round)"
-    );
-    if std::env::var("NEMO_BENCH_ENFORCE").is_ok() {
-        assert!(
-            warm.mean_ns * 2.0 <= rebuild.mean_ns,
-            "regression: incremental refined-matrix cache ({}) not ≥2x faster than rebuild ({})",
-            human(warm.mean_ns),
-            human(rebuild.mean_ns)
-        );
-    }
-    let json = format!(
-        concat!(
-            "{{\"lfs\": {}, \"grid_points\": {}, \"rebuild_ns\": {:.0}, ",
-            "\"incremental_ns\": {:.0}, \"speedup\": {:.4}, ",
-            "\"cache_hits\": {}, \"cache_refilters\": {}}}"
-        ),
-        n_lfs, grid, rebuild.mean_ns, warm.mean_ns, speedup, hits, refilters,
-    );
-    results.push(rebuild);
-    results.push(warm);
-    json
 }
 
 /// Worker threads the host can actually run concurrently (stamped into
@@ -780,12 +692,11 @@ fn main() {
         println!("{:<36} {:>8} {:>12} {:>12}", r.name, r.iters, human(r.mean_ns), human(r.min_ns));
     }
 
-    let (trajectory, session_lineage) = record_trajectory(&ds);
+    let trajectory = record_trajectory(&ds);
     let engine_json = distance_engine_summary(&results);
     let artifact_json = artifact_load_bench(profile, &mut results);
     let pool_json = session_pool_bench(&ds, &mut results);
     let loop_json = seu_loop_bench(&ds, &trajectory);
-    let refine_json = refine_cache_bench(&ds, &session_lineage, &mut results);
 
     let mut json = String::from("{\n");
     json.push_str(&format!("  \"profile\": \"{}\",\n", profile.name()));
@@ -806,8 +717,7 @@ fn main() {
     json.push_str(&format!("  \"distance_engine\": {engine_json},\n"));
     json.push_str(&format!("  \"artifact_load\": {artifact_json},\n"));
     json.push_str(&format!("  \"session_pool\": {pool_json},\n"));
-    json.push_str(&format!("  \"seu_loop\": {loop_json},\n"));
-    json.push_str(&format!("  \"refine_cache\": {refine_json}\n"));
+    json.push_str(&format!("  \"seu_loop\": {loop_json}\n"));
     json.push_str("}\n");
 
     // Anchor to the workspace root (cargo bench sets CWD to the package).

@@ -11,12 +11,10 @@
 //!   [`crate::session::SeuAggregates::new`] rebuild (exact integer fields,
 //!   freshly-summed floats — the state a never-interrupted session is
 //!   periodically re-anchored to);
-//! - the contextualizer's per-LF distance tables are re-registered in one
-//!   batch on the next learning round (batched registration is
+//! - the contextualizer's refined grid-slot columns are re-registered
+//!   in one batch on the next learning round (batched registration is
 //!   bit-identical to incremental registration, differential-tested);
-//! - the refined-column and pair-count caches start cold and
-//!   self-invalidate through their keys (fresh column tokens), then
-//!   refill to the same values.
+//! - the pair-count caches start cold and recount to the same values.
 //!
 //! `tests/session_checkpoint.rs` proves the resulting sessions make the
 //! same selections, tune the same percentiles, and produce bit-identical

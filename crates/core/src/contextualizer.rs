@@ -8,27 +8,31 @@
 //! ```
 //!
 //! with `r_j` the `p`-th percentile of the distances from `x_{λ_j}` to the
-//! unlabeled pool, and `p` selected on the validation accuracy of the
-//! resulting soft labels. Distances from each development point to the
-//! training and validation splits are computed once per LF and cached,
-//! together with the LF's radius at every point of the percentile grid —
-//! refinement at any grid `p` is then a cheap filter.
+//! unlabeled pool, and `p` selected from a fixed grid on the validation
+//! quality of the resulting soft labels.
 //!
-//! All of a round's new LFs are registered by
-//! [`Contextualizer::register_batch`], which maps their development points
+//! Refinement happens once per LF, at registration.
+//! [`Contextualizer::register_batch`] maps each new LF's development point
 //! through [`nemo_data::Features::distances`] against the train and the
-//! valid split (the inverted-index kernel on sparse features). It is
-//! bit-identical to the naive scan
-//! ([`nemo_data::Features::distances_naive`]), which the differential
-//! suites use as its oracle. The grid radii are found by selection
-//! ([`nemo_sparse::stats::percentiles`]), not by sorting the distances;
-//! each equals [`nemo_sparse::stats::percentile`] bit for bit.
+//! valid split (the inverted-index kernel on sparse features), freezes its
+//! radius at every grid point by selection
+//! ([`nemo_sparse::stats::percentiles`], each equal to
+//! [`nemo_sparse::stats::percentile`] bit for bit), appends its votes
+//! filtered at each radius to that grid point's slot, and drops the
+//! distances. Lineage is append-only and the grid is fixed at construction,
+//! so a refined column never goes stale: [`Contextualizer::tune_p`] fits
+//! and scores straight from the slots, and a restored session builds a new
+//! contextualizer that refines its lineage afresh. The differential suites
+//! check every slot column against the naive refinement
+//! ([`nemo_data::Features::distances_naive`], `percentile`,
+//! [`nemo_lf::LfColumn::filtered`]) and a long-lived contextualizer against
+//! a fresh one built every round.
 
 use crate::config::ContextualizerConfig;
 use nemo_data::Dataset;
 use nemo_labelmodel::{FittedLabelModel, LabelModel, PairCounts};
 use nemo_lf::{LabelMatrix, LfColumn, Lineage, TrackedLf};
-use nemo_sparse::stats::{percentile, percentiles};
+use nemo_sparse::stats::percentiles;
 
 /// Result of percentile tuning: the chosen `p`, the refined training
 /// matrix at that `p`, and the label model fitted to it.
@@ -44,19 +48,13 @@ pub struct TunedRefinement {
     pub valid_score: f64,
 }
 
-/// One point of the percentile grid: its refined train and valid
-/// matrices, kept across rounds, and the label model's pair-count cache
-/// of the train matrix.
-///
-/// Column `j` of both matrices was filtered under `keys[j]`: the radius
-/// (bitwise) and the raw train column's construction token (the valid
-/// column's raw source is owned by the contextualizer and immutable, so it
-/// needs no key). Lineage is append-only and an existing LF's radius is
-/// frozen at registration, so a warm round finds every key fresh except
-/// the new LFs' and only appends; a stale key truncates the slot there.
+/// One point of the percentile grid: every registered LF's votes refined
+/// at its radius for that point, over the train and the valid split
+/// (column `j` is LF `j`), and the label model's pair-count cache of the
+/// train matrix. Columns are appended at registration and never
+/// rewritten.
 #[derive(Default)]
 struct GridSlot {
-    keys: Vec<(u64, u64)>,
     train: LabelMatrix,
     valid: LabelMatrix,
     /// Pairwise co-vote counts of `train`, keyed by column token: a warm
@@ -68,34 +66,30 @@ struct GridSlot {
     pair_counts: PairCounts,
 }
 
-impl GridSlot {
-    fn truncate(&mut self, m: usize) {
-        self.keys.truncate(m);
-        self.train.truncate(m);
-        self.valid.truncate(m);
-    }
-}
-
-/// Cumulative refined-column cache counters (bench accounting).
+/// Cumulative refined-column counters (bench accounting), in
+/// `(grid point, LF)` columns.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RefineCacheStats {
-    /// `(grid point, LF)` columns kept from an earlier round.
+    /// Columns a [`Contextualizer::tune_p`] round read that an earlier
+    /// round had read already: kept in the slots, not filtered again.
     pub hits: usize,
-    /// `(grid point, LF)` columns filtered afresh (cold slots, radius
-    /// changes, raw-column changes, and every column after one of those).
+    /// Columns filtered at registration: one per grid point per LF.
     pub refilters: usize,
 }
 
-/// The contextualizer with per-LF distance caches.
+/// The contextualizer: each registered LF's radii and refined columns at
+/// every point of a percentile grid fixed at construction.
 pub struct Contextualizer {
-    /// Configuration (distance function and percentile grid).
-    pub config: ContextualizerConfig,
-    train_dists: Vec<Vec<f64>>,
-    /// Per LF, `(p.to_bits(), radius)` for every point of `config.p_grid`
-    /// at registration (empty for an empty training split).
-    grid_radii: Vec<Vec<(u64, f64)>>,
-    valid_dists: Vec<Vec<f64>>,
-    raw_valid_cols: Vec<LfColumn>,
+    config: ContextualizerConfig,
+    /// Per LF, its radius at each point of `config.p_grid` (grid order),
+    /// frozen at registration.
+    radii: Vec<Vec<f64>>,
+    /// Per LF, the coverage of its raw train column: `tune_p`'s check that
+    /// the caller's raw matrix is the registered lineage's.
+    raw_coverage: Vec<usize>,
+    /// LFs registered when `tune_p` last ran; their columns are the next
+    /// round's hits.
+    tuned: usize,
     /// Label-model fits run by `tune_p` so far: one per unique refined
     /// train matrix per round, so grid points that refine to the same
     /// matrix share one fit (bench accounting).
@@ -104,26 +98,41 @@ pub struct Contextualizer {
     /// far — one per grid point per round with a non-empty validation
     /// split (bench accounting).
     tune_predicts: usize,
-    /// One slot per entry of `config.p_grid`, position-keyed, refreshed
-    /// by [`Contextualizer::refined_grid_matrices`].
+    /// One slot per entry of `config.p_grid`, in grid order.
     slots: Vec<GridSlot>,
     cache_stats: RefineCacheStats,
 }
 
 impl Contextualizer {
     /// Create an empty contextualizer.
+    ///
+    /// # Panics
+    ///
+    /// If `config.p_grid` is empty, or holds a point that is NaN or
+    /// outside `[0, 100]`. The grid is fixed for the contextualizer's life,
+    /// so a bad one is refused here rather than at the first registration
+    /// or tuning round.
     pub fn new(config: ContextualizerConfig) -> Self {
+        assert!(!config.p_grid.is_empty(), "empty percentile grid");
+        for &p in &config.p_grid {
+            assert!((0.0..=100.0).contains(&p), "percentile grid point {p} outside [0, 100]");
+        }
         Self {
+            slots: config.p_grid.iter().map(|_| GridSlot::default()).collect(),
             config,
-            train_dists: Vec::new(),
-            grid_radii: Vec::new(),
-            valid_dists: Vec::new(),
-            raw_valid_cols: Vec::new(),
+            radii: Vec::new(),
+            raw_coverage: Vec::new(),
+            tuned: 0,
             tune_fits: 0,
             tune_predicts: 0,
-            slots: Vec::new(),
             cache_stats: RefineCacheStats::default(),
         }
+    }
+
+    /// The configuration (distance function and percentile grid), fixed
+    /// at construction.
+    pub fn config(&self) -> &ContextualizerConfig {
+        &self.config
     }
 
     /// Label-model fits performed by [`Contextualizer::tune_p`] so far:
@@ -139,20 +148,9 @@ impl Contextualizer {
         self.tune_predicts
     }
 
-    /// Cumulative refined-column cache hit/refilter counters.
+    /// Cumulative refined-column counters.
     pub fn refine_cache_stats(&self) -> RefineCacheStats {
         self.cache_stats
-    }
-
-    /// Drop cached refined columns for LFs with index `≥ from` at every
-    /// grid point. The cache self-invalidates through its keys, so
-    /// ordinary sessions never need this; it exists for benches that
-    /// re-measure the same warm round repeatedly and, with `from = 0`,
-    /// gives tests the refilter-everything oracle of a tuning round.
-    pub fn invalidate_refined_cache_from(&mut self, from: usize) {
-        for slot in &mut self.slots {
-            slot.truncate(from);
-        }
     }
 
     /// Inert compatibility shim: always empty. No label model reads
@@ -170,169 +168,79 @@ impl Contextualizer {
 
     /// Number of LFs registered so far.
     pub fn n_registered(&self) -> usize {
-        self.train_dists.len()
+        self.radii.len()
     }
 
-    /// Register a round's worth of LFs: each LF's train and valid distance
-    /// vectors come from [`nemo_data::Features::distances`], and its radius
-    /// at every point of `config.p_grid` is frozen by [`percentiles`]
-    /// (order-statistic selection, no sort and no sorted copy kept).
+    /// Register a round's worth of LFs. For each LF, its train and valid
+    /// distances come from [`nemo_data::Features::distances`], its radius
+    /// at every grid point is frozen by [`percentiles`] (order-statistic
+    /// selection, no sort), and its votes over the train and the valid
+    /// corpus, filtered at each radius, are appended to the grid slots.
+    /// The distances are dropped once the LF is refined.
     pub fn register_batch(&mut self, recs: &[TrackedLf], ds: &Dataset) {
-        let dist = self.config.distance;
+        self.size_slots(ds);
+        let ContextualizerConfig { distance, p_grid } = &self.config;
         let features = &ds.train.features;
-        // Distances are finite — both kernels compute sums/square roots of
-        // finite feature values, and `Features` validates its buffers
-        // (finite norms) on import — so `percentiles` never meets a NaN.
-        let p_grid = &self.config.p_grid;
         for rec in recs {
             let pivot = rec.dev_example as usize;
-            let train_d = features.distances(dist, pivot, features);
-            let valid_d = features.distances(dist, pivot, &ds.valid.features);
-            let radii_j = if train_d.is_empty() {
-                Vec::new()
-            } else {
-                p_grid.iter().map(|p| p.to_bits()).zip(percentiles(&train_d, p_grid)).collect()
-            };
-            self.train_dists.push(train_d);
-            self.grid_radii.push(radii_j);
-            self.valid_dists.push(valid_d);
-            self.raw_valid_cols.push(LfColumn::from_lf(&rec.lf, &ds.valid.corpus));
+            // Distances are finite — both kernels compute sums/square roots
+            // of finite feature values, and `Features` validates its
+            // buffers (finite norms) on import — so `percentiles` never
+            // meets a NaN.
+            let train_d = features.distances(*distance, pivot, features);
+            let valid_d = features.distances(*distance, pivot, &ds.valid.features);
+            let radii = grid_radii(&train_d, p_grid);
+            let raw_train = LfColumn::from_lf(&rec.lf, &ds.train.corpus);
+            let raw_valid = LfColumn::from_lf(&rec.lf, &ds.valid.corpus);
+            for (slot, &r) in self.slots.iter_mut().zip(&radii) {
+                slot.train.push(raw_train.filtered(|i| train_d[i as usize] <= r));
+                slot.valid.push(raw_valid.filtered(|i| valid_d[i as usize] <= r));
+            }
+            self.cache_stats.refilters += radii.len();
+            self.raw_coverage.push(raw_train.coverage());
+            self.radii.push(radii);
         }
     }
 
-    /// Register any lineage entries not yet cached (lineage is
+    /// Register any lineage entries not yet registered (lineage is
     /// append-only, so indices stay aligned) — the batch entry point
     /// `Session`/`NemoSystem` reach through `ContextualizedPipeline`.
     pub fn sync(&mut self, lineage: &Lineage, ds: &Dataset) {
         self.register_batch(&lineage.tracked()[self.n_registered()..], ds);
     }
 
-    /// Refinement radius `r_j` at percentile `p`: the `p`-th percentile of
-    /// LF `j`'s train distances ([`nemo_sparse::stats::percentile`]).
-    ///
-    /// A `p` of the grid the LF was registered under is a lookup in the
-    /// radii frozen at registration. Any other `p` — an expert
-    /// [`Contextualizer::refine_train`] call, or a grid edited after
-    /// registration — is computed from the cached distances, to the same
-    /// value bit for bit.
-    ///
-    /// An LF registered against an **empty training split** has no
-    /// reference distances to take a percentile of (the stats crate
-    /// asserts on empty input). The radius is *defined* as `+∞` there:
-    /// with no distance information the contextualizer cannot justify
-    /// shrinking coverage, so refinement degrades to the identity (every
-    /// example is within radius) — consistent with the `p = 100` endpoint
-    /// — instead of panicking deep inside the stats crate.
-    pub fn radius(&self, j: usize, p: f64) -> f64 {
-        let dists = &self.train_dists[j];
-        if dists.is_empty() {
-            return f64::INFINITY;
-        }
-        match self.grid_radii[j].iter().find(|&&(bits, _)| bits == p.to_bits()) {
-            Some(&(_, r)) => r,
-            None => percentile(dists, p),
-        }
-    }
-
-    /// Refine LF `j`'s raw training column at percentile `p`.
-    pub fn refine_train(&self, j: usize, p: f64, raw: &LfColumn) -> LfColumn {
-        let r = self.radius(j, p);
-        let d = &self.train_dists[j];
-        raw.filtered(|i| d[i as usize] <= r)
-    }
-
-    /// Refine LF `j`'s validation column at percentile `p` (radius still
-    /// computed from training distances, applied to validation examples).
-    pub fn refine_valid(&self, j: usize, p: f64) -> LfColumn {
-        let r = self.radius(j, p);
-        let d = &self.valid_dists[j];
-        self.raw_valid_cols[j].filtered(|i| d[i as usize] <= r)
-    }
-
-    /// Refined training matrix at percentile `p`, every column filtered
-    /// afresh (the oracle of [`Contextualizer::refined_grid_matrices`]).
-    pub fn refined_train_matrix(&self, raw: &LabelMatrix, p: f64) -> LabelMatrix {
-        // invariant: callers pass the matrix aligned with the lineage this
-        // contextualizer was synced against (documented expert API).
-        assert_eq!(raw.n_lfs(), self.n_registered(), "matrix/lineage mismatch");
-        let mut out = LabelMatrix::new(raw.n_examples());
-        for (j, col) in raw.columns().enumerate() {
-            out.push(self.refine_train(j, p, col));
-        }
-        out
-    }
-
-    /// Refined validation matrix at percentile `p`, every column filtered
-    /// afresh.
-    pub fn refined_valid_matrix(&self, p: f64, n_valid: usize) -> LabelMatrix {
-        let mut out = LabelMatrix::new(n_valid);
-        for j in 0..self.n_registered() {
-            out.push(self.refine_valid(j, p));
-        }
-        out
-    }
-
-    /// The per-grid-point refined train and valid matrices `tune_p`
-    /// consumes (one pair per entry of `config.p_grid`, in grid order),
-    /// borrowed from the grid slots that own them.
-    ///
-    /// Each slot keeps its leading columns whose key — the radius bits and
-    /// the raw train column's [`nemo_lf::LfColumn::token`] — still matches,
-    /// drops the rest, and filters the dropped and new LFs' columns onto
-    /// its matrices. Because lineage is append-only and an existing LF's
-    /// distance table is frozen at registration, a warm round filters only
-    /// the newly registered LFs' columns: `O(grid)` filters instead of
-    /// `O(grid · lfs)`, and no column is copied. The result is
-    /// bit-identical to filtering every column afresh with
-    /// [`Contextualizer::refined_train_matrix`] /
-    /// [`Contextualizer::refined_valid_matrix`] — the `refine_cache`
-    /// differential suite and bench pin this.
-    pub fn refined_grid_matrices(
-        &mut self,
-        raw_train: &LabelMatrix,
-        n_valid: usize,
-    ) -> (Vec<&LabelMatrix>, Vec<&LabelMatrix>) {
-        self.refresh_slots(raw_train, n_valid);
-        self.slots.iter().map(|slot| (&slot.train, &slot.valid)).unzip()
-    }
-
-    /// Bring every grid slot's matrices up to date with `raw_train`.
-    fn refresh_slots(&mut self, raw_train: &LabelMatrix, n_valid: usize) {
-        // invariant: same matrix/lineage alignment contract as
-        // `refined_train_matrix`.
-        assert_eq!(raw_train.n_lfs(), self.n_registered(), "matrix/lineage mismatch");
-        // The grid is position-keyed: slot k holds whatever radius
-        // p_grid[k] last produced, so a grown/shrunk grid resizes the
-        // slots and an edited percentile invalidates through the radius
-        // key alone.
-        let mut slots = std::mem::take(&mut self.slots);
-        slots.resize_with(self.config.p_grid.len(), GridSlot::default);
-        for (slot, &p) in slots.iter_mut().zip(&self.config.p_grid) {
-            if slot.train.n_examples() != raw_train.n_examples()
-                || slot.valid.n_examples() != n_valid
-            {
+    /// Until the first LF is registered, size the (column-less) slots to
+    /// `ds`'s train and valid splits.
+    fn size_slots(&mut self, ds: &Dataset) {
+        if self.n_registered() == 0 {
+            for slot in &mut self.slots {
                 *slot = GridSlot {
-                    train: LabelMatrix::new(raw_train.n_examples()),
-                    valid: LabelMatrix::new(n_valid),
+                    train: LabelMatrix::new(ds.train.n()),
+                    valid: LabelMatrix::new(ds.valid.n()),
                     ..GridSlot::default()
                 };
             }
-            let keys: Vec<(u64, u64)> = raw_train
-                .columns()
-                .enumerate()
-                .map(|(j, raw)| (self.radius(j, p).to_bits(), raw.token()))
-                .collect();
-            let fresh = slot.keys.iter().zip(&keys).take_while(|(a, b)| a == b).count();
-            slot.truncate(fresh);
-            self.cache_stats.hits += fresh;
-            self.cache_stats.refilters += keys.len() - fresh;
-            for (j, &key) in keys.iter().enumerate().skip(fresh) {
-                slot.train.push(self.refine_train(j, p, raw_train.column(j)));
-                slot.valid.push(self.refine_valid(j, p));
-                slot.keys.push(key);
-            }
         }
-        self.slots = slots;
+    }
+
+    /// Position of `p` in the grid (matched bitwise, first of duplicates).
+    fn grid_index(&self, p: f64) -> Option<usize> {
+        self.config.p_grid.iter().position(|q| q.to_bits() == p.to_bits())
+    }
+
+    /// LF `j`'s refinement radius at grid point `p` (matched bitwise): the
+    /// `p`-th percentile of its train distances, frozen at registration.
+    /// `None` when `p` is not on the grid.
+    pub fn radius(&self, j: usize, p: f64) -> Option<f64> {
+        self.grid_index(p).map(|k| self.radii[j][k])
+    }
+
+    /// The refined train and valid matrices at grid point `p` (matched
+    /// bitwise), column `j` being LF `j`. `None` when `p` is not on the
+    /// grid; to refine at another `p`, build a contextualizer whose grid
+    /// contains it.
+    pub fn refined(&self, p: f64) -> Option<(&LabelMatrix, &LabelMatrix)> {
+        self.grid_index(p).map(|k| (&self.slots[k].train, &self.slots[k].valid))
     }
 
     /// Select `p` from the grid by the validation quality of the
@@ -355,14 +263,21 @@ impl Contextualizer {
     /// is applied explicitly: the largest percentile in the grid is
     /// selected regardless of grid order, with `valid_score = 0.0`.
     ///
-    /// The unique grid points are fitted one after another via
-    /// [`LabelModel::fit_from`], each with its own slot's [`PairCounts`]
-    /// cache of the refined train matrix's pairwise co-vote counts.
-    /// A warm round keeps each slot's earlier refined columns with
-    /// unchanged tokens, so the MeTaL/triplet estimator recounts only the
-    /// new LF's `m − 1` pairs per slot instead of all `m(m−1)/2`, by one
+    /// The refined matrices are the grid slots' own, filled at
+    /// registration; `raw_train` is only checked to be the registered
+    /// lineage's raw train matrix. The unique grid points are fitted one
+    /// after another via [`LabelModel::fit_from`], each with its own
+    /// slot's [`PairCounts`] cache of the refined train matrix's pairwise
+    /// co-vote counts. A round after registering one LF recounts only that
+    /// LF's `m − 1` pairs per slot instead of all `m(m−1)/2`, by one
     /// scatter of the new column and one probe of each other column. The
     /// cache never changes a bit of output.
+    ///
+    /// # Panics
+    ///
+    /// If `raw_train` is not aligned with the registered lineage: a
+    /// different LF count, or a column whose coverage differs from that of
+    /// the registered LF's votes over the train corpus.
     pub fn tune_p(
         &mut self,
         raw_train: &LabelMatrix,
@@ -370,14 +285,19 @@ impl Contextualizer {
         label_model: &dyn LabelModel,
         prior: [f64; 2],
     ) -> TunedRefinement {
-        // invariant: an empty grid is a construction-time configuration
-        // bug, not a runtime state; documented panic.
-        assert!(!self.config.p_grid.is_empty(), "empty percentile grid");
-        let p_grid = self.config.p_grid.clone();
+        // invariant: callers pass the raw matrix of the lineage this
+        // contextualizer was synced against (documented panic).
+        assert_eq!(raw_train.n_lfs(), self.n_registered(), "matrix/lineage mismatch");
+        for (j, (col, &cov)) in raw_train.columns().zip(&self.raw_coverage).enumerate() {
+            assert_eq!(col.coverage(), cov, "matrix/lineage mismatch at LF {j}");
+        }
+        self.size_slots(ds);
+        self.cache_stats.hits += self.slots.len() * self.tuned;
+        self.tuned = self.n_registered();
+        let p_grid = &self.config.p_grid;
 
-        // Refined matrix per grid point — kept by the grid slots across
-        // rounds — then dedup: when adjacent percentiles quantize to the same
-        // refined matrix (no distance falls between the radii), the
+        // Dedup: when adjacent percentiles quantize to the same refined
+        // matrix (no distance falls between the radii), the
         // representative's fit is rebuilt from its accuracies instead of
         // refitting — both a redundant-fit saving and the guarantee that
         // identical matrices score with *identical* parameters, so the
@@ -398,7 +318,6 @@ impl Contextualizer {
         // lfs)` on a grid of a handful of points and — unlike comparing
         // the radius bits — still unifies *distinct* radii that quantize
         // to the same refined matrix, the common case the dedup exists for.
-        self.refresh_slots(raw_train, ds.valid.n());
         let sigs: Vec<Vec<usize>> = self
             .slots
             .iter()
@@ -488,6 +407,20 @@ impl Contextualizer {
     }
 }
 
+/// An LF's radius at every point of `p_grid`: the percentiles of its train
+/// distances. Against an **empty training split** there is nothing to take
+/// a percentile of (the stats crate asserts on empty input), so the radius
+/// is *defined* as `+∞` at every point: with no distance information the
+/// contextualizer cannot justify shrinking coverage, and refinement is the
+/// identity, like the `p = 100` endpoint.
+fn grid_radii(train_d: &[f64], p_grid: &[f64]) -> Vec<f64> {
+    if train_d.is_empty() {
+        vec![f64::INFINITY; p_grid.len()]
+    } else {
+        percentiles(train_d, p_grid)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -495,10 +428,21 @@ mod tests {
     use nemo_data::catalog::toy_text;
     use nemo_labelmodel::TripletModel;
     use nemo_lf::Label;
+    use nemo_sparse::stats::percentile;
     use nemo_sparse::DetRng;
 
-    /// Register a handful of simulated-user LFs on the toy dataset.
-    fn setup(ds: &Dataset, n_lfs: usize, seed: u64) -> (Contextualizer, LabelMatrix, Lineage) {
+    fn with_grid(p_grid: &[f64]) -> Contextualizer {
+        Contextualizer::new(ContextualizerConfig { p_grid: p_grid.to_vec(), ..Default::default() })
+    }
+
+    /// Register a handful of simulated-user LFs on the toy dataset under
+    /// the percentile grid `p_grid`.
+    fn setup(
+        ds: &Dataset,
+        n_lfs: usize,
+        seed: u64,
+        p_grid: &[f64],
+    ) -> (Contextualizer, LabelMatrix, Lineage) {
         use crate::oracle::{SimulatedUser, User};
         let mut rng = DetRng::new(seed);
         let mut user = SimulatedUser::default();
@@ -512,18 +456,27 @@ mod tests {
             }
             x += 7; // stride through the pool
         }
-        let mut ctx = Contextualizer::new(ContextualizerConfig::default());
+        let mut ctx = with_grid(p_grid);
         ctx.sync(&lineage, ds);
         (ctx, matrix, lineage)
+    }
+
+    fn default_grid() -> Vec<f64> {
+        ContextualizerConfig::default().p_grid
+    }
+
+    /// LF `j`'s refined train column at grid point `p`.
+    fn train_col(ctx: &Contextualizer, p: f64, j: usize) -> &LfColumn {
+        ctx.refined(p).expect("p on the grid").0.column(j)
     }
 
     #[test]
     fn refinement_is_subset_of_raw() {
         let ds = toy_text(1);
-        let (ctx, matrix, _) = setup(&ds, 5, 1);
+        let (ctx, matrix, _) = setup(&ds, 5, 1, &[25.0, 50.0, 75.0]);
         for (j, raw) in matrix.columns().enumerate() {
             for &p in &[25.0, 50.0, 75.0] {
-                let refined = ctx.refine_train(j, p, raw);
+                let refined = train_col(&ctx, p, j);
                 assert!(refined.coverage() <= raw.coverage());
                 for &(i, v) in refined.entries() {
                     assert_eq!(raw.vote(i), v, "refined entry must come from raw");
@@ -535,11 +488,12 @@ mod tests {
     #[test]
     fn coverage_monotone_in_p() {
         let ds = toy_text(1);
-        let (ctx, matrix, _) = setup(&ds, 5, 2);
-        for (j, raw) in matrix.columns().enumerate() {
+        let grid = [10.0, 30.0, 50.0, 70.0, 90.0, 100.0];
+        let (ctx, matrix, _) = setup(&ds, 5, 2, &grid);
+        for j in 0..matrix.n_lfs() {
             let mut prev = 0usize;
-            for &p in &[10.0, 30.0, 50.0, 70.0, 90.0, 100.0] {
-                let cov = ctx.refine_train(j, p, raw).coverage();
+            for &p in &grid {
+                let cov = train_col(&ctx, p, j).coverage();
                 assert!(cov >= prev, "coverage must grow with p");
                 prev = cov;
             }
@@ -549,10 +503,9 @@ mod tests {
     #[test]
     fn p100_keeps_everything() {
         let ds = toy_text(1);
-        let (ctx, matrix, _) = setup(&ds, 5, 3);
+        let (ctx, matrix, _) = setup(&ds, 5, 3, &default_grid());
         for (j, raw) in matrix.columns().enumerate() {
-            let refined = ctx.refine_train(j, 100.0, raw);
-            assert_eq!(refined.coverage(), raw.coverage());
+            assert_eq!(train_col(&ctx, 100.0, j).entries(), raw.entries());
         }
     }
 
@@ -562,7 +515,7 @@ mod tests {
         // their dev point; refining at p=50 should (on average) raise
         // accuracy over the raw LF.
         let ds = toy_text(1);
-        let (ctx, matrix, lineage) = setup(&ds, 12, 4);
+        let (ctx, matrix, _) = setup(&ds, 12, 4, &default_grid());
         let acc_of = |col: &LfColumn| -> Option<f64> {
             if col.coverage() == 0 {
                 return None;
@@ -576,15 +529,13 @@ mod tests {
         };
         let (mut raw_sum, mut ref_sum, mut n) = (0.0, 0.0, 0);
         for (j, raw) in matrix.columns().enumerate() {
-            let refined = ctx.refine_train(j, 50.0, raw);
-            if let (Some(ra), Some(fa)) = (acc_of(raw), acc_of(&refined)) {
+            if let (Some(ra), Some(fa)) = (acc_of(raw), acc_of(train_col(&ctx, 50.0, j))) {
                 raw_sum += ra;
                 ref_sum += fa;
                 n += 1;
             }
         }
         assert!(n >= 8, "need enough refinable LFs, got {n}");
-        let _ = lineage;
         assert!(
             ref_sum / n as f64 >= raw_sum / n as f64 - 0.02,
             "refined mean accuracy {:.3} should not fall below raw {:.3}",
@@ -596,40 +547,46 @@ mod tests {
     #[test]
     fn tune_p_returns_grid_member() {
         let ds = toy_text(1);
-        let (mut ctx, matrix, _) = setup(&ds, 8, 5);
+        let (mut ctx, matrix, _) = setup(&ds, 8, 5, &default_grid());
         let tuned = ctx.tune_p(&matrix, &ds, &TripletModel::default(), ds.prior());
-        assert!(ctx.config.p_grid.contains(&tuned.p));
+        assert!(ctx.config().p_grid.contains(&tuned.p));
         // Mean log-likelihood of binary labels is negative and finite.
         assert!(tuned.valid_score <= 0.0 && tuned.valid_score.is_finite());
         assert_eq!(tuned.train_matrix.n_lfs(), matrix.n_lfs());
-        assert_eq!(ctx.tune_fits(), ctx.config.p_grid.len());
+        assert_eq!(ctx.tune_fits(), ctx.config().p_grid.len());
     }
 
     #[test]
     fn batched_indexed_and_per_lf_naive_backends_identical() {
         let ds = toy_text(1);
-        let (_, _, lineage) = setup(&ds, 6, 9);
-        let mut batched = Contextualizer::new(ContextualizerConfig::default());
-        batched.sync(&lineage, &ds);
-        let dist = batched.config.distance;
+        let (batched, matrix, lineage) = setup(&ds, 6, 9, &default_grid());
+        let dist = batched.config().distance;
         assert_eq!(batched.n_registered(), lineage.len());
         for (j, rec) in lineage.tracked().iter().enumerate() {
-            // Bit-identical caches, not just close: the indexed kernel
-            // performs the same float operations as the row-major scan.
+            // Bit-identical radii and refined columns, not just close: the
+            // indexed kernel performs the same float operations as the
+            // row-major scan.
             let pivot = rec.dev_example as usize;
             let train = ds.train.features.distances_naive(dist, pivot, &ds.train.features);
             let valid = ds.train.features.distances_naive(dist, pivot, &ds.valid.features);
-            assert_eq!(batched.train_dists[j], train, "train dists j={j}");
-            assert_eq!(batched.valid_dists[j], valid, "valid dists j={j}");
-            // Grid points read the radii frozen at registration; 0, 10 and
-            // 90 are off the default grid and computed on demand.
-            let grid = batched.config.p_grid.clone();
-            for &p in grid.iter().chain(&[0.0, 10.0, 90.0]) {
+            let raw_valid = LfColumn::from_lf(&rec.lf, &ds.valid.corpus);
+            for &p in &default_grid() {
+                let r = percentile(&train, p);
                 assert_eq!(
-                    batched.radius(j, p).to_bits(),
-                    percentile(&train, p).to_bits(),
+                    batched.radius(j, p).map(f64::to_bits),
+                    Some(r.to_bits()),
                     "j={j} p={p}"
                 );
+                let (t, v) = batched.refined(p).expect("grid point");
+                let naive_t = matrix.column(j).filtered(|i| train[i as usize] <= r);
+                let naive_v = raw_valid.filtered(|i| valid[i as usize] <= r);
+                assert_eq!(t.column(j).entries(), naive_t.entries(), "train j={j} p={p}");
+                assert_eq!(v.column(j).entries(), naive_v.entries(), "valid j={j} p={p}");
+            }
+            // Off-grid points have no radius and no refinement.
+            for &p in &[0.0, 10.0, 90.0] {
+                assert_eq!(batched.radius(j, p), None, "p={p}");
+                assert!(batched.refined(p).is_none(), "p={p}");
             }
         }
     }
@@ -638,123 +595,78 @@ mod tests {
     fn radius_defined_for_empty_train_split() {
         // An LF whose training split is empty has no reference distances;
         // the radius must be a *defined* +∞ (refinement = identity), not
-        // a panic inside the stats crate (the pre-fix behaviour).
-        let mut ctx = Contextualizer::new(ContextualizerConfig::default());
-        ctx.train_dists.push(Vec::new());
-        ctx.grid_radii.push(Vec::new());
-        ctx.valid_dists.push(vec![0.1, 0.7]);
-        ctx.raw_valid_cols.push(LfColumn::new(vec![(0, 1), (1, -1)]));
-        for &p in &[0.0, 50.0, 100.0] {
-            assert_eq!(ctx.radius(0, p), f64::INFINITY, "p={p}");
+        // a panic inside the stats crate.
+        let grid = [0.0, 50.0, 100.0];
+        assert_eq!(grid_radii(&[], &grid), vec![f64::INFINITY; 3]);
+        let raw = LfColumn::new(vec![(0, 1), (1, -1)]);
+        let valid_d = [0.1, 0.7];
+        for r in grid_radii(&[], &grid) {
+            assert_eq!(raw.filtered(|i| valid_d[i as usize] <= r).entries(), raw.entries());
         }
-        // With the identity radius, validation refinement keeps the raw
-        // column untouched and training refinement of the (necessarily
-        // empty) raw column stays empty.
-        assert_eq!(ctx.refine_valid(0, 50.0).entries(), ctx.raw_valid_cols[0].entries());
-        assert_eq!(ctx.refine_train(0, 50.0, &LfColumn::empty()).coverage(), 0);
+        // A non-empty split takes percentiles as usual.
+        assert_eq!(grid_radii(&[0.0, 2.0], &grid), vec![0.0, 1.0, 2.0]);
     }
 
     #[test]
-    fn grid_edited_after_registration_tunes_like_a_fresh_registration() {
-        // LFs registered under the default grid, then tuned under another:
-        // every new grid point misses the frozen radii and is computed from
-        // the cached distances, and must tune exactly like a contextualizer
-        // registered under the new grid from the start.
+    fn slots_are_bit_identical_to_a_fresh_registration() {
+        // LFs registered one at a time over six rounds fill the slots
+        // exactly like a contextualizer that registers them all at once.
         let ds = toy_text(1);
-        let (mut edited, matrix, lineage) = setup(&ds, 8, 14);
-        let new_grid = vec![10.0, 35.0, 60.0, 85.0, 100.0];
-        assert!(new_grid.iter().any(|p| !edited.config.p_grid.contains(p)));
-        edited.config.p_grid = new_grid.clone();
-        let mut fresh =
-            Contextualizer::new(ContextualizerConfig { p_grid: new_grid, ..Default::default() });
-        fresh.sync(&lineage, &ds);
-        let model = TripletModel::default();
-        let a = edited.tune_p(&matrix, &ds, &model, ds.prior());
-        let b = fresh.tune_p(&matrix, &ds, &model, ds.prior());
-        assert_eq!(a.p.to_bits(), b.p.to_bits(), "tuned p");
-        assert_eq!(a.valid_score.to_bits(), b.valid_score.to_bits(), "valid score");
-        assert_eq!(a.train_matrix.n_lfs(), b.train_matrix.n_lfs());
-        for j in 0..a.train_matrix.n_lfs() {
-            assert_eq!(
-                a.train_matrix.column(j).entries(),
-                b.train_matrix.column(j).entries(),
-                "refined column j={j}"
-            );
+        let (fresh, matrix, lineage) = setup(&ds, 6, 21, &default_grid());
+        let mut incr = with_grid(&default_grid());
+        for m in 1..=lineage.len() {
+            incr.register_batch(&lineage.tracked()[m - 1..m], &ds);
+            let mut prefix = matrix.clone();
+            prefix.truncate(m);
+            incr.tune_p(&prefix, &ds, &TripletModel::default(), ds.prior());
         }
-    }
-
-    #[test]
-    fn refined_grid_matrices_cache_is_bit_identical_to_rebuild() {
-        let ds = toy_text(1);
-        let (_, matrix, lineage) = setup(&ds, 6, 21);
-        let mut incr = Contextualizer::new(ContextualizerConfig::default());
-        incr.sync(&lineage, &ds);
-        // Two rounds: a cold fill and a fully warm round, each against the
-        // per-grid-point matrices filtered afresh.
-        for round in 0..2 {
-            let p_grid = incr.config.p_grid.clone();
-            let tr: Vec<_> =
-                p_grid.iter().map(|&p| incr.refined_train_matrix(&matrix, p)).collect();
-            let vr: Vec<_> =
-                p_grid.iter().map(|&p| incr.refined_valid_matrix(p, ds.valid.n())).collect();
-            let (ti, vi) = incr.refined_grid_matrices(&matrix, ds.valid.n());
-            for (k, ((a, b), (c, d))) in ti.iter().zip(&tr).zip(vi.iter().zip(&vr)).enumerate() {
-                for j in 0..a.n_lfs() {
-                    assert_eq!(
-                        a.column(j).entries(),
-                        b.column(j).entries(),
-                        "train round {round} k={k} j={j}"
-                    );
-                    assert_eq!(
-                        c.column(j).entries(),
-                        d.column(j).entries(),
-                        "valid round {round} k={k} j={j}"
-                    );
-                }
+        for &p in &default_grid() {
+            let (a, b) = (incr.refined(p).expect("grid"), fresh.refined(p).expect("grid"));
+            for j in 0..lineage.len() {
+                assert_eq!(a.0.column(j).entries(), b.0.column(j).entries(), "train p={p} j={j}");
+                assert_eq!(a.1.column(j).entries(), b.1.column(j).entries(), "valid p={p} j={j}");
             }
         }
+        let grid = default_grid().len();
         let stats = incr.refine_cache_stats();
-        let slots = incr.config.p_grid.len() * 6;
-        assert_eq!(stats.refilters, slots, "cold round filters every slot exactly once");
-        assert_eq!(stats.hits, slots, "warm round must serve every slot from the cache");
+        assert_eq!(stats.refilters, grid * 6, "each column is filtered exactly once");
+        assert_eq!(stats.hits, grid * (1 + 2 + 3 + 4 + 5), "earlier columns are served as kept");
     }
 
     #[test]
     fn warm_round_refilters_only_new_lfs() {
         let ds = toy_text(1);
-        let (_, matrix, lineage) = setup(&ds, 6, 22);
-        let grid = ContextualizerConfig::default().p_grid.len();
-        let mut ctx = Contextualizer::new(ContextualizerConfig::default());
-        // Register and refine the first 5 LFs, then grow the lineage by
-        // one: only the new LF's (grid) columns may be refiltered.
-        ctx.register_batch(&lineage.tracked()[..5], &ds);
-        let mut prefix = matrix.clone();
-        prefix.truncate(5);
-        ctx.refined_grid_matrices(&prefix, ds.valid.n());
-        let cold = ctx.refine_cache_stats();
-        assert_eq!(cold.refilters, grid * 5);
-        ctx.sync(&lineage, &ds);
-        ctx.refined_grid_matrices(&matrix, ds.valid.n());
-        let warm = ctx.refine_cache_stats();
-        assert_eq!(warm.refilters - cold.refilters, grid, "one refilter per grid point");
-        assert_eq!(warm.hits, grid * 5, "all previously cached columns reused");
-    }
-
-    #[test]
-    fn warm_round_recounts_only_the_new_lf_pairs() {
-        use nemo_labelmodel::TripletModel;
-        let ds = toy_text(1);
-        let (_, matrix, lineage) = setup(&ds, 6, 41);
-        let mut ctx = Contextualizer::new(ContextualizerConfig::default());
+        let (_, matrix, lineage) = setup(&ds, 6, 22, &default_grid());
+        let grid = default_grid().len();
+        let mut ctx = with_grid(&default_grid());
+        // Register and tune the first 5 LFs, then grow the lineage by
+        // one: only the new LF's (grid) columns may be filtered.
         ctx.register_batch(&lineage.tracked()[..5], &ds);
         let mut prefix = matrix.clone();
         prefix.truncate(5);
         ctx.tune_p(&prefix, &ds, &TripletModel::default(), ds.prior());
-        // Every fitted slot holds the counts of its 5 refined columns; the
-        // next round keeps those columns with unchanged tokens, so a sync
+        let cold = ctx.refine_cache_stats();
+        assert_eq!(cold, RefineCacheStats { hits: 0, refilters: grid * 5 });
+        ctx.sync(&lineage, &ds);
+        ctx.tune_p(&matrix, &ds, &TripletModel::default(), ds.prior());
+        let warm = ctx.refine_cache_stats();
+        assert_eq!(warm.refilters - cold.refilters, grid, "one refilter per grid point");
+        assert_eq!(warm.hits, grid * 5, "all previously refined columns reused");
+    }
+
+    #[test]
+    fn warm_round_recounts_only_the_new_lf_pairs() {
+        let ds = toy_text(1);
+        let (_, matrix, lineage) = setup(&ds, 6, 41, &default_grid());
+        let mut ctx = with_grid(&default_grid());
+        ctx.register_batch(&lineage.tracked()[..5], &ds);
+        let mut prefix = matrix.clone();
+        prefix.truncate(5);
+        ctx.tune_p(&prefix, &ds, &TripletModel::default(), ds.prior());
+        // Every fitted slot holds the counts of its 5 refined columns;
+        // registering the sixth LF appends one column per slot, so a sync
         // recounts only the new LF's 5 pairs.
         ctx.sync(&lineage, &ds);
-        ctx.refresh_slots(&matrix, ds.valid.n());
         let mut fitted_slots = 0;
         for (k, slot) in ctx.slots.iter().enumerate() {
             let mut counts = slot.pair_counts.clone();
@@ -772,63 +684,71 @@ mod tests {
         // they must collapse into one fit; every grid point is still
         // scored on the validation split.
         let ds = toy_text(1);
-        let (_, matrix, lineage) = setup(&ds, 5, 33);
-        let mut ctx = Contextualizer::new(ContextualizerConfig {
-            p_grid: vec![50.0, 50.0, 100.0, 100.0],
-            ..Default::default()
-        });
-        ctx.sync(&lineage, &ds);
+        let (mut ctx, matrix, _) = setup(&ds, 5, 33, &[50.0, 50.0, 100.0, 100.0]);
         let tuned = ctx.tune_p(&matrix, &ds, &TripletModel::default(), ds.prior());
         assert_eq!(ctx.tune_fits(), 2, "duplicate grid points must share fits");
         assert_eq!(ctx.tune_predicts(), 4, "every grid point is predicted");
-        assert!(ctx.config.p_grid.contains(&tuned.p));
-    }
-
-    #[test]
-    fn invalidate_refined_cache_refilters_dropped_slots() {
-        let ds = toy_text(1);
-        let (mut ctx, matrix, _) = setup(&ds, 4, 23);
-        let grid = ctx.config.p_grid.len();
-        ctx.refined_grid_matrices(&matrix, ds.valid.n());
-        ctx.invalidate_refined_cache_from(3);
-        let before = ctx.refine_cache_stats();
-        ctx.refined_grid_matrices(&matrix, ds.valid.n());
-        let after = ctx.refine_cache_stats();
-        assert_eq!(after.refilters - before.refilters, grid);
-        assert_eq!(after.hits - before.hits, grid * 3);
+        assert!(ctx.config().p_grid.contains(&tuned.p));
     }
 
     #[test]
     fn sync_is_incremental_and_idempotent() {
         let ds = toy_text(1);
-        let (mut ctx, _, lineage) = setup(&ds, 4, 6);
+        let (mut ctx, _, lineage) = setup(&ds, 4, 6, &default_grid());
         assert_eq!(ctx.n_registered(), 4);
         ctx.sync(&lineage, &ds);
         assert_eq!(ctx.n_registered(), 4);
+        assert_eq!(ctx.refined(50.0).expect("grid").0.n_lfs(), 4);
     }
 
     #[test]
     fn radius_monotone_in_p() {
         let ds = toy_text(1);
-        let (ctx, _, _) = setup(&ds, 3, 7);
+        let (ctx, _, _) = setup(&ds, 3, 7, &default_grid());
+        let r = |j, p| ctx.radius(j, p).expect("grid point");
         for j in 0..3 {
-            assert!(ctx.radius(j, 25.0) <= ctx.radius(j, 75.0));
-            assert!(ctx.radius(j, 75.0) <= ctx.radius(j, 100.0));
+            assert!(r(j, 25.0) <= r(j, 75.0));
+            assert!(r(j, 75.0) <= r(j, 100.0));
         }
     }
 
     #[test]
     fn valid_refinement_uses_train_radius() {
         let ds = toy_text(1);
-        let (ctx, _, _) = setup(&ds, 3, 8);
+        let (ctx, _, lineage) = setup(&ds, 3, 8, &[0.0, 100.0]);
         // p = 0 gives the minimum train distance (0, the dev point itself),
-        // so validation coverage at p=0 should be (near) empty.
-        for j in 0..3 {
-            let refined = ctx.refine_valid(j, 0.0);
-            assert!(
-                refined.coverage() <= ctx.raw_valid_cols[j].coverage(),
-                "valid refinement must not grow coverage"
-            );
+        // so validation coverage at p=0 is (near) empty, and p = 100 keeps
+        // the LF's raw validation votes.
+        for (j, rec) in lineage.tracked().iter().enumerate() {
+            let raw_valid = LfColumn::from_lf(&rec.lf, &ds.valid.corpus);
+            let tight = ctx.refined(0.0).expect("grid").1.column(j);
+            let full = ctx.refined(100.0).expect("grid").1.column(j);
+            assert!(tight.coverage() <= full.coverage(), "valid refinement must not grow");
+            assert!(full.coverage() <= raw_valid.coverage());
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside [0, 100]")]
+    fn nan_grid_point_panics_at_construction() {
+        with_grid(&[50.0, f64::NAN]);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside [0, 100]")]
+    fn negative_grid_point_panics_at_construction() {
+        with_grid(&[-1.0, 50.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside [0, 100]")]
+    fn grid_point_above_100_panics_at_construction() {
+        with_grid(&[50.0, 101.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "empty percentile grid")]
+    fn empty_grid_panics_at_construction() {
+        with_grid(&[]);
     }
 }

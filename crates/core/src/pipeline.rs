@@ -123,22 +123,25 @@ impl LearningPipeline for StandardPipeline {
 
 /// Nemo's contextualized learning pipeline (Figure 4, bottom path).
 ///
-/// The pipeline owns the [`Contextualizer`] and therefore all of its
-/// cross-round caches: the per-LF distance tables, the refined-column
-/// cache, and the per-grid-slot pair counts. A [`crate::session::Session`]
-/// drives `learn` every round with the *same* pipeline instance, so `Contextualizer::sync` registers only the
-/// round's new LFs and `tune_p` refilters only their columns — the rest
-/// of the per-grid-point refined matrices are assembled from shared
-/// `Arc` handles of the cached columns (`O(1)` per column, zero vote
-/// memcpys). Constructing a fresh pipeline per round forfeits exactly
-/// that reuse (results are identical either way; the caches never change
-/// outputs).
+/// The pipeline owns the [`Contextualizer`] and therefore its cross-round
+/// state: each LF's refined train/valid columns at every grid point and
+/// each grid point's label-model pair counts. A
+/// [`crate::session::Session`] drives `learn` every round with the *same*
+/// pipeline instance, so `Contextualizer::sync` computes distances and
+/// filters columns for the round's new LFs only, and `tune_p` fits straight
+/// from the grid slots, recounting only the new LFs' pairs. A fresh
+/// pipeline per round (what a restored session builds) registers and
+/// refines the whole lineage again; its results are identical.
 pub struct ContextualizedPipeline {
     ctx: Contextualizer,
 }
 
 impl ContextualizedPipeline {
     /// Create with a contextualizer configuration.
+    ///
+    /// # Panics
+    ///
+    /// On a bad percentile grid, as [`Contextualizer::new`] does.
     pub fn new(config: crate::config::ContextualizerConfig) -> Self {
         Self { ctx: Contextualizer::new(config) }
     }
@@ -148,12 +151,6 @@ impl ContextualizedPipeline {
     /// [`Contextualizer::tune_fits`]).
     pub fn contextualizer(&self) -> &Contextualizer {
         &self.ctx
-    }
-
-    /// Mutable access to the underlying contextualizer (the test oracle
-    /// [`Contextualizer::invalidate_refined_cache_from`]).
-    pub fn contextualizer_mut(&mut self) -> &mut Contextualizer {
-        &mut self.ctx
     }
 }
 

@@ -203,10 +203,10 @@ impl<'a> NemoSystem<'a> {
     }
 
     /// Restore a system from a checkpoint. The SEU selector starts cold;
-    /// the contextualizer starts with empty distance caches — its next
-    /// learning round re-registers the whole lineage in one batch, which
-    /// is bit-identical to the incremental registrations of the original
-    /// run — and with empty pair-count caches, which percentile tuning
+    /// the contextualizer starts with no refined columns — its next
+    /// learning round re-registers and refines the whole lineage in one
+    /// batch, which is bit-identical to the incremental registrations of
+    /// the original run — and with empty pair-count caches, which percentile tuning
     /// recounts to the same counts. Restored systems therefore make the
     /// same selections and produce the same model outputs as
     /// never-interrupted ones (`tests/session_checkpoint.rs`).

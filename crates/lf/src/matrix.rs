@@ -30,9 +30,8 @@ fn fresh_token() -> u64 {
 /// two columns with equal tokens came from the same construction (clones
 /// share it) and therefore hold bitwise-equal entries. Equality is still
 /// defined on the entries — the token is only an `O(1)` fast path —
-/// which is what lets the contextualizer's refined-column cache
-/// revalidate a column against the raw column it was filtered from
-/// without rescanning either.
+/// which is what lets the label model's pair-count cache recognise a
+/// column it has already counted without rescanning it.
 #[derive(Debug, Clone, Eq)]
 pub struct LfColumn {
     entries: Vec<(u32, Vote)>,

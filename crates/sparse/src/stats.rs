@@ -36,7 +36,7 @@ pub fn binary_entropy(p: f64) -> f64 {
 /// may legitimately be empty must guard at their own boundary with a
 /// domain-appropriate definition (the contextualizer defines the radius
 /// of an LF registered against an empty training split as `+∞`; see
-/// `nemo_core::contextualizer::Contextualizer::radius`).
+/// `nemo_core::contextualizer`).
 pub fn percentile(values: &[f64], p: f64) -> f64 {
     assert!(!values.is_empty(), "percentile of empty slice");
     assert!((0.0..=100.0).contains(&p), "percentile p out of range: {p}");

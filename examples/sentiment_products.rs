@@ -13,7 +13,7 @@
 
 use nemo::core::contextualizer::Contextualizer;
 use nemo::data::catalog;
-use nemo::lf::{LabelMatrix, LfColumn, Lineage};
+use nemo::lf::{LabelMatrix, Lineage};
 use nemo::prelude::*;
 
 fn main() {
@@ -24,7 +24,6 @@ fn main() {
     // Collect a handful of high-quality user LFs from distinct categories.
     let mut rng = nemo::sparse::DetRng::new(3);
     let mut lineage = Lineage::new();
-    let mut matrix = LabelMatrix::new(dataset.train.n());
     let mut per_cluster = vec![0usize; n_clusters];
     let mut x = 0usize;
     while lineage.len() < 6 && x < dataset.train.n() {
@@ -39,7 +38,6 @@ fn main() {
                     .unwrap_or(0.0);
                 if acc >= 0.7 {
                     lineage.record(lf, x as u32, lineage.len() as u32);
-                    matrix.push(LfColumn::from_lf(&lf, &dataset.train.corpus));
                     per_cluster[cluster] += 1;
                 }
             }
@@ -82,7 +80,9 @@ fn main() {
     println!("\n  (per category: coverage% / accuracy% — both are highest in the dev category)");
 
     // The contextualizer acting on this structure.
-    let mut ctx = Contextualizer::new(ContextualizerConfig::default());
+    let p_grid = vec![25.0, 50.0, 100.0];
+    let mut ctx =
+        Contextualizer::new(ContextualizerConfig { p_grid: p_grid.clone(), ..Default::default() });
     ctx.sync(&lineage, &dataset);
     let vote_acc = |m: &LabelMatrix| -> (usize, f64) {
         let (mut correct, mut total) = (0usize, 0usize);
@@ -97,9 +97,9 @@ fn main() {
         (total, correct as f64 / total.max(1) as f64)
     };
     println!("\ncontextualizer refinement (radius = p-th percentile of distances to dev data):");
-    for &p in &[25.0, 50.0, 100.0] {
-        let refined = ctx.refined_train_matrix(&matrix, p);
-        let (votes, acc) = vote_acc(&refined);
+    for p in p_grid {
+        let (refined, _) = ctx.refined(p).expect("p is on the grid");
+        let (votes, acc) = vote_acc(refined);
         println!("  p = {p:>3}: {votes:>5} votes at {:.1}% accuracy", 100.0 * acc);
     }
     println!(

@@ -3,11 +3,11 @@
 //! A full interactive `Session` (SEU selection + simulated user +
 //! contextualized learning) registers its LFs through
 //! `Features::distances` (the inverted-index kernel on sparse features).
-//! The contextualizer consumes distances only through each LF's refinement
-//! radius and the refined train/valid columns, so after every run each
-//! registered LF's radius and refined columns at every grid point are
-//! checked against the naive scan (`Features::distances_naive`), the
-//! pre-index reference. The query is bit-identical to the scan by
+//! The contextualizer consumes distances only at registration, through
+//! each LF's refinement radius and the refined train/valid columns it
+//! keeps, so after every run each registered LF's radius and refined
+//! columns at every grid point are checked against the naive scan
+//! (`Features::distances_naive`), the pre-index reference. The query is bit-identical to the scan by
 //! construction, so every assertion here is exact equality — any drift is
 //! a kernel bug, not rounding. This holds on the sparse text dataset and on
 //! the dense scene dataset, whose kernels both run the scalar dense
@@ -41,7 +41,7 @@ fn assert_matches_naive_scan(
     raw: &LabelMatrix,
     ctx: &Contextualizer,
 ) {
-    let dist = ctx.config.distance;
+    let dist = ctx.config().distance;
     assert_eq!(ctx.n_registered(), lineage.len(), "{}: registered LFs", ds.name);
     for (j, rec) in lineage.tracked().iter().enumerate() {
         let pivot = rec.dev_example as usize;
@@ -50,17 +50,23 @@ fn assert_matches_naive_scan(
         let mut sorted = train.clone();
         sorted.sort_unstable_by(|a, b| a.partial_cmp(b).expect("distances are finite"));
         let raw_valid = LfColumn::from_lf(&rec.lf, &ds.valid.corpus);
-        for &p in &ctx.config.p_grid {
+        for &p in &ctx.config().p_grid {
             let r = percentile_of_sorted(&sorted, p);
-            assert_eq!(ctx.radius(j, p).to_bits(), r.to_bits(), "{}: radius j={j} p={p}", ds.name);
             assert_eq!(
-                ctx.refine_train(j, p, raw.column(j)).entries(),
+                ctx.radius(j, p).map(f64::to_bits),
+                Some(r.to_bits()),
+                "{}: radius j={j} p={p}",
+                ds.name
+            );
+            let (train_refined, valid_refined) = ctx.refined(p).expect("grid point");
+            assert_eq!(
+                train_refined.column(j).entries(),
                 raw.column(j).filtered(|i| train[i as usize] <= r).entries(),
                 "{}: refined train column j={j} p={p}",
                 ds.name
             );
             assert_eq!(
-                ctx.refine_valid(j, p).entries(),
+                valid_refined.column(j).entries(),
                 raw_valid.filtered(|i| valid[i as usize] <= r).entries(),
                 "{}: refined valid column j={j} p={p}",
                 ds.name

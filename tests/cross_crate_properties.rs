@@ -127,9 +127,10 @@ proptest! {
             lineage.record(lf, x as u32, lineage.len() as u32);
             matrix.push(LfColumn::from_lf(&lf, &ds.train.corpus));
         }
-        let mut ctx = Contextualizer::new(ContextualizerConfig::default());
+        let mut ctx =
+            Contextualizer::new(ContextualizerConfig { p_grid: vec![p], ..Default::default() });
         ctx.sync(&lineage, &ds);
-        let refined = ctx.refined_train_matrix(&matrix, p);
+        let (refined, _) = ctx.refined(p).expect("p is the grid");
         for j in 0..matrix.n_lfs() {
             for &(i, v) in refined.column(j).entries() {
                 prop_assert_eq!(matrix.column(j).vote(i), v);

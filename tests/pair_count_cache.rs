@@ -1,14 +1,16 @@
 //! The per-grid-slot MeTaL pair-count cache in `Contextualizer::tune_p`
-//! is a cache, not a warm start: a contextualizer that keeps its counts
-//! across 30 rounds must tune exactly as a fresh contextualizer does every
-//! round — the same chosen `p`, validation score, LF accuracies and train
-//! posterior, bit for bit — including after a mid-run
-//! `invalidate_refined_cache_from`, an edited grid point, a mid-run
-//! checkpoint restore (which carries no counts) and a swapped raw column.
+//! is a cache, not a warm start: a contextualizer that keeps its refined
+//! columns and counts across 30 rounds must tune exactly as a fresh
+//! contextualizer does every round (the restored-round path) — the same
+//! chosen `p`, validation score, LF accuracies and train posterior, bit
+//! for bit — including after a mid-run checkpoint restore (which carries
+//! no counts), on a default grid and on an unsorted grid with a
+//! duplicate. Their counter deltas differ only as they should: the kept
+//! contextualizer filters one new LF's columns a round, the fresh one all.
 //! A second test drives whole `NemoSystem` sessions through a real
 //! checkpoint round trip.
 
-use nemo::core::contextualizer::TunedRefinement;
+use nemo::core::contextualizer::{RefineCacheStats, TunedRefinement};
 use nemo::core::oracle::{SimulatedUser, User};
 use nemo::core::{Contextualizer, ContextualizerConfig, IdpConfig, NemoSystem};
 use nemo::data::catalog::{toy_scene_2d, toy_text};
@@ -69,8 +71,8 @@ fn add_lf(
     panic!("{}: the simulated user wrote no LF anywhere in the pool", ds.name);
 }
 
-fn assert_cache_invisible(ds: &Dataset, seed: u64) {
-    let mut config = ContextualizerConfig::default();
+fn assert_cache_invisible(ds: &Dataset, seed: u64, config: ContextualizerConfig) {
+    let grid = config.p_grid.len();
     let mut rng = DetRng::new(seed);
     let mut user = SimulatedUser::default();
     let mut lineage = Lineage::new();
@@ -80,34 +82,31 @@ fn assert_cache_invisible(ds: &Dataset, seed: u64) {
     let mut distinct_ps = Vec::new();
     for round in 0..ROUNDS {
         add_lf(ds, &mut user, &mut rng, &mut x, &mut lineage, &mut raw);
-        if round == 10 {
-            // Refilters LFs 4.. at every slot: their columns get new
-            // tokens, so their pairs must be recounted.
-            long_lived.invalidate_refined_cache_from(4);
-        }
-        if round == 15 {
-            // An edited grid point: slot 1 refilters every LF at a new
-            // radius, so all of its pairs change.
-            config.p_grid[1] = 60.0;
-            long_lived.config.p_grid = config.p_grid.clone();
-        }
-        if round == 20 {
+        let restored = round == 20;
+        if restored {
             // A checkpoint restore: a new contextualizer, which carries
-            // no pair counts.
+            // no refined columns and no pair counts.
             long_lived = Contextualizer::new(config.clone());
         }
-        if round == 25 {
-            // A swapped raw column (new token, new votes) in the middle of
-            // the matrix: the pairs on both of its sides are recounted.
-            let mut swapped = LabelMatrix::new(raw.n_examples());
-            for (j, col) in raw.columns().enumerate() {
-                swapped.push(if j == 2 { col.filtered(|i| i % 2 == 0) } else { col.clone() });
-            }
-            raw = swapped;
-        }
+        let before = long_lived.refine_cache_stats();
         let cached = tune(&mut long_lived, &lineage, &raw, ds);
-        let fresh = tune(&mut Contextualizer::new(config.clone()), &lineage, &raw, ds);
+        let mut rebuilt = Contextualizer::new(config.clone());
+        let fresh = tune(&mut rebuilt, &lineage, &raw, ds);
         assert_eq!(cached, fresh, "{} seed {seed}: round {round} diverged", ds.name);
+        let after = long_lived.refine_cache_stats();
+        let m = lineage.len();
+        let new = if restored { m } else { 1 };
+        let delta = RefineCacheStats {
+            hits: after.hits - before.hits,
+            refilters: after.refilters - before.refilters,
+        };
+        let what = format!("{} seed {seed}: round {round} counters", ds.name);
+        assert_eq!(
+            delta,
+            RefineCacheStats { hits: grid * (m - new), refilters: grid * new },
+            "{what}"
+        );
+        assert_eq!(rebuilt.refine_cache_stats(), RefineCacheStats { hits: 0, refilters: grid * m });
         if !distinct_ps.contains(&cached.p) {
             distinct_ps.push(cached.p);
         }
@@ -122,16 +121,20 @@ fn assert_cache_invisible(ds: &Dataset, seed: u64) {
 fn cached_pair_counts_tune_like_fresh_contextualizers_on_toy_text() {
     let ds = toy_text(1);
     for seed in [1, 2] {
-        assert_cache_invisible(&ds, seed);
+        assert_cache_invisible(&ds, seed, ContextualizerConfig::default());
     }
+    let odd = ContextualizerConfig { p_grid: vec![60.0, 25.0, 100.0, 60.0], ..Default::default() };
+    assert_cache_invisible(&ds, 1, odd);
 }
 
 #[test]
 fn cached_pair_counts_tune_like_fresh_contextualizers_on_toy_scene() {
     let ds = toy_scene_2d(1);
     for seed in [1, 2] {
-        assert_cache_invisible(&ds, seed);
+        assert_cache_invisible(&ds, seed, ContextualizerConfig::default());
     }
+    let odd = ContextualizerConfig { p_grid: vec![60.0, 25.0, 100.0, 60.0], ..Default::default() };
+    assert_cache_invisible(&ds, 1, odd);
 }
 
 /// Train-posterior and chosen-`p` bits of a session's current model.

@@ -116,7 +116,7 @@ fn contextualizer_raises_vote_accuracy_on_catalog_data() {
         c as f64 / t.max(1) as f64
     };
     let raw = vote_acc(&matrix);
-    let refined = vote_acc(&ctx.refined_train_matrix(&matrix, 25.0));
+    let refined = vote_acc(ctx.refined(25.0).expect("default grid point").0);
     assert!(
         refined >= raw,
         "refinement must not lower vote accuracy: refined {refined:.3} vs raw {raw:.3}"
@@ -131,8 +131,8 @@ fn refinement_radius_transfers_to_validation_split() {
     ctx.sync(&lineage, &ds);
     // At p=100 the validation matrix equals the raw application of LFs
     // to the validation corpus; at p=25 it is a subset.
-    let full = ctx.refined_valid_matrix(100.0, ds.valid.n());
-    let tight = ctx.refined_valid_matrix(25.0, ds.valid.n());
+    let (_, full) = ctx.refined(100.0).expect("default grid point");
+    let (_, tight) = ctx.refined(25.0).expect("default grid point");
     for j in 0..lineage.len() {
         assert!(tight.column(j).coverage() <= full.column(j).coverage());
     }
