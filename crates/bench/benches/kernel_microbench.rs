@@ -156,9 +156,9 @@ fn kernel_benches(ds: &Dataset, results: &mut Vec<BenchResult>) {
     // Contextualizer registration: 32 simulated-user LFs' train and valid
     // distances computed by the naive scan, with the grid radii selected
     // from each train vector as registration does (the pre-index
-    // behaviour, now the oracle), vs `register_batch` over the same LFs,
-    // which queries `Features::distances`. Both sides select the same
-    // radii, so the ratio measures the indexed kernel.
+    // behaviour, now the oracle), vs `Contextualizer::sync` registering
+    // the same LFs, which queries `Features::distances`. Both sides select
+    // the same radii, so the ratio measures the indexed kernel.
     let mut rng = DetRng::new(13);
     let mut user = SimulatedUser::default();
     let mut lineage = Lineage::new();

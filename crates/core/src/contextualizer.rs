@@ -11,8 +11,8 @@
 //! unlabeled pool, and `p` selected from a fixed grid on the validation
 //! quality of the resulting soft labels.
 //!
-//! Refinement happens once per LF, at registration.
-//! [`Contextualizer::register_batch`] maps each new LF's development point
+//! Refinement happens once per LF, at registration. [`Contextualizer::sync`]
+//! registers the lineage's new LFs: it maps each one's development point
 //! through [`nemo_data::Features::distances`] against the train and the
 //! valid split (the inverted-index kernel on sparse features), freezes its
 //! radius at every grid point by selection
@@ -22,11 +22,13 @@
 //! distances. Lineage is append-only and the grid is fixed at construction,
 //! so a refined column never goes stale: [`Contextualizer::tune_p`] fits
 //! and scores straight from the slots, and a restored session builds a new
-//! contextualizer that refines its lineage afresh. The differential suites
-//! check every slot column against the naive refinement
-//! ([`nemo_data::Features::distances_naive`], `percentile`,
-//! [`nemo_lf::LfColumn::filtered`]) and a long-lived contextualizer against
-//! a fresh one built every round.
+//! contextualizer that refines its lineage afresh.
+//! `tests/slots_equal_naive_refinement.rs` and
+//! `tests/contextualizer_paths.rs` check every slot column
+//! against the naive refinement ([`nemo_data::Features::distances_naive`],
+//! `percentile`, [`nemo_lf::LfColumn::filtered`]);
+//! `tests/long_lived_equals_fresh_and_restored.rs` checks a long-lived
+//! contextualizer against a fresh one built every round.
 
 use crate::config::ContextualizerConfig;
 use nemo_data::Dataset;
@@ -36,11 +38,11 @@ use nemo_sparse::stats::percentiles;
 
 /// Result of percentile tuning: the chosen `p`, the refined training
 /// matrix at that `p`, and the label model fitted to it.
-pub struct TunedRefinement {
+pub struct TunedRefinement<'a> {
     /// Chosen percentile.
     pub p: f64,
-    /// Refined training label matrix (a copy of the chosen grid slot's).
-    pub train_matrix: LabelMatrix,
+    /// Refined training label matrix: the chosen grid slot's own.
+    pub train_matrix: &'a LabelMatrix,
     /// Label model fitted on the refined matrix.
     pub fitted: Box<dyn FittedLabelModel>,
     /// Validation score (mean log-likelihood of the validation labels
@@ -171,13 +173,13 @@ impl Contextualizer {
         self.radii.len()
     }
 
-    /// Register a round's worth of LFs. For each LF, its train and valid
+    /// Register a batch of lineage entries. For each LF, its train and valid
     /// distances come from [`nemo_data::Features::distances`], its radius
     /// at every grid point is frozen by [`percentiles`] (order-statistic
     /// selection, no sort), and its votes over the train and the valid
     /// corpus, filtered at each radius, are appended to the grid slots.
     /// The distances are dropped once the LF is refined.
-    pub fn register_batch(&mut self, recs: &[TrackedLf], ds: &Dataset) {
+    fn register_batch(&mut self, recs: &[TrackedLf], ds: &Dataset) {
         self.size_slots(ds);
         let ContextualizerConfig { distance, p_grid } = &self.config;
         let features = &ds.train.features;
@@ -203,8 +205,9 @@ impl Contextualizer {
     }
 
     /// Register any lineage entries not yet registered (lineage is
-    /// append-only, so indices stay aligned) — the batch entry point
-    /// `Session`/`NemoSystem` reach through `ContextualizedPipeline`.
+    /// append-only, so indices stay aligned). The only way to register
+    /// LFs, so the registered LFs are always a prefix of a lineage;
+    /// `Session`/`NemoSystem` reach it through `ContextualizedPipeline`.
     pub fn sync(&mut self, lineage: &Lineage, ds: &Dataset) {
         self.register_batch(&lineage.tracked()[self.n_registered()..], ds);
     }
@@ -284,7 +287,7 @@ impl Contextualizer {
         ds: &Dataset,
         label_model: &dyn LabelModel,
         prior: [f64; 2],
-    ) -> TunedRefinement {
+    ) -> TunedRefinement<'_> {
         // invariant: callers pass the raw matrix of the lineage this
         // contextualizer was synced against (documented panic).
         assert_eq!(raw_train.n_lfs(), self.n_registered(), "matrix/lineage mismatch");
@@ -354,9 +357,9 @@ impl Contextualizer {
         // a precision gain that nothing can certify — so the tie-break is
         // made explicit: the *largest* percentile in the grid (widest
         // coverage) wins regardless of grid order, with the vacuous score
-        // of 0.0 reported. `tests/refine_cache_differential.rs` pins this
-        // against a deliberately unsorted grid. No posterior is predicted
-        // on an empty split.
+        // of 0.0 reported. `tests/long_lived_equals_fresh_and_restored.rs`
+        // pins this against a deliberately unsorted grid. No posterior is
+        // predicted on an empty split.
         let widest_k = if ds.valid.n() == 0 {
             let mut k_best = 0;
             for (k, &p) in p_grid.iter().enumerate() {
@@ -398,7 +401,7 @@ impl Contextualizer {
         };
         TunedRefinement {
             p: p_grid[best_k],
-            train_matrix: self.slots[best_k].train.clone(),
+            train_matrix: &self.slots[best_k].train,
             // invariant: `best_k` indexes a fitted representative —
             // ties resolve to fitted slots and no take() precedes this.
             fitted: fitted[best_k].take().expect("fitted"),
@@ -428,7 +431,6 @@ mod tests {
     use nemo_data::catalog::toy_text;
     use nemo_labelmodel::TripletModel;
     use nemo_lf::Label;
-    use nemo_sparse::stats::percentile;
     use nemo_sparse::DetRng;
 
     fn with_grid(p_grid: &[f64]) -> Contextualizer {
@@ -549,46 +551,12 @@ mod tests {
         let ds = toy_text(1);
         let (mut ctx, matrix, _) = setup(&ds, 8, 5, &default_grid());
         let tuned = ctx.tune_p(&matrix, &ds, &TripletModel::default(), ds.prior());
-        assert!(ctx.config().p_grid.contains(&tuned.p));
         // Mean log-likelihood of binary labels is negative and finite.
         assert!(tuned.valid_score <= 0.0 && tuned.valid_score.is_finite());
         assert_eq!(tuned.train_matrix.n_lfs(), matrix.n_lfs());
+        let p = tuned.p;
+        assert!(ctx.config().p_grid.contains(&p));
         assert_eq!(ctx.tune_fits(), ctx.config().p_grid.len());
-    }
-
-    #[test]
-    fn batched_indexed_and_per_lf_naive_backends_identical() {
-        let ds = toy_text(1);
-        let (batched, matrix, lineage) = setup(&ds, 6, 9, &default_grid());
-        let dist = batched.config().distance;
-        assert_eq!(batched.n_registered(), lineage.len());
-        for (j, rec) in lineage.tracked().iter().enumerate() {
-            // Bit-identical radii and refined columns, not just close: the
-            // indexed kernel performs the same float operations as the
-            // row-major scan.
-            let pivot = rec.dev_example as usize;
-            let train = ds.train.features.distances_naive(dist, pivot, &ds.train.features);
-            let valid = ds.train.features.distances_naive(dist, pivot, &ds.valid.features);
-            let raw_valid = LfColumn::from_lf(&rec.lf, &ds.valid.corpus);
-            for &p in &default_grid() {
-                let r = percentile(&train, p);
-                assert_eq!(
-                    batched.radius(j, p).map(f64::to_bits),
-                    Some(r.to_bits()),
-                    "j={j} p={p}"
-                );
-                let (t, v) = batched.refined(p).expect("grid point");
-                let naive_t = matrix.column(j).filtered(|i| train[i as usize] <= r);
-                let naive_v = raw_valid.filtered(|i| valid[i as usize] <= r);
-                assert_eq!(t.column(j).entries(), naive_t.entries(), "train j={j} p={p}");
-                assert_eq!(v.column(j).entries(), naive_v.entries(), "valid j={j} p={p}");
-            }
-            // Off-grid points have no radius and no refinement.
-            for &p in &[0.0, 10.0, 90.0] {
-                assert_eq!(batched.radius(j, p), None, "p={p}");
-                assert!(batched.refined(p).is_none(), "p={p}");
-            }
-        }
     }
 
     #[test]
@@ -608,64 +576,17 @@ mod tests {
     }
 
     #[test]
-    fn slots_are_bit_identical_to_a_fresh_registration() {
-        // LFs registered one at a time over six rounds fill the slots
-        // exactly like a contextualizer that registers them all at once.
-        let ds = toy_text(1);
-        let (fresh, matrix, lineage) = setup(&ds, 6, 21, &default_grid());
-        let mut incr = with_grid(&default_grid());
-        for m in 1..=lineage.len() {
-            incr.register_batch(&lineage.tracked()[m - 1..m], &ds);
-            let mut prefix = matrix.clone();
-            prefix.truncate(m);
-            incr.tune_p(&prefix, &ds, &TripletModel::default(), ds.prior());
-        }
-        for &p in &default_grid() {
-            let (a, b) = (incr.refined(p).expect("grid"), fresh.refined(p).expect("grid"));
-            for j in 0..lineage.len() {
-                assert_eq!(a.0.column(j).entries(), b.0.column(j).entries(), "train p={p} j={j}");
-                assert_eq!(a.1.column(j).entries(), b.1.column(j).entries(), "valid p={p} j={j}");
-            }
-        }
-        let grid = default_grid().len();
-        let stats = incr.refine_cache_stats();
-        assert_eq!(stats.refilters, grid * 6, "each column is filtered exactly once");
-        assert_eq!(stats.hits, grid * (1 + 2 + 3 + 4 + 5), "earlier columns are served as kept");
-    }
-
-    #[test]
-    fn warm_round_refilters_only_new_lfs() {
-        let ds = toy_text(1);
-        let (_, matrix, lineage) = setup(&ds, 6, 22, &default_grid());
-        let grid = default_grid().len();
-        let mut ctx = with_grid(&default_grid());
-        // Register and tune the first 5 LFs, then grow the lineage by
-        // one: only the new LF's (grid) columns may be filtered.
-        ctx.register_batch(&lineage.tracked()[..5], &ds);
-        let mut prefix = matrix.clone();
-        prefix.truncate(5);
-        ctx.tune_p(&prefix, &ds, &TripletModel::default(), ds.prior());
-        let cold = ctx.refine_cache_stats();
-        assert_eq!(cold, RefineCacheStats { hits: 0, refilters: grid * 5 });
-        ctx.sync(&lineage, &ds);
-        ctx.tune_p(&matrix, &ds, &TripletModel::default(), ds.prior());
-        let warm = ctx.refine_cache_stats();
-        assert_eq!(warm.refilters - cold.refilters, grid, "one refilter per grid point");
-        assert_eq!(warm.hits, grid * 5, "all previously refined columns reused");
-    }
-
-    #[test]
     fn warm_round_recounts_only_the_new_lf_pairs() {
+        // The simulated user writes the same first five LFs whether asked
+        // for five or six, so the six-LF lineage grows the five-LF one.
         let ds = toy_text(1);
-        let (_, matrix, lineage) = setup(&ds, 6, 41, &default_grid());
-        let mut ctx = with_grid(&default_grid());
-        ctx.register_batch(&lineage.tracked()[..5], &ds);
-        let mut prefix = matrix.clone();
-        prefix.truncate(5);
+        let (mut ctx, prefix, first_five) = setup(&ds, 5, 41, &default_grid());
         ctx.tune_p(&prefix, &ds, &TripletModel::default(), ds.prior());
         // Every fitted slot holds the counts of its 5 refined columns;
         // registering the sixth LF appends one column per slot, so a sync
         // recounts only the new LF's 5 pairs.
+        let (_, _, lineage) = setup(&ds, 6, 41, &default_grid());
+        assert_eq!(&lineage.tracked()[..5], first_five.tracked());
         ctx.sync(&lineage, &ds);
         let mut fitted_slots = 0;
         for (k, slot) in ctx.slots.iter().enumerate() {
@@ -685,10 +606,10 @@ mod tests {
         // scored on the validation split.
         let ds = toy_text(1);
         let (mut ctx, matrix, _) = setup(&ds, 5, 33, &[50.0, 50.0, 100.0, 100.0]);
-        let tuned = ctx.tune_p(&matrix, &ds, &TripletModel::default(), ds.prior());
+        let p = ctx.tune_p(&matrix, &ds, &TripletModel::default(), ds.prior()).p;
         assert_eq!(ctx.tune_fits(), 2, "duplicate grid points must share fits");
         assert_eq!(ctx.tune_predicts(), 4, "every grid point is predicted");
-        assert!(ctx.config().p_grid.contains(&tuned.p));
+        assert!(ctx.config().p_grid.contains(&p));
     }
 
     #[test]

@@ -179,7 +179,7 @@ impl LearningPipeline for ContextualizedPipeline {
         }
         let label_model = config.label_model.build();
         let tuned = self.ctx.tune_p(raw_matrix, ds, &*label_model, UNIFORM_BALANCE);
-        let (posterior, covered) = tuned.fitted.predict_with_coverage(&tuned.train_matrix);
+        let (posterior, covered) = tuned.fitted.predict_with_coverage(tuned.train_matrix);
         end_model_outputs(posterior, &covered, ds, config, iter_seed, Some(tuned.p))
     }
 }

@@ -345,6 +345,22 @@ mod tests {
         let f = a.filtered(|_| true);
         assert_ne!(f.token(), a.token(), "filtering is a new construction");
         assert_eq!(f, a, "identity filter preserves content equality");
+        // Matrices keep the tokens of what is pushed onto them: clones of
+        // one construction on two matrices share its token, and so does a
+        // clone of either matrix; a matrix holding another construction of
+        // the same votes compares equal by content.
+        let (mut m, mut n, mut o) = (LabelMatrix::new(3), LabelMatrix::new(3), LabelMatrix::new(3));
+        m.push(a.clone());
+        n.push(a.clone());
+        o.push(b);
+        assert_eq!(m.column(0).token(), a.token(), "push keeps the token");
+        assert_eq!(n.column(0).token(), a.token(), "push keeps the token");
+        assert_eq!(m, n);
+        let snap = m.clone();
+        assert_eq!(snap.column(0).token(), a.token(), "matrix clones keep the tokens");
+        assert_eq!(snap, n);
+        assert_ne!(o.column(0).token(), a.token());
+        assert_eq!(o, m, "matrix equality compares content");
     }
 
     #[test]
@@ -375,11 +391,11 @@ mod tests {
         m.push(LfColumn::new(vec![(5, 1)]));
     }
 
-    /// A column shared with another matrix (a clone of one of its
-    /// columns) is bounds-checked against the matrix it is pushed onto.
+    /// A clone of another matrix's column is bounds-checked against the
+    /// matrix it is pushed onto.
     #[test]
     #[should_panic(expected = "references example")]
-    fn push_shared_validates_bounds() {
+    fn push_bounds_checks_a_column_cloned_from_a_wider_matrix() {
         let mut wide = LabelMatrix::new(8);
         wide.push(LfColumn::new(vec![(5, 1)]));
         let mut narrow = LabelMatrix::new(2);

@@ -80,11 +80,11 @@ proptest! {
         check_kernels_agree(&matrix_from(&train, 32), &matrix_from(&valid, 32));
     }
 
-    /// `Features::distances` over a pivot list in registration order, with
-    /// repeats: each answer equals the reference for its own pivot, so no
-    /// query depends on the ones before it.
+    /// `Features::distances` over a sequence of pivots, with repeats: each
+    /// answer equals the reference for its own pivot, so no query depends
+    /// on the ones before it.
     #[test]
-    fn prop_batched_respects_pivot_order(
+    fn prop_each_query_in_a_sequence_answers_its_own_pivot(
         rows in rows_strategy(24, 8, 10),
         valid in rows_strategy(24, 8, 6),
         picks in proptest::collection::vec(0usize..10, 1..20),
