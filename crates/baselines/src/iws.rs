@@ -9,12 +9,11 @@
 //! useful LFs in the final set, which is then fed to the ordinary label
 //! model → end model pipeline.
 //!
-//! Implementation notes (DESIGN.md §2, substitution 7): candidate LFs are
-//! all `(primitive, label)` pairs above a coverage floor; LF features are
-//! a seeded random projection of the normalized coverage signature plus
-//! coverage and polarity scalars; the usefulness model is the workspace's
-//! logistic regression; acquisition is greedy expected-usefulness with
-//! random tie-breaking, and the final set keeps LFs whose predicted
+//! Implementation notes: candidate LFs are all `(primitive, label)` pairs
+//! above a coverage floor; LF features are a seeded random projection of
+//! the normalized coverage signature plus coverage and polarity scalars;
+//! the usefulness model is the workspace's logistic regression;
+//! acquisition is greedy expected-usefulness with random tie-breaking, and the final set keeps LFs whose predicted
 //! usefulness exceeds 0.5 (queried LFs keep their oracle answer).
 
 use nemo_core::config::IdpConfig;
@@ -48,7 +47,7 @@ pub struct IwsConfig {
     /// candidate is judged useful iff `acc ≥ t + margin`. A human asked
     /// "is this heuristic better than random?" does not bless a keyword
     /// that is right 50.5% of the time; without the margin the confirmed
-    /// set fills with statistically-random LFs (DESIGN.md §2, subst. 7).
+    /// set fills with statistically-random LFs.
     pub usefulness_margin: f64,
 }
 
@@ -230,26 +229,6 @@ impl IwsLse {
         for &j in confirmed.iter().chain(extra.iter()) {
             matrix.push(LfColumn::from_lf(&lfs[j], &ds.train.corpus));
             any = true;
-        }
-        if std::env::var("NEMO_IWS_DEBUG").is_ok() {
-            let accs: Vec<f64> = confirmed
-                .iter()
-                .chain(extra.iter())
-                .map(|&j| {
-                    lfs[j].accuracy_against(&ds.train.corpus, &ds.train.labels).unwrap_or(0.0)
-                })
-                .collect();
-            let mean =
-                if accs.is_empty() { 0.0 } else { accs.iter().sum::<f64>() / accs.len() as f64 };
-            let pos =
-                confirmed.iter().chain(extra.iter()).filter(|&&j| lfs[j].y == Label::Pos).count();
-            eprintln!(
-                "[iws] confirmed={} extra={} pos={} mean_acc={:.3}",
-                confirmed.len(),
-                extra.len(),
-                pos,
-                mean
-            );
         }
         if !any {
             let prior_pred = vec![label_from_prob(ds.class_prior_pos); ds.test.n()];

@@ -48,6 +48,7 @@ impl Selector for DisagreeSelector {
 mod tests {
     use super::*;
     use nemo_core::idp::ModelOutputs;
+    use nemo_core::SeuAggregates;
     use nemo_data::catalog::toy_text;
     use nemo_lf::{Label, LabelMatrix, LfColumn, Lineage, PrimitiveLf};
 
@@ -56,9 +57,10 @@ mod tests {
         matrix: &'a LabelMatrix,
         lineage: &'a Lineage,
         outputs: &'a ModelOutputs,
+        aggs: &'a SeuAggregates,
         excluded: &'a [bool],
     ) -> SelectionView<'a> {
-        SelectionView { ds, lineage, matrix, outputs, excluded, iteration: 1, aggs: None }
+        SelectionView { ds, lineage, matrix, outputs, excluded, aggs }
     }
 
     #[test]
@@ -71,8 +73,9 @@ mod tests {
         matrix.push(LfColumn::new(entries));
         let lineage = Lineage::new();
         let outputs = ModelOutputs::initial(&ds);
+        let aggs = SeuAggregates::new(&ds, &outputs);
         let excluded = vec![false; ds.train.n()];
-        let view = view_with_matrix(&ds, &matrix, &lineage, &outputs, &excluded);
+        let view = view_with_matrix(&ds, &matrix, &lineage, &outputs, &aggs, &excluded);
         let mut rng = DetRng::new(1);
         assert_eq!(AbstainSelector.select(&view, &mut rng), Some(5));
     }
@@ -86,8 +89,9 @@ mod tests {
         matrix.push(LfColumn::new(vec![(3, -1), (4, 1)]));
         let lineage = Lineage::new();
         let outputs = ModelOutputs::initial(&ds);
+        let aggs = SeuAggregates::new(&ds, &outputs);
         let excluded = vec![false; ds.train.n()];
-        let view = view_with_matrix(&ds, &matrix, &lineage, &outputs, &excluded);
+        let view = view_with_matrix(&ds, &matrix, &lineage, &outputs, &aggs, &excluded);
         let mut rng = DetRng::new(2);
         assert_eq!(DisagreeSelector.select(&view, &mut rng), Some(3));
     }
@@ -98,8 +102,9 @@ mod tests {
         let matrix = LabelMatrix::from_lfs(&[PrimitiveLf::new(0, Label::Pos)], &ds.train.corpus);
         let lineage = Lineage::new();
         let outputs = ModelOutputs::initial(&ds);
+        let aggs = SeuAggregates::new(&ds, &outputs);
         let excluded = vec![true; ds.train.n()];
-        let view = view_with_matrix(&ds, &matrix, &lineage, &outputs, &excluded);
+        let view = view_with_matrix(&ds, &matrix, &lineage, &outputs, &aggs, &excluded);
         let mut rng = DetRng::new(3);
         assert_eq!(AbstainSelector.select(&view, &mut rng), None);
         assert_eq!(DisagreeSelector.select(&view, &mut rng), None);
@@ -111,8 +116,9 @@ mod tests {
         let matrix = LabelMatrix::new(ds.train.n());
         let lineage = Lineage::new();
         let outputs = ModelOutputs::initial(&ds);
+        let aggs = SeuAggregates::new(&ds, &outputs);
         let excluded = vec![false; ds.train.n()];
-        let view = view_with_matrix(&ds, &matrix, &lineage, &outputs, &excluded);
+        let view = view_with_matrix(&ds, &matrix, &lineage, &outputs, &aggs, &excluded);
         let mut rng = DetRng::new(4);
         let picks: std::collections::HashSet<usize> =
             (0..20).filter_map(|_| AbstainSelector.select(&view, &mut rng)).collect();

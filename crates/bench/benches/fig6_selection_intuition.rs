@@ -51,8 +51,7 @@ fn small_cluster_rate(selector: &mut dyn Selector, seed: u64) -> f64 {
             matrix: session.matrix(),
             outputs: session.outputs(),
             excluded: &excluded,
-            iteration: session.iteration(),
-            aggs: None,
+            aggs: session.aggregates(),
         };
         if let Some(x) = selector.select(&view, &mut rng) {
             if ds.train.clusters[x] >= 2 {

@@ -1,17 +1,18 @@
-//! Microbenchmarks of the hot kernels (DESIGN.md §4), harness-free and
-//! machine-readable.
+//! Microbenchmarks of the hot kernels (docs/ARCHITECTURE.md, "The bench /
+//! CI gate contract"), harness-free and machine-readable.
 //!
 //! Two kinds of measurement:
 //!
-//! - **Kernel timings** — SEU scoring (fast path vs naive reference),
-//!   label-model fitting, end-model fitting, TF-IDF transformation,
-//!   distance point-to-all, and LF application.
+//! - **Kernel timings** — SEU scoring (the from-scratch aggregate fold
+//!   plus `SeuSelector::scores` over the whole pool vs the naive
+//!   per-example reference), label-model fitting, end-model fitting,
+//!   TF-IDF transformation, distance point-to-all, and LF application.
 //! - **The interactive-loop headline** — a recorded 25-round SEU
-//!   trajectory is replayed twice: once rebuilding the per-primitive
-//!   aggregates from scratch every round (the pre-`Session` behaviour)
-//!   and once delta-syncing a single [`SeuAggregates`] cache (what
-//!   `Session` does). Scores are asserted identical; the speedup is the
-//!   number the `Session` refactor claims.
+//!   trajectory is replayed twice, both times scoring the pool through
+//!   `SeuSelector::scores`: once folding fresh aggregates every round
+//!   (`SeuAggregates::new`) and once delta-syncing a single
+//!   [`SeuAggregates`] (what `Session` does). Score checksums are asserted
+//!   equal; the ratio isolates the delta sync from the rebuild.
 //!
 //! Results are printed as a table and written to `BENCH_kernel.json` so
 //! successive PRs can track the perf trajectory.
@@ -23,8 +24,8 @@ use nemo_core::contextualizer::Contextualizer;
 use nemo_core::idp::{run_curve, ModelOutputs, RandomSelector, SelectionView};
 use nemo_core::oracle::{SimulatedUser, User};
 use nemo_core::pipeline::StandardPipeline;
-use nemo_core::session::{Session, SeuAggregates};
-use nemo_core::seu::SeuSelector;
+use nemo_core::session::Session;
+use nemo_core::seu::{SeuAggregates, SeuSelector};
 use nemo_core::{NemoSystem, PoolConfig, RoundJob, SessionPool, SharedArtifacts};
 use nemo_data::catalog::{build, DatasetName, Profile};
 use nemo_data::Dataset;
@@ -98,24 +99,16 @@ fn prepared_session(ds: &Dataset) -> Session<'_> {
 fn kernel_benches(ds: &Dataset, results: &mut Vec<BenchResult>) {
     let session = prepared_session(ds);
     let excluded = vec![false; ds.train.n()];
-    let view = SelectionView {
-        ds,
-        lineage: session.lineage(),
-        matrix: session.matrix(),
-        outputs: session.outputs(),
-        excluded: &excluded,
-        iteration: 25,
-        aggs: None,
-    };
+    let view = SelectionView { excluded: &excluded, ..session.view() };
     let selector = SeuSelector::new();
 
+    // What a round pays from scratch: fold the aggregates, then score
+    // every example through the per-round table.
+    let all: Vec<usize> = (0..ds.train.n()).collect();
     results.push(bench("seu_fast_path_full_pool", || {
-        let aggs = SeuSelector::primitive_aggregates(&view);
-        let mut best = f64::NEG_INFINITY;
-        for x in 0..ds.train.n() {
-            best = best.max(selector.expected_utility(&view, &aggs, x));
-        }
-        best
+        let aggs = SeuAggregates::new(ds, view.outputs);
+        let scores = selector.scores(&SelectionView { aggs: &aggs, ..view }, &all);
+        scores.into_iter().fold(f64::NEG_INFINITY, f64::max)
     }));
 
     results.push(bench("seu_naive_100_examples", || {
@@ -217,15 +210,13 @@ struct LoopStats {
     checksum: f64,
 }
 
-/// Replay a recorded trajectory of model outputs, performing each round's
-/// selection work in one of two modes:
+/// Replay a recorded trajectory of model outputs, scoring the whole pool
+/// each round through [`SeuSelector::scores`] over aggregates kept one of
+/// two ways:
 ///
-/// - **naive** (`incremental = false`): the pre-`Session` path — rebuild
-///   the per-primitive aggregates from scratch and score every example
-///   through the per-occurrence `expected_utility` loop.
-/// - **incremental**: the `Session` engine path — delta-sync the
-///   [`SeuAggregates`] cache and score through the per-round
-///   [`SeuSelector::score_table`].
+/// - **rebuild** (`incremental = false`): fold fresh aggregates every
+///   round with [`SeuAggregates::new`];
+/// - **incremental**: delta-sync one [`SeuAggregates`], as `Session` does.
 fn replay(
     ds: &Dataset,
     trajectory: &[ModelOutputs],
@@ -240,22 +231,23 @@ fn replay(
     let mut checksum = 0.0;
     let start = Instant::now();
     for outputs in &trajectory[1..] {
+        let rebuilt;
+        let aggs = if incremental {
+            cache.sync(ds, outputs);
+            &cache
+        } else {
+            rebuilt = SeuAggregates::new(ds, outputs);
+            &rebuilt
+        };
         let view = SelectionView {
             ds,
             lineage: &lineage,
             matrix: &matrix,
             outputs,
             excluded: &excluded,
-            iteration: 0,
-            aggs: None,
+            aggs,
         };
-        let scores = if incremental {
-            cache.sync(ds, outputs);
-            selector.scores(&view, cache.aggs(), &avail)
-        } else {
-            let aggs = SeuSelector::primitive_aggregates(&view);
-            avail.iter().map(|&x| selector.expected_utility(&view, &aggs, x)).collect()
-        };
+        let scores = selector.scores(&view, &avail);
         checksum += scores.iter().copied().filter(|s| s.is_finite()).sum::<f64>();
     }
     let total_ns = start.elapsed().as_nanos() as f64;
@@ -293,8 +285,9 @@ fn seu_loop_bench(ds: &Dataset, trajectory: &[ModelOutputs]) -> String {
     );
 
     let speedup = naive.total_ns / incr.total_ns;
-    let (_, deltas) = cache.sync_counts();
-    let (dirty_majority, drift_bound) = cache.rebuild_fallback_counts();
+    let (rebuilds, deltas) = cache.sync_counts();
+    // The construction is the first rebuild; the rest are fallbacks.
+    let fallbacks = rebuilds - 1;
     println!(
         "\nSEU interactive-loop aggregate maintenance ({} rounds, full-pool scoring):",
         naive.rounds
@@ -303,11 +296,10 @@ fn seu_loop_bench(ds: &Dataset, trajectory: &[ModelOutputs]) -> String {
     println!("  incremental delta-sync : {}", human(incr.total_ns / incr.rounds as f64));
     println!(
         "  speedup                : {speedup:.2}x  ({deltas} delta syncs, \
-         {} rebuild fallbacks: {dirty_majority} dirty-majority, {drift_bound} drift-bound)",
-        dirty_majority + drift_bound,
+         {fallbacks} rebuild fallbacks)"
     );
     if std::env::var("NEMO_BENCH_ENFORCE").is_ok() {
-        // Committed numbers show ~4x; gate only the sign so single-core
+        // Committed numbers show ~1.9x; gate only the sign so single-core
         // CI noise cannot flake the build.
         assert!(
             incr.total_ns <= naive.total_ns,
@@ -319,18 +311,17 @@ fn seu_loop_bench(ds: &Dataset, trajectory: &[ModelOutputs]) -> String {
 
     format!(
         concat!(
-            "{{\"rounds\": {}, \"full_rebuild_ns\": {:.0}, \"incremental_ns\": {:.0}, ",
-            "\"speedup\": {:.4}, \"delta_syncs\": {}, \"rebuild_fallbacks\": {}, ",
-            "\"fallbacks_dirty_majority\": {}, \"fallbacks_drift_bound\": {}}}"
+            "{{\"rounds\": {}, \"effective_cores\": {}, \"full_rebuild_ns\": {:.0}, ",
+            "\"incremental_ns\": {:.0}, \"speedup\": {:.4}, \"delta_syncs\": {}, ",
+            "\"rebuild_fallbacks\": {}}}"
         ),
         naive.rounds,
+        effective_cores(),
         naive.total_ns,
         incr.total_ns,
         speedup,
         deltas,
-        dirty_majority + drift_bound,
-        dirty_majority,
-        drift_bound,
+        fallbacks,
     )
 }
 

@@ -3,7 +3,7 @@
 //! Prints the split sizes of every generated dataset next to the paper's
 //! numbers, plus generator-level statistics (primitive-domain size, class
 //! balance, mean primitives per example) that characterize the synthetic
-//! substitution (DESIGN.md §2).
+//! datasets.
 
 use nemo_bench::{write_csv, BenchProtocol, Table};
 use nemo_data::DatasetName;

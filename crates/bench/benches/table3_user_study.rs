@@ -1,4 +1,4 @@
-//! Table 3: the user study, simulated (DESIGN.md §2, substitution 4).
+//! Table 3: the user study, simulated.
 //!
 //! The paper ran 15 human participants on the Amazon task: 30 interactive
 //! iterations, evaluation every 3 iterations, 5 users per method. We

@@ -8,7 +8,7 @@
 //! restore:
 //!
 //! - the SEU aggregates are reconstructed with a full
-//!   [`crate::session::SeuAggregates::new`] rebuild (exact integer fields,
+//!   [`crate::seu::SeuAggregates::new`] rebuild (exact integer fields,
 //!   freshly-summed floats — the state a never-interrupted session is
 //!   periodically re-anchored to);
 //! - the contextualizer's refined grid-slot columns are re-registered

@@ -20,7 +20,8 @@
 use crate::error::SessionError;
 use crate::oracle::User;
 use crate::pipeline::LearningPipeline;
-use crate::session::{Session, SeuAggregates};
+use crate::session::Session;
+use crate::seu::SeuAggregates;
 use nemo_data::Dataset;
 use nemo_labelmodel::Posterior;
 use nemo_lf::{label_from_prob, Label, LabelMatrix, Lineage, PrimitiveLf};
@@ -89,12 +90,9 @@ pub struct SelectionView<'a> {
     pub outputs: &'a ModelOutputs,
     /// `excluded[i]` — example `i` was already shown to the user.
     pub excluded: &'a [bool],
-    /// Current iteration (0-based).
-    pub iteration: usize,
-    /// The incrementally-maintained SEU aggregate cache consistent with
-    /// `outputs`, when the view comes from a [`Session`]. `None` makes
-    /// aggregate-consuming selectors rebuild from scratch.
-    pub aggs: Option<&'a SeuAggregates>,
+    /// SEU aggregates consistent with `outputs`: a [`Session`]'s
+    /// delta-synced ones, or a fresh [`SeuAggregates::new`].
+    pub aggs: &'a SeuAggregates,
 }
 
 impl<'a> SelectionView<'a> {
@@ -333,14 +331,14 @@ mod tests {
         let lineage = Lineage::new();
         let matrix = LabelMatrix::new(ds.train.n());
         let outputs = ModelOutputs::initial(&ds);
+        let aggs = SeuAggregates::new(&ds, &outputs);
         let view = SelectionView {
             ds: &ds,
             lineage: &lineage,
             matrix: &matrix,
             outputs: &outputs,
             excluded: &excluded,
-            iteration: 0,
-            aggs: None,
+            aggs: &aggs,
         };
         let mut rng = DetRng::new(1);
         assert_eq!(RandomSelector.select(&view, &mut rng), None);

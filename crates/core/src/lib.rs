@@ -55,8 +55,8 @@ pub use pool::{
     CheckpointStore, MemoryCheckpointStore, PoolConfig, PoolError, PoolStats, RoundJob,
     RoundOutcome, SessionId, SessionPool,
 };
-pub use session::{Session, SeuAggregates};
-pub use seu::SeuSelector;
+pub use session::Session;
+pub use seu::{SeuAggregates, SeuSelector};
 pub use system::NemoSystem;
 pub use user_model::UserModelKind;
 pub use utility::UtilityKind;

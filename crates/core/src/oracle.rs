@@ -172,9 +172,9 @@ impl User for SimulatedUser {
     }
 }
 
-/// An imperfect user for the simulated user study (Table 3; DESIGN.md §2
-/// substitution 4): with probability `lapse` the accuracy filter is
-/// skipped entirely, and the base threshold is jittered per user.
+/// An imperfect user for the simulated user study (Table 3): with
+/// probability `lapse` the accuracy filter is skipped entirely, and the
+/// base threshold is jittered per user.
 #[derive(Debug, Clone)]
 pub struct NoisyUser {
     inner: SimulatedUser,

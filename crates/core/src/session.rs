@@ -1,20 +1,14 @@
 //! The interactive session state machine: [`Session`] owns every piece of
-//! long-lived IDP state and keeps the SEU scoring machinery **incremental**
-//! across rounds.
+//! long-lived IDP state, including the SEU aggregates
+//! ([`SeuAggregates`]) that every selection view carries.
 //!
-//! Before this cache existed, each selection round rebuilt the
-//! per-primitive aggregates ([`PrimAgg`]) with a full `O(nnz(U))` pass over
-//! the inverted index, even though consecutive rounds share almost all of
-//! their model state. `Session` instead owns a [`SeuAggregates`] cache and
-//! *delta-updates* it after every learning stage: only the examples whose
-//! posterior entropy or end-model prediction actually changed replay
-//! their contribution into the primitives that contain them —
-//! `O(Σ_{i dirty} |prims(i)|)` work instead of `O(nnz(U))`. The integer
-//! fields of every aggregate stay exact; the float sums pick up at most
-//! one rounding step per update and are re-anchored by periodic full
-//! rebuilds. `tests/session_differential.rs` proves the cache tracks a
-//! from-scratch rebuild within `1e-9` and that selections driven by the
-//! cache are identical to selections recomputed from scratch.
+//! The session builds the aggregates once and delta-syncs them after
+//! every learning stage: only the examples whose posterior entropy or
+//! end-model prediction changed replay their contribution into the
+//! primitives that contain them. `tests/session_differential.rs` proves
+//! they track a from-scratch [`SeuAggregates::new`] within `1e-9` and
+//! that selections driven by them are identical to selections over a
+//! fresh fold.
 //!
 //! Everything interactive is a thin driver over this type:
 //! [`Session::round`] runs one select → develop → learn round over any
@@ -29,211 +23,11 @@ use crate::error::{RestoreError, SessionError};
 use crate::idp::{ModelOutputs, SelectionView, Selector, StepRecord};
 use crate::oracle::User;
 use crate::pipeline::LearningPipeline;
-use crate::utility::PrimAgg;
+use crate::seu::SeuAggregates;
 use nemo_data::Dataset;
 use nemo_labelmodel::Posterior;
 use nemo_lf::{Label, LabelMatrix, LfColumn, Lineage, PrimitiveLf};
 use nemo_sparse::DetRng;
-
-/// Why a [`SeuAggregates::sync`] fell back to a full rebuild instead of a
-/// delta update.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RebuildReason {
-    /// The constructor's initial population of the cache.
-    Initial,
-    /// The dirty set would touch more slots than the cost model allows
-    /// (see [`SeuAggregates::sync`] for the threshold and its rationale).
-    DirtyMajority,
-    /// Periodic re-anchor bounding floating-point drift of the in-place
-    /// sums.
-    DriftBound,
-}
-
-impl RebuildReason {
-    /// Name for logs and bench reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            RebuildReason::Initial => "initial",
-            RebuildReason::DirtyMajority => "dirty-majority",
-            RebuildReason::DriftBound => "drift-bound",
-        }
-    }
-}
-
-/// What one [`SeuAggregates::sync`] call did — returned to the caller and
-/// counted internally, so avoidable rebuilds are observable rather than
-/// silent (`BENCH_kernel.json` records the per-reason totals).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SyncOutcome {
-    /// No example's `(ψ, ŷ)` changed; the cache was already consistent.
-    Clean,
-    /// In-place delta update of the dirty examples' contributions.
-    Delta {
-        /// Examples whose `(ψ, ŷ)` changed.
-        dirty_examples: usize,
-        /// Primitive-occurrence slots those examples replayed.
-        dirty_slots: usize,
-    },
-    /// Full rebuild, with the reason it was forced.
-    Rebuild(RebuildReason),
-}
-
-/// Per-primitive SEU aggregates, maintained incrementally across learning
-/// rounds.
-///
-/// Invariant: `aggs[z]` equals the fold of [`PrimAgg::add`] over the
-/// postings of `z` under the cached `psi` (posterior entropies) and `yhat`
-/// (end-model prediction signs) vectors, and those vectors match the
-/// `ModelOutputs` last passed to [`SeuAggregates::sync`].
-#[derive(Debug, Clone)]
-pub struct SeuAggregates {
-    psi: Vec<f64>,
-    yhat: Vec<i8>,
-    aggs: Vec<PrimAgg>,
-    full_rebuilds: usize,
-    rebuilds_dirty_majority: usize,
-    rebuilds_drift_bound: usize,
-    delta_syncs: usize,
-    delta_syncs_since_rebuild: usize,
-    /// Primitive-occurrence slots updated by delta syncs (speedup
-    /// accounting).
-    delta_slots_updated: u64,
-}
-
-/// Delta syncs between forced full rebuilds: each in-place update adds at
-/// most one rounding step to a float sum, so this bounds the drift of the
-/// cached sums relative to a from-scratch rebuild.
-const MAX_DELTA_SYNCS_BETWEEN_REBUILDS: usize = 64;
-
-/// Dirty-majority fallback threshold, as a fraction of total postings:
-/// fall back to a rebuild only when `dirty_slots > 7/8 · nnz(U)`.
-///
-/// A delta update costs ~2 adds per slot against 1 per slot for a
-/// rebuild, so by cost alone the break-even sits near 1/2. The threshold
-/// also decides when the float sums are re-anchored, so moving it can
-/// change their low bits and with them SEU's selections; it stays at the
-/// value the golden curves (`tests/golden_curves.rs`) were recorded with.
-const DIRTY_MAJORITY_NUM: usize = 7;
-const DIRTY_MAJORITY_DEN: usize = 8;
-
-impl SeuAggregates {
-    /// Build the cache from scratch for the given model state.
-    pub fn new(ds: &Dataset, outputs: &ModelOutputs) -> Self {
-        let n_primitives = ds.train.corpus.n_primitives();
-        let mut cache = Self {
-            psi: Vec::new(),
-            yhat: Vec::new(),
-            aggs: vec![PrimAgg::default(); n_primitives],
-            full_rebuilds: 0,
-            rebuilds_dirty_majority: 0,
-            rebuilds_drift_bound: 0,
-            delta_syncs: 0,
-            delta_syncs_since_rebuild: 0,
-            delta_slots_updated: 0,
-        };
-        cache.rebuild(ds, outputs);
-        cache
-    }
-
-    /// The cached aggregates (aligned with the primitive domain).
-    pub fn aggs(&self) -> &[PrimAgg] {
-        &self.aggs
-    }
-
-    /// `(full rebuilds, delta syncs)` performed so far.
-    pub fn sync_counts(&self) -> (usize, usize) {
-        (self.full_rebuilds, self.delta_syncs)
-    }
-
-    /// Rebuilds forced after the initial build, by reason:
-    /// `(dirty-majority, drift-bound)`.
-    pub fn rebuild_fallback_counts(&self) -> (usize, usize) {
-        (self.rebuilds_dirty_majority, self.rebuilds_drift_bound)
-    }
-
-    /// Primitive-occurrence slots updated in place by delta syncs so far.
-    pub fn delta_slots_updated(&self) -> u64 {
-        self.delta_slots_updated
-    }
-
-    fn rebuild(&mut self, ds: &Dataset, outputs: &ModelOutputs) {
-        self.psi = outputs.train_posterior.entropies();
-        self.yhat = outputs.yhat_signs();
-        let index = ds.train.corpus.index();
-        self.aggs.fill(PrimAgg::default());
-        for (z, postings) in index.iter_nonempty() {
-            let agg = &mut self.aggs[z as usize];
-            for &i in postings {
-                agg.add(self.psi[i as usize], self.yhat[i as usize]);
-            }
-        }
-        self.full_rebuilds += 1;
-        self.delta_syncs_since_rebuild = 0;
-    }
-
-    /// Bring the cache in line with `outputs` by applying, in place, the
-    /// contribution delta of every example whose `(psi, yhat)` changed —
-    /// `O(Σ_{i dirty} |prims(i)|)` instead of the `O(nnz(U))` rebuild.
-    ///
-    /// Falls back to a full rebuild when the dirty set covers nearly all
-    /// slots (`dirty_slots > 7/8 · nnz(U)`; see the cost model on the
-    /// threshold constants) and forces
-    /// one every 64 delta syncs (`MAX_DELTA_SYNCS_BETWEEN_REBUILDS`) to
-    /// bound floating-point drift of the in-place sums. The returned
-    /// [`SyncOutcome`] says which path ran and, for rebuilds, why.
-    pub fn sync(&mut self, ds: &Dataset, outputs: &ModelOutputs) -> SyncOutcome {
-        let new_psi = outputs.train_posterior.entropies();
-        let new_yhat = outputs.yhat_signs();
-        debug_assert_eq!(new_psi.len(), self.psi.len());
-        let n = new_psi.len();
-        let corpus = &ds.train.corpus;
-        let dirty: Vec<u32> = (0..n)
-            .filter(|&i| {
-                self.psi[i].to_bits() != new_psi[i].to_bits() || self.yhat[i] != new_yhat[i]
-            })
-            .map(|i| i as u32)
-            .collect();
-        if dirty.is_empty() {
-            return SyncOutcome::Clean;
-        }
-        let dirty_slots: usize =
-            dirty.iter().map(|&i| corpus.primitives_of(i as usize).len()).sum();
-        let reason =
-            if dirty_slots * DIRTY_MAJORITY_DEN >= corpus.total_postings() * DIRTY_MAJORITY_NUM {
-                Some(RebuildReason::DirtyMajority)
-            } else if self.delta_syncs_since_rebuild >= MAX_DELTA_SYNCS_BETWEEN_REBUILDS {
-                Some(RebuildReason::DriftBound)
-            } else {
-                None
-            };
-        if let Some(reason) = reason {
-            match reason {
-                RebuildReason::DirtyMajority => self.rebuilds_dirty_majority += 1,
-                RebuildReason::DriftBound => self.rebuilds_drift_bound += 1,
-                // invariant: `reason` is built just above from the two
-                // sync triggers; Initial is constructor-only.
-                RebuildReason::Initial => unreachable!("sync never reports Initial"),
-            }
-            self.rebuild(ds, outputs);
-            return SyncOutcome::Rebuild(reason);
-        }
-
-        for &i in &dirty {
-            let i = i as usize;
-            let (old_psi, old_sign) = (self.psi[i], self.yhat[i]);
-            let (np, ns) = (new_psi[i], new_yhat[i]);
-            for &z in corpus.primitives_of(i) {
-                self.aggs[z as usize].apply_delta(old_psi, old_sign, np, ns);
-            }
-        }
-        self.psi = new_psi;
-        self.yhat = new_yhat;
-        self.delta_slots_updated += dirty_slots as u64;
-        self.delta_syncs += 1;
-        self.delta_syncs_since_rebuild += 1;
-        SyncOutcome::Delta { dirty_examples: dirty.len(), dirty_slots }
-    }
-}
 
 /// One interactive IDP session: dataset binding, collected LFs with
 /// lineage, the pool-exclusion set, the latest model outputs, and the
@@ -318,7 +112,7 @@ impl<'a> Session<'a> {
         self.pending
     }
 
-    /// The incrementally-maintained SEU aggregates.
+    /// The SEU aggregates, delta-synced after every learning stage.
     pub fn aggregates(&self) -> &SeuAggregates {
         &self.cache
     }
@@ -332,8 +126,7 @@ impl<'a> Session<'a> {
             matrix: &self.matrix,
             outputs: &self.outputs,
             excluded: &self.excluded,
-            iteration: self.iteration,
-            aggs: Some(&self.cache),
+            aggs: &self.cache,
         }
     }
 
@@ -361,8 +154,7 @@ impl<'a> Session<'a> {
             matrix: &self.matrix,
             outputs: &self.outputs,
             excluded: &self.excluded,
-            iteration: self.iteration,
-            aggs: Some(&self.cache),
+            aggs: &self.cache,
         };
         let Some(x) = selector.select(&view, &mut self.rng) else {
             return Ok(None);
@@ -772,8 +564,9 @@ mod tests {
         let mut pipeline = StandardPipeline;
         for _ in 0..12 {
             s.round(&mut selector, &mut user, &mut pipeline).unwrap();
-            let rebuilt = SeuSelector::primitive_aggregates(&s.view());
-            for (z, (cached, fresh)) in s.aggregates().aggs().iter().zip(&rebuilt).enumerate() {
+            let rebuilt = SeuAggregates::new(&ds, s.outputs());
+            for (z, (cached, fresh)) in s.aggregates().aggs().iter().zip(rebuilt.aggs()).enumerate()
+            {
                 assert_eq!(cached.df, fresh.df, "z={z}");
                 assert_eq!(cached.n_pos, fresh.n_pos, "z={z}");
                 assert!((cached.s_psi - fresh.s_psi).abs() < 1e-9, "z={z}");

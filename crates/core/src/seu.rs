@@ -25,19 +25,22 @@
 //!    why the paper's Table 6 "Uniform" column equals its Table 2
 //!    "Snorkel" (random) column on five of six datasets.
 //!
-//! **Fast path** (DESIGN.md §3): a single pass over the inverted index
-//! accumulates per-primitive aggregates ([`PrimAgg`]) from which both
-//! `Ψ_t(λ_{z,y})` and `acc(λ_{z,y})` are O(1); scoring all examples then
-//! costs `O(nnz(U))` total. Inside a [`crate::session::Session`] the
-//! aggregates are additionally maintained *incrementally* across rounds,
-//! and each round rescores the pool through a per-round [`ScoreTable`]
-//! (per-primitive weight/utility products). A naive
-//! per-example reference implementation is kept for differential testing.
+//! **One scorer, one oracle** (docs/ARCHITECTURE.md, "One interactive
+//! round"): [`SeuAggregates`] folds the inverted index into per-primitive
+//! aggregates ([`PrimAgg`]) from which both `Ψ_t(λ_{z,y})` and
+//! `acc(λ_{z,y})` are O(1). A [`crate::session::Session`] builds them once
+//! and delta-syncs them after every learning stage, and every
+//! [`SelectionView`] carries them. [`SeuSelector::scores`] turns them into
+//! per-primitive weight and weight × utility products once per round and
+//! reads every example's score off those in `O(|prims(x)|)`. The
+//! per-example scan [`SeuSelector::expected_utility_naive`] is the
+//! reference it is differential-tested against.
 
-use crate::idp::{SelectionView, Selector};
+use crate::idp::{ModelOutputs, SelectionView, Selector};
 use crate::user_model::UserModelKind;
 use crate::utility::{PrimAgg, UtilityKind};
-use nemo_lf::Label;
+use nemo_data::Dataset;
+use nemo_lf::{Label, PrimitiveLf};
 use nemo_sparse::stats::argmax_set;
 use nemo_sparse::DetRng;
 
@@ -63,41 +66,27 @@ impl SeuSelector {
         Self { user_model, utility }
     }
 
-    /// Per-primitive aggregates over the training pool: one pass over the
-    /// inverted index postings.
-    pub fn primitive_aggregates(view: &SelectionView<'_>) -> Vec<PrimAgg> {
-        let index = view.ds.train.corpus.index();
-        let psi = view.outputs.train_posterior.entropies();
-        let yhat = view.outputs.yhat_signs();
-        let mut aggs = vec![PrimAgg::default(); index.n_primitives()];
-        for (z, postings) in index.iter_nonempty() {
-            let agg = &mut aggs[z as usize];
-            for &i in postings {
-                agg.add(psi[i as usize], yhat[i as usize]);
-            }
-        }
-        aggs
-    }
-
-    /// Expected utility of showing example `x`, given precomputed
-    /// aggregates. Returns `NEG_INFINITY` for examples without candidate
-    /// primitives (no LF can be extracted from them).
-    pub fn expected_utility(&self, view: &SelectionView<'_>, aggs: &[PrimAgg], x: usize) -> f64 {
-        let prims = view.ds.train.corpus.primitives_of(x);
-        if prims.is_empty() {
-            return f64::NEG_INFINITY;
-        }
-        let prior = view.ds.prior();
-        let mut weighted = 0.0;
-        let mut total_w = 0.0;
-        for &z in prims {
-            let agg = &aggs[z as usize];
+    /// Expected utility of every available example, in `avail` order, from
+    /// the view's aggregates. `NEG_INFINITY` marks an example without
+    /// candidate primitives (no LF can be extracted from it).
+    ///
+    /// One `O(|Z|)` pass first turns the aggregates into per-primitive,
+    /// per-label tables: `w[z][y]` is the user-model weight of `λ_{z,y}`
+    /// and `wu[z][y]` its weight × utility product. That moves every
+    /// branch (accuracy, weight, collected-LF lookup, utility variant)
+    /// out of the per-occurrence loop, which reduces to four multiply-adds
+    /// per `(example, primitive)` slot.
+    pub fn scores(&self, view: &SelectionView<'_>, avail: &[usize]) -> Vec<f64> {
+        let aggs = view.aggs.aggs();
+        let mut w = vec![[0.0; 2]; aggs.len()];
+        let mut wu = vec![[0.0; 2]; aggs.len()];
+        for (z, agg) in aggs.iter().enumerate() {
             if agg.df == 0 {
                 continue;
             }
             for y in Label::ALL {
-                let w = self.user_model.weight(agg.accuracy(y));
-                if w <= 0.0 {
+                let weight = self.user_model.weight(agg.accuracy(y));
+                if weight <= 0.0 {
                     continue;
                 }
                 // An LF already in the collection supplies zero *new*
@@ -108,29 +97,39 @@ impl SeuSelector {
                 // (z, y) pairs carry zero utility. The weight still
                 // enters the normalizer — the user may well re-pick that
                 // primitive, wasting the iteration.
-                let utility = if view.lineage.contains_lf(&nemo_lf::PrimitiveLf::new(z, y)) {
+                let value = if view.lineage.contains_lf(&PrimitiveLf::new(z as u32, y)) {
                     0.0
                 } else {
                     self.utility.value(agg, y)
                 };
-                weighted += prior[y.index()] * w * utility;
-                total_w += w;
+                w[z][y.index()] = weight;
+                wu[z][y.index()] = weight * value;
             }
         }
-        if self.user_model.normalized() {
-            if total_w > 0.0 {
-                weighted / total_w
-            } else {
-                0.0
-            }
-        } else {
-            weighted
-        }
+        let corpus = &view.ds.train.corpus;
+        let prior = view.ds.prior();
+        avail
+            .iter()
+            .map(|&x| {
+                let prims = corpus.primitives_of(x);
+                if prims.is_empty() {
+                    return f64::NEG_INFINITY;
+                }
+                let mut weighted = 0.0;
+                let mut total_w = 0.0;
+                for &z in prims {
+                    let (zw, zwu) = (&w[z as usize], &wu[z as usize]);
+                    weighted += prior[0] * zwu[0] + prior[1] * zwu[1];
+                    total_w += zw[0] + zw[1];
+                }
+                self.normalize(weighted, total_w)
+            })
+            .collect()
     }
 
     /// Naive reference: recompute every LF's utility by scanning its
-    /// coverage list directly (no shared aggregates). Used by tests to
-    /// verify the fast path.
+    /// coverage list directly (no shared aggregates). The oracle
+    /// [`SeuSelector::scores`] is tested against.
     pub fn expected_utility_naive(&self, view: &SelectionView<'_>, x: usize) -> f64 {
         let corpus = &view.ds.train.corpus;
         let prims = corpus.primitives_of(x);
@@ -154,7 +153,7 @@ impl SeuSelector {
                 if w <= 0.0 {
                     continue;
                 }
-                let utility = if view.lineage.contains_lf(&nemo_lf::PrimitiveLf::new(z, y)) {
+                let utility = if view.lineage.contains_lf(&PrimitiveLf::new(z, y)) {
                     0.0
                 } else {
                     self.utility.value_naive(y, cov, &psi, &yhat)
@@ -163,98 +162,19 @@ impl SeuSelector {
                 total_w += w;
             }
         }
-        if self.user_model.normalized() {
-            if total_w > 0.0 {
-                weighted / total_w
-            } else {
-                0.0
-            }
-        } else {
+        self.normalize(weighted, total_w)
+    }
+
+    /// Eq. 2's expectation: divide by the total weight when the user
+    /// model normalizes (0 when no candidate LF carries weight).
+    fn normalize(&self, weighted: f64, total_w: f64) -> f64 {
+        if !self.user_model.normalized() {
             weighted
-        }
-    }
-}
-
-/// Per-primitive, per-label scoring tables derived from the aggregates:
-/// `w[z][y]` is the user-model weight of `λ_{z,y}` and `wu[z][y]` its
-/// weight × utility product (zero for collected or zero-weight LFs).
-///
-/// Building the table costs `O(|Z|)` once per selection round and moves
-/// every per-candidate branch — accuracy, weight, collected-LF lookup,
-/// utility variant — out of the per-occurrence scoring loop, which then
-/// reduces to two fused multiply-adds per `(example, primitive)` slot.
-#[derive(Debug, Clone)]
-pub struct ScoreTable {
-    w: Vec<[f64; 2]>,
-    wu: Vec<[f64; 2]>,
-}
-
-impl SeuSelector {
-    /// Build the per-primitive scoring table for the current round.
-    pub fn score_table(&self, view: &SelectionView<'_>, aggs: &[PrimAgg]) -> ScoreTable {
-        let mut table =
-            ScoreTable { w: vec![[0.0; 2]; aggs.len()], wu: vec![[0.0; 2]; aggs.len()] };
-        for (z, agg) in aggs.iter().enumerate() {
-            if agg.df == 0 {
-                continue;
-            }
-            for y in Label::ALL {
-                let weight = self.user_model.weight(agg.accuracy(y));
-                if weight <= 0.0 {
-                    continue;
-                }
-                // Collected (z, y) pairs carry zero utility (see
-                // `expected_utility`); their weight still normalizes.
-                let value = if view.lineage.contains_lf(&nemo_lf::PrimitiveLf::new(z as u32, y)) {
-                    0.0
-                } else {
-                    self.utility.value(agg, y)
-                };
-                table.w[z][y.index()] = weight;
-                table.wu[z][y.index()] = weight * value;
-            }
-        }
-        table
-    }
-
-    /// Expected utility of example `x` from a prebuilt [`ScoreTable`] —
-    /// the branch-free inner loop of the fast path.
-    pub fn expected_utility_tabled(
-        &self,
-        view: &SelectionView<'_>,
-        table: &ScoreTable,
-        x: usize,
-    ) -> f64 {
-        let prims = view.ds.train.corpus.primitives_of(x);
-        if prims.is_empty() {
-            return f64::NEG_INFINITY;
-        }
-        let prior = view.ds.prior();
-        let mut weighted = 0.0;
-        let mut total_w = 0.0;
-        for &z in prims {
-            let zw = &table.w[z as usize];
-            let zwu = &table.wu[z as usize];
-            weighted += prior[0] * zwu[0] + prior[1] * zwu[1];
-            total_w += zw[0] + zw[1];
-        }
-        if self.user_model.normalized() {
-            if total_w > 0.0 {
-                weighted / total_w
-            } else {
-                0.0
-            }
+        } else if total_w > 0.0 {
+            weighted / total_w
         } else {
-            weighted
+            0.0
         }
-    }
-
-    /// Expected utility of every available example, in `avail` order,
-    /// each read off the shared table (differential-tested against the
-    /// naive per-example scan in `tests/session_differential.rs`).
-    pub fn scores(&self, view: &SelectionView<'_>, aggs: &[PrimAgg], avail: &[usize]) -> Vec<f64> {
-        let table = self.score_table(view, aggs);
-        avail.iter().map(|&x| self.expected_utility_tabled(view, &table, x)).collect()
     }
 }
 
@@ -270,17 +190,7 @@ impl Selector for SeuSelector {
         if view.lineage.is_empty() {
             return Some(avail[rng.index(avail.len())]);
         }
-        // Session views carry the incrementally synced aggregates;
-        // stand-alone views rebuild them.
-        let rebuilt;
-        let aggs: &[PrimAgg] = match view.aggs {
-            Some(cached) => cached.aggs(),
-            None => {
-                rebuilt = Self::primitive_aggregates(view);
-                &rebuilt
-            }
-        };
-        let scores = self.scores(view, aggs, &avail);
+        let scores = self.scores(view, &avail);
         if scores.iter().all(|s| s.is_infinite()) {
             return Some(avail[rng.index(avail.len())]);
         }
@@ -289,16 +199,142 @@ impl Selector for SeuSelector {
     }
 }
 
+/// Per-primitive SEU aggregates, kept in sync with the model outputs
+/// across learning rounds.
+///
+/// Invariant: `aggs[z]` equals the fold of [`PrimAgg::add`] over the
+/// postings of `z` under the cached `psi` (posterior entropies) and `yhat`
+/// (end-model prediction signs) vectors, and those vectors match the
+/// `ModelOutputs` last passed to [`SeuAggregates::new`] or
+/// [`SeuAggregates::sync`]. The integer fields hold it exactly; the float
+/// sums within the rounding of the delta syncs since the last rebuild.
+#[derive(Debug, Clone)]
+pub struct SeuAggregates {
+    psi: Vec<f64>,
+    yhat: Vec<i8>,
+    aggs: Vec<PrimAgg>,
+    full_rebuilds: usize,
+    delta_syncs: usize,
+    delta_syncs_since_rebuild: usize,
+    /// Primitive-occurrence slots updated by delta syncs.
+    delta_slots_updated: u64,
+}
+
+/// Delta syncs between forced full rebuilds: each in-place update adds at
+/// most one rounding step to a float sum, so this bounds the drift of the
+/// cached sums relative to a from-scratch rebuild.
+const MAX_DELTA_SYNCS_BETWEEN_REBUILDS: usize = 64;
+
+/// Dirty-majority fallback threshold, as a fraction of total postings:
+/// fall back to a rebuild only when `dirty_slots > 7/8 · nnz(U)`.
+///
+/// A delta update costs ~2 adds per slot against 1 per slot for a
+/// rebuild, so by cost alone the break-even sits near 1/2. The threshold
+/// also decides when the float sums are re-anchored, so moving it can
+/// change their low bits and with them SEU's selections; it stays at the
+/// value the golden curves (`tests/golden_curves.rs`) were recorded with.
+const DIRTY_MAJORITY_NUM: usize = 7;
+const DIRTY_MAJORITY_DEN: usize = 8;
+
+impl SeuAggregates {
+    /// The from-scratch fold: one pass over the inverted index postings
+    /// under the given model state.
+    pub fn new(ds: &Dataset, outputs: &ModelOutputs) -> Self {
+        let mut cache = Self {
+            psi: Vec::new(),
+            yhat: Vec::new(),
+            aggs: vec![PrimAgg::default(); ds.train.corpus.n_primitives()],
+            full_rebuilds: 0,
+            delta_syncs: 0,
+            delta_syncs_since_rebuild: 0,
+            delta_slots_updated: 0,
+        };
+        cache.rebuild(ds, outputs.train_posterior.entropies(), outputs.yhat_signs());
+        cache
+    }
+
+    /// The aggregates, aligned with the primitive domain.
+    pub fn aggs(&self) -> &[PrimAgg] {
+        &self.aggs
+    }
+
+    /// `(full rebuilds, delta syncs)` performed so far; the construction
+    /// counts as the first rebuild.
+    pub fn sync_counts(&self) -> (usize, usize) {
+        (self.full_rebuilds, self.delta_syncs)
+    }
+
+    /// Primitive-occurrence slots updated in place by delta syncs so far.
+    pub fn delta_slots_updated(&self) -> u64 {
+        self.delta_slots_updated
+    }
+
+    fn rebuild(&mut self, ds: &Dataset, psi: Vec<f64>, yhat: Vec<i8>) {
+        self.psi = psi;
+        self.yhat = yhat;
+        self.aggs.fill(PrimAgg::default());
+        for (z, postings) in ds.train.corpus.index().iter_nonempty() {
+            let agg = &mut self.aggs[z as usize];
+            for &i in postings {
+                agg.add(self.psi[i as usize], self.yhat[i as usize]);
+            }
+        }
+        self.full_rebuilds += 1;
+        self.delta_syncs_since_rebuild = 0;
+    }
+
+    /// Bring the aggregates in line with `outputs` by applying, in place,
+    /// the contribution delta of every example whose `(psi, yhat)` changed
+    /// — `O(Σ_{i dirty} |prims(i)|)` instead of the `O(nnz(U))` rebuild.
+    ///
+    /// Falls back to a full rebuild when the dirty set covers nearly all
+    /// slots (`dirty_slots > 7/8 · nnz(U)`; see the cost model on the
+    /// threshold constants) and forces one every 64 delta syncs
+    /// (`MAX_DELTA_SYNCS_BETWEEN_REBUILDS`) to bound floating-point drift
+    /// of the in-place sums.
+    pub fn sync(&mut self, ds: &Dataset, outputs: &ModelOutputs) {
+        let new_psi = outputs.train_posterior.entropies();
+        let new_yhat = outputs.yhat_signs();
+        debug_assert_eq!(new_psi.len(), self.psi.len());
+        let corpus = &ds.train.corpus;
+        let dirty: Vec<usize> = (0..new_psi.len())
+            .filter(|&i| {
+                self.psi[i].to_bits() != new_psi[i].to_bits() || self.yhat[i] != new_yhat[i]
+            })
+            .collect();
+        if dirty.is_empty() {
+            return;
+        }
+        let dirty_slots: usize = dirty.iter().map(|&i| corpus.primitives_of(i).len()).sum();
+        if dirty_slots * DIRTY_MAJORITY_DEN >= corpus.total_postings() * DIRTY_MAJORITY_NUM
+            || self.delta_syncs_since_rebuild >= MAX_DELTA_SYNCS_BETWEEN_REBUILDS
+        {
+            self.rebuild(ds, new_psi, new_yhat);
+            return;
+        }
+        for &i in &dirty {
+            let (old_psi, old_sign) = (self.psi[i], self.yhat[i]);
+            for &z in corpus.primitives_of(i) {
+                self.aggs[z as usize].apply_delta(old_psi, old_sign, new_psi[i], new_yhat[i]);
+            }
+        }
+        self.psi = new_psi;
+        self.yhat = new_yhat;
+        self.delta_slots_updated += dirty_slots as u64;
+        self.delta_syncs += 1;
+        self.delta_syncs_since_rebuild += 1;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::idp::{ModelOutputs, RandomSelector};
+    use crate::idp::RandomSelector;
     use crate::oracle::SimulatedUser;
     use crate::pipeline::StandardPipeline;
     use crate::session::Session;
     use crate::IdpConfig;
     use nemo_data::catalog::toy_text;
-    use nemo_data::Dataset;
     use nemo_lf::{LabelMatrix, Lineage};
 
     /// Build a view over a session that has run a few iterations, then
@@ -313,16 +349,7 @@ mod tests {
             session.round(&mut selector, &mut user, &mut pipeline).unwrap();
         }
         let excluded = vec![false; ds.train.n()];
-        let view = SelectionView {
-            ds,
-            lineage: session.lineage(),
-            matrix: session.matrix(),
-            outputs: session.outputs(),
-            excluded: &excluded,
-            iteration: n_steps,
-            aggs: None,
-        };
-        f(&view)
+        f(&SelectionView { excluded: &excluded, ..session.view() })
     }
 
     #[test]
@@ -334,9 +361,8 @@ mod tests {
                     [UtilityKind::Full, UtilityKind::NoInformativeness, UtilityKind::NoCorrectness]
                 {
                     let sel = SeuSelector::with(um, ut);
-                    let aggs = SeuSelector::primitive_aggregates(view);
-                    for x in (0..ds.train.n()).step_by(37) {
-                        let fast = sel.expected_utility(view, &aggs, x);
+                    let probes: Vec<usize> = (0..ds.train.n()).step_by(37).collect();
+                    for (&x, fast) in probes.iter().zip(sel.scores(view, &probes)) {
                         let naive = sel.expected_utility_naive(view, x);
                         if fast.is_finite() || naive.is_finite() {
                             assert!(
@@ -356,6 +382,7 @@ mod tests {
         let lineage = Lineage::new();
         let matrix = LabelMatrix::new(ds.train.n());
         let outputs = ModelOutputs::initial(&ds);
+        let aggs = SeuAggregates::new(&ds, &outputs);
         let excluded = vec![false; ds.train.n()];
         let view = SelectionView {
             ds: &ds,
@@ -363,8 +390,7 @@ mod tests {
             matrix: &matrix,
             outputs: &outputs,
             excluded: &excluded,
-            iteration: 0,
-            aggs: None,
+            aggs: &aggs,
         };
         let mut sel = SeuSelector::new();
         let mut rng = DetRng::new(0);
@@ -378,15 +404,7 @@ mod tests {
             // Rebuild the view with everything but one example excluded.
             let mut excluded = vec![true; ds.train.n()];
             excluded[42] = false;
-            let view2 = SelectionView {
-                ds: view.ds,
-                lineage: view.lineage,
-                matrix: view.matrix,
-                outputs: view.outputs,
-                excluded: &excluded,
-                iteration: view.iteration,
-                aggs: None,
-            };
+            let view2 = SelectionView { excluded: &excluded, ..*view };
             let mut sel = SeuSelector::new();
             let mut rng = DetRng::new(1);
             assert_eq!(sel.select(&view2, &mut rng), Some(42));
@@ -398,15 +416,7 @@ mod tests {
         let ds = toy_text(1);
         with_view(&ds, 2, |view| {
             let excluded = vec![true; ds.train.n()];
-            let view2 = SelectionView {
-                ds: view.ds,
-                lineage: view.lineage,
-                matrix: view.matrix,
-                outputs: view.outputs,
-                excluded: &excluded,
-                iteration: view.iteration,
-                aggs: None,
-            };
+            let view2 = SelectionView { excluded: &excluded, ..*view };
             let mut sel = SeuSelector::new();
             let mut rng = DetRng::new(1);
             assert_eq!(sel.select(&view2, &mut rng), None);
@@ -433,16 +443,8 @@ mod tests {
                 test_pred: view.outputs.test_pred.clone(),
                 chosen_p: None,
             };
-            let excluded = vec![false; ds.train.n()];
-            let view2 = SelectionView {
-                ds: view.ds,
-                lineage: view.lineage,
-                matrix: view.matrix,
-                outputs: &outputs,
-                excluded: &excluded,
-                iteration: view.iteration,
-                aggs: None,
-            };
+            let aggs = SeuAggregates::new(&ds, &outputs);
+            let view2 = SelectionView { outputs: &outputs, aggs: &aggs, ..*view };
             let mut sel = SeuSelector::new();
             let mut rng = DetRng::new(3);
             let chosen = sel.select(&view2, &mut rng).expect("pool non-empty");

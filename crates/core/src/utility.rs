@@ -10,7 +10,8 @@
 //! ground truth. Because a primitive LF votes the constant `y` over its
 //! coverage, the sum factorizes into per-primitive aggregates that are
 //! shared between the positive and negative LF of the same primitive —
-//! the key to SEU's `O(nnz)` fast path (DESIGN.md §3):
+//! the key to SEU's `O(nnz)` scorer (docs/ARCHITECTURE.md, "One
+//! interactive round"):
 //!
 //! ```text
 //! Ψ_t(λ_{z,y}) = sign(y) · Σ_{i ∈ cov(z)} ψ_t(x_i) · sign(ŷ_i)

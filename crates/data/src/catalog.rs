@@ -9,9 +9,9 @@
 //! | Spam          | SMS     | 4,458  | 557    | 557   |
 //! | Visual Rel.   | VG      | 5,084  | 635    | 635   |
 //!
-//! Every dataset is generated synthetically (DESIGN.md §2); sizes, class
-//! balance, and metric follow the paper. [`Profile`] scales the split sizes
-//! down for fast smoke/bench runs without changing the vocabulary or the
+//! Every dataset is generated synthetically; sizes, class balance, and
+//! metric follow the paper. [`Profile`] scales the split sizes down for
+//! fast smoke/bench runs without changing the vocabulary or the
 //! statistical structure.
 
 use crate::dataset::Dataset;

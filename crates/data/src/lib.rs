@@ -2,9 +2,9 @@
 //!
 //! Dataset substrate: the [`Dataset`]/[`Split`]/[`Features`] abstraction
 //! plus the synthetic generators that substitute for the paper's six
-//! evaluation datasets (Table 1). See DESIGN.md §2 for the substitution
-//! rationale: the generators plant exactly the cluster-locality structure
-//! (Figures 2–3, Example 1.1) that the paper's methods exploit.
+//! evaluation datasets (Table 1). The generators plant exactly the
+//! cluster-locality structure (Figures 2–3, Example 1.1) that the paper's
+//! methods exploit.
 //!
 //! Layout:
 //! - [`dataset`] — core types ([`Dataset`], [`Split`], [`Features`]).

@@ -1,7 +1,7 @@
 //! The shared cluster-mixture generative process.
 //!
-//! This is the statistical heart of the dataset substitution (DESIGN.md §2):
-//! examples belong to latent clusters (product categories / topics / scene
+//! This is the statistical heart of the synthetic datasets: examples
+//! belong to latent clusters (product categories / topics / scene
 //! contexts), and three token populations compose each example:
 //!
 //! 1. **Shared neutral tokens** — common across clusters, label-independent.

@@ -1,4 +1,4 @@
-//! Visual-Genome-style scene generation (DESIGN.md §2, substitution 2).
+//! Visual-Genome-style scene generation.
 //!
 //! The paper's VG task classifies whether an image contains the visual
 //! relationship "carrying" (here: positive) or "riding" (negative), using

@@ -318,18 +318,6 @@ impl CsrMatrix {
         }
         Ok(Self { row_offsets, indices, values, n_cols })
     }
-
-    /// Fraction of stored entries, `nnz / (rows · cols)` (0 for an empty
-    /// shape). TF-IDF matrices sit around 1%, which is what makes the
-    /// inverted-index distance kernel pay off.
-    pub fn density(&self) -> f64 {
-        let cells = self.n_rows() * self.n_cols;
-        if cells == 0 {
-            0.0
-        } else {
-            self.nnz() as f64 / cells as f64
-        }
-    }
 }
 
 #[cfg(test)]

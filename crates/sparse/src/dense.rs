@@ -1,8 +1,8 @@
 //! Dense row-major matrices.
 //!
 //! Used for the Visual Genome substitute's "embedding-like" features (the
-//! paper extracts ResNet features for images; see DESIGN.md §2) and for the
-//! small dense parameter blocks inside the models.
+//! paper extracts ResNet features for images) and for the small dense
+//! parameter blocks inside the models.
 
 /// Row-major dense `f32` matrix.
 #[derive(Debug, Clone)]

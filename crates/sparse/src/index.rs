@@ -1,10 +1,11 @@
 //! Inverted index: primitive id → sorted list of covering example ids.
 //!
-//! This is the data structure that makes SEU tractable (DESIGN.md §3). The
-//! naive cost of scoring every candidate LF's utility is quadratic in the
-//! corpus; with an inverted index over the primitive domain, per-iteration
-//! primitive aggregates are computed in one pass over the index postings —
-//! `O(nnz)` total.
+//! This is the data structure that makes SEU tractable
+//! (docs/ARCHITECTURE.md, "One interactive round"). The naive cost of
+//! scoring every candidate LF's utility is quadratic in the corpus; with
+//! an inverted index over the primitive domain, per-iteration primitive
+//! aggregates are computed in one pass over the index postings — `O(nnz)`
+//! total.
 
 use crate::csr::CsrMatrix;
 

@@ -78,12 +78,6 @@ impl TfIdfModel {
         self.n_train_docs
     }
 
-    /// Total stored entries of the training feature matrix (`Σ_t df(t)`),
-    /// i.e. the exact buffer size a column-major index over it needs.
-    pub fn train_nnz(&self) -> usize {
-        self.df.iter().map(|&d| d as usize).sum()
-    }
-
     /// The full IDF weight table in feature-id order (serialization
     /// export; round-trips through [`TfIdfModel::from_parts`]).
     pub fn idf_weights(&self) -> &[f32] {
@@ -223,7 +217,6 @@ mod tests {
         assert_eq!(model.df(2), 0);
         assert_eq!(model.n_train_docs(), 4);
         let m = model.transform(&corpus());
-        assert_eq!(model.train_nnz(), m.nnz());
         let counts = m.column_counts();
         for t in 0..3u32 {
             assert_eq!(model.df(t) as usize, counts[t as usize], "feature {t}");

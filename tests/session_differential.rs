@@ -1,28 +1,25 @@
-//! Differential tests for the `Session` engine's two fast paths:
+//! Differential tests for the `Session` engine's SEU path:
 //!
-//! 1. **Incremental `PrimAgg` maintenance** — after every learning stage
-//!    the session replays only the dirty examples' contribution deltas
-//!    into the cached aggregates. Integer fields must match a full
-//!    one-pass rebuild (`SeuSelector::primitive_aggregates`) exactly and
-//!    the in-place float sums within drift tolerance; selections driven
-//!    by the cache must be *identical* to selections recomputed from
-//!    scratch.
-//! 2. **Table-driven SEU scoring** — `SeuSelector::scores` must be
-//!    bit-identical to a per-example scan of the same score table, and
-//!    both must match the retained naive per-example reference
-//!    (`expected_utility_naive`) within fp tolerance, across every
-//!    `UserModelKind × UtilityKind` combination.
+//! 1. **Delta-synced aggregates** — after every learning stage the
+//!    session replays only the dirty examples' contribution deltas into
+//!    its `SeuAggregates`. Integer fields must match a from-scratch fold
+//!    (`SeuAggregates::new`) exactly and the in-place float sums within
+//!    drift tolerance; selections driven by the synced aggregates must be
+//!    *identical* to selections over a fresh fold.
+//! 2. **Table-driven SEU scoring** — `SeuSelector::scores` must match the
+//!    naive per-example reference (`expected_utility_naive`) within fp
+//!    tolerance, across every `UserModelKind × UtilityKind` combination.
 //!
 //! Both properties are checked over ≥ 3 seeds while a real interactive
 //! loop (SEU selection + simulated user) mutates the session, so the
-//! cache sees the same dirty patterns production runs produce.
+//! aggregates see the same dirty patterns production runs produce.
 
 use nemo::core::config::IdpConfig;
 use nemo::core::idp::{SelectionView, Selector};
 use nemo::core::oracle::SimulatedUser;
 use nemo::core::pipeline::{ContextualizedPipeline, LearningPipeline, StandardPipeline};
 use nemo::core::session::Session;
-use nemo::core::seu::SeuSelector;
+use nemo::core::seu::{SeuAggregates, SeuSelector};
 use nemo::core::user_model::UserModelKind;
 use nemo::core::utility::UtilityKind;
 use nemo::data::catalog::toy_text;
@@ -53,8 +50,8 @@ fn drive<'a>(
 /// Assert cached aggregates track a from-scratch rebuild: integer fields
 /// exactly, in-place float sums within drift tolerance.
 fn assert_aggs_track(session: &Session<'_>, seed: u64) {
-    let rebuilt = SeuSelector::primitive_aggregates(&session.view());
-    for (z, (cached, fresh)) in session.aggregates().aggs().iter().zip(&rebuilt).enumerate() {
+    let rebuilt = SeuAggregates::new(session.dataset(), session.outputs());
+    for (z, (cached, fresh)) in session.aggregates().aggs().iter().zip(rebuilt.aggs()).enumerate() {
         assert_eq!(cached.df, fresh.df, "seed {seed} z {z}: df diverged");
         assert_eq!(cached.n_pos, fresh.n_pos, "seed {seed} z {z}: n_pos diverged");
         for (a, b, field) in [
@@ -116,29 +113,16 @@ fn table_scores_bit_identical_to_tabled_scan_and_match_naive() {
         drive(&mut session, &mut pipeline, 6, |_| {});
 
         let view = session.view();
-        let aggs = view.aggs.expect("session views carry cached aggregates").aggs();
         let avail = view.available();
         for um in USER_MODELS {
             for ut in UTILITIES {
                 let sel = SeuSelector::with(um, ut);
-                let table = sel.score_table(&view, aggs);
-                let tabled: Vec<f64> =
-                    avail.iter().map(|&x| sel.expected_utility_tabled(&view, &table, x)).collect();
-                let via_scores = sel.scores(&view, aggs, &avail);
-                for i in 0..avail.len() {
-                    assert_eq!(
-                        via_scores[i].to_bits(),
-                        tabled[i].to_bits(),
-                        "seed {seed} um {um:?} ut {ut:?}: scores/tabled scan diverge at {}",
-                        avail[i]
-                    );
-                    let naive = sel.expected_utility_naive(&view, avail[i]);
-                    if via_scores[i].is_finite() || naive.is_finite() {
+                for (&x, fast) in avail.iter().zip(sel.scores(&view, &avail)) {
+                    let naive = sel.expected_utility_naive(&view, x);
+                    if fast.is_finite() || naive.is_finite() {
                         assert!(
-                            (via_scores[i] - naive).abs() < 1e-9,
-                            "seed {seed} um {um:?} ut {ut:?} x {}: fast {} vs naive {naive}",
-                            avail[i],
-                            via_scores[i]
+                            (fast - naive).abs() < 1e-9,
+                            "seed {seed} um {um:?} ut {ut:?} x {x}: fast {fast} vs naive {naive}"
                         );
                     }
                 }
@@ -158,7 +142,8 @@ fn cached_and_rebuilt_aggregates_select_identically() {
         let mut pipeline = StandardPipeline;
         drive(&mut session, &mut pipeline, 8, |s| {
             let cached_view = s.view();
-            let uncached_view = SelectionView { aggs: None, ..s.view() };
+            let rebuilt = SeuAggregates::new(s.dataset(), s.outputs());
+            let uncached_view = SelectionView { aggs: &rebuilt, ..s.view() };
             for um in USER_MODELS {
                 for ut in UTILITIES {
                     let mut sel = SeuSelector::with(um, ut);
