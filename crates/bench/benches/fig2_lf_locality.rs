@@ -9,7 +9,7 @@
 
 use nemo_bench::{write_csv, BenchProtocol, Table};
 use nemo_core::oracle::SimulatedUser;
-use nemo_data::DatasetName;
+use nemo_data::{DatasetName, Rows};
 use nemo_sparse::{DetRng, Distance};
 
 fn main() {
@@ -39,7 +39,7 @@ fn main() {
         let (lf, _) = *passing[rng.index(passing.len())];
         n_lfs += 1;
 
-        let dists = ds.train.features.distances(Distance::Cosine, x, &ds.train.features);
+        let dists = ds.train.features.distances(Distance::Cosine, x, &ds.train.features, Rows::All);
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_by(|&a, &b| dists[a].partial_cmp(&dists[b]).expect("finite distances"));
         for q in 0..4 {

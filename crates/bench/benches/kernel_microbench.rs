@@ -28,7 +28,7 @@ use nemo_core::session::Session;
 use nemo_core::seu::{SeuAggregates, SeuSelector};
 use nemo_core::{NemoSystem, PoolConfig, RoundJob, SessionPool, SharedArtifacts};
 use nemo_data::catalog::{build, DatasetName, Profile};
-use nemo_data::Dataset;
+use nemo_data::{Dataset, Rows};
 use nemo_endmodel::LogisticRegression;
 use nemo_labelmodel::{LabelModel, TripletModel};
 use nemo_lf::{LabelMatrix, Lineage, PrimitiveLf};
@@ -143,7 +143,7 @@ fn kernel_benches(ds: &Dataset, results: &mut Vec<BenchResult>) {
     }));
     results.push(bench("distance_point_to_all_indexed", || {
         pivot = (pivot + 1) % ds.train.n();
-        features.distances(Distance::Cosine, pivot, features)[pivot]
+        features.distances(Distance::Cosine, pivot, features, Rows::All)[pivot]
     }));
 
     // Contextualizer registration: 32 simulated-user LFs' train and valid

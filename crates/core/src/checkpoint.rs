@@ -3,17 +3,26 @@
 //! [`SessionCheckpoint`] captures the **authoritative** state of an
 //! interactive session — configuration and seed, iteration count, lineage,
 //! the collected label-matrix columns, the pool-exclusion set, the latest
-//! model outputs, and the RNG's raw state. Everything else a live session
-//! holds is *derived* cache state and is deterministically rebuilt on
-//! restore:
+//! model outputs, and the RNG's raw state — plus, from
+//! [`crate::system::NemoSystem::checkpoint`], every LF's contextualizer
+//! radii, frozen when the LF was registered. Everything else a live
+//! session holds is *derived* cache state and is deterministically rebuilt
+//! on restore:
 //!
 //! - the SEU aggregates are reconstructed with a full
 //!   [`crate::seu::SeuAggregates::new`] rebuild (exact integer fields,
 //!   freshly-summed floats — the state a never-interrupted session is
 //!   periodically re-anchored to);
 //! - the contextualizer's refined grid-slot columns are re-registered
-//!   in one batch on the next learning round (batched registration is
-//!   bit-identical to incremental registration, differential-tested);
+//!   in one batch on the next learning round. With the radii carried, each
+//!   LF's distances are queried only at the rows its raw columns cover
+//!   and filtered at its carried radii; without them (older files, or
+//!   [`crate::session::Session::checkpoint`]) every LF is registered
+//!   afresh. Both are bit-identical to incremental registration
+//!   (differential-tested). Restore checks the radii's count, range and
+//!   order along the grid, but cannot check an in-range radius against the
+//!   data without the full distance query it skips, so it trusts it, as
+//!   it trusts the RNG state;
 //! - the pair-count caches start cold and recount to the same values.
 //!
 //! `tests/session_checkpoint.rs` proves the resulting sessions make the
@@ -33,8 +42,9 @@ use nemo_lf::TrackedLf;
 /// A complete, self-contained snapshot of one interactive session.
 ///
 /// Produced by [`crate::session::Session::checkpoint`] or
-/// [`crate::system::NemoSystem::checkpoint`] (the same snapshot);
-/// consumed by the matching `restore` constructors. Labels and votes use
+/// [`crate::system::NemoSystem::checkpoint`] (the same snapshot, plus
+/// the contextualizer radii); consumed by the matching `restore`
+/// constructors. Labels and votes use
 /// their signed (`±1`) encoding so the struct round-trips through
 /// byte-level serialization without depending on enum layout.
 #[derive(Debug, Clone)]
@@ -66,6 +76,15 @@ pub struct SessionCheckpoint {
     pub rng_state: [u64; 4],
     /// The RNG's banked second Gaussian draw, if any.
     pub rng_gauss_spare: Option<f64>,
+    /// Every LF's contextualizer radius at each point of the default
+    /// percentile grid, LF-major in grid order (`lineage.len() × grid`
+    /// values), or empty when not carried.
+    /// [`crate::system::NemoSystem::checkpoint`] fills it and
+    /// [`crate::system::NemoSystem::restore`] reuses it, so the restored
+    /// contextualizer queries distances only at each LF's covered rows;
+    /// [`crate::session::Session::checkpoint`] leaves it empty, and
+    /// [`crate::session::Session::restore`] ignores it.
+    pub radii: Vec<f64>,
     /// Inert compatibility field: written empty and ignored on restore.
     /// Files written before the EM label model was removed may carry
     /// per-grid-point seeds here; they decode and are dropped. Kept only

@@ -21,20 +21,32 @@
 //! filtered at each radius to that grid point's slot, and drops the
 //! distances. Lineage is append-only and the grid is fixed at construction,
 //! so a refined column never goes stale: [`Contextualizer::tune_p`] fits
-//! and scores straight from the slots, and a restored session builds a new
-//! contextualizer that refines its lineage afresh.
+//! and scores straight from the slots.
+//!
+//! A restored session builds its contextualizer with
+//! [`Contextualizer::restore`] from the radii its checkpoint carries
+//! ([`Contextualizer::checkpoint_radii`]). It refines the lineage again,
+//! but a refined column only needs the distances at the rows the LF's raw
+//! column covers (about 3% of train rows on Amazon quick), so each LF queries
+//! just those ([`Rows::Listed`]) and filters at its carried radii with the
+//! same `<=`; no full query, no percentile selection. A checkpoint without
+//! radii restores through the fresh registration.
+//!
 //! `tests/slots_equal_naive_refinement.rs` and
 //! `tests/contextualizer_paths.rs` check every slot column
 //! against the naive refinement ([`nemo_data::Features::distances_naive`],
 //! `percentile`, [`nemo_lf::LfColumn::filtered`]);
 //! `tests/long_lived_equals_fresh_and_restored.rs` checks a long-lived
-//! contextualizer against a fresh one built every round.
+//! contextualizer, and ones restored with and without radii, against a
+//! fresh one built every round.
 
 use crate::config::ContextualizerConfig;
-use nemo_data::Dataset;
+use crate::error::RestoreError;
+use nemo_data::{Dataset, Features, Rows};
 use nemo_labelmodel::{FittedLabelModel, LabelModel, PairCounts};
 use nemo_lf::{LabelMatrix, LfColumn, Lineage, TrackedLf};
 use nemo_sparse::stats::percentiles;
+use nemo_sparse::GatherScratch;
 
 /// Result of percentile tuning: the chosen `p`, the refined training
 /// matrix at that `p`, and the label model fitted to it.
@@ -83,9 +95,11 @@ pub struct RefineCacheStats {
 /// every point of a percentile grid fixed at construction.
 pub struct Contextualizer {
     config: ContextualizerConfig,
-    /// Per LF, its radius at each point of `config.p_grid` (grid order),
-    /// frozen at registration.
-    radii: Vec<Vec<f64>>,
+    /// Every LF's radius at each point of `config.p_grid`, LF-major in
+    /// grid order (LF `j`'s at `j * grid..(j + 1) * grid`), frozen at
+    /// registration. A restored contextualizer starts with its lineage's
+    /// radii, so this may run ahead of the registered LFs.
+    radii: Vec<f64>,
     /// Per LF, the coverage of its raw train column: `tune_p`'s check that
     /// the caller's raw matrix is the registered lineage's.
     raw_coverage: Vec<usize>,
@@ -168,39 +182,110 @@ impl Contextualizer {
         let _ = seeds;
     }
 
-    /// Number of LFs registered so far.
-    pub fn n_registered(&self) -> usize {
-        self.radii.len()
+    /// A contextualizer for a restored lineage of `n_lfs` LFs, starting
+    /// from the radii a checkpoint carried: `radii` holds every LF's radius
+    /// at each grid point, LF-major in grid order, as
+    /// [`Contextualizer::checkpoint_radii`] wrote them. Its first
+    /// [`Contextualizer::sync`] registers those LFs without a full distance
+    /// query: each LF's distances are taken only to the train and valid
+    /// rows its raw columns cover ([`Rows::Listed`]), and filtered at the
+    /// carried radii with the same `<=`. The LFs after them register as in
+    /// a fresh contextualizer. Every slot column, radius and output equals
+    /// a fresh contextualizer's bit for bit
+    /// (`tests/long_lived_equals_fresh_and_restored.rs`).
+    ///
+    /// The radii are checked for shape, not recomputed: a radius inside
+    /// its range cannot be told from the LF's true radius without the full
+    /// query this path exists to skip, so restore trusts it, as it trusts
+    /// the checkpoint's RNG state.
+    ///
+    /// # Errors
+    ///
+    /// [`RestoreError::LengthMismatch`] (field `"radii"`) unless there are
+    /// `n_lfs × p_grid.len()` radii; [`RestoreError::ValueOutOfRange`] for
+    /// a radius that is not finite or is negative;
+    /// [`RestoreError::DecreasingRadii`] for an LF whose radii decrease
+    /// along the grid sorted by percentile, or differ at equal
+    /// percentiles.
+    ///
+    /// # Panics
+    ///
+    /// On a bad percentile grid, as [`Contextualizer::new`] does.
+    pub fn restore(
+        config: ContextualizerConfig,
+        radii: Vec<f64>,
+        n_lfs: usize,
+    ) -> Result<Self, RestoreError> {
+        let mut ctx = Self::new(config);
+        check_radii(&ctx.config.p_grid, &radii, n_lfs)?;
+        ctx.radii = radii;
+        Ok(ctx)
     }
 
-    /// Register a batch of lineage entries. For each LF, its train and valid
-    /// distances come from [`nemo_data::Features::distances`], its radius
-    /// at every grid point is frozen by [`percentiles`] (order-statistic
-    /// selection, no sort), and its votes over the train and the valid
-    /// corpus, filtered at each radius, are appended to the grid slots.
-    /// The distances are dropped once the LF is refined.
+    /// The radii a checkpoint of a lineage of `n_lfs` LFs carries, in
+    /// [`Contextualizer::restore`]'s layout: every LF's, when this
+    /// contextualizer holds exactly `n_lfs` LFs' radii and they pass
+    /// restore's checks; otherwise none, and the restored session
+    /// registers its lineage afresh. (Radii from [`percentiles`] can fail
+    /// the order check: interpolating between tied distances can round up
+    /// an ulp past a larger percentile's radius. A checkpoint must still
+    /// restore.)
+    pub fn checkpoint_radii(&self, n_lfs: usize) -> Vec<f64> {
+        match check_radii(&self.config.p_grid, &self.radii, n_lfs) {
+            Ok(()) => self.radii.clone(),
+            Err(_) => Vec::new(),
+        }
+    }
+
+    /// Number of LFs registered so far.
+    pub fn n_registered(&self) -> usize {
+        self.raw_coverage.len()
+    }
+
+    /// Register a batch of lineage entries. For each LF, its votes over the
+    /// train and the valid corpus, filtered at each grid point's radius,
+    /// are appended to the grid slots. A fresh LF's train and valid
+    /// distances come from [`nemo_data::Features::distances`] over every
+    /// row, and its radius at every grid point is frozen by
+    /// [`percentiles`] (order-statistic selection, no sort). An LF whose
+    /// radii were restored ([`Contextualizer::restore`]) needs distances
+    /// only at the rows its raw columns cover, so it queries those
+    /// ([`Rows::Listed`], one scatter buffer for the batch). Either way the
+    /// distances are dropped once the LF is refined.
     fn register_batch(&mut self, recs: &[TrackedLf], ds: &Dataset) {
         self.size_slots(ds);
         let ContextualizerConfig { distance, p_grid } = &self.config;
-        let features = &ds.train.features;
+        let grid = p_grid.len();
+        let (train, valid) = (&ds.train.features, &ds.valid.features);
+        let mut scratch = GatherScratch::default();
         for rec in recs {
+            let j = self.raw_coverage.len();
             let pivot = rec.dev_example as usize;
-            // Distances are finite — both kernels compute sums/square roots
-            // of finite feature values, and `Features` validates its
-            // buffers (finite norms) on import — so `percentiles` never
-            // meets a NaN.
-            let train_d = features.distances(*distance, pivot, features);
-            let valid_d = features.distances(*distance, pivot, &ds.valid.features);
-            let radii = grid_radii(&train_d, p_grid);
             let raw_train = LfColumn::from_lf(&rec.lf, &ds.train.corpus);
             let raw_valid = LfColumn::from_lf(&rec.lf, &ds.valid.corpus);
-            for (slot, &r) in self.slots.iter_mut().zip(&radii) {
-                slot.train.push(raw_train.filtered(|i| train_d[i as usize] <= r));
-                slot.valid.push(raw_valid.filtered(|i| valid_d[i as usize] <= r));
+            // Distances at each column's covered rows, in entry order.
+            // They are finite — every kernel computes sums/square roots of
+            // finite feature values, and `Features` validates its buffers
+            // (finite norms) on import — so `percentiles` never meets a NaN.
+            let (train_d, valid_d) = if self.radii.len() > j * grid {
+                let mut covered = |target: &Features, col: &LfColumn| {
+                    let rows: Vec<u32> = col.entries().iter().map(|&(i, _)| i).collect();
+                    train.distances(*distance, pivot, target, Rows::Listed(&rows, &mut scratch))
+                };
+                (covered(train, &raw_train), covered(valid, &raw_valid))
+            } else {
+                let train_all = train.distances(*distance, pivot, train, Rows::All);
+                let valid_all = train.distances(*distance, pivot, valid, Rows::All);
+                self.radii.extend(grid_radii(&train_all, p_grid));
+                (at_entries(&train_all, &raw_train), at_entries(&valid_all, &raw_valid))
+            };
+            let radii = &self.radii[j * grid..(j + 1) * grid];
+            for (slot, &r) in self.slots.iter_mut().zip(radii) {
+                slot.train.push(within(&raw_train, &train_d, r));
+                slot.valid.push(within(&raw_valid, &valid_d, r));
             }
-            self.cache_stats.refilters += radii.len();
+            self.cache_stats.refilters += grid;
             self.raw_coverage.push(raw_train.coverage());
-            self.radii.push(radii);
         }
     }
 
@@ -235,7 +320,7 @@ impl Contextualizer {
     /// `p`-th percentile of its train distances, frozen at registration.
     /// `None` when `p` is not on the grid.
     pub fn radius(&self, j: usize, p: f64) -> Option<f64> {
-        self.grid_index(p).map(|k| self.radii[j][k])
+        self.grid_index(p).map(|k| self.radii[j * self.config.p_grid.len() + k])
     }
 
     /// The refined train and valid matrices at grid point `p` (matched
@@ -422,6 +507,51 @@ fn grid_radii(train_d: &[f64], p_grid: &[f64]) -> Vec<f64> {
     } else {
         percentiles(train_d, p_grid)
     }
+}
+
+/// `col`'s votes at distance at most `r`: `d[k]` is the distance at its
+/// `k`-th entry.
+fn within(col: &LfColumn, d: &[f64], r: f64) -> LfColumn {
+    let mut d = d.iter();
+    // invariant: `d` holds one distance per entry, and `filtered` asks
+    // about every entry once, in order.
+    col.filtered(|_| *d.next().expect("one distance per entry") <= r)
+}
+
+/// The distances at `col`'s covered rows, in entry order, out of a full
+/// query's answer `d` (indexed by row).
+fn at_entries(d: &[f64], col: &LfColumn) -> Vec<f64> {
+    col.entries().iter().map(|&(i, _)| d[i as usize]).collect()
+}
+
+/// Restore's checks on carried radii (see [`Contextualizer::restore`]):
+/// `n_lfs × grid` of them, each finite and non-negative, and each LF's
+/// non-decreasing along the grid sorted by percentile, equal at equal
+/// percentiles (which select the same order statistics).
+fn check_radii(p_grid: &[f64], radii: &[f64], n_lfs: usize) -> Result<(), RestoreError> {
+    let grid = p_grid.len();
+    if radii.len() != n_lfs * grid {
+        return Err(RestoreError::LengthMismatch {
+            field: "radii",
+            expected: n_lfs * grid,
+            actual: radii.len(),
+        });
+    }
+    if radii.iter().any(|r| !r.is_finite() || *r < 0.0) {
+        return Err(RestoreError::ValueOutOfRange { field: "radii" });
+    }
+    let mut order: Vec<usize> = (0..grid).collect();
+    order.sort_by(|&a, &b| p_grid[a].total_cmp(&p_grid[b]));
+    for (lf, lf_radii) in radii.chunks_exact(grid).enumerate() {
+        let out_of_order = |w: &[usize]| {
+            let (a, b) = (lf_radii[w[0]], lf_radii[w[1]]);
+            a > b || (p_grid[w[0]] == p_grid[w[1]] && a != b)
+        };
+        if order.windows(2).any(out_of_order) {
+            return Err(RestoreError::DecreasingRadii { lf });
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -647,6 +777,59 @@ mod tests {
             assert!(tight.coverage() <= full.coverage(), "valid refinement must not grow");
             assert!(full.coverage() <= raw_valid.coverage());
         }
+    }
+
+    #[test]
+    fn restore_checks_radii_along_the_sorted_grid() {
+        let config =
+            |p_grid: &[f64]| ContextualizerConfig { p_grid: p_grid.to_vec(), ..Default::default() };
+        let restore = |p_grid: &[f64], radii: &[f64]| {
+            Contextualizer::restore(config(p_grid), radii.to_vec(), 1).map(|c| c.radii)
+        };
+        // An unsorted grid is checked in percentile order: p = 0, 50, 100.
+        let unsorted = [50.0, 0.0, 100.0];
+        assert_eq!(restore(&unsorted, &[0.5, 0.2, 0.9]), Ok(vec![0.5, 0.2, 0.9]));
+        assert_eq!(
+            restore(&unsorted, &[0.5, 0.6, 0.9]),
+            Err(RestoreError::DecreasingRadii { lf: 0 })
+        );
+        assert_eq!(
+            restore(&unsorted, &[0.5, 0.2, 0.4]),
+            Err(RestoreError::DecreasingRadii { lf: 0 })
+        );
+        // Equal percentiles select the same order statistics.
+        assert!(restore(&[50.0, 50.0], &[0.5, 0.5]).is_ok());
+        for radii in [[0.4, 0.5], [0.5, 0.4]] {
+            assert_eq!(
+                restore(&[50.0, 50.0], &radii),
+                Err(RestoreError::DecreasingRadii { lf: 0 })
+            );
+        }
+        let two = Contextualizer::restore(config(&[0.0, 100.0]), vec![0.0, 1.0, 0.3, 0.2], 2);
+        assert_eq!(two.err(), Some(RestoreError::DecreasingRadii { lf: 1 }));
+        // A fresh contextualizer's radii pass, and are carried only for the
+        // lineage length they cover.
+        let ds = toy_text(1);
+        let (ctx, _, lineage) = setup(&ds, 4, 9, &unsorted);
+        let radii = ctx.checkpoint_radii(lineage.len());
+        assert_eq!(radii.len(), 4 * unsorted.len());
+        assert!(ctx.checkpoint_radii(lineage.len() + 1).is_empty());
+        assert!(Contextualizer::restore(config(&unsorted), radii, 4).is_ok());
+    }
+
+    #[test]
+    fn checkpoint_drops_radii_that_restore_would_reject() {
+        // Interpolating between two equal distances can round up past
+        // them: with ties, a smaller percentile's radius can exceed a
+        // larger one's by an ulp. Such radii are not carried, so the
+        // restored session registers afresh instead of failing to restore.
+        let grid = [10.0, 50.0];
+        let radii = grid_radii(&[0.225; 3], &grid);
+        assert!(radii[0] > radii[1], "{radii:?}");
+        assert_eq!(check_radii(&grid, &radii, 1), Err(RestoreError::DecreasingRadii { lf: 0 }));
+        let mut ctx = with_grid(&grid);
+        ctx.radii = radii;
+        assert!(ctx.checkpoint_radii(1).is_empty());
     }
 
     #[test]

@@ -97,6 +97,13 @@ pub enum RestoreError {
         /// Which invariant failed.
         reason: &'static str,
     },
+    /// An LF's carried contextualizer radii decrease along the percentile
+    /// grid sorted by percentile: a larger percentile of the same
+    /// distances cannot be smaller.
+    DecreasingRadii {
+        /// Index of the offending LF.
+        lf: usize,
+    },
     /// The pending suggestion is out of range or not marked excluded.
     InvalidPending,
     /// The persisted RNG state is the all-zero fixed point of
@@ -124,6 +131,9 @@ impl fmt::Display for RestoreError {
             }
             RestoreError::MalformedColumn { lf, reason } => {
                 write!(f, "matrix column {lf} is malformed: {reason}")
+            }
+            RestoreError::DecreasingRadii { lf } => {
+                write!(f, "radii of LF {lf} decrease along the percentile grid")
             }
             RestoreError::InvalidPending => {
                 write!(f, "pending suggestion is out of range or not excluded from the pool")

@@ -130,8 +130,10 @@ impl LearningPipeline for StandardPipeline {
 /// pipeline instance, so `Contextualizer::sync` computes distances and
 /// filters columns for the round's new LFs only, and `tune_p` fits straight
 /// from the grid slots, recounting only the new LFs' pairs. A fresh
-/// pipeline per round (what a restored session builds) registers and
-/// refines the whole lineage again; its results are identical.
+/// pipeline per round registers and refines the whole lineage again; a
+/// restored session's pipeline (built `From` a [`Contextualizer::restore`]
+/// of its checkpoint's radii) refines it again too, but queries each LF's
+/// distances only at the rows it covers. The results are identical.
 pub struct ContextualizedPipeline {
     ctx: Contextualizer,
 }
@@ -151,6 +153,14 @@ impl ContextualizedPipeline {
     /// [`Contextualizer::tune_fits`]).
     pub fn contextualizer(&self) -> &Contextualizer {
         &self.ctx
+    }
+}
+
+impl From<Contextualizer> for ContextualizedPipeline {
+    /// A pipeline over an existing contextualizer, e.g. one restored from
+    /// a checkpoint's radii ([`Contextualizer::restore`]).
+    fn from(ctx: Contextualizer) -> Self {
+        Self { ctx }
     }
 }
 

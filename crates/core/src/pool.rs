@@ -17,8 +17,10 @@
 //! [`SessionPool::run_round`] serves one session; [`SessionPool::run_rounds`]
 //! serves a batch, fanning the rounds out over `nemo_sparse::parallel`
 //! workers with work stealing (rounds are coarse and heterogeneous — a
-//! cold session pays restore + full re-registration, a warm one only an
-//! incremental update — so dynamic scheduling beats fixed partitioning).
+//! cold session pays restore and re-registers its lineage, each LF's
+//! distances queried only at its covered rows since its checkpoint
+//! carries its radii, while a warm one pays only an incremental update —
+//! so dynamic scheduling beats fixed partitioning).
 //! Batches are processed in waves of `max_resident.max(workers)` jobs so
 //! the transient memory footprint stays bounded by the pool's capacity,
 //! not the batch size. These waves are the library's only parallel

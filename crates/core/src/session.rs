@@ -346,8 +346,8 @@ impl<'a> Session<'a> {
 
     /// Snapshot the session's authoritative state (see
     /// [`crate::checkpoint::SessionCheckpoint`] for what is captured vs
-    /// deterministically rebuilt on restore). `warm_seeds` is written
-    /// empty.
+    /// deterministically rebuilt on restore). `radii` and `warm_seeds`
+    /// are written empty: the session holds no contextualizer.
     pub fn checkpoint(&self) -> SessionCheckpoint {
         let (rng_state, rng_gauss_spare) = self.rng.raw_state();
         SessionCheckpoint {
@@ -364,6 +364,7 @@ impl<'a> Session<'a> {
             chosen_p: self.outputs.chosen_p,
             rng_state,
             rng_gauss_spare,
+            radii: Vec::new(),
             warm_seeds: Vec::new(),
         }
     }

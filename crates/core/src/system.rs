@@ -20,7 +20,8 @@
 //! plain [`Session`] through [`crate::idp::run_curve`].
 
 use crate::checkpoint::SessionCheckpoint;
-use crate::config::IdpConfig;
+use crate::config::{ContextualizerConfig, IdpConfig};
+use crate::contextualizer::Contextualizer;
 use crate::error::{RestoreError, SessionError};
 use crate::idp::{run_curve, LearningCurve, ModelOutputs, StepRecord};
 use crate::oracle::User;
@@ -169,7 +170,10 @@ impl<'a> NemoSystem<'a> {
 
     /// Snapshot the full system state. The session's state is
     /// authoritative: the selector and the contextualizer hold only caches
-    /// that [`NemoSystem::restore`] rebuilds deterministically.
+    /// that [`NemoSystem::restore`] rebuilds deterministically. The
+    /// checkpoint also carries every LF's frozen contextualizer radii
+    /// ([`SessionCheckpoint::radii`]), so that rebuild skips the full
+    /// distance queries.
     ///
     /// A checkpoint taken mid-loop restores to a system that continues
     /// bit-identically to the uninterrupted run:
@@ -199,17 +203,25 @@ impl<'a> NemoSystem<'a> {
     /// assert_eq!(original.test_score().to_bits(), resumed.test_score().to_bits());
     /// ```
     pub fn checkpoint(&self) -> SessionCheckpoint {
-        self.session.checkpoint()
+        let mut ckpt = self.session.checkpoint();
+        ckpt.radii = self.pipeline.contextualizer().checkpoint_radii(ckpt.lineage.len());
+        ckpt
     }
 
-    /// Restore a system from a checkpoint. The SEU selector starts cold;
-    /// the contextualizer starts with no refined columns — its next
-    /// learning round re-registers and refines the whole lineage in one
-    /// batch, which is bit-identical to the incremental registrations of
-    /// the original run — and with empty pair-count caches, which percentile tuning
-    /// recounts to the same counts. Restored systems therefore make the
-    /// same selections and produce the same model outputs as
-    /// never-interrupted ones (`tests/session_checkpoint.rs`).
+    /// Restore a system from a checkpoint. The SEU selector starts cold.
+    /// The contextualizer starts from the checkpoint's radii
+    /// ([`Contextualizer::restore`]) with no refined columns: its next
+    /// learning round re-registers the lineage in one batch, querying each
+    /// LF's distances only at the rows its raw columns cover and filtering
+    /// at the carried radii. A checkpoint without radii (older files, or
+    /// [`Session::checkpoint`]) re-registers through full distance queries
+    /// and percentile selection instead. Either way the refined columns
+    /// are bit-identical to the incremental registrations of the original
+    /// run, and the empty pair-count caches recount to the same counts in
+    /// percentile tuning. Restored systems therefore make the same
+    /// selections and produce the same model outputs as never-interrupted
+    /// ones (`tests/session_checkpoint.rs`,
+    /// `tests/long_lived_equals_fresh_and_restored.rs`).
     /// [`SessionCheckpoint::warm_seeds`] is ignored: older files may carry
     /// seeds there, and no label model reads them.
     ///
@@ -235,14 +247,18 @@ impl<'a> NemoSystem<'a> {
     ///
     /// # Errors
     ///
-    /// Any [`RestoreError`] from validating the checkpoint against `ds`.
+    /// Any [`RestoreError`] from validating the checkpoint against `ds`,
+    /// or from [`Contextualizer::restore`]'s checks on its radii (which
+    /// it trusts once they pass, as it trusts the RNG state).
     pub fn restore(ds: &'a Dataset, ckpt: &SessionCheckpoint) -> Result<Self, RestoreError> {
         let session = Session::restore(ds, ckpt)?;
-        Ok(Self {
-            session,
-            selector: SeuSelector::new(),
-            pipeline: ContextualizedPipeline::default(),
-        })
+        let pipeline = if ckpt.radii.is_empty() {
+            ContextualizedPipeline::default()
+        } else {
+            let config = ContextualizerConfig::default();
+            Contextualizer::restore(config, ckpt.radii.clone(), ckpt.lineage.len())?.into()
+        };
+        Ok(Self { session, selector: SeuSelector::new(), pipeline })
     }
 }
 

@@ -9,7 +9,7 @@
 //! primitive domain `Z`.
 
 use nemo_lf::{Label, Metric, PrimitiveCorpus};
-use nemo_sparse::{CscIndex, CsrMatrix, DenseMatrix, Distance, SparseVec};
+use nemo_sparse::{CscIndex, CsrMatrix, DenseMatrix, Distance, GatherScratch, SparseVec};
 
 /// How a split's features are stored for distance queries.
 #[derive(Debug, Clone)]
@@ -22,16 +22,29 @@ pub enum Backing {
     Dense(DenseMatrix),
 }
 
+/// The rows of the target split that a [`Features::distances`] query
+/// answers.
+#[derive(Debug)]
+pub enum Rows<'a> {
+    /// Every row, in order: the answer is indexed by row.
+    All,
+    /// The listed rows (any order, repeats allowed), one answer per entry.
+    /// The scratch is the sparse kernel's scatter buffer; a caller that
+    /// queries many pivots passes the same one to every query.
+    Listed(&'a [u32], &'a mut GatherScratch),
+}
+
 /// Feature vectors for one split. Every split keeps a CSR matrix, the
 /// form model code consumes; its [`Backing`] is what distance queries run
 /// on.
 ///
 /// [`Features::distances`] is the one distance query: from one example of
-/// this split to every example of a target split. Sparse targets go
-/// through the inverted-index kernel (only the posting lists of the
-/// pivot's nonzero terms are walked), dense targets through the dense
-/// kernel over cached row norms. [`Features::distances_naive`] is its
-/// reference, bit-identical by construction.
+/// this split to every example of a target split, or to the listed ones.
+/// Sparse targets go through the inverted-index kernel (only the posting
+/// lists of the pivot's nonzero terms are walked) or, for listed rows, the
+/// gather kernel; dense targets through the dense kernel over cached row
+/// norms. [`Features::distances_naive`] is its reference, bit-identical by
+/// construction.
 #[derive(Debug, Clone)]
 pub struct Features {
     csr: CsrMatrix,
@@ -139,28 +152,53 @@ impl Features {
         self.dim() == other.dim() && self.dense().is_some() == other.dense().is_some()
     }
 
-    /// Distances from example `pivot` of this split to every example of
+    /// Distances from example `pivot` of this split to the `rows` of
     /// `target` (this split itself, or another split in the same feature
     /// space): the contextualizer's `dist(x, x_λ)` (paper Eq. 4).
     ///
-    /// A sparse target runs the indexed kernel
+    /// For [`Rows::All`], a sparse target runs the indexed kernel
     /// ([`Distance::sparse_indexed`]), a dense one the dense kernel over
-    /// cached norms ([`Distance::dense_cached`]). Bit-identical to
-    /// [`Features::distances_naive`].
+    /// cached norms ([`Distance::dense_cached`]); the answer is indexed by
+    /// row and bit-identical to [`Features::distances_naive`]. For
+    /// [`Rows::Listed`], a sparse target runs the gather kernel
+    /// ([`Distance::sparse_gathered`]), a dense one the dense kernel's
+    /// per-row step; answer `k` is bit-identical to the full query's at row
+    /// `rows[k]`.
     ///
     /// # Panics
     ///
-    /// If `pivot` is out of range, or if this split is wider than
-    /// `target` ([`Dataset::validate`] rules that out between splits).
-    pub fn distances(&self, dist: Distance, pivot: usize, target: &Features) -> Vec<f64> {
+    /// If `pivot` or a listed row is out of range, or if this split is
+    /// wider than `target` ([`Dataset::validate`] rules that out between
+    /// splits).
+    pub fn distances(
+        &self,
+        dist: Distance,
+        pivot: usize,
+        target: &Features,
+        rows: Rows<'_>,
+    ) -> Vec<f64> {
         let pivot_sq = self.sq_norms[pivot];
+        let norms = &target.sq_norms;
+        let dense_rows = |p: &[f32], m: &DenseMatrix| match rows {
+            Rows::All => dist.dense_cached(p, pivot_sq, m, norms),
+            Rows::Listed(list, _) => list
+                .iter()
+                .map(|&r| dist.dense_cached_pair(p, pivot_sq, m.row(r as usize), norms[r as usize]))
+                .collect(),
+        };
         match (&self.backing, &target.backing) {
-            (_, Backing::Sparse(csc)) => {
-                dist.sparse_indexed(&self.csr.row(pivot), pivot_sq, csc, &target.sq_norms)
-            }
-            (Backing::Dense(own), Backing::Dense(m)) => {
-                dist.dense_cached(own.row(pivot), pivot_sq, m, &target.sq_norms)
-            }
+            (_, Backing::Sparse(csc)) => match rows {
+                Rows::All => dist.sparse_indexed(&self.csr.row(pivot), pivot_sq, csc, norms),
+                Rows::Listed(list, scratch) => dist.sparse_gathered(
+                    &self.csr.row(pivot),
+                    pivot_sq,
+                    &target.csr,
+                    norms,
+                    list,
+                    scratch,
+                ),
+            },
+            (Backing::Dense(own), Backing::Dense(m)) => dense_rows(own.row(pivot), m),
             // A sparse pivot against dense rows (never two splits of a
             // validated dataset): densify the pivot's CSR row.
             (Backing::Sparse(_), Backing::Dense(m)) => {
@@ -168,7 +206,7 @@ impl Features {
                 for (j, v) in self.csr.row(pivot).iter() {
                     row[j as usize] = v;
                 }
-                dist.dense_cached(&row, pivot_sq, m, &target.sq_norms)
+                dense_rows(&row, m)
             }
         }
     }
@@ -325,8 +363,8 @@ mod tests {
         // Rebuild as pure sparse.
         let fs = Features::from_csr(fd.csr().clone());
         for dist in [Distance::Cosine, Distance::Euclidean] {
-            let a = fd.distances(dist, 2, &fd);
-            let b = fs.distances(dist, 2, &fs);
+            let a = fd.distances(dist, 2, &fd, Rows::All);
+            let b = fs.distances(dist, 2, &fs, Rows::All);
             for (x, y) in a.iter().zip(&b) {
                 assert!((x - y).abs() < 1e-9);
             }
@@ -337,7 +375,7 @@ mod tests {
     fn distances_cross_split() {
         let f1 = tiny_features_sparse();
         let f2 = tiny_features_sparse();
-        let d = f1.distances(Distance::Cosine, 0, &f2);
+        let d = f1.distances(Distance::Cosine, 0, &f2, Rows::All);
         assert!(d[0].abs() < 1e-9); // identical vector
         assert!((d[1] - 1.0).abs() < 1e-9); // orthogonal
     }
@@ -366,9 +404,13 @@ mod tests {
         let other = Features::from_csr(CsrMatrix::from_rows(&rows[..2], 4));
         for dist in [Distance::Cosine, Distance::Euclidean] {
             for p in 0..f.n() {
-                assert_eq!(f.distances(dist, p, &f), f.distances_naive(dist, p, &f), "{dist:?}");
                 assert_eq!(
-                    f.distances(dist, p, &other),
+                    f.distances(dist, p, &f, Rows::All),
+                    f.distances_naive(dist, p, &f),
+                    "{dist:?}"
+                );
+                assert_eq!(
+                    f.distances(dist, p, &other, Rows::All),
                     f.distances_naive(dist, p, &other),
                     "{dist:?} cross"
                 );
@@ -383,8 +425,11 @@ mod tests {
         let other = Features::from_dense(DenseMatrix::from_rows(&[vec![0.0, 2.0]]));
         for dist in [Distance::Cosine, Distance::Euclidean] {
             for p in 0..f.n() {
-                assert_eq!(f.distances(dist, p, &f), f.distances_naive(dist, p, &f));
-                assert_eq!(f.distances(dist, p, &other), f.distances_naive(dist, p, &other));
+                assert_eq!(f.distances(dist, p, &f, Rows::All), f.distances_naive(dist, p, &f));
+                assert_eq!(
+                    f.distances(dist, p, &other, Rows::All),
+                    f.distances_naive(dist, p, &other)
+                );
             }
         }
     }
@@ -400,7 +445,7 @@ mod tests {
         for dist in [Distance::Cosine, Distance::Euclidean] {
             for (a, b) in [(&fs, &fd), (&fd, &fs)] {
                 for p in 0..a.n() {
-                    let got = a.distances(dist, p, b);
+                    let got = a.distances(dist, p, b, Rows::All);
                     for (x, y) in got.iter().zip(&a.distances_naive(dist, p, b)) {
                         assert!((x - y).abs() < 1e-9, "{dist:?} pivot {p}");
                     }

@@ -25,5 +25,5 @@ pub mod scenegen;
 pub mod textgen;
 
 pub use catalog::{DatasetName, Profile};
-pub use dataset::{Backing, Dataset, Features, Split};
+pub use dataset::{Backing, Dataset, Features, Rows, Split};
 pub use mixture::MixtureConfig;

@@ -222,6 +222,7 @@ fn pick_name(list: &[&str], idx: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::Rows;
     use nemo_sparse::Distance;
 
     fn tiny_spec() -> SceneGenSpec {
@@ -270,7 +271,7 @@ mod tests {
     #[test]
     fn same_cluster_scenes_are_closer_in_embedding_space() {
         let ds = generate_scenes(&tiny_spec(), 5);
-        let d = ds.train.features.distances(Distance::Euclidean, 0, &ds.train.features);
+        let d = ds.train.features.distances(Distance::Euclidean, 0, &ds.train.features, Rows::All);
         let c0 = ds.train.clusters[0];
         let (mut same, mut diff) = (Vec::new(), Vec::new());
         for (i, &di) in d.iter().enumerate().skip(1) {

@@ -425,9 +425,10 @@ mod tests {
 
     #[test]
     fn same_cluster_docs_are_closer() {
+        use crate::dataset::Rows;
         use nemo_sparse::Distance;
         let ds = generate_text(&tiny_spec(), 42);
-        let dists = ds.train.features.distances(Distance::Cosine, 0, &ds.train.features);
+        let dists = ds.train.features.distances(Distance::Cosine, 0, &ds.train.features, Rows::All);
         let c0 = ds.train.clusters[0];
         let (mut same, mut diff) = (Vec::new(), Vec::new());
         for (i, &di) in dists.iter().enumerate().skip(1) {

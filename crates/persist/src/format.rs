@@ -683,6 +683,39 @@ impl<'a> FileParser<'a> {
         Ok(Dec::new(payload))
     }
 
+    /// Read a trailing section that older files of this kind end without,
+    /// which must carry `expected_id` if present: `None` when the header
+    /// declares no more sections and the file ends here. Otherwise the
+    /// section is read as [`FileParser::section`] reads one, and a header
+    /// that disagrees with the body is still a
+    /// [`PersistError::SectionCount`]: one that declares the section over
+    /// a body ending without it, or declares none while a frame with
+    /// `expected_id` follows.
+    pub fn optional_section(
+        &mut self,
+        expected_id: u32,
+        name: &'static str,
+    ) -> Result<Option<Dec<'a>>, PersistError> {
+        let at_end = self.pos == self.buf.len();
+        let next_id = self.buf.get(self.pos..self.pos + 4);
+        match (self.sections_left, at_end) {
+            (0, true) => Ok(None),
+            (0, false) if next_id == Some(&expected_id.to_le_bytes()[..]) => {
+                Err(PersistError::SectionCount {
+                    expected: self.sections_read + 1,
+                    found: self.sections_declared,
+                })
+            }
+            // Trailing bytes, which `finish` reports.
+            (0, false) => Ok(None),
+            (_, true) => Err(PersistError::SectionCount {
+                expected: self.sections_read,
+                found: self.sections_declared,
+            }),
+            (_, false) => self.section(expected_id, name).map(Some),
+        }
+    }
+
     /// Require the file to be fully consumed: no undeclared sections, no
     /// declared-but-unread sections, no trailing bytes.
     pub fn finish(self) -> Result<(), PersistError> {

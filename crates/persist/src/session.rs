@@ -5,10 +5,15 @@
 //! well-formed signs and presence bytes, non-degenerate shapes). The
 //! dataset-relative validation — lineage primitives inside the domain,
 //! vector lengths matching the split sizes, votes within bounds — happens
-//! in `nemo_core::Session::restore`, which rejects inconsistent
-//! checkpoints with a typed `RestoreError`. Between the two layers, a
-//! hostile checkpoint file can neither panic the loader nor corrupt a
-//! session.
+//! in `nemo_core::Session::restore`, and the contextualizer radii's
+//! (count, range, order along the grid) in `nemo_core::NemoSystem::restore`;
+//! both reject inconsistent checkpoints with a typed `RestoreError`.
+//! Between the layers, a hostile checkpoint file can neither panic the
+//! loader nor corrupt a session.
+//!
+//! A session file holds seven sections, plus an eighth, RADII, when the
+//! checkpoint carries radii (f64 bits, count-prefixed). Files written
+//! before RADII existed end after ENGINE and decode with empty radii.
 
 use std::path::Path;
 
@@ -29,6 +34,9 @@ mod section {
     pub const OUTPUTS: u32 = 5;
     pub const WARM: u32 = 6;
     pub const ENGINE: u32 = 7;
+    /// Optional: written only when the checkpoint carries radii, so a
+    /// checkpoint without them keeps the 7-section layout of older files.
+    pub const RADII: u32 = 8;
 }
 
 /// On-disk layout version of the ENGINE section.
@@ -114,6 +122,12 @@ pub fn session_to_bytes(ckpt: &SessionCheckpoint) -> Vec<u8> {
     eng.u32(ENGINE_VERSION);
     eng.u8(SEU_TAG);
     b.section(section::ENGINE, eng.into_bytes());
+
+    if !ckpt.radii.is_empty() {
+        let mut radii = Enc::new();
+        radii.vec_f64(&ckpt.radii);
+        b.section(section::RADII, radii.into_bytes());
+    }
 
     b.into_bytes()
 }
@@ -232,6 +246,15 @@ pub fn session_from_bytes(bytes: &[u8]) -> Result<SessionCheckpoint, PersistErro
         return Err(PersistError::InvalidValue("engine-state tag must be 0 (SEU)"));
     }
     eng.finish()?;
+
+    let radii = match p.optional_section(section::RADII, "RADII")? {
+        Some(mut dec) => {
+            let radii = dec.vec_f64()?;
+            dec.finish()?;
+            radii
+        }
+        None => Vec::new(),
+    };
     p.finish()?;
 
     Ok(SessionCheckpoint {
@@ -248,6 +271,7 @@ pub fn session_from_bytes(bytes: &[u8]) -> Result<SessionCheckpoint, PersistErro
         chosen_p,
         rng_state,
         rng_gauss_spare,
+        radii,
         warm_seeds,
     })
 }

@@ -82,6 +82,7 @@ fn tiny_session_bytes() -> Vec<u8> {
         chosen_p: Some(50.0),
         rng_state: [1, 2, 3, 4],
         rng_gauss_spare: None,
+        radii: vec![0.0, 0.5, 0.75, 1.0, 0.25, 0.25, 0.5, 2.0],
         warm_seeds: vec![vec![0.25, 0.5]],
     };
     session_to_bytes(&ckpt)
@@ -503,4 +504,136 @@ fn out_of_range_values_with_valid_crc_fail_typed() {
         session_from_bytes(&bytes),
         Err(PersistError::InvalidValue("LF label sign must be ±1"))
     ));
+}
+
+/// `bytes` cut back to the 7-section layout of files written before the
+/// RADII section existed: the body ends after ENGINE (section 7) and the
+/// header declares 7 sections (its CRC recomputed).
+fn without_radii_section(bytes: &[u8]) -> Vec<u8> {
+    let mut pos = 28;
+    loop {
+        let id = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
+        if id == 8 {
+            break;
+        }
+        let len = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap());
+        pos += 16 + len as usize;
+    }
+    patch_header_word(&bytes[..pos], 20, 7)
+}
+
+/// A session checkpoint in the 7-section layout (no RADII section)
+/// decodes with empty radii and restores through full registration; the
+/// same session restored with radii, and the uninterrupted run, make the
+/// same selections and produce the same output bits every round. The
+/// checkpoint writer emits that layout for a checkpoint without radii.
+#[test]
+fn seven_section_checkpoint_restores_like_one_with_radii() {
+    use nemo_core::{IdpConfig, NemoSystem, SimulatedUser};
+
+    let ds = nemo_data::catalog::toy_text(1);
+    let config = IdpConfig { n_iterations: 10, seed: 5, ..Default::default() };
+    let mut original = NemoSystem::new(&ds, config);
+    let mut user = SimulatedUser::default();
+    for _ in 0..4 {
+        original.step_with_user(&mut user).unwrap();
+    }
+    let with = original.checkpoint();
+    assert!(!with.lineage.is_empty(), "the session wrote LFs");
+    assert_eq!(with.radii.len(), 4 * with.lineage.len(), "every LF's radii are carried");
+    let bytes = session_to_bytes(&with);
+    let old = without_radii_section(&bytes);
+    assert_eq!(u32::from_le_bytes(bytes[20..24].try_into().unwrap()), 8);
+    let mut bare = with.clone();
+    bare.radii.clear();
+    assert_eq!(session_to_bytes(&bare), old, "no radii, no RADII section");
+
+    let decoded = session_from_bytes(&old).expect("the 7-section layout decodes");
+    assert!(decoded.radii.is_empty());
+    let mut full = NemoSystem::restore(&ds, &decoded).expect("restores without radii");
+    let decoded = session_from_bytes(&bytes).expect("the 8-section layout decodes");
+    assert_eq!(decoded.radii, with.radii);
+    let mut reused = NemoSystem::restore(&ds, &decoded).expect("restores with radii");
+
+    let bits = |nemo: &NemoSystem<'_>| -> (Vec<u64>, Option<u64>, u64) {
+        let o = nemo.outputs();
+        (
+            o.train_posterior.p_pos_slice().iter().map(|p| p.to_bits()).collect(),
+            o.chosen_p.map(f64::to_bits),
+            nemo.test_score().to_bits(),
+        )
+    };
+    let mut users = (SimulatedUser::default(), SimulatedUser::default());
+    for round in 4..10 {
+        let a = original.step_with_user(&mut user).unwrap();
+        let b = full.step_with_user(&mut users.0).unwrap();
+        let c = reused.step_with_user(&mut users.1).unwrap();
+        assert_eq!((a.selected, &a.new_lfs), (b.selected, &b.new_lfs), "round {round}");
+        assert_eq!((a.selected, &a.new_lfs), (c.selected, &c.new_lfs), "round {round}");
+        assert_eq!(bits(&full), bits(&original), "round {round}: full registration");
+        assert_eq!(bits(&reused), bits(&original), "round {round}: reused radii");
+    }
+
+    // A header declaring the missing eighth section over the 7-section
+    // body is a section-count lie, not a truncation.
+    let over = patch_header_word(&old, 20, 8);
+    assert!(matches!(session_from_bytes(&over), Err(PersistError::SectionCount { .. })));
+}
+
+/// Radii that decode but fail restore's checks: a count other than
+/// grid × lineage, a non-finite or negative radius, and an LF whose radii
+/// decrease along the sorted grid each restore to a typed error. Restore
+/// cannot check an in-range radius against the data without the full
+/// distance query, so it trusts one that passes, as it trusts the RNG
+/// state.
+#[test]
+fn bad_radii_fail_restore_typed() {
+    use nemo_core::{IdpConfig, NemoSystem, RestoreError, SimulatedUser};
+
+    let ds = nemo_data::catalog::toy_text(1);
+    let config = IdpConfig { n_iterations: 6, seed: 11, ..Default::default() };
+    let mut nemo = NemoSystem::new(&ds, config);
+    let mut user = SimulatedUser::default();
+    for _ in 0..3 {
+        nemo.step_with_user(&mut user).unwrap();
+    }
+    let good = nemo.checkpoint();
+    let n_lfs = good.lineage.len();
+    assert!(n_lfs > 0 && good.radii.len() == 4 * n_lfs);
+    // The default grid is sorted, so LF 0's radii run from index 0 to 3;
+    // the largest exceeds the smallest for an LF that does not cover
+    // every row at one distance.
+    assert!(good.radii[0] < good.radii[3], "LF 0's radii must spread");
+    let restore = |radii: Vec<f64>| {
+        let ckpt = nemo_core::SessionCheckpoint { radii, ..good.clone() };
+        let decoded = session_from_bytes(&session_to_bytes(&ckpt)).expect("radii decode");
+        NemoSystem::restore(&ds, &decoded).map(|_| ())
+    };
+    assert_eq!(restore(good.radii.clone()), Ok(()));
+
+    let mut short = good.radii.clone();
+    short.pop();
+    assert_eq!(
+        restore(short),
+        Err(RestoreError::LengthMismatch {
+            field: "radii",
+            expected: 4 * n_lfs,
+            actual: 4 * n_lfs - 1
+        })
+    );
+    let mut long = good.radii.clone();
+    long.extend_from_slice(&[1.0; 4]);
+    assert!(matches!(restore(long), Err(RestoreError::LengthMismatch { field: "radii", .. })));
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.5] {
+        let mut radii = good.radii.clone();
+        radii[1] = bad;
+        assert_eq!(
+            restore(radii),
+            Err(RestoreError::ValueOutOfRange { field: "radii" }),
+            "radius {bad}"
+        );
+    }
+    let mut swapped = good.radii.clone();
+    swapped.swap(0, 3);
+    assert_eq!(restore(swapped), Err(RestoreError::DecreasingRadii { lf: 0 }));
 }

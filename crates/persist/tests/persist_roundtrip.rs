@@ -255,6 +255,8 @@ fn random_checkpoint(seed: u64) -> nemo_core::SessionCheckpoint {
         warm_seeds: (0..(rng.next_u64() % 4) as usize)
             .map(|_| (0..4).map(|_| f()).collect())
             .collect(),
+        // Carried (RADII section present) or not (the 7-section layout).
+        radii: (0..(rng.next_u64() % 2) as usize * n_lfs * 4).map(|_| f()).collect(),
     }
 }
 
@@ -283,6 +285,7 @@ fn empty_checkpoint_roundtrips() {
         chosen_p: None,
         rng_state: [1, 2, 3, 4],
         rng_gauss_spare: None,
+        radii: vec![],
         warm_seeds: vec![],
     };
     session_roundtrips(&ckpt);

@@ -20,10 +20,25 @@
 //! - [`Distance::dense_cached`] reuses cached squared row norms for cosine;
 //!   its reference [`Distance::dense_naive`] re-derives both norms per pair
 //!   (the cached norms are summed in the same order).
+//!
+//! A query for a few listed rows (a restored LF's covered rows) runs
+//! [`Distance::sparse_gathered`]: the pivot is scattered once into a dense
+//! [`GatherScratch`] and each listed row gathers its terms from it, with
+//! the merge dot's products in the merge dot's order, so each answer equals
+//! the full query's at that row bit for bit; dense rows go through
+//! [`Distance::dense_cached_pair`], the per-row step of
+//! [`Distance::dense_cached`].
 
 use crate::csc::CscIndex;
 use crate::csr::{CsrMatrix, SparseRow};
 use crate::dense::{self, DenseMatrix};
+
+/// The dense scatter buffer of [`Distance::sparse_gathered`], kept by the
+/// caller so a batch of queries allocates and zeroes it once. It is all
+/// zeros between queries: each query writes only the pivot's columns and
+/// clears them before it returns.
+#[derive(Debug, Clone, Default)]
+pub struct GatherScratch(Vec<f64>);
 
 /// Distance (dissimilarity) function between feature vectors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -110,6 +125,71 @@ impl Distance {
         out
     }
 
+    /// Gather kernel: distances from a sparse `pivot` row to the rows
+    /// `rows` of `m` (any order, repeats allowed), one answer per entry.
+    ///
+    /// The pivot is scattered once into `scratch` (as `f64`, width
+    /// `m.n_cols()`); each listed row then adds `scratch[j] * w` over every
+    /// stored term `(j, w)` in ascending column order and is finished with
+    /// the cached norms. `O(nnz(pivot) + Σ_{r ∈ rows} nnz(r))`, against the
+    /// indexed kernel's `O(n + Σ_{j ∈ pivot} df(j))`: the right form for a
+    /// few rows of a large matrix.
+    ///
+    /// Bit-identical to [`Distance::sparse_naive`] (and so to
+    /// [`Distance::sparse_indexed`]) at each listed row. Where the pivot
+    /// has column `j`, the product is the merge dot's `pivot_j * w`, in the
+    /// merge dot's ascending order. Where it has none, the gather adds
+    /// `0.0 * w`, a signed zero, with no branch. That never changes the sum.
+    /// The running sum starts at `+0.0` and never becomes `-0.0`: under
+    /// round-to-nearest a sum is `-0.0` only when both addends are. So
+    /// each extra addend meets either a nonzero sum, which `x + ±0` leaves
+    /// unchanged, or `+0.0`, and `+0.0 + -0.0 = +0.0`. This needs finite
+    /// values (`0.0 * ∞` is NaN), as every distance query does: the
+    /// generators build finite features, and `Features` rejects imported
+    /// rows whose norms are not finite.
+    /// `tests/distance_differential.rs` pins the equality.
+    ///
+    /// # Panics
+    ///
+    /// If a listed row is out of range, `sq_norms` is not one norm per row
+    /// of `m`, or the pivot has a column `m` lacks. The checks run before
+    /// the scatter, so a panic leaves `scratch` all zeros.
+    pub fn sparse_gathered(
+        self,
+        pivot: &SparseRow<'_>,
+        pivot_sq: f64,
+        m: &CsrMatrix,
+        sq_norms: &[f64],
+        rows: &[u32],
+        scratch: &mut GatherScratch,
+    ) -> Vec<f64> {
+        assert_eq!(sq_norms.len(), m.n_rows(), "sq_norms length mismatch");
+        assert!(rows.iter().all(|&r| (r as usize) < m.n_rows()), "listed row out of range");
+        assert!(pivot.iter().all(|(j, _)| (j as usize) < m.n_cols()), "pivot wider than target");
+        let dense = &mut scratch.0;
+        if dense.len() < m.n_cols() {
+            dense.resize(m.n_cols(), 0.0);
+        }
+        for (j, v) in pivot.iter() {
+            dense[j as usize] = v as f64;
+        }
+        let out = rows
+            .iter()
+            .map(|&r| {
+                let row = m.row(r as usize);
+                let mut dot = 0.0f64;
+                for (j, w) in row.iter() {
+                    dot += dense[j as usize] * w as f64;
+                }
+                self.finish(dot, pivot_sq, sq_norms[r as usize])
+            })
+            .collect();
+        for (j, _) in pivot.iter() {
+            dense[j as usize] = 0.0;
+        }
+        out
+    }
+
     /// Dense kernel: distances from a dense `pivot` vector to every row of
     /// `m`, with cached squared norms.
     ///
@@ -128,11 +208,19 @@ impl Distance {
         assert_eq!(sq_norms.len(), m.n_rows(), "sq_norms length mismatch");
         m.rows()
             .zip(sq_norms)
-            .map(|(row, &row_sq)| match self {
-                Distance::Cosine => cosine_distance(dense::dot(pivot, row), pivot_sq, row_sq),
-                Distance::Euclidean => dense::sq_euclidean(pivot, row).sqrt(),
-            })
+            .map(|(row, &row_sq)| self.dense_cached_pair(pivot, pivot_sq, row, row_sq))
             .collect()
+    }
+
+    /// One row of [`Distance::dense_cached`]: the distance from `pivot` to
+    /// `row`, given both squared norms (cosine reads them, euclidean does
+    /// not).
+    #[inline]
+    pub fn dense_cached_pair(self, pivot: &[f32], pivot_sq: f64, row: &[f32], row_sq: f64) -> f64 {
+        match self {
+            Distance::Cosine => cosine_distance(dense::dot(pivot, row), pivot_sq, row_sq),
+            Distance::Euclidean => dense::sq_euclidean(pivot, row).sqrt(),
+        }
     }
 
     /// Reference for [`Distance::sparse_indexed`]: a sorted-merge dot of

@@ -26,6 +26,6 @@ pub mod stats;
 pub use csc::CscIndex;
 pub use csr::{CsrMatrix, SparseVec};
 pub use dense::DenseMatrix;
-pub use distance::Distance;
+pub use distance::{Distance, GatherScratch};
 pub use index::InvertedIndex;
 pub use rng::DetRng;

@@ -3,16 +3,20 @@
 //!
 //! A contextualizer kept across rounds reuses its grid slots' refined
 //! columns and MeTaL pair counts. A fresh contextualizer built every round
-//! refines the whole lineage and counts every pair from empty, which is
-//! what a restored session does (checkpoints carry neither). Every round
-//! the two must decide identically, bit for bit: the chosen percentile,
+//! refines the whole lineage and counts every pair from empty. A restored
+//! one starts from the lineage's radii (checkpoints carry those, but no
+//! refined columns and no pair counts), so it queries each LF's distances
+//! only at the rows the LF covers. Every round the long-lived and the
+//! fresh one must decide identically, bit for bit: the chosen percentile,
 //! its validation score, the fitted LF accuracies, the train posterior and
 //! the tuned matrix, every LF's radii, every grid slot's train and valid
-//! columns, and the number of label-model fits. Their `RefineCacheStats` deltas differ
-//! only as they should: the long-lived contextualizer filters the new
-//! LFs' columns and serves the earlier ones as hits, the fresh one
-//! filters them all. The long-lived side is itself replaced by an empty
-//! contextualizer mid-run, as a checkpoint restore does.
+//! columns, and the number of label-model fits. Their `RefineCacheStats`
+//! deltas differ only as they should: the long-lived contextualizer
+//! filters the new LFs' columns and serves the earlier ones as hits, the
+//! fresh one filters them all. Mid-run the long-lived side is replaced by
+//! a contextualizer restored from its own radii, as `NemoSystem::restore`
+//! does; in that round a contextualizer restored without radii (an older
+//! checkpoint) must equal the fresh one too.
 //!
 //! The same holds a level up: a `NemoSystem` restored mid-run from a
 //! checkpoint encoded and decoded by the codec equals an uninterrupted one.
@@ -84,8 +88,9 @@ fn assert_slots_identical(a: &Contextualizer, b: &Contextualizer, what: &str) {
 }
 
 /// Grow a lineage over `rounds` rounds with `grow(lineage, round)` and
-/// check every round a long-lived contextualizer — replaced by an empty
-/// one at round `restore_at` — against a fresh one. Returns each round's
+/// check every round a long-lived contextualizer — replaced at round
+/// `restore_at` by one restored from its radii, and checked with one
+/// restored without them — against a fresh one. Returns each round's
 /// tuned percentile.
 fn assert_long_lived_equals_fresh(
     ds: &Dataset,
@@ -101,17 +106,27 @@ fn assert_long_lived_equals_fresh(
     for round in 0..rounds {
         let registered = lineage.len();
         grow(&mut lineage, round);
+        let what = format!("{} grid {:?} round {round}", ds.name, config.p_grid);
         let restored = round == restore_at;
+        let mut without_radii = None;
         if restored {
-            long_lived = Contextualizer::new(config.clone());
+            let radii = long_lived.checkpoint_radii(registered);
+            assert_eq!(radii.len(), grid * registered, "{what}: radii carried");
+            long_lived = Contextualizer::restore(config.clone(), radii, registered)
+                .expect("carried radii pass restore's checks");
+            without_radii = Some(Contextualizer::new(config.clone()));
         }
         let (before, fits_before) = (long_lived.refine_cache_stats(), long_lived.tune_fits());
         let kept = tune(&mut long_lived, &lineage, ds);
         let mut fresh = Contextualizer::new(config.clone());
         let rebuilt = tune(&mut fresh, &lineage, ds);
-        let what = format!("{} grid {:?} round {round}", ds.name, config.p_grid);
         assert_eq!(kept, rebuilt, "{what}: tuning diverged");
         assert_slots_identical(&long_lived, &fresh, &what);
+        if let Some(mut bare) = without_radii {
+            let what = format!("{what}, restored without radii");
+            assert_eq!(tune(&mut bare, &lineage, ds), rebuilt, "{what}: tuning diverged");
+            assert_slots_identical(&bare, &fresh, &what);
+        }
         assert_eq!(long_lived.tune_fits() - fits_before, fresh.tune_fits(), "{what}: fits");
         let m = lineage.len();
         let new = if restored { m } else { m - registered };
@@ -212,7 +227,9 @@ fn output_bits(nemo: &NemoSystem<'_>) -> (Vec<u64>, Option<u64>) {
 }
 
 /// 30 rounds straight, and 30 rounds with a checkpoint round trip through
-/// the codec after round 15: every round's outputs match.
+/// the codec after round 15: every round's outputs match. The decoded
+/// checkpoint carries every LF's radii, so the restore runs the
+/// covered-rows registration, not the full one.
 #[test]
 fn restored_session_equals_uninterrupted_through_the_codec() {
     const ROUNDS: usize = 30;
@@ -226,6 +243,9 @@ fn restored_session_equals_uninterrupted_through_the_codec() {
             if round == ROUNDS / 2 {
                 let bytes = session_to_bytes(&cut.checkpoint());
                 let ckpt = session_from_bytes(&bytes).expect("checkpoint decodes");
+                let grid = ContextualizerConfig::default().p_grid.len();
+                assert!(!ckpt.lineage.is_empty(), "{}: no LFs to restore", ds.name);
+                assert_eq!(ckpt.radii.len(), grid * ckpt.lineage.len(), "{}: radii", ds.name);
                 cut = NemoSystem::restore(&ds, &ckpt).expect("checkpoint restores");
             }
             straight.step_with_user(&mut users.0).expect("round runs");

@@ -6,7 +6,7 @@ use nemo::core::config::ContextualizerConfig;
 use nemo::core::contextualizer::Contextualizer;
 use nemo::core::oracle::SimulatedUser;
 use nemo::data::catalog::{self, toy_text};
-use nemo::data::{DatasetName, Profile};
+use nemo::data::{DatasetName, Profile, Rows};
 use nemo::lf::{Label, LabelMatrix, LfColumn, Lineage};
 use nemo::sparse::{DetRng, Distance};
 
@@ -53,7 +53,8 @@ fn figure2_property_coverage_and_accuracy_decay_with_distance() {
     let (mut acc_far_num, mut acc_far_den) = (0.0, 0.0);
     for rec in lineage.tracked() {
         let pivot = rec.dev_example as usize;
-        let dists = ds.train.features.distances(Distance::Cosine, pivot, &ds.train.features);
+        let dists =
+            ds.train.features.distances(Distance::Cosine, pivot, &ds.train.features, Rows::All);
 
         // Coverage locality (Figure 2, left): the near half of the pool
         // (by distance from the dev example) holds most of the coverage.
