@@ -43,7 +43,7 @@
 use crate::config::ContextualizerConfig;
 use crate::error::RestoreError;
 use nemo_data::{Dataset, Features, Rows};
-use nemo_labelmodel::{FittedLabelModel, LabelModel, PairCounts};
+use nemo_labelmodel::{CountedMatrix, FittedLabelModel, LabelModel};
 use nemo_lf::{LabelMatrix, LfColumn, Lineage, TrackedLf};
 use nemo_sparse::stats::percentiles;
 use nemo_sparse::GatherScratch;
@@ -64,20 +64,17 @@ pub struct TunedRefinement<'a> {
 
 /// One point of the percentile grid: every registered LF's votes refined
 /// at its radius for that point, over the train and the valid split
-/// (column `j` is LF `j`), and the label model's pair-count cache of the
-/// train matrix. Columns are appended at registration and never
-/// rewritten.
+/// (column `j` is LF `j`). Columns are appended at registration and never
+/// rewritten, so the train matrix is a [`CountedMatrix`]: its pair counts
+/// are a cache of the MeTaL fit that a warm round extends by the new LF's
+/// pairs only. A cache, not a warm start — it never changes a bit of
+/// output — and not checkpointed: a restored contextualizer counts every
+/// pair once, one dense scatter per column and one probe of each earlier
+/// column's entries, `O(m · Σ coverage)` per slot.
 #[derive(Default)]
 struct GridSlot {
-    train: LabelMatrix,
+    train: CountedMatrix,
     valid: LabelMatrix,
-    /// Pairwise co-vote counts of `train`, keyed by column token: a warm
-    /// round recounts only the pairs touching the new LF's column. A
-    /// cache, not a warm start — it never changes a bit of output — and
-    /// not checkpointed: a restored contextualizer recounts every pair
-    /// once, one dense scatter per column and one probe of each later
-    /// column's entries, `O(m · Σ coverage)` per slot.
-    pair_counts: PairCounts,
 }
 
 /// Cumulative refined-column counters (bench accounting), in
@@ -303,9 +300,8 @@ impl Contextualizer {
         if self.n_registered() == 0 {
             for slot in &mut self.slots {
                 *slot = GridSlot {
-                    train: LabelMatrix::new(ds.train.n()),
+                    train: CountedMatrix::new(ds.train.n()),
                     valid: LabelMatrix::new(ds.valid.n()),
-                    ..GridSlot::default()
                 };
             }
         }
@@ -328,7 +324,7 @@ impl Contextualizer {
     /// grid; to refine at another `p`, build a contextualizer whose grid
     /// contains it.
     pub fn refined(&self, p: f64) -> Option<(&LabelMatrix, &LabelMatrix)> {
-        self.grid_index(p).map(|k| (&self.slots[k].train, &self.slots[k].valid))
+        self.grid_index(p).map(|k| (self.slots[k].train.matrix(), &self.slots[k].valid))
     }
 
     /// Select `p` from the grid by the validation quality of the
@@ -354,12 +350,12 @@ impl Contextualizer {
     /// The refined matrices are the grid slots' own, filled at
     /// registration; `raw_train` is only checked to be the registered
     /// lineage's raw train matrix. The unique grid points are fitted one
-    /// after another via [`LabelModel::fit_from`], each with its own
-    /// slot's [`PairCounts`] cache of the refined train matrix's pairwise
-    /// co-vote counts. A round after registering one LF recounts only that
+    /// after another via [`LabelModel::fit_from`], each on its slot's
+    /// refined train [`CountedMatrix`], which keeps the matrix's pairwise
+    /// co-vote counts. A round after registering one LF counts only that
     /// LF's `m − 1` pairs per slot instead of all `m(m−1)/2`, by one
-    /// scatter of the new column and one probe of each other column. The
-    /// cache never changes a bit of output.
+    /// scatter of the new column and one probe of each earlier column.
+    /// The counts never change a bit of output.
     ///
     /// # Panics
     ///
@@ -409,7 +405,7 @@ impl Contextualizer {
         let sigs: Vec<Vec<usize>> = self
             .slots
             .iter()
-            .map(|slot| slot.train.columns().map(LfColumn::coverage).collect())
+            .map(|slot| slot.train.matrix().columns().map(LfColumn::coverage).collect())
             .collect();
         let repr: Vec<usize> =
             (0..sigs.len()).map(|k| (0..k).find(|&e| sigs[e] == sigs[k]).unwrap_or(k)).collect();
@@ -417,13 +413,12 @@ impl Contextualizer {
             repr.iter().enumerate().filter(|&(k, &r)| r == k).map(|(k, _)| k).collect();
         self.tune_fits += unique.len();
 
-        // Fit the unique grid points, each with its slot's pair-count
-        // cache, so a moment estimator recounts only the new LF's pairs.
+        // Fit the unique grid points, each on its slot's counted train
+        // matrix, so a moment estimator counts only the new LF's pairs.
         let mut fitted: Vec<Option<Box<dyn FittedLabelModel>>> =
             (0..p_grid.len()).map(|_| None).collect();
         for &k in &unique {
-            let GridSlot { train, pair_counts, .. } = &mut self.slots[k];
-            fitted[k] = Some(label_model.fit_from(train, prior, pair_counts));
+            fitted[k] = Some(label_model.fit_from(&mut self.slots[k].train, prior));
         }
         for k in 0..p_grid.len() {
             if repr[k] != k {
@@ -486,7 +481,7 @@ impl Contextualizer {
         };
         TunedRefinement {
             p: p_grid[best_k],
-            train_matrix: &self.slots[best_k].train,
+            train_matrix: self.slots[best_k].train.matrix(),
             // invariant: `best_k` indexes a fitted representative —
             // ties resolve to fitted slots and no take() precedes this.
             fitted: fitted[best_k].take().expect("fitted"),
@@ -714,16 +709,16 @@ mod tests {
         ctx.tune_p(&prefix, &ds, &TripletModel::default(), ds.prior());
         // Every fitted slot holds the counts of its 5 refined columns;
         // registering the sixth LF appends one column per slot, so a sync
-        // recounts only the new LF's 5 pairs.
+        // counts only the new LF's 5 pairs.
         let (_, _, lineage) = setup(&ds, 6, 41, &default_grid());
         assert_eq!(&lineage.tracked()[..5], first_five.tracked());
         ctx.sync(&lineage, &ds);
         let mut fitted_slots = 0;
         for (k, slot) in ctx.slots.iter().enumerate() {
-            let mut counts = slot.pair_counts.clone();
-            if counts.n_columns() == 5 {
+            let mut train = slot.train.clone();
+            if train.n_counted() == 5 {
                 fitted_slots += 1;
-                assert_eq!(counts.sync(&slot.train), 5, "slot {k}");
+                assert_eq!(train.sync(), 5, "slot {k}");
             }
         }
         assert!(fitted_slots > 0, "no slot kept its pair counts");

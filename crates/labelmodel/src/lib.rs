@@ -10,9 +10,10 @@
 //! - [`TripletModel`] — the closed-form method-of-moments estimator of
 //!   FlyingSquid \[11\] with shrinkage, the binary equivalent of MeTaL's
 //!   matrix-completion step and the default label model throughout the
-//!   reproduction (the paper adopts MeTaL). Its pairwise co-vote counts
-//!   live in a [`PairCounts`] cache that [`LabelModel::fit_from`] keeps in
-//!   step with a growing matrix.
+//!   reproduction (the paper adopts MeTaL). [`LabelModel::fit_from`] fits
+//!   a [`CountedMatrix`], a label matrix that only grows and keeps the
+//!   pairwise co-vote counts of its columns, so a refit counts only the
+//!   pairs of the columns appended since the last one.
 //!
 //! All models share the [`LabelModel`] → [`FittedLabelModel`] interface:
 //! fitting happens on the training label matrix; the fitted model can then
@@ -29,4 +30,4 @@ pub mod triplet;
 pub use majority::MajorityVote;
 pub use posterior::Posterior;
 pub use traits::{FittedLabelModel, LabelModel, NaiveBayesFit};
-pub use triplet::{PairCounts, TripletModel};
+pub use triplet::{CountedMatrix, TripletModel};

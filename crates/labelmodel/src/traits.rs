@@ -1,7 +1,7 @@
 //! Label-model interfaces and the shared naive-Bayes aggregation step.
 
 use crate::posterior::Posterior;
-use crate::triplet::PairCounts;
+use crate::triplet::CountedMatrix;
 use nemo_lf::LabelMatrix;
 use nemo_sparse::stats::sigmoid;
 
@@ -16,23 +16,19 @@ pub trait LabelModel: Send + Sync {
     /// `prior = [P(y=−1), P(y=+1)]`, returning a fitted aggregator.
     fn fit(&self, matrix: &LabelMatrix, prior: [f64; 2]) -> Box<dyn FittedLabelModel>;
 
-    /// Fit, reusing cached pairwise co-vote counts.
+    /// Fit on `matrix`'s label matrix, reusing its pairwise co-vote
+    /// counts.
     ///
-    /// `counts` is a cache: moment estimators ([`crate::TripletModel`])
-    /// [`PairCounts::sync`] it to `matrix` and read their moments from
-    /// it, so keeping one `PairCounts` per slowly-changing matrix
-    /// recounts only the pairs touching changed columns, and the result
-    /// is bitwise that of [`LabelModel::fit`]. Estimators without pair
-    /// moments leave it untouched. The percentile-tuning loop of the
-    /// contextualizer is the intended consumer.
-    fn fit_from(
-        &self,
-        matrix: &LabelMatrix,
-        prior: [f64; 2],
-        counts: &mut PairCounts,
-    ) -> Box<dyn FittedLabelModel> {
-        let _ = counts;
-        self.fit(matrix, prior)
+    /// Moment estimators ([`crate::TripletModel`]) [`CountedMatrix::sync`]
+    /// the matrix and read their moments from its counts, so refitting one
+    /// growing matrix counts only the pairs of the columns pushed since
+    /// its last fit, and the result is bitwise that of
+    /// [`LabelModel::fit`] on [`CountedMatrix::matrix`]. Estimators
+    /// without pair moments fit the matrix as usual and leave the counts
+    /// untouched. The percentile-tuning loop of the contextualizer is the
+    /// intended consumer.
+    fn fit_from(&self, matrix: &mut CountedMatrix, prior: [f64; 2]) -> Box<dyn FittedLabelModel> {
+        self.fit(matrix.matrix(), prior)
     }
 }
 

@@ -24,8 +24,7 @@ use nemo_lf::{LabelMatrix, LfColumn};
 
 /// Index of the column pair `(j, k)`, `j < k`, in [`PairCounts`]'
 /// triangular storage. Pairs are grouped by their larger column, so
-/// appending column `m` appends its `m` pairs at the end and truncating
-/// to `m` columns truncates the storage to `m(m−1)/2` entries.
+/// appending column `m` appends its `m` pairs at the end.
 fn tri(j: usize, k: usize) -> usize {
     debug_assert!(j < k);
     k * (k - 1) / 2 + j
@@ -36,32 +35,18 @@ fn n_pairs(m: usize) -> usize {
     m * m.saturating_sub(1) / 2
 }
 
-/// Pairwise co-vote counts of a label matrix, kept in step with it by
-/// [`PairCounts::sync`].
+/// Pairwise co-vote counts of the leading columns of a label matrix.
 ///
 /// For every column pair `j < k` it stores how many examples both columns
 /// vote on (`total`) and on how many of those they agree (`agree`) —
 /// integers, in triangular storage (8 bytes per pair). These are all the
 /// data the triplet moments read, so a fit from synced counts equals a fit
-/// from scratch bit for bit.
-///
-/// Counts are keyed by each column's [`LfColumn::token`]: equal tokens
-/// guarantee equal votes, so a sync recounts only the pairs touching a
-/// column whose token changed, that was appended, or that was truncated
-/// away. Each stale column is scattered once into a dense vote scratch,
-/// and each of its pairs is counted by probing the other column's entries
-/// against it, so a stale column costs `O(Σ coverage)` over the columns
-/// it pairs with, with no per-pair merge. In an interactive session a
-/// round appends one LF to each grid slot's refined matrix and keeps
-/// every other column, token unchanged, so a sync recounts
-/// `m − 1` pairs in one scatter and `m − 1` probes. The counts are `u32`:
-/// an overlap is bounded by the number of examples, whose ids are `u32`.
-/// [`PairCounts::default`] holds no columns, so its first sync counts
-/// every pair.
+/// from scratch bit for bit. The counts are `u32`: an overlap is bounded
+/// by the number of examples, whose ids are `u32`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PairCounts {
-    /// Token of each counted column, in column order.
-    tokens: Vec<u64>,
+struct PairCounts {
+    /// Number of leading columns whose pairs are counted.
+    counted: usize,
     /// Examples on which the pair votes alike, at [`tri`]`(j, k)`.
     agree: Vec<u32>,
     /// Examples both columns of the pair cover, at [`tri`]`(j, k)`.
@@ -69,47 +54,29 @@ pub struct PairCounts {
 }
 
 impl PairCounts {
-    /// Number of columns the counts were last synced against.
-    pub fn n_columns(&self) -> usize {
-        self.tokens.len()
-    }
-
-    /// Bring the counts in step with `matrix`, returning the number of
-    /// column pairs recounted: every pair touching a column whose token
-    /// differs from the last sync or that is new. Columns past
-    /// `matrix.n_lfs()` are dropped. An unchanged matrix costs `O(m)`
-    /// token compares and recounts nothing; otherwise each stale column
-    /// costs one scatter into an `n_examples` scratch plus one probe of
-    /// every column it pairs with, `O(Σ coverage)` in all.
-    pub fn sync(&mut self, matrix: &LabelMatrix) -> usize {
-        let m = matrix.n_lfs();
-        self.tokens.truncate(m);
-        self.agree.truncate(n_pairs(m));
-        self.total.truncate(n_pairs(m));
-        let stale: Vec<bool> = matrix
-            .columns()
-            .enumerate()
-            .map(|(j, col)| self.tokens.get(j) != Some(&col.token()))
-            .collect();
-        if !stale.contains(&true) {
+    /// Count the pairs of every column of `matrix` past the first
+    /// `counted`, returning how many pairs were counted. The first
+    /// `counted` columns must be the ones counted before. Each new column
+    /// is scattered once into a dense vote scratch, and each earlier
+    /// column is probed against it, so a new column costs `O(Σ coverage)`
+    /// over the columns before it, with no per-pair merge.
+    fn sync(&mut self, matrix: &LabelMatrix) -> usize {
+        let (old, m) = (self.counted, matrix.n_lfs());
+        debug_assert!(old <= m, "{m} columns, {old} counted");
+        if old == m {
             return 0;
         }
-        self.tokens = matrix.columns().map(LfColumn::token).collect();
-        self.agree.resize(n_pairs(m), 0);
-        self.total.resize(n_pairs(m), 0);
         // Dense votes of the scattered column (0 = abstain); every other
         // entry is 0 between scatters.
         let mut dense = vec![0i8; matrix.n_examples()];
-        let mut recounted = 0;
-        for s in (0..m).filter(|&s| stale[s]) {
+        for s in old..m {
             let col = matrix.column(s).entries();
             for &(i, v) in col {
                 dense[i as usize] = v;
             }
-            // Each stale pair is counted once, at the scatter of its
-            // first stale column: `s` pairs with every later column and
-            // with every earlier column that is not stale (`s` itself is).
-            for c in (0..m).filter(|&c| c > s || !stale[c]) {
+            // Pairs `(c, s)` for `c < s` are the next entries of the
+            // triangular storage, in `c` order.
+            for c in 0..s {
                 let (mut agree, mut total) = (0u32, 0u32);
                 // Votes are ±1, so `d == v` implies `d != 0`.
                 for &(i, v) in matrix.column(c).entries() {
@@ -117,16 +84,15 @@ impl PairCounts {
                     total += u32::from(d != 0);
                     agree += u32::from(d == v);
                 }
-                let idx = if s < c { tri(s, c) } else { tri(c, s) };
-                self.agree[idx] = agree;
-                self.total[idx] = total;
-                recounted += 1;
+                self.agree.push(agree);
+                self.total.push(total);
             }
             for &(i, _) in col {
                 dense[i as usize] = 0;
             }
         }
-        recounted
+        self.counted = m;
+        n_pairs(m) - n_pairs(old)
     }
 
     /// Agreement moment `E[λ_j λ_k | both vote]` of every pair, in
@@ -144,6 +110,56 @@ impl PairCounts {
                 }
             })
             .collect()
+    }
+}
+
+/// A label matrix that only grows, together with the pairwise co-vote
+/// counts of its columns: what [`LabelModel::fit_from`] fits.
+///
+/// Columns are appended by [`CountedMatrix::push`] and never replaced,
+/// removed or reordered, so counts over the first `c` columns stay valid
+/// for the matrix's whole life and the cache records only `c`. A sync
+/// counts just the pairs of the columns pushed since the last one: in an
+/// interactive session a round appends one LF to each grid slot's refined
+/// matrix, so a warm fit counts its `m − 1` pairs in one scatter and
+/// `m − 1` probes. Pushing counts nothing, so a matrix that is not fitted
+/// this round pays nothing until it is. A cache, not a warm start: every
+/// fit equals [`LabelModel::fit`] on [`CountedMatrix::matrix`] bit for
+/// bit.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CountedMatrix {
+    matrix: LabelMatrix,
+    counts: PairCounts,
+}
+
+impl CountedMatrix {
+    /// Empty matrix over `n_examples` examples, nothing counted.
+    pub fn new(n_examples: usize) -> Self {
+        Self { matrix: LabelMatrix::new(n_examples), counts: PairCounts::default() }
+    }
+
+    /// Append an LF column (bounds-checked by [`LabelMatrix::push`]); its
+    /// pairs are counted at the next sync.
+    pub fn push(&mut self, col: LfColumn) {
+        self.matrix.push(col);
+    }
+
+    /// The label matrix.
+    pub fn matrix(&self) -> &LabelMatrix {
+        &self.matrix
+    }
+
+    /// Number of leading columns whose pairs are counted.
+    pub fn n_counted(&self) -> usize {
+        self.counts.counted
+    }
+
+    /// Count the pairs of every column pushed since the last sync,
+    /// returning how many pairs were counted (`0` when nothing was
+    /// pushed). A moment estimator's [`LabelModel::fit_from`] syncs
+    /// first.
+    pub fn sync(&mut self) -> usize {
+        self.counts.sync(&self.matrix)
     }
 }
 
@@ -199,7 +215,7 @@ impl Default for TripletModel {
 impl TripletModel {
     /// Per-LF accuracies from synced pair counts.
     fn accuracies(&self, counts: &PairCounts) -> Vec<f64> {
-        let m = counts.n_columns();
+        let m = counts.counted;
         if m < 3 {
             return vec![self.fallback_accuracy; m];
         }
@@ -253,21 +269,19 @@ impl LabelModel for TripletModel {
         "triplet"
     }
 
-    /// A fit from empty [`PairCounts`], which counts every pair once.
+    /// Counts every pair once, with the same code a
+    /// [`CountedMatrix`] syncs with.
     fn fit(&self, matrix: &LabelMatrix, prior: [f64; 2]) -> Box<dyn FittedLabelModel> {
-        self.fit_from(matrix, prior, &mut PairCounts::default())
+        let mut counts = PairCounts::default();
+        counts.sync(matrix);
+        Box::new(NaiveBayesFit::new(self.accuracies(&counts), prior))
     }
 
-    /// Syncs `counts` to `matrix` (recounting only pairs whose columns
-    /// changed) and estimates from them.
-    fn fit_from(
-        &self,
-        matrix: &LabelMatrix,
-        prior: [f64; 2],
-        counts: &mut PairCounts,
-    ) -> Box<dyn FittedLabelModel> {
-        counts.sync(matrix);
-        Box::new(NaiveBayesFit::new(self.accuracies(counts), prior))
+    /// Syncs `matrix` (counting only the pairs of columns pushed since
+    /// its last sync) and estimates from its counts.
+    fn fit_from(&self, matrix: &mut CountedMatrix, prior: [f64; 2]) -> Box<dyn FittedLabelModel> {
+        matrix.sync();
+        Box::new(NaiveBayesFit::new(self.accuracies(&matrix.counts), prior))
     }
 }
 
@@ -325,9 +339,10 @@ mod tests {
     }
 
     /// Every pair's synced counts equal the merge-join oracle's.
-    fn check_oracle(counts: &PairCounts, matrix: &LabelMatrix) -> Result<(), String> {
+    fn check_oracle(counted: &CountedMatrix) -> Result<(), String> {
+        let (counts, matrix) = (&counted.counts, counted.matrix());
         let m = matrix.n_lfs();
-        prop_assert_eq!(counts.n_columns(), m);
+        prop_assert_eq!(counts.counted, m);
         prop_assert_eq!(counts.agree.len(), n_pairs(m));
         prop_assert_eq!(counts.total.len(), n_pairs(m));
         for k in 1..m {
@@ -340,12 +355,12 @@ mod tests {
         Ok(())
     }
 
-    fn matrix_of(n: usize, cols: &[LfColumn]) -> LabelMatrix {
-        let mut matrix = LabelMatrix::new(n);
+    fn counted_of(n: usize, cols: &[LfColumn]) -> CountedMatrix {
+        let mut counted = CountedMatrix::new(n);
         for col in cols {
-            matrix.push(col.clone());
+            counted.push(col.clone());
         }
-        matrix
+        counted
     }
 
     proptest! {
@@ -355,40 +370,37 @@ mod tests {
             drawn_n in 2usize..80,
             initial in proptest::collection::vec((0u8..4, 0u64..1_000_000), 0..9),
             appended in proptest::collection::vec((0u8..4, 0u64..1_000_000), 1..5),
-            replacement in (0u8..4, 0u64..1_000_000),
         ) {
             // Every case also runs at 0 examples (all columns empty) and 1.
             for n in [0, 1, drawn_n] {
                 let shape = |&(kind, seed): &(u8, u64)| shaped_column(n, kind, seed);
                 let mut cols: Vec<LfColumn> = initial.iter().map(shape).collect();
-                let mut counts = PairCounts::default();
 
-                // Cold: every pair counted.
-                let matrix = matrix_of(n, &cols);
-                prop_assert_eq!(counts.sync(&matrix), n_pairs(cols.len()));
-                check_oracle(&counts, &matrix)?;
-
-                // Appends: only the new columns' pairs are recounted.
-                let before = cols.len();
-                cols.extend(appended.iter().map(shape));
-                let matrix = matrix_of(n, &cols);
-                prop_assert_eq!(counts.sync(&matrix), n_pairs(cols.len()) - n_pairs(before));
-                check_oracle(&counts, &matrix)?;
-
-                // A fresh-token replacement of a middle column.
-                let mid = cols.len() / 2;
-                cols[mid] = shape(&replacement);
-                let matrix = matrix_of(n, &cols);
-                prop_assert_eq!(counts.sync(&matrix), cols.len() - 1);
-                check_oracle(&counts, &matrix)?;
-
-                // Truncation to 2, 1 and 0 columns recounts nothing.
-                for keep in [2, 1, 0] {
-                    cols.truncate(keep);
-                    let matrix = matrix_of(n, &cols);
-                    prop_assert_eq!(counts.sync(&matrix), 0);
-                    check_oracle(&counts, &matrix)?;
+                // Cold, on the first 0, 1 and 2 columns and on all of
+                // them: every pair counted.
+                for keep in [0, 1, 2, cols.len()] {
+                    let mut cold = counted_of(n, &cols[..keep.min(cols.len())]);
+                    prop_assert_eq!(cold.sync(), n_pairs(keep.min(cols.len())));
+                    check_oracle(&cold)?;
                 }
+                let mut counted = counted_of(n, &cols);
+                counted.sync();
+
+                // Appends, synced after the first, the third, … and at
+                // the end, so a sync meets one or two new columns: only
+                // their pairs are counted, each with every earlier column.
+                let mut pending = 0;
+                for (step, col) in appended.iter().map(shape).enumerate() {
+                    pending += cols.len();
+                    cols.push(col.clone());
+                    counted.push(col);
+                    if step % 2 == 0 || step + 1 == appended.len() {
+                        prop_assert_eq!(counted.sync(), pending);
+                        pending = 0;
+                        check_oracle(&counted)?;
+                    }
+                }
+                prop_assert_eq!(counted.sync(), 0, "nothing pushed, nothing counted");
             }
         }
     }

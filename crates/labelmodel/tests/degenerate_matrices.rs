@@ -42,17 +42,14 @@ fn matrix(n: usize, cols: Vec<LfColumn>) -> LabelMatrix {
 /// The degenerate cases, by name.
 fn cases() -> Vec<(&'static str, LabelMatrix)> {
     vec![
-        (
-            "all-abstain columns",
-            matrix(N, vec![LfColumn::empty(), LfColumn::empty(), LfColumn::empty()]),
-        ),
+        ("all-abstain columns", matrix(N, vec![LfColumn::new(Vec::new()); 3])),
         ("single LF", matrix(N, vec![mixed()])),
         ("four duplicated LFs", matrix(N, vec![mixed(), mixed(), mixed(), mixed()])),
         (
             "two LF pairs voting opposite classes everywhere",
             matrix(N, vec![constant(N, 1), constant(N, 1), constant(N, -1), constant(N, -1)]),
         ),
-        ("0-example matrix", matrix(0, vec![LfColumn::empty(), LfColumn::empty()])),
+        ("0-example matrix", matrix(0, vec![LfColumn::new(Vec::new()); 2])),
     ]
 }
 

@@ -1,16 +1,15 @@
 //! Differential property test for the MeTaL/triplet pair-count cache.
 //!
-//! One long-lived [`PairCounts`] follows random sequences of column
-//! operations on two label matrices that share columns (clones keep their
-//! construction token): append a column, replace one with a fresh-token
-//! column (sometimes with the very same votes), truncate (down to 0, 1 and
-//! 2 LFs), push a clone of a sibling matrix's column, and switch to the
-//! sibling. After every step the
-//! fit from the cached counts must be bitwise the fit from scratch, and
-//! the cache must equal counts synced from empty.
+//! One long-lived [`CountedMatrix`] follows random sequences of the two
+//! things a grid slot's refined train matrix meets: appends (one or two
+//! columns between fits, the shape of a slot whose fit a round skipped)
+//! and restores (a fresh counted matrix built from the current columns,
+//! the shape of a restored session, followed by more appends). After
+//! every step the fit from the cached counts must be bitwise the fit from
+//! scratch, and the cache must equal counts synced from empty.
 
-use nemo_labelmodel::{LabelModel, PairCounts, TripletModel};
-use nemo_lf::{Label, LabelMatrix, LfColumn};
+use nemo_labelmodel::{CountedMatrix, LabelModel, TripletModel};
+use nemo_lf::{Label, LfColumn};
 use nemo_sparse::DetRng;
 use proptest::prelude::*;
 
@@ -28,12 +27,17 @@ fn random_column(labels: &[Label], seed: u64) -> LfColumn {
     LfColumn::new(entries)
 }
 
-fn matrix(n: usize, cols: &[LfColumn]) -> LabelMatrix {
-    let mut m = LabelMatrix::new(n);
+/// A counted matrix holding `cols`, nothing counted yet.
+fn counted(n: usize, cols: &[LfColumn]) -> CountedMatrix {
+    let mut m = CountedMatrix::new(n);
     for col in cols {
         m.push(col.clone());
     }
     m
+}
+
+fn n_pairs(m: usize) -> usize {
+    m * m.saturating_sub(1) / 2
 }
 
 fn bits(values: &[f64]) -> Vec<u64> {
@@ -42,19 +46,17 @@ fn bits(values: &[f64]) -> Vec<u64> {
 
 /// Fit through the cache and from scratch; both must agree bit for bit,
 /// and the cache must hold exactly the counts of a fresh sync.
-fn check_against_scratch(
-    m: &LabelMatrix,
-    counts: &mut PairCounts,
-    prior: [f64; 2],
-) -> Result<(), String> {
+fn check_against_scratch(m: &mut CountedMatrix, prior: [f64; 2]) -> Result<(), String> {
     let model = TripletModel::default();
-    let cached = model.fit_from(m, prior, counts);
-    let scratch = model.fit(m, prior);
+    let cached = model.fit_from(m, prior);
+    let scratch = model.fit(m.matrix(), prior);
     prop_assert_eq!(bits(cached.lf_accuracies()), bits(scratch.lf_accuracies()));
-    prop_assert_eq!(bits(cached.predict(m).p_pos_slice()), bits(scratch.predict(m).p_pos_slice()));
-    let mut fresh = PairCounts::default();
-    fresh.sync(m);
-    prop_assert!(*counts == fresh, "cached counts differ from a fresh sync");
+    let (cached, scratch) = (cached.predict(m.matrix()), scratch.predict(m.matrix()));
+    prop_assert_eq!(bits(cached.p_pos_slice()), bits(scratch.p_pos_slice()));
+    let cols: Vec<LfColumn> = m.matrix().columns().cloned().collect();
+    let mut fresh = counted(m.matrix().n_examples(), &cols);
+    fresh.sync();
+    prop_assert!(*m == fresh, "cached counts differ from a fresh sync");
     Ok(())
 }
 
@@ -70,57 +72,41 @@ proptest! {
         let mut rng = DetRng::new(seed);
         let labels: Vec<Label> = (0..n).map(|_| Label::from_bool(rng.bernoulli(0.5))).collect();
         let prior = [1.0 - prior_pos, prior_pos];
-        let mut lists: [Vec<LfColumn>; 2] = [Vec::new(), Vec::new()];
-        let mut active = 0usize;
-        let mut counts = PairCounts::default();
+        let mut cache = CountedMatrix::new(n);
 
         // Start from the 0-LF matrix.
-        let empty = matrix(n, &lists[active]);
-        prop_assert_eq!(counts.sync(&empty), 0);
-        check_against_scratch(&empty, &mut counts, prior)?;
+        prop_assert_eq!(cache.sync(), 0);
+        check_against_scratch(&mut cache, prior)?;
 
         for (op, param) in ops {
-            let mut appended = false;
-            let cols = &mut lists[active];
+            let before = cache.matrix().n_lfs();
             match op {
-                // Append a new column.
-                0 | 1 => {
-                    cols.push(random_column(&labels, param));
-                    appended = true;
+                // Append one column.
+                0..=2 => cache.push(random_column(&labels, param)),
+                // Append two columns before the next fit.
+                3 | 4 => {
+                    cache.push(random_column(&labels, param));
+                    cache.push(random_column(&labels, param ^ 0x5a5a));
                 }
-                // Replace a column with a fresh-token column; odd params
-                // keep the votes, so only the token says it changed.
-                2 if !cols.is_empty() => {
-                    let j = param as usize % cols.len();
-                    cols[j] = if param % 2 == 1 {
-                        LfColumn::new(cols[j].entries().to_vec())
-                    } else {
-                        random_column(&labels, param)
-                    };
+                // Restore: a fresh counted matrix of the current columns,
+                // then one more append.
+                _ => {
+                    let cols: Vec<LfColumn> = cache.matrix().columns().cloned().collect();
+                    cache = counted(n, &cols);
+                    cache.push(random_column(&labels, param));
                 }
-                // Truncate, often to 0, 1 or 2 LFs.
-                3 => {
-                    let keep = param as usize % (cols.len().min(3) + 1);
-                    cols.truncate(keep);
-                }
-                // Append a clone of a sibling matrix's column.
-                4 => {
-                    let other = &lists[1 - active];
-                    if let Some(col) = other.get(param as usize % other.len().max(1)) {
-                        let col = col.clone();
-                        lists[active].push(col);
-                    }
-                }
-                // Switch to the sibling matrix.
-                _ => active = 1 - active,
             }
-            let m = matrix(n, &lists[active]);
-            let recounted = counts.sync(&m);
-            if appended {
-                prop_assert_eq!(recounted, m.n_lfs() - 1, "an append recounts only its pairs");
+            let m = cache.matrix().n_lfs();
+            // An append counts only the new columns' pairs; a restored
+            // matrix counts every pair once.
+            let pending = if op == 5 { n_pairs(m) } else { n_pairs(m) - n_pairs(before) };
+            // Odd params sync before the fit; even ones let the fit sync.
+            if param % 2 == 1 {
+                prop_assert_eq!(cache.sync(), pending);
             }
-            prop_assert_eq!(counts.sync(&m), 0, "an unchanged matrix recounts nothing");
-            check_against_scratch(&m, &mut counts, prior)?;
+            check_against_scratch(&mut cache, prior)?;
+            prop_assert_eq!(cache.n_counted(), m);
+            prop_assert_eq!(cache.sync(), 0, "an unchanged matrix counts nothing");
         }
     }
 }
@@ -128,22 +114,11 @@ proptest! {
 #[test]
 fn append_recounts_only_the_new_column_pairs() {
     let labels: Vec<Label> = (0..40).map(|i| Label::from_bool(i % 3 != 0)).collect();
-    let mut cols = Vec::new();
-    let mut counts = PairCounts::default();
+    let mut cache = CountedMatrix::new(labels.len());
     for m in 1..=8u64 {
-        cols.push(random_column(&labels, m));
-        let mat = matrix(labels.len(), &cols);
-        assert_eq!(counts.sync(&mat), m as usize - 1, "append to {m} LFs");
-        assert_eq!(counts.sync(&mat), 0, "unchanged {m}-LF matrix");
-        assert_eq!(counts.n_columns(), m as usize);
+        cache.push(random_column(&labels, m));
+        assert_eq!(cache.sync(), m as usize - 1, "append to {m} LFs");
+        assert_eq!(cache.sync(), 0, "unchanged {m}-LF matrix");
+        assert_eq!(cache.n_counted(), m as usize);
     }
-    // Replacing one column of eight recounts its seven pairs.
-    cols[3] = random_column(&labels, 99);
-    assert_eq!(counts.sync(&matrix(labels.len(), &cols)), 7);
-    // Truncating recounts nothing; re-appending the old column recounts
-    // its pairs, since the counts for it were dropped.
-    let last = cols.pop().unwrap();
-    assert_eq!(counts.sync(&matrix(labels.len(), &cols)), 0);
-    cols.push(last);
-    assert_eq!(counts.sync(&matrix(labels.len(), &cols)), 7);
 }

@@ -92,6 +92,10 @@ mod tests {
     fn dedups_and_sorts() {
         let c = PrimitiveCorpus::new(vec![vec![3, 1, 3, 0]], 4);
         assert_eq!(c.primitives_of(0), &[0, 1, 3]);
+        // The index holds a duplicated primitive once.
+        let c = PrimitiveCorpus::new(vec![vec![1, 1, 1]], 2);
+        assert_eq!(c.index().postings(1), &[0]);
+        assert_eq!(c.total_postings(), 1);
     }
 
     #[test]

@@ -9,44 +9,12 @@
 use crate::apply::PrimitiveCorpus;
 use crate::label::Vote;
 use crate::lf::PrimitiveLf;
-// lint: allow(determinism/sync-primitives): process-unique construction
-// tokens for cache identity; they only gate cache validation and never
-// affect what any path computes.
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Source of process-unique [`LfColumn`] construction tokens.
-// lint: allow(determinism/sync-primitives): identity tokens only decide
-// whether a score cache may validate, never what any path computes.
-static NEXT_COLUMN_TOKEN: AtomicU64 = AtomicU64::new(1);
-
-fn fresh_token() -> u64 {
-    NEXT_COLUMN_TOKEN.fetch_add(1, Ordering::Relaxed)
-}
 
 /// One LF's non-abstain votes: sorted by example id, votes in `{−1, +1}`.
-///
-/// Columns are **value-immutable**: every construction stamps a
-/// process-unique `token` that acts as a cheap content-identity witness —
-/// two columns with equal tokens came from the same construction (clones
-/// share it) and therefore hold bitwise-equal entries. Equality is still
-/// defined on the entries — the token is only an `O(1)` fast path —
-/// which is what lets the label model's pair-count cache recognise a
-/// column it has already counted without rescanning it.
-#[derive(Debug, Clone, Eq)]
+/// Equality compares the entries.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LfColumn {
     entries: Vec<(u32, Vote)>,
-    token: u64,
-}
-
-impl PartialEq for LfColumn {
-    /// Content equality, with the construction-token shortcut: equal
-    /// tokens imply the same (immutable) construction, so the entry scan
-    /// is skipped. Distinct tokens fall back to comparing entries, so
-    /// independently built columns with the same votes still compare
-    /// equal — the semantics `tune_p`'s matrix dedup relies on.
-    fn eq(&self, other: &Self) -> bool {
-        self.token == other.token || self.entries == other.entries
-    }
 }
 
 impl LfColumn {
@@ -59,21 +27,13 @@ impl LfColumn {
         for &(_, v) in &entries {
             assert!(v == -1 || v == 1, "column vote must be ±1, got {v}");
         }
-        Self { entries, token: fresh_token() }
-    }
-
-    /// An empty (all-abstain) column.
-    pub fn empty() -> Self {
-        Self { entries: Vec::new(), token: fresh_token() }
+        Self { entries }
     }
 
     /// Materialize a primitive LF's column over a corpus.
     pub fn from_lf(lf: &PrimitiveLf, corpus: &PrimitiveCorpus) -> Self {
         let sign = lf.y.sign();
-        Self {
-            entries: lf.coverage(corpus).iter().map(|&i| (i, sign)).collect(),
-            token: fresh_token(),
-        }
+        Self { entries: lf.coverage(corpus).iter().map(|&i| (i, sign)).collect() }
     }
 
     /// Sorted `(example, vote)` entries.
@@ -96,18 +56,7 @@ impl LfColumn {
 
     /// Keep only entries whose example id satisfies `keep`.
     pub fn filtered(&self, mut keep: impl FnMut(u32) -> bool) -> Self {
-        Self {
-            entries: self.entries.iter().copied().filter(|&(i, _)| keep(i)).collect(),
-            token: fresh_token(),
-        }
-    }
-
-    /// Process-unique construction token. Equal tokens guarantee
-    /// bitwise-equal entries (clones share their source's token);
-    /// distinct tokens say nothing. Cross-round caches key on this to
-    /// detect "same raw column as last round" in `O(1)`.
-    pub fn token(&self) -> u64 {
-        self.token
+        Self { entries: self.entries.iter().copied().filter(|&(i, _)| keep(i)).collect() }
     }
 }
 
@@ -136,10 +85,9 @@ impl VoteSummary {
 
 /// The label matrix: `m` LF columns over `n` examples.
 ///
-/// Matrices grow by [`LabelMatrix::push`] and shrink by
-/// [`LabelMatrix::truncate`]; columns are never edited in place, so a
-/// column's construction token stays a valid cache key for as long as it
-/// sits in the matrix.
+/// Matrices only grow, by [`LabelMatrix::push`], and columns are never
+/// edited in place, so the first `m` columns of a matrix stay the same
+/// for as long as it lives.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LabelMatrix {
     columns: Vec<LfColumn>,
@@ -172,12 +120,6 @@ impl LabelMatrix {
             );
         }
         self.columns.push(col);
-    }
-
-    /// Keep the first `m` columns and drop the rest (no-op when the
-    /// matrix has `m` or fewer).
-    pub fn truncate(&mut self, m: usize) {
-        self.columns.truncate(m);
     }
 
     /// Number of examples `n`.
@@ -334,33 +276,17 @@ mod tests {
     }
 
     #[test]
-    fn tokens_unique_per_construction_shared_by_clones() {
+    fn content_equal_columns_and_matrices_compare_equal() {
         let a = LfColumn::new(vec![(0, 1), (2, -1)]);
-        let b = LfColumn::new(vec![(0, 1), (2, -1)]);
-        assert_ne!(a.token(), b.token(), "constructions must get distinct tokens");
-        assert_eq!(a, b, "content equality must ignore tokens");
-        let c = a.clone();
-        assert_eq!(c.token(), a.token(), "clones share the construction token");
-        assert_eq!(c, a);
-        let f = a.filtered(|_| true);
-        assert_ne!(f.token(), a.token(), "filtering is a new construction");
-        assert_eq!(f, a, "identity filter preserves content equality");
-        // Matrices keep the tokens of what is pushed onto them: clones of
-        // one construction on two matrices share its token, and so does a
-        // clone of either matrix; a matrix holding another construction of
-        // the same votes compares equal by content.
-        let (mut m, mut n, mut o) = (LabelMatrix::new(3), LabelMatrix::new(3), LabelMatrix::new(3));
+        let b = LfColumn::new(vec![(2, -1), (0, 1)]);
+        assert_eq!(a, b, "two constructions of the same votes");
+        assert_eq!(a.clone(), a);
+        assert_eq!(a.filtered(|_| true), a, "identity filter");
+        let (mut m, mut n) = (LabelMatrix::new(3), LabelMatrix::new(3));
         m.push(a.clone());
-        n.push(a.clone());
-        o.push(b);
-        assert_eq!(m.column(0).token(), a.token(), "push keeps the token");
-        assert_eq!(n.column(0).token(), a.token(), "push keeps the token");
-        assert_eq!(m, n);
-        let snap = m.clone();
-        assert_eq!(snap.column(0).token(), a.token(), "matrix clones keep the tokens");
-        assert_eq!(snap, n);
-        assert_ne!(o.column(0).token(), a.token());
-        assert_eq!(o, m, "matrix equality compares content");
+        n.push(b);
+        assert_eq!(m, n, "matrix equality compares content");
+        assert_eq!(m.clone(), n);
     }
 
     #[test]
@@ -400,21 +326,6 @@ mod tests {
         wide.push(LfColumn::new(vec![(5, 1)]));
         let mut narrow = LabelMatrix::new(2);
         narrow.push(wide.column(0).clone());
-    }
-
-    #[test]
-    fn truncate_keeps_leading_columns_and_their_tokens() {
-        let mut m = LabelMatrix::new(10);
-        m.push(LfColumn::new(vec![(0, 1), (4, -1)]));
-        m.push(LfColumn::new(vec![(2, 1)]));
-        let token = m.column(0).token();
-        m.truncate(5);
-        assert_eq!(m.n_lfs(), 2, "truncating past the end is a no-op");
-        m.truncate(1);
-        assert_eq!(m.n_lfs(), 1);
-        assert_eq!(m.column(0).entries(), &[(0, 1), (4, -1)]);
-        assert_eq!(m.column(0).token(), token, "kept columns keep their tokens");
-        assert_eq!(m.covered_examples(), vec![0, 4]);
     }
 
     proptest! {

@@ -7,8 +7,6 @@
 //! aggregates are computed in one pass over the index postings — `O(nnz)`
 //! total.
 
-use crate::csr::CsrMatrix;
-
 /// Immutable inverted index from feature/primitive id to the sorted example
 /// ids containing it.
 #[derive(Debug, Clone)]
@@ -20,30 +18,11 @@ pub struct InvertedIndex {
 }
 
 impl InvertedIndex {
-    /// Build from per-document primitive-id lists.
-    ///
-    /// `docs[i]` is the set of primitive ids present in example `i`
-    /// (duplicates allowed; they are collapsed). `n_primitives` is the size
-    /// of the primitive domain `Z`.
-    pub fn from_docs(docs: &[Vec<u32>], n_primitives: usize) -> Self {
-        let dedup: Vec<Vec<u32>> = docs
-            .iter()
-            .map(|d| {
-                let mut ids = d.clone();
-                ids.sort_unstable();
-                ids.dedup();
-                ids
-            })
-            .collect();
-        Self::from_sorted_docs(&dedup, n_primitives)
-    }
-
-    /// Build from per-document primitive-id lists that are already sorted
-    /// and deduplicated, skipping the normalization copy `from_docs` pays.
-    ///
-    /// This is the path `PrimitiveCorpus` uses after normalizing its own
-    /// document lists, so corpus construction sorts each
-    /// list exactly once.
+    /// Build from per-document primitive-id lists, each sorted and
+    /// deduplicated: `docs[i]` is the set of primitive ids present in
+    /// example `i`, and `n_primitives` is the size of the primitive domain
+    /// `Z`. `PrimitiveCorpus` normalizes its own document lists and builds
+    /// through here, so corpus construction sorts each list exactly once.
     pub fn from_sorted_docs(docs: &[Vec<u32>], n_primitives: usize) -> Self {
         let mut counts = vec![0usize; n_primitives];
         for d in docs {
@@ -67,24 +46,6 @@ impl InvertedIndex {
             }
         }
         Self { offsets, postings, n_docs: docs.len() }
-    }
-
-    /// Build from the non-zero pattern of a CSR feature matrix.
-    ///
-    /// CSR rows already hold strictly-increasing column ids, so this is a
-    /// direct counting sort over the stored pattern — no intermediate
-    /// per-document id lists are materialized.
-    pub fn from_csr(m: &CsrMatrix) -> Self {
-        let offsets = m.column_offsets();
-        let mut cursor = offsets.clone();
-        let mut postings = vec![0u32; offsets[m.n_cols()]];
-        for (doc_id, row) in m.rows().enumerate() {
-            for &z in row.indices {
-                postings[cursor[z as usize]] = doc_id as u32;
-                cursor[z as usize] += 1;
-            }
-        }
-        Self { offsets, postings, n_docs: m.n_rows() }
     }
 
     /// Number of primitives in the domain.
@@ -126,13 +87,12 @@ impl InvertedIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::csr::SparseVec;
     use proptest::prelude::*;
 
     #[test]
     fn basic_postings() {
-        let docs = vec![vec![0, 2], vec![2], vec![1, 2, 1]];
-        let idx = InvertedIndex::from_docs(&docs, 4);
+        let docs = vec![vec![0, 2], vec![2], vec![1, 2]];
+        let idx = InvertedIndex::from_sorted_docs(&docs, 4);
         assert_eq!(idx.postings(0), &[0]);
         assert_eq!(idx.postings(1), &[2]);
         assert_eq!(idx.postings(2), &[0, 1, 2]);
@@ -140,24 +100,7 @@ mod tests {
         assert_eq!(idx.df(2), 3);
         assert_eq!(idx.n_docs(), 3);
         assert_eq!(idx.n_primitives(), 4);
-    }
-
-    #[test]
-    fn duplicates_collapsed() {
-        let docs = vec![vec![1, 1, 1]];
-        let idx = InvertedIndex::from_docs(&docs, 2);
-        assert_eq!(idx.postings(1), &[0]);
-        assert_eq!(idx.total_postings(), 1);
-    }
-
-    #[test]
-    fn from_csr_matches_from_docs() {
-        let rows = vec![
-            SparseVec::from_pairs(vec![(0, 1.0), (2, 0.5)], 4),
-            SparseVec::from_pairs(vec![(2, 2.0)], 4),
-        ];
-        let m = CsrMatrix::from_rows(&rows, 4);
-        let idx = InvertedIndex::from_csr(&m);
+        let idx = InvertedIndex::from_sorted_docs(&[vec![0, 2], vec![2]], 4);
         assert_eq!(idx.postings(2), &[0, 1]);
         assert_eq!(idx.postings(0), &[0]);
     }
@@ -165,7 +108,7 @@ mod tests {
     #[test]
     fn iter_nonempty_skips_empty() {
         let docs = vec![vec![0], vec![3]];
-        let idx = InvertedIndex::from_docs(&docs, 5);
+        let idx = InvertedIndex::from_sorted_docs(&docs, 5);
         let zs: Vec<u32> = idx.iter_nonempty().map(|(z, _)| z).collect();
         assert_eq!(zs, vec![0, 3]);
     }
@@ -176,7 +119,16 @@ mod tests {
             docs in proptest::collection::vec(
                 proptest::collection::vec(0u32..20, 0..10), 0..15),
         ) {
-            let idx = InvertedIndex::from_docs(&docs, 20);
+            let sorted: Vec<Vec<u32>> = docs
+                .iter()
+                .map(|d| {
+                    let mut ids = d.clone();
+                    ids.sort_unstable();
+                    ids.dedup();
+                    ids
+                })
+                .collect();
+            let idx = InvertedIndex::from_sorted_docs(&sorted, 20);
             // Postings are sorted & unique.
             for z in 0..20u32 {
                 let p = idx.postings(z);

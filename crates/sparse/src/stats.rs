@@ -43,7 +43,15 @@ pub fn percentile(values: &[f64], p: f64) -> f64 {
     let mut sorted = values.to_vec();
     // invariant: inputs are distances, which the kernels keep finite.
     sorted.sort_unstable_by(|a, b| a.partial_cmp(b).expect("NaN in percentile input"));
-    percentile_of_sorted(&sorted, p)
+    let rank = p / 100.0 * (sorted.len() - 1) as f64;
+    let lo = rank.floor() as usize;
+    let hi = rank.ceil() as usize;
+    if lo == hi {
+        sorted[lo]
+    } else {
+        let frac = rank - lo as f64;
+        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+    }
 }
 
 /// [`percentile`] at every `p` of `ps` (any order, duplicates allowed),
@@ -61,7 +69,7 @@ pub fn percentile(values: &[f64], p: f64) -> f64 {
 pub fn percentiles(values: &[f64], ps: &[f64]) -> Vec<f64> {
     assert!(!values.is_empty(), "percentile of empty slice");
     let last = values.len() - 1;
-    // (lo, hi, frac) per p, exactly as `percentile_of_sorted` derives them.
+    // (lo, hi, frac) per p, exactly as `percentile` derives them.
     let spans: Vec<(usize, usize, f64)> = ps
         .iter()
         .map(|&p| {
@@ -93,28 +101,6 @@ pub fn percentiles(values: &[f64], ps: &[f64]) -> Vec<f64> {
         }
     };
     spans.into_iter().map(interpolate).collect()
-}
-
-/// `percentile` over an already-sorted slice (ascending). Use when the same
-/// distance vector is queried at several `p` values.
-///
-/// Panics on empty input, like [`percentile`] — guard possibly-empty
-/// inputs at the caller's boundary.
-pub fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
-    assert!(!sorted.is_empty(), "percentile of empty slice");
-    assert!((0.0..=100.0).contains(&p), "percentile p out of range: {p}");
-    if sorted.len() == 1 {
-        return sorted[0];
-    }
-    let rank = p / 100.0 * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    if lo == hi {
-        sorted[lo]
-    } else {
-        let frac = rank - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-    }
 }
 
 /// Numerically-stable log-sum-exp.
@@ -422,13 +408,12 @@ mod tests {
 
         #[test]
         fn prop_percentile_monotone_in_p(
-            mut v in proptest::collection::vec(-100.0f64..100.0, 2..40),
+            v in proptest::collection::vec(-100.0f64..100.0, 2..40),
             p1 in 0.0f64..=100.0,
             p2 in 0.0f64..=100.0,
         ) {
-            v.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap());
             let (lo, hi) = if p1 <= p2 { (p1, p2) } else { (p2, p1) };
-            prop_assert!(percentile_of_sorted(&v, lo) <= percentile_of_sorted(&v, hi) + 1e-12);
+            prop_assert!(percentile(&v, lo) <= percentile(&v, hi) + 1e-12);
         }
 
         #[test]
