@@ -18,16 +18,16 @@ pub struct InvertedIndex {
 }
 
 impl InvertedIndex {
-    /// Build from per-document primitive-id lists, each sorted and
-    /// deduplicated: `docs[i]` is the set of primitive ids present in
-    /// example `i`, and `n_primitives` is the size of the primitive domain
+    /// Build from per-document primitive-id lists, each sorted: `docs[i]`
+    /// lists the primitive ids present in example `i` (a repeated id is
+    /// collapsed), and `n_primitives` is the size of the primitive domain
     /// `Z`. `PrimitiveCorpus` normalizes its own document lists and builds
     /// through here, so corpus construction sorts each list exactly once.
     pub fn from_sorted_docs(docs: &[Vec<u32>], n_primitives: usize) -> Self {
         let mut counts = vec![0usize; n_primitives];
         for d in docs {
-            debug_assert!(d.windows(2).all(|w| w[0] < w[1]), "doc list not sorted/deduped");
-            for &z in d {
+            debug_assert!(d.windows(2).all(|w| w[0] <= w[1]), "doc list not sorted");
+            for z in distinct(d) {
                 assert!((z as usize) < n_primitives, "primitive {z} out of domain");
                 counts[z as usize] += 1;
             }
@@ -40,7 +40,7 @@ impl InvertedIndex {
         let mut cursor = offsets.clone();
         let mut postings = vec![0u32; offsets[n_primitives]];
         for (doc_id, ids) in docs.iter().enumerate() {
-            for &z in ids {
+            for z in distinct(ids) {
                 postings[cursor[z as usize]] = doc_id as u32;
                 cursor[z as usize] += 1;
             }
@@ -84,9 +84,15 @@ impl InvertedIndex {
     }
 }
 
+/// The ids of a sorted list, each once.
+fn distinct(sorted: &[u32]) -> impl Iterator<Item = u32> + '_ {
+    sorted.iter().enumerate().filter(move |&(i, z)| i == 0 || sorted[i - 1] != *z).map(|(_, &z)| z)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::{CsrMatrix, SparseVec};
     use proptest::prelude::*;
 
     #[test]
@@ -100,9 +106,35 @@ mod tests {
         assert_eq!(idx.df(2), 3);
         assert_eq!(idx.n_docs(), 3);
         assert_eq!(idx.n_primitives(), 4);
-        let idx = InvertedIndex::from_sorted_docs(&[vec![0, 2], vec![2]], 4);
+    }
+
+    #[test]
+    fn duplicates_collapsed() {
+        let docs = vec![vec![1, 1, 1]];
+        let idx = InvertedIndex::from_sorted_docs(&docs, 2);
+        assert_eq!(idx.postings(1), &[0]);
+        assert_eq!(idx.total_postings(), 1);
+    }
+
+    #[test]
+    fn from_csr_matches_from_docs() {
+        // A CSR row's column ids are strictly increasing, so they are a
+        // valid document list; the index over them matches the one over the
+        // same ids written out.
+        let rows = vec![
+            SparseVec::from_pairs(vec![(0, 1.0), (2, 0.5)], 4),
+            SparseVec::from_pairs(vec![(2, 2.0)], 4),
+        ];
+        let m = CsrMatrix::from_rows(&rows, 4);
+        let csr_docs: Vec<Vec<u32>> = m.rows().map(|r| r.indices.to_vec()).collect();
+        let idx = InvertedIndex::from_sorted_docs(&csr_docs, m.n_cols());
+        let docs = InvertedIndex::from_sorted_docs(&[vec![0, 2], vec![2]], 4);
+        for z in 0..4u32 {
+            assert_eq!(idx.postings(z), docs.postings(z));
+        }
         assert_eq!(idx.postings(2), &[0, 1]);
         assert_eq!(idx.postings(0), &[0]);
+        assert_eq!(idx.n_docs(), m.n_rows());
     }
 
     #[test]
@@ -124,7 +156,6 @@ mod tests {
                 .map(|d| {
                     let mut ids = d.clone();
                     ids.sort_unstable();
-                    ids.dedup();
                     ids
                 })
                 .collect();
