@@ -1,21 +1,21 @@
 //! Microbenchmarks of the hot kernels (docs/ARCHITECTURE.md, "The bench /
 //! CI gate contract"), harness-free and machine-readable.
 //!
-//! Two kinds of measurement:
+//! One timing protocol: every row is a closure that does the same work on
+//! every call. [`trials`] sizes each row's batch once, then runs all rows
+//! round-robin for [`TRIALS`] interleaved trials (alternating direction),
+//! and records each row's per-call median and quartiles over the trials.
+//! Every gate is the median of a per-trial ratio between two rows; both
+//! rows of a pair run in the same round-robin pass, so a host that slows
+//! down between passes slows both sides of the ratio.
 //!
-//! - **Kernel timings** — SEU scoring (the from-scratch aggregate fold
-//!   plus `SeuSelector::scores` over the whole pool vs the naive
-//!   per-example reference), label-model fitting, end-model fitting,
-//!   TF-IDF transformation, distance point-to-all, and LF application.
-//! - **The interactive-loop headline** — a recorded 25-round SEU
-//!   trajectory is replayed twice, both times scoring the pool through
-//!   `SeuSelector::scores`: once folding fresh aggregates every round
-//!   (`SeuAggregates::new`) and once delta-syncing a single
-//!   [`SeuAggregates`] (what `Session` does). Score checksums are asserted
-//!   equal; the ratio isolates the delta sync from the rebuild.
+//! Correctness checks run unconditionally before timing: the two SEU
+//! replays agree on their score checksum, the reloaded dataset artifact
+//! is byte-identical to the saved one, and a pooled session retraces a
+//! direct one bit for bit. `NEMO_BENCH_ENFORCE` arms the perf gates.
 //!
-//! Results are printed as a table and written to `BENCH_kernel.json` so
-//! successive PRs can track the perf trajectory.
+//! Results are printed as a table and written to `BENCH_kernel.json` at
+//! the repo root.
 
 use std::time::Instant;
 
@@ -31,43 +31,106 @@ use nemo_data::catalog::{build, DatasetName, Profile};
 use nemo_data::{Dataset, Rows};
 use nemo_endmodel::LogisticRegression;
 use nemo_labelmodel::{LabelModel, TripletModel};
-use nemo_lf::{LabelMatrix, Lineage, PrimitiveLf};
-use nemo_persist::{
-    artifact_to_bytes, load_artifact, save_artifact, ArtifactBundle, EncodedCheckpointStore,
-};
+use nemo_lf::{LabelMatrix, LfColumn, Lineage, PrimitiveLf};
+use nemo_persist::{artifact_to_bytes, load_artifact, save_artifact, ArtifactBundle};
 use nemo_sparse::stats::percentiles;
-use nemo_sparse::{DetRng, Distance};
+use nemo_sparse::DetRng;
 use nemo_text::TfIdf;
 
-/// One timed kernel: the mean and min per-call time of one adaptively
-/// sized batch of calls (one run, no repeated trials).
-struct BenchResult {
+/// Interleaved trials per row.
+const TRIALS: usize = 15;
+/// Time target of one row's batch in one trial.
+const TRIAL_NS: f64 = 20e6;
+/// Rounds each `session_pool` row drives.
+const POOL_ROUNDS: usize = 3;
+/// Rounds of the recorded SEU trajectory the `seu_loop` rows replay.
+const REPLAY_ROUNDS: usize = 25;
+
+/// One timed kernel: a closure doing the same work on every call.
+struct Row<'a> {
     name: &'static str,
-    iters: u32,
-    mean_ns: f64,
-    min_ns: f64,
+    run: Box<dyn FnMut() + 'a>,
 }
 
-/// Time `f` adaptively: warm up, then run batches until ~80ms of samples
-/// (capped) and report mean/min per-call time.
-fn bench<R>(name: &'static str, mut f: impl FnMut() -> R) -> BenchResult {
-    // Warmup + calibration: how many calls fit in a batch.
-    let start = Instant::now();
-    std::hint::black_box(f());
-    let once_ns = start.elapsed().as_nanos().max(1) as f64;
-    let target_total_ns = 80_000_000.0;
-    let iters = (target_total_ns / once_ns).clamp(3.0, 3000.0) as u32;
-
-    let mut min_ns = f64::INFINITY;
-    let mut total_ns = 0.0;
-    for _ in 0..iters {
-        let t = Instant::now();
-        std::hint::black_box(f());
-        let ns = t.elapsed().as_nanos() as f64;
-        total_ns += ns;
-        min_ns = min_ns.min(ns);
+/// A row timing `f`, whose result goes through `black_box`.
+fn row<'a, R>(name: &'static str, mut f: impl FnMut() -> R + 'a) -> Row<'a> {
+    Row {
+        name,
+        run: Box::new(move || {
+            std::hint::black_box(f());
+        }),
     }
-    BenchResult { name, iters, mean_ns: total_ns / iters as f64, min_ns }
+}
+
+/// A row's per-call time in each trial.
+struct Timed {
+    name: &'static str,
+    iters: u32,
+    per_call_ns: Vec<f64>,
+}
+
+/// Median and quartiles of a sample.
+struct Spread {
+    q1: f64,
+    median: f64,
+    q3: f64,
+}
+
+fn spread(sample: &[f64]) -> Spread {
+    let q = percentiles(sample, &[25.0, 50.0, 75.0]);
+    Spread { q1: q[0], median: q[1], q3: q[2] }
+}
+
+/// The one timing function: warm and calibrate each row once (a batch of
+/// `iters` calls fills about [`TRIAL_NS`]), then time every row's batch in
+/// each of [`TRIALS`] round-robin passes, reversing the row order after
+/// every pass so no row always follows the same neighbour.
+fn trials(mut rows: Vec<Row<'_>>) -> Vec<Timed> {
+    let iters: Vec<u32> = rows
+        .iter_mut()
+        .map(|r| {
+            (r.run)();
+            let t = Instant::now();
+            (r.run)();
+            let once_ns = t.elapsed().as_nanos().max(1) as f64;
+            (TRIAL_NS / once_ns).clamp(1.0, 10_000.0) as u32
+        })
+        .collect();
+    let mut per_call_ns = vec![Vec::with_capacity(TRIALS); rows.len()];
+    let mut order: Vec<usize> = (0..rows.len()).collect();
+    for _ in 0..TRIALS {
+        for &i in &order {
+            let t = Instant::now();
+            for _ in 0..iters[i] {
+                (rows[i].run)();
+            }
+            per_call_ns[i].push(t.elapsed().as_nanos() as f64 / iters[i] as f64);
+        }
+        order.reverse();
+    }
+    rows.iter()
+        .zip(iters)
+        .zip(per_call_ns)
+        .map(|((r, iters), per_call_ns)| Timed { name: r.name, iters, per_call_ns })
+        .collect()
+}
+
+fn timed<'t>(timings: &'t [Timed], name: &str) -> &'t Timed {
+    timings.iter().find(|t| t.name == name).expect("row timed")
+}
+
+/// The median and quartiles of `numer`'s per-trial time over `denom`'s,
+/// printed.
+fn paired_ratio(timings: &[Timed], numer: &str, denom: &str) -> Spread {
+    let (a, b) = (timed(timings, numer), timed(timings, denom));
+    let r =
+        spread(&a.per_call_ns.iter().zip(&b.per_call_ns).map(|(x, y)| x / y).collect::<Vec<_>>());
+    println!("  {numer} / {denom}: {:.2} ({:.2}–{:.2})", r.median, r.q1, r.q3);
+    r
+}
+
+fn ratio_json(r: &Spread) -> String {
+    format!("{{\"median\": {:.4}, \"q1\": {:.4}, \"q3\": {:.4}}}", r.median, r.q1, r.q3)
 }
 
 fn human(ns: f64) -> String {
@@ -96,62 +159,8 @@ fn prepared_session(ds: &Dataset) -> Session<'_> {
     session
 }
 
-fn kernel_benches(ds: &Dataset, results: &mut Vec<BenchResult>) {
-    let session = prepared_session(ds);
-    let excluded = vec![false; ds.train.n()];
-    let view = SelectionView { excluded: &excluded, ..session.view() };
-    let selector = SeuSelector::new();
-
-    // What a round pays from scratch: fold the aggregates, then score
-    // every example through the per-round table.
-    let all: Vec<usize> = (0..ds.train.n()).collect();
-    results.push(bench("seu_fast_path_full_pool", || {
-        let aggs = SeuAggregates::new(ds, view.outputs);
-        let scores = selector.scores(&SelectionView { aggs: &aggs, ..view }, &all);
-        scores.into_iter().fold(f64::NEG_INFINITY, f64::max)
-    }));
-
-    results.push(bench("seu_naive_100_examples", || {
-        let mut best = f64::NEG_INFINITY;
-        for x in 0..100.min(ds.train.n()) {
-            best = best.max(selector.expected_utility_naive(&view, x));
-        }
-        best
-    }));
-
-    let matrix = session.matrix().clone();
-    results
-        .push(bench("labelmodel_triplet_fit", || TripletModel::default().fit(&matrix, [0.5, 0.5])));
-
-    // The end-model fit each round runs: default SGD over the train rows
-    // the label model covers, against its train posterior.
-    let covered = session.matrix().covered_examples();
-    let targets = session.outputs().train_posterior.p_pos_slice();
-    results.push(bench("endmodel_fit", || {
-        LogisticRegression::default().fit(ds.train.features.csr(), targets, Some(&covered), 1)
-    }));
-
-    // Distance query: the naive row-major scan vs `Features::distances`
-    // (the inverted-index kernel on these sparse features), both
-    // allocating their output.
-    let features = &ds.train.features;
-    let (csr, norms) = (features.csr(), features.sq_norms());
-    let mut pivot = 0usize;
-    results.push(bench("distance_point_to_all_cosine", || {
-        pivot = (pivot + 1) % ds.train.n();
-        Distance::Cosine.sparse_naive(&csr.row(pivot), norms[pivot], csr, norms)[pivot]
-    }));
-    results.push(bench("distance_point_to_all_indexed", || {
-        pivot = (pivot + 1) % ds.train.n();
-        features.distances(Distance::Cosine, pivot, features, Rows::All)[pivot]
-    }));
-
-    // Contextualizer registration: 32 simulated-user LFs' train and valid
-    // distances computed by the naive scan, with the grid radii selected
-    // from each train vector as registration does (the pre-index
-    // behaviour, now the oracle), vs `Contextualizer::sync` registering
-    // the same LFs, which queries `Features::distances`. Both sides select
-    // the same radii, so the ratio measures the indexed kernel.
+/// 32 simulated-user LFs, developed on every seventh example.
+fn simulated_lineage(ds: &Dataset) -> Lineage {
     let mut rng = DetRng::new(13);
     let mut user = SimulatedUser::default();
     let mut lineage = Lineage::new();
@@ -164,77 +173,51 @@ fn kernel_benches(ds: &Dataset, results: &mut Vec<BenchResult>) {
         }
         x = (x + 7) % ds.train.n();
     }
-    let ContextualizerConfig { distance: dist, p_grid } = ContextualizerConfig::default();
-    results.push(bench("contextualizer_register_per_lf", || {
-        let mut lens = 0;
-        for rec in lineage.tracked() {
-            let pivot = rec.dev_example as usize;
-            let train = features.distances_naive(dist, pivot, features);
-            let valid = features.distances_naive(dist, pivot, &ds.valid.features);
-            lens += train.len() + valid.len() + percentiles(&train, &p_grid).len();
-        }
-        lens
-    }));
-    results.push(bench("contextualizer_register_batch", || {
-        let mut ctx = Contextualizer::new(ContextualizerConfig::default());
-        ctx.sync(&lineage, ds);
-        ctx.n_registered()
-    }));
-
-    // TF-IDF transform over synthetic id-sequences.
-    let mut rng = DetRng::new(9);
-    let docs: Vec<Vec<u32>> =
-        (0..500).map(|_| (0..30).map(|_| rng.index(800) as u32).collect()).collect();
-    let model = TfIdf::default().fit(&docs, 800);
-    results.push(bench("tfidf_transform_500_docs", || model.transform(&docs)));
-
-    let mut rng = DetRng::new(11);
-    let lfs: Vec<PrimitiveLf> = (0..50)
-        .map(|_| {
-            PrimitiveLf::new(
-                rng.index(ds.n_primitives) as u32,
-                nemo_lf::Label::from_bool(rng.bernoulli(0.5)),
-            )
-        })
-        .collect();
-    results
-        .push(bench("label_matrix_from_50_lfs", || LabelMatrix::from_lfs(&lfs, &ds.train.corpus)));
-
-    results.push(bench("model_outputs_initial", || ModelOutputs::initial(ds)));
+    lineage
 }
 
-/// Replay statistics for one aggregate-maintenance mode.
-struct LoopStats {
-    total_ns: f64,
-    rounds: usize,
-    checksum: f64,
+/// Record a real SEU trajectory of model outputs.
+fn record_trajectory(ds: &Dataset) -> Vec<ModelOutputs> {
+    let config = IdpConfig {
+        n_iterations: REPLAY_ROUNDS,
+        eval_every: REPLAY_ROUNDS,
+        seed: 7,
+        ..Default::default()
+    };
+    let mut session = Session::new(ds, config);
+    let mut selector = SeuSelector::new();
+    let mut user = SimulatedUser::default();
+    let mut pipeline = StandardPipeline;
+    let mut trajectory = vec![session.outputs().clone()];
+    for _ in 0..REPLAY_ROUNDS {
+        session.round(&mut selector, &mut user, &mut pipeline).expect("round resolves");
+        trajectory.push(session.outputs().clone());
+    }
+    trajectory
 }
 
-/// Replay a recorded trajectory of model outputs, scoring the whole pool
-/// each round through [`SeuSelector::scores`] over aggregates kept one of
-/// two ways:
-///
-/// - **rebuild** (`incremental = false`): fold fresh aggregates every
-///   round with [`SeuAggregates::new`];
-/// - **incremental**: delta-sync one [`SeuAggregates`], as `Session` does.
+/// Replay `trajectory`, scoring the whole pool each round through
+/// [`SeuSelector::scores`] over aggregates either folded fresh every round
+/// (`delta_sync = false`) or delta-synced from a copy of `initial`, as
+/// `Session` does. Returns the score checksum and the synced aggregates.
 fn replay(
     ds: &Dataset,
     trajectory: &[ModelOutputs],
-    incremental: bool,
-) -> (LoopStats, SeuAggregates) {
+    initial: &SeuAggregates,
+    delta_sync: bool,
+) -> (f64, SeuAggregates) {
     let selector = SeuSelector::new();
     let excluded = vec![false; ds.train.n()];
     let avail: Vec<usize> = (0..ds.train.n()).collect();
-    let lineage = nemo_lf::Lineage::new();
+    let lineage = Lineage::new();
     let matrix = LabelMatrix::new(ds.train.n());
-    let mut cache = SeuAggregates::new(ds, &trajectory[0]);
+    let mut synced = initial.clone();
     let mut checksum = 0.0;
-    let start = Instant::now();
     for outputs in &trajectory[1..] {
         let rebuilt;
-        let aggs = if incremental {
-            cache.sync(ds, outputs);
-            &cache
+        let aggs = if delta_sync {
+            synced.sync(ds, outputs);
+            &synced
         } else {
             rebuilt = SeuAggregates::new(ds, outputs);
             &rebuilt
@@ -250,97 +233,178 @@ fn replay(
         let scores = selector.scores(&view, &avail);
         checksum += scores.iter().copied().filter(|s| s.is_finite()).sum::<f64>();
     }
-    let total_ns = start.elapsed().as_nanos() as f64;
-    (LoopStats { total_ns, rounds: trajectory.len() - 1, checksum }, cache)
+    (checksum, synced)
 }
 
-/// Record a real 25-round SEU trajectory with the session engine.
-fn record_trajectory(ds: &Dataset) -> Vec<ModelOutputs> {
-    let config = IdpConfig { n_iterations: 25, eval_every: 25, seed: 7, ..Default::default() };
-    let mut session = Session::new(ds, config);
-    let mut selector = SeuSelector::new();
+/// Selections and final train-posterior bits of one session.
+type Trace = (Vec<Option<usize>>, Vec<u64>);
+
+fn posterior_bits(nemo: &NemoSystem<'_>) -> Vec<u64> {
+    nemo.outputs().train_posterior.p_pos_slice().iter().map(|p| p.to_bits()).collect()
+}
+
+/// [`POOL_ROUNDS`] rounds driven on a bare `NemoSystem`.
+fn direct_session(arts: &SharedArtifacts, config: &IdpConfig) -> Trace {
+    let mut nemo = NemoSystem::new(arts.dataset(), config.clone());
     let mut user = SimulatedUser::default();
-    let mut pipeline = StandardPipeline;
-    let mut trajectory = vec![session.outputs().clone()];
-    for _ in 0..25 {
-        session.round(&mut selector, &mut user, &mut pipeline).expect("round resolves");
-        trajectory.push(session.outputs().clone());
-    }
-    trajectory
+    let selections = (0..POOL_ROUNDS)
+        .map(|_| nemo.step_with_user(&mut user).expect("direct round").selected)
+        .collect();
+    (selections, posterior_bits(&nemo))
 }
 
-/// Measure aggregate maintenance + full-pool scoring under both modes
-/// over a recorded real trajectory.
-fn seu_loop_bench(ds: &Dataset, trajectory: &[ModelOutputs]) -> String {
-    // Warm both paths once, then measure.
-    let _ = replay(ds, trajectory, false);
-    let _ = replay(ds, trajectory, true);
-    let (naive, _) = replay(ds, trajectory, false);
-    let (incr, cache) = replay(ds, trajectory, true);
-    assert!(
-        (naive.checksum - incr.checksum).abs() <= 1e-9 * naive.checksum.abs().max(1.0),
-        "incremental replay diverged: {} vs {}",
-        naive.checksum,
-        incr.checksum
-    );
+/// The same rounds driven through a `SessionPool` holding one session.
+fn pooled_session(arts: &SharedArtifacts, config: &IdpConfig) -> Trace {
+    let mut pool = SessionPool::new(arts, PoolConfig::default());
+    let id = pool.admit(config.clone()).expect("admit session");
+    let mut user = SimulatedUser::default();
+    let selections = (0..POOL_ROUNDS)
+        .map(|_| {
+            let outcomes = pool.run_rounds(&mut [RoundJob::new(id, &mut user)]).expect("round");
+            outcomes[0].record.selected
+        })
+        .collect();
+    (selections, pool.with_session(id, posterior_bits).expect("inspect pooled session"))
+}
 
-    let speedup = naive.total_ns / incr.total_ns;
-    let (rebuilds, deltas) = cache.sync_counts();
-    // The construction is the first rebuild; the rest are fallbacks.
-    let fallbacks = rebuilds - 1;
-    println!(
-        "\nSEU interactive-loop aggregate maintenance ({} rounds, full-pool scoring):",
-        naive.rounds
-    );
-    println!("  full rebuild per round : {}", human(naive.total_ns / naive.rounds as f64));
-    println!("  incremental delta-sync : {}", human(incr.total_ns / incr.rounds as f64));
-    println!(
-        "  speedup                : {speedup:.2}x  ({deltas} delta syncs, \
-         {fallbacks} rebuild fallbacks)"
-    );
+/// The sparse-distance engine: the indexed distance query vs the naive
+/// row-major scan over 16 fixed pivots, and `Contextualizer::sync`
+/// registering 32 LFs vs the naive registration oracle.
+fn distance_engine_summary(timings: &[Timed]) -> String {
+    let indexed = paired_ratio(timings, "distance_naive_16_pivots", "distance_indexed_16_pivots");
+    let register = paired_ratio(timings, "register_naive_32_lfs", "register_batch_32_lfs");
     if std::env::var("NEMO_BENCH_ENFORCE").is_ok() {
-        // Committed numbers show ~1.9x; gate only the sign so single-core
-        // CI noise cannot flake the build.
         assert!(
-            incr.total_ns <= naive.total_ns,
-            "regression: incremental aggregate sync ({}) slower than full rebuild ({})",
-            human(incr.total_ns),
-            human(naive.total_ns)
+            indexed.median >= 1.0,
+            "regression: indexed distances slower than naive ({:.2}x)",
+            indexed.median
+        );
+        assert!(
+            register.median >= 1.0,
+            "regression: batched registration slower than naive ({:.2}x)",
+            register.median
         );
     }
-
     format!(
-        concat!(
-            "{{\"rounds\": {}, \"effective_cores\": {}, \"full_rebuild_ns\": {:.0}, ",
-            "\"incremental_ns\": {:.0}, \"speedup\": {:.4}, \"delta_syncs\": {}, ",
-            "\"rebuild_fallbacks\": {}}}"
-        ),
-        naive.rounds,
-        effective_cores(),
-        naive.total_ns,
-        incr.total_ns,
-        speedup,
-        deltas,
-        fallbacks,
+        "{{\"indexed_speedup\": {}, \"register_speedup\": {}}}",
+        ratio_json(&indexed),
+        ratio_json(&register)
     )
 }
 
-/// Worker threads the host can actually run concurrently (stamped into
-/// the `session_pool` section).
-fn effective_cores() -> usize {
-    std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1)
+/// The dataset artifact store: reloading the Amazon artifact from a
+/// `nemo-persist` file vs rebuilding it from the catalog must be ≥5×
+/// faster, the number that makes disconnect/resume feel instant.
+fn artifact_load_summary(timings: &[Timed], file_bytes: u64) -> String {
+    let speedup = paired_ratio(timings, "artifact_cold_build", "artifact_checkpoint_load");
+    if std::env::var("NEMO_BENCH_ENFORCE").is_ok() {
+        assert!(
+            speedup.median >= 5.0,
+            "regression: artifact load only {:.2}x faster than a cold build",
+            speedup.median
+        );
+    }
+    format!(
+        "{{\"file_bytes\": {file_bytes}, \"speedup\": {}, \"bit_identical\": true}}",
+        ratio_json(&speedup)
+    )
 }
 
-/// Dataset artifact store: cold catalog rebuild (tokenize, featurize,
-/// index, norm — everything `catalog::build` does) vs reloading the same
-/// immutable artifact set from a checkpoint file written once by
-/// `nemo-persist`. The loaded bundle is asserted byte-identical to the
-/// saved one before timing; with `NEMO_BENCH_ENFORCE` set, the checkpoint
-/// load must be ≥5× faster than the cold build — the number that makes
-/// disconnect/resume sessions feel instant.
-fn artifact_load_bench(profile: Profile, results: &mut Vec<BenchResult>) -> String {
-    let cold = bench("artifact_cold_build", || build(DatasetName::Amazon, profile, 3).train.n());
+/// Pool scheduling overhead: a session pooled alone may cost at most
+/// 1.5× the same session on a bare `NemoSystem`.
+fn session_pool_summary(timings: &[Timed]) -> String {
+    let overhead = paired_ratio(timings, "session_3_rounds_pooled_k1", "session_3_rounds_direct");
+    if std::env::var("NEMO_BENCH_ENFORCE").is_ok() {
+        assert!(
+            overhead.median <= 1.5,
+            "regression: a pooled session costs {:.2}x a direct one",
+            overhead.median
+        );
+    }
+    format!(
+        "{{\"rounds\": {POOL_ROUNDS}, \"pool_overhead\": {}, \"bit_identical\": true}}",
+        ratio_json(&overhead)
+    )
+}
 
+/// SEU aggregate maintenance over the recorded trajectory: delta-syncing
+/// one `SeuAggregates` vs folding fresh ones every round, both arms
+/// scoring the whole pool.
+fn seu_loop_summary(timings: &[Timed], synced: &SeuAggregates) -> String {
+    let speedup = paired_ratio(timings, "seu_replay_full_rebuild", "seu_replay_delta_sync");
+    let (rebuilds, deltas) = synced.sync_counts();
+    if std::env::var("NEMO_BENCH_ENFORCE").is_ok() {
+        assert!(
+            speedup.median >= 1.0,
+            "regression: delta sync slower than a full rebuild ({:.2}x)",
+            speedup.median
+        );
+    }
+    // The copied initial fold is the first rebuild; the rest are fallbacks.
+    format!(
+        "{{\"rounds\": {REPLAY_ROUNDS}, \"speedup\": {}, \"delta_syncs\": {deltas}, \
+         \"rebuild_fallbacks\": {}}}",
+        ratio_json(&speedup),
+        rebuilds - 1
+    )
+}
+
+/// The commit the numbers were recorded on, `-dirty` if the tree had
+/// uncommitted changes.
+fn commit() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
+fn main() {
+    let profile = Profile::from_env();
+    let ds = build(DatasetName::Amazon, profile, 3);
+    let nproc = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
+    println!(
+        "Kernel microbenchmarks (profile: {}, dataset: {} train={} |Z|={}, nproc {nproc}, \
+         {TRIALS} trials)",
+        profile.name(),
+        ds.name,
+        ds.train.n(),
+        ds.n_primitives
+    );
+
+    let session = prepared_session(&ds);
+    let excluded = vec![false; ds.train.n()];
+    let view = SelectionView { excluded: &excluded, ..session.view() };
+    let selector = SeuSelector::new();
+    let all: Vec<usize> = (0..ds.train.n()).collect();
+    let first_100: Vec<usize> = (0..100.min(ds.train.n())).collect();
+    let matrix = session.matrix().clone();
+    let covered = session.matrix().covered_examples();
+    let targets = session.outputs().train_posterior.p_pos_slice();
+    let features = &ds.train.features;
+    let pivots: Vec<usize> = (0..16).map(|i| i * ds.train.n() / 16).collect();
+    let lineage = simulated_lineage(&ds);
+    let ContextualizerConfig { distance: dist, p_grid } = ContextualizerConfig::default();
+
+    let mut rng = DetRng::new(9);
+    let docs: Vec<Vec<u32>> =
+        (0..500).map(|_| (0..30).map(|_| rng.index(800) as u32).collect()).collect();
+    let tfidf = TfIdf::default().fit(&docs, 800);
+    let mut rng = DetRng::new(11);
+    let lfs: Vec<PrimitiveLf> = (0..50)
+        .map(|_| {
+            PrimitiveLf::new(
+                rng.index(ds.n_primitives) as u32,
+                nemo_lf::Label::from_bool(rng.bernoulli(0.5)),
+            )
+        })
+        .collect();
+
+    // The artifact is written once; the reloaded bundle must be
+    // bit-identical to what was saved.
     let bundle = ArtifactBundle {
         dataset: build(DatasetName::Amazon, profile, 3),
         vocab: None,
@@ -351,9 +415,6 @@ fn artifact_load_bench(profile: Profile, results: &mut Vec<BenchResult>) -> Stri
     let path = dir.join("amazon.nemo");
     save_artifact(&path, &bundle).expect("save dataset artifact");
     let file_bytes = std::fs::metadata(&path).expect("stat artifact file").len();
-
-    // The reloaded bundle must be bit-identical to what was saved (the
-    // canonical-form fixed point `persist_roundtrip.rs` proves in general).
     let reloaded = load_artifact(&path).expect("load dataset artifact");
     assert_eq!(
         artifact_to_bytes(&reloaded),
@@ -361,355 +422,126 @@ fn artifact_load_bench(profile: Profile, results: &mut Vec<BenchResult>) -> Stri
         "artifact load not bit-identical to the saved bundle"
     );
 
-    let load = bench("artifact_checkpoint_load", || {
-        load_artifact(&path).expect("load artifact").dataset.train.n()
-    });
-    std::fs::remove_dir_all(&dir).ok();
-
-    let speedup = cold.mean_ns / load.mean_ns;
-    println!(
-        "\nDataset artifact store ({} {}, {:.1} KiB on disk):",
-        bundle.dataset.name,
-        profile.name(),
-        file_bytes as f64 / 1024.0
-    );
-    println!("  cold catalog build     : {} per build", human(cold.mean_ns));
-    println!("  checkpoint load        : {} per load", human(load.mean_ns));
-    println!("  speedup                : {speedup:.2}x");
-    if std::env::var("NEMO_BENCH_ENFORCE").is_ok() {
-        // Gate on min (steady-state) times like the other sections.
-        assert!(
-            load.min_ns * 5.0 <= cold.min_ns,
-            "regression: artifact checkpoint load ({}) not ≥5x faster than cold build ({})",
-            human(load.min_ns),
-            human(cold.min_ns)
-        );
-    }
-    let json = format!(
-        concat!(
-            "{{\"dataset\": \"{}\", \"file_bytes\": {}, \"cold_build_ns\": {:.0}, ",
-            "\"checkpoint_load_ns\": {:.0}, \"speedup\": {:.4}, \"bit_identical\": true}}"
-        ),
-        bundle.dataset.name, file_bytes, cold.mean_ns, load.mean_ns, speedup,
-    );
-    results.push(cold);
-    results.push(load);
-    json
-}
-
-/// Per-level measurements of the session-pool throughput sweep.
-struct PoolLevel {
-    sessions: usize,
-    reps: usize,
-    latencies: Vec<u64>,
-    total_secs: f64,
-    evictions: u64,
-    restores: u64,
-}
-
-/// Value at quantile `q` of an ascending-sorted sample (nearest rank).
-fn percentile_ns(sorted: &[u64], q: f64) -> u64 {
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx]
-}
-
-/// Multi-tenant `SessionPool` throughput: K concurrent sessions over one
-/// shared `SharedArtifacts` set, three interleaved batched rounds each, at
-/// K ∈ {1, 8, 64, 256}. The pool caps residency at 64 sessions over an
-/// in-memory *encoded* checkpoint store, so the 256-session level pays the
-/// real persist-container serialization cost on every eviction/restore
-/// cycle. Sessions/sec and p50/p99 round latencies are recorded per level.
-///
-/// Correctness is asserted unconditionally: the first eight sessions of
-/// every level (including the eviction-churned 256-session level) must
-/// retrace a standalone `NemoSystem` run bit-for-bit — same selections,
-/// same posterior bits. With `NEMO_BENCH_ENFORCE`, pool scheduling
-/// overhead for a single session must stay within 1.5x of driving a bare
-/// `NemoSystem` directly (min-over-min, like the other gates).
-fn session_pool_bench(ds: &Dataset, results: &mut Vec<BenchResult>) -> String {
-    const ROUNDS: usize = 3;
-    const MAX_RESIDENT: usize = 64;
-    let seed_of = |rep: usize, j: usize| 40_000 + (rep * 1_000 + j) as u64;
-    let session_cfg = |seed: u64| IdpConfig {
-        n_iterations: ROUNDS,
-        eval_every: ROUNDS,
-        seed,
+    let arts = SharedArtifacts::new(ds.clone());
+    let pool_cfg = IdpConfig {
+        n_iterations: POOL_ROUNDS,
+        eval_every: POOL_ROUNDS,
+        seed: 40_000,
         ..IdpConfig::default()
     };
-    let arts = SharedArtifacts::new(ds.clone());
-
-    // Direct baseline: the same rounds driven on bare `NemoSystem`s.
-    let mut direct_lat: Vec<u64> = Vec::new();
-    for rep in 0..8 {
-        let mut nemo = NemoSystem::new(arts.dataset(), session_cfg(seed_of(rep, 0)));
-        let mut user = SimulatedUser::default();
-        for _ in 0..ROUNDS {
-            let t = Instant::now();
-            nemo.step_with_user(&mut user).expect("direct round");
-            direct_lat.push(t.elapsed().as_nanos() as u64);
-        }
-    }
-
-    let mut levels: Vec<PoolLevel> = Vec::new();
-    for &(k, reps) in &[(1usize, 8usize), (8, 3), (64, 1), (256, 1)] {
-        let mut lv = PoolLevel {
-            sessions: k,
-            reps,
-            latencies: Vec::new(),
-            total_secs: 0.0,
-            evictions: 0,
-            restores: 0,
-        };
-        for rep in 0..reps {
-            let config = PoolConfig { max_resident: MAX_RESIDENT, ..PoolConfig::default() };
-            let mut pool =
-                SessionPool::with_store(&arts, config, Box::new(EncodedCheckpointStore::new()));
-            let ids: Vec<_> = (0..k)
-                .map(|j| pool.admit(session_cfg(seed_of(rep, j))).expect("admit session"))
-                .collect();
-            let mut users: Vec<SimulatedUser> = (0..k).map(|_| SimulatedUser::default()).collect();
-            let mut selections: Vec<Vec<Option<usize>>> = vec![Vec::new(); k];
-            let t0 = Instant::now();
-            for _ in 0..ROUNDS {
-                let mut jobs: Vec<RoundJob<'_>> =
-                    ids.iter().zip(users.iter_mut()).map(|(&id, u)| RoundJob::new(id, u)).collect();
-                let outcomes = pool.run_rounds(&mut jobs).expect("pooled rounds");
-                for (j, o) in outcomes.iter().enumerate() {
-                    selections[j].push(o.record.selected);
-                    lv.latencies.push(o.round_ns);
-                }
-            }
-            lv.total_secs += t0.elapsed().as_secs_f64();
-            lv.evictions += pool.stats().evictions;
-            lv.restores += pool.stats().restores;
-
-            if rep == 0 {
-                for (j, &id) in ids.iter().enumerate().take(8) {
-                    let mut nemo = NemoSystem::new(arts.dataset(), session_cfg(seed_of(rep, j)));
-                    let mut user = SimulatedUser::default();
-                    let solo: Vec<Option<usize>> = (0..ROUNDS)
-                        .map(|_| nemo.step_with_user(&mut user).expect("solo round").selected)
-                        .collect();
-                    assert_eq!(
-                        selections[j], solo,
-                        "pooled session {id} diverged from standalone (selections, k={k})"
-                    );
-                    let pooled_bits = pool
-                        .with_session(id, |n| {
-                            n.outputs()
-                                .train_posterior
-                                .p_pos_slice()
-                                .iter()
-                                .map(|p| p.to_bits())
-                                .collect::<Vec<u64>>()
-                        })
-                        .expect("inspect pooled session");
-                    let solo_bits: Vec<u64> = nemo
-                        .outputs()
-                        .train_posterior
-                        .p_pos_slice()
-                        .iter()
-                        .map(|p| p.to_bits())
-                        .collect();
-                    assert_eq!(
-                        pooled_bits, solo_bits,
-                        "pooled session {id} diverged from standalone (posterior bits, k={k})"
-                    );
-                }
-            }
-        }
-        lv.latencies.sort_unstable();
-        levels.push(lv);
-    }
-
-    let direct_mean = direct_lat.iter().sum::<u64>() as f64 / direct_lat.len() as f64;
-    let direct_min = *direct_lat.iter().min().expect("direct samples") as f64;
-    let pool1_mean =
-        levels[0].latencies.iter().sum::<u64>() as f64 / levels[0].latencies.len() as f64;
-    let pool1_min = levels[0].latencies[0] as f64;
-    let overhead = pool1_min / direct_min;
-    let workers = nemo_sparse::parallel::num_threads();
-    println!(
-        "\nSession pool ({} train={}, {ROUNDS} rounds/session, max_resident {MAX_RESIDENT}, \
-         {workers} worker(s)):",
-        ds.name,
-        ds.train.n()
+    assert_eq!(
+        pooled_session(&arts, &pool_cfg),
+        direct_session(&arts, &pool_cfg),
+        "pooled session diverged from direct"
     );
-    for lv in &levels {
+
+    let trajectory = record_trajectory(&ds);
+    let initial = SeuAggregates::new(&ds, &trajectory[0]);
+    let (rebuilt_sum, _) = replay(&ds, &trajectory, &initial, false);
+    let (synced_sum, synced) = replay(&ds, &trajectory, &initial, true);
+    assert!(
+        (rebuilt_sum - synced_sum).abs() <= 1e-9 * rebuilt_sum.abs().max(1.0),
+        "delta-synced replay diverged: {rebuilt_sum} vs {synced_sum}"
+    );
+
+    let timings = trials(vec![
+        // What a round pays from scratch: fold the aggregates, then score
+        // every example through the per-round table.
+        row("seu_fast_path_full_pool", || {
+            let aggs = SeuAggregates::new(&ds, view.outputs);
+            selector.scores(&SelectionView { aggs: &aggs, ..view }, &all)
+        }),
+        row("seu_naive_100_examples", || selector.expected_utility_naive(&view, &first_100)),
+        row("labelmodel_triplet_fit", || TripletModel::default().fit(&matrix, [0.5, 0.5])),
+        // The end-model fit each round runs: SGD over the covered rows.
+        row("endmodel_fit", || {
+            LogisticRegression::default().fit(features.csr(), targets, Some(&covered), 1)
+        }),
+        row("distance_naive_16_pivots", || {
+            pivots.iter().map(|&p| features.distances_naive(dist, p, features)[p]).sum::<f64>()
+        }),
+        row("distance_indexed_16_pivots", || {
+            pivots.iter().map(|&p| features.distances(dist, p, features, Rows::All)[p]).sum::<f64>()
+        }),
+        // The naive registration oracle (train and valid distances by the
+        // naive scan, grid radii selected from the train vector) vs
+        // `Contextualizer::sync` registering the same LFs.
+        row("register_naive_32_lfs", || {
+            let mut lens = 0;
+            for rec in lineage.tracked() {
+                let pivot = rec.dev_example as usize;
+                let train = features.distances_naive(dist, pivot, features);
+                let valid = features.distances_naive(dist, pivot, &ds.valid.features);
+                lens += train.len() + valid.len() + percentiles(&train, &p_grid).len();
+            }
+            lens
+        }),
+        row("register_batch_32_lfs", || {
+            let mut ctx = Contextualizer::new(ContextualizerConfig::default());
+            ctx.sync(&lineage, &ds);
+            ctx.n_registered()
+        }),
+        row("tfidf_transform_500_docs", || tfidf.transform(&docs)),
+        // What every submit and registration pays per LF.
+        row("lf_columns_from_50_lfs", || {
+            lfs.iter().map(|lf| LfColumn::from_lf(lf, &ds.train.corpus).coverage()).sum::<usize>()
+        }),
+        row("model_outputs_initial", || ModelOutputs::initial(&ds)),
+        row("artifact_cold_build", || build(DatasetName::Amazon, profile, 3).train.n()),
+        row("artifact_checkpoint_load", || {
+            load_artifact(&path).expect("load artifact").dataset.train.n()
+        }),
+        row("session_3_rounds_direct", || direct_session(&arts, &pool_cfg)),
+        row("session_3_rounds_pooled_k1", || pooled_session(&arts, &pool_cfg)),
+        row("seu_replay_full_rebuild", || replay(&ds, &trajectory, &initial, false).0),
+        row("seu_replay_delta_sync", || replay(&ds, &trajectory, &initial, true).0),
+    ]);
+    std::fs::remove_dir_all(&dir).ok();
+
+    println!("\n{:<30} {:>6} {:>12} {:>26}", "kernel", "iters", "median", "quartiles");
+    let mut rows_json = Vec::new();
+    for t in &timings {
+        let s = spread(&t.per_call_ns);
         println!(
-            "  {:>4} sessions x{}: {:>8.1} sessions/s  {:>8.1} rounds/s  p50 {:>10}  p99 {:>10}  \
-             evict {:>4}  restore {:>4}",
-            lv.sessions,
-            lv.reps,
-            (lv.sessions * lv.reps) as f64 / lv.total_secs,
-            lv.latencies.len() as f64 / lv.total_secs,
-            human(percentile_ns(&lv.latencies, 0.50) as f64),
-            human(percentile_ns(&lv.latencies, 0.99) as f64),
-            lv.evictions,
-            lv.restores,
+            "{:<30} {:>6} {:>12} {:>26}",
+            t.name,
+            t.iters,
+            human(s.median),
+            format!("{} – {}", human(s.q1), human(s.q3))
         );
-    }
-    println!(
-        "  single-session pool overhead: {overhead:.2}x vs bare NemoSystem ({} vs {})",
-        human(pool1_min),
-        human(direct_min)
-    );
-    if std::env::var("NEMO_BENCH_ENFORCE").is_ok() {
-        assert!(
-            pool1_min <= direct_min * 1.5,
-            "regression: pooled single-session round ({}) exceeds 1.5x a bare NemoSystem \
-             round ({})",
-            human(pool1_min),
-            human(direct_min)
-        );
-    }
-
-    let mut levels_json = String::from("[");
-    for (i, lv) in levels.iter().enumerate() {
-        levels_json.push_str(&format!(
-            concat!(
-                "{}{{\"sessions\": {}, \"reps\": {}, \"sessions_per_sec\": {:.2}, ",
-                "\"rounds_per_sec\": {:.2}, \"p50_round_ns\": {}, \"p99_round_ns\": {}, ",
-                "\"evictions\": {}, \"restores\": {}}}"
-            ),
-            if i == 0 { "" } else { ", " },
-            lv.sessions,
-            lv.reps,
-            (lv.sessions * lv.reps) as f64 / lv.total_secs,
-            lv.latencies.len() as f64 / lv.total_secs,
-            percentile_ns(&lv.latencies, 0.50),
-            percentile_ns(&lv.latencies, 0.99),
-            lv.evictions,
-            lv.restores,
+        rows_json.push(format!(
+            "    {{\"name\": \"{}\", \"iters\": {}, \"trials\": {}, \"median_ns\": {:.0}, \
+             \"q1_ns\": {:.0}, \"q3_ns\": {:.0}}}",
+            t.name,
+            t.iters,
+            t.per_call_ns.len(),
+            s.median,
+            s.q1,
+            s.q3
         ));
     }
-    levels_json.push(']');
-    let json = format!(
-        concat!(
-            "{{\"rounds_per_session\": {}, \"max_resident\": {}, \"workers\": {}, ",
-            "\"effective_cores\": {}, \"direct_round_ns\": {:.0}, \"pool_round_ns\": {:.0}, ",
-            "\"pool_overhead\": {:.4}, \"bit_identical\": true, \"levels\": {}}}"
-        ),
-        ROUNDS,
-        MAX_RESIDENT,
-        workers,
-        effective_cores(),
-        direct_mean,
-        pool1_mean,
-        overhead,
-        levels_json,
-    );
-    results.push(BenchResult {
-        name: "session_round_direct",
-        iters: direct_lat.len() as u32,
-        mean_ns: direct_mean,
-        min_ns: direct_min,
-    });
-    results.push(BenchResult {
-        name: "session_round_pooled_k1",
-        iters: levels[0].latencies.len() as u32,
-        mean_ns: pool1_mean,
-        min_ns: pool1_min,
-    });
-    json
-}
 
-/// Mean time of a named kernel result (panics if the kernel wasn't run).
-fn mean_of(results: &[BenchResult], name: &str) -> f64 {
-    results.iter().find(|r| r.name == name).map(|r| r.mean_ns).expect("kernel benched")
-}
-
-/// Summarize the sparse-distance engine: indexed vs naive point-to-all and
-/// batched vs per-LF contextualizer registration. Returns the JSON
-/// fragment; with `NEMO_BENCH_ENFORCE` set, a slower indexed/batched path
-/// aborts the run (the CI regression guard).
-fn distance_engine_summary(results: &[BenchResult]) -> String {
-    let naive = mean_of(results, "distance_point_to_all_cosine");
-    let indexed = mean_of(results, "distance_point_to_all_indexed");
-    let per_lf = mean_of(results, "contextualizer_register_per_lf");
-    let batch = mean_of(results, "contextualizer_register_batch");
-    let kernel_speedup = naive / indexed;
-    let register_speedup = per_lf / batch;
-    println!("\nSparse distance engine (inverted-index kernel vs naive row-major scan):");
-    println!(
-        "  point-to-all  naive {} → indexed {}  ({kernel_speedup:.2}x)",
-        human(naive),
-        human(indexed)
-    );
-    println!(
-        "  register 32 LFs  per-LF {} → batched {}  ({register_speedup:.2}x)",
-        human(per_lf),
-        human(batch)
-    );
-    if std::env::var("NEMO_BENCH_ENFORCE").is_ok() {
-        assert!(
-            indexed <= naive,
-            "regression: indexed point-to-all ({}) slower than naive ({})",
-            human(indexed),
-            human(naive)
-        );
-        assert!(
-            batch <= per_lf,
-            "regression: batched registration ({}) slower than per-LF ({})",
-            human(batch),
-            human(per_lf)
-        );
-    }
-    format!(
-        concat!(
-            "{{\"naive_point_to_all_ns\": {:.0}, \"indexed_point_to_all_ns\": {:.0}, ",
-            "\"indexed_speedup\": {:.4}, \"register_per_lf_ns\": {:.0}, ",
-            "\"register_batch_ns\": {:.0}, \"register_speedup\": {:.4}}}"
-        ),
-        naive, indexed, kernel_speedup, per_lf, batch, register_speedup,
-    )
-}
-
-fn main() {
-    let profile = Profile::from_env();
-    let ds = build(DatasetName::Amazon, profile, 3);
-    println!(
-        "Kernel microbenchmarks (profile: {}, dataset: {} train={} |Z|={})",
+    println!("\nPaired ratios, median (quartiles):");
+    let sections = [
+        ("distance_engine", distance_engine_summary(&timings)),
+        ("artifact_load", artifact_load_summary(&timings, file_bytes)),
+        ("session_pool", session_pool_summary(&timings)),
+        ("seu_loop", seu_loop_summary(&timings, &synced)),
+    ];
+    let mut json = format!(
+        "{{\n  \"profile\": \"{}\",\n  \"dataset\": \"{}\",\n  \"train_n\": {},\n  \
+         \"nproc\": {nproc},\n  \"commit\": \"{}\",\n  \"trials\": {TRIALS},\n  \
+         \"benchmarks\": [\n{}\n  ]",
         profile.name(),
         ds.name,
         ds.train.n(),
-        ds.n_primitives
+        commit(),
+        rows_json.join(",\n")
     );
-
-    let mut results = Vec::new();
-    kernel_benches(&ds, &mut results);
-    println!("\n{:<36} {:>8} {:>12} {:>12}", "kernel", "iters", "mean", "min");
-    for r in &results {
-        println!("{:<36} {:>8} {:>12} {:>12}", r.name, r.iters, human(r.mean_ns), human(r.min_ns));
+    for (key, section) in &sections {
+        json.push_str(&format!(",\n  \"{key}\": {section}"));
     }
-
-    let trajectory = record_trajectory(&ds);
-    let engine_json = distance_engine_summary(&results);
-    let artifact_json = artifact_load_bench(profile, &mut results);
-    let pool_json = session_pool_bench(&ds, &mut results);
-    let loop_json = seu_loop_bench(&ds, &trajectory);
-
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"profile\": \"{}\",\n", profile.name()));
-    json.push_str(&format!("  \"dataset\": \"{}\",\n", ds.name));
-    json.push_str(&format!("  \"train_n\": {},\n", ds.train.n()));
-    json.push_str("  \"benchmarks\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"iters\": {}, \"mean_ns\": {:.0}, \"min_ns\": {:.0}}}{}\n",
-            r.name,
-            r.iters,
-            r.mean_ns,
-            r.min_ns,
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!("  \"distance_engine\": {engine_json},\n"));
-    json.push_str(&format!("  \"artifact_load\": {artifact_json},\n"));
-    json.push_str(&format!("  \"session_pool\": {pool_json},\n"));
-    json.push_str(&format!("  \"seu_loop\": {loop_json}\n"));
-    json.push_str("}\n");
+    json.push_str("\n}\n");
 
     // Anchor to the workspace root (cargo bench sets CWD to the package).
     let out =

@@ -127,42 +127,49 @@ impl SeuSelector {
             .collect()
     }
 
-    /// Naive reference: recompute every LF's utility by scanning its
-    /// coverage list directly (no shared aggregates). The oracle
-    /// [`SeuSelector::scores`] is tested against.
-    pub fn expected_utility_naive(&self, view: &SelectionView<'_>, x: usize) -> f64 {
+    /// Naive reference for [`SeuSelector::scores`], in `avail` order: for
+    /// each example, recompute every candidate LF's accuracy and utility by
+    /// scanning its coverage list directly (no shared aggregates). `ψ` and
+    /// `ŷ` are computed once per call. The oracle `scores` is tested
+    /// against.
+    pub fn expected_utility_naive(&self, view: &SelectionView<'_>, avail: &[usize]) -> Vec<f64> {
         let corpus = &view.ds.train.corpus;
-        let prims = corpus.primitives_of(x);
-        if prims.is_empty() {
-            return f64::NEG_INFINITY;
-        }
         let psi = view.outputs.train_posterior.entropies();
         let yhat = view.outputs.yhat_signs();
         let prior = view.ds.prior();
-        let mut weighted = 0.0;
-        let mut total_w = 0.0;
-        for &z in prims {
-            let cov = corpus.index().postings(z);
-            if cov.is_empty() {
-                continue;
-            }
-            for y in Label::ALL {
-                let n_match = cov.iter().filter(|&&i| yhat[i as usize] == y.sign()).count();
-                let acc = n_match as f64 / cov.len() as f64;
-                let w = self.user_model.weight(acc);
-                if w <= 0.0 {
-                    continue;
+        avail
+            .iter()
+            .map(|&x| {
+                let prims = corpus.primitives_of(x);
+                if prims.is_empty() {
+                    return f64::NEG_INFINITY;
                 }
-                let utility = if view.lineage.contains_lf(&PrimitiveLf::new(z, y)) {
-                    0.0
-                } else {
-                    self.utility.value_naive(y, cov, &psi, &yhat)
-                };
-                weighted += prior[y.index()] * w * utility;
-                total_w += w;
-            }
-        }
-        self.normalize(weighted, total_w)
+                let mut weighted = 0.0;
+                let mut total_w = 0.0;
+                for &z in prims {
+                    let cov = corpus.index().postings(z);
+                    if cov.is_empty() {
+                        continue;
+                    }
+                    for y in Label::ALL {
+                        let n_match = cov.iter().filter(|&&i| yhat[i as usize] == y.sign()).count();
+                        let acc = n_match as f64 / cov.len() as f64;
+                        let w = self.user_model.weight(acc);
+                        if w <= 0.0 {
+                            continue;
+                        }
+                        let utility = if view.lineage.contains_lf(&PrimitiveLf::new(z, y)) {
+                            0.0
+                        } else {
+                            self.utility.value_naive(y, cov, &psi, &yhat)
+                        };
+                        weighted += prior[y.index()] * w * utility;
+                        total_w += w;
+                    }
+                }
+                self.normalize(weighted, total_w)
+            })
+            .collect()
     }
 
     /// Eq. 2's expectation: divide by the total weight when the user
@@ -362,8 +369,9 @@ mod tests {
                 {
                     let sel = SeuSelector::with(um, ut);
                     let probes: Vec<usize> = (0..ds.train.n()).step_by(37).collect();
-                    for (&x, fast) in probes.iter().zip(sel.scores(view, &probes)) {
-                        let naive = sel.expected_utility_naive(view, x);
+                    let naive_scores = sel.expected_utility_naive(view, &probes);
+                    let pairs = sel.scores(view, &probes).into_iter().zip(naive_scores);
+                    for (&x, (fast, naive)) in probes.iter().zip(pairs) {
                         if fast.is_finite() || naive.is_finite() {
                             assert!(
                                 (fast - naive).abs() < 1e-9,

@@ -40,7 +40,8 @@ pub const DOCUMENTED_CRATES: &[&str] = &[
 
 /// Top-level `BENCH_kernel.json` keys that are metadata, not kernel
 /// sections.
-const BENCH_META_KEYS: &[&str] = &["profile", "dataset", "train_n", "benchmarks"];
+const BENCH_META_KEYS: &[&str] =
+    &["profile", "dataset", "train_n", "nproc", "commit", "trials", "benchmarks"];
 
 /// Where the kernel bench harness lives.
 const BENCH_FILE: &str = "crates/bench/benches/kernel_microbench.rs";

@@ -12,7 +12,10 @@
 //! - No shrinking: a failing case reports its inputs via the assertion
 //!   message (every generated binding is `Debug`-formatted on failure).
 //! - Deterministic: cases are derived from a fixed per-test seed (hash of
-//!   the test name), so failures reproduce exactly in CI.
+//!   the test's module path and name), so failures reproduce exactly in
+//!   CI. Renaming or moving a property test therefore redraws its cases,
+//!   so a rename must name, in CHANGES.md, a mutation of the code under
+//!   test that the renamed test still catches.
 //! - `ProptestConfig` only carries `cases`.
 
 use std::ops::{Range, RangeInclusive};

@@ -117,8 +117,9 @@ fn table_scores_bit_identical_to_tabled_scan_and_match_naive() {
         for um in USER_MODELS {
             for ut in UTILITIES {
                 let sel = SeuSelector::with(um, ut);
-                for (&x, fast) in avail.iter().zip(sel.scores(&view, &avail)) {
-                    let naive = sel.expected_utility_naive(&view, x);
+                let naive_scores = sel.expected_utility_naive(&view, &avail);
+                let pairs = sel.scores(&view, &avail).into_iter().zip(naive_scores);
+                for (&x, (fast, naive)) in avail.iter().zip(pairs) {
                     if fast.is_finite() || naive.is_finite() {
                         assert!(
                             (fast - naive).abs() < 1e-9,

@@ -18,10 +18,12 @@
 
 use std::sync::Arc;
 
-use nemo::core::pool::{PoolConfig, PoolStats, RoundJob, SessionPool};
+use nemo::core::pool::{
+    CheckpointStore, MemoryCheckpointStore, PoolConfig, PoolStats, RoundJob, SessionPool,
+};
 use nemo::core::{IdpConfig, NemoSystem, SharedArtifacts, SimulatedUser};
 use nemo::data::catalog::toy_text;
-use nemo::persist::FileCheckpointStore;
+use nemo::persist::{EncodedCheckpointStore, FileCheckpointStore};
 use proptest::prelude::*;
 
 /// Everything a run of one session observably produces.
@@ -250,7 +252,8 @@ fn file_store_evict_restore_mid_stream_is_bit_identical() {
 
 /// The acceptance-scale stress case: 64 concurrent sessions over one
 /// `Arc<SharedArtifacts>`, scheduled as work-stealing batches through an
-/// undersized pool, every one bit-identical to its standalone run.
+/// undersized pool over the in-memory and the encoded checkpoint store,
+/// every one bit-identical to its standalone run.
 #[test]
 fn sixty_four_sessions_share_one_artifact_set() {
     let arts = Arc::new(SharedArtifacts::new(toy_text(4)));
@@ -258,33 +261,52 @@ fn sixty_four_sessions_share_one_artifact_set() {
     let rounds = 2;
     let cfgs: Vec<IdpConfig> = (0..k as u64).map(|j| session_cfg(rounds, 9000 + j)).collect();
     let pool_config = PoolConfig { max_resident: 16, workers: Some(4) };
+    let wants: Vec<Trace> = cfgs.iter().map(|cfg| standalone_trace(&arts, cfg, rounds)).collect();
 
-    let mut pool = SessionPool::new(&arts, pool_config);
-    let ids: Vec<_> = cfgs.iter().map(|c| pool.admit(c.clone()).unwrap()).collect();
-    let mut users: Vec<SimulatedUser> = (0..k).map(|_| SimulatedUser::default()).collect();
-    let mut selections: Vec<Vec<Option<usize>>> = vec![Vec::new(); k];
+    // The in-memory store, then the persist codec's encode/decode/validate
+    // round trip on every eviction and restore.
+    let stores: [(&str, Box<dyn CheckpointStore>); 2] = [
+        ("memory", Box::new(MemoryCheckpointStore::new())),
+        ("encoded", Box::new(EncodedCheckpointStore::new())),
+    ];
+    for (store_name, store) in stores {
+        let mut pool = SessionPool::with_store(&arts, pool_config.clone(), store);
+        let ids: Vec<_> = cfgs.iter().map(|c| pool.admit(c.clone()).unwrap()).collect();
+        let mut users: Vec<SimulatedUser> = (0..k).map(|_| SimulatedUser::default()).collect();
+        let mut selections: Vec<Vec<Option<usize>>> = vec![Vec::new(); k];
 
-    for _round in 0..rounds {
-        let mut jobs: Vec<RoundJob<'_>> =
-            ids.iter().zip(users.iter_mut()).map(|(&id, u)| RoundJob::new(id, u)).collect();
-        let outcomes = pool.run_rounds(&mut jobs).unwrap();
-        assert_eq!(outcomes.len(), k);
-        for (j, outcome) in outcomes.iter().enumerate() {
-            selections[j].push(outcome.record.selected);
+        for _round in 0..rounds {
+            let mut jobs: Vec<RoundJob<'_>> =
+                ids.iter().zip(users.iter_mut()).map(|(&id, u)| RoundJob::new(id, u)).collect();
+            let outcomes = pool.run_rounds(&mut jobs).unwrap();
+            assert_eq!(outcomes.len(), k);
+            for (j, outcome) in outcomes.iter().enumerate() {
+                selections[j].push(outcome.record.selected);
+            }
         }
-    }
-    assert_eq!(pool.session_count(), k);
-    assert!(pool.resident_count() <= 16);
-    assert!(pool.stats().evictions > 0, "undersized pool must churn");
+        assert_eq!(pool.session_count(), k);
+        assert!(pool.resident_count() <= 16);
+        assert!(pool.stats().evictions > 0, "undersized pool must churn ({store_name} store)");
 
-    for (j, cfg) in cfgs.iter().enumerate() {
-        let want = standalone_trace(&arts, cfg, rounds);
-        assert_eq!(selections[j], want.selections, "session {j} selections diverged");
-        let got: Vec<u64> = pool
-            .with_session(ids[j], |nemo| {
-                nemo.outputs().train_posterior.p_pos_slice().iter().map(|p| p.to_bits()).collect()
-            })
-            .unwrap();
-        assert_eq!(got, want.posterior_bits, "session {j} posterior diverged");
+        for (j, want) in wants.iter().enumerate() {
+            assert_eq!(
+                selections[j], want.selections,
+                "session {j} selections diverged ({store_name} store)"
+            );
+            let got: Vec<u64> = pool
+                .with_session(ids[j], |nemo| {
+                    nemo.outputs()
+                        .train_posterior
+                        .p_pos_slice()
+                        .iter()
+                        .map(|p| p.to_bits())
+                        .collect()
+                })
+                .unwrap();
+            assert_eq!(
+                got, want.posterior_bits,
+                "session {j} posterior diverged ({store_name} store)"
+            );
+        }
     }
 }
