@@ -75,9 +75,23 @@ impl SeuSelector {
     /// and `wu[z][y]` its weight × utility product. That moves every
     /// branch (accuracy, weight, collected-LF lookup, utility variant)
     /// out of the per-occurrence loop, which reduces to four multiply-adds
-    /// per `(example, primitive)` slot.
+    /// per `(example, primitive)` slot. The collected `(z, y)` pairs are
+    /// marked in one pass over the lineage.
     pub fn scores(&self, view: &SelectionView<'_>, avail: &[usize]) -> Vec<f64> {
         let aggs = view.aggs.aggs();
+        // An LF already in the collection supplies zero *new*
+        // supervision: its votes are duplicated, not added. The
+        // sequential IDP setting exists precisely to let the selector
+        // "avoid the user spending extra effort in designing redundant
+        // LFs" (paper Sec. 3), so collected (z, y) pairs carry zero
+        // utility. The weight still enters the normalizer — the user may
+        // well re-pick that primitive, wasting the iteration.
+        let mut collected = vec![[false; 2]; aggs.len()];
+        for tracked in view.lineage.tracked() {
+            if let Some(marks) = collected.get_mut(tracked.lf.z as usize) {
+                marks[tracked.lf.y.index()] = true;
+            }
+        }
         let mut w = vec![[0.0; 2]; aggs.len()];
         let mut wu = vec![[0.0; 2]; aggs.len()];
         for (z, agg) in aggs.iter().enumerate() {
@@ -89,19 +103,7 @@ impl SeuSelector {
                 if weight <= 0.0 {
                     continue;
                 }
-                // An LF already in the collection supplies zero *new*
-                // supervision: its votes are duplicated, not added. The
-                // sequential IDP setting exists precisely to let the
-                // selector "avoid the user spending extra effort in
-                // designing redundant LFs" (paper Sec. 3), so collected
-                // (z, y) pairs carry zero utility. The weight still
-                // enters the normalizer — the user may well re-pick that
-                // primitive, wasting the iteration.
-                let value = if view.lineage.contains_lf(&PrimitiveLf::new(z as u32, y)) {
-                    0.0
-                } else {
-                    self.utility.value(agg, y)
-                };
+                let value = if collected[z][y.index()] { 0.0 } else { self.utility.value(agg, y) };
                 w[z][y.index()] = weight;
                 wu[z][y.index()] = weight * value;
             }
@@ -281,10 +283,13 @@ impl SeuAggregates {
         self.yhat = yhat;
         self.aggs.fill(PrimAgg::default());
         for (z, postings) in ds.train.corpus.index().iter_nonempty() {
-            let agg = &mut self.aggs[z as usize];
+            // Folded in a local, not through the slot, so the sums stay
+            // in registers.
+            let mut agg = PrimAgg::default();
             for &i in postings {
                 agg.add(self.psi[i as usize], self.yhat[i as usize]);
             }
+            self.aggs[z as usize] = agg;
         }
         self.full_rebuilds += 1;
         self.delta_syncs_since_rebuild = 0;
@@ -379,6 +384,37 @@ mod tests {
                             );
                         }
                     }
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn duplicated_lf_counts_as_collected_once() {
+        let ds = toy_text(1);
+        with_view(&ds, 6, |view| {
+            let lf = view.lineage.tracked()[0].lf;
+            let mut duplicated = view.lineage.clone();
+            duplicated.record(lf, 0, duplicated.len() as u32);
+            let empty = Lineage::new();
+            let all: Vec<usize> = (0..ds.train.n()).collect();
+            let sel = SeuSelector::new();
+            let bits = |lineage: &Lineage| -> Vec<u64> {
+                let v = SelectionView { lineage, ..*view };
+                sel.scores(&v, &all).into_iter().map(f64::to_bits).collect()
+            };
+            let once = bits(view.lineage);
+            assert_eq!(bits(&duplicated), once);
+            // The collected pair does carry zero utility: without it, some
+            // example containing its primitive scores differently.
+            let fresh = bits(&empty);
+            assert!(all.iter().any(|&x| ds.train.corpus.contains(x, lf.z) && fresh[x] != once[x]));
+            let dup_view = SelectionView { lineage: &duplicated, ..*view };
+            let naive = sel.expected_utility_naive(&dup_view, &all);
+            for (x, (&fast, naive)) in once.iter().zip(naive).enumerate() {
+                let fast = f64::from_bits(fast);
+                if fast.is_finite() || naive.is_finite() {
+                    assert!((fast - naive).abs() < 1e-9, "x={x}: {fast} vs {naive}");
                 }
             }
         });

@@ -44,9 +44,7 @@ impl PrimAgg {
         self.s_psi_yhat += psi * s;
         self.s_yhat += s;
         self.s_psi += psi;
-        if yhat_sign > 0 {
-            self.n_pos += 1;
-        }
+        self.n_pos += usize::from(yhat_sign > 0);
         self.df += 1;
     }
 
@@ -63,11 +61,7 @@ impl PrimAgg {
         self.s_psi_yhat += new_psi * ns - old_psi * os;
         self.s_yhat += ns - os;
         self.s_psi += new_psi - old_psi;
-        if old_sign > 0 && new_sign <= 0 {
-            self.n_pos -= 1;
-        } else if old_sign <= 0 && new_sign > 0 {
-            self.n_pos += 1;
-        }
+        self.n_pos = self.n_pos + usize::from(new_sign > 0) - usize::from(old_sign > 0);
     }
 
     /// Estimated accuracy of `λ_{z,y}` under the proxy labels `ŷ`:

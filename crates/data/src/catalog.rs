@@ -146,220 +146,220 @@ fn sized(name: DatasetName, profile: Profile) -> (usize, usize, usize) {
 
 /// Build a catalog dataset at a scale profile. Deterministic in `seed`.
 pub fn build(name: DatasetName, profile: Profile, seed: u64) -> Dataset {
+    match text_spec(name, profile) {
+        Some(spec) => generate_text(&spec, seed),
+        None => generate_scenes(&vg_spec(profile), seed),
+    }
+}
+
+/// The generator spec of a text dataset at a scale profile; `None` for
+/// VG, the one scene dataset.
+pub(crate) fn text_spec(name: DatasetName, profile: Profile) -> Option<TextGenSpec> {
     let (n_train, n_valid, n_test) = sized(name, profile);
-    match name {
-        DatasetName::Amazon => generate_text(
-            &TextGenSpec {
-                name: "Amazon".into(),
-                metric: Metric::Accuracy,
-                mixture: MixtureConfig {
-                    n_clusters: 4,
-                    n_shared: 400,
-                    n_background_per_cluster: 220,
-                    n_indicators: 160,
-                    home_affinity: 3.0,
-                    agreement_home: 0.90,
-                    agreement_away: 0.65,
-                    flip_prob: 0.15,
-                    pos_prior: 0.5,
-                    indicator_tokens: (2, 5, 9),
-                    background_tokens: (8, 16, 28),
-                    shared_tokens: (5, 12, 22),
-                    ..MixtureConfig::default()
-                },
-                n_train,
-                n_valid,
-                n_test,
-                expose_lexicon: true,
-                primitive_df_bounds: (3, 0.15),
-                pos_words: POS_WORDS,
-                neg_words: NEG_WORDS,
+    let spec = match name {
+        DatasetName::Amazon => TextGenSpec {
+            name: "Amazon".into(),
+            metric: Metric::Accuracy,
+            mixture: MixtureConfig {
+                n_clusters: 4,
+                n_shared: 400,
+                n_background_per_cluster: 220,
+                n_indicators: 160,
+                home_affinity: 3.0,
+                agreement_home: 0.90,
+                agreement_away: 0.65,
+                flip_prob: 0.15,
+                pos_prior: 0.5,
+                indicator_tokens: (2, 5, 9),
+                background_tokens: (8, 16, 28),
+                shared_tokens: (5, 12, 22),
+                ..MixtureConfig::default()
             },
-            seed,
-        ),
-        DatasetName::Yelp => generate_text(
-            &TextGenSpec {
-                name: "Yelp".into(),
-                metric: Metric::Accuracy,
-                mixture: MixtureConfig {
-                    n_clusters: 5,
-                    n_shared: 450,
-                    n_background_per_cluster: 200,
-                    n_indicators: 180,
-                    home_affinity: 2.5,
-                    agreement_home: 0.88,
-                    agreement_away: 0.63,
-                    flip_prob: 0.18,
-                    pos_prior: 0.5,
-                    indicator_tokens: (2, 5, 9),
-                    background_tokens: (8, 16, 30),
-                    shared_tokens: (5, 12, 22),
-                    ..MixtureConfig::default()
-                },
-                n_train,
-                n_valid,
-                n_test,
-                expose_lexicon: true,
-                primitive_df_bounds: (3, 0.15),
-                pos_words: POS_WORDS,
-                neg_words: NEG_WORDS,
+            n_train,
+            n_valid,
+            n_test,
+            expose_lexicon: true,
+            primitive_df_bounds: (3, 0.15),
+            pos_words: POS_WORDS,
+            neg_words: NEG_WORDS,
+        },
+        DatasetName::Yelp => TextGenSpec {
+            name: "Yelp".into(),
+            metric: Metric::Accuracy,
+            mixture: MixtureConfig {
+                n_clusters: 5,
+                n_shared: 450,
+                n_background_per_cluster: 200,
+                n_indicators: 180,
+                home_affinity: 2.5,
+                agreement_home: 0.88,
+                agreement_away: 0.63,
+                flip_prob: 0.18,
+                pos_prior: 0.5,
+                indicator_tokens: (2, 5, 9),
+                background_tokens: (8, 16, 30),
+                shared_tokens: (5, 12, 22),
+                ..MixtureConfig::default()
             },
-            seed,
-        ),
-        DatasetName::Imdb => generate_text(
-            &TextGenSpec {
-                name: "IMDB".into(),
-                metric: Metric::Accuracy,
-                mixture: MixtureConfig {
-                    n_clusters: 3,
-                    n_shared: 550,
-                    n_background_per_cluster: 280,
-                    n_indicators: 150,
-                    home_affinity: 2.5,
-                    agreement_home: 0.88,
-                    agreement_away: 0.68,
-                    flip_prob: 0.12,
-                    pos_prior: 0.5,
-                    indicator_tokens: (2, 5, 10),
-                    background_tokens: (10, 20, 36),
-                    shared_tokens: (6, 14, 26),
-                    ..MixtureConfig::default()
-                },
-                n_train,
-                n_valid,
-                n_test,
-                expose_lexicon: true,
-                primitive_df_bounds: (3, 0.15),
-                pos_words: POS_WORDS,
-                neg_words: NEG_WORDS,
+            n_train,
+            n_valid,
+            n_test,
+            expose_lexicon: true,
+            primitive_df_bounds: (3, 0.15),
+            pos_words: POS_WORDS,
+            neg_words: NEG_WORDS,
+        },
+        DatasetName::Imdb => TextGenSpec {
+            name: "IMDB".into(),
+            metric: Metric::Accuracy,
+            mixture: MixtureConfig {
+                n_clusters: 3,
+                n_shared: 550,
+                n_background_per_cluster: 280,
+                n_indicators: 150,
+                home_affinity: 2.5,
+                agreement_home: 0.88,
+                agreement_away: 0.68,
+                flip_prob: 0.12,
+                pos_prior: 0.5,
+                indicator_tokens: (2, 5, 10),
+                background_tokens: (10, 20, 36),
+                shared_tokens: (6, 14, 26),
+                ..MixtureConfig::default()
             },
-            seed,
-        ),
-        DatasetName::Youtube => generate_text(
-            &TextGenSpec {
-                name: "Youtube".into(),
-                metric: Metric::Accuracy,
-                mixture: MixtureConfig {
-                    n_clusters: 3,
-                    n_shared: 250,
-                    n_background_per_cluster: 120,
-                    n_indicators: 80,
-                    home_affinity: 2.5,
-                    agreement_home: 0.92,
-                    agreement_away: 0.68,
-                    flip_prob: 0.10,
-                    pos_prior: 0.48,
-                    indicator_tokens: (2, 3, 6),
-                    background_tokens: (5, 9, 16),
-                    shared_tokens: (3, 8, 14),
-                    ..MixtureConfig::default()
-                },
-                n_train,
-                n_valid,
-                n_test,
-                // Spam tasks have no external opinion lexicon in the paper.
-                expose_lexicon: false,
-                primitive_df_bounds: (3, 0.15),
-                pos_words: SPAM_WORDS,
-                neg_words: HAM_WORDS,
+            n_train,
+            n_valid,
+            n_test,
+            expose_lexicon: true,
+            primitive_df_bounds: (3, 0.15),
+            pos_words: POS_WORDS,
+            neg_words: NEG_WORDS,
+        },
+        DatasetName::Youtube => TextGenSpec {
+            name: "Youtube".into(),
+            metric: Metric::Accuracy,
+            mixture: MixtureConfig {
+                n_clusters: 3,
+                n_shared: 250,
+                n_background_per_cluster: 120,
+                n_indicators: 80,
+                home_affinity: 2.5,
+                agreement_home: 0.92,
+                agreement_away: 0.68,
+                flip_prob: 0.10,
+                pos_prior: 0.48,
+                indicator_tokens: (2, 3, 6),
+                background_tokens: (5, 9, 16),
+                shared_tokens: (3, 8, 14),
+                ..MixtureConfig::default()
             },
-            seed,
-        ),
-        DatasetName::Sms => generate_text(
-            &TextGenSpec {
-                name: "SMS".into(),
-                metric: Metric::F1,
-                mixture: MixtureConfig {
-                    n_clusters: 2,
-                    n_shared: 280,
-                    n_background_per_cluster: 140,
-                    n_indicators: 70,
-                    home_affinity: 2.5,
-                    agreement_home: 0.95,
-                    agreement_away: 0.72,
-                    flip_prob: 0.08,
-                    // SMS spam is heavily imbalanced (~13% spam).
-                    pos_prior: 0.13,
-                    indicator_tokens: (2, 3, 5),
-                    background_tokens: (4, 7, 13),
-                    shared_tokens: (3, 6, 11),
-                    ..MixtureConfig::default()
-                },
-                n_train,
-                n_valid,
-                n_test,
-                expose_lexicon: false,
-                primitive_df_bounds: (3, 0.15),
-                pos_words: SPAM_WORDS,
-                neg_words: HAM_WORDS,
+            n_train,
+            n_valid,
+            n_test,
+            // Spam tasks have no external opinion lexicon in the paper.
+            expose_lexicon: false,
+            primitive_df_bounds: (3, 0.15),
+            pos_words: SPAM_WORDS,
+            neg_words: HAM_WORDS,
+        },
+        DatasetName::Sms => TextGenSpec {
+            name: "SMS".into(),
+            metric: Metric::F1,
+            mixture: MixtureConfig {
+                n_clusters: 2,
+                n_shared: 280,
+                n_background_per_cluster: 140,
+                n_indicators: 70,
+                home_affinity: 2.5,
+                agreement_home: 0.95,
+                agreement_away: 0.72,
+                flip_prob: 0.08,
+                // SMS spam is heavily imbalanced (~13% spam).
+                pos_prior: 0.13,
+                indicator_tokens: (2, 3, 5),
+                background_tokens: (4, 7, 13),
+                shared_tokens: (3, 6, 11),
+                ..MixtureConfig::default()
             },
-            seed,
-        ),
-        DatasetName::Vg => generate_scenes(
-            &SceneGenSpec {
-                name: "VG".into(),
-                mixture: MixtureConfig {
-                    n_clusters: 4,
-                    n_shared: 100,
-                    n_background_per_cluster: 70,
-                    n_indicators: 64,
-                    home_affinity: 2.5,
-                    agreement_home: 0.85,
-                    agreement_away: 0.62,
-                    flip_prob: 0.15,
-                    pos_prior: 0.5,
-                    indicator_tokens: (2, 3, 6),
-                    background_tokens: (4, 8, 14),
-                    shared_tokens: (3, 6, 11),
-                    ..MixtureConfig::default()
-                },
-                feature_dim: 64,
-                label_offset: 0.20,
-                noise_sigma: 0.38,
-                n_train,
-                n_valid,
-                n_test,
-                primitive_df_bounds: (3, 0.15),
-            },
-            seed,
-        ),
+            n_train,
+            n_valid,
+            n_test,
+            expose_lexicon: false,
+            primitive_df_bounds: (3, 0.15),
+            pos_words: SPAM_WORDS,
+            neg_words: HAM_WORDS,
+        },
+        DatasetName::Vg => return None,
+    };
+    Some(spec)
+}
+
+/// The VG scene spec at a scale profile.
+fn vg_spec(profile: Profile) -> SceneGenSpec {
+    let (n_train, n_valid, n_test) = sized(DatasetName::Vg, profile);
+    SceneGenSpec {
+        name: "VG".into(),
+        mixture: MixtureConfig {
+            n_clusters: 4,
+            n_shared: 100,
+            n_background_per_cluster: 70,
+            n_indicators: 64,
+            home_affinity: 2.5,
+            agreement_home: 0.85,
+            agreement_away: 0.62,
+            flip_prob: 0.15,
+            pos_prior: 0.5,
+            indicator_tokens: (2, 3, 6),
+            background_tokens: (4, 8, 14),
+            shared_tokens: (3, 6, 11),
+            ..MixtureConfig::default()
+        },
+        feature_dim: 64,
+        label_offset: 0.20,
+        noise_sigma: 0.38,
+        n_train,
+        n_valid,
+        n_test,
+        primitive_df_bounds: (3, 0.15),
     }
 }
 
 /// The toy 4-cluster sentiment dataset of Figures 3, 6, and 7: four
 /// "product categories", tiny vocabulary, strongly localized indicators.
 pub fn toy_text(seed: u64) -> Dataset {
-    generate_text(
-        &TextGenSpec {
-            name: "Toy".into(),
-            metric: Metric::Accuracy,
-            mixture: MixtureConfig {
-                n_clusters: 4,
-                // Two dominant clusters + two small ones (the Fig. 6 setup).
-                cluster_weights: vec![0.4, 0.4, 0.1, 0.1],
-                n_shared: 40,
-                n_background_per_cluster: 30,
-                n_indicators: 24,
-                home_affinity: 3.0,
-                agreement_home: 0.92,
-                agreement_away: 0.64,
-                flip_prob: 0.2,
-                pos_prior: 0.5,
-                indicator_tokens: (2, 3, 5),
-                background_tokens: (4, 8, 14),
-                shared_tokens: (3, 6, 10),
-                ..MixtureConfig::default()
-            },
-            n_train: 800,
-            n_valid: 150,
-            n_test: 150,
-            expose_lexicon: true,
-            primitive_df_bounds: (3, 0.25),
-            pos_words: POS_WORDS,
-            neg_words: NEG_WORDS,
+    generate_text(&toy_text_spec(), seed)
+}
+
+/// The generator spec behind [`toy_text`].
+pub(crate) fn toy_text_spec() -> TextGenSpec {
+    TextGenSpec {
+        name: "Toy".into(),
+        metric: Metric::Accuracy,
+        mixture: MixtureConfig {
+            n_clusters: 4,
+            // Two dominant clusters + two small ones (the Fig. 6 setup).
+            cluster_weights: vec![0.4, 0.4, 0.1, 0.1],
+            n_shared: 40,
+            n_background_per_cluster: 30,
+            n_indicators: 24,
+            home_affinity: 3.0,
+            agreement_home: 0.92,
+            agreement_away: 0.64,
+            flip_prob: 0.2,
+            pos_prior: 0.5,
+            indicator_tokens: (2, 3, 5),
+            background_tokens: (4, 8, 14),
+            shared_tokens: (3, 6, 10),
+            ..MixtureConfig::default()
         },
-        seed,
-    )
+        n_train: 800,
+        n_valid: 150,
+        n_test: 150,
+        expose_lexicon: true,
+        primitive_df_bounds: (3, 0.25),
+        pos_words: POS_WORDS,
+        neg_words: NEG_WORDS,
+    }
 }
 
 /// A 2-D toy scene dataset for the Figure 3 scatter illustration.

@@ -9,8 +9,11 @@
 //! Layout:
 //! - [`dataset`] — core types ([`Dataset`], [`Split`], [`Features`]).
 //! - [`mixture`] — the shared cluster-mixture generative process.
-//! - [`textgen`] — text datasets (sentiment & spam) through the full
-//!   tokenize → vocab → TF-IDF pipeline.
+//! - [`textgen`] — text datasets (sentiment & spam): a vocabulary built
+//!   over the token names, each split encoded through a per-name id
+//!   table (one lookup per distinct name, no `String` per token
+//!   occurrence), then TF-IDF features. `tests/catalog_digests.rs` pins
+//!   every catalog dataset bit for bit.
 //! - [`scenegen`] — Visual-Genome-like scenes: object-annotation
 //!   primitives with dense embedding features.
 //! - [`catalog`] — named dataset specs matching Table 1, with scale

@@ -1,12 +1,20 @@
 //! Text dataset generation: cluster-mixture process → readable token
-//! streams → the full tokenize/vocab/TF-IDF pipeline → [`Dataset`].
+//! streams → vocabulary and TF-IDF featurization → [`Dataset`].
 //!
 //! Indicator tokens are given curated human-readable names ("great",
 //! "terrible", "delicious", …) so examples and LF printouts look like the
 //! paper's keyword LFs; background/shared tokens keep synthetic names.
-//! The string round-trip is intentional: it exercises the same
-//! vocabulary-construction and featurization code paths a real corpus
-//! would.
+//!
+//! Vocabulary construction runs over the names, as it would over a real
+//! corpus: [`Vocab::build`] counts document frequencies and assigns
+//! first-seen ids from each train document's names, borrowed as `&str`
+//! straight from the name table. Encoding does not repeat that string
+//! lookup per token occurrence: each distinct name is looked up once
+//! (`id_of[t] = vocab.id(&names[t])`) and every split's token stream is
+//! mapped through that table. Those are the ids [`Vocab::encode_seq`]
+//! gives one materialized `String` per occurrence; that string path is
+//! the tests' oracle. TF-IDF featurization then runs on the ids as it
+//! would for any corpus.
 
 use crate::dataset::{Dataset, Features, Split};
 use crate::mixture::{MixDoc, MixtureConfig, MixtureModel};
@@ -185,8 +193,9 @@ fn curated_name(list: &[&str], idx: usize) -> String {
     }
 }
 
-/// Generate a text dataset from a spec. Deterministic in `seed`.
-pub fn generate_text(spec: &TextGenSpec, seed: u64) -> Dataset {
+/// The spec's mixture draw: the model, one readable name per mixture
+/// token id, and the sampled train, valid and test documents.
+fn draw(spec: &TextGenSpec, seed: u64) -> (MixtureModel, Vec<String>, [Vec<MixDoc>; 3]) {
     let mut rng = DetRng::new(seed ^ 0x7e87_9e0a_11b3_52cd);
     let model = MixtureModel::new(spec.mixture.clone(), &mut rng);
 
@@ -218,26 +227,35 @@ pub fn generate_text(spec: &TextGenSpec, seed: u64) -> Dataset {
     let mut train_rng = rng.fork(1);
     let mut valid_rng = rng.fork(2);
     let mut test_rng = rng.fork(3);
-    let train_docs = model.sample_docs(spec.n_train, &mut train_rng);
-    let valid_docs = model.sample_docs(spec.n_valid, &mut valid_rng);
-    let test_docs = model.sample_docs(spec.n_test, &mut test_rng);
+    let docs = [
+        model.sample_docs(spec.n_train, &mut train_rng),
+        model.sample_docs(spec.n_valid, &mut valid_rng),
+        model.sample_docs(spec.n_test, &mut test_rng),
+    ];
+    (model, names, docs)
+}
 
-    // String round-trip: mixture ids → names → corpus vocabulary.
-    let to_strings = |docs: &[MixDoc]| -> Vec<Vec<String>> {
-        docs.iter().map(|d| d.tokens.iter().map(|&t| names[t as usize].clone()).collect()).collect()
-    };
-    let train_strs = to_strings(&train_docs);
-    let valid_strs = to_strings(&valid_docs);
-    let test_strs = to_strings(&test_docs);
+/// The corpus vocabulary, built over the train documents' token names,
+/// and every split encoded as vocabulary ids (out-of-vocabulary tokens
+/// dropped). Names are looked up once per distinct name, not once per
+/// occurrence.
+fn encode_splits(names: &[String], docs: &[Vec<MixDoc>; 3]) -> (Vocab, [Vec<Vec<u32>>; 3]) {
+    let vocab = Vocab::build(
+        docs[0].iter().map(|d| d.tokens.iter().map(|&t| names[t as usize].as_str())),
+        1,
+    );
+    let id_of: Vec<Option<u32>> = names.iter().map(|name| vocab.id(name)).collect();
+    let ids = docs.each_ref().map(|split| {
+        split.iter().map(|d| d.tokens.iter().filter_map(|&t| id_of[t as usize]).collect()).collect()
+    });
+    (vocab, ids)
+}
 
-    let vocab = Vocab::build(train_strs.iter().map(|d| d.iter().map(String::as_str)), 1);
-
-    let encode = |docs: &[Vec<String>]| -> Vec<Vec<u32>> {
-        docs.iter().map(|d| vocab.encode_seq(d)).collect()
-    };
-    let train_ids = encode(&train_strs);
-    let valid_ids = encode(&valid_strs);
-    let test_ids = encode(&test_strs);
+/// Generate a text dataset from a spec. Deterministic in `seed`.
+pub fn generate_text(spec: &TextGenSpec, seed: u64) -> Dataset {
+    let (model, names, docs) = draw(spec, seed);
+    let (vocab, [train_ids, valid_ids, test_ids]) = encode_splits(&names, &docs);
+    let [train_docs, valid_docs, test_docs] = docs;
 
     let tfidf = TfIdf::default().fit(&train_ids, vocab.len());
 
@@ -414,6 +432,42 @@ mod tests {
         let spec = TextGenSpec { expose_lexicon: false, ..tiny_spec() };
         let ds = generate_text(&spec, 42);
         assert!(ds.lexicon.is_empty());
+    }
+
+    /// Reference for [`encode_splits`]: the materialized string path, one
+    /// `String` per token occurrence, [`Vocab::build`] over the train
+    /// strings and [`Vocab::encode_seq`] per document.
+    fn encode_splits_via_strings(
+        names: &[String],
+        docs: &[Vec<MixDoc>; 3],
+    ) -> (Vocab, [Vec<Vec<u32>>; 3]) {
+        let strs: [Vec<Vec<String>>; 3] = docs.each_ref().map(|split| {
+            split
+                .iter()
+                .map(|d| d.tokens.iter().map(|&t| names[t as usize].clone()).collect())
+                .collect()
+        });
+        let vocab = Vocab::build(strs[0].iter().map(|d| d.iter().map(String::as_str)), 1);
+        let ids = strs.each_ref().map(|split| split.iter().map(|d| vocab.encode_seq(d)).collect());
+        (vocab, ids)
+    }
+
+    #[test]
+    fn encoding_equals_materialized_string_path() {
+        use crate::catalog::{text_spec, toy_text_spec, DatasetName, Profile};
+        let specs = [toy_text_spec(), text_spec(DatasetName::Amazon, Profile::Smoke).unwrap()];
+        let mut dropped = 0;
+        for (spec, seed) in specs.iter().zip([1, 2]) {
+            let (_, names, docs) = draw(spec, seed);
+            let (vocab, ids) = encode_splits(&names, &docs);
+            let (want_vocab, want_ids) = encode_splits_via_strings(&names, &docs);
+            assert_eq!(vocab.tokens(), want_vocab.tokens(), "{}", spec.name);
+            assert_eq!(ids, want_ids, "{}", spec.name);
+            let occurrences: usize = docs.iter().flatten().map(|d| d.tokens.len()).sum();
+            dropped += occurrences - ids.iter().flatten().map(Vec::len).sum::<usize>();
+        }
+        // Valid/test tokens unseen in train are dropped on both paths.
+        assert!(dropped > 0, "no out-of-vocabulary token exercised");
     }
 
     #[test]
