@@ -10,8 +10,7 @@
 //! down between passes slows both sides of the ratio.
 //!
 //! Correctness checks run unconditionally before timing: the two SEU
-//! replays agree on their score checksum, the reloaded dataset artifact
-//! is byte-identical to the saved one, and a pooled session retraces a
+//! replays agree on their score checksum, and a pooled session retraces a
 //! direct one bit for bit. `NEMO_BENCH_ENFORCE` arms the perf gates.
 //!
 //! Results are printed as a table and written to `BENCH_kernel.json` at
@@ -32,7 +31,6 @@ use nemo_data::{Dataset, Rows};
 use nemo_endmodel::LogisticRegression;
 use nemo_labelmodel::{LabelModel, TripletModel};
 use nemo_lf::{LabelMatrix, LfColumn, Lineage, PrimitiveLf};
-use nemo_persist::{artifact_to_bytes, load_artifact, save_artifact, ArtifactBundle};
 use nemo_sparse::stats::percentiles;
 use nemo_sparse::DetRng;
 use nemo_text::TfIdf;
@@ -292,24 +290,6 @@ fn distance_engine_summary(timings: &[Timed]) -> String {
     )
 }
 
-/// The dataset artifact store: reloading the Amazon artifact from a
-/// `nemo-persist` file vs rebuilding it from the catalog must be ≥5×
-/// faster, the number that makes disconnect/resume feel instant.
-fn artifact_load_summary(timings: &[Timed], file_bytes: u64) -> String {
-    let speedup = paired_ratio(timings, "artifact_cold_build", "artifact_checkpoint_load");
-    if std::env::var("NEMO_BENCH_ENFORCE").is_ok() {
-        assert!(
-            speedup.median >= 5.0,
-            "regression: artifact load only {:.2}x faster than a cold build",
-            speedup.median
-        );
-    }
-    format!(
-        "{{\"file_bytes\": {file_bytes}, \"speedup\": {}, \"bit_identical\": true}}",
-        ratio_json(&speedup)
-    )
-}
-
 /// Pool scheduling overhead: a session pooled alone may cost at most
 /// 1.5× the same session on a bare `NemoSystem`.
 fn session_pool_summary(timings: &[Timed]) -> String {
@@ -403,25 +383,6 @@ fn main() {
         })
         .collect();
 
-    // The artifact is written once; the reloaded bundle must be
-    // bit-identical to what was saved.
-    let bundle = ArtifactBundle {
-        dataset: build(DatasetName::Amazon, profile, 3),
-        vocab: None,
-        tfidf: None,
-    };
-    let dir = std::env::temp_dir().join(format!("nemo-bench-artifact-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create artifact scratch dir");
-    let path = dir.join("amazon.nemo");
-    save_artifact(&path, &bundle).expect("save dataset artifact");
-    let file_bytes = std::fs::metadata(&path).expect("stat artifact file").len();
-    let reloaded = load_artifact(&path).expect("load dataset artifact");
-    assert_eq!(
-        artifact_to_bytes(&reloaded),
-        artifact_to_bytes(&bundle),
-        "artifact load not bit-identical to the saved bundle"
-    );
-
     let arts = SharedArtifacts::new(ds.clone());
     let pool_cfg = IdpConfig {
         n_iterations: POOL_ROUNDS,
@@ -487,16 +448,11 @@ fn main() {
             lfs.iter().map(|lf| LfColumn::from_lf(lf, &ds.train.corpus).coverage()).sum::<usize>()
         }),
         row("model_outputs_initial", || ModelOutputs::initial(&ds)),
-        row("artifact_cold_build", || build(DatasetName::Amazon, profile, 3).train.n()),
-        row("artifact_checkpoint_load", || {
-            load_artifact(&path).expect("load artifact").dataset.train.n()
-        }),
         row("session_3_rounds_direct", || direct_session(&arts, &pool_cfg)),
         row("session_3_rounds_pooled_k1", || pooled_session(&arts, &pool_cfg)),
         row("seu_replay_full_rebuild", || replay(&ds, &trajectory, &initial, false).0),
         row("seu_replay_delta_sync", || replay(&ds, &trajectory, &initial, true).0),
     ]);
-    std::fs::remove_dir_all(&dir).ok();
 
     println!("\n{:<30} {:>6} {:>12} {:>26}", "kernel", "iters", "median", "quartiles");
     let mut rows_json = Vec::new();
@@ -524,7 +480,6 @@ fn main() {
     println!("\nPaired ratios, median (quartiles):");
     let sections = [
         ("distance_engine", distance_engine_summary(&timings)),
-        ("artifact_load", artifact_load_summary(&timings, file_bytes)),
         ("session_pool", session_pool_summary(&timings)),
         ("seu_loop", seu_loop_summary(&timings, &synced)),
     ];

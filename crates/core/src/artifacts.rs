@@ -1,15 +1,13 @@
 //! The shared read-only world of a multi-tenant deployment.
 //!
 //! Everything a learning round *reads* but never *writes* — the prepared
-//! [`Dataset`] (feature matrices with their CSC companions and cached row
-//! norms, primitive corpora, lexicon) plus the fitted text-pipeline state
-//! (vocabulary, TF-IDF statistics) — is immutable after dataset
-//! preparation. [`SharedArtifacts`] packages exactly that set so it can be
-//! built (or loaded from a `nemo-persist` artifact file) once and handed
-//! out behind an [`Arc`] to any number of concurrent sessions: every
-//! per-user structure ([`crate::Session`], [`crate::NemoSystem`],
-//! [`crate::pool::SessionPool`]) borrows the artifacts, it never clones
-//! them.
+//! [`Dataset`]: feature matrices with their CSC companions and cached row
+//! norms, primitive corpora, lexicon — is immutable after dataset
+//! preparation. [`SharedArtifacts`] packages it so it can be built once
+//! and handed out behind an [`Arc`](std::sync::Arc) to any number of
+//! concurrent sessions: every per-user structure ([`crate::Session`],
+//! [`crate::NemoSystem`], [`crate::pool::SessionPool`]) borrows the
+//! artifacts, it never clones them.
 //!
 //! The split mirrors the paper's serving model: Nemo's interactive loop
 //! (Hsieh et al., PVLDB 2022, Sec. 4) is per-user mutable state — lineage,
@@ -18,13 +16,11 @@
 //! session cheap enough to admit by the hundreds.
 
 use std::ops::Deref;
-use std::sync::Arc;
 
 use nemo_data::Dataset;
-use nemo_text::{TfIdfModel, Vocab};
 
 /// The immutable artifact set shared by every session of a deployment:
-/// one prepared dataset plus the optional fitted text-pipeline state.
+/// one prepared dataset.
 ///
 /// Derefs to [`Dataset`], so any API taking `&Dataset` accepts
 /// `&SharedArtifacts` unchanged:
@@ -49,44 +45,17 @@ use nemo_text::{TfIdfModel, Vocab};
 #[derive(Debug, Clone)]
 pub struct SharedArtifacts {
     dataset: Dataset,
-    vocab: Option<Vocab>,
-    tfidf: Option<TfIdfModel>,
 }
 
 impl SharedArtifacts {
-    /// Wrap a prepared dataset with no text-pipeline state (the shape of
-    /// dense-embedding tasks).
+    /// Wrap a prepared dataset.
     pub fn new(dataset: Dataset) -> Self {
-        Self { dataset, vocab: None, tfidf: None }
-    }
-
-    /// Wrap a prepared dataset together with the fitted text-pipeline
-    /// state that produced its features (the shape of text tasks, and of
-    /// a loaded `nemo-persist` artifact bundle).
-    pub fn with_text(dataset: Dataset, vocab: Option<Vocab>, tfidf: Option<TfIdfModel>) -> Self {
-        Self { dataset, vocab, tfidf }
+        Self { dataset }
     }
 
     /// The prepared dataset.
     pub fn dataset(&self) -> &Dataset {
         &self.dataset
-    }
-
-    /// The fitted token vocabulary, if this artifact set came from the
-    /// text pipeline.
-    pub fn vocab(&self) -> Option<&Vocab> {
-        self.vocab.as_ref()
-    }
-
-    /// The fitted TF-IDF statistics, if this artifact set came from the
-    /// text pipeline.
-    pub fn tfidf(&self) -> Option<&TfIdfModel> {
-        self.tfidf.as_ref()
-    }
-
-    /// Move into an [`Arc`], the handle multi-tenant callers share.
-    pub fn into_shared(self) -> Arc<Self> {
-        Arc::new(self)
     }
 }
 
@@ -112,14 +81,5 @@ mod tests {
         // Deref coercion lets `&SharedArtifacts` stand in for `&Dataset`.
         let nemo = NemoSystem::new(&artifacts, IdpConfig::default());
         assert_eq!(nemo.iteration(), 0);
-    }
-
-    #[test]
-    fn text_state_is_carried() {
-        let artifacts = SharedArtifacts::new(toy_text(2));
-        assert!(artifacts.vocab().is_none());
-        assert!(artifacts.tfidf().is_none());
-        let shared = artifacts.into_shared();
-        assert_eq!(std::sync::Arc::strong_count(&shared), 1);
     }
 }

@@ -13,7 +13,7 @@ use nemo_sparse::{CscIndex, CsrMatrix, DenseMatrix, Distance, GatherScratch, Spa
 
 /// How a split's features are stored for distance queries.
 #[derive(Debug, Clone)]
-pub enum Backing {
+enum Backing {
     /// Sparse features (TF-IDF), with the column-major [`CscIndex`]
     /// companion of the CSR matrix that the indexed distance kernel walks.
     Sparse(CscIndex),
@@ -35,8 +35,9 @@ pub enum Rows<'a> {
 }
 
 /// Feature vectors for one split. Every split keeps a CSR matrix, the
-/// form model code consumes; its [`Backing`] is what distance queries run
-/// on.
+/// form model code consumes; distance queries run on its backing: the
+/// column-major [`CscIndex`] companion for sparse features, the dense rows
+/// for dense ones.
 ///
 /// [`Features::distances`] is the one distance query: from one example of
 /// this split to every example of a target split, or to the listed ones.
@@ -80,39 +81,6 @@ impl Features {
         Self { csr, backing: Backing::Dense(dense), sq_norms }
     }
 
-    /// Reassemble features from persisted parts without recomputing the
-    /// norms or the column-major companion — the fast-load path of the
-    /// artifact store. Validates the cross-buffer invariants
-    /// ([`Features::from_csr`]/[`Features::from_dense`] establish them by
-    /// construction); returns `Err` instead of panicking so corrupted
-    /// artifacts surface as typed load errors.
-    pub fn from_parts(
-        csr: CsrMatrix,
-        backing: Backing,
-        sq_norms: Vec<f64>,
-    ) -> Result<Self, &'static str> {
-        if sq_norms.len() != csr.n_rows() {
-            return Err("row-norm cache length does not match row count");
-        }
-        if sq_norms.iter().any(|&n| !n.is_finite() || n < 0.0) {
-            return Err("row norm must be finite and non-negative");
-        }
-        match &backing {
-            Backing::Dense(d) => {
-                if d.n_rows() != csr.n_rows() || d.n_cols() != csr.n_cols() {
-                    return Err("dense mirror shape does not match CSR");
-                }
-            }
-            Backing::Sparse(c) => {
-                if c.n_rows() != csr.n_rows() || c.n_cols() != csr.n_cols() || c.nnz() != csr.nnz()
-                {
-                    return Err("CSC companion shape does not match CSR");
-                }
-            }
-        }
-        Ok(Self { csr, backing, sq_norms })
-    }
-
     /// Number of examples.
     pub fn n(&self) -> usize {
         self.csr.n_rows()
@@ -126,11 +94,6 @@ impl Features {
     /// Sparse view (always available).
     pub fn csr(&self) -> &CsrMatrix {
         &self.csr
-    }
-
-    /// The storage distance queries run on.
-    pub fn backing(&self) -> &Backing {
-        &self.backing
     }
 
     /// Dense view, if the features were constructed dense.
@@ -383,13 +346,13 @@ mod tests {
     #[test]
     fn sparse_features_carry_csc_dense_do_not() {
         let fs = tiny_features_sparse();
-        let Backing::Sparse(csc) = fs.backing() else {
+        let Backing::Sparse(csc) = &fs.backing else {
             panic!("sparse-backed features build a CscIndex");
         };
         assert_eq!(csc.n_rows(), fs.n());
         assert_eq!(csc.nnz(), fs.csr().nnz());
         let fd = Features::from_dense(DenseMatrix::from_rows(&[vec![1.0, 0.0]]));
-        assert!(matches!(fd.backing(), Backing::Dense(_)));
+        assert!(matches!(fd.backing, Backing::Dense(_)));
     }
 
     #[test]
@@ -463,6 +426,51 @@ mod tests {
         let dense = Features::from_dense(DenseMatrix::from_rows(&[vec![1.0, 0.0, 0.0]]));
         assert!(!fs.same_space(&dense));
         assert!(dense.same_space(&Features::from_dense(DenseMatrix::zeros(4, 3))));
+    }
+
+    /// A valid or test split in another feature space than train's
+    /// (narrower, or dense where train is sparse) fails validation:
+    /// accepted, a narrow valid split made the contextualizer's
+    /// registration index past its CSC columns.
+    #[test]
+    fn validate_rejects_split_outside_train_space() {
+        let ds = crate::catalog::toy_text(1);
+        let narrow = |f: &Features| {
+            let dim = f.dim() / 2;
+            let rows: Vec<SparseVec> = f
+                .csr()
+                .rows()
+                .map(|r| {
+                    SparseVec::from_pairs(
+                        r.iter().filter(|&(j, _)| (j as usize) < dim).collect(),
+                        dim,
+                    )
+                })
+                .collect();
+            Features::from_csr(CsrMatrix::from_rows(&rows, dim))
+        };
+        let dense = |f: &Features| {
+            let rows: Vec<Vec<f32>> = f
+                .csr()
+                .rows()
+                .map(|r| SparseVec::from_pairs(r.iter().collect(), f.dim()).to_dense())
+                .collect();
+            Features::from_dense(DenseMatrix::from_rows(&rows))
+        };
+        let mut narrow_valid = ds.clone();
+        narrow_valid.valid.features = narrow(&ds.valid.features);
+        let mut narrow_test = ds.clone();
+        narrow_test.test.features = narrow(&ds.test.features);
+        let mut dense_valid = ds.clone();
+        dense_valid.valid.features = dense(&ds.valid.features);
+        for (what, dataset) in [
+            ("narrow valid", narrow_valid),
+            ("narrow test", narrow_test),
+            ("dense valid", dense_valid),
+        ] {
+            let validated = std::panic::catch_unwind(|| dataset.validate());
+            assert!(validated.is_err(), "{what}: Dataset::validate must reject it");
+        }
     }
 
     #[test]

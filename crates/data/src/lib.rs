@@ -28,5 +28,5 @@ pub mod scenegen;
 pub mod textgen;
 
 pub use catalog::{DatasetName, Profile};
-pub use dataset::{Backing, Dataset, Features, Rows, Split};
+pub use dataset::{Dataset, Features, Rows, Split};
 pub use mixture::MixtureConfig;

@@ -9,7 +9,8 @@
 //! 8       4     format version (little-endian u32; currently 1)
 //! 12      4     endianness tag 0x0102_0304 (LE on disk; a byte-swapped
 //!               writer would round-trip to 0x0403_0201)
-//! 16      4     file kind (1 = dataset artifact, 2 = session checkpoint)
+//! 16      4     file kind (2 = session checkpoint; 1 is retired, see
+//!               [`KIND_SESSION`])
 //! 20      4     section count
 //! 24      4     CRC-32 (IEEE) over bytes 0..24
 //! 28      …     sections, sequential:
@@ -51,9 +52,9 @@ pub const FORMAT_VERSION: u32 = 1;
 /// Endianness canary: round-trips to itself only under the writer's
 /// byte order.
 pub const ENDIAN_TAG: u32 = 0x0102_0304;
-/// File kind: immutable dataset artifact bundle.
-pub const KIND_ARTIFACT: u32 = 1;
-/// File kind: session checkpoint.
+/// File kind: session checkpoint. Kind 1 is retired: it marked the
+/// dataset artifact files of earlier versions, which open as
+/// [`PersistError::WrongKind`].
 pub const KIND_SESSION: u32 = 2;
 /// Header length in bytes (magic through header CRC).
 pub const HEADER_LEN: usize = 28;
@@ -73,8 +74,8 @@ pub enum PersistError {
     /// The endianness canary does not round-trip: the file was written
     /// with a different byte order.
     EndiannessMismatch,
-    /// The file is of a different kind than requested (e.g. a session
-    /// checkpoint opened as a dataset artifact).
+    /// The file is of a different kind than requested (e.g. a retired
+    /// dataset artifact file opened as a session checkpoint).
     WrongKind {
         /// Kind requested by the caller.
         expected: u32,
@@ -167,9 +168,7 @@ impl From<std::io::Error> for PersistError {
 /// the checksum is implemented here. Eight tables implement the
 /// slicing-by-8 variant: table `t` maps a byte to its CRC contribution
 /// `t` positions further down the stream, so eight input bytes fold into
-/// the running CRC per iteration instead of one. Checksumming is the
-/// single largest cost of loading a multi-megabyte artifact, so the
-/// bulk-path throughput is what makes checkpoint loads near-instant.
+/// the running CRC per iteration instead of one.
 const CRC_TABLES: [[u32; 256]; 8] = {
     let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
@@ -271,11 +270,6 @@ impl Enc {
         self.u64(v as u64);
     }
 
-    /// Append a little-endian IEEE-754 `f32` (bit pattern preserved).
-    pub fn f32(&mut self, v: f32) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-
     /// Append a little-endian IEEE-754 `f64` (bit pattern preserved).
     pub fn f64(&mut self, v: f64) {
         self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
@@ -303,28 +297,6 @@ impl Enc {
         }
     }
 
-    /// Append a length-prefixed UTF-8 string.
-    pub fn str(&mut self, s: &str) {
-        self.usize(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    /// Append a length-prefixed `u32` slice.
-    pub fn vec_u32(&mut self, v: &[u32]) {
-        self.usize(v.len());
-        for &x in v {
-            self.u32(x);
-        }
-    }
-
-    /// Append a length-prefixed `usize` slice (as `u64`s).
-    pub fn vec_usize(&mut self, v: &[usize]) {
-        self.usize(v.len());
-        for &x in v {
-            self.usize(x);
-        }
-    }
-
     /// Append a length-prefixed `i8` slice.
     pub fn vec_i8(&mut self, v: &[i8]) {
         self.usize(v.len());
@@ -338,14 +310,6 @@ impl Enc {
         self.usize(v.len());
         for &x in v {
             self.u8(x as u8);
-        }
-    }
-
-    /// Append a length-prefixed `f32` slice.
-    pub fn vec_f32(&mut self, v: &[f32]) {
-        self.usize(v.len());
-        for &x in v {
-            self.f32(x);
         }
     }
 
@@ -429,11 +393,6 @@ impl<'a> Dec<'a> {
         to_usize(self.u64()?)
     }
 
-    /// Read an `f32` bit pattern.
-    pub fn f32(&mut self) -> Result<f32, PersistError> {
-        Ok(f32::from_bits(self.u32()?))
-    }
-
     /// Read an `f64` bit pattern.
     pub fn f64(&mut self) -> Result<f64, PersistError> {
         Ok(f64::from_bits(self.u64()?))
@@ -468,34 +427,6 @@ impl<'a> Dec<'a> {
         Ok(count)
     }
 
-    /// Read a length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<String, PersistError> {
-        let n = self.usize()?;
-        let n = self.checked_count(n, 1)?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| PersistError::InvalidValue("string is not valid UTF-8"))
-    }
-
-    /// Read a length-prefixed `u32` vector.
-    pub fn vec_u32(&mut self) -> Result<Vec<u32>, PersistError> {
-        let n = self.usize()?;
-        let n = self.checked_count(n, 4)?;
-        let bytes = self.take(n * 4)?;
-        Ok(bytes.chunks_exact(4).map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect())
-    }
-
-    /// Read a length-prefixed `usize` vector (stored as `u64`s).
-    pub fn vec_usize(&mut self) -> Result<Vec<usize>, PersistError> {
-        let n = self.usize()?;
-        let n = self.checked_count(n, 8)?;
-        let bytes = self.take(n * 8)?;
-        bytes
-            .chunks_exact(8)
-            .map(|c| to_usize(u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]])))
-            .collect()
-    }
-
     /// Read a length-prefixed `i8` vector.
     pub fn vec_i8(&mut self) -> Result<Vec<i8>, PersistError> {
         let n = self.usize()?;
@@ -517,17 +448,6 @@ impl<'a> Dec<'a> {
                 _ => Err(PersistError::InvalidValue("bool byte must be 0 or 1")),
             })
             .collect()
-    }
-
-    /// Read a length-prefixed `f32` vector (bit patterns preserved).
-    pub fn vec_f32(&mut self) -> Result<Vec<f32>, PersistError> {
-        let n = self.usize()?;
-        let n = self.checked_count(n, 4)?;
-        let bytes = self.take(n * 4)?;
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|c| f32::from_bits(u32::from_le_bytes([c[0], c[1], c[2], c[3]])))
-            .collect())
     }
 
     /// Read a length-prefixed `f64` vector (bit patterns preserved).
@@ -793,36 +713,26 @@ mod tests {
         e.i8(-3);
         e.u32(0xDEAD_BEEF);
         e.u64(u64::MAX - 1);
-        e.f32(-0.0);
         e.f64(f64::NEG_INFINITY);
         e.opt_f64(Some(1.5));
         e.opt_f64(None);
         e.opt_u64(Some(9));
-        e.str("héllo");
-        e.vec_u32(&[1, 2, 3]);
         e.vec_i8(&[-1, 1]);
         e.vec_bool(&[true, false]);
         e.vec_f64(&[0.25]);
-        e.vec_usize(&[0, usize::MAX]);
-        e.vec_f32(&[1.0, -2.5]);
         let bytes = e.into_bytes();
         let mut d = Dec::new(&bytes);
         assert_eq!(d.u8().unwrap(), 7);
         assert_eq!(d.i8().unwrap(), -3);
         assert_eq!(d.u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(d.u64().unwrap(), u64::MAX - 1);
-        assert_eq!(d.f32().unwrap().to_bits(), (-0.0f32).to_bits());
         assert_eq!(d.f64().unwrap(), f64::NEG_INFINITY);
         assert_eq!(d.opt_f64().unwrap(), Some(1.5));
         assert_eq!(d.opt_f64().unwrap(), None);
         assert_eq!(d.opt_u64().unwrap(), Some(9));
-        assert_eq!(d.str().unwrap(), "héllo");
-        assert_eq!(d.vec_u32().unwrap(), vec![1, 2, 3]);
         assert_eq!(d.vec_i8().unwrap(), vec![-1, 1]);
         assert_eq!(d.vec_bool().unwrap(), vec![true, false]);
         assert_eq!(d.vec_f64().unwrap(), vec![0.25]);
-        assert_eq!(d.vec_usize().unwrap(), vec![0, usize::MAX]);
-        assert_eq!(d.vec_f32().unwrap(), vec![1.0, -2.5]);
         d.finish().unwrap();
     }
 
@@ -830,10 +740,10 @@ mod tests {
     fn lying_length_prefix_is_overflow_not_panic() {
         let mut e = Enc::new();
         e.usize(1_000_000); // declares a million elements…
-        e.u32(1); // …but holds one
+        e.f64(1.0); // …but holds one
         let bytes = e.into_bytes();
         let mut d = Dec::new(&bytes);
-        assert!(matches!(d.vec_u32(), Err(PersistError::LengthOverflow)));
+        assert!(matches!(d.vec_f64(), Err(PersistError::LengthOverflow)));
         // Absurd count that would overflow `count * elem_size`.
         let mut e = Enc::new();
         e.u64(u64::MAX);
@@ -852,15 +762,15 @@ mod tests {
 
     #[test]
     fn file_roundtrip_and_finish() {
-        let mut b = FileBuilder::new(KIND_ARTIFACT);
+        let mut b = FileBuilder::new(KIND_SESSION);
         let mut e = Enc::new();
-        e.vec_u32(&[4, 5]);
+        e.vec_f64(&[4.0, 5.0]);
         b.section(1, e.into_bytes());
         b.section(2, Vec::new());
         let bytes = b.into_bytes();
-        let mut p = FileParser::open(&bytes, KIND_ARTIFACT).unwrap();
+        let mut p = FileParser::open(&bytes, KIND_SESSION).unwrap();
         let mut s1 = p.section(1, "first").unwrap();
-        assert_eq!(s1.vec_u32().unwrap(), vec![4, 5]);
+        assert_eq!(s1.vec_f64().unwrap(), vec![4.0, 5.0]);
         s1.finish().unwrap();
         let s2 = p.section(2, "second").unwrap();
         s2.finish().unwrap();
@@ -869,42 +779,45 @@ mod tests {
 
     #[test]
     fn header_violations_are_typed() {
-        let mut b = FileBuilder::new(KIND_ARTIFACT);
+        let mut b = FileBuilder::new(KIND_SESSION);
         b.section(1, vec![1, 2, 3]);
         let good = b.into_bytes();
 
-        assert!(matches!(FileParser::open(&[], KIND_ARTIFACT), Err(PersistError::BadMagic)));
+        assert!(matches!(FileParser::open(&[], KIND_SESSION), Err(PersistError::BadMagic)));
         assert!(matches!(
-            FileParser::open(&good[..10], KIND_ARTIFACT),
+            FileParser::open(&good[..10], KIND_SESSION),
             Err(PersistError::Truncated)
         ));
+        // Kind 1, the retired dataset artifact.
+        let mut b = FileBuilder::new(1);
+        b.section(1, vec![1, 2, 3]);
         assert!(matches!(
-            FileParser::open(&good, KIND_SESSION),
-            Err(PersistError::WrongKind { expected: KIND_SESSION, found: KIND_ARTIFACT })
+            FileParser::open(&b.into_bytes(), KIND_SESSION),
+            Err(PersistError::WrongKind { expected: KIND_SESSION, found: 1 })
         ));
 
         let mut bad = good.clone();
         bad[0] ^= 0xFF;
-        assert!(matches!(FileParser::open(&bad, KIND_ARTIFACT), Err(PersistError::BadMagic)));
+        assert!(matches!(FileParser::open(&bad, KIND_SESSION), Err(PersistError::BadMagic)));
 
         let mut bad = good.clone();
         bad[8] = 99; // version — caught by the version check
         assert!(matches!(
-            FileParser::open(&bad, KIND_ARTIFACT),
+            FileParser::open(&bad, KIND_SESSION),
             Err(PersistError::UnsupportedVersion(99))
         ));
 
         let mut bad = good.clone();
         bad[12] ^= 0xFF; // endian tag
         assert!(matches!(
-            FileParser::open(&bad, KIND_ARTIFACT),
+            FileParser::open(&bad, KIND_SESSION),
             Err(PersistError::EndiannessMismatch)
         ));
 
         let mut bad = good.clone();
         bad[20] ^= 1; // section count — header CRC trips
         assert!(matches!(
-            FileParser::open(&bad, KIND_ARTIFACT),
+            FileParser::open(&bad, KIND_SESSION),
             Err(PersistError::ChecksumMismatch { what: "header" })
         ));
     }

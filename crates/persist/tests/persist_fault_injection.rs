@@ -6,8 +6,8 @@
 //!
 //! 1. **Random damage** — single-byte corruption at *every* offset (three
 //!    flip patterns per byte) and truncation at *every* length, applied to
-//!    valid artifact and session files. CRC-32 detects all single-byte
-//!    errors, so every such load must fail.
+//!    a valid session file. CRC-32 detects all single-byte errors, so
+//!    every such load must fail.
 //! 2. **Header lies** — wrong magic, unsupported version, byte-swapped
 //!    endianness canary, wrong file kind, and a section count that
 //!    disagrees with the body, each with a *recomputed* header CRC so only
@@ -18,49 +18,9 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use nemo_data::{Dataset, Features, Split};
-use nemo_lf::{Label, Metric, PrimitiveCorpus, PrimitiveLf, TrackedLf};
-use nemo_persist::format::{crc32, Enc, FileBuilder, KIND_ARTIFACT, KIND_SESSION};
-use nemo_persist::{
-    artifact_from_bytes, artifact_to_bytes, session_from_bytes, session_to_bytes, ArtifactBundle,
-    PersistError,
-};
-use nemo_sparse::{CsrMatrix, DenseMatrix, SparseVec};
-use nemo_text::{TfIdf, Vocab};
-
-/// A deliberately small but feature-complete artifact (sparse features,
-/// non-trivial corpus, lexicon, vocab + TF-IDF): every section and every
-/// field kind is present, and the file stays a few hundred bytes so the
-/// corruption loops visit every offset quickly.
-fn tiny_artifact_bytes() -> Vec<u8> {
-    let split = |labels: Vec<Label>, docs: Vec<Vec<u32>>| {
-        let n = labels.len();
-        let rows: Vec<SparseVec> = (0..n)
-            .map(|i| SparseVec::from_pairs(vec![(i as u32 % 3, 1.0 + i as f32)], 3))
-            .collect();
-        Split {
-            labels,
-            features: Features::from_csr(CsrMatrix::from_rows(&rows, 3)),
-            corpus: PrimitiveCorpus::new(docs, 3),
-            clusters: vec![0; n],
-        }
-    };
-    let dataset = Dataset {
-        name: "tiny".into(),
-        metric: Metric::F1,
-        train: split(vec![Label::Pos, Label::Neg, Label::Pos], vec![vec![0, 1], vec![2], vec![1]]),
-        valid: split(vec![Label::Neg], vec![vec![0]]),
-        test: split(vec![Label::Pos], vec![vec![2]]),
-        n_primitives: 3,
-        primitive_names: vec!["a".into(), "b".into(), "c".into()],
-        lexicon: vec![0, 2],
-        class_prior_pos: 0.5,
-    };
-    dataset.validate();
-    let vocab = Vocab::from_tokens(vec!["a".into(), "b".into(), "c".into()]).unwrap();
-    let tfidf = TfIdf::default().fit(&[vec![0, 1], vec![2]], 3);
-    artifact_to_bytes(&ArtifactBundle { dataset, vocab: Some(vocab), tfidf: Some(tfidf) })
-}
+use nemo_lf::{Label, PrimitiveLf, TrackedLf};
+use nemo_persist::format::{crc32, Enc, FileBuilder, KIND_SESSION};
+use nemo_persist::{session_from_bytes, session_to_bytes, PersistError};
 
 /// A small checkpoint exercising every session section, including the
 /// optional fields in both states.
@@ -124,19 +84,6 @@ fn truncate_every_length<T: std::fmt::Debug>(
 }
 
 #[test]
-fn artifact_single_byte_corruption_at_every_offset_fails_typed() {
-    let good = tiny_artifact_bytes();
-    assert!(artifact_from_bytes(&good).is_ok(), "baseline must load");
-    corrupt_every_byte(&good, artifact_from_bytes);
-}
-
-#[test]
-fn artifact_truncation_at_every_length_fails_typed() {
-    let good = tiny_artifact_bytes();
-    truncate_every_length(&good, artifact_from_bytes);
-}
-
-#[test]
 fn session_single_byte_corruption_at_every_offset_fails_typed() {
     let good = tiny_session_bytes();
     assert!(session_from_bytes(&good).is_ok(), "baseline must load");
@@ -169,20 +116,12 @@ fn header_lies_with_valid_crc_fail_typed() {
     let swapped = patch_header_word(&good, 12, 0x0403_0201);
     assert!(matches!(session_from_bytes(&swapped), Err(PersistError::EndiannessMismatch)));
 
-    let wrong_kind = patch_header_word(&good, 16, KIND_ARTIFACT);
+    // Kind 1 is retired: it marked dataset artifact files, so an old
+    // artifact file opened as a checkpoint fails here.
+    let retired_kind = patch_header_word(&good, 16, 1);
     assert!(matches!(
-        session_from_bytes(&wrong_kind),
-        Err(PersistError::WrongKind { expected: KIND_SESSION, found: KIND_ARTIFACT })
-    ));
-
-    // Cross-loading the two kinds also fails as WrongKind.
-    assert!(matches!(
-        artifact_from_bytes(&good),
-        Err(PersistError::WrongKind { expected: KIND_ARTIFACT, found: KIND_SESSION })
-    ));
-    assert!(matches!(
-        session_from_bytes(&tiny_artifact_bytes()),
-        Err(PersistError::WrongKind { expected: KIND_SESSION, found: KIND_ARTIFACT })
+        session_from_bytes(&retired_kind),
+        Err(PersistError::WrongKind { expected: KIND_SESSION, found: 1 })
     ));
 
     let mut bad_magic = good.clone();
@@ -210,31 +149,53 @@ fn section_count_lies_with_valid_crc_fail_typed() {
     assert!(matches!(session_from_bytes(&zero), Err(PersistError::SectionCount { .. })));
 }
 
-/// Craft a structurally valid artifact file (consistent CRCs, correct
-/// section order) whose META payload's length prefixes lie about the
-/// bytes that follow.
+/// Section frames that lie under a valid header: a flipped payload byte
+/// is caught by its section's CRC, a wrong section id by its position.
+#[test]
+fn section_frame_lies_fail_typed() {
+    let good = tiny_session_bytes();
+    let first_payload = 28 + 16;
+    let mut flipped = good.clone();
+    flipped[first_payload] ^= 0x01;
+    assert!(matches!(
+        session_from_bytes(&flipped),
+        Err(PersistError::ChecksumMismatch { what: "CONFIG" })
+    ));
+
+    let mut renumbered = good.clone();
+    renumbered[28..32].copy_from_slice(&9u32.to_le_bytes());
+    assert!(matches!(
+        session_from_bytes(&renumbered),
+        Err(PersistError::UnexpectedSection { expected: 1, found: 9 })
+    ));
+}
+
+/// Structurally valid session files (consistent CRCs, correct section
+/// order) whose length prefixes lie about the bytes that follow: the
+/// element-count bound (count × element size vs remaining bytes, with
+/// overflow-checked multiplication) must trip before any allocation.
 #[test]
 fn lying_length_prefixes_with_valid_crc_fail_typed() {
-    // META declares u64::MAX primitive names: the element-count bound
-    // (count × min-size vs remaining bytes) must trip before allocation.
-    let mut meta = Enc::new();
-    meta.str("craft");
-    meta.u8(0); // Accuracy
-    meta.u64(u64::MAX); // n_primitives
-    meta.f64(0.5);
-    meta.u64(u64::MAX); // primitive-name count "matching" the domain size
-    let mut b = FileBuilder::new(KIND_ARTIFACT);
-    b.section(1, meta.into_bytes());
-    let bytes = b.into_bytes();
-    assert_typed_failure("u64::MAX name count", || artifact_from_bytes(&bytes));
+    // LINEAGE declares u64::MAX records.
+    let mut lineage = Enc::new();
+    lineage.u64(u64::MAX);
+    let bytes = hand_encoded_with_section(3, lineage.into_bytes());
+    assert!(matches!(session_from_bytes(&bytes), Err(PersistError::LengthOverflow)));
 
-    // A string whose length prefix overruns its payload.
-    let mut meta = Enc::new();
-    meta.u64(1 << 40); // name length, no bytes behind it
-    let mut b = FileBuilder::new(KIND_ARTIFACT);
-    b.section(1, meta.into_bytes());
-    let bytes = b.into_bytes();
-    assert!(matches!(artifact_from_bytes(&bytes), Err(PersistError::LengthOverflow)));
+    // An OUTPUTS vector whose element count times 8 overflows usize (and
+    // wraps to 8, the bytes that follow)…
+    let mut outputs = Enc::new();
+    outputs.u64((1 << 61) + 1);
+    outputs.f64(0.5);
+    let bytes = hand_encoded_with_section(5, outputs.into_bytes());
+    assert!(matches!(session_from_bytes(&bytes), Err(PersistError::LengthOverflow)));
+
+    // …and one whose byte size fits but overruns the payload.
+    let mut outputs = Enc::new();
+    outputs.u64(1 << 40);
+    outputs.f64(0.5);
+    let bytes = hand_encoded_with_section(5, outputs.into_bytes());
+    assert!(matches!(session_from_bytes(&bytes), Err(PersistError::LengthOverflow)));
 }
 
 #[test]
@@ -300,9 +261,9 @@ fn config_payload(label_model: u8, selection: u8) -> Vec<u8> {
     cfg.into_bytes()
 }
 
-/// A complete session file for a fresh session, encoded section by
-/// section, with the given CONFIG payload and ENGINE state tag.
-fn hand_encoded_session(config: Vec<u8>, engine: u8) -> Vec<u8> {
+/// The seven section payloads of a fresh session, encoded by hand, with
+/// the given CONFIG payload and ENGINE state tag.
+fn hand_encoded_sections(config: Vec<u8>, engine: u8) -> [Vec<u8>; 7] {
     let mut state = Enc::new();
     state.usize(0); // iteration
     state.opt_u64(None); // pending
@@ -323,15 +284,38 @@ fn hand_encoded_session(config: Vec<u8>, engine: u8) -> Vec<u8> {
     let mut eng = Enc::new();
     eng.u32(1); // ENGINE section version
     eng.u8(engine);
+    [
+        config,
+        state.into_bytes(),
+        empty.clone(), // lineage
+        empty.clone(), // matrix
+        outputs.into_bytes(),
+        empty, // warm seeds
+        eng.into_bytes(),
+    ]
+}
+
+/// A session file over `payloads`, section ids 1, 2, … in order.
+fn session_file(payloads: impl IntoIterator<Item = Vec<u8>>) -> Vec<u8> {
     let mut b = FileBuilder::new(KIND_SESSION);
-    b.section(1, config);
-    b.section(2, state.into_bytes());
-    b.section(3, empty.clone()); // lineage
-    b.section(4, empty.clone()); // matrix
-    b.section(5, outputs.into_bytes());
-    b.section(6, empty); // warm seeds
-    b.section(7, eng.into_bytes());
+    for (id, payload) in (1..).zip(payloads) {
+        b.section(id, payload);
+    }
     b.into_bytes()
+}
+
+/// A complete session file for a fresh session, with the given CONFIG
+/// payload and ENGINE state tag.
+fn hand_encoded_session(config: Vec<u8>, engine: u8) -> Vec<u8> {
+    session_file(hand_encoded_sections(config, engine))
+}
+
+/// The fresh session of [`hand_encoded_session`] with section `id`'s
+/// payload replaced by `payload` (CRCs consistent).
+fn hand_encoded_with_section(id: u32, payload: Vec<u8>) -> Vec<u8> {
+    let mut payloads = hand_encoded_sections(valid_config_payload(), 0);
+    payloads[id as usize - 1] = payload;
+    session_file(payloads)
 }
 
 #[test]
@@ -410,61 +394,24 @@ fn non_empty_warm_section_decodes_and_restores_identically() {
     assert_eq!(original.test_score().to_bits(), resumed.test_score().to_bits());
 }
 
-/// A split in another feature space than train's (narrower, or dense
-/// where train is sparse) is rejected at load. Accepted, a narrow valid
-/// split made the first round index past its CSC columns inside the
-/// contextualizer's registration.
-#[test]
-fn split_outside_train_feature_space_fails_typed() {
-    let ds = nemo_data::catalog::toy_text(1);
-    let narrow = |f: &Features| {
-        let dim = f.dim() / 2;
-        let rows: Vec<SparseVec> = f
-            .csr()
-            .rows()
-            .map(|r| {
-                SparseVec::from_pairs(r.iter().filter(|&(j, _)| (j as usize) < dim).collect(), dim)
-            })
-            .collect();
-        Features::from_csr(CsrMatrix::from_rows(&rows, dim))
-    };
-    let dense = |f: &Features| {
-        let rows: Vec<Vec<f32>> = f
-            .csr()
-            .rows()
-            .map(|r| SparseVec::from_pairs(r.iter().collect(), f.dim()).to_dense())
-            .collect();
-        Features::from_dense(DenseMatrix::from_rows(&rows))
-    };
-    let mut narrow_valid = ds.clone();
-    narrow_valid.valid.features = narrow(&ds.valid.features);
-    let mut narrow_test = ds.clone();
-    narrow_test.test.features = narrow(&ds.test.features);
-    let mut dense_valid = ds.clone();
-    dense_valid.valid.features = dense(&ds.valid.features);
-    for (what, dataset) in
-        [("narrow valid", narrow_valid), ("narrow test", narrow_test), ("dense valid", dense_valid)]
-    {
-        let validated = catch_unwind(AssertUnwindSafe(|| dataset.validate()));
-        assert!(validated.is_err(), "{what}: Dataset::validate must reject it");
-        let bytes = artifact_to_bytes(&ArtifactBundle { dataset, vocab: None, tfidf: None });
-        assert!(
-            matches!(artifact_from_bytes(&bytes), Err(PersistError::InvalidValue(_))),
-            "{what}: load must fail typed"
-        );
-    }
-}
-
 #[test]
 fn out_of_range_values_with_valid_crc_fail_typed() {
-    // Metric tag 7 in an otherwise-valid META section.
-    let mut meta = Enc::new();
-    meta.str("craft");
-    meta.u8(7);
-    let mut b = FileBuilder::new(KIND_ARTIFACT);
-    b.section(1, meta.into_bytes());
-    let bytes = b.into_bytes();
-    assert!(matches!(artifact_from_bytes(&bytes), Err(PersistError::InvalidValue(_))));
+    // Label-model tag 7 in an otherwise-valid CONFIG section.
+    let bytes = hand_encoded_session(config_payload(7, 0), 0);
+    assert!(matches!(
+        session_from_bytes(&bytes),
+        Err(PersistError::InvalidValue("label-model tag must be 0 or 2"))
+    ));
+
+    // A presence byte that is neither 0 nor 1 (STATE's `pending`).
+    let mut state = Enc::new();
+    state.usize(0); // iteration
+    state.u8(2); // pending: not a presence byte
+    let bytes = hand_encoded_with_section(2, state.into_bytes());
+    assert!(matches!(
+        session_from_bytes(&bytes),
+        Err(PersistError::InvalidValue("presence byte must be 0 or 1"))
+    ));
 
     // An exclusion flag that is neither 0 nor 1.
     let mut state = Enc::new();

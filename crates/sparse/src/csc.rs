@@ -78,57 +78,6 @@ impl CscIndex {
         let j = j as usize;
         self.offsets[j + 1] - self.offsets[j]
     }
-
-    /// Borrow the raw CSC buffers `(offsets, rows, values)` for
-    /// serialization. Round-trips through [`CscIndex::from_raw_parts`]
-    /// together with [`CscIndex::n_rows`].
-    pub fn raw_parts(&self) -> (&[usize], &[u32], &[f32]) {
-        (&self.offsets, &self.rows, &self.values)
-    }
-
-    /// Rebuild an index from raw CSC buffers, validating the structural
-    /// invariants the posting-list accessors and the indexed distance
-    /// kernels rely on. Import half of [`CscIndex::raw_parts`], meant for
-    /// deserializers with untrusted input; never panics on malformed
-    /// buffers. Persisting the index (instead of re-running
-    /// [`CscIndex::from_csr`]) is what makes artifact loads cheap, so the
-    /// consistency guarantee here is structural validity plus the caller's
-    /// whole-buffer checksum — not a rebuild-and-compare.
-    pub fn from_raw_parts(
-        offsets: Vec<usize>,
-        rows: Vec<u32>,
-        values: Vec<f32>,
-        n_rows: usize,
-    ) -> Result<Self, &'static str> {
-        if offsets.first() != Some(&0) {
-            return Err("CSC offsets must start with 0");
-        }
-        if rows.len() != values.len() {
-            return Err("CSC row/value buffer length mismatch");
-        }
-        // invariant: `first()` above returned Some, so the vec is
-        // non-empty and `last()` cannot fail.
-        if *offsets.last().expect("checked non-empty above") != rows.len() {
-            return Err("CSC final offset must equal nnz");
-        }
-        for w in offsets.windows(2) {
-            if w[1] < w[0] {
-                return Err("CSC offsets must be non-decreasing");
-            }
-            // Posting lists must be strictly increasing, in-bounds row ids.
-            for pair in rows[w[0]..w[1]].windows(2) {
-                if pair[1] <= pair[0] {
-                    return Err("CSC posting list must be strictly increasing");
-                }
-            }
-            if let Some(&last) = rows[w[0]..w[1]].last() {
-                if last as usize >= n_rows {
-                    return Err("CSC row id out of bounds");
-                }
-            }
-        }
-        Ok(Self { offsets, rows, values, n_rows })
-    }
 }
 
 #[cfg(test)]

@@ -270,53 +270,9 @@ impl CsrMatrix {
         offsets
     }
 
-    /// Borrow the raw CSR buffers `(row_offsets, indices, values)` for
-    /// serialization. The triple round-trips through
-    /// [`CsrMatrix::from_raw_parts`] together with [`CsrMatrix::n_cols`].
+    /// Borrow the raw CSR buffers `(row_offsets, indices, values)`.
     pub fn raw_parts(&self) -> (&[usize], &[u32], &[f32]) {
         (&self.row_offsets, &self.indices, &self.values)
-    }
-
-    /// Rebuild a matrix from raw CSR buffers, validating every structural
-    /// invariant the borrowing accessors rely on. This is the import half of
-    /// [`CsrMatrix::raw_parts`], intended for deserializers that cannot
-    /// trust their input; it never panics on malformed buffers.
-    pub fn from_raw_parts(
-        row_offsets: Vec<usize>,
-        indices: Vec<u32>,
-        values: Vec<f32>,
-        n_cols: usize,
-    ) -> Result<Self, &'static str> {
-        if row_offsets.first() != Some(&0) {
-            return Err("CSR row offsets must start with 0");
-        }
-        if indices.len() != values.len() {
-            return Err("CSR index/value buffer length mismatch");
-        }
-        // invariant: `first()` above returned Some, so the vec is
-        // non-empty and `last()` cannot fail.
-        if *row_offsets.last().expect("checked non-empty above") != indices.len() {
-            return Err("CSR final row offset must equal nnz");
-        }
-        for w in row_offsets.windows(2) {
-            if w[1] < w[0] {
-                return Err("CSR row offsets must be non-decreasing");
-            }
-            // Within each row the column indices must be strictly
-            // increasing and in-bounds (SparseRow::dot's sorted-merge and
-            // the counting-sort CSC build both assume it).
-            for pair in indices[w[0]..w[1]].windows(2) {
-                if pair[1] <= pair[0] {
-                    return Err("CSR row indices must be strictly increasing");
-                }
-            }
-            if let Some(&last) = indices[w[0]..w[1]].last() {
-                if last as usize >= n_cols {
-                    return Err("CSR column index out of bounds");
-                }
-            }
-        }
-        Ok(Self { row_offsets, indices, values, n_cols })
     }
 }
 

@@ -18,12 +18,6 @@ impl DenseMatrix {
         Self { data: vec![0.0; n_rows * n_cols], n_rows, n_cols }
     }
 
-    /// Build from a flat row-major buffer.
-    pub fn from_flat(data: Vec<f32>, n_rows: usize, n_cols: usize) -> Self {
-        assert_eq!(data.len(), n_rows * n_cols, "flat buffer size mismatch");
-        Self { data, n_rows, n_cols }
-    }
-
     /// Build from per-row vectors (all the same length).
     pub fn from_rows(rows: &[Vec<f32>]) -> Self {
         let n_rows = rows.len();
@@ -36,8 +30,7 @@ impl DenseMatrix {
         Self { data, n_rows, n_cols }
     }
 
-    /// Borrow the flat row-major buffer for serialization; round-trips
-    /// through [`DenseMatrix::from_flat`] together with the dimensions.
+    /// Borrow the flat row-major buffer.
     pub fn flat(&self) -> &[f32] {
         &self.data
     }

@@ -39,7 +39,7 @@ impl TfIdf {
         let n = train_docs.len() as f64;
         let idf: Vec<f32> =
             df.iter().map(|&d| (((1.0 + n) / (1.0 + d as f64)).ln() + 1.0) as f32).collect();
-        TfIdfModel { idf, df, config: self.clone(), n_features, n_train_docs: train_docs.len() }
+        TfIdfModel { idf, df, config: self.clone(), n_features }
     }
 }
 
@@ -52,7 +52,6 @@ pub struct TfIdfModel {
     df: Vec<u32>,
     config: TfIdf,
     n_features: usize,
-    n_train_docs: usize,
 }
 
 impl TfIdfModel {
@@ -71,51 +70,6 @@ impl TfIdfModel {
     /// over the training matrix).
     pub fn df(&self, t: u32) -> u32 {
         self.df[t as usize]
-    }
-
-    /// Number of documents the model was fitted on.
-    pub fn n_train_docs(&self) -> usize {
-        self.n_train_docs
-    }
-
-    /// The full IDF weight table in feature-id order (serialization
-    /// export; round-trips through [`TfIdfModel::from_parts`]).
-    pub fn idf_weights(&self) -> &[f32] {
-        &self.idf
-    }
-
-    /// The full training document-frequency table in feature-id order.
-    pub fn df_counts(&self) -> &[u32] {
-        &self.df
-    }
-
-    /// The transform configuration the model was fitted with.
-    pub fn config(&self) -> &TfIdf {
-        &self.config
-    }
-
-    /// Rebuild a fitted model from its exported statistics. Import half of
-    /// the serialization round-trip ([`TfIdfModel::idf_weights`] /
-    /// [`TfIdfModel::df_counts`] / [`TfIdfModel::config`] /
-    /// [`TfIdfModel::n_train_docs`]); validates the cross-table invariants
-    /// instead of panicking on untrusted input.
-    pub fn from_parts(
-        idf: Vec<f32>,
-        df: Vec<u32>,
-        config: TfIdf,
-        n_train_docs: usize,
-    ) -> Result<Self, &'static str> {
-        if idf.len() != df.len() {
-            return Err("TF-IDF idf/df table length mismatch");
-        }
-        if df.iter().any(|&d| d as usize > n_train_docs) {
-            return Err("TF-IDF document frequency exceeds corpus size");
-        }
-        if idf.iter().any(|w| !w.is_finite()) {
-            return Err("TF-IDF idf weight not finite");
-        }
-        let n_features = idf.len();
-        Ok(Self { idf, df, config, n_features, n_train_docs })
     }
 
     /// Transform one document (token-id sequence) into a sparse vector.
@@ -215,7 +169,6 @@ mod tests {
         assert_eq!(model.df(0), 4);
         assert_eq!(model.df(1), 1);
         assert_eq!(model.df(2), 0);
-        assert_eq!(model.n_train_docs(), 4);
         let m = model.transform(&corpus());
         let counts = m.column_counts();
         for t in 0..3u32 {

@@ -95,22 +95,6 @@ impl Vocab {
     pub fn tokens(&self) -> &[String] {
         &self.id_to_token
     }
-
-    /// Rebuild a vocabulary from an id-ordered token list (the exact shape
-    /// [`Vocab::tokens`] exports): token `i` gets id `i`. Import half of
-    /// the serialization round-trip; rejects duplicate tokens instead of
-    /// silently collapsing ids, so a corrupted token table cannot produce a
-    /// vocabulary whose lookups disagree with the persisted feature ids.
-    pub fn from_tokens(tokens: Vec<String>) -> Result<Self, &'static str> {
-        let mut vocab = Vocab::new();
-        for tok in &tokens {
-            if vocab.token_to_id.contains_key(tok) {
-                return Err("duplicate token in vocabulary table");
-            }
-            vocab.add(tok);
-        }
-        Ok(vocab)
-    }
 }
 
 #[cfg(test)]

@@ -19,9 +19,8 @@ use nemo::data::catalog;
 use nemo::prelude::*;
 
 fn main() {
-    // 1. One immutable artifact set for every tenant. In production this
-    //    comes off disk via `nemo::persist::load_shared_artifacts`; here
-    //    we build it from the catalog and share it behind an Arc.
+    // 1. One immutable artifact set for every tenant: the dataset, built
+    //    once from the catalog and shared behind an Arc.
     let artifacts =
         Arc::new(SharedArtifacts::new(catalog::build(DatasetName::Amazon, Profile::Smoke, 42)));
     println!(

@@ -104,7 +104,7 @@
 //! | [`data`] | `nemo-data` | dataset abstraction + the six synthetic catalog datasets |
 //! | [`text`] | `nemo-text` | tokenizer, vocabulary, n-grams, TF-IDF |
 //! | [`sparse`] | `nemo-sparse` | CSR matrices, distances, inverted index, deterministic RNG, stats |
-//! | [`persist`] | `nemo-persist` | crash-safe dataset artifact store, session checkpoint files, durable pool checkpoint stores |
+//! | [`persist`] | `nemo-persist` | crash-safe session checkpoint files, durable pool checkpoint stores |
 
 #![warn(missing_docs)]
 
