@@ -137,8 +137,11 @@ pub struct MixtureModel {
     home: Vec<u32>,
     /// `base[i]` — base polarity of indicator `i`.
     base: Vec<Label>,
-    /// `agreement[i][k]` — P(indicator i agrees with label | cluster k).
-    agreement: Vec<Vec<f64>>,
+    /// Indicator sampling weights per (cluster, label), at
+    /// `indicator_weights[2 k + y.index()]`, with their
+    /// [`DetRng::weight_total`]: weight `i` is the home affinity of
+    /// indicator `i` in cluster `k` times P(it matches label `y` there).
+    indicator_weights: Vec<(Vec<f64>, f64)>,
     /// Cumulative Zipf table for one background block.
     bg_cum: Vec<f64>,
     /// Cumulative Zipf table for the shared block.
@@ -161,6 +164,7 @@ impl MixtureModel {
         let n = cfg.n_indicators;
         let mut home = Vec::with_capacity(n);
         let mut base = Vec::with_capacity(n);
+        // `agreement[i][k]` — P(indicator i agrees with label | cluster k).
         let mut agreement = Vec::with_capacity(n);
         for i in 0..n {
             // Round-robin home clusters and alternating base polarity keep
@@ -181,9 +185,24 @@ impl MixtureModel {
             base.push(b);
             agreement.push(agr);
         }
+        let indicator_weights = (0..cfg.n_clusters as u32)
+            .flat_map(|k| Label::ALL.map(|y| (k, y)))
+            .map(|(k, y)| {
+                let weights: Vec<f64> = (0..n)
+                    .map(|i| {
+                        let aff = if home[i] == k { cfg.home_affinity } else { 1.0 };
+                        let agr = agreement[i][k as usize];
+                        let match_prob = if base[i] == y { agr } else { 1.0 - agr };
+                        aff * match_prob
+                    })
+                    .collect();
+                let total = DetRng::weight_total(&weights);
+                (weights, total)
+            })
+            .collect();
         let bg_cum = zipf_cumulative(cfg.n_background_per_cluster, cfg.zipf_exponent);
         let sh_cum = zipf_cumulative(cfg.n_shared, cfg.zipf_exponent);
-        Self { cfg, home, base, agreement, bg_cum, sh_cum }
+        Self { cfg, home, base, indicator_weights, bg_cum, sh_cum }
     }
 
     /// The configuration.
@@ -244,6 +263,12 @@ impl MixtureModel {
         }
     }
 
+    /// The indicator weights of a document in `cluster` with `label`,
+    /// and their total.
+    fn indicator_table(&self, cluster: u32, label: Label) -> &(Vec<f64>, f64) {
+        &self.indicator_weights[2 * cluster as usize + label.index()]
+    }
+
     /// Sample one example.
     pub fn sample_doc(&self, rng: &mut DetRng) -> MixDoc {
         let cfg = &self.cfg;
@@ -264,16 +289,9 @@ impl MixtureModel {
 
         // Indicator tokens: weight = affinity(home) × label-agreement factor.
         if cfg.n_indicators > 0 && n_ind > 0 {
-            let weights: Vec<f64> = (0..cfg.n_indicators)
-                .map(|i| {
-                    let aff = if self.home[i] == cluster { cfg.home_affinity } else { 1.0 };
-                    let agr = self.agreement[i][cluster as usize];
-                    let match_prob = if self.base[i] == label { agr } else { 1.0 - agr };
-                    aff * match_prob
-                })
-                .collect();
+            let (weights, total) = self.indicator_table(cluster, label);
             for _ in 0..n_ind {
-                let i = rng.choose_weighted(&weights);
+                let i = rng.choose_weighted_with_total(weights, *total);
                 tokens.push(self.indicator_token(i));
             }
         }
@@ -349,9 +367,11 @@ mod tests {
         let lex = m.lexicon();
         let pos = lex.iter().filter(|&&t| m.indicator_base(t) == Label::Pos).count();
         assert!(pos > 0 && pos < lex.len());
-        // Home agreement is the configured value.
-        let t0 = m.indicator_token(0);
-        assert_eq!(m.agreement[m.indicator_idx(t0)][0], 0.9);
+        // Indicator 0 (home cluster 0, base Pos) is weighted by the home
+        // affinity times the configured home agreement.
+        let (aff, agr) = (m.cfg.home_affinity, m.cfg.agreement_home);
+        assert_eq!(m.indicator_table(0, Label::Pos).0[0], aff * agr);
+        assert_eq!(m.indicator_table(0, Label::Neg).0[0], aff * (1.0 - agr));
     }
 
     #[test]

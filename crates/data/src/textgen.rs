@@ -5,16 +5,16 @@
 //! "terrible", "delicious", …) so examples and LF printouts look like the
 //! paper's keyword LFs; background/shared tokens keep synthetic names.
 //!
-//! Vocabulary construction runs over the names, as it would over a real
-//! corpus: [`Vocab::build`] counts document frequencies and assigns
-//! first-seen ids from each train document's names, borrowed as `&str`
-//! straight from the name table. Encoding does not repeat that string
-//! lookup per token occurrence: each distinct name is looked up once
-//! (`id_of[t] = vocab.id(&names[t])`) and every split's token stream is
-//! mapped through that table. Those are the ids [`Vocab::encode_seq`]
-//! gives one materialized `String` per occurrence; that string path is
-//! the tests' oracle. TF-IDF featurization then runs on the ids as it
-//! would for any corpus.
+//! The vocabulary is the one [`Vocab::build`] makes over the train
+//! documents' names, but no name is compared per token occurrence: the
+//! names are ranked once in sorted order, each train document's distinct
+//! ranks are visited in ascending order, and the first sighting of a rank
+//! adds its name to the vocabulary. Every split's token stream is then
+//! mapped through the resulting `id_of[t]` table. Those are the ids
+//! [`Vocab::encode_seq`] gives one materialized `String` per occurrence;
+//! that string path is the tests' oracle. TF-IDF featurization then runs
+//! on the ids as it would for any corpus, and the primitive-domain filter
+//! reads the document frequencies the TF-IDF fit counted.
 
 use crate::dataset::{Dataset, Features, Split};
 use crate::mixture::{MixDoc, MixtureConfig, MixtureModel};
@@ -237,14 +237,39 @@ fn draw(spec: &TextGenSpec, seed: u64) -> (MixtureModel, Vec<String>, [Vec<MixDo
 
 /// The corpus vocabulary, built over the train documents' token names,
 /// and every split encoded as vocabulary ids (out-of-vocabulary tokens
-/// dropped). Names are looked up once per distinct name, not once per
-/// occurrence.
+/// dropped).
+///
+/// Names are compared once, to rank them: `rank[t]` is the position of
+/// `names[t]` among the distinct names in sorted order. Each train
+/// document's ranks, sorted and deduplicated, are its distinct names in
+/// sorted `&str` order, so assigning ids to ranks in first-seen order
+/// gives [`Vocab::build`]`(…, 1)` over the names, with one
+/// [`Vocab::add`] per distinct name.
 fn encode_splits(names: &[String], docs: &[Vec<MixDoc>; 3]) -> (Vocab, [Vec<Vec<u32>>; 3]) {
-    let vocab = Vocab::build(
-        docs[0].iter().map(|d| d.tokens.iter().map(|&t| names[t as usize].as_str())),
-        1,
-    );
-    let id_of: Vec<Option<u32>> = names.iter().map(|name| vocab.id(name)).collect();
+    let mut by_name: Vec<usize> = (0..names.len()).collect();
+    by_name.sort_unstable_by(|&a, &b| names[a].cmp(&names[b]));
+    let mut rank = vec![0u32; names.len()];
+    let mut rank_name: Vec<&str> = Vec::new();
+    for &t in &by_name {
+        if rank_name.last() != Some(&names[t].as_str()) {
+            rank_name.push(&names[t]);
+        }
+        rank[t] = (rank_name.len() - 1) as u32;
+    }
+
+    let mut vocab = Vocab::new();
+    let mut id_of_rank: Vec<Option<u32>> = vec![None; rank_name.len()];
+    let mut seen: Vec<u32> = Vec::new();
+    for doc in &docs[0] {
+        seen.clear();
+        seen.extend(doc.tokens.iter().map(|&t| rank[t as usize]));
+        seen.sort_unstable();
+        seen.dedup();
+        for &r in &seen {
+            id_of_rank[r as usize].get_or_insert_with(|| vocab.add(rank_name[r as usize]));
+        }
+    }
+    let id_of: Vec<Option<u32>> = rank.iter().map(|&r| id_of_rank[r as usize]).collect();
     let ids = docs.each_ref().map(|split| {
         split.iter().map(|d| d.tokens.iter().filter_map(|&t| id_of[t as usize]).collect()).collect()
     });
@@ -254,25 +279,24 @@ fn encode_splits(names: &[String], docs: &[Vec<MixDoc>; 3]) -> (Vocab, [Vec<Vec<
 /// Generate a text dataset from a spec. Deterministic in `seed`.
 pub fn generate_text(spec: &TextGenSpec, seed: u64) -> Dataset {
     let (model, names, docs) = draw(spec, seed);
-    let (vocab, [train_ids, valid_ids, test_ids]) = encode_splits(&names, &docs);
+    let (vocab, mut ids) = encode_splits(&names, &docs);
+    // Token order within a document means nothing past this point: the
+    // TF-IDF fit and transform and the primitive corpus each sort their
+    // input, and already-sorted input makes those sorts cheap.
+    for doc in ids.iter_mut().flatten() {
+        doc.sort_unstable();
+    }
+    let [train_ids, valid_ids, test_ids] = ids;
     let [train_docs, valid_docs, test_docs] = docs;
 
     let tfidf = TfIdf::default().fit(&train_ids, vocab.len());
 
-    // Primitive-domain df filter (computed on the training split).
-    let mut df = vec![0usize; vocab.len()];
-    for doc in &train_ids {
-        let mut seen = doc.clone();
-        seen.sort_unstable();
-        seen.dedup();
-        for &t in &seen {
-            df[t as usize] += 1;
-        }
-    }
+    // Primitive-domain df filter (on the training split's document
+    // frequencies, which the TF-IDF fit counted).
     let (min_df, max_df_frac) = spec.primitive_df_bounds;
     let max_df = ((spec.n_train as f64) * max_df_frac).ceil() as usize;
     let in_domain = |t: u32| -> bool {
-        let d = df[t as usize];
+        let d = tfidf.df(t) as usize;
         d >= min_df && d <= max_df
     };
 

@@ -1,8 +1,11 @@
-//! Every catalog dataset at smoke profile, hashed: features (CSR parts,
-//! dense mirror and row norms, bit for bit), primitive corpus, labels,
-//! clusters, primitive names and lexicon of all three splits. The
-//! expected digests were recorded while the text generator still
-//! materialized one `String` per token occurrence; any change to what a
+//! Catalog datasets, hashed: features (CSR parts, dense mirror and row
+//! norms, bit for bit), primitive corpus, labels, clusters, primitive
+//! names and lexicon of all three splits. Every dataset is pinned at the
+//! smoke profile (seed 1) and at the quick profile (seed 42, the dataset
+//! seed of the end-to-end benchmark), and Amazon at the full profile. The
+//! smoke digests were recorded while the text generator still
+//! materialized one `String` per token occurrence, and the quick and full
+//! ones while it still counted through string maps; any change to what a
 //! generator emits shows here, not only in downstream curves.
 
 use nemo_data::catalog::{self, DatasetName};
@@ -68,23 +71,61 @@ fn digest(ds: &Dataset) -> u64 {
     h.0
 }
 
-#[test]
-fn smoke_catalog_datasets_match_recorded_digests() {
-    const EXPECTED: [(DatasetName, u64); 6] = [
-        (DatasetName::Amazon, 0xc722d6008a47468a),
-        (DatasetName::Yelp, 0xd38f193c772689ea),
-        (DatasetName::Imdb, 0xcbebff5de9de2342),
-        (DatasetName::Youtube, 0xfc2f8e081341e507),
-        (DatasetName::Sms, 0x5ababe1c70ac7f07),
-        (DatasetName::Vg, 0x2a55abace8aa2fe1),
-    ];
-    let got: Vec<(DatasetName, u64)> = EXPECTED
+/// Builds each listed dataset at `profile` and `seed` and compares its
+/// digest; a mismatch prints the regenerated table.
+fn assert_digests(profile: Profile, seed: u64, expected: &[(DatasetName, u64)]) {
+    let got: Vec<(DatasetName, u64)> = expected
         .iter()
-        .map(|&(name, _)| (name, digest(&catalog::build(name, Profile::Smoke, 1))))
+        .map(|&(name, _)| (name, digest(&catalog::build(name, profile, seed))))
         .collect();
     let table: String = got
         .iter()
         .map(|(name, d)| format!("        (DatasetName::{name:?}, {d:#018x}),\n"))
         .collect();
-    assert_eq!(got, EXPECTED, "catalog digests changed; regenerated table:\n{table}");
+    assert_eq!(
+        got,
+        expected,
+        "{} catalog digests changed (seed {seed}); regenerated table:\n{table}",
+        profile.name()
+    );
+}
+
+#[test]
+fn smoke_catalog_datasets_match_recorded_digests() {
+    assert_digests(
+        Profile::Smoke,
+        1,
+        &[
+            (DatasetName::Amazon, 0xc722d6008a47468a),
+            (DatasetName::Yelp, 0xd38f193c772689ea),
+            (DatasetName::Imdb, 0xcbebff5de9de2342),
+            (DatasetName::Youtube, 0xfc2f8e081341e507),
+            (DatasetName::Sms, 0x5ababe1c70ac7f07),
+            (DatasetName::Vg, 0x2a55abace8aa2fe1),
+        ],
+    );
+}
+
+/// The quick profile at seed 42, the dataset seed of every perfbench
+/// workload.
+#[test]
+fn quick_catalog_datasets_match_recorded_digests() {
+    assert_digests(
+        Profile::Quick,
+        42,
+        &[
+            (DatasetName::Amazon, 0xc94d184314e9cc4d),
+            (DatasetName::Yelp, 0xcb57ba0404a0e2f3),
+            (DatasetName::Imdb, 0xc758fc1fdb6dc114),
+            (DatasetName::Youtube, 0xdeed5535a63bf166),
+            (DatasetName::Sms, 0xbae8ba12d41836d1),
+            (DatasetName::Vg, 0xe98383abbf715895),
+        ],
+    );
+}
+
+/// Amazon at the full profile: the amazon-full workload's dataset.
+#[test]
+fn full_amazon_matches_recorded_digest() {
+    assert_digests(Profile::Full, 42, &[(DatasetName::Amazon, 0x77b53c2e6b5477a4)]);
 }

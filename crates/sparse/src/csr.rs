@@ -183,6 +183,45 @@ impl CsrMatrix {
         Self { row_offsets, indices, values, n_cols }
     }
 
+    /// A matrix with `n_cols` columns and no rows, to be filled by
+    /// [`CsrMatrix::push_row`] with up to `rows` rows and `nnz` entries
+    /// before it reallocates.
+    pub fn with_capacity(n_cols: usize, rows: usize, nnz: usize) -> Self {
+        let mut row_offsets = Vec::with_capacity(rows + 1);
+        row_offsets.push(0);
+        Self {
+            row_offsets,
+            indices: Vec::with_capacity(nnz),
+            values: Vec::with_capacity(nnz),
+            n_cols,
+        }
+    }
+
+    /// Append one row from `(column, value)` entries in strictly
+    /// increasing column order. Zero values are dropped, as
+    /// [`SparseVec::new`] drops them.
+    pub fn push_row(&mut self, entries: impl IntoIterator<Item = (u32, f32)>) {
+        let mut last: Option<u32> = None;
+        for (j, v) in entries {
+            assert!((j as usize) < self.n_cols, "index {j} out of dim {}", self.n_cols);
+            assert!(last.map_or(true, |prev| j > prev), "indices must be strictly increasing");
+            last = Some(j);
+            if v != 0.0 {
+                self.indices.push(j);
+                self.values.push(v);
+            }
+        }
+        self.row_offsets.push(self.indices.len());
+    }
+
+    /// Release the capacity beyond the stored entries, which a fill
+    /// reserved for an upper bound of its entries leaves behind.
+    pub fn shrink_to_fit(&mut self) {
+        self.row_offsets.shrink_to_fit();
+        self.indices.shrink_to_fit();
+        self.values.shrink_to_fit();
+    }
+
     /// Number of rows.
     pub fn n_rows(&self) -> usize {
         self.row_offsets.len() - 1
@@ -290,6 +329,26 @@ mod tests {
         let v = sv(&[(3, 1.0), (1, 2.0), (3, 4.0)], 8);
         assert_eq!(v.nnz(), 2);
         assert_eq!(v.to_dense(), vec![0.0, 2.0, 0.0, 5.0, 0.0, 0.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn push_row_equals_from_rows() {
+        let rows = [sv(&[(1, 2.0), (3, -1.0)], 4), sv(&[], 4), sv(&[(0, 0.5)], 4)];
+        let mut m = CsrMatrix::with_capacity(4, 0, 0);
+        for r in &rows {
+            m.push_row(r.as_row().iter());
+        }
+        let want = CsrMatrix::from_rows(&rows, 4);
+        m.shrink_to_fit();
+        assert_eq!(m.raw_parts(), want.raw_parts());
+        assert_eq!(m.n_cols(), 4);
+        // Zero entries are dropped; an out-of-order row is refused.
+        m.push_row([(2, 0.0), (3, 1.0)]);
+        assert_eq!(m.row(3).indices, &[3]);
+        let unsorted = std::panic::catch_unwind(|| {
+            CsrMatrix::with_capacity(4, 0, 0).push_row([(2, 1.0), (1, 1.0)])
+        });
+        assert!(unsorted.is_err());
     }
 
     #[test]

@@ -30,6 +30,17 @@ fn splitmix64(seed: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// A sampling weight as [`DetRng::choose_weighted`] counts it: non-finite
+/// and negative weights are zero.
+#[inline]
+fn clean_weight(w: f64) -> f64 {
+    if w.is_finite() && w > 0.0 {
+        w
+    } else {
+        0.0
+    }
+}
+
 impl DetRng {
     /// Create a new deterministic RNG from a 64-bit seed.
     pub fn new(seed: u64) -> Self {
@@ -168,13 +179,26 @@ impl DetRng {
     /// to `weights[i]`. Non-finite or negative weights are treated as zero.
     /// Panics if all weights are zero/invalid or the slice is empty.
     pub fn choose_weighted(&mut self, weights: &[f64]) -> usize {
+        self.choose_weighted_with_total(weights, DetRng::weight_total(weights))
+    }
+
+    /// The total [`DetRng::choose_weighted`] draws against: the sum, in
+    /// slice order, of the weights with non-finite and negative ones
+    /// counted as zero.
+    pub fn weight_total(weights: &[f64]) -> f64 {
+        weights.iter().copied().map(clean_weight).sum()
+    }
+
+    /// [`DetRng::choose_weighted`] with its total precomputed, for a
+    /// caller that draws many times from one weight table. `total` must be
+    /// [`DetRng::weight_total`] of `weights`; the draw is then the same
+    /// index, from the same stream position, as `choose_weighted`.
+    pub fn choose_weighted_with_total(&mut self, weights: &[f64], total: f64) -> usize {
         assert!(!weights.is_empty(), "choose_weighted on empty slice");
-        let clean = |w: f64| if w.is_finite() && w > 0.0 { w } else { 0.0 };
-        let total: f64 = weights.iter().copied().map(clean).sum();
         assert!(total > 0.0, "choose_weighted: all weights are zero");
         let mut target = self.uniform() * total;
         for (i, &w) in weights.iter().enumerate() {
-            let w = clean(w);
+            let w = clean_weight(w);
             if w <= 0.0 {
                 continue;
             }
@@ -186,7 +210,7 @@ impl DetRng {
         // Floating-point slack: return the last index with positive weight.
         weights
             .iter()
-            .rposition(|&w| clean(w) > 0.0)
+            .rposition(|&w| clean_weight(w) > 0.0)
             // invariant: the caller-facing precondition (asserted above)
             // is a positive total weight, so some weight is positive.
             .expect("choose_weighted: positive weight must exist")
@@ -221,6 +245,7 @@ impl DetRng {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn deterministic_across_instances() {
@@ -325,6 +350,36 @@ mod tests {
     fn choose_weighted_all_zero_panics() {
         let mut rng = DetRng::new(1);
         rng.choose_weighted(&[0.0, 0.0]);
+    }
+
+    proptest! {
+        /// The precomputed-total draw is `choose_weighted` draw for draw:
+        /// same index and same stream position, over tables mixing
+        /// positive, zero, negative, NaN and infinite weights.
+        #[test]
+        fn prop_draw_with_total_equals_choose_weighted(
+            raw in proptest::collection::vec((0u32..6, 0.0f64..4.0), 0..24),
+            seed in 0u64..1_000_000,
+        ) {
+            let mut weights: Vec<f64> = raw
+                .iter()
+                .map(|&(kind, w)| match kind {
+                    0 => 0.0,
+                    1 => -w,
+                    2 => f64::NAN,
+                    3 => f64::INFINITY,
+                    _ => w,
+                })
+                .collect();
+            // At least one positive weight, so neither side panics.
+            weights.push(0.5);
+            let total = DetRng::weight_total(&weights);
+            let (mut a, mut b) = (DetRng::new(seed), DetRng::new(seed));
+            for _ in 0..32 {
+                prop_assert_eq!(a.choose_weighted(&weights), b.choose_weighted_with_total(&weights, total));
+            }
+            prop_assert_eq!(a.next_u64(), b.next_u64());
+        }
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! default, which makes cosine distance equal to 1 − dot product).
 
 use nemo_sparse::{CsrMatrix, SparseVec};
-use std::collections::BTreeMap;
 
 /// Configuration for [`TfIdf`].
 #[derive(Debug, Clone)]
@@ -72,31 +71,41 @@ impl TfIdfModel {
         self.df[t as usize]
     }
 
-    /// Transform one document (token-id sequence) into a sparse vector.
+    /// Transform one document (token-id sequence) into a sparse vector:
+    /// row 0 of [`TfIdfModel::transform`] over `[doc]`.
     pub fn transform_doc(&self, doc: &[u32]) -> SparseVec {
-        let mut counts: BTreeMap<u32, u32> = BTreeMap::new();
-        for &t in doc {
-            debug_assert!((t as usize) < self.n_features);
-            *counts.entry(t).or_insert(0) += 1;
-        }
-        let pairs: Vec<(u32, f32)> = counts
-            .into_iter()
-            .map(|(t, c)| {
-                let tf = if self.config.sublinear_tf { 1.0 + (c as f32).ln() } else { c as f32 };
-                (t, tf * self.idf[t as usize])
-            })
-            .collect();
-        let mut v = SparseVec::from_pairs(pairs, self.n_features);
-        if self.config.l2_normalize {
-            v.l2_normalize();
-        }
-        v
+        let m = self.transform(&[doc.to_vec()]);
+        let row = m.row(0);
+        SparseVec::new(row.indices.to_vec(), row.values.to_vec(), self.n_features)
     }
 
     /// Transform a corpus into a CSR feature matrix.
+    ///
+    /// Each row is written straight into the matrix from the runs of a
+    /// sorted copy of its document: a run of `c` copies of feature `t`
+    /// weighs `(1 + ln c) × idf[t]` (raw `c` without sublinear tf), in
+    /// ascending `t` order, and the rows are then L2-normalized in place.
     pub fn transform(&self, docs: &[Vec<u32>]) -> CsrMatrix {
-        let rows: Vec<SparseVec> = docs.iter().map(|d| self.transform_doc(d)).collect();
-        CsrMatrix::from_rows(&rows, self.n_features)
+        // A document's token count bounds its row's entries; the matrix
+        // outlives the build, so the unused part of that bound is released.
+        let n_tokens = docs.iter().map(Vec::len).sum();
+        let mut m = CsrMatrix::with_capacity(self.n_features, docs.len(), n_tokens);
+        let mut sorted: Vec<u32> = Vec::new();
+        for doc in docs {
+            sorted.clear();
+            sorted.extend_from_slice(doc);
+            sorted.sort_unstable();
+            m.push_row(sorted.chunk_by(|a, b| a == b).map(|run| {
+                let (t, c) = (run[0], run.len() as u32);
+                let tf = if self.config.sublinear_tf { 1.0 + (c as f32).ln() } else { c as f32 };
+                (t, tf * self.idf[t as usize])
+            }));
+        }
+        m.shrink_to_fit();
+        if self.config.l2_normalize {
+            m.l2_normalize_rows();
+        }
+        m
     }
 }
 
@@ -185,7 +194,56 @@ mod tests {
         assert_eq!(model.idf(2), before);
     }
 
+    /// Reference for one row of [`TfIdfModel::transform`]: term counts in
+    /// a `BTreeMap`, weighted in its ascending key order into a
+    /// [`SparseVec`], normalized there.
+    fn transform_doc_via_map(model: &TfIdfModel, doc: &[u32]) -> SparseVec {
+        use std::collections::BTreeMap;
+        let mut counts: BTreeMap<u32, u32> = BTreeMap::new();
+        for &t in doc {
+            *counts.entry(t).or_insert(0) += 1;
+        }
+        let pairs: Vec<(u32, f32)> = counts
+            .into_iter()
+            .map(|(t, c)| {
+                let tf = if model.config.sublinear_tf { 1.0 + (c as f32).ln() } else { c as f32 };
+                (t, tf * model.idf[t as usize])
+            })
+            .collect();
+        let mut v = SparseVec::from_pairs(pairs, model.n_features);
+        if model.config.l2_normalize {
+            v.l2_normalize();
+        }
+        v
+    }
+
+    /// Every row's `(feature, value bits)`.
+    fn row_bits(m: &CsrMatrix) -> Vec<Vec<(u32, u32)>> {
+        m.rows().map(|r| r.iter().map(|(t, x)| (t, x.to_bits())).collect()).collect()
+    }
+
     proptest! {
+        /// Sorted-run counting equals map counting bit for bit, row by row
+        /// and through `transform_doc`, with each of sublinear tf and L2
+        /// normalization on and off.
+        #[test]
+        fn prop_transform_equals_map_counting(
+            train in proptest::collection::vec(proptest::collection::vec(0u32..24, 0..12), 1..8),
+            // A narrow id range, so most documents repeat ids.
+            docs in proptest::collection::vec(proptest::collection::vec(0u32..8, 0..60), 0..6),
+            sublinear_tf in proptest::bool::ANY,
+            l2_normalize in proptest::bool::ANY,
+        ) {
+            let model = TfIdf { sublinear_tf, l2_normalize }.fit(&train, 24);
+            let want: Vec<SparseVec> = docs.iter().map(|d| transform_doc_via_map(&model, d)).collect();
+            let m = model.transform(&docs);
+            prop_assert_eq!(m.n_cols(), 24);
+            prop_assert_eq!(row_bits(&m), row_bits(&CsrMatrix::from_rows(&want, 24)));
+            for (doc, want) in docs.iter().zip(&want) {
+                prop_assert_eq!(&model.transform_doc(doc), want);
+            }
+        }
+
         #[test]
         fn prop_nnz_equals_distinct_tokens(
             doc in proptest::collection::vec(0u32..16, 0..40),

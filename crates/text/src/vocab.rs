@@ -22,7 +22,8 @@ impl Vocab {
 
     /// Build from an iterator of documents (token lists), keeping tokens
     /// with document frequency ≥ `min_df`. Ids follow first-seen order of
-    /// the retained tokens.
+    /// the retained tokens, over documents in iteration order, with each
+    /// document's distinct tokens visited in sorted `&str` order.
     pub fn build<'a, I, D>(docs: I, min_df: usize) -> Self
     where
         I: IntoIterator<Item = D> + Clone,
