@@ -9,9 +9,9 @@
 //! rows of a pair run in the same round-robin pass, so a host that slows
 //! down between passes slows both sides of the ratio.
 //!
-//! Correctness checks run unconditionally before timing: the two SEU
-//! replays agree on their score checksum, and a pooled session retraces a
-//! direct one bit for bit. `NEMO_BENCH_ENFORCE` arms the perf gates.
+//! A correctness check runs unconditionally before timing: a pooled
+//! session retraces a direct one bit for bit. `NEMO_BENCH_ENFORCE` arms
+//! the perf gates.
 //!
 //! Results are printed as a table and written to `BENCH_kernel.json` at
 //! the repo root.
@@ -24,13 +24,13 @@ use nemo_core::idp::{run_curve, ModelOutputs, RandomSelector, SelectionView};
 use nemo_core::oracle::{SimulatedUser, User};
 use nemo_core::pipeline::StandardPipeline;
 use nemo_core::session::Session;
-use nemo_core::seu::{SeuAggregates, SeuSelector};
+use nemo_core::seu::SeuSelector;
 use nemo_core::{NemoSystem, PoolConfig, RoundJob, SessionPool, SharedArtifacts};
 use nemo_data::catalog::{build, DatasetName, Profile};
 use nemo_data::{Dataset, Rows};
 use nemo_endmodel::LogisticRegression;
 use nemo_labelmodel::{LabelModel, TripletModel};
-use nemo_lf::{LabelMatrix, LfColumn, Lineage, PrimitiveLf};
+use nemo_lf::{LfColumn, Lineage, PrimitiveLf};
 use nemo_sparse::stats::percentiles;
 use nemo_sparse::DetRng;
 use nemo_text::TfIdf;
@@ -41,8 +41,6 @@ const TRIALS: usize = 15;
 const TRIAL_NS: f64 = 20e6;
 /// Rounds each `session_pool` row drives.
 const POOL_ROUNDS: usize = 3;
-/// Rounds of the recorded SEU trajectory the `seu_loop` rows replay.
-const REPLAY_ROUNDS: usize = 25;
 
 /// One timed kernel: a closure doing the same work on every call.
 struct Row<'a> {
@@ -174,66 +172,6 @@ fn simulated_lineage(ds: &Dataset) -> Lineage {
     lineage
 }
 
-/// Record a real SEU trajectory of model outputs.
-fn record_trajectory(ds: &Dataset) -> Vec<ModelOutputs> {
-    let config = IdpConfig {
-        n_iterations: REPLAY_ROUNDS,
-        eval_every: REPLAY_ROUNDS,
-        seed: 7,
-        ..Default::default()
-    };
-    let mut session = Session::new(ds, config);
-    let mut selector = SeuSelector::new();
-    let mut user = SimulatedUser::default();
-    let mut pipeline = StandardPipeline;
-    let mut trajectory = vec![session.outputs().clone()];
-    for _ in 0..REPLAY_ROUNDS {
-        session.round(&mut selector, &mut user, &mut pipeline).expect("round resolves");
-        trajectory.push(session.outputs().clone());
-    }
-    trajectory
-}
-
-/// Replay `trajectory`, scoring the whole pool each round through
-/// [`SeuSelector::scores`] over aggregates either folded fresh every round
-/// (`delta_sync = false`) or delta-synced from a copy of `initial`, as
-/// `Session` does. Returns the score checksum and the synced aggregates.
-fn replay(
-    ds: &Dataset,
-    trajectory: &[ModelOutputs],
-    initial: &SeuAggregates,
-    delta_sync: bool,
-) -> (f64, SeuAggregates) {
-    let selector = SeuSelector::new();
-    let excluded = vec![false; ds.train.n()];
-    let avail: Vec<usize> = (0..ds.train.n()).collect();
-    let lineage = Lineage::new();
-    let matrix = LabelMatrix::new(ds.train.n());
-    let mut synced = initial.clone();
-    let mut checksum = 0.0;
-    for outputs in &trajectory[1..] {
-        let rebuilt;
-        let aggs = if delta_sync {
-            synced.sync(ds, outputs);
-            &synced
-        } else {
-            rebuilt = SeuAggregates::new(ds, outputs);
-            &rebuilt
-        };
-        let view = SelectionView {
-            ds,
-            lineage: &lineage,
-            matrix: &matrix,
-            outputs,
-            excluded: &excluded,
-            aggs,
-        };
-        let scores = selector.scores(&view, &avail);
-        checksum += scores.iter().copied().filter(|s| s.is_finite()).sum::<f64>();
-    }
-    (checksum, synced)
-}
-
 /// Selections and final train-posterior bits of one session.
 type Trace = (Vec<Option<usize>>, Vec<u64>);
 
@@ -307,28 +245,6 @@ fn session_pool_summary(timings: &[Timed]) -> String {
     )
 }
 
-/// SEU aggregate maintenance over the recorded trajectory: delta-syncing
-/// one `SeuAggregates` vs folding fresh ones every round, both arms
-/// scoring the whole pool.
-fn seu_loop_summary(timings: &[Timed], synced: &SeuAggregates) -> String {
-    let speedup = paired_ratio(timings, "seu_replay_full_rebuild", "seu_replay_delta_sync");
-    let (rebuilds, deltas) = synced.sync_counts();
-    if std::env::var("NEMO_BENCH_ENFORCE").is_ok() {
-        assert!(
-            speedup.median >= 1.0,
-            "regression: delta sync slower than a full rebuild ({:.2}x)",
-            speedup.median
-        );
-    }
-    // The copied initial fold is the first rebuild; the rest are fallbacks.
-    format!(
-        "{{\"rounds\": {REPLAY_ROUNDS}, \"speedup\": {}, \"delta_syncs\": {deltas}, \
-         \"rebuild_fallbacks\": {}}}",
-        ratio_json(&speedup),
-        rebuilds - 1
-    )
-}
-
 /// The commit the numbers were recorded on, `-dirty` if the tree had
 /// uncommitted changes.
 fn commit() -> String {
@@ -359,6 +275,7 @@ fn main() {
     let excluded = vec![false; ds.train.n()];
     let view = SelectionView { excluded: &excluded, ..session.view() };
     let selector = SeuSelector::new();
+    let mut aggs = session.aggregates().clone();
     let all: Vec<usize> = (0..ds.train.n()).collect();
     let first_100: Vec<usize> = (0..100.min(ds.train.n())).collect();
     let matrix = session.matrix().clone();
@@ -396,20 +313,12 @@ fn main() {
         "pooled session diverged from direct"
     );
 
-    let trajectory = record_trajectory(&ds);
-    let initial = SeuAggregates::new(&ds, &trajectory[0]);
-    let (rebuilt_sum, _) = replay(&ds, &trajectory, &initial, false);
-    let (synced_sum, synced) = replay(&ds, &trajectory, &initial, true);
-    assert!(
-        (rebuilt_sum - synced_sum).abs() <= 1e-9 * rebuilt_sum.abs().max(1.0),
-        "delta-synced replay diverged: {rebuilt_sum} vs {synced_sum}"
-    );
-
     let timings = trials(vec![
-        // What a round pays from scratch: fold the aggregates, then score
-        // every example through the per-round table.
+        // What a round pays for SEU: the session's fold of the aggregates
+        // into its buffer, then every example scored through the
+        // per-round table.
         row("seu_fast_path_full_pool", || {
-            let aggs = SeuAggregates::new(&ds, view.outputs);
+            aggs.sync(&ds, view.outputs);
             selector.scores(&SelectionView { aggs: &aggs, ..view }, &all)
         }),
         row("seu_naive_100_examples", || selector.expected_utility_naive(&view, &first_100)),
@@ -450,8 +359,6 @@ fn main() {
         row("model_outputs_initial", || ModelOutputs::initial(&ds)),
         row("session_3_rounds_direct", || direct_session(&arts, &pool_cfg)),
         row("session_3_rounds_pooled_k1", || pooled_session(&arts, &pool_cfg)),
-        row("seu_replay_full_rebuild", || replay(&ds, &trajectory, &initial, false).0),
-        row("seu_replay_delta_sync", || replay(&ds, &trajectory, &initial, true).0),
     ]);
 
     println!("\n{:<30} {:>6} {:>12} {:>26}", "kernel", "iters", "median", "quartiles");
@@ -481,7 +388,6 @@ fn main() {
     let sections = [
         ("distance_engine", distance_engine_summary(&timings)),
         ("session_pool", session_pool_summary(&timings)),
-        ("seu_loop", seu_loop_summary(&timings, &synced)),
     ];
     let mut json = format!(
         "{{\n  \"profile\": \"{}\",\n  \"dataset\": \"{}\",\n  \"train_n\": {},\n  \

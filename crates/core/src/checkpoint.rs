@@ -9,10 +9,9 @@
 //! session holds is *derived* cache state and is deterministically rebuilt
 //! on restore:
 //!
-//! - the SEU aggregates are reconstructed with a full
-//!   [`crate::seu::SeuAggregates::new`] rebuild (exact integer fields,
-//!   freshly-summed floats — the state a never-interrupted session is
-//!   periodically re-anchored to);
+//! - the SEU aggregates are folded again by
+//!   [`crate::seu::SeuAggregates::new`] from the restored model outputs,
+//!   equal to the never-interrupted session's bit for bit;
 //! - the contextualizer's refined grid-slot columns are re-registered
 //!   in one batch on the next learning round. With the radii carried, each
 //!   LF's distances are queried only at the rows its raw columns cover

@@ -90,8 +90,8 @@ pub struct SelectionView<'a> {
     pub outputs: &'a ModelOutputs,
     /// `excluded[i]` — example `i` was already shown to the user.
     pub excluded: &'a [bool],
-    /// SEU aggregates consistent with `outputs`: a [`Session`]'s
-    /// delta-synced ones, or a fresh [`SeuAggregates::new`].
+    /// SEU aggregates folded from `outputs`: a [`Session`]'s, or a fresh
+    /// [`SeuAggregates::new`], which hold the same bits.
     pub aggs: &'a SeuAggregates,
 }
 

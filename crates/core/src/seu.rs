@@ -28,8 +28,8 @@
 //! **One scorer, one oracle** (docs/ARCHITECTURE.md, "One interactive
 //! round"): [`SeuAggregates`] folds the inverted index into per-primitive
 //! aggregates ([`PrimAgg`]) from which both `Ψ_t(λ_{z,y})` and
-//! `acc(λ_{z,y})` are O(1). A [`crate::session::Session`] builds them once
-//! and delta-syncs them after every learning stage, and every
+//! `acc(λ_{z,y})` are O(1). A [`crate::session::Session`] folds them
+//! again after every learning stage, and every
 //! [`SelectionView`] carries them. [`SeuSelector::scores`] turns them into
 //! per-primitive weight and weight × utility products once per round and
 //! reads every example's score off those in `O(|prims(x)|)`. The
@@ -208,57 +208,27 @@ impl Selector for SeuSelector {
     }
 }
 
-/// Per-primitive SEU aggregates, kept in sync with the model outputs
-/// across learning rounds.
+/// Per-primitive SEU aggregates of the model outputs.
 ///
-/// Invariant: `aggs[z]` equals the fold of [`PrimAgg::add`] over the
-/// postings of `z` under the cached `psi` (posterior entropies) and `yhat`
-/// (end-model prediction signs) vectors, and those vectors match the
-/// `ModelOutputs` last passed to [`SeuAggregates::new`] or
-/// [`SeuAggregates::sync`]. The integer fields hold it exactly; the float
-/// sums within the rounding of the delta syncs since the last rebuild.
+/// Invariant: `aggs[z]` is the fold of [`PrimAgg::add`], in posting
+/// order, over the postings of `z` under the posterior entropies `ψ` and
+/// end-model prediction signs `ŷ` of the `ModelOutputs` last passed to
+/// [`SeuAggregates::new`] or [`SeuAggregates::sync`]. The aggregates are
+/// a pure function of `(Dataset, ModelOutputs)`: a synced, a fresh and a
+/// restored session's agree bit for bit.
 #[derive(Debug, Clone)]
 pub struct SeuAggregates {
-    psi: Vec<f64>,
-    yhat: Vec<i8>,
     aggs: Vec<PrimAgg>,
-    full_rebuilds: usize,
-    delta_syncs: usize,
-    delta_syncs_since_rebuild: usize,
-    /// Primitive-occurrence slots updated by delta syncs.
-    delta_slots_updated: u64,
+    folds: usize,
 }
 
-/// Delta syncs between forced full rebuilds: each in-place update adds at
-/// most one rounding step to a float sum, so this bounds the drift of the
-/// cached sums relative to a from-scratch rebuild.
-const MAX_DELTA_SYNCS_BETWEEN_REBUILDS: usize = 64;
-
-/// Dirty-majority fallback threshold, as a fraction of total postings:
-/// fall back to a rebuild only when `dirty_slots > 7/8 · nnz(U)`.
-///
-/// A delta update costs ~2 adds per slot against 1 per slot for a
-/// rebuild, so by cost alone the break-even sits near 1/2. The threshold
-/// also decides when the float sums are re-anchored, so moving it can
-/// change their low bits and with them SEU's selections; it stays at the
-/// value the golden curves (`tests/golden_curves.rs`) were recorded with.
-const DIRTY_MAJORITY_NUM: usize = 7;
-const DIRTY_MAJORITY_DEN: usize = 8;
-
 impl SeuAggregates {
-    /// The from-scratch fold: one pass over the inverted index postings
-    /// under the given model state.
+    /// The fold: one pass over the inverted index postings under the
+    /// given model state.
     pub fn new(ds: &Dataset, outputs: &ModelOutputs) -> Self {
-        let mut cache = Self {
-            psi: Vec::new(),
-            yhat: Vec::new(),
-            aggs: vec![PrimAgg::default(); ds.train.corpus.n_primitives()],
-            full_rebuilds: 0,
-            delta_syncs: 0,
-            delta_syncs_since_rebuild: 0,
-            delta_slots_updated: 0,
-        };
-        cache.rebuild(ds, outputs.train_posterior.entropies(), outputs.yhat_signs());
+        let mut cache =
+            Self { aggs: vec![PrimAgg::default(); ds.train.corpus.n_primitives()], folds: 0 };
+        cache.sync(ds, outputs);
         cache
     }
 
@@ -267,74 +237,35 @@ impl SeuAggregates {
         &self.aggs
     }
 
-    /// `(full rebuilds, delta syncs)` performed so far; the construction
-    /// counts as the first rebuild.
+    /// `(folds, 0)`: the folds performed so far, construction included,
+    /// and the delta syncs that no longer exist. An inert shim kept for
+    /// perfbench's counters; ROADMAP item 4 deletes it.
     pub fn sync_counts(&self) -> (usize, usize) {
-        (self.full_rebuilds, self.delta_syncs)
+        (self.folds, 0)
     }
 
-    /// Primitive-occurrence slots updated in place by delta syncs so far.
+    /// Always 0: no sync updates slots in place any more. An inert shim
+    /// kept for perfbench's counters; ROADMAP item 4 deletes it.
     pub fn delta_slots_updated(&self) -> u64 {
-        self.delta_slots_updated
+        0
     }
 
-    fn rebuild(&mut self, ds: &Dataset, psi: Vec<f64>, yhat: Vec<i8>) {
-        self.psi = psi;
-        self.yhat = yhat;
+    /// Re-run the fold of [`SeuAggregates::new`] under `outputs`, into the
+    /// existing buffer.
+    pub fn sync(&mut self, ds: &Dataset, outputs: &ModelOutputs) {
+        let psi = outputs.train_posterior.entropies();
+        let yhat = outputs.yhat_signs();
         self.aggs.fill(PrimAgg::default());
         for (z, postings) in ds.train.corpus.index().iter_nonempty() {
             // Folded in a local, not through the slot, so the sums stay
             // in registers.
             let mut agg = PrimAgg::default();
             for &i in postings {
-                agg.add(self.psi[i as usize], self.yhat[i as usize]);
+                agg.add(psi[i as usize], yhat[i as usize]);
             }
             self.aggs[z as usize] = agg;
         }
-        self.full_rebuilds += 1;
-        self.delta_syncs_since_rebuild = 0;
-    }
-
-    /// Bring the aggregates in line with `outputs` by applying, in place,
-    /// the contribution delta of every example whose `(psi, yhat)` changed
-    /// — `O(Σ_{i dirty} |prims(i)|)` instead of the `O(nnz(U))` rebuild.
-    ///
-    /// Falls back to a full rebuild when the dirty set covers nearly all
-    /// slots (`dirty_slots > 7/8 · nnz(U)`; see the cost model on the
-    /// threshold constants) and forces one every 64 delta syncs
-    /// (`MAX_DELTA_SYNCS_BETWEEN_REBUILDS`) to bound floating-point drift
-    /// of the in-place sums.
-    pub fn sync(&mut self, ds: &Dataset, outputs: &ModelOutputs) {
-        let new_psi = outputs.train_posterior.entropies();
-        let new_yhat = outputs.yhat_signs();
-        debug_assert_eq!(new_psi.len(), self.psi.len());
-        let corpus = &ds.train.corpus;
-        let dirty: Vec<usize> = (0..new_psi.len())
-            .filter(|&i| {
-                self.psi[i].to_bits() != new_psi[i].to_bits() || self.yhat[i] != new_yhat[i]
-            })
-            .collect();
-        if dirty.is_empty() {
-            return;
-        }
-        let dirty_slots: usize = dirty.iter().map(|&i| corpus.primitives_of(i).len()).sum();
-        if dirty_slots * DIRTY_MAJORITY_DEN >= corpus.total_postings() * DIRTY_MAJORITY_NUM
-            || self.delta_syncs_since_rebuild >= MAX_DELTA_SYNCS_BETWEEN_REBUILDS
-        {
-            self.rebuild(ds, new_psi, new_yhat);
-            return;
-        }
-        for &i in &dirty {
-            let (old_psi, old_sign) = (self.psi[i], self.yhat[i]);
-            for &z in corpus.primitives_of(i) {
-                self.aggs[z as usize].apply_delta(old_psi, old_sign, new_psi[i], new_yhat[i]);
-            }
-        }
-        self.psi = new_psi;
-        self.yhat = new_yhat;
-        self.delta_slots_updated += dirty_slots as u64;
-        self.delta_syncs += 1;
-        self.delta_syncs_since_rebuild += 1;
+        self.folds += 1;
     }
 }
 

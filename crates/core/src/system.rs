@@ -33,8 +33,7 @@ use nemo_lf::{Lineage, PrimitiveLf};
 
 /// The end-to-end Nemo system (SEU selection + contextualized
 /// learning): a thin frontend driver over the [`Session`] state machine,
-/// which owns the interactive state and the incrementally-maintained SEU
-/// aggregates.
+/// which owns the interactive state and the SEU aggregates.
 pub struct NemoSystem<'a> {
     session: Session<'a>,
     selector: SeuSelector,

@@ -48,22 +48,6 @@ impl PrimAgg {
         self.df += 1;
     }
 
-    /// Replace one covered example's contribution in place: the example's
-    /// `(ψ, ŷ)` changed from `(old_psi, old_sign)` to `(new_psi,
-    /// new_sign)` while its coverage membership stayed fixed.
-    ///
-    /// The integer fields (`n_pos`, `df`) stay exact; the float sums pick
-    /// up one rounding step per update, which the session bounds with
-    /// periodic full rebuilds.
-    #[inline]
-    pub fn apply_delta(&mut self, old_psi: f64, old_sign: i8, new_psi: f64, new_sign: i8) {
-        let (os, ns) = (old_sign as f64, new_sign as f64);
-        self.s_psi_yhat += new_psi * ns - old_psi * os;
-        self.s_yhat += ns - os;
-        self.s_psi += new_psi - old_psi;
-        self.n_pos = self.n_pos + usize::from(new_sign > 0) - usize::from(old_sign > 0);
-    }
-
     /// Estimated accuracy of `λ_{z,y}` under the proxy labels `ŷ`:
     /// the fraction of the coverage predicted as `y`.
     #[inline]

@@ -109,15 +109,6 @@ pub fn sq_euclidean(a: &[f32], b: &[f32]) -> f64 {
         .sum()
 }
 
-/// `y += alpha * x` over dense slices.
-#[inline]
-pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
-    debug_assert_eq!(x.len(), y.len());
-    for (yi, &xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,13 +176,5 @@ mod tests {
         let b = [4.0f32, 5.0, 6.0];
         assert!((dot(&a, &b) - 32.0).abs() < 1e-9);
         assert!((sq_euclidean(&a, &b) - 27.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn axpy_updates() {
-        let x = [1.0f32, 2.0];
-        let mut y = [10.0f32, 20.0];
-        axpy(2.0, &x, &mut y);
-        assert_eq!(y, [12.0, 24.0]);
     }
 }

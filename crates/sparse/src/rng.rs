@@ -169,12 +169,6 @@ impl DetRng {
         (draw.round() as usize).clamp(min_len, max_len)
     }
 
-    /// Uniformly choose an element of a non-empty slice.
-    #[inline]
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
-        &items[self.index(items.len())]
-    }
-
     /// Weighted choice: returns an index `i` with probability proportional
     /// to `weights[i]`. Non-finite or negative weights are treated as zero.
     /// Panics if all weights are zero/invalid or the slice is empty.

@@ -1,7 +1,8 @@
 //! Helpers shared by the contextualizer suites: the naive refinement
 //! oracle, random lineage growth, random percentile grids, a dataset
-//! whose validation split is empty, and the session-level check that a
-//! long-lived pipeline equals a fresh one.
+//! whose validation split is empty, the session-level check that a
+//! long-lived pipeline equals a fresh one, and the bitwise comparison of
+//! SEU aggregates.
 
 // Each suite uses a subset of the helpers.
 #![allow(dead_code)]
@@ -12,7 +13,8 @@ use nemo::core::idp::ModelOutputs;
 use nemo::core::oracle::SimulatedUser;
 use nemo::core::pipeline::{ContextualizedPipeline, LearningPipeline};
 use nemo::core::session::Session;
-use nemo::core::seu::SeuSelector;
+use nemo::core::seu::{SeuAggregates, SeuSelector};
+use nemo::core::utility::PrimAgg;
 use nemo::data::{Dataset, Features, Split};
 use nemo::lf::{Label, LabelMatrix, LfColumn, Lineage, Metric, PrimitiveCorpus, PrimitiveLf};
 use nemo::sparse::stats::percentile;
@@ -226,5 +228,25 @@ pub fn assert_long_lived_sessions_equal_fresh(
             prev = m;
         }
         assert!(kept.rounds.iter().any(|r| r.1.hits > 0), "{what}: no column was kept");
+    }
+}
+
+/// Every field of `agg`, the float sums as bits.
+pub fn prim_agg_bits(agg: &PrimAgg) -> [u64; 5] {
+    [
+        agg.s_psi_yhat.to_bits(),
+        agg.s_yhat.to_bits(),
+        agg.s_psi.to_bits(),
+        agg.n_pos as u64,
+        agg.df as u64,
+    ]
+}
+
+/// `got` and `want` hold the same aggregates for every primitive, every
+/// field bit for bit.
+pub fn assert_aggs_identical(got: &SeuAggregates, want: &SeuAggregates, what: &str) {
+    assert_eq!(got.aggs().len(), want.aggs().len(), "{what}: primitive count");
+    for (z, (g, w)) in got.aggs().iter().zip(want.aggs()).enumerate() {
+        assert_eq!(prim_agg_bits(g), prim_agg_bits(w), "{what}: z {z}: {g:?} vs {w:?}");
     }
 }

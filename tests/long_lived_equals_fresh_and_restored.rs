@@ -19,7 +19,9 @@
 //! checkpoint) must equal the fresh one too.
 //!
 //! The same holds a level up: a `NemoSystem` restored mid-run from a
-//! checkpoint encoded and decoded by the codec equals an uninterrupted one.
+//! checkpoint encoded and decoded by the codec equals an uninterrupted one,
+//! and one restored after every round holds the uninterrupted session's
+//! SEU aggregates bit for bit.
 //! (Whole sessions with a long-lived pipeline against sessions with a fresh
 //! pipeline every learning round run through
 //! `common::assert_long_lived_sessions_equal_fresh`, from
@@ -28,7 +30,7 @@
 
 mod common;
 
-use common::{add_random_lfs, dataset_with_empty_valid, random_grid, since};
+use common::{add_random_lfs, assert_aggs_identical, dataset_with_empty_valid, random_grid, since};
 use nemo::core::contextualizer::{Contextualizer, RefineCacheStats};
 use nemo::core::oracle::{SimulatedUser, User};
 use nemo::core::{ContextualizerConfig, IdpConfig, NemoSystem};
@@ -253,6 +255,37 @@ fn restored_session_equals_uninterrupted_through_the_codec() {
             assert_eq!(output_bits(&cut), output_bits(&straight), "{}: round {round}", ds.name);
         }
         assert!(straight.outputs().chosen_p.is_some(), "{}: the session never tuned p", ds.name);
+    }
+}
+
+/// 20 rounds straight, and 20 rounds with a checkpoint round trip through
+/// the codec after every round, on three seeds: after every round the
+/// restored session's SEU aggregates equal the uninterrupted session's,
+/// every field bit for bit.
+#[test]
+fn session_restored_every_round_holds_uninterrupted_aggregates() {
+    const ROUNDS: usize = 20;
+    let ds = toy_text(3);
+    for seed in [11, 22, 33] {
+        let config =
+            IdpConfig { n_iterations: ROUNDS, eval_every: ROUNDS, seed, ..Default::default() };
+        let mut straight = NemoSystem::new(&ds, config.clone());
+        let mut cut = NemoSystem::new(&ds, config);
+        let mut users = (SimulatedUser::default(), SimulatedUser::default());
+        for round in 0..ROUNDS {
+            straight.step_with_user(&mut users.0).expect("round runs");
+            cut.step_with_user(&mut users.1).expect("round runs");
+            let bytes = session_to_bytes(&cut.checkpoint());
+            let ckpt = session_from_bytes(&bytes).expect("checkpoint decodes");
+            cut = NemoSystem::restore(&ds, &ckpt).expect("checkpoint restores");
+            let what = format!("seed {seed} round {round}");
+            assert_eq!(output_bits(&cut), output_bits(&straight), "{what}: outputs");
+            assert_aggs_identical(
+                cut.session().aggregates(),
+                straight.session().aggregates(),
+                &what,
+            );
+        }
     }
 }
 

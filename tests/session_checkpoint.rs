@@ -111,10 +111,9 @@ fn resume_after_first_round_and_before_last_round() {
 
 #[test]
 fn late_cut_resume_is_bit_identical_on_every_catalog_dataset() {
-    // A restore folds the SEU aggregates from scratch, while the
-    // uninterrupted run has delta-synced them for about 40 rounds; a cut
-    // at round 45 of 50 checks the resumed selections against that drift
-    // on every catalog dataset, sparse and dense.
+    // A cut at round 45 of 50, after the lineage and the label model have
+    // grown for 45 rounds, checks the resumed selections on every catalog
+    // dataset, sparse and dense.
     for name in DatasetName::ALL {
         let ds = catalog::build(name, Profile::Smoke, 1);
         let config = IdpConfig { n_iterations: 50, eval_every: 50, seed: 1, ..Default::default() };

@@ -1,21 +1,23 @@
 //! Differential tests for the `Session` engine's SEU path:
 //!
-//! 1. **Delta-synced aggregates** — after every learning stage the
-//!    session replays only the dirty examples' contribution deltas into
-//!    its `SeuAggregates`. Integer fields must match a from-scratch fold
-//!    (`SeuAggregates::new`) exactly and the in-place float sums within
-//!    drift tolerance; selections driven by the synced aggregates must be
-//!    *identical* to selections over a fresh fold.
+//! 1. **Aggregates are one fold of the model outputs** — after every
+//!    learning stage the session re-runs the fold of `SeuAggregates::new`
+//!    into its buffer, so its aggregates must equal a fresh
+//!    `SeuAggregates::new` over the same outputs, every field bit for bit.
+//!    Since `SeuSelector::scores` reads the view's aggregates and nothing
+//!    else kept across rounds, selections over the session's aggregates
+//!    and over a fresh fold are then the same.
 //! 2. **Table-driven SEU scoring** — `SeuSelector::scores` must match the
 //!    naive per-example reference (`expected_utility_naive`) within fp
 //!    tolerance, across every `UserModelKind × UtilityKind` combination.
 //!
-//! Both properties are checked over ≥ 3 seeds while a real interactive
-//! loop (SEU selection + simulated user) mutates the session, so the
-//! aggregates see the same dirty patterns production runs produce.
+//! Both properties are checked over 3 seeds while a real interactive loop
+//! (SEU selection + simulated user) drives the session.
 
+mod common;
+
+use common::assert_aggs_identical;
 use nemo::core::config::IdpConfig;
-use nemo::core::idp::{SelectionView, Selector};
 use nemo::core::oracle::SimulatedUser;
 use nemo::core::pipeline::{ContextualizedPipeline, LearningPipeline, StandardPipeline};
 use nemo::core::session::Session;
@@ -23,7 +25,6 @@ use nemo::core::seu::{SeuAggregates, SeuSelector};
 use nemo::core::user_model::UserModelKind;
 use nemo::core::utility::UtilityKind;
 use nemo::data::catalog::toy_text;
-use nemo::sparse::DetRng;
 
 const SEEDS: [u64; 3] = [11, 22, 33];
 
@@ -47,60 +48,36 @@ fn drive<'a>(
     }
 }
 
-/// Assert cached aggregates track a from-scratch rebuild: integer fields
-/// exactly, in-place float sums within drift tolerance.
-fn assert_aggs_track(session: &Session<'_>, seed: u64) {
-    let rebuilt = SeuAggregates::new(session.dataset(), session.outputs());
-    for (z, (cached, fresh)) in session.aggregates().aggs().iter().zip(rebuilt.aggs()).enumerate() {
-        assert_eq!(cached.df, fresh.df, "seed {seed} z {z}: df diverged");
-        assert_eq!(cached.n_pos, fresh.n_pos, "seed {seed} z {z}: n_pos diverged");
-        for (a, b, field) in [
-            (cached.s_psi, fresh.s_psi, "s_psi"),
-            (cached.s_yhat, fresh.s_yhat, "s_yhat"),
-            (cached.s_psi_yhat, fresh.s_psi_yhat, "s_psi_yhat"),
-        ] {
-            assert!(
-                (a - b).abs() < 1e-9,
-                "seed {seed} z {z}: {field} drifted ({a} vs {b}) at iteration {}",
-                session.iteration()
-            );
-        }
-    }
-}
-
-#[test]
-fn incremental_aggregates_track_rebuild() {
+/// Run `rounds` rounds per seed on `toy_text(3)` with the pipeline
+/// `make` builds, and after every round check the session's aggregates
+/// against a fresh fold of its outputs.
+fn check_synced_equals_fold<P: LearningPipeline>(rounds: usize, make: impl Fn() -> P) {
     let ds = toy_text(3);
     for seed in SEEDS {
-        let config = IdpConfig { n_iterations: 10, eval_every: 5, seed, ..Default::default() };
+        let config = IdpConfig { n_iterations: rounds, eval_every: 5, seed, ..Default::default() };
         let mut session = Session::new(&ds, config);
-        let mut pipeline = StandardPipeline;
+        let mut pipeline = make();
         let mut checked = 0;
-        drive(&mut session, &mut pipeline, 10, |s| {
-            assert_aggs_track(s, seed);
+        drive(&mut session, &mut pipeline, rounds, |s| {
+            let fold = SeuAggregates::new(s.dataset(), s.outputs());
+            let what = format!("seed {seed} iteration {}", s.iteration());
+            assert_aggs_identical(s.aggregates(), &fold, &what);
             checked += 1;
         });
-        assert_eq!(checked, 10);
-        let (rebuilds, deltas) = session.aggregates().sync_counts();
-        assert!(
-            deltas > 0,
-            "seed {seed}: the incremental path was never exercised \
-             ({rebuilds} rebuilds, {deltas} delta syncs)"
-        );
+        assert_eq!(checked, rounds);
     }
 }
 
 #[test]
-fn incremental_aggregates_hold_under_contextualized_pipeline() {
+fn synced_aggregates_equal_fold_under_standard_pipeline() {
+    check_synced_equals_fold(10, || StandardPipeline);
+}
+
+#[test]
+fn synced_aggregates_equal_fold_under_contextualized_pipeline() {
     // The contextualized pipeline rewrites the posterior from refined
-    // votes each round — a harsher dirty pattern than standard learning.
-    let ds = toy_text(3);
-    for seed in SEEDS {
-        let config = IdpConfig { n_iterations: 8, eval_every: 4, seed, ..Default::default() };
-        let mut session = Session::new(&ds, config);
-        let mut pipeline = ContextualizedPipeline::default();
-        drive(&mut session, &mut pipeline, 8, |s| assert_aggs_track(s, seed));
-    }
+    // votes each round.
+    check_synced_equals_fold(10, ContextualizedPipeline::default);
 }
 
 #[test]
@@ -129,34 +106,5 @@ fn table_scores_bit_identical_to_tabled_scan_and_match_naive() {
                 }
             }
         }
-    }
-}
-
-#[test]
-fn cached_and_rebuilt_aggregates_select_identically() {
-    // The acceptance property: selections driven by the incremental cache
-    // are identical to selections recomputed from scratch.
-    let ds = toy_text(3);
-    for seed in SEEDS {
-        let config = IdpConfig { n_iterations: 8, eval_every: 4, seed, ..Default::default() };
-        let mut session = Session::new(&ds, config);
-        let mut pipeline = StandardPipeline;
-        drive(&mut session, &mut pipeline, 8, |s| {
-            let cached_view = s.view();
-            let rebuilt = SeuAggregates::new(s.dataset(), s.outputs());
-            let uncached_view = SelectionView { aggs: &rebuilt, ..s.view() };
-            for um in USER_MODELS {
-                for ut in UTILITIES {
-                    let mut sel = SeuSelector::with(um, ut);
-                    let mut rng_a = DetRng::new(seed ^ 0xA5);
-                    let mut rng_b = DetRng::new(seed ^ 0xA5);
-                    assert_eq!(
-                        sel.select(&cached_view, &mut rng_a),
-                        sel.select(&uncached_view, &mut rng_b),
-                        "seed {seed} um {um:?} ut {ut:?}: cached selection diverged"
-                    );
-                }
-            }
-        });
     }
 }
