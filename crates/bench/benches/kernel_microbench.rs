@@ -27,6 +27,7 @@ use nemo_core::session::Session;
 use nemo_core::seu::SeuSelector;
 use nemo_core::{NemoSystem, PoolConfig, RoundJob, SessionPool, SharedArtifacts};
 use nemo_data::catalog::{build, DatasetName, Profile};
+use nemo_data::mixture::{MixtureConfig, MixtureModel};
 use nemo_data::{Dataset, Rows};
 use nemo_endmodel::LogisticRegression;
 use nemo_labelmodel::{LabelModel, TripletModel};
@@ -172,6 +173,25 @@ fn simulated_lineage(ds: &Dataset) -> Lineage {
     lineage
 }
 
+/// Amazon's mixture, copied from its `catalog.rs` literal.
+fn amazon_mixture() -> MixtureConfig {
+    MixtureConfig {
+        n_clusters: 4,
+        n_shared: 400,
+        n_background_per_cluster: 220,
+        n_indicators: 160,
+        home_affinity: 3.0,
+        agreement_home: 0.90,
+        agreement_away: 0.65,
+        flip_prob: 0.15,
+        pos_prior: 0.5,
+        indicator_tokens: (2, 5, 9),
+        background_tokens: (8, 16, 28),
+        shared_tokens: (5, 12, 22),
+        ..MixtureConfig::default()
+    }
+}
+
 /// Selections and final train-posterior bits of one session.
 type Trace = (Vec<Option<usize>>, Vec<u64>);
 
@@ -300,6 +320,8 @@ fn main() {
         })
         .collect();
 
+    let mixture = MixtureModel::new(amazon_mixture(), &mut DetRng::new(5));
+
     let arts = SharedArtifacts::new(ds.clone());
     let pool_cfg = IdpConfig {
         n_iterations: POOL_ROUNDS,
@@ -352,6 +374,11 @@ fn main() {
             ctx.n_registered()
         }),
         row("tfidf_transform_500_docs", || tfidf.transform(&docs)),
+        // The per-document draw catalog set-up repeats for every row.
+        row("mixture_sample_1000_docs", || {
+            let mut rng = DetRng::new(7);
+            (0..1000).map(|_| mixture.sample_doc(&mut rng).tokens.len()).sum::<usize>()
+        }),
         // What every submit and registration pays per LF.
         row("lf_columns_from_50_lfs", || {
             lfs.iter().map(|lf| LfColumn::from_lf(lf, &ds.train.corpus).coverage()).sum::<usize>()

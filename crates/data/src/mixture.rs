@@ -20,7 +20,7 @@
 //! (left panel) in addition to the accuracy locality (right panel).
 
 use nemo_lf::Label;
-use nemo_sparse::DetRng;
+use nemo_sparse::{DetRng, WeightTable};
 
 /// Configuration of the cluster-mixture process.
 #[derive(Debug, Clone)]
@@ -138,10 +138,11 @@ pub struct MixtureModel {
     /// `base[i]` — base polarity of indicator `i`.
     base: Vec<Label>,
     /// Indicator sampling weights per (cluster, label), at
-    /// `indicator_weights[2 k + y.index()]`, with their
-    /// [`DetRng::weight_total`]: weight `i` is the home affinity of
-    /// indicator `i` in cluster `k` times P(it matches label `y` there).
-    indicator_weights: Vec<(Vec<f64>, f64)>,
+    /// `indicator_weights[2 k + y.index()]`, each a [`WeightTable`] that
+    /// [`DetRng::choose_from`] draws from by binary search: weight `i` is
+    /// the home affinity of indicator `i` in cluster `k` times P(it
+    /// matches label `y` there).
+    indicator_weights: Vec<WeightTable>,
     /// Cumulative Zipf table for one background block.
     bg_cum: Vec<f64>,
     /// Cumulative Zipf table for the shared block.
@@ -196,8 +197,7 @@ impl MixtureModel {
                         aff * match_prob
                     })
                     .collect();
-                let total = DetRng::weight_total(&weights);
-                (weights, total)
+                WeightTable::new(&weights)
             })
             .collect();
         let bg_cum = zipf_cumulative(cfg.n_background_per_cluster, cfg.zipf_exponent);
@@ -263,9 +263,8 @@ impl MixtureModel {
         }
     }
 
-    /// The indicator weights of a document in `cluster` with `label`,
-    /// and their total.
-    fn indicator_table(&self, cluster: u32, label: Label) -> &(Vec<f64>, f64) {
+    /// The indicator weight table of a document in `cluster` with `label`.
+    fn indicator_table(&self, cluster: u32, label: Label) -> &WeightTable {
         &self.indicator_weights[2 * cluster as usize + label.index()]
     }
 
@@ -289,9 +288,9 @@ impl MixtureModel {
 
         // Indicator tokens: weight = affinity(home) × label-agreement factor.
         if cfg.n_indicators > 0 && n_ind > 0 {
-            let (weights, total) = self.indicator_table(cluster, label);
+            let table = self.indicator_table(cluster, label);
             for _ in 0..n_ind {
-                let i = rng.choose_weighted_with_total(weights, *total);
+                let i = rng.choose_from(table);
                 tokens.push(self.indicator_token(i));
             }
         }
@@ -370,8 +369,8 @@ mod tests {
         // Indicator 0 (home cluster 0, base Pos) is weighted by the home
         // affinity times the configured home agreement.
         let (aff, agr) = (m.cfg.home_affinity, m.cfg.agreement_home);
-        assert_eq!(m.indicator_table(0, Label::Pos).0[0], aff * agr);
-        assert_eq!(m.indicator_table(0, Label::Neg).0[0], aff * (1.0 - agr));
+        assert_eq!(m.indicator_table(0, Label::Pos).weights()[0], aff * agr);
+        assert_eq!(m.indicator_table(0, Label::Neg).weights()[0], aff * (1.0 - agr));
     }
 
     #[test]

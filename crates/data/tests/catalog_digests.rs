@@ -2,11 +2,14 @@
 //! norms, bit for bit), primitive corpus, labels, clusters, primitive
 //! names and lexicon of all three splits. Every dataset is pinned at the
 //! smoke profile (seed 1) and at the quick profile (seed 42, the dataset
-//! seed of the end-to-end benchmark), and Amazon at the full profile. The
-//! smoke digests were recorded while the text generator still
-//! materialized one `String` per token occurrence, and the quick and full
-//! ones while it still counted through string maps; any change to what a
-//! generator emits shows here, not only in downstream curves.
+//! seed of the end-to-end benchmark), and Amazon, Yelp and IMDB at the
+//! full profile. The smoke digests were recorded while the text generator
+//! still materialized one `String` per token occurrence, the quick and
+//! Amazon full ones while it still counted through string maps, and the
+//! Yelp and IMDB full ones while indicator tokens were still drawn by a
+//! linear scan; any change to what a generator emits shows here, not only
+//! in downstream curves. The Yelp and IMDB full builds add about 0.1 s
+//! to the suite (2-vCPU host).
 
 use nemo_data::catalog::{self, DatasetName};
 use nemo_data::{Dataset, Profile, Split};
@@ -128,4 +131,14 @@ fn quick_catalog_datasets_match_recorded_digests() {
 #[test]
 fn full_amazon_matches_recorded_digest() {
     assert_digests(Profile::Full, 42, &[(DatasetName::Amazon, 0x77b53c2e6b5477a4)]);
+}
+
+/// Yelp and IMDB at the full profile: the two largest generators.
+#[test]
+fn full_yelp_and_imdb_match_recorded_digests() {
+    assert_digests(
+        Profile::Full,
+        42,
+        &[(DatasetName::Yelp, 0xce05835c0ac1ee0b), (DatasetName::Imdb, 0x9305402c58843f08)],
+    );
 }

@@ -28,4 +28,4 @@ pub use csr::{CsrMatrix, SparseVec};
 pub use dense::DenseMatrix;
 pub use distance::{Distance, GatherScratch};
 pub use index::InvertedIndex;
-pub use rng::DetRng;
+pub use rng::{DetRng, WeightTable};

@@ -5,8 +5,9 @@
 //! a self-contained xoshiro256++ generator seeded through SplitMix64. The
 //! implementation is dependency-free so the workspace builds hermetically;
 //! keeping a single wrapper type centralizes the samplers the system needs
-//! (Gaussian via Box–Muller, weighted choice, partial Fisher–Yates subset
-//! sampling) and guarantees bit-for-bit reproducibility from a seed.
+//! (Gaussian via Box–Muller, weighted choice by scan or from a prefix-sum
+//! [`WeightTable`], partial Fisher–Yates subset sampling) and guarantees
+//! bit-for-bit reproducibility from a seed.
 
 /// Deterministic RNG used across the workspace.
 ///
@@ -38,6 +39,102 @@ fn clean_weight(w: f64) -> f64 {
         w
     } else {
         0.0
+    }
+}
+
+/// The scan [`DetRng::choose_weighted`] runs from a drawn point `x`: the
+/// first index whose (clean) weight exceeds what is left of `x` after the
+/// earlier weights are subtracted one by one, or the last index with a
+/// positive weight if floating-point slack runs `x` past the end.
+fn scan(weights: &[f64], x: f64) -> usize {
+    let mut target = x;
+    for (i, &w) in weights.iter().enumerate() {
+        let w = clean_weight(w);
+        if w <= 0.0 {
+            continue;
+        }
+        if target < w {
+            return i;
+        }
+        target -= w;
+    }
+    weights
+        .iter()
+        .rposition(|&w| clean_weight(w) > 0.0)
+        // invariant: both callers assert a positive total weight, so some
+        // weight is positive.
+        .expect("choose_weighted: positive weight must exist")
+}
+
+/// A weight table for repeated draws with [`DetRng::choose_from`]: the
+/// clean weights (non-finite and negative ones as zero), their prefix sums
+/// `P` added in slice order, and `total = P[n-1]`, the same sum
+/// [`DetRng::choose_weighted`] draws against, bit for bit.
+///
+/// A draw takes the point `x = uniform() * total` and the index
+/// `c = P.partition_point(|&p| p <= x)`, the first prefix sum above `x`.
+/// It returns `c` only when `x` lies more than the margin
+/// `M = 4·(n+1)·ε·total` (ε = `f64::EPSILON` = 2⁻⁵²) from both ends of
+/// its interval, `P[c-1]` (or 0) and `P[c]`, which also puts it below
+/// `total − M`; otherwise it runs the scan of `choose_weighted` from the
+/// same `x`. A NaN or infinite `x`, total or margin fails these
+/// comparisons and takes the scan too.
+///
+/// Why the fast index is the scan's. Write `u = 2⁻⁵³` for the unit
+/// roundoff and `S_k` for the exact real sum of the first `k` clean
+/// weights. The scan passes index `i` while `t_i ≥ w_i` and returns `i`
+/// at the first positive weight with `t_i < w_i`, where `t_i` is its
+/// running target. While it runs, `0 ≤ t ≤ x`, so each `t − w` rounds by
+/// at most `u·x`, and after `k` subtractions `t` is `x − S_k` within
+/// `k·u·x`. Each `P[i]` is `S_{i+1}` within `(i+1)·u·total`, every partial
+/// sum being at most `total`. So `t_i − w_i` and `x − P[i]` differ by at
+/// most `(2n−1)·u·total < M/4`, and wherever `|x − P[i]| > M` the two
+/// have the same sign: `t_i < w_i ⟺ x < P[i]`. `P` never decreases, so
+/// the margin test on `P[c-1]` and `P[c]` bounds every other `P[i]` as
+/// well: the scan passes every index before `c`, and `w_c > 0` because
+/// `P[c] > P[c-1]`, so it stops at `c`. The margin's extra factor covers
+/// the rounding of the test itself and of `M`.
+#[derive(Debug, Clone)]
+pub struct WeightTable {
+    weights: Vec<f64>,
+    prefix: Vec<f64>,
+    total: f64,
+    margin: f64,
+}
+
+impl WeightTable {
+    /// The table of `weights`. Any weights are accepted; drawing from an
+    /// empty or all-zero table panics.
+    pub fn new(weights: &[f64]) -> Self {
+        let weights: Vec<f64> = weights.iter().copied().map(clean_weight).collect();
+        let mut acc = 0.0;
+        let prefix: Vec<f64> = weights
+            .iter()
+            .map(|&w| {
+                acc += w;
+                acc
+            })
+            .collect();
+        let total = prefix.last().copied().unwrap_or(0.0);
+        let margin = 4.0 * (weights.len() + 1) as f64 * f64::EPSILON * total;
+        Self { weights, prefix, total, margin }
+    }
+
+    /// The clean weights.
+    pub fn weights(&self) -> &[f64] {
+        &self.weights
+    }
+
+    /// The index a draw at point `x` returns.
+    fn index_of(&self, x: f64) -> usize {
+        let c = self.prefix.partition_point(|&p| p <= x);
+        if let Some(&hi) = self.prefix.get(c) {
+            let lo = if c == 0 { 0.0 } else { self.prefix[c - 1] };
+            if x - lo > self.margin && hi - x > self.margin {
+                return c;
+            }
+        }
+        scan(&self.weights, x)
     }
 }
 
@@ -172,42 +269,29 @@ impl DetRng {
     /// Weighted choice: returns an index `i` with probability proportional
     /// to `weights[i]`. Non-finite or negative weights are treated as zero.
     /// Panics if all weights are zero/invalid or the slice is empty.
+    ///
+    /// This is the plain scan: it draws `x = uniform() * total`, with
+    /// `total` the slice-order sum of the weights, and walks the slice
+    /// subtracting each weight from `x` until the rest falls below one.
+    /// A caller that draws many times from one table uses
+    /// [`DetRng::choose_from`], which returns the same index from the same
+    /// stream position.
     pub fn choose_weighted(&mut self, weights: &[f64]) -> usize {
-        self.choose_weighted_with_total(weights, DetRng::weight_total(weights))
-    }
-
-    /// The total [`DetRng::choose_weighted`] draws against: the sum, in
-    /// slice order, of the weights with non-finite and negative ones
-    /// counted as zero.
-    pub fn weight_total(weights: &[f64]) -> f64 {
-        weights.iter().copied().map(clean_weight).sum()
-    }
-
-    /// [`DetRng::choose_weighted`] with its total precomputed, for a
-    /// caller that draws many times from one weight table. `total` must be
-    /// [`DetRng::weight_total`] of `weights`; the draw is then the same
-    /// index, from the same stream position, as `choose_weighted`.
-    pub fn choose_weighted_with_total(&mut self, weights: &[f64], total: f64) -> usize {
         assert!(!weights.is_empty(), "choose_weighted on empty slice");
+        let total: f64 = weights.iter().copied().map(clean_weight).sum();
         assert!(total > 0.0, "choose_weighted: all weights are zero");
-        let mut target = self.uniform() * total;
-        for (i, &w) in weights.iter().enumerate() {
-            let w = clean_weight(w);
-            if w <= 0.0 {
-                continue;
-            }
-            if target < w {
-                return i;
-            }
-            target -= w;
-        }
-        // Floating-point slack: return the last index with positive weight.
-        weights
-            .iter()
-            .rposition(|&w| clean_weight(w) > 0.0)
-            // invariant: the caller-facing precondition (asserted above)
-            // is a positive total weight, so some weight is positive.
-            .expect("choose_weighted: positive weight must exist")
+        scan(weights, self.uniform() * total)
+    }
+
+    /// [`DetRng::choose_weighted`] over a precomputed [`WeightTable`]:
+    /// the same index, from the same stream position, found by binary
+    /// search over the table's prefix sums (see [`WeightTable`] for why
+    /// the two agree). Panics if the table is empty or all its weights
+    /// are zero/invalid.
+    pub fn choose_from(&mut self, table: &WeightTable) -> usize {
+        assert!(!table.weights.is_empty(), "choose_weighted on empty slice");
+        assert!(table.total > 0.0, "choose_weighted: all weights are zero");
+        table.index_of(self.uniform() * table.total)
     }
 
     /// In-place Fisher–Yates shuffle.
@@ -347,8 +431,8 @@ mod tests {
     }
 
     proptest! {
-        /// The precomputed-total draw is `choose_weighted` draw for draw:
-        /// same index and same stream position, over tables mixing
+        /// A draw from a [`WeightTable`] is `choose_weighted` draw for
+        /// draw: same index and same stream position, over tables mixing
         /// positive, zero, negative, NaN and infinite weights.
         #[test]
         fn prop_draw_with_total_equals_choose_weighted(
@@ -367,12 +451,75 @@ mod tests {
                 .collect();
             // At least one positive weight, so neither side panics.
             weights.push(0.5);
-            let total = DetRng::weight_total(&weights);
+            let table = WeightTable::new(&weights);
+            let total: f64 = weights.iter().copied().map(clean_weight).sum();
+            prop_assert_eq!(table.total.to_bits(), total.to_bits());
             let (mut a, mut b) = (DetRng::new(seed), DetRng::new(seed));
             for _ in 0..32 {
-                prop_assert_eq!(a.choose_weighted(&weights), b.choose_weighted_with_total(&weights, total));
+                prop_assert_eq!(a.choose_weighted(&weights), b.choose_from(&table));
             }
             prop_assert_eq!(a.next_u64(), b.next_u64());
+        }
+
+        /// The table's lookup returns the scan's index at the points where
+        /// the two could part: every prefix sum, its neighbouring floats,
+        /// the margin on either side of it, 0, the total, the float below
+        /// the total and random points. Weights range from 1e-300 to
+        /// 1e300 around a per-table scale, so small weights after large
+        /// ones leave gaps inside the margin, or none at all.
+        #[test]
+        fn prop_table_lookup_equals_scan_at_every_boundary(
+            raw in proptest::collection::vec((0u32..10, 1.0f64..10.0, -300i32..=300), 1..201),
+            scale in -300i32..=300,
+            points in proptest::collection::vec(0.0f64..1.0, 16),
+        ) {
+            let mut weights: Vec<f64> = raw
+                .iter()
+                .map(|&(kind, m, e)| match kind {
+                    0 => 0.0,
+                    1 => -m,
+                    2 => f64::NAN,
+                    3 => f64::INFINITY,
+                    4 => f64::NEG_INFINITY,
+                    // Within a few decades of the table's scale.
+                    5..=7 => m * 10f64.powi((scale + e % 4).clamp(-300, 300)),
+                    _ => m * 10f64.powi(e),
+                })
+                .collect();
+            if !weights.iter().any(|&w| clean_weight(w) > 0.0) {
+                weights[0] = 1.0;
+            }
+            let table = WeightTable::new(&weights);
+            let (total, margin) = (table.total, table.margin);
+            let step = |x: f64, d: i64| f64::from_bits(x.to_bits().saturating_add_signed(d));
+            let mut xs = vec![0.0, total, step(total, -1)];
+            for &p in &table.prefix {
+                xs.extend([p, step(p, -1), step(p, 1), p - margin, p + margin]);
+            }
+            xs.extend(points.iter().map(|&u| u * total));
+            for x in xs {
+                prop_assert_eq!(
+                    table.index_of(x),
+                    scan(&weights, x),
+                    "x = {:e} over weights {:?}",
+                    x,
+                    weights
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn overflowing_total_takes_the_scan() {
+        let weights = [f64::MAX, f64::MAX];
+        let table = WeightTable::new(&weights);
+        assert_eq!(table.total, f64::INFINITY);
+        for x in [0.0, 1.0, f64::MAX, f64::INFINITY, f64::NAN] {
+            assert_eq!(table.index_of(x), scan(&weights, x), "x = {x:e}");
+        }
+        let (mut a, mut b) = (DetRng::new(3), DetRng::new(3));
+        for _ in 0..8 {
+            assert_eq!(a.choose_weighted(&weights), b.choose_from(&table));
         }
     }
 
