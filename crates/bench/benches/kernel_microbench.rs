@@ -24,7 +24,7 @@ use nemo_core::idp::{run_curve, ModelOutputs, RandomSelector, SelectionView};
 use nemo_core::oracle::{SimulatedUser, User};
 use nemo_core::pipeline::StandardPipeline;
 use nemo_core::session::Session;
-use nemo_core::seu::SeuSelector;
+use nemo_core::seu::{SeuAggregates, SeuSelector};
 use nemo_core::{NemoSystem, PoolConfig, RoundJob, SessionPool, SharedArtifacts};
 use nemo_data::catalog::{build, DatasetName, Profile};
 use nemo_data::mixture::{MixtureConfig, MixtureModel};
@@ -295,7 +295,6 @@ fn main() {
     let excluded = vec![false; ds.train.n()];
     let view = SelectionView { excluded: &excluded, ..session.view() };
     let selector = SeuSelector::new();
-    let mut aggs = session.aggregates().clone();
     let all: Vec<usize> = (0..ds.train.n()).collect();
     let first_100: Vec<usize> = (0..100.min(ds.train.n())).collect();
     let matrix = session.matrix().clone();
@@ -337,10 +336,10 @@ fn main() {
 
     let timings = trials(vec![
         // What a round pays for SEU: the session's fold of the aggregates
-        // into its buffer, then every example scored through the
-        // per-round table.
+        // on first read, then every example scored through the per-round
+        // table.
         row("seu_fast_path_full_pool", || {
-            aggs.sync(&ds, view.outputs);
+            let aggs = SeuAggregates::new(&ds, view.outputs);
             selector.scores(&SelectionView { aggs: &aggs, ..view }, &all)
         }),
         row("seu_naive_100_examples", || selector.expected_utility_naive(&view, &first_100)),

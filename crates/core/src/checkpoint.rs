@@ -9,7 +9,7 @@
 //! session holds is *derived* cache state and is deterministically rebuilt
 //! on restore:
 //!
-//! - the SEU aggregates are folded again by
+//! - the SEU aggregates are folded on first read by
 //!   [`crate::seu::SeuAggregates::new`] from the restored model outputs,
 //!   equal to the never-interrupted session's bit for bit;
 //! - the contextualizer's refined grid-slot columns are re-registered

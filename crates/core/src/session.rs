@@ -2,12 +2,15 @@
 //! long-lived IDP state, including the SEU aggregates
 //! ([`SeuAggregates`]) that every selection view carries.
 //!
-//! After every learning stage the session folds the aggregates again
-//! from the new model outputs, into the same buffer, so they are a pure
-//! function of `(Dataset, ModelOutputs)`: `tests/session_differential.rs`
-//! checks them bit for bit against a fresh [`SeuAggregates::new`] every
-//! round, and a restored session folds the same bits from its restored
-//! outputs.
+//! The aggregates are a pure function of `(Dataset, ModelOutputs)`, so
+//! the session keeps them folded on first read after a learning stage:
+//! every learning stage (and a restore) drops them, and the next
+//! [`Session::aggregates`], [`Session::view`] or [`Session::select_with`]
+//! folds them once from the current outputs. A pooled tenant that is
+//! restored, selects and is evicted again therefore folds once per round.
+//! `tests/session_differential.rs` checks them bit for bit against a fresh
+//! [`SeuAggregates::new`] every round, and a restored session folds the
+//! same bits from its restored outputs.
 //!
 //! Everything interactive is a thin driver over this type:
 //! [`Session::round`] runs one select → develop → learn round over any
@@ -27,10 +30,15 @@ use nemo_data::Dataset;
 use nemo_labelmodel::Posterior;
 use nemo_lf::{Label, LabelMatrix, LfColumn, Lineage, PrimitiveLf};
 use nemo_sparse::DetRng;
+use std::cell::OnceCell;
 
 /// One interactive IDP session: dataset binding, collected LFs with
 /// lineage, the pool-exclusion set, the latest model outputs, and the
-/// SEU aggregates folded from them.
+/// SEU aggregates folded from them on first read.
+///
+/// `Session` is `Send`, so a pool can move it between workers, but not
+/// `Sync`: the aggregates sit in a [`OnceCell`] that a shared read may
+/// fill.
 ///
 /// `Session` is component-agnostic: selectors, users, and learning
 /// pipelines are passed *into* the methods that need them, so a single
@@ -44,7 +52,8 @@ pub struct Session<'a> {
     matrix: LabelMatrix,
     excluded: Vec<bool>,
     outputs: ModelOutputs,
-    cache: SeuAggregates,
+    /// Empty until first read after a learning stage or a restore.
+    cache: OnceCell<SeuAggregates>,
     rng: DetRng,
     iteration: usize,
     pending: Option<usize>,
@@ -56,8 +65,6 @@ impl<'a> Session<'a> {
     /// The inverted index over the training corpus is built once by the
     /// dataset; the session only ever reads it.
     pub fn new(ds: &'a Dataset, config: IdpConfig) -> Self {
-        let outputs = ModelOutputs::initial(ds);
-        let cache = SeuAggregates::new(ds, &outputs);
         Self {
             rng: DetRng::new(config.seed ^ 0x005e_5510),
             lineage: Lineage::new(),
@@ -65,8 +72,8 @@ impl<'a> Session<'a> {
             excluded: vec![false; ds.train.n()],
             iteration: 0,
             pending: None,
-            outputs,
-            cache,
+            outputs: ModelOutputs::initial(ds),
+            cache: OnceCell::new(),
             ds,
             config,
         }
@@ -111,10 +118,10 @@ impl<'a> Session<'a> {
         self.pending
     }
 
-    /// The SEU aggregates, folded from the model outputs after every
-    /// learning stage.
+    /// The SEU aggregates of the current model outputs, folded on first
+    /// read after a learning stage.
     pub fn aggregates(&self) -> &SeuAggregates {
-        &self.cache
+        self.cache.get_or_init(|| SeuAggregates::new(self.ds, &self.outputs))
     }
 
     /// A read-only selection view over the current state, exposing the
@@ -126,7 +133,7 @@ impl<'a> Session<'a> {
             matrix: &self.matrix,
             outputs: &self.outputs,
             excluded: &self.excluded,
-            aggs: &self.cache,
+            aggs: self.aggregates(),
         }
     }
 
@@ -154,7 +161,7 @@ impl<'a> Session<'a> {
             matrix: &self.matrix,
             outputs: &self.outputs,
             excluded: &self.excluded,
-            aggs: &self.cache,
+            aggs: self.cache.get_or_init(|| SeuAggregates::new(self.ds, &self.outputs)),
         };
         let Some(x) = selector.select(&view, &mut self.rng) else {
             return Ok(None);
@@ -175,7 +182,7 @@ impl<'a> Session<'a> {
     }
 
     /// IDP stages 2–3: record LFs written from the pending example, then
-    /// re-learn and re-sync the aggregates. An empty `lfs` behaves like
+    /// re-learn. An empty `lfs` behaves like
     /// [`Session::skip`] (the iteration is still consumed).
     ///
     /// # Errors
@@ -288,8 +295,9 @@ impl<'a> Session<'a> {
         Ok(StepRecord { iteration, selected, new_lfs })
     }
 
-    /// IDP stage 3: re-learn from the collected LFs, advance the
-    /// iteration, and fold the SEU aggregates again.
+    /// IDP stage 3: re-learn from the collected LFs and advance the
+    /// iteration. The SEU aggregates of the old outputs are dropped; the
+    /// next read folds them from the new ones.
     fn relearn(&mut self, pipeline: &mut dyn LearningPipeline) {
         let iter_seed = self
             .config
@@ -298,7 +306,7 @@ impl<'a> Session<'a> {
             .wrapping_add(self.iteration as u64);
         self.outputs =
             pipeline.learn(&self.lineage, &self.matrix, self.ds, &self.config, iter_seed);
-        self.cache.sync(self.ds, &self.outputs);
+        self.cache = OnceCell::new();
         self.iteration += 1;
     }
 
@@ -377,7 +385,8 @@ impl<'a> Session<'a> {
     /// session that violates its invariants. On success the session's
     /// observable behaviour is identical to the one that produced the
     /// checkpoint: same lineage and matrix, bit-identical model outputs
-    /// and RNG stream, and the same SEU aggregates, bit for bit.
+    /// and RNG stream, and the same SEU aggregates, bit for bit, folded
+    /// on first read.
     pub fn restore(ds: &'a Dataset, ckpt: &SessionCheckpoint) -> Result<Self, RestoreError> {
         let n_train = ds.train.n();
         let expect_len = |field, expected: usize, actual: usize| {
@@ -463,7 +472,6 @@ impl<'a> Session<'a> {
             test_pred,
             chosen_p: ckpt.chosen_p,
         };
-        let cache = SeuAggregates::new(ds, &outputs);
         Ok(Self {
             rng,
             lineage,
@@ -472,7 +480,7 @@ impl<'a> Session<'a> {
             iteration: ckpt.iteration,
             pending: ckpt.pending,
             outputs,
-            cache,
+            cache: OnceCell::new(),
             ds,
             config: ckpt.config.clone(),
         })
@@ -584,6 +592,45 @@ mod tests {
             let fold = SeuAggregates::new(&ds, s.outputs());
             assert_eq!(agg_bits(s.aggregates()), agg_bits(&fold), "round {round}");
         }
+    }
+
+    /// After every stage, `aggregates()` is the fold of the current
+    /// outputs. Each stage runs with the aggregates already read, so a
+    /// stage that changes the outputs without dropping them would leave
+    /// the old outputs' fold in place.
+    #[test]
+    fn aggregates_equal_fold_after_every_stage() {
+        let ds = toy_text(1);
+        let check = |s: &Session<'_>, what: &str| {
+            let fold = SeuAggregates::new(&ds, s.outputs());
+            assert_eq!(agg_bits(s.aggregates()), agg_bits(&fold), "{what}");
+        };
+        let mut s = Session::new(&ds, cfg(12, 13));
+        let (mut selector, mut user, mut pipeline) =
+            (SeuSelector::new(), SimulatedUser::default(), StandardPipeline);
+        check(&s, "new");
+        for round in 0..3 {
+            let x = s.select_with(&mut selector).unwrap().expect("pool non-empty");
+            let lfs = s.develop(x, &mut user);
+            s.submit(lfs, &mut pipeline).unwrap();
+            check(&s, &format!("submit, round {round}"));
+        }
+
+        s.select_with(&mut selector).unwrap().expect("pool non-empty");
+        let bad = PrimitiveLf::new(ds.n_primitives as u32, nemo_lf::Label::Pos);
+        assert!(matches!(
+            s.submit(vec![bad], &mut pipeline),
+            Err(SessionError::PrimitiveOutOfDomain { .. })
+        ));
+        check(&s, "rejected submit");
+        s.skip(&mut pipeline).unwrap();
+        check(&s, "skip");
+        s.advance_frozen().unwrap();
+        check(&s, "advance_frozen");
+
+        let r = Session::restore(&ds, &s.checkpoint()).expect("valid checkpoint restores");
+        check(&r, "restore");
+        assert_eq!(agg_bits(r.aggregates()), agg_bits(s.aggregates()));
     }
 
     #[test]

@@ -28,13 +28,14 @@
 //! **One scorer, one oracle** (docs/ARCHITECTURE.md, "One interactive
 //! round"): [`SeuAggregates`] folds the inverted index into per-primitive
 //! aggregates ([`PrimAgg`]) from which both `Ψ_t(λ_{z,y})` and
-//! `acc(λ_{z,y})` are O(1). A [`crate::session::Session`] folds them
-//! again after every learning stage, and every
+//! `acc(λ_{z,y})` are O(1). A [`crate::session::Session`] holds them
+//! folded on first read after a learning stage, and every
 //! [`SelectionView`] carries them. [`SeuSelector::scores`] turns them into
-//! per-primitive weight and weight × utility products once per round and
-//! reads every example's score off those in `O(|prims(x)|)`. The
-//! per-example scan [`SeuSelector::expected_utility_naive`] is the
-//! reference it is differential-tested against.
+//! one prior-weighted utility sum and one weight sum per primitive once
+//! per round and reads every example's score off those in
+//! `O(|prims(x)|)`. The per-example scan
+//! [`SeuSelector::expected_utility_naive`] is the reference it is
+//! differential-tested against.
 
 use crate::idp::{ModelOutputs, SelectionView, Selector};
 use crate::user_model::UserModelKind;
@@ -70,12 +71,12 @@ impl SeuSelector {
     /// the view's aggregates. `NEG_INFINITY` marks an example without
     /// candidate primitives (no LF can be extracted from it).
     ///
-    /// One `O(|Z|)` pass first turns the aggregates into per-primitive,
-    /// per-label tables: `w[z][y]` is the user-model weight of `λ_{z,y}`
-    /// and `wu[z][y]` its weight × utility product. That moves every
-    /// branch (accuracy, weight, collected-LF lookup, utility variant)
-    /// out of the per-occurrence loop, which reduces to four multiply-adds
-    /// per `(example, primitive)` slot. The collected `(z, y)` pairs are
+    /// One `O(|Z|)` pass first turns the aggregates into one pair per
+    /// primitive: `Σ_y P(y) · w(λ_{z,y}) · Ψ_t(λ_{z,y})` and
+    /// `Σ_y w(λ_{z,y})`. That moves every branch (accuracy, weight,
+    /// collected-LF lookup, utility variant) and every product out of the
+    /// per-occurrence loop, which reduces to two loads and two adds per
+    /// `(example, primitive)` slot. The collected `(z, y)` pairs are
     /// marked in one pass over the lineage.
     pub fn scores(&self, view: &SelectionView<'_>, avail: &[usize]) -> Vec<f64> {
         let aggs = view.aggs.aggs();
@@ -92,24 +93,28 @@ impl SeuSelector {
                 marks[tracked.lf.y.index()] = true;
             }
         }
-        let mut w = vec![[0.0; 2]; aggs.len()];
-        let mut wu = vec![[0.0; 2]; aggs.len()];
+        let prior = view.ds.prior();
+        // `sums[z]` = `[Σ_y P(y) · wu[y], Σ_y w[y]]`, the two sums a slot
+        // of `z` adds, each evaluated in the order the per-slot form adds
+        // its terms, so the scores keep their bits.
+        let mut sums = vec![[0.0; 2]; aggs.len()];
         for (z, agg) in aggs.iter().enumerate() {
             if agg.df == 0 {
                 continue;
             }
+            let (mut w, mut wu) = ([0.0; 2], [0.0; 2]);
             for y in Label::ALL {
                 let weight = self.user_model.weight(agg.accuracy(y));
                 if weight <= 0.0 {
                     continue;
                 }
                 let value = if collected[z][y.index()] { 0.0 } else { self.utility.value(agg, y) };
-                w[z][y.index()] = weight;
-                wu[z][y.index()] = weight * value;
+                w[y.index()] = weight;
+                wu[y.index()] = weight * value;
             }
+            sums[z] = [prior[0] * wu[0] + prior[1] * wu[1], w[0] + w[1]];
         }
         let corpus = &view.ds.train.corpus;
-        let prior = view.ds.prior();
         avail
             .iter()
             .map(|&x| {
@@ -120,9 +125,9 @@ impl SeuSelector {
                 let mut weighted = 0.0;
                 let mut total_w = 0.0;
                 for &z in prims {
-                    let (zw, zwu) = (&w[z as usize], &wu[z as usize]);
-                    weighted += prior[0] * zwu[0] + prior[1] * zwu[1];
-                    total_w += zw[0] + zw[1];
+                    let [zwu, zw] = sums[z as usize];
+                    weighted += zwu;
+                    total_w += zw;
                 }
                 self.normalize(weighted, total_w)
             })
@@ -210,26 +215,68 @@ impl Selector for SeuSelector {
 
 /// Per-primitive SEU aggregates of the model outputs.
 ///
-/// Invariant: `aggs[z]` is the fold of [`PrimAgg::add`], in posting
-/// order, over the postings of `z` under the posterior entropies `ψ` and
-/// end-model prediction signs `ŷ` of the `ModelOutputs` last passed to
-/// [`SeuAggregates::new`] or [`SeuAggregates::sync`]. The aggregates are
-/// a pure function of `(Dataset, ModelOutputs)`: a synced, a fresh and a
-/// restored session's agree bit for bit.
+/// Invariant: `aggs[z]` holds, bit for bit, the fold of [`PrimAgg::add`],
+/// in posting order, over the postings of `z` under the posterior
+/// entropies `ψ` and end-model prediction signs `ŷ` of the `ModelOutputs`
+/// passed to [`SeuAggregates::new`]. The aggregates are a pure function
+/// of `(Dataset, ModelOutputs)`: a session holds them folded on first
+/// read after a learning stage, and a long-lived, a fresh and a restored
+/// session's agree bit for bit.
 #[derive(Debug, Clone)]
 pub struct SeuAggregates {
     aggs: Vec<PrimAgg>,
-    folds: usize,
+}
+
+/// One training row as the fold reads it.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    /// `ψ(x_i)`.
+    psi: f64,
+    /// `ψ(x_i) · sign(ŷ_i)`.
+    psi_yhat: f64,
+    /// `ŷ_i = +1`.
+    pos: bool,
 }
 
 impl SeuAggregates {
-    /// The fold: one pass over the inverted index postings under the
-    /// given model state.
+    /// The fold: one pass over the rows builds a `(ψ, ψ·ŷ, ŷ > 0)` table,
+    /// then one pass over the inverted index postings sums it per
+    /// primitive.
+    ///
+    /// A row whose posterior has the previous row's bits reuses that
+    /// row's entropy: most rows sit at a handful of values (every row no
+    /// LF covers at the same prior), so runs are long. `s_yhat` is
+    /// `2·n_pos − df`: [`PrimAgg::add`]'s partial sums of ±1.0 are
+    /// integers below 2^53 and never −0.0, so the count gives their bits.
     pub fn new(ds: &Dataset, outputs: &ModelOutputs) -> Self {
-        let mut cache =
-            Self { aggs: vec![PrimAgg::default(); ds.train.corpus.n_primitives()], folds: 0 };
-        cache.sync(ds, outputs);
-        cache
+        let p_pos = outputs.train_posterior.p_pos_slice();
+        let mut last: Option<(u64, f64)> = None;
+        let rows: Vec<Row> = (0..p_pos.len())
+            .map(|i| {
+                let bits = p_pos[i].to_bits();
+                let psi = match last {
+                    Some((b, psi)) if b == bits => psi,
+                    _ => outputs.train_posterior.entropy(i),
+                };
+                last = Some((bits, psi));
+                let sign = outputs.yhat_sign(i);
+                Row { psi, psi_yhat: psi * f64::from(sign), pos: sign > 0 }
+            })
+            .collect();
+        let mut aggs = vec![PrimAgg::default(); ds.train.corpus.n_primitives()];
+        for (z, postings) in ds.train.corpus.index().iter_nonempty() {
+            let (mut s_psi_yhat, mut s_psi, mut n_pos) = (0.0, 0.0, 0);
+            for &i in postings {
+                let row = rows[i as usize];
+                s_psi_yhat += row.psi_yhat;
+                s_psi += row.psi;
+                n_pos += usize::from(row.pos);
+            }
+            let df = postings.len();
+            let s_yhat = (2 * n_pos) as f64 - df as f64;
+            aggs[z as usize] = PrimAgg { s_psi_yhat, s_yhat, s_psi, n_pos, df };
+        }
+        Self { aggs }
     }
 
     /// The aggregates, aligned with the primitive domain.
@@ -237,35 +284,17 @@ impl SeuAggregates {
         &self.aggs
     }
 
-    /// `(folds, 0)`: the folds performed so far, construction included,
-    /// and the delta syncs that no longer exist. An inert shim kept for
-    /// perfbench's counters; ROADMAP item 4 deletes it.
+    /// `(1, 0)`: the one fold every `SeuAggregates` is, and the delta
+    /// syncs that no longer exist. An inert shim kept for perfbench's
+    /// counters; ROADMAP item 4 deletes it.
     pub fn sync_counts(&self) -> (usize, usize) {
-        (self.folds, 0)
+        (1, 0)
     }
 
     /// Always 0: no sync updates slots in place any more. An inert shim
     /// kept for perfbench's counters; ROADMAP item 4 deletes it.
     pub fn delta_slots_updated(&self) -> u64 {
         0
-    }
-
-    /// Re-run the fold of [`SeuAggregates::new`] under `outputs`, into the
-    /// existing buffer.
-    pub fn sync(&mut self, ds: &Dataset, outputs: &ModelOutputs) {
-        let psi = outputs.train_posterior.entropies();
-        let yhat = outputs.yhat_signs();
-        self.aggs.fill(PrimAgg::default());
-        for (z, postings) in ds.train.corpus.index().iter_nonempty() {
-            // Folded in a local, not through the slot, so the sums stay
-            // in registers.
-            let mut agg = PrimAgg::default();
-            for &i in postings {
-                agg.add(psi[i as usize], yhat[i as usize]);
-            }
-            self.aggs[z as usize] = agg;
-        }
-        self.folds += 1;
     }
 }
 
@@ -278,7 +307,10 @@ mod tests {
     use crate::session::Session;
     use crate::IdpConfig;
     use nemo_data::catalog::toy_text;
-    use nemo_lf::{LabelMatrix, Lineage};
+    use nemo_labelmodel::Posterior;
+    use nemo_lf::{LabelMatrix, Lineage, PrimitiveCorpus};
+    use proptest::prelude::*;
+    use std::sync::OnceLock;
 
     /// Build a view over a session that has run a few iterations, then
     /// hand it to closures for testing.
@@ -293,6 +325,115 @@ mod tests {
         }
         let excluded = vec![false; ds.train.n()];
         f(&SelectionView { excluded: &excluded, ..session.view() })
+    }
+
+    /// The fold by definition: [`PrimAgg::add`] over each primitive's
+    /// postings, in posting order, under `Posterior::entropies` and
+    /// `ModelOutputs::yhat_signs`.
+    fn fold_by_add(ds: &Dataset, outputs: &ModelOutputs) -> Vec<PrimAgg> {
+        let psi = outputs.train_posterior.entropies();
+        let yhat = outputs.yhat_signs();
+        let index = ds.train.corpus.index();
+        (0..ds.train.corpus.n_primitives() as u32)
+            .map(|z| {
+                let mut agg = PrimAgg::default();
+                for &i in index.postings(z) {
+                    agg.add(psi[i as usize], yhat[i as usize]);
+                }
+                agg
+            })
+            .collect()
+    }
+
+    /// Every field of `agg`, the float sums as bits.
+    fn agg_bits(agg: &PrimAgg) -> [u64; 5] {
+        [
+            agg.s_psi_yhat.to_bits(),
+            agg.s_yhat.to_bits(),
+            agg.s_psi.to_bits(),
+            agg.n_pos as u64,
+            agg.df as u64,
+        ]
+    }
+
+    /// Rows of the property below: `toy_text(1)`'s train split.
+    const ROWS: usize = 800;
+
+    fn toy() -> &'static Dataset {
+        static TOY: OnceLock<Dataset> = OnceLock::new();
+        TOY.get_or_init(|| toy_text(1))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// `SeuAggregates::new` equals the fold over `PrimAgg::add`, every
+        /// field bit for bit, on random corpora and outputs: rows none,
+        /// all or some of which contain a primitive; a primitive that
+        /// never occurs (the last) and others that happen not to;
+        /// posteriors of exactly 0, 1 and 0.5, runs of equal posteriors,
+        /// and every row at 0.5 (no LF covers it); `train_probs` of
+        /// exactly 0.5 (`ŷ = +1`).
+        #[test]
+        fn prop_fold_bit_identical_to_prim_agg_add(
+            n_prims in 2u32..40,
+            docs in proptest::collection::vec(proptest::collection::vec(0u32..1000, 0..5), ROWS),
+            cover in 0usize..3,
+            p_mode in 0usize..3,
+            p_draws in proptest::collection::vec((0usize..5, 0.0f64..1.0), ROWS),
+            prob_draws in proptest::collection::vec((0usize..3, 0.0f64..1.0), ROWS),
+        ) {
+            let mut ds = toy().clone();
+            prop_assert_eq!(ds.train.n(), ROWS);
+            let docs: Vec<Vec<u32>> = docs
+                .into_iter()
+                .map(|d| {
+                    let mut d: Vec<u32> = d.into_iter().map(|v| v % (n_prims - 1)).collect();
+                    match cover {
+                        0 => d.clear(),
+                        1 if d.is_empty() => d.push(0),
+                        _ => {}
+                    }
+                    d
+                })
+                .collect();
+            ds.train.corpus = PrimitiveCorpus::new(docs, n_prims as usize);
+            ds.n_primitives = n_prims as usize;
+
+            let mut p_pos = Vec::with_capacity(ROWS);
+            for &(code, u) in &p_draws {
+                let last = p_pos.last().copied().unwrap_or(0.5);
+                p_pos.push(match (p_mode, code) {
+                    (0, _) => 0.5,
+                    (1, 0) => 0.0,
+                    (1, 1) => 1.0,
+                    (1, 2) => 0.5,
+                    (1, 3) => last,
+                    _ => u,
+                });
+            }
+            let train_probs: Vec<f64> = prob_draws
+                .iter()
+                .map(|&(code, u)| match code {
+                    0 => 0.5,
+                    1 => u,
+                    _ => u.round(),
+                })
+                .collect();
+            let outputs = ModelOutputs {
+                train_posterior: Posterior::new(p_pos),
+                train_probs,
+                ..ModelOutputs::initial(&ds)
+            };
+
+            let fold = SeuAggregates::new(&ds, &outputs);
+            let want = fold_by_add(&ds, &outputs);
+            prop_assert_eq!(fold.aggs().len(), want.len());
+            for (z, (got, want)) in fold.aggs().iter().zip(&want).enumerate() {
+                prop_assert_eq!(agg_bits(got), agg_bits(want), "z {}: {:?} vs {:?}", z, got, want);
+            }
+            prop_assert!(want.last().is_some_and(|a| a.df == 0), "the last primitive never occurs");
+        }
     }
 
     #[test]
@@ -403,7 +544,6 @@ mod tests {
         // Construct a view where examples containing primitive A are
         // highly uncertain and examples containing primitive B are
         // certain; SEU must pick an A-example.
-        use nemo_labelmodel::Posterior;
         let ds = toy_text(5);
         with_view(&ds, 3, |view| {
             // Synthetic posterior: uncertainty 0.5 everywhere except
