@@ -30,15 +30,11 @@ use nemo_data::Dataset;
 use nemo_labelmodel::Posterior;
 use nemo_lf::{Label, LabelMatrix, LfColumn, Lineage, PrimitiveLf};
 use nemo_sparse::DetRng;
-use std::cell::OnceCell;
+use std::sync::OnceLock;
 
 /// One interactive IDP session: dataset binding, collected LFs with
 /// lineage, the pool-exclusion set, the latest model outputs, and the
 /// SEU aggregates folded from them on first read.
-///
-/// `Session` is `Send`, so a pool can move it between workers, but not
-/// `Sync`: the aggregates sit in a [`OnceCell`] that a shared read may
-/// fill.
 ///
 /// `Session` is component-agnostic: selectors, users, and learning
 /// pipelines are passed *into* the methods that need them, so a single
@@ -53,7 +49,7 @@ pub struct Session<'a> {
     excluded: Vec<bool>,
     outputs: ModelOutputs,
     /// Empty until first read after a learning stage or a restore.
-    cache: OnceCell<SeuAggregates>,
+    cache: OnceLock<SeuAggregates>,
     rng: DetRng,
     iteration: usize,
     pending: Option<usize>,
@@ -73,7 +69,7 @@ impl<'a> Session<'a> {
             iteration: 0,
             pending: None,
             outputs: ModelOutputs::initial(ds),
-            cache: OnceCell::new(),
+            cache: OnceLock::new(),
             ds,
             config,
         }
@@ -306,7 +302,7 @@ impl<'a> Session<'a> {
             .wrapping_add(self.iteration as u64);
         self.outputs =
             pipeline.learn(&self.lineage, &self.matrix, self.ds, &self.config, iter_seed);
-        self.cache = OnceCell::new();
+        self.cache = OnceLock::new();
         self.iteration += 1;
     }
 
@@ -480,7 +476,7 @@ impl<'a> Session<'a> {
             iteration: ckpt.iteration,
             pending: ckpt.pending,
             outputs,
-            cache: OnceCell::new(),
+            cache: OnceLock::new(),
             ds,
             config: ckpt.config.clone(),
         })
@@ -631,6 +627,15 @@ mod tests {
         let r = Session::restore(&ds, &s.checkpoint()).expect("valid checkpoint restores");
         check(&r, "restore");
         assert_eq!(agg_bits(r.aggregates()), agg_bits(s.aggregates()));
+    }
+
+    /// The lazily folded aggregates keep the session shareable across
+    /// threads.
+    #[test]
+    fn session_and_system_are_send_and_sync() {
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<Session<'static>>();
+        send_sync::<crate::system::NemoSystem<'static>>();
     }
 
     #[test]

@@ -243,22 +243,13 @@ impl SeuAggregates {
     /// then one pass over the inverted index postings sums it per
     /// primitive.
     ///
-    /// A row whose posterior has the previous row's bits reuses that
-    /// row's entropy: most rows sit at a handful of values (every row no
-    /// LF covers at the same prior), so runs are long. `s_yhat` is
-    /// `2·n_pos − df`: [`PrimAgg::add`]'s partial sums of ±1.0 are
-    /// integers below 2^53 and never −0.0, so the count gives their bits.
+    /// `s_yhat` is `2·n_pos − df`: [`PrimAgg::add`]'s partial sums of
+    /// ±1.0 are integers below 2^53 and never −0.0, so the count gives
+    /// their bits.
     pub fn new(ds: &Dataset, outputs: &ModelOutputs) -> Self {
-        let p_pos = outputs.train_posterior.p_pos_slice();
-        let mut last: Option<(u64, f64)> = None;
-        let rows: Vec<Row> = (0..p_pos.len())
+        let rows: Vec<Row> = (0..outputs.train_probs.len())
             .map(|i| {
-                let bits = p_pos[i].to_bits();
-                let psi = match last {
-                    Some((b, psi)) if b == bits => psi,
-                    _ => outputs.train_posterior.entropy(i),
-                };
-                last = Some((bits, psi));
+                let psi = outputs.train_posterior.entropy(i);
                 let sign = outputs.yhat_sign(i);
                 Row { psi, psi_yhat: psi * f64::from(sign), pos: sign > 0 }
             })

@@ -34,9 +34,6 @@ use nemo_lf::{Lineage, PrimitiveLf};
 /// The end-to-end Nemo system (SEU selection + contextualized
 /// learning): a thin frontend driver over the [`Session`] state machine,
 /// which owns the interactive state and the SEU aggregates.
-///
-/// `Send` but not `Sync`, like its [`Session`]: the session fills its
-/// aggregates on first read.
 pub struct NemoSystem<'a> {
     session: Session<'a>,
     selector: SeuSelector,
